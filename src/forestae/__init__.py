@@ -32,13 +32,13 @@ from .forest import (
     ForestParams,
     Region,
     Tree,
+    assigned_region,
     fit_completely_random,
     fit_supervised,
     fit_unsupervised,
     leaf_region,
     predict,
     region_intersect,
-    region_sample,
     route,
 )
 from .kernel import (

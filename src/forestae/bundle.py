@@ -84,7 +84,9 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
     path = Path(path)
     if path.suffix == ".gz":
         # fixed mtime and no embedded filename keep the container byte-stable
-        with open(path, "wb") as raw, gzip.GzipFile(fileobj=raw, mode="wb", mtime=0) as fh:
+        with open(path, "wb") as raw, gzip.GzipFile(
+            filename="", fileobj=raw, mode="wb", mtime=0
+        ) as fh:
             fh.write(payload)
     else:
         path.write_bytes(payload)

@@ -20,8 +20,14 @@ from . import bundle as bundle_io
 from . import decode as dec
 from . import kernel as ker
 from . import spectral
-from .data import Table, bootstrap_split, load_csv, save_csv
-from .forest import ForestParams, fit_completely_random, fit_supervised, fit_unsupervised
+from .data import Schema, Table, bootstrap_split, conform_table, load_csv, save_csv
+from .forest import (
+    ForestParams,
+    assigned_region,
+    fit_completely_random,
+    fit_supervised,
+    fit_unsupervised,
+)
 from .metrics import distortion
 
 MODES = ("supervised", "completely_random", "unsupervised")
@@ -112,10 +118,15 @@ def _read_embedding_csv(path) -> np.ndarray:
     if not rows:
         raise UsageError(f"{path}: empty embedding file")
     d = len(rows[0])
-    body = rows[1:]
-    if not body:
-        return np.empty((0, d), dtype=np.float64)
-    return np.array([[float(x) for x in row] for row in body], dtype=np.float64)
+    out = np.empty((len(rows) - 1, d), dtype=np.float64)
+    for i, row in enumerate(rows[1:]):
+        if len(row) != d:
+            raise UsageError(f"{path}: row {i + 2} has {len(row)} cells, the header has {d}")
+        try:
+            out[i] = [float(x) for x in row]
+        except ValueError:
+            raise UsageError(f"{path}: row {i + 2} has a non-numeric cell") from None
+    return out
 
 
 def _write_embedding_csv(path, Z0: np.ndarray, d_z: int) -> None:
@@ -165,7 +176,10 @@ def _decode_rows(b, Z0: np.ndarray, args) -> tuple[Table, list[dict]]:
         relabeled = dec.relabel_forest(b.forest, b.model, b.synth, args.n_synth, args.seed)
         out = dec.relabel_decode(relabeled, b.forest, Z0, seed=args.seed)
         if args.trace:
-            trace.append({"degenerate_nodes": relabeled.n_degenerate})
+            trace.append({
+                "degenerate_nodes": relabeled.n_degenerate,
+                "dropped_draws": relabeled.n_dropped_draws,
+            })
         return out, trace
     if args.decoder == "lasso":
         out = dec.lasso_decode(
@@ -175,19 +189,14 @@ def _decode_rows(b, Z0: np.ndarray, args) -> tuple[Table, list[dict]]:
         return out, trace
     # exact enumeration
     khat = spectral.reconstruct_kernel(Z0, b.model)
-    rng = np.random.default_rng(args.seed)
-    rows = []
+    assignments = np.empty((Z0.shape[0], b.forest.n_trees), dtype=np.int64)
     for i in range(Z0.shape[0]):
         res = dec.ilp_decode_exact(khat[i], b.forest, b.synth.leaf_ids)
-        from .forest import leaf_region, region_intersect, region_sample
-
-        region = region_intersect(
-            [leaf_region(b.forest, t, int(l)) for t, l in enumerate(res.assignment)]
-        )
-        rows.append(region_sample(region, rng))
+        assignments[i] = res.assignment
         if args.trace:
             trace.append({"row": i, "objective": res.objective, "n_optima": res.n_optima})
-    return Table(b.schema, np.array(rows)), trace
+    values = assigned_region(b.forest, assignments).sample(np.random.default_rng(args.seed))
+    return Table(b.schema, values), trace
 
 
 def cmd_decode(args) -> int:
@@ -208,8 +217,6 @@ def cmd_decode(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
-    from .data import conform_table
-
     b = bundle_io.load_bundle(args.bundle)
     queries = conform_table(load_csv(args.data, schema_hint=b.schema), b.schema)
     K0 = ker.rf_kernel_cross(b.forest, queries, b.synth.table, strict=False)
@@ -228,46 +235,26 @@ def _dz_for_rate(rate: float, d_x: int) -> int:
 
 def _bench_one(payload) -> list[dict]:
     (values, schema_dict, name, mode, label, params_dict, rates, t, k, decoder,
-     penalty, sparsity_cap, boot_seed) = payload
-    from .data import Schema
-
+     penalty, sparsity_cap, boot_seed, rounds) = payload
     table = Table(Schema.from_dict(schema_dict), np.asarray(values))
     split = bootstrap_split(table.n, boot_seed)
     train = table.take(np.unique(split.train))  # de-duplicated kernel reference
     test = table.take(split.holdout)
+    if mode == "supervised":
+        test = test.drop(label)
     params = ForestParams.from_dict(params_dict)
     t0 = time.perf_counter()
-    if mode == "supervised":
-        labels = train.column(label)
-        feats_train, feats_test = train.drop(label), test.drop(label)
-        forest = fit_supervised(feats_train, labels, params)
-    elif mode == "completely_random":
-        feats_train, feats_test = train, test
-        forest = fit_completely_random(train, params)
-    else:
-        feats_train, feats_test = train, test
-        forest = fit_unsupervised(train, params)
-    d_x = feats_train.schema.n_columns
-    dims = [min(_dz_for_rate(r, d_x), feats_train.n - 1) for r in rates]
-    K = ker.rf_kernel_train(forest, feats_train)
-    full = spectral.eigendecompose(K, max(dims))
-    synth = dec.build_synthetic_training(forest, feats_train, boot_seed)
-    K0 = ker.rf_kernel_cross(forest, feats_test, feats_train, strict=False)
+    d_x = test.schema.n_columns
+    dims = [min(_dz_for_rate(r, d_x), train.n - 1) for r in rates]
+    feats_train, forest, _, full, synth = _fit_pipeline(
+        train, mode, label, params, max(dims), t, boot_seed, jobs=1, rounds=rounds
+    )
+    K0 = ker.rf_kernel_cross(forest, test, feats_train, strict=False)
     shared = time.perf_counter() - t0
     rows = []
     for rate, d_z in zip(rates, dims):
         t1 = time.perf_counter()
-        model = spectral.with_time(
-            spectral.SpectralModel(
-                n=full.n,
-                d_z=d_z,
-                eigenvalues=full.eigenvalues[:d_z],
-                V=full.V[:, :d_z],
-                lambda0=full.lambda0,
-                v0_max_dev=full.v0_max_dev,
-            ),
-            t,
-        )
+        model = full.truncate(d_z)
         Z0 = spectral.nystrom_embed(K0, model)
         if decoder == "knn":
             out = dec.knn_decode(Z0, model, forest, synth, k=min(k, synth.n), seed=boot_seed)
@@ -278,7 +265,7 @@ def _bench_one(payload) -> list[dict]:
         else:
             relabeled = dec.relabel_forest(forest, model, synth, seed=boot_seed)
             out = dec.relabel_decode(relabeled, forest, Z0, seed=boot_seed)
-        score = distortion(feats_test, out)
+        score = distortion(test, out)
         rows.append(
             {
                 "dataset": name,
@@ -305,7 +292,7 @@ def cmd_bench(args) -> int:
         (
             table.values.tolist(), table.schema.to_dict(), name, args.mode, args.label,
             _params(args, args.seed + i).to_dict(), rates, args.t, args.k, args.decoder,
-            args.penalty, args.sparsity_cap, args.seed + i,
+            args.penalty, args.sparsity_cap, args.seed + i, args.rounds,
         )
         for i in range(args.bootstraps)
     ]

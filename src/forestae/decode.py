@@ -20,22 +20,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .data import Table
-from .forest import (
-    Forest,
-    Region,
-    assigned_regions,
-    leaf_region,
-    node_region,
-    region_intersect,
-    region_sample,
-    regions_empty,
-    route_table,
-    route_values,
-    sample_region_rows,
-    sample_regions,
-    tree_leaf_arrays,
-)
-from .kernel import LeafProfile, cross_from_values, profile_from_ids
+from .forest import Forest, Region, assigned_region, region_intersect, route_table, route_values
+from .kernel import cross_from_ids, leaf_profile
 from .spectral import SpectralModel, nystrom_embed, reconstruct_kernel
 
 __all__ = [
@@ -91,11 +77,7 @@ class SyntheticTrainingSet:
 
 def build_synthetic_training(forest: Forest, table: Table, seed: int) -> SyntheticTrainingSet:
     leaf_ids, _ = route_table(forest, table)
-    lo, hi, open_, masks = assigned_regions(forest, leaf_ids)
-    empty = regions_empty(lo, hi, open_, masks)
-    assert not empty.any(), "training row with empty leaf intersection"
-    rng = np.random.default_rng(seed)
-    values = sample_regions(forest, lo, hi, open_, masks, rng)
+    values = assigned_region(forest, leaf_ids).sample(np.random.default_rng(seed))
     synth = Table(table.schema, values)
     check, _ = route_table(forest, synth)
     assert np.array_equal(check, leaf_ids), "synthetic row escaped its source regions"
@@ -211,6 +193,7 @@ class RelabeledForest:
     trees: list[RelabeledTree]
     d_z: int
     n_degenerate: int
+    n_dropped_draws: int = 0  # node draws that fell only in unpopulated leaves
 
 
 def _best_latent_split(Z0: np.ndarray, labels: np.ndarray):
@@ -250,14 +233,18 @@ def relabel_forest(
     Per internal node: draw ``n_synth`` rows uniformly from the node's region,
     embed them through the cross kernel + out-of-sample extension, label each
     by the original split literal, and install the latent axis/threshold with
-    the highest simple matching coefficient. Nodes whose draws all route one
-    way get a constant split toward the majority side (counted).
+    the highest simple matching coefficient. Draws that land only in leaves
+    holding no reference row have no embedding; they are dropped (counted).
+    Nodes whose remaining draws all route one way get a constant split toward
+    the majority side (counted).
     """
-    profile = profile_from_ids(forest, synth.leaf_ids)
+    profile = leaf_profile(forest, synth.leaf_ids)
+    populated = profile.counts_flat > 0
     rng = np.random.default_rng(seed)
-    degenerate = 0
+    degenerate = dropped = 0
     out_trees = []
     for b, tree in enumerate(forest.trees):
+        boxes = forest.node_boxes(b)
         feat = np.full(tree.n_nodes, -1, dtype=np.int32)
         thr = np.zeros(tree.n_nodes)
         flip = np.zeros(tree.n_nodes, dtype=bool)
@@ -265,27 +252,31 @@ def relabel_forest(
         for idx in range(tree.n_nodes):
             if tree.left[idx] < 0:
                 continue
-            region = node_region(forest, b, idx)
-            draws = sample_region_rows(region, n_synth, rng)
+            draws = boxes[np.full(n_synth, idx)].sample(rng)
+            q_ids = route_values(forest, draws)
+            keep = populated[q_ids + profile.offsets].any(axis=1)
+            dropped += int(n_synth - keep.sum())
+            draws, q_ids = draws[keep], q_ids[keep]
+            m = draws.shape[0]
             col = draws[:, tree.feature[idx]]
             labels = (col == tree.threshold[idx]) if tree.is_equal[idx] else (
                 col < tree.threshold[idx]
             )
             n_left = int(labels.sum())
             best = None
-            if 0 < n_left < n_synth:
-                K0 = cross_from_values(forest, draws, profile, strict=False)
+            if 0 < n_left < m:
+                K0 = cross_from_ids(forest, q_ids, profile, strict=False)
                 Z0 = nystrom_embed(K0, model)
                 best = _best_latent_split(Z0, labels)
             if best is None:
                 # constant split: +inf sends everything left, -inf right
                 feat[idx] = 0
-                thr[idx] = np.inf if n_left * 2 >= n_synth else -np.inf
-                smc[idx] = max(n_left, n_synth - n_left) / n_synth
+                thr[idx] = np.inf if n_left * 2 >= m else -np.inf
+                smc[idx] = max(n_left, m - n_left) / m if m else np.nan
                 degenerate += 1
                 continue
             feat[idx], thr[idx], flip[idx] = best[0], best[1], best[2]
-            smc[idx] = best[3] / n_synth
+            smc[idx] = best[3] / m
         out_trees.append(
             RelabeledTree(
                 feature=feat,
@@ -297,7 +288,7 @@ def relabel_forest(
                 smc=smc,
             )
         )
-    return RelabeledForest(trees=out_trees, d_z=model.d_z, n_degenerate=degenerate)
+    return RelabeledForest(out_trees, model.d_z, degenerate, dropped)
 
 
 def route_relabeled(relabeled: RelabeledForest, Z0: np.ndarray) -> np.ndarray:
@@ -328,29 +319,16 @@ def relabel_decode(
     intersections fall back to greedy repair seeded with the assignments.
     """
     leaf_ids = route_relabeled(relabeled, Z0)
-    lo, hi, open_, masks = assigned_regions(original, leaf_ids)
-    empty = regions_empty(lo, hi, open_, masks)
     rng = np.random.default_rng(seed)
-    values = np.empty((leaf_ids.shape[0], original.schema.n_columns))
-    good = ~empty
-    if good.any():
-        values[good] = sample_regions(
-            original, lo[good], hi[good], open_[good],
-            {j: m[good] for j, m in masks.items()}, rng,
-        )
     offsets = original.leaf_offsets
-    for i in np.flatnonzero(empty):
+    for i in np.flatnonzero(assigned_region(original, leaf_ids).is_empty()):
         fuzzy = FuzzyAssignment(
             values=np.ones(original.n_trees),
             leaf_ids=leaf_ids[i].astype(np.int64) + offsets,
             groups=np.arange(original.n_trees),
         )
-        res = greedy_leaf_assign(fuzzy, original, seed=int(rng.integers(2**31)))
-        region = region_intersect(
-            [leaf_region(original, b, int(l)) for b, l in enumerate(res.assignment)]
-        )
-        values[i] = region_sample(region, rng)
-    return Table(original.schema, values)
+        leaf_ids[i] = greedy_leaf_assign(fuzzy, original, seed=int(rng.integers(2**31))).assignment
+    return Table(original.schema, assigned_region(original, leaf_ids).sample(rng))
 
 
 # ---------------------------------------------------------------------------
@@ -445,64 +423,6 @@ def _bron_kerbosch_pivot(adj: np.ndarray) -> list[frozenset]:
     return cliques
 
 
-class _Box:
-    """Mutable region arrays used inside the greedy loop."""
-
-    __slots__ = ("lo", "hi", "open", "masks")
-
-    def __init__(self, lo, hi, open_, masks):
-        self.lo, self.hi, self.open, self.masks = lo, hi, open_, masks
-
-
-def _leaf_intersects(leaf_arrays, box: _Box) -> np.ndarray:
-    lo, hi, open_, masks = leaf_arrays
-    L = np.maximum(lo, box.lo[None, :])
-    H = np.minimum(hi, box.hi[None, :])
-    Hopen = np.where(
-        hi < box.hi[None, :], open_, np.where(hi == box.hi[None, :], open_ | box.open, box.open)
-    )
-    ok = ~np.any((L > H) | ((L == H) & Hopen), axis=1)
-    for j, m in masks.items():
-        ok &= (m & box.masks[j][None, :]).any(axis=1)
-    return ok
-
-
-def _intersect_picks(leaf_arrays_list, picks, members) -> _Box | None:
-    lo = None
-    for b in members:
-        llo, lhi, lopen, lmasks = leaf_arrays_list[b]
-        i = picks[b]
-        if lo is None:
-            lo, hi = llo[i].copy(), lhi[i].copy()
-            open_ = lopen[i].copy()
-            masks = {j: m[i].copy() for j, m in lmasks.items()}
-            continue
-        tighter = lhi[i] < hi
-        open_ = np.where(tighter, lopen[i], np.where(lhi[i] == hi, open_ | lopen[i], open_))
-        hi = np.minimum(hi, lhi[i])
-        lo = np.maximum(lo, llo[i])
-        for j in masks:
-            masks[j] &= lmasks[j][i]
-    box = _Box(lo, hi, open_, masks)
-    if np.any((box.lo > box.hi) | ((box.lo == box.hi) & box.open)):
-        return None
-    for m in box.masks.values():
-        if not m.any():
-            return None
-    return box
-
-
-def _sample_box(forest: Forest, box: _Box, rng) -> np.ndarray:
-    return sample_regions(
-        forest,
-        box.lo[None, :],
-        box.hi[None, :],
-        box.open[None, :],
-        {j: m[None, :] for j, m in box.masks.items()},
-        rng,
-    )[0]
-
-
 def greedy_leaf_assign(p_hat: FuzzyAssignment, forest: Forest, seed: int = 0) -> GreedyResult:
     """Harden fuzzy leaf scores into consistent one-hot-per-tree assignments.
 
@@ -517,33 +437,28 @@ def greedy_leaf_assign(p_hat: FuzzyAssignment, forest: Forest, seed: int = 0) ->
     rng = np.random.default_rng(seed)
     B = forest.n_trees
     offsets = forest.leaf_offsets
-    p_full = []
-    for b, tree in enumerate(forest.trees):
-        p = np.zeros(tree.n_leaves)
-        sel = p_hat.groups == b
-        if sel.any():
-            p[(p_hat.leaf_ids[sel] - offsets[b]).astype(np.intp)] = p_hat.values[sel]
-        if p.sum() == 0:
-            p[:] = 1.0 / tree.n_leaves
-        p_full.append(p)
-    leaf_arrays = [tree_leaf_arrays(forest, b) for b in range(B)]
-
-    from .forest import _full_box
-
-    root = _full_box(forest)
-    box = _Box(root.lo, root.hi, root.hi_open, root.masks)
+    flat = np.zeros(forest.total_leaves)
+    flat[p_hat.leaf_ids.astype(np.intp)] = p_hat.values
+    # a tree without scores weighs its leaves uniformly
+    p_full = [
+        p if p.sum() != 0 else np.full(p.shape, 1.0 / p.shape[0])
+        for p in np.split(flat, offsets[1:])
+    ]
+    leaves = _tree_leaf_boxes(forest)
+    box = forest.node_boxes(0)[0]  # the training feature box
     cap = B * max(t.n_leaves for t in forest.trees)
     picks = np.zeros(B, dtype=np.int64)
     rounds = 0
     while rounds < cap:
         rounds += 1
         for b in range(B):
-            ok = _leaf_intersects(leaf_arrays[b], box)
+            ok = ~leaves[b].intersect(box).is_empty()
             vals = np.where(ok, p_full[b], -np.inf)
             top = vals.max()
             tied = np.flatnonzero(vals == top)
             picks[b] = tied[0] if tied.shape[0] == 1 else tied[rng.integers(tied.shape[0])]
-        adj = _pairwise_overlap(leaf_arrays, picks)
+        picked = forest.leaf_boxes(offsets + picks)
+        adj = ~picked[:, None].intersect(picked[None, :]).is_empty()
         if adj.all():
             break
         np.fill_diagonal(adj, True)
@@ -556,45 +471,24 @@ def greedy_leaf_assign(p_hat: FuzzyAssignment, forest: Forest, seed: int = 0) ->
                 members = sorted(common)
             else:
                 members = sorted(cliques[rng.integers(len(cliques))])
-        new_box = _intersect_picks(leaf_arrays, picks, members)
-        if new_box is None:
+        new_box = region_intersect(picked[b] for b in members)
+        if new_box.is_empty():
             break  # categorical sets broke pairwise-implies-common; repair below
         box = new_box
 
-    final = _intersect_picks(leaf_arrays, picks, range(B))
-    if final is not None:
+    if not region_intersect(picked[b] for b in range(B)).is_empty():
         return GreedyResult(assignment=picks.copy(), rounds=rounds, repaired=False)
-    x = _sample_box(forest, box, rng)
+    x = box.sample(rng)
     repaired = route_values(forest, x[None, :])[0].astype(np.int64)
     return GreedyResult(assignment=repaired, rounds=rounds, repaired=True)
 
 
-def _pairwise_overlap(leaf_arrays, picks) -> np.ndarray:
-    B = len(leaf_arrays)
-    d = leaf_arrays[0][0].shape[1]
-    lo = np.empty((B, d))
-    hi = np.empty((B, d))
-    open_ = np.empty((B, d), dtype=bool)
-    for b in range(B):
-        llo, lhi, lopen, _ = leaf_arrays[b]
-        lo[b], hi[b], open_[b] = llo[picks[b]], lhi[picks[b]], lopen[picks[b]]
-    L = np.maximum(lo[:, None, :], lo[None, :, :])
-    H = np.minimum(hi[:, None, :], hi[None, :, :])
-    Hopen = np.where(
-        hi[:, None, :] < hi[None, :, :],
-        open_[:, None, :],
-        np.where(
-            hi[:, None, :] > hi[None, :, :],
-            open_[None, :, :],
-            open_[:, None, :] | open_[None, :, :],
-        ),
-    )
-    ok = ~np.any((L > H) | ((L == H) & Hopen), axis=2)
-    masks0 = leaf_arrays[0][3]
-    for j in masks0:
-        M = np.stack([leaf_arrays[b][3][j][picks[b]] for b in range(B)])
-        ok &= (M[:, None, :] & M[None, :, :]).any(axis=2)
-    return ok
+def _tree_leaf_boxes(forest: Forest) -> list[Region]:
+    """Per tree, the cells of its leaves indexed by local leaf id."""
+    return [
+        forest.leaf_boxes(np.arange(o, o + t.n_leaves))
+        for o, t in zip(forest.leaf_offsets, forest.trees)
+    ]
 
 
 def lasso_decode(
@@ -613,12 +507,12 @@ def lasso_decode(
     Z0 = np.atleast_2d(np.asarray(Z0, dtype=np.float64))
     khat_all = reconstruct_kernel(Z0, model)
     pi = synth.leaf_ids
-    profile = profile_from_ids(forest, pi)
+    profile = leaf_profile(forest, pi)
     counts_flat = profile.counts_flat.astype(np.float64)
     offsets = forest.leaf_offsets
     rng = np.random.default_rng(seed)
     B = forest.n_trees
-    values = np.empty((Z0.shape[0], forest.schema.n_columns))
+    assignments = np.empty((Z0.shape[0], B), dtype=np.int64)
     for i in range(Z0.shape[0]):
         khat = khat_all[i]
         nz = np.flatnonzero(np.abs(khat) > 0)
@@ -648,12 +542,8 @@ def lasso_decode(
             objective=objective,
             sweeps=len(history),
         )
-        res = greedy_leaf_assign(fuzzy, forest, seed=int(rng.integers(2**31)))
-        region = region_intersect(
-            [leaf_region(forest, b, int(l)) for b, l in enumerate(res.assignment)]
-        )
-        values[i] = region_sample(region, rng)
-    return Table(forest.schema, values)
+        assignments[i] = greedy_leaf_assign(fuzzy, forest, seed=int(rng.integers(2**31))).assignment
+    return Table(forest.schema, assigned_region(forest, assignments).sample(rng))
 
 
 # ---------------------------------------------------------------------------
@@ -696,12 +586,11 @@ def ilp_decode_exact(khat_row: np.ndarray, forest: Forest, pi: np.ndarray) -> Il
         raise DecodeError("kernel row length must match training assignments")
     members: list[list[np.ndarray]] = []
     svals: list[np.ndarray] = []
-    regions: list[list[Region]] = []
+    leaves = _tree_leaf_boxes(forest)
     for b in range(B):
         counts = np.bincount(pi[:, b], minlength=sizes[b])
         svals.append(np.where(counts > 0, 1.0 / np.maximum(counts, 1), 0.0))
         members.append([np.flatnonzero(pi[:, b] == l) for l in range(sizes[b])])
-        regions.append([leaf_region(forest, b, l) for l in range(sizes[b])])
 
     acc = np.zeros(n)
     current = np.zeros(B, dtype=np.int64)
@@ -720,13 +609,11 @@ def ilp_decode_exact(khat_row: np.ndarray, forest: Forest, pi: np.ndarray) -> Il
                 if len(best["optima"]) < 8:
                     best["optima"].append(current.copy())
             return
-        for l in range(sizes[b]):
-            nxt = regions[b][l] if region is None else region_intersect([region, regions[b][l]])
-            if nxt.is_empty():
-                continue
+        nxt = leaves[b] if region is None else leaves[b].intersect(region)
+        for l in np.flatnonzero(~nxt.is_empty()):
             current[b] = l
             acc[members[b][l]] += svals[b][l]
-            descend(b + 1, nxt)
+            descend(b + 1, nxt[l])
             acc[members[b][l]] -= svals[b][l]
         return
 

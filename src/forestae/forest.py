@@ -10,6 +10,7 @@ identical forests.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -30,7 +31,7 @@ __all__ = [
     "route_table",
     "leaf_region",
     "region_intersect",
-    "region_sample",
+    "assigned_region",
     "predict",
 ]
 
@@ -108,7 +109,6 @@ class Tree:
     leaf_id: np.ndarray  # int32, -1 at internal nodes
     leaf_count: np.ndarray  # int64 counting-sample size per leaf, all >= 1
     leaf_stat: np.ndarray  # (L,) means or (L, C) class counts
-    _regions: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -127,6 +127,9 @@ class Forest:
     params: ForestParams
     kind: str  # "regression" | "classification" | "none"
     n_classes: int = 0
+    # node cells, built on first use: only the decoders read them, and they
+    # depend on feature_ranges, which the Forest owns
+    _boxes: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_trees(self) -> int:
@@ -141,6 +144,21 @@ class Forest:
         """Global leaf index = leaf_offsets[b] + local leaf id."""
         sizes = [t.n_leaves for t in self.trees]
         return np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64)
+
+    def _box_table(self) -> tuple:
+        if self._boxes is None:
+            self._boxes = _node_box_table(self)
+        return self._boxes
+
+    def node_boxes(self, b: int) -> "Region":
+        """Cells of tree b's nodes, indexed by node."""
+        boxes, starts, _ = self._box_table()
+        return boxes[starts[b] : starts[b + 1]]
+
+    def leaf_boxes(self, leaves) -> "Region":
+        """Cells of the given global leaf ids (any shape)."""
+        boxes, _, leaf_rows = self._box_table()
+        return boxes[leaf_rows[leaves]]
 
     def to_dict(self) -> dict:
         return {
@@ -650,9 +668,13 @@ def predict(forest: Forest, x):
 
 @dataclass
 class Region:
-    """Axis-aligned cell: intervals on continuous columns (upper bound open
-    when it came from a split literal), allowed-level masks on categorical
-    ones.
+    """A batch of axis-aligned cells: intervals on continuous columns (upper
+    bound open when it came from a split literal), allowed-level masks on
+    categorical ones.
+
+    ``lo``, ``hi`` and ``hi_open`` have shape ``(..., d)`` and each mask
+    ``(..., L_j)``; a single cell is a batch of shape ``()``. Categorical
+    columns keep ``lo = hi = 0``. Regions are never modified in place.
     """
 
     schema: Schema
@@ -661,239 +683,142 @@ class Region:
     hi_open: np.ndarray
     masks: dict[int, np.ndarray]
 
-    def is_empty(self) -> bool:
+    def __getitem__(self, idx) -> "Region":
+        """Index the batch dimensions."""
+        return Region(
+            self.schema, self.lo[idx], self.hi[idx], self.hi_open[idx],
+            {j: m[idx] for j, m in self.masks.items()},
+        )
+
+    def intersect(self, other: "Region") -> "Region":
+        """Coordinate-wise intersection, broadcasting the batch dimensions;
+        emptiness is a result, not an error."""
+        lo = np.maximum(self.lo, other.lo)
+        hi = np.minimum(self.hi, other.hi)
+        hi_open = np.where(
+            self.hi < other.hi,
+            self.hi_open,
+            np.where(self.hi > other.hi, other.hi_open, self.hi_open | other.hi_open),
+        )
+        masks = {j: m & other.masks[j] for j, m in self.masks.items()}
+        return Region(self.schema, lo, hi, hi_open, masks)
+
+    def is_empty(self) -> np.ndarray:
+        """Emptiness of every cell, shaped like the batch."""
+        empty = np.any((self.lo > self.hi) | ((self.lo == self.hi) & self.hi_open), axis=-1)
+        for m in self.masks.values():
+            empty = empty | ~m.any(axis=-1)
+        return empty
+
+    def sample(self, rng) -> np.ndarray:
+        """One uniform draw per cell, shaped ``(..., d)``: continuous
+        coordinates uniform on their intervals, categorical ones uniform on
+        the allowed levels. ``rng`` is a Generator or a seed; a batch of n
+        cells consumes one ``rng.random(n)`` per column, in column order.
+        """
+        if np.any(self.is_empty()):
+            raise ForestError("cannot sample from an empty region")
+        rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+        d = self.schema.n_columns
+        lo, hi = self.lo.reshape(-1, d), self.hi.reshape(-1, d)
+        n = lo.shape[0]
+        out = np.empty((n, d))
         for j, col in enumerate(self.schema.columns):
+            u = rng.random(n)
             if col.is_categorical:
-                if not self.masks[j].any():
-                    return True
-            elif self.lo[j] > self.hi[j] or (self.lo[j] == self.hi[j] and self.hi_open[j]):
-                return True
-        return False
+                m = self.masks[j].reshape(n, -1)
+                pick = np.floor(u * m.sum(axis=1)).astype(np.intp)
+                out[:, j] = np.argmax(np.cumsum(m, axis=1) > pick[:, None], axis=1)
+            else:
+                out[:, j] = np.where(
+                    lo[:, j] == hi[:, j], lo[:, j], lo[:, j] + u * (hi[:, j] - lo[:, j])
+                )
+        return out.reshape(self.lo.shape)
 
     def contains(self, x) -> bool:
+        """Whether the point x lies in this single cell."""
         x = np.asarray(x, dtype=np.float64)
-        for j, col in enumerate(self.schema.columns):
-            if col.is_categorical:
-                code = int(x[j])
-                if code < 0 or not self.masks[j][code]:
-                    return False
-            else:
-                if x[j] < self.lo[j]:
-                    return False
-                if x[j] > self.hi[j] or (x[j] == self.hi[j] and self.hi_open[j]):
-                    return False
-        return True
+        at = np.where([c.is_categorical for c in self.schema.columns], 0.0, x)
+        levels = {j: np.arange(m.shape[-1]) == x[j] for j, m in self.masks.items()}
+        point = Region(self.schema, at, at, np.zeros(at.shape, dtype=bool), levels)
+        return not self.intersect(point).is_empty()
 
 
-def _full_box(forest: Forest) -> Region:
-    d = forest.schema.n_columns
-    lo = np.where(np.isnan(forest.feature_ranges[:, 0]), 0.0, forest.feature_ranges[:, 0])
-    hi = np.where(np.isnan(forest.feature_ranges[:, 1]), 0.0, forest.feature_ranges[:, 1])
+def _node_box_table(forest: Forest) -> tuple[Region, np.ndarray, np.ndarray]:
+    """Cells of every node of every tree, built level by level.
+
+    Returns the (total_nodes, d) batch in tree order, the first row of each
+    tree (length B + 1) and the row of each global leaf id. A root's cell is
+    the training feature box; a child narrows its parent's cell by the split
+    literal (left) or its negation (right).
+    """
+    trees = forest.trees
+    starts = np.concatenate([[0], np.cumsum([t.n_nodes for t in trees])]).astype(np.int64)
+
+    left = np.concatenate([np.where(t.left >= 0, t.left + s, -1) for t, s in zip(trees, starts)])
+    right = np.concatenate([np.where(t.right >= 0, t.right + s, -1) for t, s in zip(trees, starts)])
+    feature = np.concatenate([t.feature for t in trees]).astype(np.intp)
+    cut = np.concatenate([t.threshold for t in trees])
+    is_equal = np.concatenate([t.is_equal for t in trees])
+    rows = starts[-1]
+    lo = np.tile(np.nan_to_num(forest.feature_ranges[:, 0]), (rows, 1))
+    hi = np.tile(np.nan_to_num(forest.feature_ranges[:, 1]), (rows, 1))
+    hi_open = np.zeros(lo.shape, dtype=bool)
     masks = {
-        j: np.ones(len(c.levels), dtype=bool)
+        j: np.ones((rows, len(c.levels)), dtype=bool)
         for j, c in enumerate(forest.schema.columns)
         if c.is_categorical
     }
-    return Region(forest.schema, lo.copy(), hi.copy(), np.zeros(d, dtype=bool), masks)
-
-
-def _tree_regions(forest: Forest, b: int):
-    """Per-node region arrays for tree b, cached on the Tree.
-
-    Returns (lo, hi, hi_open) of shape (n_nodes, d) plus per-categorical-column
-    (n_nodes, L_j) masks keyed by column index.
-    """
-    tree = forest.trees[b]
-    if tree._regions is not None:
-        return tree._regions
-    box = _full_box(forest)
-    n_nodes, d = tree.n_nodes, forest.schema.n_columns
-    lo = np.tile(box.lo, (n_nodes, 1))
-    hi = np.tile(box.hi, (n_nodes, 1))
-    open_ = np.zeros((n_nodes, d), dtype=bool)
-    masks = {j: np.tile(m, (n_nodes, 1)) for j, m in box.masks.items()}
-    order = [0]
-    for idx in order:
-        l, r = tree.left[idx], tree.right[idx]
-        if l < 0:
-            continue
-        f = int(tree.feature[idx])
-        cut = tree.threshold[idx]
-        for child in (l, r):
-            lo[child] = lo[idx]
-            hi[child] = hi[idx]
-            open_[child] = open_[idx]
-            for j in masks:
-                masks[j][child] = masks[j][idx]
-        if tree.is_equal[idx]:
-            code = int(cut)
-            parent_allows = bool(masks[f][idx, code])
-            masks[f][l] = False
-            masks[f][l, code] = parent_allows
-            masks[f][r, code] = False
-            assert masks[f][l].any() and masks[f][r].any(), "contradictory path"
-        else:
-            hi[l, f] = min(hi[l, f], cut)
-            open_[l, f] = True if cut <= hi[idx, f] else open_[idx, f]
-            lo[r, f] = max(lo[r, f], cut)
-        order.extend((int(l), int(r)))
-    tree._regions = (lo, hi, open_, masks)
-    return tree._regions
+    nodes = starts[:-1]
+    while nodes.size:
+        nodes = nodes[left[nodes] >= 0]
+        l, r, f, c = left[nodes], right[nodes], feature[nodes], cut[nodes]
+        for a in (lo, hi, hi_open, *masks.values()):
+            a[l] = a[nodes]
+            a[r] = a[nodes]
+        cont = ~is_equal[nodes]
+        p, fc, cc = nodes[cont], f[cont], c[cont]
+        hi_open[l[cont], fc] = (cc <= hi[p, fc]) | hi_open[p, fc]
+        hi[l[cont], fc] = np.minimum(hi[p, fc], cc)
+        lo[r[cont], fc] = np.maximum(lo[p, fc], cc)
+        for j, m in masks.items():
+            sel = is_equal[nodes] & (f == j)
+            code = c[sel].astype(np.intp)
+            allowed = m[nodes[sel], code]
+            m[l[sel]] = False
+            m[l[sel], code] = allowed
+            m[r[sel], code] = False
+            assert m[l[sel]].any(axis=1).all() and m[r[sel]].any(axis=1).all(), (
+                "contradictory path"
+            )
+        nodes = np.concatenate([l, r])
+    for a in (lo, hi, hi_open, *masks.values()):
+        a.flags.writeable = False  # the cells handed out are views of this table
+    # internal nodes carry leaf id -1 and sort first
+    leaf_rows = np.concatenate([
+        s + np.argsort(t.leaf_id)[t.n_nodes - t.n_leaves :] for t, s in zip(trees, starts)
+    ])
+    return Region(forest.schema, lo, hi, hi_open, masks), starts, leaf_rows
 
 
 def leaf_region(forest: Forest, b: int, leaf: int) -> Region:
     """Intersection of all split conditions on the root-to-leaf path, with
     unconstrained dimensions clipped to the training feature box.
     """
-    tree = forest.trees[b]
-    slots = np.flatnonzero(tree.leaf_id == leaf)
-    if not slots.size:
+    if not 0 <= leaf < forest.trees[b].n_leaves:
         raise ForestError(f"tree {b} has no leaf {leaf}")
-    node = int(slots[0])
-    lo, hi, open_, masks = _tree_regions(forest, b)
-    return Region(
-        forest.schema,
-        lo[node].copy(),
-        hi[node].copy(),
-        open_[node].copy(),
-        {j: m[node].copy() for j, m in masks.items()},
-    )
+    return forest.leaf_boxes(forest.leaf_offsets[b] + leaf)
 
 
-def node_region(forest: Forest, b: int, node: int) -> Region:
-    lo, hi, open_, masks = _tree_regions(forest, b)
-    return Region(
-        forest.schema,
-        lo[node].copy(),
-        hi[node].copy(),
-        open_[node].copy(),
-        {j: m[node].copy() for j, m in masks.items()},
-    )
+def region_intersect(regions) -> Region:
+    """Intersection of an iterable of (broadcastable) regions."""
+    return functools.reduce(Region.intersect, regions)
 
 
-def region_intersect(regions: list[Region]) -> Region:
-    """Coordinate-wise intersection; emptiness is a result, not an error."""
-    if not regions:
-        raise ForestError("region_intersect needs at least one region")
-    first = regions[0]
-    lo = first.lo.copy()
-    hi = first.hi.copy()
-    open_ = first.hi_open.copy()
-    masks = {j: m.copy() for j, m in first.masks.items()}
-    for reg in regions[1:]:
-        lo = np.maximum(lo, reg.lo)
-        tighter = reg.hi < hi
-        open_ = np.where(tighter, reg.hi_open, np.where(reg.hi == hi, open_ | reg.hi_open, open_))
-        hi = np.minimum(hi, reg.hi)
-        for j in masks:
-            masks[j] &= reg.masks[j]
-    return Region(first.schema, lo, hi, open_, masks)
+def assigned_region(forest: Forest, leaf_ids: np.ndarray) -> Region:
+    """Intersection of each row's assigned leaf cells.
 
-
-def region_sample(region: Region, seed) -> np.ndarray:
-    """Uniform draw: continuous coordinates uniform on their intervals,
-    categorical coordinates uniform on the allowed levels.
+    ``leaf_ids`` is (..., B) local ids; the result has batch shape (...).
     """
-    if region.is_empty():
-        raise ForestError("cannot sample from an empty region")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    d = region.schema.n_columns
-    out = np.empty(d)
-    for j, col in enumerate(region.schema.columns):
-        if col.is_categorical:
-            allowed = np.flatnonzero(region.masks[j])
-            out[j] = allowed[rng.integers(0, allowed.shape[0])]
-        elif region.lo[j] == region.hi[j]:
-            out[j] = region.lo[j]
-        else:
-            out[j] = rng.uniform(region.lo[j], region.hi[j])
-    return out
-
-
-def assigned_regions(forest: Forest, leaf_ids: np.ndarray):
-    """Vectorized intersection of each row's assigned leaf regions.
-
-    ``leaf_ids`` is (n x B) local ids. Returns (lo, hi, hi_open, masks) arrays
-    over rows; the batched counterpart of intersecting ``leaf_region`` calls.
-    """
-    leaf_ids = np.atleast_2d(leaf_ids)
-    n = leaf_ids.shape[0]
-    box = _full_box(forest)
-    lo = np.tile(box.lo, (n, 1))
-    hi = np.tile(box.hi, (n, 1))
-    open_ = np.zeros_like(lo, dtype=bool)
-    masks = {j: np.tile(m, (n, 1)) for j, m in box.masks.items()}
-    for b, tree in enumerate(forest.trees):
-        tlo, thi, topen, tmasks = _tree_regions(forest, b)
-        slots = np.flatnonzero(tree.leaf_id >= 0)[np.argsort(tree.leaf_id[tree.leaf_id >= 0])]
-        nodes = slots[leaf_ids[:, b]]
-        lo = np.maximum(lo, tlo[nodes])
-        nhi, nopen = thi[nodes], topen[nodes]
-        tie = nhi == hi
-        open_ = np.where(nhi < hi, nopen, np.where(tie, open_ | nopen, open_))
-        hi = np.minimum(hi, nhi)
-        for j in masks:
-            masks[j] &= tmasks[j][nodes]
-    return lo, hi, open_, masks
-
-
-def tree_leaf_arrays(forest: Forest, b: int):
-    """Region arrays of tree b indexed by leaf id: (lo, hi, hi_open, masks)."""
-    tree = forest.trees[b]
-    lo, hi, open_, masks = _tree_regions(forest, b)
-    slots = np.flatnonzero(tree.leaf_id >= 0)
-    slots = slots[np.argsort(tree.leaf_id[slots])]
-    return (
-        lo[slots],
-        hi[slots],
-        open_[slots],
-        {j: m[slots] for j, m in masks.items()},
-    )
-
-
-def regions_empty(lo, hi, open_, masks) -> np.ndarray:
-    """Row-wise emptiness for a batch of regions."""
-    empty = np.any((lo > hi) | ((lo == hi) & open_), axis=1)
-    for m in masks.values():
-        empty |= ~m.any(axis=1)
-    return empty
-
-
-def sample_region_rows(region: Region, n: int, rng) -> np.ndarray:
-    """n independent uniform draws from one region."""
-    if region.is_empty():
-        raise ForestError("cannot sample from an empty region")
-    d = region.schema.n_columns
-    out = np.empty((n, d))
-    for j, col in enumerate(region.schema.columns):
-        if col.is_categorical:
-            allowed = np.flatnonzero(region.masks[j])
-            out[:, j] = allowed[rng.integers(0, allowed.shape[0], size=n)]
-        elif region.lo[j] == region.hi[j]:
-            out[:, j] = region.lo[j]
-        else:
-            out[:, j] = rng.uniform(region.lo[j], region.hi[j], size=n)
-    return out
-
-
-def sample_regions(forest: Forest, lo, hi, open_, masks, rng) -> np.ndarray:
-    """Uniform draws from a batch of non-empty regions."""
-    n, d = lo.shape
-    out = np.empty((n, d))
-    for j, col in enumerate(forest.schema.columns):
-        if col.is_categorical:
-            m = masks[j]
-            counts = m.sum(axis=1)
-            if np.any(counts == 0):
-                raise ForestError("empty categorical mask in batch sampling")
-            pick = np.floor(rng.random(n) * counts).astype(np.intp)
-            cum = np.cumsum(m, axis=1)
-            out[:, j] = np.argmax(cum > pick[:, None], axis=1)
-        else:
-            if np.any(lo[:, j] > hi[:, j]):
-                raise ForestError("empty interval in batch sampling")
-            u = rng.random(n)
-            out[:, j] = np.where(
-                lo[:, j] == hi[:, j], lo[:, j], lo[:, j] + u * (hi[:, j] - lo[:, j])
-            )
-    return out
+    ids = np.asarray(leaf_ids, dtype=np.int64) + forest.leaf_offsets
+    return region_intersect(forest.leaf_boxes(ids[..., b]) for b in range(forest.n_trees))

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import Table
-from .forest import Forest, route, route_table, route_values
+from .forest import Forest, route, route_table
 
 __all__ = [
     "SparseKernelMatrix",
@@ -78,25 +78,27 @@ class LeafProfile:
     def counts_flat(self) -> np.ndarray:
         return np.concatenate(self.counts)
 
+    @property
+    def weights(self) -> np.ndarray:
+        """Per global leaf: 1/sqrt(reference count), 0 for unpopulated leaves."""
+        counts = self.counts_flat.astype(np.float64)
+        w = np.zeros_like(counts)
+        hit = counts > 0
+        w[hit] = 1.0 / np.sqrt(counts[hit])
+        return w
+
 
 def leaf_profile(forest: Forest, reference: Table | np.ndarray) -> LeafProfile:
+    """Profile of a reference table, or of its (n x B) leaf ids if already routed."""
     if isinstance(reference, Table):
         ids, _ = route_table(forest, reference)
     else:
-        ids = route_values(forest, reference)
+        ids = reference
     counts = [
         np.bincount(ids[:, b], minlength=t.n_leaves).astype(np.int64)
         for b, t in enumerate(forest.trees)
     ]
     return LeafProfile(leaf_ids=ids, counts=counts, offsets=forest.leaf_offsets)
-
-
-def profile_from_ids(forest: Forest, leaf_ids: np.ndarray) -> LeafProfile:
-    counts = [
-        np.bincount(leaf_ids[:, b], minlength=t.n_leaves).astype(np.int64)
-        for b, t in enumerate(forest.trees)
-    ]
-    return LeafProfile(leaf_ids=leaf_ids, counts=counts, offsets=forest.leaf_offsets)
 
 
 def _membership(forest: Forest, leaf_ids: np.ndarray, weights: np.ndarray) -> sp.csr_matrix:
@@ -111,32 +113,24 @@ def _membership(forest: Forest, leaf_ids: np.ndarray, weights: np.ndarray) -> sp
 def rf_kernel_train(forest: Forest, table: Table) -> SparseKernelMatrix:
     """Symmetric doubly stochastic kernel over the reference table's rows."""
     profile = leaf_profile(forest, table)
-    counts = profile.counts_flat.astype(np.float64)
-    w = np.zeros_like(counts)
-    hit = counts > 0
-    w[hit] = 1.0 / np.sqrt(counts[hit])
-    F = _membership(forest, profile.leaf_ids, w)
+    F = _membership(forest, profile.leaf_ids, profile.weights)
     K = (F @ F.T) / forest.n_trees
     K = (K + K.T) * 0.5
     K.sort_indices()
     return SparseKernelMatrix(matrix=K.tocsr(), role=TRAIN)
 
 
-def cross_from_values(
+def cross_from_ids(
     forest: Forest,
-    query_values: np.ndarray,
+    q_ids: np.ndarray,
     profile: LeafProfile,
     strict: bool = True,
     unseen_levels: int = 0,
 ) -> SparseKernelMatrix:
-    counts = profile.counts_flat.astype(np.float64)
-    w = np.zeros_like(counts)
-    hit = counts > 0
-    w[hit] = 1.0 / np.sqrt(counts[hit])
-
-    q_ids = route_values(forest, query_values)
+    """Cross kernel of routed queries (m x B leaf ids) against a profile."""
+    w = profile.weights
     q_cols = q_ids.astype(np.int64) + profile.offsets[None, :]
-    empty = ~hit[q_cols]  # (m, B) cells whose leaf holds no reference row
+    empty = w[q_cols] == 0  # (m, B) cells whose leaf holds no reference row
     n_empty = int(empty.sum())
     if n_empty and strict:
         raise KernelError(
@@ -169,11 +163,9 @@ def rf_kernel_cross(
     reference point in every tree; otherwise strict mode raises, and
     non-strict mode averages over the populated trees only.
     """
-    from .data import align_to_schema
-
+    q_ids, unseen = route_table(forest, queries)
     profile = leaf_profile(forest, reference)
-    values, unseen = align_to_schema(queries, forest.schema)
-    return cross_from_values(forest, values, profile, strict=strict, unseen_levels=unseen)
+    return cross_from_ids(forest, q_ids, profile, strict=strict, unseen_levels=unseen)
 
 
 def leaf_size_vector(forest: Forest) -> np.ndarray:
@@ -193,8 +185,7 @@ class FeatureMapVector:
     d_phi: int
 
     def dot(self, other: "FeatureMapVector") -> float:
-        shared, ia, ib = np.intersect1d(self.indices, other.indices, return_indices=True)
-        del shared
+        _, ia, ib = np.intersect1d(self.indices, other.indices, return_indices=True)
         return float(np.dot(self.values[ia], other.values[ib]))
 
 
@@ -218,17 +209,10 @@ def mmd_squared(sample_a: Table, sample_b: Table, forest: Forest, reference: Tab
     the a-b mean plus the b-b mean, with kernel evaluations normalized by the
     reference table's leaf counts.
     """
-    from .data import align_to_schema
-
-    profile = leaf_profile(forest, reference)
-    counts = profile.counts_flat.astype(np.float64)
-    w = np.zeros_like(counts)
-    hit = counts > 0
-    w[hit] = 1.0 / np.sqrt(counts[hit])
+    w = leaf_profile(forest, reference).weights
 
     def member(t: Table) -> sp.csr_matrix:
-        values, _ = align_to_schema(t, forest.schema)
-        return _membership(forest, route_values(forest, values), w)
+        return _membership(forest, route_table(forest, t)[0], w)
 
     Fa, Fb = member(sample_a), member(sample_b)
     B = forest.n_trees

@@ -49,6 +49,18 @@ class SpectralModel:
     t: float | None = None
     Z: np.ndarray | None = None
 
+    def truncate(self, d_z: int) -> "SpectralModel":
+        """The leading d_z coordinates, diffusion time kept."""
+        if not 1 <= d_z <= self.d_z:
+            raise SpectralError(f"d_z must lie in [1, {self.d_z}], got {d_z}")
+        return dataclasses.replace(
+            self,
+            d_z=d_z,
+            eigenvalues=self.eigenvalues[:d_z],
+            V=self.V[:, :d_z],
+            Z=None if self.Z is None else self.Z[:, :d_z],
+        )
+
     def require_time(self) -> tuple[float, np.ndarray]:
         if self.t is None or self.Z is None:
             raise SpectralError("diffusion time not applied; call with_time first")

@@ -51,6 +51,11 @@ def test_fit_deterministic_bytes(tmp_path):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    # the gzip container must not record the output file name
+    gz1, gz2 = tmp_path / "first.json.gz", tmp_path / "second-name.json.gz"
+    assert main(args + ["--out", str(gz1)]) == 0
+    assert main(args + ["--out", str(gz2)]) == 0
+    assert gz1.read_bytes() == gz2.read_bytes()
 
 
 def test_fit_rejects_oversized_dimension(tmp_path, capsys):
@@ -203,6 +208,47 @@ def test_bench_parallel_matches_serial(tmp_path):
     with open(b, newline="") as fh:
         rows_b = [{k: v for k, v in r.items() if k != "runtime_s"} for r in csv.DictReader(fh)]
     assert rows_a == rows_b
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [("1.0,abc\n", "non-numeric"), ("1.0,2.0\n3.0\n", "row 3 has 1 cells")],
+)
+def test_decode_malformed_embedding_usage_error(fitted, tmp_path, capsys, body, message):
+    _, bundle = fitted
+    emb = tmp_path / "bad.csv"
+    emb.write_text("KPC1,KPC2\n" + body)
+    rc = main(["decode", str(bundle), str(emb), "--out", str(tmp_path / "r.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bad.csv" in err and message in err
+
+
+def test_decode_relabel_traces_dropped_draws(tmp_path):
+    # an unsupervised forest has leaves holding only synthetic-class rows, so
+    # some node draws meet no reference row in any tree
+    data = _write_blobs_csv(tmp_path / "train.csv", n=60, seed=1, with_label=False)
+    bundle, emb = tmp_path / "m.json", tmp_path / "z.csv"
+    assert main(["fit", str(data), "--mode", "unsupervised", "--d-z", "2", "--trees", "3",
+                 "--out", str(bundle), "--seed", "1"]) == 0
+    assert main(["encode", str(bundle), str(data), "--out", str(emb)]) == 0
+    trace = tmp_path / "t.jsonl"
+    assert main(["decode", str(bundle), str(emb), "--decoder", "relabel", "--n-synth", "32",
+                 "--out", str(tmp_path / "r.csv"), "--trace", str(trace)]) == 0
+    rec = json.loads(trace.read_text().splitlines()[0])
+    assert rec["dropped_draws"] > 0 and rec["degenerate_nodes"] >= 0
+
+
+def test_bench_rounds_reach_unsupervised_fit(tmp_path):
+    data = _write_blobs_csv(tmp_path / "train.csv", n=60, seed=9, with_label=False)
+    args = ["bench", str(data), "--rates", "0.4,1.0", "--bootstraps", "1",
+            "--mode", "unsupervised", "--trees", "10", "--min-leaf", "3", "--seed", "13"]
+    scores = []
+    for rounds, out in (("1", tmp_path / "r1.csv"), ("2", tmp_path / "r2.csv")):
+        assert main(args + ["--rounds", rounds, "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            scores.append([float(r["distortion"]) for r in csv.DictReader(fh)])
+    assert scores[0] != scores[1]
 
 
 def test_decode_empty_embedding_file(fitted, tmp_path):

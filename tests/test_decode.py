@@ -251,6 +251,21 @@ def test_relabel_decode_rows_inside_assigned_regions():
             assert np.array_equal(decoded_ids[i], latent_ids[i])
 
 
+def test_relabel_drops_draws_in_unpopulated_leaves():
+    # leaves holding only synthetic-class rows are unpopulated by the real
+    # reference rows; draws landing in such leaves in every tree are dropped
+    from forestae.forest import fit_unsupervised
+
+    table = make_mixed(60, seed=1)
+    f = fit_unsupervised(table, ForestParams(n_trees=3, seed=1))
+    model = with_time(eigendecompose(rf_kernel_train(f, table), 2), 1.0)
+    synth = build_synthetic_training(f, table, 1)
+    rl = relabel_forest(f, model, synth, n_synth=64, seed=1)
+    assert rl.n_dropped_draws > 0
+    out = relabel_decode(rl, f, model.Z, seed=1)
+    assert out.n == table.n and np.all(np.isfinite(out.values))
+
+
 # ---------------------------------------------------------------------------
 # exclusive lasso
 
@@ -459,13 +474,14 @@ def test_ilp_infeasible_instance_errors(t2x4):
     ids, _ = route_table(forest, table)
     # corrupt the cached region tables so no leaf pair overlaps; well-formed
     # trees always tile the box, so infeasibility requires a broken structure
-    from forestae.forest import _tree_regions
+    from forestae.forest import Region
 
-    _ = _tree_regions(forest, 0), _tree_regions(forest, 1)
-    lo0, hi0, op0, _ = forest.trees[0]._regions
-    lo1, hi1, op1, _ = forest.trees[1]._regions
-    forest.trees[0]._regions = (lo0, np.minimum(hi0, 0.3), np.ones_like(op0), {})
-    forest.trees[1]._regions = (np.maximum(lo1, 0.6), hi1, op1, {})
+    boxes, starts, leaf_rows = forest._box_table()
+    lo, hi, op = boxes.lo.copy(), boxes.hi.copy(), boxes.hi_open.copy()
+    t0, t1 = slice(starts[0], starts[1]), slice(starts[1], starts[2])
+    hi[t0], op[t0] = np.minimum(hi[t0], 0.3), True
+    lo[t1] = np.maximum(lo[t1], 0.6)
+    forest._boxes = (Region(forest.schema, lo, hi, op, {}), starts, leaf_rows)
     with pytest.raises(DecodeError, match="no feasible"):
         ilp_decode_exact(np.full(4, 0.25), forest, ids)
 

@@ -11,21 +11,16 @@ from forestae.forest import (
     ForestParams,
     ForestError,
     Tree,
-    assigned_regions,
+    assigned_region,
     fit_completely_random,
     fit_supervised,
     fit_unsupervised,
     leaf_region,
-    node_region,
     predict,
     region_intersect,
-    region_sample,
-    regions_empty,
     route,
     route_table,
     route_values,
-    sample_regions,
-    tree_leaf_arrays,
 )
 from conftest import make_blobs, make_mixed
 
@@ -118,7 +113,8 @@ def test_leaf_diameter_shrinks_with_depth():
         )
         total, count = 0.0, 0
         for b in range(f.n_trees):
-            lo, hi, _, _ = tree_leaf_arrays(f, b)
+            box = f.leaf_boxes(f.leaf_offsets[b] + np.arange(f.trees[b].n_leaves))
+            lo, hi = box.lo, box.hi
             total += float(np.linalg.norm(hi - lo, axis=1).sum())
             count += lo.shape[0]
         return total / count
@@ -201,10 +197,10 @@ def test_region_sample_degenerate_and_uniform():
     from forestae.forest import Region
 
     point = Region(schema, np.array([2.0]), np.array([2.0]), np.array([False]), {})
-    assert region_sample(point, 0)[0] == 2.0
+    assert point.sample(0)[0] == 2.0
     box = Region(schema, np.array([0.0]), np.array([1.0]), np.array([False]), {})
     rng = np.random.default_rng(12)
-    draws = np.array([region_sample(box, rng)[0] for _ in range(10_000)])
+    draws = np.array([box.sample(rng)[0] for _ in range(10_000)])
     ks = scipy.stats.kstest(draws, "uniform").statistic
     assert ks < 0.02
 
@@ -213,11 +209,11 @@ def test_region_sample_routes_back():
     table = make_mixed(60, seed=13)
     f = fit_completely_random(table, ForestParams(n_trees=6, min_leaf=2, seed=6))
     ids, _ = route_table(f, table)
-    lo, hi, open_, masks = assigned_regions(f, ids)
-    assert not regions_empty(lo, hi, open_, masks).any()
+    box = assigned_region(f, ids)
+    assert not box.is_empty().any()
     rng = np.random.default_rng(0)
     for _ in range(5):
-        draws = sample_regions(f, lo, hi, open_, masks, rng)
+        draws = box.sample(rng)
         redo = route_values(f, draws)
         assert np.array_equal(redo, ids)
 
@@ -384,6 +380,6 @@ def test_node_region_matches_leaf_region():
     tree = f.trees[0]
     for idx in range(tree.n_nodes):
         if tree.leaf_id[idx] >= 0:
-            a = node_region(f, 0, idx)
+            a = f.node_boxes(0)[idx]
             b = leaf_region(f, 0, int(tree.leaf_id[idx]))
             assert np.array_equal(a.lo, b.lo) and np.array_equal(a.hi, b.hi)

@@ -189,6 +189,19 @@ def test_dirichlet_energy_of_eigenvectors_is_minimal():
         assert energy(Q) >= base - 1e-9
 
 
+def test_truncate_matches_smaller_decomposition():
+    _, _, K = _fitted(n=90, seed=14)  # dense path
+    full = with_time(eigendecompose(K, 6), 0.5)
+    for d in (1, 3, 6):
+        small = with_time(eigendecompose(K, d), 0.5)
+        cut = full.truncate(d)
+        assert cut.d_z == d and cut.t == 0.5
+        for a, b in ((cut.eigenvalues, small.eigenvalues), (cut.V, small.V), (cut.Z, small.Z)):
+            assert a.shape == b.shape and np.abs(a - b).max() <= 1e-12
+    with pytest.raises(SpectralError):
+        full.truncate(7)
+
+
 def test_d_z_bounds_checked():
     _, _, K = _fitted(n=20, seed=13)
     with pytest.raises(SpectralError):
