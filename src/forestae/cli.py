@@ -183,8 +183,8 @@ def _decode_rows(b, Z0: np.ndarray, args) -> tuple[Table, list[dict]]:
         return out, trace
     if args.decoder == "lasso":
         out = dec.lasso_decode(
-            Z0, b.model, b.forest, b.synth,
-            lam=args.penalty, sparsity_cap=args.sparsity_cap, seed=args.seed,
+            Z0, b.model, b.forest, b.synth, lam=args.penalty, sparsity_cap=args.sparsity_cap,
+            seed=args.seed, trace=trace if args.trace else None,
         )
         return out, trace
     # exact enumeration

@@ -9,7 +9,6 @@ schema so routing stays stable across sessions.
 from __future__ import annotations
 
 import csv
-import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -320,7 +319,3 @@ def table_equal(a: Table, b: Table) -> bool:
         and a.values.shape == b.values.shape
         and bool(np.all(a.values == b.values))
     )
-
-
-def replace_values(table: Table, values: np.ndarray) -> Table:
-    return dataclasses.replace(table, values=values, n_dropped_rows=0)

@@ -21,7 +21,7 @@ from scipy.spatial import cKDTree
 
 from .data import Table
 from .forest import Forest, Region, assigned_region, region_intersect, route_table, route_values
-from .kernel import cross_from_ids, leaf_profile
+from .kernel import cross_from_ids, leaf_design, leaf_profile
 from .spectral import SpectralModel, nystrom_embed, reconstruct_kernel
 
 __all__ = [
@@ -43,8 +43,6 @@ __all__ = [
 ]
 
 _ZERO_DIST_EPS = 1e-12
-_SWEEP_TOL = 1e-8
-_MAX_SWEEPS = 10_000
 _KDTREE_MAX_DIM = 20
 _ILP_MAX_COMBINATIONS = 10**6
 _TIE_TOL = 1e-12
@@ -344,56 +342,44 @@ class FuzzyAssignment:
     groups: np.ndarray  # tree index per entry
     converged: bool = True
     objective: float = 0.0
-    sweeps: int = 0
+    iterations: int = 0
 
 
 def exclusive_lasso(
-    phi_reduced: np.ndarray,
-    s_reduced: np.ndarray,
-    khat_row: np.ndarray,
-    lam: float,
-    groups: np.ndarray,
-) -> tuple[np.ndarray, bool, float, list[float]]:
-    """Box-constrained coordinate descent for the grouped squared-l1 penalty.
+    A: np.ndarray, y: np.ndarray, lam: float, groups: np.ndarray
+) -> tuple[np.ndarray, bool, float, int]:
+    """Exact minimizer of the exclusive-lasso relaxation.
 
-    Minimizes ||B khat - Phi S psi||^2 + lam * sum_trees (sum_leaves psi)^2
-    over psi in [0,1]^d. Each coordinate step solves its quadratic exactly
-    against the current group sum, then clips, so the objective never
-    increases. Sweeps run in column order until the largest coordinate change
-    drops below 1e-8 (or 10^4 sweeps). Returns (psi, converged, objective,
-    per-sweep objective history).
+    Minimizes ||y - A psi||^2 + lam * sum_trees (sum_leaves psi)^2 over
+    psi in [0,1]^d. On that box the squared-l1 group penalty is ||G psi||^2
+    for the tree-indicator matrix G, so the problem is the bounded-variable
+    least squares [A; sqrt(lam) G] psi ~ [y; 0], solved by BVLS (Stark &
+    Parker 1995). Returns (psi, converged, objective, iterations).
     """
+    from scipy.optimize import lsq_linear  # costly import; only this decoder needs it
+
     if lam <= 0:
         raise DecodeError("penalty weight must be positive")
-    A = phi_reduced * s_reduced[None, :]
-    y = np.asarray(khat_row, dtype=np.float64)
+    A = np.asarray(A, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     if not np.all(np.isfinite(y)):
         raise DecodeError("non-finite kernel estimates")
-    d = A.shape[1]
-    col_sq = (A * A).sum(axis=0)
-    psi = np.zeros(d)
-    resid = y.copy()
-    gsum = np.zeros(int(groups.max()) + 1)
-    converged = False
-    history: list[float] = []
-    for _ in range(_MAX_SWEEPS):
-        max_delta = 0.0
-        for l in range(d):
-            g = groups[l]
-            c = gsum[g] - psi[l]
-            rho = A[:, l] @ resid + col_sq[l] * psi[l] - lam * c
-            new = min(1.0, max(0.0, rho / (col_sq[l] + lam)))
-            delta = new - psi[l]
-            if delta != 0.0:
-                resid -= A[:, l] * delta
-                gsum[g] += delta
-                psi[l] = new
-                max_delta = max(max_delta, abs(delta))
-        history.append(float(resid @ resid + lam * float(gsum @ gsum)))
-        if max_delta < _SWEEP_TOL:
-            converged = True
-            break
-    return psi, converged, history[-1], history
+    G = (np.unique(groups)[:, None] == groups[None, :]).astype(np.float64)
+    res = lsq_linear(
+        np.vstack([A, np.sqrt(lam) * G]),
+        np.concatenate([y, np.zeros(G.shape[0])]),
+        bounds=(0.0, 1.0),
+        method="bvls",
+        # SciPy's default of d iterations stops short when there are more
+        # leaves than neighbor rows; 3d is Lawson & Hanson's active-set bound
+        max_iter=3 * A.shape[1],
+    )
+    # BVLS's steps can leave a variable it holds at a bound an ulp off it
+    bound = res.active_mask
+    psi = np.where(bound != 0, bound > 0, np.clip(res.x, 0.0, 1.0))
+    resid, gsum = y - A @ psi, G @ psi
+    objective = float(resid @ resid + lam * (gsum @ gsum))
+    return psi, bool(res.status > 0), objective, int(res.nit)
 
 
 @dataclass
@@ -499,17 +485,19 @@ def lasso_decode(
     lam: float = 1e-4,
     sparsity_cap: int = 100,
     seed: int = 0,
+    trace: list[dict] | None = None,
 ) -> Table:
     """Reconstruct kernel rows, reduce to the strongest neighbors, solve the
     exclusive lasso over the leaves those neighbors touch, harden greedily,
     and sample from the assigned-leaf intersection.
+
+    If ``trace`` is a list, one record per row is appended to it: the row,
+    the solver's objective, convergence flag and iteration count, and whether
+    greedy hardening had to repair the assignment.
     """
     Z0 = np.atleast_2d(np.asarray(Z0, dtype=np.float64))
     khat_all = reconstruct_kernel(Z0, model)
-    pi = synth.leaf_ids
-    profile = leaf_profile(forest, pi)
-    counts_flat = profile.counts_flat.astype(np.float64)
-    offsets = forest.leaf_offsets
+    M = leaf_design(forest, leaf_profile(forest, synth.leaf_ids))
     rng = np.random.default_rng(seed)
     B = forest.n_trees
     assignments = np.empty((Z0.shape[0], B), dtype=np.int64)
@@ -520,19 +508,11 @@ def lasso_decode(
         neighbors = np.sort(order[: min(sparsity_cap, order.shape[0])])
         if neighbors.size == 0:
             neighbors = np.arange(min(sparsity_cap, khat.shape[0]))
-        cols: list[np.ndarray] = []
-        groups: list[np.ndarray] = []
-        for b in range(B):
-            leaves = np.unique(pi[neighbors, b])
-            cols.append(leaves.astype(np.int64) + offsets[b])
-            groups.append(np.full(leaves.shape[0], b))
-        col_ids = np.concatenate(cols)
-        group_ids = np.concatenate(groups)
-        full_ids = pi[neighbors].astype(np.int64) + offsets[None, :]
-        phi = (full_ids[:, None, :] == col_ids[None, :, None]).any(axis=2).astype(np.float64)
-        s_red = 1.0 / counts_flat[col_ids]
-        psi, converged, objective, history = exclusive_lasso(
-            phi, s_red, B * khat[neighbors], lam, group_ids
+        rows = M[neighbors]
+        col_ids = np.unique(rows.indices)
+        group_ids = np.searchsorted(forest.leaf_offsets, col_ids, side="right") - 1
+        psi, converged, objective, iterations = exclusive_lasso(
+            rows[:, col_ids].toarray(), B * khat[neighbors], lam, group_ids
         )
         fuzzy = FuzzyAssignment(
             values=psi,
@@ -540,9 +520,13 @@ def lasso_decode(
             groups=group_ids,
             converged=converged,
             objective=objective,
-            sweeps=len(history),
+            iterations=iterations,
         )
-        assignments[i] = greedy_leaf_assign(fuzzy, forest, seed=int(rng.integers(2**31))).assignment
+        greedy = greedy_leaf_assign(fuzzy, forest, seed=int(rng.integers(2**31)))
+        assignments[i] = greedy.assignment
+        if trace is not None:
+            trace.append(dict(row=i, objective=objective, converged=converged,
+                              iterations=iterations, repaired=greedy.repaired))
     return Table(forest.schema, assigned_region(forest, assignments).sample(rng))
 
 
@@ -584,13 +568,12 @@ def ilp_decode_exact(khat_row: np.ndarray, forest: Forest, pi: np.ndarray) -> Il
     target = B * np.asarray(khat_row, dtype=np.float64)
     if target.shape[0] != n:
         raise DecodeError("kernel row length must match training assignments")
-    members: list[list[np.ndarray]] = []
-    svals: list[np.ndarray] = []
+    M = leaf_design(forest, leaf_profile(forest, pi)).tocsc()
+    # per global leaf: the reference rows it holds and their 1/count weights
+    rows = np.split(M.indices.astype(np.intp), M.indptr[1:-1])
+    vals = np.split(M.data, M.indptr[1:-1])
+    offsets = forest.leaf_offsets
     leaves = _tree_leaf_boxes(forest)
-    for b in range(B):
-        counts = np.bincount(pi[:, b], minlength=sizes[b])
-        svals.append(np.where(counts > 0, 1.0 / np.maximum(counts, 1), 0.0))
-        members.append([np.flatnonzero(pi[:, b] == l) for l in range(sizes[b])])
 
     acc = np.zeros(n)
     current = np.zeros(B, dtype=np.int64)
@@ -612,9 +595,10 @@ def ilp_decode_exact(khat_row: np.ndarray, forest: Forest, pi: np.ndarray) -> Il
         nxt = leaves[b] if region is None else leaves[b].intersect(region)
         for l in np.flatnonzero(~nxt.is_empty()):
             current[b] = l
-            acc[members[b][l]] += svals[b][l]
+            c = offsets[b] + l
+            acc[rows[c]] += vals[c]
             descend(b + 1, nxt[l])
-            acc[members[b][l]] -= svals[b][l]
+            acc[rows[c]] -= vals[c]
         return
 
     descend(0, None)

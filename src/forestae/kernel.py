@@ -110,6 +110,15 @@ def _membership(forest: Forest, leaf_ids: np.ndarray, weights: np.ndarray) -> sp
     return sp.csr_matrix((data, cols, indptr), shape=(n, forest.total_leaves))
 
 
+def leaf_design(forest: Forest, profile: LeafProfile) -> sp.csr_matrix:
+    """M = Phi S: each reference row's B leaves, weighted 1/count.
+
+    For a one-hot-per-tree leaf choice psi, M psi is B times the kernel row of
+    any point in those leaves. Reference rows only touch populated leaves.
+    """
+    return _membership(forest, profile.leaf_ids, 1.0 / np.maximum(profile.counts_flat, 1))
+
+
 def rf_kernel_train(forest: Forest, table: Table) -> SparseKernelMatrix:
     """Symmetric doubly stochastic kernel over the reference table's rows."""
     profile = leaf_profile(forest, table)

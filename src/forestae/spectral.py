@@ -96,9 +96,9 @@ def eigendecompose(K: SparseKernelMatrix, d_z: int) -> SpectralModel:
     """Top d_z+1 eigenpairs of a symmetric train kernel, constant pair dropped.
 
     Small or nearly full problems use a dense solver; otherwise a restarted
-    Lanczos iteration runs on the sparse matrix. Eigenvector signs are fixed so
-    each vector's largest-magnitude entry is positive, and residuals
-    ||K v - lambda v|| are checked against 1e-8.
+    Lanczos iteration runs on the sparse matrix from a fixed start vector.
+    Eigenvector signs are fixed so each vector's largest-magnitude entry is
+    positive, and residuals ||K v - lambda v|| are checked against 1e-8.
     """
     if K.role != TRAIN:
         raise SpectralError("eigendecompose expects a train-role kernel")
@@ -111,7 +111,10 @@ def eigendecompose(K: SparseKernelMatrix, d_z: int) -> SpectralModel:
         vals, vecs = vals[::-1][:k], vecs[:, ::-1][:, :k]
     else:
         try:
-            vals, vecs = spla.eigsh(K.matrix, k=k, which="LA")
+            # a seeded start vector keeps the result bit-reproducible; not the
+            # constant vector, which is K's leading eigenvector and stalls Lanczos
+            v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+            vals, vecs = spla.eigsh(K.matrix, k=k, which="LA", v0=v0)
         except spla.ArpackNoConvergence as exc:
             raise SpectralError(f"eigensolver did not converge: {exc}") from exc
         order = np.argsort(vals)[::-1]

@@ -33,7 +33,6 @@ from forestae.forest import (
 from forestae.kernel import mmd_squared, rf_kernel_cross, rf_kernel_train
 from forestae.metrics import distortion, separation_ratio
 from forestae.spectral import (
-    SpectralModel,
     eigendecompose,
     nystrom_embed,
     reconstruct_kernel,
@@ -156,13 +155,7 @@ def test_c05_reconstruction_error_monotone():
     full = with_time(eigendecompose(K, 63), 1.0)
     errs = []
     for d_z in (1, 2, 4, 8, 16, 32, 63):
-        model = with_time(
-            SpectralModel(
-                n=64, d_z=d_z, eigenvalues=full.eigenvalues[:d_z], V=full.V[:, :d_z],
-                lambda0=full.lambda0, v0_max_dev=full.v0_max_dev,
-            ),
-            1.0,
-        )
+        model = full.truncate(d_z)
         errs.append(np.linalg.norm(reconstruct_kernel(model.Z, model) - dense))
     assert all(a >= b - 1e-12 for a, b in zip(errs, errs[1:]))
     assert errs[-1] <= 1e-6
@@ -259,13 +252,7 @@ def test_c09_knn_decoder_consistency_trend():
         K0 = rf_kernel_cross(forest, holdout, table, strict=False)
         scores = []
         for d_z in (1, 2, 3, 4):
-            model = with_time(
-                SpectralModel(
-                    n=500, d_z=d_z, eigenvalues=full.eigenvalues[:d_z],
-                    V=full.V[:, :d_z], lambda0=full.lambda0, v0_max_dev=full.v0_max_dev,
-                ),
-                1.0,
-            )
+            model = with_time(full.truncate(d_z), 1.0)
             Z0 = nystrom_embed(K0, model)
             out = knn_decode(Z0, model, forest, synth, k=20, seed=seed)
             scores.append(distortion(holdout, out).combined)

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import forestae
 from forestae.bundle import load_bundle
 from forestae.cli import main
 from forestae.data import load_csv
@@ -141,6 +146,35 @@ def test_decode_ilp_matches_module_oracle(tmp_path):
     for i in (0, 5, 11):
         res = ilp_decode_exact(khat[i], b.forest, b.synth.leaf_ids)
         assert res.objective == pytest.approx(recs[i]["objective"])
+
+
+def test_decode_lasso_trace_records(fitted, tmp_path):
+    data, bundle = fitted
+    emb, out, trace = tmp_path / "emb.csv", tmp_path / "dec.csv", tmp_path / "t.jsonl"
+    assert main(["encode", str(bundle), str(data), "--out", str(emb)]) == 0
+    head = tmp_path / "head.csv"
+    head.write_text("".join(emb.read_text().splitlines(keepends=True)[:4]))
+    assert main(["decode", str(bundle), str(head), "--decoder", "lasso",
+                 "--out", str(out), "--trace", str(trace), "--seed", "2"]) == 0
+    recs = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert [r["row"] for r in recs] == [0, 1, 2]
+    for r in recs:
+        assert set(r) == {"row", "objective", "converged", "iterations", "repaired"}
+        assert r["converged"] is True and r["objective"] >= 0.0
+        assert isinstance(r["iterations"], int) and isinstance(r["repaired"], bool)
+    untraced = tmp_path / "plain.csv"
+    assert main(["decode", str(bundle), str(head), "--decoder", "lasso",
+                 "--out", str(untraced), "--seed", "2"]) == 0
+    assert untraced.read_bytes() == out.read_bytes()
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # the lasso solver imports scipy.optimize on first use; no other command pays for it
+    code = "import sys, forestae.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(forestae.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=env)
+    assert done.stdout.strip() == "False"
 
 
 def test_decode_unknown_decoder_usage_error(fitted, tmp_path):

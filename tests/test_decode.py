@@ -133,7 +133,7 @@ def test_knn_decode_distortion_improves_with_dimension():
     table, _ = make_blobs(300, 4, seed=10)
     test, _ = make_blobs(120, 4, seed=99)
     from forestae.metrics import distortion
-    from forestae.spectral import SpectralModel, nystrom_embed
+    from forestae.spectral import nystrom_embed
 
     f = fit_completely_random(table, ForestParams(n_trees=120, min_leaf=5, seed=10))
     K = rf_kernel_train(f, table)
@@ -142,13 +142,7 @@ def test_knn_decode_distortion_improves_with_dimension():
     K0 = rf_kernel_cross(f, test, table, strict=False)
     scores = []
     for d_z in (1, 4):
-        model = with_time(
-            SpectralModel(
-                n=full.n, d_z=d_z, eigenvalues=full.eigenvalues[:d_z],
-                V=full.V[:, :d_z], lambda0=full.lambda0, v0_max_dev=full.v0_max_dev,
-            ),
-            1.0,
-        )
+        model = with_time(full.truncate(d_z), 1.0)
         Z0 = nystrom_embed(K0, model)
         out = knn_decode(Z0, model, f, synth, k=20, seed=12)
         scores.append(distortion(test, out).combined)
@@ -274,7 +268,7 @@ def test_exclusive_lasso_large_penalty_zeroes_out():
     rng = np.random.default_rng(27)
     phi = rng.integers(0, 2, size=(6, 4)).astype(float)
     s = np.full(4, 0.5)
-    psi, converged, obj, _ = exclusive_lasso(phi, s, rng.random(6), 1e6, np.zeros(4, dtype=int))
+    psi, converged, obj, _ = exclusive_lasso(phi * s, rng.random(6), 1e6, np.zeros(4, dtype=int))
     assert converged
     assert np.abs(psi).max() < 1e-4
 
@@ -285,7 +279,7 @@ def test_exclusive_lasso_matches_grid_oracle():
     s = np.array([0.5, 0.25, 0.125])
     khat = phi[:, 1] * s[1]
     groups = np.zeros(3, dtype=int)
-    psi, _, obj, _ = exclusive_lasso(phi, s, khat, 1e-4, groups)
+    psi, _, obj, _ = exclusive_lasso(phi * s, khat, 1e-4, groups)
     assert int(np.argmax(psi)) == 1
 
     grid = np.linspace(0, 1, 21)
@@ -300,15 +294,26 @@ def test_exclusive_lasso_matches_grid_oracle():
     assert obj <= best_val + 1e-9
 
 
-def test_exclusive_lasso_objective_monotone():
+def test_exclusive_lasso_satisfies_kkt():
+    # box-constrained optimality: the objective's gradient is >= 0 where psi
+    # sits at 0, <= 0 where it sits at 1, and vanishes in between
     rng = np.random.default_rng(28)
     phi = rng.integers(0, 2, size=(20, 12)).astype(float)
     s = rng.uniform(0.1, 1.0, 12)
     groups = np.repeat(np.arange(3), 4)
-    _, _, _, history = exclusive_lasso(phi, s, rng.normal(size=20), 0.05, groups)
-    assert all(a >= b - 1e-12 for a, b in zip(history, history[1:]))
-    # final objective no worse than the zero vector
-    assert history[-1] <= float((rng.normal(size=0).sum() + 0) + np.inf)
+    A, y, lam = phi * s, rng.normal(size=20), 0.05
+    psi, converged, obj, iterations = exclusive_lasso(A, y, lam, groups)
+    assert converged and iterations >= 0
+    gsum = np.bincount(groups, weights=psi)
+    grad = 2.0 * (A.T @ (A @ psi - y)) + 2.0 * lam * gsum[groups]
+    tol = 1e-8
+    assert np.all((psi >= 0.0) & (psi <= 1.0))
+    assert np.all(grad[psi == 0.0] >= -tol)
+    assert np.all(grad[psi == 1.0] <= tol)
+    inner = (psi > 0.0) & (psi < 1.0)
+    assert np.all(np.abs(grad[inner]) <= tol)
+    resid = y - A @ psi
+    assert obj == pytest.approx(float(resid @ resid + lam * gsum @ gsum), rel=1e-12)
 
 
 def test_exclusive_lasso_final_at_most_zero_vector():
@@ -316,7 +321,7 @@ def test_exclusive_lasso_final_at_most_zero_vector():
     phi = rng.integers(0, 2, size=(10, 6)).astype(float)
     s = rng.uniform(0.1, 1.0, 6)
     y = rng.normal(size=10)
-    _, _, obj, _ = exclusive_lasso(phi, s, y, 0.01, np.zeros(6, dtype=int))
+    _, _, obj, _ = exclusive_lasso(phi * s, y, 0.01, np.zeros(6, dtype=int))
     assert obj <= float(y @ y) + 1e-12
 
 
@@ -535,6 +540,17 @@ def test_lasso_decode_sparsity_cap_noop_when_large():
     a = lasso_decode(model.Z[:4], model, f, synth, sparsity_cap=40, seed=36)
     b = lasso_decode(model.Z[:4], model, f, synth, sparsity_cap=10_000, seed=36)
     assert np.array_equal(a.values, b.values)
+
+
+def test_lasso_decode_converges_on_twenty_trees():
+    table = make_mixed(120, seed=39)
+    f, model, synth = _pipeline(table, trees=20, max_depth=None, seed=39)
+    trace: list[dict] = []
+    out = lasso_decode(model.Z[:5], model, f, synth, seed=40, trace=trace)
+    assert out.n == 5
+    assert [r["row"] for r in trace] == list(range(5))
+    assert all(r["converged"] for r in trace), trace
+    assert all(np.isfinite(r["objective"]) and r["repaired"] in (True, False) for r in trace)
 
 
 def test_lasso_decode_rows_inside_schema():
