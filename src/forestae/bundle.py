@@ -43,11 +43,14 @@ class ModelBundle:
     synth: SyntheticTrainingSet
     forest_sha: str
 
-    def validate(self) -> None:
+    def check_shapes(self) -> None:
         if self.model.n != self.synth.n:
             raise BundleError("spectral model and synthetic set disagree on n")
         if self.model.Z is not None and self.model.Z.shape[0] != self.model.n:
             raise BundleError("embedding row count mismatch")
+
+    def validate(self) -> None:
+        self.check_shapes()
         if forest_digest(self.forest) != self.forest_sha:
             raise BundleError("forest hash mismatch: bundle components are inconsistent")
 
@@ -62,7 +65,7 @@ def bundle_from_parts(
         synth=synth,
         forest_sha=forest_digest(forest),
     )
-    bundle.validate()
+    bundle.check_shapes()  # the digest was just computed from this forest
     return bundle
 
 

@@ -130,6 +130,8 @@ class Forest:
     # node cells, built on first use: only the decoders read them, and they
     # depend on feature_ranges, which the Forest owns
     _boxes: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # every tree's nodes stacked, built on first routing
+    _nodes: "_Nodes | None" = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_trees(self) -> int:
@@ -144,6 +146,11 @@ class Forest:
         """Global leaf index = leaf_offsets[b] + local leaf id."""
         sizes = [t.n_leaves for t in self.trees]
         return np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64)
+
+    def _node_table(self) -> "_Nodes":
+        if self._nodes is None:
+            self._nodes = _stack_nodes(self.trees)
+        return self._nodes
 
     def _box_table(self) -> tuple:
         if self._boxes is None:
@@ -231,293 +238,501 @@ def _feature_ranges(schema: Schema, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _min_child(m: int, params: ForestParams) -> int:
-    return max(params.min_leaf, math.ceil(params.min_node_fraction * m))
+# Sampled rows grown together in one chunk: numpy's per-call cost is paid
+# once per depth level of a chunk, and a chunk's arrays stay a few times this
+# length.
+_CHUNK_SLOTS = 25_000
 
 
-def _best_continuous(v, ys, y2s, onehot, min_child, lab_sorted):
-    """Best cut on one continuous feature; returns (cost, threshold) or None."""
-    m = v.shape[0]
-    order = np.argsort(v, kind="stable")
-    vs = v[order]
-    if vs[0] == vs[-1]:
-        return None
-    sizes = np.arange(1, m)
-    valid = (vs[1:] > vs[:-1]) & (sizes >= min_child) & (m - sizes >= min_child)
-    if lab_sorted is not None:
-        thr_all = 0.5 * (vs[:-1] + vs[1:])
-        lab_left = np.searchsorted(lab_sorted, thr_all)
-        valid &= (lab_left >= 1) & (lab_left <= lab_sorted.shape[0] - 1)
-    if not valid.any():
-        return None
-    if onehot is None:
-        c1 = np.cumsum(ys[order])[:-1]
-        c2 = np.cumsum(y2s[order])[:-1]
-        t1, t2 = c1[-1] + ys[order][-1], c2[-1] + y2s[order][-1]
-        cost = (c2 - c1 * c1 / sizes) + ((t2 - c2) - (t1 - c1) ** 2 / (m - sizes))
-    else:
-        cl = np.cumsum(onehot[order], axis=0)[:-1]
-        tot = cl[-1] + onehot[order][-1]
-        cost = (sizes - (cl * cl).sum(axis=1) / sizes) + (
-            (m - sizes) - ((tot - cl) ** 2).sum(axis=1) / (m - sizes)
-        )
-    cost = np.where(valid, cost, np.inf)
-    i = int(np.argmin(cost))
-    return float(cost[i]), 0.5 * (vs[i] + vs[i + 1])
+@dataclass(frozen=True)
+class _Sample:
+    """The training table as growth reads it."""
+
+    values: np.ndarray  # (n, d)
+    n_levels: np.ndarray  # (d,) level count, 0 for continuous columns
+    y: np.ndarray | None  # (n,) regression labels or class codes; None if unlabeled
+    kind: str
+    n_classes: int
+    # for honest label counts: per column, its sorted distinct values if
+    # continuous (else None), and each value's position in them (else 0)
+    uniq: tuple
+    rank: np.ndarray  # (n, d)
 
 
-def _best_categorical(v, ys, y2s, onehot, min_child, lab_v, n_levels):
-    """Best one-vs-rest Equals split; returns (cost, level code) or None."""
-    m = v.shape[0]
-    codes = v.astype(np.intp)
-    cnt = np.bincount(codes, minlength=n_levels).astype(np.float64)
-    valid = (cnt >= min_child) & (m - cnt >= min_child)
-    if lab_v is not None:
-        lab_cnt = np.bincount(lab_v.astype(np.intp), minlength=n_levels)
-        valid &= (lab_cnt >= 1) & (lab_v.shape[0] - lab_cnt >= 1)
-    if not valid.any():
-        return None
-    if onehot is None:
-        s1 = np.bincount(codes, weights=ys, minlength=n_levels)
-        s2 = np.bincount(codes, weights=y2s, minlength=n_levels)
-        t1, t2 = ys.sum(), y2s.sum()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cost = (s2 - s1 * s1 / cnt) + ((t2 - s2) - (t1 - s1) ** 2 / (m - cnt))
-    else:
-        n_cls = onehot.shape[1]
-        cl = np.zeros((n_levels, n_cls))
-        np.add.at(cl, codes, onehot)
-        tot = onehot.sum(axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cost = (cnt - (cl * cl).sum(axis=1) / cnt) + (
-                (m - cnt) - ((tot - cl) ** 2).sum(axis=1) / (m - cnt)
-            )
-    cost = np.where(valid, cost, np.inf)
-    i = int(np.argmin(cost))
-    return float(cost[i]), float(i)
+def _sample(table: Table, y, kind: str, n_classes: int) -> _Sample:
+    values = table.values
+    n_levels = np.array([len(c.levels) if c.is_categorical else 0 for c in table.schema.columns])
+    uniq = tuple(None if k else np.unique(values[:, j]) for j, k in enumerate(n_levels))
+    rank = np.zeros(values.shape, dtype=np.intp)
+    for j, u in enumerate(uniq):
+        if u is not None:
+            rank[:, j] = np.searchsorted(u, values[:, j])
+    return _Sample(values, n_levels, y, kind, n_classes, uniq, rank)
 
 
-def _grow_tree(values, schema_cats, y, onehot, params, rng, completely_random):
-    """Grow one tree; returns flat node arrays plus per-leaf row lists."""
-    n = values.shape[0]
-    d = values.shape[1]
-    ssize = max(2, math.ceil(params.subsample_fraction * n))
-    rows = rng.choice(n, size=ssize, replace=params.bootstrap)
-    if params.honest:
-        perm = rng.permutation(rows)
-        half = max(1, ssize // 2)
-        split_rows, label_rows = perm[:half], perm[half:]
-    else:
-        split_rows = label_rows = rows
-
-    mtry = params.mtry or max(1, round(math.sqrt(d)))
-    mtry = min(mtry, d)
-    y2 = y * y if (y is not None and onehot is None) else None
-
-    feature, threshold, is_equal = [], [], []
-    left, right, node_count = [], [], []
-    leaf_rows: list[np.ndarray] = []
-
-    def new_node():
-        feature.append(-1)
-        threshold.append(0.0)
-        is_equal.append(False)
-        left.append(-1)
-        right.append(-1)
-        node_count.append(0)
-        return len(feature) - 1
-
-    def make_leaf(idx, lrows):
-        feature[idx] = -1
-        leaf_rows.append(lrows)
-
-    root = new_node()
-    stack = [(root, split_rows, label_rows, 0)]
-    while stack:
-        idx, srows, lrows, depth = stack.pop()
-        m = srows.shape[0]
-        node_count[idx] = m
-        min_child = _min_child(m, params)
-        at_depth = params.max_depth is not None and depth >= params.max_depth
-        if at_depth or m < max(2, 2 * min_child) or (params.honest and lrows.shape[0] < 2):
-            make_leaf(idx, lrows)
-            continue
-        if not completely_random:
-            ynode = y[srows]
-            if onehot is None:
-                if ynode.max() == ynode.min():
-                    make_leaf(idx, lrows)
-                    continue
-            elif np.all(ynode == ynode[0]):
-                make_leaf(idx, lrows)
-                continue
-
-        found = None
-        if completely_random:
-            found = _random_split(values, schema_cats, srows, lrows, min_child, params, rng)
-        else:
-            cands = rng.choice(d, size=mtry, replace=False)
-            best_cost = np.inf
-            oh = onehot[srows] if onehot is not None else None
-            ys = y[srows] if onehot is None else None
-            y2s = y2[srows] if onehot is None else None
-            for f in cands:
-                v = values[srows, f]
-                n_levels = schema_cats[f]
-                if n_levels == 0:
-                    lab_sorted = np.sort(values[lrows, f]) if params.honest else None
-                    res = _best_continuous(v, ys, y2s, oh, min_child, lab_sorted)
-                else:
-                    lab_v = values[lrows, f] if params.honest else None
-                    res = _best_categorical(v, ys, y2s, oh, min_child, lab_v, n_levels)
-                if res is not None and res[0] < best_cost:
-                    best_cost = res[0]
-                    found = (int(f), res[1], n_levels > 0)
-        if found is None:
-            make_leaf(idx, lrows)
-            continue
-
-        f, cut, eq = found
-        feature[idx] = f
-        threshold[idx] = cut
-        is_equal[idx] = eq
-        sv = values[srows, f]
-        smask = (sv == cut) if eq else (sv < cut)
-        lv = values[lrows, f]
-        lmask = (lv == cut) if eq else (lv < cut)
-        li, ri = new_node(), new_node()
-        left[idx], right[idx] = li, ri
-        # right pushed first so the left subtree is processed (and consumes
-        # RNG draws) first, keeping growth order deterministic
-        stack.append((ri, srows[~smask], lrows[~lmask], depth + 1))
-        stack.append((li, srows[smask], lrows[lmask], depth + 1))
-
-    return (
-        np.asarray(feature, dtype=np.int32),
-        np.asarray(threshold, dtype=np.float64),
-        np.asarray(is_equal, dtype=bool),
-        np.asarray(left, dtype=np.int32),
-        np.asarray(right, dtype=np.int32),
-        np.asarray(node_count, dtype=np.int32),
-        leaf_rows,
-    )
+def _bag_size(params: ForestParams, n: int) -> int:
+    return max(2, math.ceil(params.subsample_fraction * n))
 
 
-def _random_split(values, schema_cats, srows, lrows, min_child, params, rng):
-    """Uniform feature + uniform cut, rejection-sampled against child floors."""
-    d = values.shape[1]
-    eligible = []
-    for f in range(d):
-        v = values[srows, f]
-        if v.min() < v.max():
-            eligible.append(f)
-    if not eligible:
-        return None
-    for _ in range(_CR_SPLIT_TRIES):
-        f = eligible[rng.integers(0, len(eligible))]
-        v = values[srows, f]
-        n_levels = schema_cats[f]
-        if n_levels == 0:
-            lo, hi = v.min(), v.max()
-            cut = rng.uniform(lo, hi)
-            if cut <= lo:
-                continue
-            mask = v < cut
-        else:
-            present = np.unique(v)
-            cut = float(present[rng.integers(0, present.shape[0])])
-            mask = v == cut
-        nl = int(mask.sum())
-        if nl < min_child or v.shape[0] - nl < min_child:
-            continue
+def _first_min(group: np.ndarray, cost: np.ndarray) -> np.ndarray:
+    """Index of the first lowest ``cost`` in each run of equal ``group``
+    values (``group`` sorted)."""
+    start = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
+    low = np.repeat(np.minimum.reduceat(cost, start), np.diff(np.r_[start, group.size]))
+    hit = np.flatnonzero(cost == low)
+    return hit[np.r_[True, group[hit[1:]] != group[hit[:-1]]]]
+
+
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(a, a + l)`` over the pairs."""
+    ends = np.cumsum(lens)
+    return np.repeat(starts + lens - ends, lens) + np.arange(ends[-1])
+
+
+def _pick(mask: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row, the ``floor(u * count)``-th True column of ``mask``: a
+    uniform pick among them for ``u`` uniform on [0, 1)."""
+    k = np.floor(u * mask.sum(axis=1))
+    return np.argmax(np.cumsum(mask, axis=1) > k[:, None], axis=1)
+
+
+class _Chunk:
+    """Trees grown together, breadth-first, one depth level per pass.
+
+    A slot is one sampled row of one tree. Slot arrays are flat: tree t's s
+    slots are ids ``t * (s + 1) + i``, and id ``t * (s + 1) + s`` is a
+    padding slot. Each open node owns a contiguous range of positions in its
+    tree's row of ``orders`` (shape ``(R, T, width)``, padded with padding
+    slots): ``orders[0]`` lists the node's slots by id and, for CART,
+    ``orders[order_row[j]]`` by the value of continuous column j
+    (presorted attribute lists, as in SLIQ: sorted once per chunk, then kept
+    sorted by a stable partition after each level). Open nodes are listed
+    tree by tree in position order, which is breadth-first order.
+
+    Every draw comes from the tree's own generator and every sum runs over
+    the tree's own row, so a tree does not depend on the chunk it grows in.
+    """
+
+    def __init__(self, data: _Sample, params: ForestParams, seeds, cr: bool):
+        self.data, self.params, self.cr = data, params, cr
+        n, d = data.values.shape
+        self.rngs = [np.random.default_rng(s) for s in seeds]
+        # each tree's bag is the first draw of its own generator
+        bag_size = _bag_size(params, n)
+        bags = np.stack([g.choice(n, size=bag_size, replace=params.bootstrap) for g in self.rngs])
         if params.honest:
-            lv = values[lrows, f]
-            nll = int(((lv == cut) if n_levels else (lv < cut)).sum())
-            if nll < 1 or lrows.shape[0] - nll < 1:
+            perm = np.stack([g.permutation(bag) for g, bag in zip(self.rngs, bags)])
+            half = max(1, bag_size // 2)
+            self.rows, self.lab_rows = perm[:, :half], perm[:, half:]
+            self.lab_x = np.moveaxis(data.values[self.lab_rows], 2, 0)
+            self.lab_rank = np.moveaxis(data.rank[self.lab_rows], 2, 0)
+        else:
+            self.rows = self.lab_rows = bags
+        n_trees, s = self.rows.shape
+        slot_rows = np.concatenate([self.rows, self.rows[:, :1]], axis=1).ravel()
+        self.x = np.ascontiguousarray(data.values[slot_rows].T)  # (d, T * (s + 1))
+        self.y = None if data.y is None else data.y[slot_rows]
+        cont = np.flatnonzero(data.n_levels == 0)
+        self.order_row = {j: 1 + i for i, j in enumerate(cont)}
+        self.mtry = min(params.mtry or max(1, round(math.sqrt(d))), d)
+        base = np.arange(n_trees)[:, None] * (s + 1)
+        orders = [base + np.arange(s)]
+        if not cr:
+            x = self.x[cont].reshape(-1, n_trees, s + 1)[:, :, :s]
+            orders.extend(base + np.argsort(x, axis=2, kind="stable"))
+        self.orders = np.stack(orders)
+        self.node_tree = np.arange(n_trees)  # open nodes: tree,
+        self.node_start = np.zeros(n_trees, dtype=np.intp)  # first position,
+        self.node_m = np.full(n_trees, s)  # split-slot count
+        self.pos_node = np.repeat(np.arange(n_trees), s).reshape(n_trees, s)  # -1: padding
+        self.lab_leaf = np.full(self.lab_rows.shape, -1)  # node id of each label slot's leaf
+        if params.honest:  # open node of each label slot, -1 once settled
+            self.lab_node = np.repeat(np.arange(n_trees)[:, None], self.lab_rows.shape[1], axis=1)
+
+    def grow(self) -> list[Tree]:
+        levels = []
+        first = depth = 0
+        max_depth = self.params.max_depth
+        while self.node_tree.size:
+            open_ = self._level_stats()
+            if max_depth is not None and depth >= max_depth:
+                open_[:] = False
+            feat, cut = self._random_splits(open_) if self.cr else self._scored_splits(open_)
+            eq = (feat >= 0) & (self.data.n_levels[np.maximum(feat, 0)] > 0)
+            split = feat >= 0
+            ids = first + np.arange(split.size)
+            child = ids[-1] + 1 + 2 * (np.cumsum(split) - 1)
+            levels.append((
+                self.node_tree, self.node_m, feat, cut, eq,
+                np.where(split, child, -1), np.where(split, child + 1, -1),
+            ))
+            self._advance(feat, cut, eq, ids)
+            first += split.size
+            depth += 1
+        return self._trees(levels)
+
+    # -- one level -----------------------------------------------------------
+
+    def _level_stats(self) -> np.ndarray:
+        """Per open node: child floor, label sums and the stop rules; returns
+        the nodes that may split."""
+        p, data = self.params, self.data
+        n_nodes, m = self.node_tree.size, self.node_m
+        live = np.flatnonzero(self.pos_node.ravel() >= 0)  # grouped by node, in order
+        self.live_slot = self.orders[0].ravel()[live]
+        self.live_node = np.repeat(np.arange(n_nodes), m)
+        self.live_start = np.cumsum(m) - m
+        self.mc = np.maximum(p.min_leaf, np.ceil(p.min_node_fraction * m)).astype(np.intp)
+        open_ = m >= np.maximum(2, 2 * self.mc)
+        if p.honest:
+            on = self.lab_node >= 0
+            self.lab_m = np.bincount(self.lab_node[on], minlength=n_nodes)
+            open_ &= self.lab_m >= 2
+            self.lab_index = [self._label_index(j, on) for j in range(data.values.shape[1])]
+        if self.cr:
+            return open_
+        y0 = self.y[self.live_slot]
+        if data.kind == CLASSIFICATION:
+            c = data.n_classes
+            self.live_class = y0.astype(np.intp)
+            key = self.live_node * c + self.live_class
+            self.class_count = np.bincount(key, minlength=n_nodes * c).reshape(n_nodes, c)
+            return open_ & (self.class_count.max(axis=1) < m)  # purity stop
+        pure = np.minimum.reduceat(y0, self.live_start) == np.maximum.reduceat(y0, self.live_start)
+        # labels centered per node keep prefix sums small
+        self.mean = np.bincount(self.live_node, weights=y0, minlength=n_nodes) / m
+        self.live_yc = y0 - self.mean[self.live_node]
+        self.node_sum = np.bincount(self.live_node, weights=self.live_yc, minlength=n_nodes)
+        self.sse = np.bincount(self.live_node, weights=self.live_yc**2, minlength=n_nodes)
+        return open_ & ~pure
+
+    def _label_index(self, j: int, on: np.ndarray) -> np.ndarray:
+        """Honest mode: label slots per (node, level) of categorical column
+        j, or the sorted ``node * width + rank`` keys of continuous column j."""
+        node = self.lab_node[on]
+        n_nodes = self.node_tree.size
+        if n_levels := self.data.n_levels[j]:
+            key = node * n_levels + self.lab_x[j][on].astype(np.intp)
+            return np.bincount(key, minlength=n_nodes * n_levels).reshape(n_nodes, n_levels)
+        return np.sort(node * (len(self.data.uniq[j]) + 1) + self.lab_rank[j][on])
+
+    def _label_below(self, j: int, nodes: np.ndarray, cut: np.ndarray) -> np.ndarray:
+        """Honest mode: label slots of each node with column j below cut."""
+        u, keys = self.data.uniq[j], self.lab_index[j]
+        first = nodes * (len(u) + 1)
+        return np.searchsorted(keys, first + np.searchsorted(u, cut)) - np.searchsorted(keys, first)
+
+    def _draw(self, nodes: np.ndarray, width: int) -> np.ndarray:
+        """``random((k, width))`` from each tree's own generator for its k
+        open ``nodes`` (in order)."""
+        trees, counts = np.unique(self.node_tree[nodes], return_counts=True)
+        parts = [self.rngs[t].random((k, width)) for t, k in zip(trees, counts)]
+        return np.concatenate(parts) if parts else np.empty((0, width))
+
+    def _scored_splits(self, open_: np.ndarray):
+        """CART: each open node's best split over ``mtry`` candidate columns
+        drawn per node; ties go to the lowest column, then the leftmost cut."""
+        n_nodes, d = open_.size, self.data.values.shape[1]
+        cand = np.zeros((n_nodes + 1, d), dtype=bool)  # row -1: padding positions
+        nodes = np.flatnonzero(open_)
+        if self.mtry >= d:
+            cand[nodes] = True
+        else:
+            pick = np.zeros((nodes.size, d), dtype=bool)
+            order = np.argsort(self._draw(nodes, d), axis=1)
+            np.put_along_axis(pick, order[:, : self.mtry], True, axis=1)
+            cand[nodes] = pick
+        best = np.full(n_nodes, np.inf)
+        feat = np.full(n_nodes, -1)
+        cut = np.zeros(n_nodes)
+        pn = self.pos_node
+        same = np.zeros(pn.shape, dtype=bool)  # position and the next one share a node
+        same[:, :-1] = pn[:, 1:] == pn[:, :-1]
+        for j in range(d):
+            if not cand[:, j].any():
                 continue
-        return f, float(cut), n_levels > 0
-    return None
+            if self.data.n_levels[j]:
+                cost, c = self._score_categorical(j, cand[:n_nodes, j])
+            else:
+                cost, c = self._score_continuous(j, same & cand[pn, j])
+            better = cost < best
+            best[better], feat[better], cut[better] = cost[better], j, c[better]
+        return feat, cut
+
+    def _score_continuous(self, j: int, at: np.ndarray):
+        """Per node, the lowest cost over cuts at midpoints between adjacent
+        distinct values of column j, and that cut (inf where none is valid).
+        ``at`` marks the positions a cut may follow."""
+        pn, start, m, mc = self.pos_node, self.node_start, self.node_m, self.mc
+        o = self.orders[self.order_row[j]]
+        width = o.shape[1]
+        v = self.x[j][o].ravel()
+        q = np.flatnonzero(at.ravel())  # cut between positions q and q + 1
+        lo, hi = v[q], v[q + 1]
+        node = pn.ravel()[q]
+        n_left = q % width + 1 - start[node]
+        mid = 0.5 * (lo + hi)
+        # a midpoint rounded onto the lower value would send it right
+        ok = (hi > lo) & (n_left >= mc[node]) & (m[node] - n_left >= mc[node]) & (mid > lo)
+        if self.params.honest:
+            below = self._label_below(j, node, mid)
+            ok &= (below >= 1) & (below < self.lab_m[node])
+        q, node, n_left, mid = q[ok], node[ok], n_left[ok], mid[ok]
+        n_right = m[node] - n_left
+        # label sums left and right of each cut, by prefix sums along the
+        # tree's row: acc[t, k] sums the row's first k positions
+        if self.data.kind == CLASSIFICATION:
+            lab = self.y[o][..., None] == np.arange(self.data.n_classes)
+        else:
+            lab = self.y[o] - self.mean[pn]
+        acc = np.zeros((lab.shape[0], width + 1) + lab.shape[2:])
+        np.cumsum(lab, axis=1, out=acc[:, 1:])
+        acc = acc.reshape((-1,) + lab.shape[2:])
+        row = q // width * (width + 1)
+        cut_at = acc[row + q % width + 1]
+        left = cut_at - acc[row + start[node]]
+        right = acc[row + start[node] + m[node]] - cut_at
+        if self.data.kind == CLASSIFICATION:
+            cost = (n_left - (left * left).sum(axis=1) / n_left) + (
+                n_right - (right * right).sum(axis=1) / n_right
+            )
+        else:
+            cost = self.sse[node] - left * left / n_left - right * right / n_right
+        out_cost = np.full(m.size, np.inf)
+        out_cut = np.zeros(m.size)
+        if node.size:
+            first = _first_min(node, cost)
+            out_cost[node[first]], out_cut[node[first]] = cost[first], mid[first]
+        return out_cost, out_cut
+
+    def _level_key(self, j: int) -> np.ndarray:
+        """``node * n_levels + level`` of every live slot, categorical column j."""
+        return self.live_node * self.data.n_levels[j] + self.x[j][self.live_slot].astype(np.intp)
+
+    def _score_categorical(self, j: int, cand: np.ndarray):
+        """Per node, the lowest one-vs-rest cost over the levels of column j,
+        and that level, from one bincount over (node, level)."""
+        n_nodes, n_levels = cand.size, self.data.n_levels[j]
+        m, mc = self.node_m[:, None], self.mc[:, None]
+        key = self._level_key(j)
+        cnt = np.bincount(key, minlength=n_nodes * n_levels).reshape(n_nodes, n_levels)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if self.data.kind == CLASSIFICATION:
+                c = self.data.n_classes
+                cl = np.bincount(key * c + self.live_class, minlength=n_nodes * n_levels * c)
+                cl = cl.reshape(n_nodes, n_levels, c)
+                rest = self.class_count[:, None, :] - cl
+                cost = (cnt - (cl * cl).sum(axis=2) / cnt) + (
+                    (m - cnt) - (rest * rest).sum(axis=2) / (m - cnt)
+                )
+            else:
+                s1 = np.bincount(key, weights=self.live_yc, minlength=n_nodes * n_levels)
+                s1 = s1.reshape(n_nodes, n_levels)
+                s2 = self.node_sum[:, None] - s1
+                cost = self.sse[:, None] - s1 * s1 / cnt - s2 * s2 / (m - cnt)
+        ok = cand[:, None] & (cnt >= mc) & (m - cnt >= mc)
+        if self.params.honest:
+            lab = self.lab_index[j]
+            ok &= (lab >= 1) & (lab < self.lab_m[:, None])
+        cost = np.where(ok, cost, np.inf)
+        best = np.argmin(cost, axis=1)
+        return cost[np.arange(n_nodes), best], best.astype(np.float64)
+
+    def _random_splits(self, open_: np.ndarray):
+        """Completely random: a uniform column among the node's non-constant
+        ones and a uniform cut on (node min, node max) or a uniform present
+        level, redrawn up to ``_CR_SPLIT_TRIES`` times for nodes whose draw
+        breaks a child floor."""
+        data, m, mc = self.data, self.node_m, self.mc
+        n_nodes, d = open_.size, data.values.shape[1]
+        lo, hi = np.zeros((n_nodes, d)), np.zeros((n_nodes, d))
+        present = {}
+        for j in range(d):
+            if n_levels := data.n_levels[j]:
+                cnt = np.bincount(self._level_key(j), minlength=n_nodes * n_levels)
+                present[j] = cnt.reshape(n_nodes, n_levels) > 0
+                hi[:, j] = present[j].sum(axis=1) - 1  # eligible: two levels or more
+            else:
+                v = self.x[j][self.live_slot]
+                lo[:, j] = np.minimum.reduceat(v, self.live_start)
+                hi[:, j] = np.maximum.reduceat(v, self.live_start)
+        eligible = hi > lo
+        feat = np.full(n_nodes, -1)
+        cut = np.zeros(n_nodes)
+        pending = np.flatnonzero(open_ & eligible.any(axis=1))
+        for _ in range(_CR_SPLIT_TRIES):
+            if not pending.size:
+                break
+            u = self._draw(pending, 2)
+            col = _pick(eligible[pending], u[:, 0])
+            c = lo[pending, col] + u[:, 1] * (hi[pending, col] - lo[pending, col])
+            ok = c > lo[pending, col]
+            for j in present:
+                sel = np.flatnonzero(col == j)
+                c[sel] = _pick(present[j][pending[sel]], u[sel, 1])
+                ok[sel] = True
+            # split slots of each pending node that its draw sends left
+            at = _ranges(self.live_start[pending], m[pending])
+            who = np.repeat(np.arange(pending.size), m[pending])
+            x = self.x[col[who], self.live_slot[at]]
+            is_eq = data.n_levels[col[who]] > 0
+            goes = np.where(is_eq, x == c[who], x < c[who])
+            n_left = np.bincount(who, weights=goes, minlength=pending.size)
+            ok &= (n_left >= mc[pending]) & (m[pending] - n_left >= mc[pending])
+            if self.params.honest:
+                lab = np.zeros(pending.size, dtype=np.intp)
+                for j in np.unique(col):
+                    sel = np.flatnonzero(col == j)
+                    if j in present:
+                        lab[sel] = self.lab_index[j][pending[sel], c[sel].astype(np.intp)]
+                    else:
+                        lab[sel] = self._label_below(j, pending[sel], c[sel])
+                ok &= (lab >= 1) & (lab < self.lab_m[pending])
+            feat[pending[ok]], cut[pending[ok]] = col[ok], c[ok]
+            pending = pending[~ok]
+        return feat, cut
+
+    def _advance(self, feat, cut, eq, ids) -> None:
+        """Route the slots of split nodes to their children and lay out the
+        next level: in each split node's range, left slots move first, then
+        right ones, each in their order; ranges of new leaves are dropped and
+        their slots settled to the leaf's node id."""
+        split = feat >= 0
+        n_trees, s = self.rows.shape
+        pn = self.pos_node
+        width = pn.shape[1]
+        in_split = np.append(split, False)[pn]
+        node = self.live_node
+        x = self.x[np.maximum(feat, 0)[node], self.live_slot]
+        left = np.where(eq[node], x == cut[node], x < cut[node]) & split[node]
+        goes_left = np.zeros(self.x.shape[1], dtype=bool)
+        goes_left[self.live_slot] = left
+        n_left = np.bincount(node, weights=left, minlength=split.size).astype(np.intp)
+
+        if self.params.honest:
+            on = np.nonzero(self.lab_node >= 0)
+            lnode = self.lab_node[on]
+            lx = self.lab_x[np.maximum(feat, 0)[lnode], on[0], on[1]]
+            lab_left = np.where(eq[lnode], lx == cut[lnode], lx < cut[lnode])
+            child = 2 * (np.cumsum(split) - 1)[lnode] + ~lab_left
+            self.lab_leaf[on] = np.where(split[lnode], -1, ids[lnode])
+            self.lab_node[on] = np.where(split[lnode], child, -1)
+        else:  # label slots are the split slots: slot id t * (s + 1) + i is t * s + i here
+            slot = self.live_slot[~split[node]]
+            self.lab_leaf.ravel()[slot - slot // (s + 1)] = ids[node[~split[node]]]
+
+        parents = np.flatnonzero(split)
+        if not parents.size:
+            self.node_tree = parents
+            return
+        m = np.where(split, self.node_m, 0)
+        before = np.cumsum(m) - m
+        new_start = before - before[np.searchsorted(self.node_tree, self.node_tree)]
+        new_width = int((new_start + m).max())
+        # stable partition of every order, one at a time: a slot's new position
+        # is its split node's new start, plus the left slots before it in the
+        # node (if it goes left) or the node's left count plus the right slots
+        # before it
+        q = np.flatnonzero(in_split.ravel())
+        node = pn.ravel()[q]
+        q0 = q - q % width + self.node_start[node]  # position of the node's first slot
+        dest = new_start[node] + (q // width) * new_width
+        right_dest = dest + n_left[node] + (q - q0)
+        pad = np.arange(n_trees)[:, None] * (s + 1) + s
+        orders = np.empty((self.orders.shape[0], n_trees, new_width), dtype=np.intp)
+        for old, new in zip(self.orders, orders):
+            old, new = old.ravel(), new.reshape(n_trees, new_width)
+            g = goes_left[old] & in_split.ravel()
+            before_left = np.cumsum(g.reshape(n_trees, width), axis=1).ravel() - g
+            lb = before_left[q] - before_left[q0]
+            new[:] = pad
+            new.ravel()[np.where(g[q], dest + lb, right_dest - lb)] = old[q]
+        self.orders = orders
+
+        nl = n_left[parents]
+        self.node_tree = np.repeat(self.node_tree[parents], 2)
+        self.node_start = np.stack([new_start[parents], new_start[parents] + nl], axis=1).ravel()
+        self.node_m = np.stack([nl, self.node_m[parents] - nl], axis=1).ravel()
+        self.pos_node = np.full((n_trees, new_width), -1)
+        at = _ranges(self.node_tree * new_width + self.node_start, self.node_m)
+        self.pos_node.ravel()[at] = np.repeat(np.arange(self.node_m.size), self.node_m)
+
+    # -- output --------------------------------------------------------------
+
+    def _trees(self, levels) -> list[Tree]:
+        """Per-tree flat arrays in breadth-first order; leaf counts and stats
+        come from the label slots' leaves, each distinct row counted once."""
+        data = self.data
+        tree, count, feat, cut, eq, left, right = (np.concatenate(a) for a in zip(*levels))
+        n_nodes, n_trees = tree.size, self.rows.shape[0]
+        key = np.arange(n_trees)[:, None] * data.values.shape[0] + self.lab_rows
+        _, first = np.unique(key, return_index=True)
+        leaf = self.lab_leaf.ravel()[first]
+        row = self.lab_rows.ravel()[first]
+        counts = np.bincount(leaf, minlength=n_nodes)
+        is_leaf = feat < 0
+        if counts[is_leaf].min() < 1:
+            raise ForestError("empty leaf after counting pass")
+        if data.kind == CLASSIFICATION:
+            c = data.n_classes
+            key = leaf * c + data.y[row].astype(np.intp)
+            stat = np.bincount(key, minlength=n_nodes * c).reshape(n_nodes, c).astype(np.float64)
+        elif data.kind == REGRESSION:
+            stat = np.bincount(leaf, weights=data.y[row], minlength=n_nodes) / np.maximum(counts, 1)
+        else:
+            stat = np.zeros(n_nodes)
+        order = np.argsort(tree, kind="stable")
+        bounds = np.searchsorted(tree[order], np.arange(n_trees + 1))
+        local = np.empty(n_nodes, dtype=np.int64)
+        local[order] = np.arange(n_nodes) - bounds[tree[order]]
+        out = []
+        for t in range(n_trees):
+            nodes = order[bounds[t] : bounds[t + 1]]
+            lf = is_leaf[nodes]
+            out.append(Tree(
+                feature=feat[nodes].astype(np.int32),
+                threshold=cut[nodes].astype(np.float64),
+                is_equal=eq[nodes],
+                left=np.where(lf, -1, local[left[nodes]]).astype(np.int32),
+                right=np.where(lf, -1, local[right[nodes]]).astype(np.int32),
+                node_count=count[nodes].astype(np.int32),
+                leaf_id=np.where(lf, np.cumsum(lf) - 1, -1).astype(np.int32),
+                leaf_count=counts[nodes[lf]].astype(np.int64),
+                leaf_stat=stat[nodes[lf]],
+            ))
+        return out
 
 
-def _finalize_tree(arrays, values, y, kind, n_classes) -> Tree:
-    feature, threshold, is_equal, left, right, node_count, leaf_rows = arrays
-    n_nodes = feature.shape[0]
-    leaf_id = np.full(n_nodes, -1, dtype=np.int32)
-    leaf_slots = np.flatnonzero(left < 0)
-    leaf_id[leaf_slots] = np.arange(leaf_slots.shape[0], dtype=np.int32)
-    n_leaves = leaf_slots.shape[0]
-    counts = np.zeros(n_leaves, dtype=np.int64)
-    if kind == CLASSIFICATION:
-        stat = np.zeros((n_leaves, n_classes))
-    else:
-        stat = np.zeros(n_leaves)
-
-    # processing order is a stack traversal, so recompute leaf membership by
-    # routing the counting rows; duplicates from bootstrap count once
-    tree = Tree(
-        feature=feature,
-        threshold=threshold,
-        is_equal=is_equal,
-        left=left,
-        right=right,
-        node_count=node_count,
-        leaf_id=leaf_id,
-        leaf_count=counts,
-        leaf_stat=stat,
-    )
-    all_rows = np.unique(np.concatenate(leaf_rows)) if leaf_rows else np.array([], int)
-    assigned = _route_tree(tree, values[all_rows])
-    np.add.at(counts, assigned, 1)
-    if counts.min(initial=1) < 1:
-        raise ForestError("empty leaf after counting pass")
-    if kind == CLASSIFICATION:
-        np.add.at(stat, assigned, np.eye(n_classes)[y[all_rows].astype(np.intp)])
-    elif kind == REGRESSION:
-        np.add.at(stat, assigned, y[all_rows])
-        stat /= counts
-    return tree
-
-
-def _build_trees(values, schema_cats, y, onehot, params, seeds, kind, n_classes, cr):
-    out = []
-    for s in seeds:
-        rng = np.random.default_rng(s)
-        arrays = _grow_tree(values, schema_cats, y, onehot, params, rng, cr)
-        out.append(_finalize_tree(arrays, values, y, kind, n_classes))
-    return out
+def _grow(data: _Sample, params: ForestParams, seeds, cr: bool) -> list[Tree]:
+    """One tree per seed, grown ``_CHUNK_SLOTS`` sampled rows at a time."""
+    per = max(1, _CHUNK_SLOTS // _bag_size(params, data.values.shape[0]))
+    return [
+        tree
+        for i in range(0, len(seeds), per)
+        for tree in _Chunk(data, params, seeds[i : i + per], cr).grow()
+    ]
 
 
 def _worker(args):
-    return _build_trees(*args)
+    return _grow(*args)
 
 
 def _fit(table: Table, y, kind, n_classes, params: ForestParams, cr: bool, jobs: int) -> Forest:
     if table.n < 2:
         raise ForestError("need at least 2 rows")
-    values = table.values
-    schema_cats = np.array(
-        [len(c.levels) if c.is_categorical else 0 for c in table.schema.columns]
-    )
-    onehot = None
-    if kind == CLASSIFICATION:
-        onehot = np.eye(n_classes)[y.astype(np.intp)]
+    data = _sample(table, y, kind, n_classes)
     children = np.random.SeedSequence(params.seed).spawn(params.n_trees)
     if jobs > 1:
         chunks = np.array_split(np.arange(params.n_trees), min(jobs, params.n_trees))
-        tasks = [
-            (values, schema_cats, y, onehot, params, [children[i] for i in c], kind, n_classes, cr)
-            for c in chunks
-            if len(c)
-        ]
+        tasks = [(data, params, [children[i] for i in c], cr) for c in chunks if len(c)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_worker, tasks))
-        trees = [t for part in parts for t in part]
+            trees = [t for part in pool.map(_worker, tasks) for t in part]
     else:
-        trees = _build_trees(values, schema_cats, y, onehot, params, children, kind, n_classes, cr)
+        trees = _grow(data, params, children, cr)
     return Forest(
         trees=trees,
         schema=table.schema,
-        feature_ranges=_feature_ranges(table.schema, values),
+        feature_ranges=_feature_ranges(table.schema, table.values),
         params=params,
         kind=kind,
         n_classes=n_classes,
@@ -576,6 +791,8 @@ def fit_unsupervised(
 
 
 def _resample_within_leaves(forest: Forest, real_values: np.ndarray, rng) -> np.ndarray:
+    """Each row: a random tree, a leaf drawn by real-row count, and every cell
+    copied from a random real row of that leaf."""
     n, d = real_values.shape
     assigned = route_values(forest, real_values)
     out = np.empty_like(real_values)
@@ -584,14 +801,11 @@ def _resample_within_leaves(forest: Forest, real_values: np.ndarray, rng) -> np.
         rows = np.flatnonzero(tree_pick == b)
         leaves = assigned[:, b]
         counts = np.bincount(leaves, minlength=forest.trees[b].n_leaves)
-        probs = counts / counts.sum()
-        chosen = rng.choice(counts.shape[0], size=rows.shape[0], p=probs)
-        order = np.argsort(leaves, kind="stable")
-        starts = np.searchsorted(leaves[order], np.arange(counts.shape[0]))
-        for i, leaf in zip(rows, chosen):
-            members = order[starts[leaf] : starts[leaf] + counts[leaf]]
-            picks = members[rng.integers(0, members.shape[0], size=d)]
-            out[i] = real_values[picks, np.arange(d)]
+        chosen = rng.choice(counts.shape[0], size=rows.shape[0], p=counts / counts.sum())
+        members = np.argsort(leaves, kind="stable")  # real rows grouped by leaf
+        first = np.cumsum(counts) - counts
+        offset = rng.integers(0, counts[chosen, None], size=(rows.shape[0], d))
+        out[rows] = real_values[members[first[chosen, None] + offset], np.arange(d)]
     return out
 
 
@@ -599,29 +813,67 @@ def _resample_within_leaves(forest: Forest, real_values: np.ndarray, rng) -> np.
 # routing
 
 
-def _route_tree(tree: Tree, values: np.ndarray) -> np.ndarray:
-    node = np.zeros(values.shape[0], dtype=np.int32)
-    while True:
-        feat = tree.feature[node]
-        active = feat >= 0
-        if not active.any():
-            break
-        idx = np.flatnonzero(active)
-        f = feat[idx]
-        x = values[idx, f]
-        thr = tree.threshold[node[idx]]
-        eq = tree.is_equal[node[idx]]
-        go_left = np.where(eq, x == thr, x < thr)
-        node[idx] = np.where(go_left, tree.left[node[idx]], tree.right[node[idx]])
-    return tree.leaf_id[node]
+# (row, tree) pairs routed per numpy pass, which bounds routing's memory
+_ROUTE_CELLS = 1 << 18
+
+
+@dataclass(frozen=True)
+class _Nodes:
+    """Every tree's nodes stacked into one array set with global node ids."""
+
+    starts: np.ndarray  # (B + 1,) global id of each tree's root; total at the end
+    feature: np.ndarray  # intp, -1 at leaves
+    threshold: np.ndarray
+    is_equal: np.ndarray
+    left: np.ndarray  # global ids, -1 at leaves
+    right: np.ndarray
+    leaf_id: np.ndarray  # local leaf id, -1 at internal nodes
+
+
+def _stack_nodes(trees: list[Tree]) -> _Nodes:
+    starts = np.concatenate([[0], np.cumsum([t.n_nodes for t in trees])]).astype(np.int64)
+
+    def shifted(name):
+        return np.concatenate([
+            np.where(getattr(t, name) >= 0, getattr(t, name) + s, -1) for t, s in zip(trees, starts)
+        ])
+
+    return _Nodes(
+        starts=starts,
+        feature=np.concatenate([t.feature for t in trees]).astype(np.intp),
+        threshold=np.concatenate([t.threshold for t in trees]),
+        is_equal=np.concatenate([t.is_equal for t in trees]),
+        left=shifted("left"),
+        right=shifted("right"),
+        leaf_id=np.concatenate([t.leaf_id for t in trees]),
+    )
 
 
 def route_values(forest: Forest, values: np.ndarray) -> np.ndarray:
-    """Leaf ids (n x B) for a raw value grid aligned to the forest schema."""
+    """Leaf ids (n x B) for a raw value grid aligned to the forest schema.
+
+    All trees route together: every (row, tree) cell walks the stacked node
+    table until it reaches a leaf.
+    """
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    out = np.empty((values.shape[0], forest.n_trees), dtype=np.int32)
-    for b, tree in enumerate(forest.trees):
-        out[:, b] = _route_tree(tree, values)
+    nodes = forest._node_table()
+    n_trees = forest.n_trees
+    out = np.empty((values.shape[0], n_trees), dtype=np.int32)
+    step = max(1, _ROUTE_CELLS // n_trees)
+    for i in range(0, values.shape[0], step):
+        block = values[i : i + step]
+        node = np.tile(nodes.starts[:-1], block.shape[0])
+        cell = np.arange(node.size)
+        while cell.size:
+            at = node[cell]
+            f = nodes.feature[at]
+            inner = f >= 0
+            cell, at, f = cell[inner], at[inner], f[inner]
+            x = block[cell // n_trees, f]
+            thr = nodes.threshold[at]
+            go_left = np.where(nodes.is_equal[at], x == thr, x < thr)
+            node[cell] = np.where(go_left, nodes.left[at], nodes.right[at])
+        out[i : i + step] = nodes.leaf_id[node].reshape(-1, n_trees)
     return out
 
 
@@ -753,13 +1005,9 @@ def _node_box_table(forest: Forest) -> tuple[Region, np.ndarray, np.ndarray]:
     literal (left) or its negation (right).
     """
     trees = forest.trees
-    starts = np.concatenate([[0], np.cumsum([t.n_nodes for t in trees])]).astype(np.int64)
-
-    left = np.concatenate([np.where(t.left >= 0, t.left + s, -1) for t, s in zip(trees, starts)])
-    right = np.concatenate([np.where(t.right >= 0, t.right + s, -1) for t, s in zip(trees, starts)])
-    feature = np.concatenate([t.feature for t in trees]).astype(np.intp)
-    cut = np.concatenate([t.threshold for t in trees])
-    is_equal = np.concatenate([t.is_equal for t in trees])
+    nodes = forest._node_table()
+    starts, left, right, feature = nodes.starts, nodes.left, nodes.right, nodes.feature
+    cut, is_equal = nodes.threshold, nodes.is_equal
     rows = starts[-1]
     lo = np.tile(np.nan_to_num(forest.feature_ranges[:, 0]), (rows, 1))
     hi = np.tile(np.nan_to_num(forest.feature_ranges[:, 1]), (rows, 1))

@@ -1,5 +1,6 @@
 import gzip
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,6 +54,21 @@ def test_bundle_hash_guards_consistency(tmp_path, parts):
     path.write_text(json.dumps(doc))
     with pytest.raises(BundleError, match="hash"):
         load_bundle(path)
+
+
+def test_bundle_from_parts_digests_once_and_checks_shapes(parts, monkeypatch):
+    import forestae.bundle as bundle_module
+
+    forest, model, synth, _ = parts
+    digest = bundle_module.forest_digest
+    calls = []
+    monkeypatch.setattr(
+        bundle_module, "forest_digest", lambda f: calls.append(f) or digest(f)
+    )
+    b = bundle_from_parts(forest, model, synth)
+    assert len(calls) == 1 and b.forest_sha == digest(forest)
+    with pytest.raises(BundleError, match="disagree on n"):
+        bundle_from_parts(forest, model, replace(synth, table=synth.table.take(np.arange(3))))
 
 
 def test_gzip_payload_matches_plain(tmp_path, parts):

@@ -56,6 +56,10 @@ def test_fit_deterministic_bytes(tmp_path):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    # growing the trees in two processes must not change the bundle
+    out3 = tmp_path / "m3.json"
+    assert main(args + ["--jobs", "2", "--out", str(out3)]) == 0
+    assert out1.read_bytes() == out3.read_bytes()
     # the gzip container must not record the output file name
     gz1, gz2 = tmp_path / "first.json.gz", tmp_path / "second-name.json.gz"
     assert main(args + ["--out", str(gz1)]) == 0

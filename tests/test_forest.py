@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -82,15 +83,172 @@ def test_completely_random_depth_one():
     assert tree.leaf_count.min() >= 1
 
 
-def test_fit_deterministic_serialization():
+def _fit_mode(mode: str, table: Table, params: ForestParams, jobs: int = 1) -> Forest:
+    """Fit one of the growth modes on a make_mixed table."""
+    x = table.values
+    if mode == "completely_random":
+        return fit_completely_random(table, params, jobs=jobs)
+    if mode == "unsupervised":
+        return fit_unsupervised(table, params, rounds=2, jobs=jobs)
+    if mode == "regression":
+        y = x[:, 0] + 0.5 * x[:, 1] + np.sin(3 * x[:, 1])
+        return fit_supervised(table, (Column("y"), y), params, jobs=jobs)
+    y = (x[:, 0] > 0).astype(float) + (x[:, 1] > 0.5)
+    honest = replace(params, honest=True)
+    return fit_supervised(table, (Column("y", ("p", "q", "r")), y), honest, jobs=jobs)
+
+
+_MODES = ["completely_random", "regression", "honest_classification", "unsupervised"]
+
+
+def _serialized(forest: Forest) -> str:
+    return json.dumps(forest.to_dict(), sort_keys=True)
+
+
+@pytest.mark.parametrize("mode", _MODES)
+def test_fit_deterministic_serialization(mode):
     table = make_mixed(80, seed=5)
     params = ForestParams(n_trees=12, min_leaf=2, bootstrap=True, seed=21)
-    a = fit_completely_random(table, params)
-    b = fit_completely_random(table, params)
-    assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
+    a = _fit_mode(mode, table, params)
+    assert _serialized(a) == _serialized(_fit_mode(mode, table, params))
     # parallel fitting must not change the result
-    c = fit_completely_random(table, params, jobs=2)
-    assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(c.to_dict(), sort_keys=True)
+    assert _serialized(a) == _serialized(_fit_mode(mode, table, params, jobs=2))
+
+
+@pytest.mark.parametrize("mode", _MODES)
+def test_chunk_size_does_not_change_forest(mode, monkeypatch):
+    import forestae.forest as forest_module
+
+    table = make_mixed(60, seed=22)
+    params = ForestParams(n_trees=9, min_leaf=2, bootstrap=True, seed=23)
+    whole = _serialized(_fit_mode(mode, table, params))
+    for slots in (1, 130, 500):  # one tree per chunk, two, four
+        monkeypatch.setattr(forest_module, "_CHUNK_SLOTS", slots)
+        assert _serialized(_fit_mode(mode, table, params)) == whole
+
+
+def _node_samples(tree: Tree, values: np.ndarray, rows: np.ndarray):
+    """Rows (with repeats) reaching each node, and each node's depth; node
+    order must be breadth-first, so parents come before children."""
+    reach = [np.asarray(rows)] + [None] * (tree.n_nodes - 1)
+    depth = np.zeros(tree.n_nodes, dtype=int)
+    for node in range(tree.n_nodes):
+        left, right = tree.left[node], tree.right[node]
+        if left < 0:
+            continue
+        assert node < left < right
+        x = values[reach[node], tree.feature[node]]
+        go = x == tree.threshold[node] if tree.is_equal[node] else x < tree.threshold[node]
+        reach[left], reach[right] = reach[node][go], reach[node][~go]
+        depth[left] = depth[right] = depth[node] + 1
+    return reach, depth
+
+
+def _impurity(y: np.ndarray, classification: bool) -> float:
+    """Gini times size, or the sum of squared deviations."""
+    if classification:
+        counts = np.bincount(y.astype(int))
+        return y.size - float((counts * counts).sum()) / y.size
+    return float(((y - y.mean()) ** 2).sum())
+
+
+def _all_split_costs(table, y, rows, lab, min_child, honest, classification) -> dict:
+    """Brute force: the cost of every valid split of a node's sample, keyed
+    by (feature, threshold or level, is_equal)."""
+    x = table.values
+    costs = {}
+    for j, col in enumerate(table.schema.columns):
+        v = x[rows, j]
+        if col.is_categorical:
+            splits = [(float(level), True) for level in range(len(col.levels))]
+        else:
+            u = np.unique(v)
+            splits = [(0.5 * (a + b), False) for a, b in zip(u[:-1], u[1:])]
+        for cut, eq in splits:
+            left = v == cut if eq else v < cut
+            if min(left.sum(), (~left).sum()) < min_child:
+                continue
+            if honest:
+                lab_left = int((x[lab, j] == cut if eq else x[lab, j] < cut).sum())
+                if not 1 <= lab_left <= lab.size - 1:
+                    continue
+            ys = y[rows]
+            costs[j, cut, eq] = _impurity(ys[left], classification) + _impurity(
+                ys[~left], classification
+            )
+    return costs
+
+
+@pytest.mark.parametrize("classification", [True, False], ids=["classification", "regression"])
+@pytest.mark.parametrize("honest", [False, True], ids=["plain", "honest"])
+def test_splits_match_brute_force(classification, honest):
+    """With mtry = d, every split is a lowest-cost valid split of its node's
+    sample (midpoint cuts and categorical levels), and every leaf either hit
+    a stop rule or had no valid split."""
+    n = 80
+    table = make_mixed(n, seed=31)  # columns a, b continuous, c categorical
+    x = table.values
+    if classification:
+        col, y = Column("y", ("p", "q", "r")), (x[:, 0] > 0).astype(float) + (x[:, 1] > 0.5)
+    else:
+        col, y = Column("y"), x[:, 0] + 0.5 * x[:, 1] + np.random.default_rng(32).normal(0, 0.3, n)
+    params = ForestParams(
+        n_trees=4, mtry=3, min_leaf=2, min_node_fraction=0.05, max_depth=6,
+        bootstrap=True, honest=honest, seed=33,
+    )
+    forest = fit_supervised(table, (col, y), params)
+    children = np.random.SeedSequence(params.seed).spawn(params.n_trees)
+    for b, tree in enumerate(forest.trees):
+        rng = np.random.default_rng(children[b])
+        bag = rng.choice(n, size=n, replace=True)
+        if honest:
+            perm = rng.permutation(bag)
+            split_rows, label_rows = perm[: n // 2], perm[n // 2 :]
+        else:
+            split_rows = label_rows = bag
+        reach, depth = _node_samples(tree, x, split_rows)
+        lab_reach, _ = _node_samples(tree, x, label_rows)
+        for node in range(tree.n_nodes):
+            rows, lab = reach[node], lab_reach[node]
+            m = rows.size
+            assert tree.node_count[node] == m
+            min_child = max(params.min_leaf, math.ceil(params.min_node_fraction * m))
+            costs = _all_split_costs(table, y, rows, lab, min_child, honest, classification)
+            if tree.left[node] >= 0:
+                chosen = (int(tree.feature[node]), float(tree.threshold[node]), bool(tree.is_equal[node]))
+                assert chosen in costs
+                assert costs[chosen] == pytest.approx(min(costs.values()), rel=1e-9, abs=1e-9)
+            else:
+                stopped = (
+                    depth[node] >= params.max_depth
+                    or m < max(2, 2 * min_child)
+                    or (honest and lab.size < 2)
+                    or np.unique(y[rows]).size == 1
+                )
+                assert stopped or not costs
+
+
+def test_resample_within_leaves_takes_cells_from_one_leaf(monkeypatch):
+    import forestae.forest as forest_module
+
+    table = make_mixed(60, seed=24)
+    seen = []
+    resample = forest_module._resample_within_leaves
+
+    def spy(forest, values, rng):
+        out = resample(forest, values, rng)
+        seen.append((forest, out))
+        return out
+
+    monkeypatch.setattr(forest_module, "_resample_within_leaves", spy)
+    fit_unsupervised(table, ForestParams(n_trees=1, min_leaf=4, seed=25), rounds=2)
+    ((forest, out),) = seen
+    leaves = route_values(forest, table.values)[:, 0]
+    for row in out:
+        assert any(
+            all(np.any(table.values[leaves == leaf, j] == row[j]) for j in range(row.size))
+            for leaf in np.unique(leaves)
+        )
 
 
 def test_forest_json_round_trip():
@@ -141,6 +299,30 @@ def test_route_counts_identity_after_fit():
     for b, tree in enumerate(f.trees):
         counts = np.bincount(ids[:, b], minlength=tree.n_leaves)
         assert np.array_equal(counts, tree.leaf_count)
+
+
+def test_stacked_routing_matches_per_tree_walk(monkeypatch):
+    import forestae.forest as forest_module
+
+    table = make_mixed(90, seed=26)
+    queries = make_mixed(40, seed=27).values
+    for f in (
+        fit_completely_random(table, ForestParams(n_trees=7, min_leaf=2, seed=16)),
+        fit_unsupervised(table, ForestParams(n_trees=5, min_leaf=3, seed=17)),
+    ):
+        expected = np.empty((queries.shape[0], f.n_trees), dtype=int)
+        for b, tree in enumerate(f.trees):
+            for i, x in enumerate(queries):
+                node = 0
+                while tree.left[node] >= 0:
+                    v, thr = x[tree.feature[node]], tree.threshold[node]
+                    go_left = v == thr if tree.is_equal[node] else v < thr
+                    node = tree.left[node] if go_left else tree.right[node]
+                expected[i, b] = tree.leaf_id[node]
+        assert np.array_equal(route_values(f, queries), expected)
+        monkeypatch.setattr(forest_module, "_ROUTE_CELLS", 3 * f.n_trees)  # blocks of 3 rows
+        assert np.array_equal(route_values(f, queries), expected)
+        monkeypatch.undo()
 
 
 def test_unseen_level_routes_not_equal():
