@@ -20,6 +20,7 @@ from .decode import (
     build_synthetic_training,
     exclusive_lasso,
     greedy_leaf_assign,
+    ilp_decode,
     ilp_decode_exact,
     knn_decode,
     knn_neighbors,

@@ -20,14 +20,8 @@ from . import bundle as bundle_io
 from . import decode as dec
 from . import kernel as ker
 from . import spectral
-from .data import Schema, Table, bootstrap_split, conform_table, load_csv, save_csv
-from .forest import (
-    ForestParams,
-    assigned_region,
-    fit_completely_random,
-    fit_supervised,
-    fit_unsupervised,
-)
+from .data import Table, bootstrap_split, conform_table, load_csv, save_csv
+from .forest import ForestParams, fit_completely_random, fit_supervised, fit_unsupervised
 from .metrics import distortion
 
 MODES = ("supervised", "completely_random", "unsupervised")
@@ -187,16 +181,9 @@ def _decode_rows(b, Z0: np.ndarray, args) -> tuple[Table, list[dict]]:
             seed=args.seed, trace=trace if args.trace else None,
         )
         return out, trace
-    # exact enumeration
-    khat = spectral.reconstruct_kernel(Z0, b.model)
-    assignments = np.empty((Z0.shape[0], b.forest.n_trees), dtype=np.int64)
-    for i in range(Z0.shape[0]):
-        res = dec.ilp_decode_exact(khat[i], b.forest, b.synth.leaf_ids)
-        assignments[i] = res.assignment
-        if args.trace:
-            trace.append({"row": i, "objective": res.objective, "n_optima": res.n_optima})
-    values = assigned_region(b.forest, assignments).sample(np.random.default_rng(args.seed))
-    return Table(b.schema, values), trace
+    out = dec.ilp_decode(Z0, b.model, b.forest, b.synth, seed=args.seed,
+                         trace=trace if args.trace else None)
+    return out, trace
 
 
 def cmd_decode(args) -> int:
@@ -234,15 +221,13 @@ def _dz_for_rate(rate: float, d_x: int) -> int:
 
 
 def _bench_one(payload) -> list[dict]:
-    (values, schema_dict, name, mode, label, params_dict, rates, t, k, decoder,
+    (table, name, mode, label, params, rates, t, k, decoder,
      penalty, sparsity_cap, boot_seed, rounds) = payload
-    table = Table(Schema.from_dict(schema_dict), np.asarray(values))
     split = bootstrap_split(table.n, boot_seed)
     train = table.take(np.unique(split.train))  # de-duplicated kernel reference
     test = table.take(split.holdout)
     if mode == "supervised":
         test = test.drop(label)
-    params = ForestParams.from_dict(params_dict)
     t0 = time.perf_counter()
     d_x = test.schema.n_columns
     dims = [min(_dz_for_rate(r, d_x), train.n - 1) for r in rates]
@@ -290,9 +275,8 @@ def cmd_bench(args) -> int:
     name = Path(args.data).stem
     payloads = [
         (
-            table.values.tolist(), table.schema.to_dict(), name, args.mode, args.label,
-            _params(args, args.seed + i).to_dict(), rates, args.t, args.k, args.decoder,
-            args.penalty, args.sparsity_cap, args.seed + i, args.rounds,
+            table, name, args.mode, args.label, _params(args, args.seed + i), rates, args.t,
+            args.k, args.decoder, args.penalty, args.sparsity_cap, args.seed + i, args.rounds,
         )
         for i in range(args.bootstraps)
     ]

@@ -9,6 +9,7 @@ schema so routing stays stable across sessions.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,26 +72,6 @@ class Schema:
             if c.name == name:
                 return i
         raise KeyError(name)
-
-    def to_dict(self) -> dict:
-        return {
-            "columns": [
-                {"name": c.name, "kind": "categorical", "levels": list(c.levels)}
-                if c.is_categorical
-                else {"name": c.name, "kind": "continuous"}
-                for c in self.columns
-            ]
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "Schema":
-        cols = []
-        for c in d["columns"]:
-            if c["kind"] == "categorical":
-                cols.append(Column(c["name"], tuple(c["levels"])))
-            else:
-                cols.append(Column(c["name"]))
-        return Schema(tuple(cols))
 
 
 @dataclass(frozen=True)
@@ -248,19 +229,18 @@ def save_csv(table: Table, path: str | Path) -> None:
 def bootstrap_split(n: int, seed: int) -> SplitIndices:
     """Draw n indices with replacement; the absent ones form the holdout.
 
-    An empty holdout retries with seed+1, at most 10 times.
+    An empty holdout retries with seed+1, seed+2, ...; for n >= 2 a draw
+    misses some row with probability at least 1/2, so the loop ends.
     """
     if n < 2:
         raise DataError("bootstrap_split needs n >= 2")
-    for attempt in range(11):
-        rng = np.random.default_rng(seed + attempt)
-        train = rng.integers(0, n, size=n)
+    for s in itertools.count(seed):
+        train = np.random.default_rng(s).integers(0, n, size=n)
         mask = np.ones(n, dtype=bool)
         mask[train] = False
         holdout = np.flatnonzero(mask)
         if holdout.size:
-            return SplitIndices(train=train, holdout=holdout, seed=seed + attempt)
-    raise DataError("bootstrap holdout empty after 10 retries")
+            return SplitIndices(train=train, holdout=holdout, seed=s)
 
 
 def marginal_synthesize(table: Table, seed: int) -> Table:

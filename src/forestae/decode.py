@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .data import Table
 from .forest import Forest, Region, assigned_region, region_intersect, route_table, route_values
@@ -40,6 +39,7 @@ __all__ = [
     "greedy_leaf_assign",
     "lasso_decode",
     "ilp_decode_exact",
+    "ilp_decode",
 ]
 
 _ZERO_DIST_EPS = 1e-12
@@ -65,7 +65,6 @@ class SyntheticTrainingSet:
     """
 
     table: Table
-    leaf_ids: np.ndarray  # (n, B) local leaf ids, same as the source rows
     seed: int
 
     @property
@@ -79,7 +78,7 @@ def build_synthetic_training(forest: Forest, table: Table, seed: int) -> Synthet
     synth = Table(table.schema, values)
     check, _ = route_table(forest, synth)
     assert np.array_equal(check, leaf_ids), "synthetic row escaped its source regions"
-    return SyntheticTrainingSet(table=synth, leaf_ids=leaf_ids, seed=seed)
+    return SyntheticTrainingSet(table=synth, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +94,8 @@ class NeighborSet:
 
 def _knn_batch(Z0: np.ndarray, Z: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     if Z.shape[1] <= _KDTREE_MAX_DIM:
+        from scipy.spatial import cKDTree  # costly import; only k-NN decoding needs it
+
         dist, idx = cKDTree(Z).query(Z0, k=k)
     else:
         d2 = ((Z0[:, None, :] - Z[None, :, :]) ** 2).sum(axis=2)
@@ -236,7 +237,7 @@ def relabel_forest(
     Nodes whose remaining draws all route one way get a constant split toward
     the majority side (counted).
     """
-    profile = leaf_profile(forest, synth.leaf_ids)
+    profile = leaf_profile(forest, route_values(forest, synth.table.values))
     populated = profile.counts_flat > 0
     rng = np.random.default_rng(seed)
     degenerate = dropped = 0
@@ -497,7 +498,7 @@ def lasso_decode(
     """
     Z0 = np.atleast_2d(np.asarray(Z0, dtype=np.float64))
     khat_all = reconstruct_kernel(Z0, model)
-    M = leaf_design(forest, leaf_profile(forest, synth.leaf_ids))
+    M = leaf_design(forest, leaf_profile(forest, route_values(forest, synth.table.values)))
     rng = np.random.default_rng(seed)
     B = forest.n_trees
     assignments = np.empty((Z0.shape[0], B), dtype=np.int64)
@@ -610,3 +611,29 @@ def ilp_decode_exact(khat_row: np.ndarray, forest: Forest, pi: np.ndarray) -> Il
         n_optima=best["n"],
         optima=best["optima"],
     )
+
+
+def ilp_decode(
+    Z0: np.ndarray,
+    model: SpectralModel,
+    forest: Forest,
+    synth: SyntheticTrainingSet,
+    seed: int = 0,
+    trace: list[dict] | None = None,
+) -> Table:
+    """Reconstruct kernel rows, enumerate each row's exact leaf assignment,
+    and sample from the assigned-leaf intersections.
+
+    If ``trace`` is a list, one record per row is appended to it: the row,
+    its optimal objective and the number of optima.
+    """
+    khat = reconstruct_kernel(np.atleast_2d(np.asarray(Z0, dtype=np.float64)), model)
+    pi = route_values(forest, synth.table.values)
+    assignments = np.empty((khat.shape[0], forest.n_trees), dtype=np.int64)
+    for i, row in enumerate(khat):
+        res = ilp_decode_exact(row, forest, pi)
+        assignments[i] = res.assignment
+        if trace is not None:
+            trace.append({"row": i, "objective": res.objective, "n_optima": res.n_optima})
+    values = assigned_region(forest, assignments).sample(np.random.default_rng(seed))
+    return Table(forest.schema, values)

@@ -78,23 +78,6 @@ class ForestParams:
         if self.max_depth is not None and self.max_depth < 0:
             raise ForestError("max_depth must be >= 0")
 
-    def to_dict(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "mtry": self.mtry,
-            "min_node_fraction": self.min_node_fraction,
-            "min_leaf": self.min_leaf,
-            "max_depth": self.max_depth,
-            "subsample_fraction": self.subsample_fraction,
-            "bootstrap": self.bootstrap,
-            "honest": self.honest,
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ForestParams":
-        return ForestParams(**d)
-
 
 @dataclass
 class Tree:
@@ -166,63 +149,6 @@ class Forest:
         """Cells of the given global leaf ids (any shape)."""
         boxes, _, leaf_rows = self._box_table()
         return boxes[leaf_rows[leaves]]
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": self.schema.to_dict(),
-            "feature_ranges": [
-                [None, None] if np.isnan(lo) else [float(lo), float(hi)]
-                for lo, hi in self.feature_ranges
-            ],
-            "params": self.params.to_dict(),
-            "kind": self.kind,
-            "n_classes": self.n_classes,
-            "trees": [
-                {
-                    "feature": t.feature.tolist(),
-                    "threshold": t.threshold.tolist(),
-                    "is_equal": t.is_equal.astype(int).tolist(),
-                    "left": t.left.tolist(),
-                    "right": t.right.tolist(),
-                    "node_count": t.node_count.tolist(),
-                    "leaf_id": t.leaf_id.tolist(),
-                    "leaf_count": t.leaf_count.tolist(),
-                    "leaf_stat": t.leaf_stat.tolist(),
-                }
-                for t in self.trees
-            ],
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "Forest":
-        trees = []
-        for td in d["trees"]:
-            stat = np.asarray(td["leaf_stat"], dtype=np.float64)
-            trees.append(
-                Tree(
-                    feature=np.asarray(td["feature"], dtype=np.int32),
-                    threshold=np.asarray(td["threshold"], dtype=np.float64),
-                    is_equal=np.asarray(td["is_equal"], dtype=bool),
-                    left=np.asarray(td["left"], dtype=np.int32),
-                    right=np.asarray(td["right"], dtype=np.int32),
-                    node_count=np.asarray(td["node_count"], dtype=np.int32),
-                    leaf_id=np.asarray(td["leaf_id"], dtype=np.int32),
-                    leaf_count=np.asarray(td["leaf_count"], dtype=np.int64),
-                    leaf_stat=stat,
-                )
-            )
-        ranges = np.array(
-            [[np.nan, np.nan] if r[0] is None else r for r in d["feature_ranges"]],
-            dtype=np.float64,
-        ).reshape(-1, 2)
-        return Forest(
-            trees=trees,
-            schema=Schema.from_dict(d["schema"]),
-            feature_ranges=ranges,
-            params=ForestParams.from_dict(d["params"]),
-            kind=d["kind"],
-            n_classes=d["n_classes"],
-        )
 
 
 # ---------------------------------------------------------------------------

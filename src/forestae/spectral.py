@@ -66,31 +66,6 @@ class SpectralModel:
             raise SpectralError("diffusion time not applied; call with_time first")
         return self.t, self.Z
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d_z": self.d_z,
-            "eigenvalues": self.eigenvalues.tolist(),
-            "V": self.V.tolist(),
-            "lambda0": self.lambda0,
-            "v0_max_dev": self.v0_max_dev,
-            "t": self.t,
-            "Z": None if self.Z is None else self.Z.tolist(),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "SpectralModel":
-        return SpectralModel(
-            n=d["n"],
-            d_z=d["d_z"],
-            eigenvalues=np.asarray(d["eigenvalues"], dtype=np.float64),
-            V=np.asarray(d["V"], dtype=np.float64),
-            lambda0=d["lambda0"],
-            v0_max_dev=d["v0_max_dev"],
-            t=d["t"],
-            Z=None if d["Z"] is None else np.asarray(d["Z"], dtype=np.float64),
-        )
-
 
 def eigendecompose(K: SparseKernelMatrix, d_z: int) -> SpectralModel:
     """Top d_z+1 eigenpairs of a symmetric train kernel, constant pair dropped.

@@ -170,7 +170,7 @@ def test_c06_synthetic_training_invariant():
     model = with_time(eigendecompose(K, 4), 1.0)
     synth = build_synthetic_training(forest, table, seed=11)
     redo, _ = route_table(forest, synth.table)
-    assert np.array_equal(redo, synth.leaf_ids)  # 100% identical assignments
+    assert np.array_equal(redo, route_table(forest, table)[0])  # 100% identical assignments
     K0 = rf_kernel_cross(forest, synth.table, table)
     Z0 = nystrom_embed(K0, model)
     assert np.abs(Z0 - model.Z).max() <= 1e-8

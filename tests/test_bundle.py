@@ -1,13 +1,23 @@
 import gzip
 import json
+from copy import deepcopy
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from forestae.bundle import BundleError, bundle_from_parts, load_bundle, save_bundle
+from forestae.bundle import (
+    BundleError,
+    bundle_from_parts,
+    decode_array,
+    encode_array,
+    forest_digest,
+    forest_to_dict,
+    load_bundle,
+    save_bundle,
+)
 from forestae.decode import build_synthetic_training
-from forestae.forest import ForestParams, fit_completely_random
+from forestae.forest import ForestParams, fit_completely_random, route_table
 from forestae.kernel import rf_kernel_train, write_coordinate, write_dense_csv
 from forestae.spectral import eigendecompose, with_time
 from conftest import make_mixed
@@ -30,7 +40,8 @@ def test_bundle_round_trip_preserves_components(tmp_path, parts):
     save_bundle(b, path)
     back = load_bundle(path)
     assert np.array_equal(back.model.Z, model.Z)
-    assert np.array_equal(back.synth.leaf_ids, synth.leaf_ids)
+    assert np.array_equal(route_table(back.forest, back.synth.table)[0],
+                          route_table(forest, synth.table)[0])
     assert back.forest_sha == b.forest_sha
 
 
@@ -50,9 +61,94 @@ def test_bundle_hash_guards_consistency(tmp_path, parts):
     path = tmp_path / "m.json"
     save_bundle(bundle_from_parts(forest, model, synth), path)
     doc = json.loads(path.read_text())
-    doc["forest"]["trees"][0]["threshold"][0] = 123.456
+    threshold = decode_array(doc["forest"]["arrays"]["threshold"])
+    threshold[0] = 123.456
+    doc["forest"]["arrays"]["threshold"] = encode_array(threshold)
     path.write_text(json.dumps(doc))
     with pytest.raises(BundleError, match="hash"):
+        load_bundle(path)
+
+
+def test_bundle_v1_rejected(tmp_path, parts):
+    forest, model, synth, _ = parts
+    path = tmp_path / "m.json"
+    save_bundle(bundle_from_parts(forest, model, synth), path)
+    doc = json.loads(path.read_text())
+    doc["format_version"] = 1
+    path.write_text(json.dumps(doc))
+    with pytest.raises(BundleError, match="version 1.*refit"):
+        load_bundle(path)
+
+
+def test_saved_bundle_holds_no_derived_fields(tmp_path, parts):
+    forest, model, synth, _ = parts
+    path = tmp_path / "m.json"
+    save_bundle(bundle_from_parts(forest, model, synth), path)
+    doc = json.loads(path.read_text())
+    assert doc["format_version"] == 2
+    assert "Z" not in doc["spectral"] and "leaf_ids" not in doc["synthetic"]
+    assert "schema" not in doc  # stored once, with the forest
+
+
+def test_array_codec_round_trips_dtype_and_shape():
+    for a in (np.arange(6, dtype=np.int32).reshape(2, 3), np.array([True, False]),
+              np.array([[np.nan, 1.5]]), np.zeros((0, 4))):
+        back = decode_array(json.loads(json.dumps(encode_array(a))))
+        assert back.dtype == a.dtype and back.shape == a.shape
+        assert np.array_equal(back, a, equal_nan=True)
+        back[...] = 0  # decoded arrays are writable
+
+
+def _tamper(forest, edit):
+    """A copy of the forest with ``edit(tree)`` applied to its first tree."""
+    forest = deepcopy(forest)
+    edit(forest.trees[0])
+    return forest
+
+
+def _first_leaf(tree):
+    return int(np.flatnonzero(tree.leaf_id >= 0)[0])
+
+
+def _cycle(tree):
+    # one leaf becomes a split whose children are the root
+    i = _first_leaf(tree)
+    tree.feature[i], tree.left[i], tree.right[i], tree.leaf_id[i] = 0, 0, 0, -1
+
+
+def _child_out_of_range(tree):
+    tree.left[0] = tree.n_nodes
+
+
+def _duplicate_leaf_id(tree):
+    leaves = np.flatnonzero(tree.leaf_id >= 0)
+    tree.leaf_id[leaves[1]] = tree.leaf_id[leaves[0]]
+
+
+def _empty_leaf(tree):
+    tree.leaf_count[0] = 0
+
+
+def _feature_past_schema(tree):
+    tree.feature[0] = 99
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_cycle, "not after its parent"),
+    (_child_out_of_range, "out of range"),
+    (_duplicate_leaf_id, "leaf ids"),
+    (_empty_leaf, "leaf count"),
+    (_feature_past_schema, "column"),
+])
+def test_malformed_tree_rejected_with_valid_digest(tmp_path, parts, edit, message):
+    forest, model, synth, _ = parts
+    path = tmp_path / "m.json"
+    save_bundle(bundle_from_parts(forest, model, synth), path)
+    bad = _tamper(forest, edit)
+    doc = json.loads(path.read_text())
+    doc["forest"], doc["forest_sha"] = forest_to_dict(bad), forest_digest(bad)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(BundleError, match=message):
         load_bundle(path)
 
 

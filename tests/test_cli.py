@@ -13,6 +13,7 @@ from forestae.bundle import load_bundle
 from forestae.cli import main
 from forestae.data import load_csv
 from forestae.decode import ilp_decode_exact
+from forestae.forest import route_table
 from forestae.spectral import reconstruct_kernel
 
 
@@ -148,7 +149,7 @@ def test_decode_ilp_matches_module_oracle(tmp_path):
     khat = reconstruct_kernel(Z0, b.model)
     recs = [json.loads(line) for line in trace.read_text().splitlines()]
     for i in (0, 5, 11):
-        res = ilp_decode_exact(khat[i], b.forest, b.synth.leaf_ids)
+        res = ilp_decode_exact(khat[i], b.forest, route_table(b.forest, b.synth.table)[0])
         assert res.objective == pytest.approx(recs[i]["objective"])
 
 
@@ -172,13 +173,42 @@ def test_decode_lasso_trace_records(fitted, tmp_path):
     assert untraced.read_bytes() == out.read_bytes()
 
 
+def _cli_env() -> dict:
+    return {**os.environ, "PYTHONPATH": str(Path(forestae.__file__).resolve().parents[1])}
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # the lasso solver imports scipy.optimize on first use; no other command pays for it
-    code = "import sys, forestae.cli; print('scipy.optimize' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": str(Path(forestae.__file__).resolve().parents[1])}
+    # the lasso solver imports scipy.optimize and k-NN decoding scipy.spatial on
+    # first use; no other command pays for them
+    code = ("import sys, forestae.cli; "
+            "print('scipy.optimize' in sys.modules, 'scipy.spatial' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True, env=env)
-    assert done.stdout.strip() == "False"
+                          check=True, env=_cli_env())
+    assert done.stdout.strip() == "False False"
+
+
+def test_encode_rejects_cyclic_tree_without_hanging(tmp_path):
+    from forestae.bundle import forest_digest, forest_to_dict
+
+    data = _write_blobs_csv(tmp_path / "train.csv", n=40, seed=6, with_label=False)
+    bundle = tmp_path / "m.json"
+    assert main(["fit", str(data), "--mode", "completely_random", "--d-z", "2",
+                 "--trees", "3", "--min-leaf", "3", "--out", str(bundle), "--seed", "1"]) == 0
+    forest = load_bundle(bundle).forest
+    tree = forest.trees[1]
+    leaf = int(np.flatnonzero(tree.leaf_id >= 0)[0])
+    # the leaf becomes a split whose children are the root: routing would loop
+    tree.feature[leaf], tree.left[leaf], tree.right[leaf], tree.leaf_id[leaf] = 0, 0, 0, -1
+    doc = json.loads(bundle.read_text())
+    doc["forest"], doc["forest_sha"] = forest_to_dict(forest), forest_digest(forest)
+    bundle.write_text(json.dumps(doc))
+    done = subprocess.run(
+        [sys.executable, "-m", "forestae.cli", "encode", str(bundle), str(data),
+         "--out", str(tmp_path / "emb.csv")],
+        capture_output=True, text=True, env=_cli_env(), timeout=60,
+    )
+    assert done.returncode == 1
+    assert "BundleError" in done.stderr and "parent" in done.stderr
 
 
 def test_decode_unknown_decoder_usage_error(fitted, tmp_path):

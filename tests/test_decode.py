@@ -52,7 +52,7 @@ def test_synthetic_rows_route_identically():
     table = make_mixed(80, seed=1)
     f, model, synth = _pipeline(table, seed=2)
     redo, _ = route_table(f, synth.table)
-    assert np.array_equal(redo, synth.leaf_ids)
+    assert np.array_equal(redo, route_table(f, table)[0])
 
 
 def test_single_leaf_forest_synthesizes_inside_box():
@@ -121,7 +121,7 @@ def test_knn_decode_unanimous_category():
     forced = synth.table.values.copy()
     forced[:, 1] = 1.0
     unanimous = SyntheticTrainingSet(
-        table=Table(schema, forced), leaf_ids=synth.leaf_ids, seed=synth.seed
+        table=Table(schema, forced), seed=synth.seed
     )
     out = knn_decode(model.Z[:5], model, f, unanimous, k=5, seed=0)
     assert np.all(out.values[:, 1] == 1.0)
@@ -223,10 +223,11 @@ def test_relabel_decode_oracle_case():
     rl = relabel_forest(f, model, synth, n_synth=128, seed=22)
     from forestae.decode import route_relabeled
 
-    assert np.array_equal(route_relabeled(rl, model.Z), synth.leaf_ids)
+    source_ids = route_table(f, table)[0]
+    assert np.array_equal(route_relabeled(rl, model.Z), source_ids)
     out = relabel_decode(rl, f, model.Z, seed=23)
     redo, _ = route_table(f, out)
-    assert np.array_equal(redo, synth.leaf_ids)
+    assert np.array_equal(redo, source_ids)
 
 
 def test_relabel_decode_rows_inside_assigned_regions():
