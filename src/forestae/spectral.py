@@ -48,6 +48,9 @@ class SpectralModel:
     v0_max_dev: float  # max deviation of the dropped eigenvector from constant
     t: float | None = None
     Z: np.ndarray | None = None
+    # fit-time diagnostics, not stored in bundles
+    solver: str | None = None  # "dense" or "lanczos"
+    residual_max: float | None = None  # largest ||K v - lambda v|| over the pairs
 
     def truncate(self, d_z: int) -> "SpectralModel":
         """The leading d_z coordinates, diffusion time kept."""
@@ -71,7 +74,8 @@ def eigendecompose(K: SparseKernelMatrix, d_z: int) -> SpectralModel:
     """Top d_z+1 eigenpairs of a symmetric train kernel, constant pair dropped.
 
     Small or nearly full problems use a dense solver; otherwise a restarted
-    Lanczos iteration runs on the sparse matrix from a fixed start vector.
+    Lanczos iteration runs on the factored kernel (products v -> K.dot(v), so
+    K is never formed) from a fixed start vector.
     Eigenvector signs are fixed so each vector's largest-magnitude entry is
     positive, and residuals ||K v - lambda v|| are checked against 1e-8.
     """
@@ -82,14 +86,17 @@ def eigendecompose(K: SparseKernelMatrix, d_z: int) -> SpectralModel:
         raise SpectralError(f"d_z must lie in [1, n-1], got {d_z} with n={n}")
     k = d_z + 1
     if n <= _DENSE_CUTOFF or k >= n - 1:
+        solver = "dense"
         vals, vecs = np.linalg.eigh(K.toarray())
         vals, vecs = vals[::-1][:k], vecs[:, ::-1][:, :k]
     else:
+        solver = "lanczos"
+        op = spla.LinearOperator((n, n), matvec=K.dot, matmat=K.dot, dtype=np.float64)
         try:
             # a seeded start vector keeps the result bit-reproducible; not the
             # constant vector, which is K's leading eigenvector and stalls Lanczos
             v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
-            vals, vecs = spla.eigsh(K.matrix, k=k, which="LA", v0=v0)
+            vals, vecs = spla.eigsh(op, k=k, which="LA", v0=v0)
         except spla.ArpackNoConvergence as exc:
             raise SpectralError(f"eigensolver did not converge: {exc}") from exc
         order = np.argsort(vals)[::-1]
@@ -101,9 +108,9 @@ def eigendecompose(K: SparseKernelMatrix, d_z: int) -> SpectralModel:
         if vecs[i, j] < 0:
             vecs[:, j] = -vecs[:, j]
 
-    resid = np.linalg.norm(K.matrix @ vecs - vecs * vals[None, :], axis=0)
-    if resid.max() > _RESIDUAL_TOL:
-        raise SpectralError(f"eigenpair residual {resid.max():.3e} exceeds {_RESIDUAL_TOL}")
+    resid = float(np.linalg.norm(K.dot(vecs) - vecs * vals[None, :], axis=0).max())
+    if resid > _RESIDUAL_TOL:
+        raise SpectralError(f"eigenpair residual {resid:.3e} exceeds {_RESIDUAL_TOL}")
 
     lambda0 = float(vals[0])
     v0 = vecs[:, 0]
@@ -122,6 +129,8 @@ def eigendecompose(K: SparseKernelMatrix, d_z: int) -> SpectralModel:
         V=vecs[:, 1:].astype(np.float64),
         lambda0=lambda0,
         v0_max_dev=v0_dev,
+        solver=solver,
+        residual_max=resid,
     )
 
 
@@ -145,6 +154,9 @@ def with_time(model: SpectralModel, t: float) -> SpectralModel:
 def nystrom_embed(K0: SparseKernelMatrix, model: SpectralModel) -> np.ndarray:
     """Project kernel rows into the embedding: Z0 = K0 Z Lambda^{-1}.
 
+    K0 V is taken through the factors, Fq (Frᵀ V) / B: Frᵀ V is a per-leaf
+    table, so no query x reference block is formed.
+
     Dimensions with a zero eigenvalue carry no out-of-sample information and
     are emitted as zero columns (with a warning).
     """
@@ -160,7 +172,7 @@ def nystrom_embed(K0: SparseKernelMatrix, model: SpectralModel) -> np.ndarray:
     coef = np.zeros_like(lam)
     live = ~dead
     coef[live] = np.sqrt(model.n) * _power(lam[live], t) / lam[live]
-    return (K0.matrix @ model.V) * coef[None, :]
+    return K0.dot(model.V) * coef[None, :]
 
 
 def reconstruct_kernel(

@@ -11,9 +11,10 @@ import pytest
 import forestae
 from forestae.bundle import load_bundle
 from forestae.cli import main
-from forestae.data import load_csv
+from forestae.data import Table, load_csv
 from forestae.decode import ilp_decode_exact
 from forestae.forest import route_table
+from forestae.kernel import SparseKernelMatrix, leaf_profile, rf_kernel_train
 from forestae.spectral import reconstruct_kernel
 
 
@@ -120,6 +121,61 @@ def test_encode_warns_on_unseen_level(tmp_path, capsys):
     assert main(["encode", str(bundle), str(query), "--out", str(out)]) == 0
     assert "unseen-level" in capsys.readouterr().err
     assert len(out.read_text().splitlines()) == 2
+
+
+def test_fit_never_builds_the_kernel_matrix(tmp_path, monkeypatch, capsys):
+    # past the dense cutoff fit needs only products with the factored kernel
+    def refuse(self):
+        raise AssertionError("fit built the n x n kernel")
+
+    monkeypatch.setattr(SparseKernelMatrix, "matrix", property(refuse))
+    data = _write_blobs_csv(tmp_path / "train.csv", n=850, seed=7, with_label=False)
+    assert main(["fit", str(data), "--mode", "completely_random", "--d-z", "2",
+                 "--trees", "6", "--min-leaf", "10", "--seed", "3", "--verbose",
+                 "--out", str(tmp_path / "m.json.gz")]) == 0
+    err = capsys.readouterr().err
+    assert "nnz(F)=5100" in err and "eig=lanczos" in err and "residual_max=" in err
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_export_kernel_writes_the_train_kernel(tmp_path, dense):
+    data = _write_blobs_csv(tmp_path / "train.csv", n=50, seed=8, with_label=False)
+    bundle, path = tmp_path / "m.json", tmp_path / "k.txt"
+    assert main(["fit", str(data), "--mode", "completely_random", "--d-z", "2",
+                 "--trees", "7", "--min-leaf", "5", "--seed", "4", "--out", str(bundle),
+                 "--export-kernel", str(path), *(["--dense"] if dense else [])]) == 0
+    K = rf_kernel_train(load_bundle(bundle).forest, load_csv(data)).matrix
+    if dense:
+        assert np.array_equal(np.loadtxt(path, delimiter=","), K.toarray())
+    else:
+        coo = K.tocoo()
+        expected = [f"{i} {j} {v!r}" for i, j, v in zip(coo.row, coo.col, coo.data.tolist())]
+        assert path.read_text().splitlines() == expected
+
+
+@pytest.mark.filterwarnings("ignore:kernel graph appears disconnected")
+def test_encode_query_without_populated_leaf_fails(tmp_path, capsys):
+    # the discriminator puts leaves where only marginal draws fell; a query
+    # landing in such a leaf in every tree has no kernel row to embed
+    rng = np.random.default_rng(0)
+    data = tmp_path / "train.csv"
+    X = np.vstack([rng.normal(-2, 0.3, (40, 2)), rng.normal(2, 0.3, (40, 2))])
+    data.write_text("a,b\n" + "".join(f"{x!r},{y!r}\n" for x, y in X.tolist()))
+    bundle = tmp_path / "m.json"
+    assert main(["fit", str(data), "--mode", "unsupervised", "--trees", "2",
+                 "--min-leaf", "1", "--d-z", "2", "--seed", "0", "--out", str(bundle)]) == 0
+    b = load_bundle(bundle)
+    populated = leaf_profile(b.forest, b.synth.table).weights > 0
+    grid = np.stack(np.meshgrid(np.linspace(-3, 3, 61), np.linspace(-3, 3, 61)), -1)
+    grid = grid.reshape(-1, 2)
+    ids = route_table(b.forest, Table(b.schema, grid))[0] + b.forest.leaf_offsets
+    lost = grid[~populated[ids].any(axis=1)]
+    assert lost.shape[0] > 0
+    query = tmp_path / "q.csv"
+    query.write_text("a,b\n{!r},{!r}\n".format(*lost[0].tolist()))
+    rc = main(["encode", str(bundle), str(query), "--out", str(tmp_path / "z.csv")])
+    assert rc == 1
+    assert "shares no populated leaf" in capsys.readouterr().err
 
 
 def test_decode_knn_k1_returns_synthetic_rows(fitted, tmp_path):

@@ -108,6 +108,22 @@ def test_cross_kernel_empty_leaf_strictness(t2x4):
     assert K0.row_sums()[0] == pytest.approx(1.0)
 
 
+def test_factored_dot_matches_matrix():
+    table = make_mixed(120, seed=4)
+    f = fit_completely_random(table, ForestParams(n_trees=8, min_leaf=2, seed=4))
+    ref = table.take(np.arange(90))  # leaves only the other rows reach are empty
+    X = np.random.default_rng(4).normal(size=(table.n, 3))
+    K = rf_kernel_train(f, table)
+    strict = rf_kernel_cross(f, table.take(np.arange(30, 60)), table)
+    loose = rf_kernel_cross(f, table, ref, strict=False)
+    assert loose.skipped_leaf_cells > 0 and loose.scale is not None
+    for kern in (K, strict, loose):
+        Y = X[: kern.n_cols]
+        assert np.abs(kern.dot(Y) - kern.matrix @ Y).max() <= 1e-12
+        assert np.abs(kern.dot(Y[:, 0]) - kern.matrix @ Y[:, 0]).max() <= 1e-12
+        assert np.abs(kern.row_sums() - 1).max() <= 1e-10
+
+
 def test_scornet_kernel_examples(t2x4):
     forest, table, _ = t2x4
     p = table.values

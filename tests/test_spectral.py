@@ -87,6 +87,20 @@ def test_sparse_eigensolve_is_bit_reproducible():
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
 
 
+def test_factored_lanczos_matches_dense_eigh():
+    table, _ = make_blobs(863, 3, seed=21)
+    f = fit_completely_random(table, ForestParams(n_trees=10, min_leaf=5, seed=21))
+    K = rf_kernel_train(f, table)
+    model = eigendecompose(K, 3)
+    assert model.solver == "lanczos" and model.residual_max <= 1e-8
+    vals, vecs = np.linalg.eigh(K.toarray())
+    vals, vecs = vals[::-1][:4], vecs[:, ::-1][:, :4]
+    assert np.abs(model.lambda0 - vals[0]) <= 1e-10
+    assert np.abs(model.eigenvalues - vals[1:]).max() <= 1e-10
+    # the same subspace: projectors agree whatever the signs
+    assert np.abs(model.V @ model.V.T - vecs[:, 1:] @ vecs[:, 1:].T).max() <= 1e-8
+
+
 def test_fractional_time_with_negative_eigenvalue_rejected():
     model = SpectralModel(
         n=4,
@@ -116,8 +130,10 @@ def test_nystrom_uniform_row_maps_to_origin():
 
     from forestae.kernel import CROSS, SparseKernelMatrix
 
+    # K0 = left rightᵀ / n_trees: 1/50 in each of the 50 entries
     uniform = SparseKernelMatrix(
-        matrix=sp.csr_matrix(np.full((1, 50), 1.0 / 50)), role=CROSS
+        left=sp.csr_matrix(np.ones((1, 1))), right=sp.csr_matrix(np.ones((50, 1))),
+        n_trees=50, role=CROSS,
     )
     Z0 = nystrom_embed(uniform, model)
     assert np.abs(Z0).max() <= 1e-8
