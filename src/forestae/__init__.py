@@ -13,7 +13,6 @@ from .data import (
 )
 from .decode import (
     FuzzyAssignment,
-    GreedyResult,
     IlpResult,
     NeighborSet,
     SyntheticTrainingSet,

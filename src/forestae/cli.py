@@ -162,6 +162,12 @@ def cmd_encode(args) -> int:
     return 0
 
 
+def _check_decoder_flags(args) -> None:
+    for flag in ("n_synth", "sparsity_cap"):
+        if getattr(args, flag, 1) < 1:  # bench has no --n-synth
+            raise UsageError(f"--{flag.replace('_', '-')} must be >= 1")
+
+
 def _decode_rows(b, Z0: np.ndarray, args) -> tuple[Table, list[dict]]:
     trace: list[dict] = []
     if args.decoder == "knn":
@@ -176,12 +182,11 @@ def _decode_rows(b, Z0: np.ndarray, args) -> tuple[Table, list[dict]]:
         return out, trace
     if args.decoder == "relabel":
         relabeled = dec.relabel_forest(b.forest, b.model, b.synth, args.n_synth, args.seed)
-        out = dec.relabel_decode(relabeled, b.forest, Z0, seed=args.seed)
+        out = dec.relabel_decode(relabeled, b.forest, Z0, seed=args.seed,
+                                 trace=trace if args.trace else None)
         if args.trace:
-            trace.append({
-                "degenerate_nodes": relabeled.n_degenerate,
-                "dropped_draws": relabeled.n_dropped_draws,
-            })
+            trace[0].update(degenerate_nodes=relabeled.n_degenerate,
+                            dropped_draws=relabeled.n_dropped_draws)
         return out, trace
     if args.decoder == "lasso":
         out = dec.lasso_decode(
@@ -195,6 +200,7 @@ def _decode_rows(b, Z0: np.ndarray, args) -> tuple[Table, list[dict]]:
 
 
 def cmd_decode(args) -> int:
+    _check_decoder_flags(args)
     b = bundle_io.load_bundle(args.bundle)
     Z0 = _read_embedding_csv(args.embeddings)
     if Z0.shape[1] != b.model.d_z:
@@ -212,6 +218,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
+    _check_decoder_flags(args)
     b = bundle_io.load_bundle(args.bundle)
     queries = conform_table(load_csv(args.data, schema_hint=b.schema), b.schema)
     K0 = ker.rf_kernel_cross(b.forest, queries, b.synth.table, strict=False)
@@ -274,6 +281,7 @@ def _bench_one(payload) -> list[dict]:
 
 
 def cmd_bench(args) -> int:
+    _check_decoder_flags(args)
     table = load_csv(args.data)
     rates = [float(r) for r in args.rates.split(",")]
     if not rates or any(not 0 < r <= 1 for r in rates):

@@ -4,8 +4,8 @@ Four routes with different cost/accuracy trade-offs:
 
 * k-NN regression against a synthetic training set that embeds exactly onto Z;
 * split relabeling, turning the fitted trees into routers over the embedding;
-* an exclusive-lasso relaxation scoring fuzzy leaf memberships, hardened by a
-  greedy clique-repair pass;
+* an exclusive-lasso relaxation scoring fuzzy leaf memberships, hardened by
+  one greedy pass over the trees that keeps the picked cells intersecting;
 * exact enumeration of the leaf-assignment program for desk-scale forests.
 
 All decoders emit schema-conformant tables; rows are independent, so query
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Table
-from .forest import Forest, Region, assigned_region, region_intersect, route_table, route_values
+from .forest import Forest, Region, assigned_region, route_table, route_values
 from .kernel import cross_from_ids, leaf_design, leaf_profile
 from .spectral import SpectralModel, nystrom_embed, reconstruct_kernel
 
@@ -27,7 +27,6 @@ __all__ = [
     "SyntheticTrainingSet",
     "NeighborSet",
     "FuzzyAssignment",
-    "GreedyResult",
     "IlpResult",
     "RelabeledForest",
     "build_synthetic_training",
@@ -209,7 +208,8 @@ def _best_latent_split(Z0: np.ndarray, labels: np.ndarray):
         z = Z0[:, kdim]
         order = np.argsort(z, kind="stable")
         zs = z[order]
-        valid = zs[:-1] < zs[1:]
+        # a gap at rounding scale is a tie, not a cut
+        valid = np.diff(zs) > _TIE_TOL * np.abs(zs).max()
         if not valid.any():
             continue
         cum1 = np.cumsum(labels[order].astype(np.int64))[:-1]
@@ -242,6 +242,8 @@ def relabel_forest(
     Nodes whose remaining draws all route one way get a constant split toward
     the majority side (counted).
     """
+    if n_synth < 1:
+        raise DecodeError("n_synth must be >= 1")
     profile = leaf_profile(forest, route_values(forest, synth.table.values))
     populated = profile.counts_flat > 0
     rng = np.random.default_rng(seed)
@@ -317,21 +319,29 @@ def relabel_decode(
     original: Forest,
     Z0: np.ndarray,
     seed: int = 0,
+    trace: list[dict] | None = None,
 ) -> Table:
     """Route embeddings through the relabeled trees, then sample from the
-    intersection of the original forest's corresponding leaf regions. Empty
-    intersections fall back to greedy repair seeded with the assignments.
+    intersection of the original forest's corresponding leaf regions. A row
+    whose routed leaves share no cell is hardened by ``greedy_leaf_assign``,
+    with each routed leaf scored 1 and every other leaf 0.
+
+    If ``trace`` is a list, one record is appended to it: ``hardened_rows``,
+    the number of rows that went through hardening.
     """
     leaf_ids = route_relabeled(relabeled, Z0)
     rng = np.random.default_rng(seed)
     offsets = original.leaf_offsets
-    for i in np.flatnonzero(assigned_region(original, leaf_ids).is_empty()):
+    hardened = np.flatnonzero(assigned_region(original, leaf_ids).is_empty())
+    if trace is not None:
+        trace.append({"hardened_rows": int(hardened.shape[0])})
+    for i in hardened:
         fuzzy = FuzzyAssignment(
             values=np.ones(original.n_trees),
             leaf_ids=leaf_ids[i].astype(np.int64) + offsets,
             groups=np.arange(original.n_trees),
         )
-        leaf_ids[i] = greedy_leaf_assign(fuzzy, original, seed=int(rng.integers(2**31))).assignment
+        leaf_ids[i] = greedy_leaf_assign(fuzzy, original, seed=int(rng.integers(2**31)))
     return Table(original.schema, assigned_region(original, leaf_ids).sample(rng))
 
 
@@ -388,91 +398,32 @@ def exclusive_lasso(
     return psi, bool(res.status > 0), objective, int(res.nit)
 
 
-@dataclass
-class GreedyResult:
-    assignment: np.ndarray  # (B,) local leaf ids
-    rounds: int
-    repaired: bool
+def greedy_leaf_assign(p_hat: FuzzyAssignment, forest: Forest, seed: int = 0) -> np.ndarray:
+    """Harden fuzzy leaf scores into one leaf per tree whose cells intersect.
 
-
-def _bron_kerbosch_pivot(adj: np.ndarray) -> list[frozenset]:
-    """All maximal cliques (deterministic order) with pivoting."""
-    n = adj.shape[0]
-    nbrs = [frozenset(np.flatnonzero(adj[v]).tolist()) - {v} for v in range(n)]
-    cliques: list[frozenset] = []
-
-    def expand(r: set, p: set, x: set) -> None:
-        if not p and not x:
-            cliques.append(frozenset(r))
-            return
-        pivot = max(sorted(p | x), key=lambda u: len(p & nbrs[u]))
-        for v in sorted(p - nbrs[pivot]):
-            expand(r | {v}, p & nbrs[v], x & nbrs[v])
-            p.remove(v)
-            x.add(v)
-
-    expand(set(), set(range(n)), set())
-    return cliques
-
-
-def greedy_leaf_assign(p_hat: FuzzyAssignment, forest: Forest, seed: int = 0) -> GreedyResult:
-    """Harden fuzzy leaf scores into consistent one-hot-per-tree assignments.
-
-    Each round picks, per tree, the highest-scoring leaf intersecting the
-    current feasible region, builds the pairwise-overlap graph over trees, and
-    either stops (complete graph) or shrinks the feasible region to a maximal
-    clique's common cell. Ties and clique choices are uniform (seeded). If the
-    final assignment has no common cell (possible with categorical level
-    sets), a consistent assignment is repaired by routing a point sampled from
-    the last feasible region; the repair is flagged.
+    One pass over the trees, in descending order of their top score (stable
+    by tree index). Each tree takes its highest-scoring leaf whose cell meets
+    the running cell, ties broken uniformly (seeded), and that cell is then
+    intersected into the running cell, which starts as the training feature
+    box. A tree's leaves partition that box, so every step has a feasible
+    leaf and the (B,) assignment of local leaf ids is consistent. Leaves
+    without a score count as 0, so an unscored tree goes last and picks
+    uniformly among its feasible leaves.
     """
     rng = np.random.default_rng(seed)
-    B = forest.n_trees
-    offsets = forest.leaf_offsets
     flat = np.zeros(forest.total_leaves)
     flat[p_hat.leaf_ids.astype(np.intp)] = p_hat.values
-    # a tree without scores weighs its leaves uniformly
-    p_full = [
-        p if p.sum() != 0 else np.full(p.shape, 1.0 / p.shape[0])
-        for p in np.split(flat, offsets[1:])
-    ]
+    scores = np.split(flat, forest.leaf_offsets[1:])
     leaves = _tree_leaf_boxes(forest)
     box = forest.node_boxes(0)[0]  # the training feature box
-    cap = B * max(t.n_leaves for t in forest.trees)
-    picks = np.zeros(B, dtype=np.int64)
-    rounds = 0
-    while rounds < cap:
-        rounds += 1
-        for b in range(B):
-            ok = ~leaves[b].intersect(box).is_empty()
-            vals = np.where(ok, p_full[b], -np.inf)
-            top = vals.max()
-            tied = np.flatnonzero(vals == top)
-            picks[b] = tied[0] if tied.shape[0] == 1 else tied[rng.integers(tied.shape[0])]
-        picked = forest.leaf_boxes(offsets + picks)
-        adj = ~picked[:, None].intersect(picked[None, :]).is_empty()
-        if adj.all():
-            break
-        np.fill_diagonal(adj, True)
-        cliques = _bron_kerbosch_pivot(adj)
-        if len(cliques) == 1:
-            members = sorted(cliques[0])
-        else:
-            common = frozenset.intersection(*cliques)
-            if common:
-                members = sorted(common)
-            else:
-                members = sorted(cliques[rng.integers(len(cliques))])
-        new_box = region_intersect(picked[b] for b in members)
-        if new_box.is_empty():
-            break  # categorical sets broke pairwise-implies-common; repair below
-        box = new_box
-
-    if not region_intersect(picked[b] for b in range(B)).is_empty():
-        return GreedyResult(assignment=picks.copy(), rounds=rounds, repaired=False)
-    x = box.sample(rng)
-    repaired = route_values(forest, x[None, :])[0].astype(np.int64)
-    return GreedyResult(assignment=repaired, rounds=rounds, repaired=True)
+    picks = np.empty(forest.n_trees, dtype=np.int64)
+    for b in np.argsort([-s.max() for s in scores], kind="stable"):
+        cells = leaves[b].intersect(box)
+        vals = np.where(cells.is_empty(), -np.inf, scores[b])
+        tied = np.flatnonzero(vals == vals.max())
+        picks[b] = tied[0] if tied.shape[0] == 1 else tied[rng.integers(tied.shape[0])]
+        box = cells[picks[b]]
+    return picks
 
 
 def _tree_leaf_boxes(forest: Forest) -> list[Region]:
@@ -498,9 +449,10 @@ def lasso_decode(
     and sample from the assigned-leaf intersection.
 
     If ``trace`` is a list, one record per row is appended to it: the row,
-    the solver's objective, convergence flag and iteration count, and whether
-    greedy hardening had to repair the assignment.
+    the solver's objective, convergence flag and iteration count.
     """
+    if sparsity_cap < 1:
+        raise DecodeError("sparsity_cap must be >= 1")
     Z0 = np.atleast_2d(np.asarray(Z0, dtype=np.float64))
     khat_all = reconstruct_kernel(Z0, model)
     M = leaf_design(forest, leaf_profile(forest, route_values(forest, synth.table.values)))
@@ -528,11 +480,10 @@ def lasso_decode(
             objective=objective,
             iterations=iterations,
         )
-        greedy = greedy_leaf_assign(fuzzy, forest, seed=int(rng.integers(2**31)))
-        assignments[i] = greedy.assignment
+        assignments[i] = greedy_leaf_assign(fuzzy, forest, seed=int(rng.integers(2**31)))
         if trace is not None:
             trace.append(dict(row=i, objective=objective, converged=converged,
-                              iterations=iterations, repaired=greedy.repaired))
+                              iterations=iterations))
     return Table(forest.schema, assigned_region(forest, assignments).sample(rng))
 
 

@@ -226,12 +226,12 @@ def test_c08_greedy_termination():
             fuzzy = FuzzyAssignment(
                 values=rng.random(forest.total_leaves), leaf_ids=ids, groups=grp
             )
-            res = greedy_leaf_assign(fuzzy, forest, seed=int(rng.integers(2**31)))
-            assert res.rounds <= forest.n_trees * max(t.n_leaves for t in forest.trees)
-            regions = [leaf_region(forest, b, int(l)) for b, l in enumerate(res.assignment)]
-            assert len(res.assignment) == forest.n_trees  # one leaf per tree
+            picks = greedy_leaf_assign(fuzzy, forest, seed=int(rng.integers(2**31)))
+            regions = [leaf_region(forest, b, int(l)) for b, l in enumerate(picks)]
+            assert len(picks) == forest.n_trees  # one leaf per tree
             for a, b in itertools.combinations(range(forest.n_trees), 2):
                 assert not region_intersect([regions[a], regions[b]]).is_empty()
+            assert not region_intersect(regions).is_empty()
             count += 1
     assert count == 100
     budget.check()

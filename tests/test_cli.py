@@ -12,8 +12,14 @@ import forestae
 from forestae.bundle import load_bundle
 from forestae.cli import main
 from forestae.data import Table, load_csv
-from forestae.decode import ilp_decode_exact
-from forestae.forest import route_table
+from forestae.decode import (
+    DecodeError,
+    ilp_decode_exact,
+    lasso_decode,
+    relabel_forest,
+    route_relabeled,
+)
+from forestae.forest import assigned_region, route_table
 from forestae.kernel import SparseKernelMatrix, leaf_profile, rf_kernel_train
 from forestae.spectral import reconstruct_kernel
 
@@ -220,9 +226,9 @@ def test_decode_lasso_trace_records(fitted, tmp_path):
     recs = [json.loads(line) for line in trace.read_text().splitlines()]
     assert [r["row"] for r in recs] == [0, 1, 2]
     for r in recs:
-        assert set(r) == {"row", "objective", "converged", "iterations", "repaired"}
+        assert set(r) == {"row", "objective", "converged", "iterations"}
         assert r["converged"] is True and r["objective"] >= 0.0
-        assert isinstance(r["iterations"], int) and isinstance(r["repaired"], bool)
+        assert isinstance(r["iterations"], int)
     untraced = tmp_path / "plain.csv"
     assert main(["decode", str(bundle), str(head), "--decoder", "lasso",
                  "--out", str(untraced), "--seed", "2"]) == 0
@@ -348,6 +354,37 @@ def test_decode_malformed_embedding_usage_error(fitted, tmp_path, capsys, body, 
     assert "bad.csv" in err and message in err
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("decode", "--n-synth", "0"),
+        ("decode", "--n-synth", "-3"),
+        ("decode", "--sparsity-cap", "0"),
+        ("decode", "--sparsity-cap", "-1"),
+        ("roundtrip", "--n-synth", "0"),
+        ("roundtrip", "--sparsity-cap", "-1"),
+        ("bench", "--sparsity-cap", "0"),
+    ],
+)
+def test_decoder_flags_below_one_are_usage_errors(fitted, tmp_path, capsys, command, flag, value):
+    data, bundle = fitted
+    emb = tmp_path / "emb.csv"
+    assert main(["encode", str(bundle), str(data), "--out", str(emb)]) == 0
+    decoder = "relabel" if flag == "--n-synth" else "lasso"
+    head = {"decode": [str(bundle), str(emb)], "roundtrip": [str(bundle), str(data)],
+            "bench": [str(data)]}[command]
+    rc = main([command, *head, "--decoder", decoder, flag, value,
+               "--out", str(tmp_path / "out.csv")])
+    assert rc == 2
+    assert f"{flag} must be >= 1" in capsys.readouterr().err
+    b = load_bundle(bundle)
+    with pytest.raises(DecodeError, match=">= 1"):
+        if flag == "--n-synth":
+            relabel_forest(b.forest, b.model, b.synth, n_synth=int(value))
+        else:
+            lasso_decode(b.model.Z[:2], b.model, b.forest, b.synth, sparsity_cap=int(value))
+
+
 def test_decode_relabel_traces_dropped_draws(tmp_path):
     # an unsupervised forest has leaves holding only synthetic-class rows, so
     # some node draws meet no reference row in any tree
@@ -359,8 +396,16 @@ def test_decode_relabel_traces_dropped_draws(tmp_path):
     trace = tmp_path / "t.jsonl"
     assert main(["decode", str(bundle), str(emb), "--decoder", "relabel", "--n-synth", "32",
                  "--out", str(tmp_path / "r.csv"), "--trace", str(trace)]) == 0
-    rec = json.loads(trace.read_text().splitlines()[0])
+    lines = trace.read_text().splitlines()
+    assert len(lines) == 1
+    rec = json.loads(lines[0])
     assert rec["dropped_draws"] > 0 and rec["degenerate_nodes"] >= 0
+    # hardened rows: those whose routed leaves share no cell
+    b = load_bundle(bundle)
+    Z0 = np.loadtxt(emb, delimiter=",", skiprows=1)
+    relabeled = relabel_forest(b.forest, b.model, b.synth, n_synth=32, seed=0)
+    routed = route_relabeled(relabeled, Z0)
+    assert rec["hardened_rows"] == int(assigned_region(b.forest, routed).is_empty().sum())
 
 
 def test_bench_rounds_reach_unsupervised_fit(tmp_path):

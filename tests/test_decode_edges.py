@@ -1,5 +1,5 @@
-"""Edge paths: repair under failed common-cell intersection, decode
-fallbacks, and out-of-sample algebra at unusual settings."""
+"""Edge paths: hardening where pairwise overlap does not imply a common cell,
+decode fallbacks, and out-of-sample algebra at unusual settings."""
 
 import numpy as np
 import pytest
@@ -46,8 +46,8 @@ def _equals_stump(level: float, counts) -> Tree:
 
 def test_greedy_repairs_pairwise_consistent_but_globally_empty():
     # three one-vs-rest trees over one 3-level column: the "not equal" leaves
-    # {b,c}, {a,c}, {a,b} overlap pairwise yet share no level, so the
-    # complete-graph stop condition alone would accept an infeasible triple
+    # {b,c}, {a,c}, {a,b} overlap pairwise yet share no level, so picking each
+    # tree's favorite alone would give an infeasible triple
     schema = Schema((Column("c", ("a", "b", "c")),))
     forest = Forest(
         trees=[_equals_stump(0.0, (1, 2)), _equals_stump(1.0, (1, 2)), _equals_stump(2.0, (1, 2))],
@@ -59,11 +59,13 @@ def test_greedy_repairs_pairwise_consistent_but_globally_empty():
     vals = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0])  # favor every right leaf
     ids = np.concatenate([[0, 1], [2, 3], [4, 5]]) * 0 + np.arange(6)
     groups = np.repeat(np.arange(3), 2)
-    res = greedy_leaf_assign(
+    picks = greedy_leaf_assign(
         FuzzyAssignment(values=vals, leaf_ids=ids, groups=groups), forest, seed=5
     )
-    assert res.repaired
-    regions = [leaf_region(forest, b, int(l)) for b, l in enumerate(res.assignment)]
+    # trees 0 and 1 take their right leaves, which leave only level c; tree
+    # 2's right leaf {a,b} misses it, so tree 2 takes its left leaf {c}
+    assert picks.tolist() == [1, 1, 0]
+    regions = [leaf_region(forest, b, int(l)) for b, l in enumerate(picks)]
     assert not region_intersect(regions).is_empty()
 
 
