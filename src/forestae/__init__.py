@@ -12,7 +12,6 @@ from .data import (
     save_csv,
 )
 from .decode import (
-    FuzzyAssignment,
     IlpResult,
     NeighborSet,
     SyntheticTrainingSet,

@@ -3,9 +3,11 @@ knows the layout.
 
 A bundle stores what cannot be recomputed: the forest with its schema, the
 eigenpairs and diffusion time, and the synthetic training rows. The embedding
-``Z`` and the rows' leaf ids are recomputed on load. Each array is stored once
-as little-endian bytes (``encode_array``) inside canonical JSON (sorted keys),
-so a fixed seed yields byte-identical bundles; paths ending in .gz are gzipped.
+``Z`` and the rows' leaf ids are recomputed on load, and so are each tree's
+child pointers and leaf ids (from its breadth-first split mask) and its Equals
+splits (from the schema). Each array is stored once as little-endian bytes
+(``encode_array``) inside canonical JSON (sorted keys), so a fixed seed yields
+byte-identical bundles; paths ending in .gz are gzipped.
 """
 
 from __future__ import annotations
@@ -14,17 +16,17 @@ import base64
 import gzip
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .data import Column, Schema, Table
 from .decode import SyntheticTrainingSet
-from .forest import Forest, ForestParams, Tree
+from .forest import Forest, ForestParams, Tree, breadth_first_layout, equals_splits
 from .spectral import SpectralModel, with_time
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 # zlib level 6: measured against the default 9 on fitted bundles, 4-11x faster
 # to write and at most 4 % larger; level 5 is 8 % larger on 500-tree forests
 GZIP_LEVEL = 6
@@ -34,7 +36,8 @@ __all__ = [
     "forest_from_dict", "encode_array", "decode_array",
 ]
 
-# Tree fields with one entry per leaf; the others have one per node
+# Stored tree fields: one entry per node, then one per leaf
+_PER_NODE = ("feature", "threshold")
 _PER_LEAF = ("leaf_count", "leaf_stat")
 
 
@@ -65,13 +68,13 @@ def decode_array(d: dict) -> np.ndarray:
 
 def _forest_parts(forest: Forest) -> tuple[dict, dict]:
     """The forest's small JSON fields, and its arrays: one stacked array per
-    ``Tree`` field plus the per-tree sizes."""
+    stored ``Tree`` field plus the per-tree node counts."""
     trees = forest.trees
     meta = {"schema": asdict(forest.schema), "params": asdict(forest.params),
             "kind": forest.kind, "n_classes": forest.n_classes}
-    arrays = {f.name: np.concatenate([getattr(t, f.name) for t in trees]) for f in fields(Tree)}
+    arrays = {name: np.concatenate([getattr(t, name) for t in trees])
+              for name in _PER_NODE + _PER_LEAF}
     arrays["n_nodes"] = np.array([t.n_nodes for t in trees], dtype=np.int64)
-    arrays["n_leaves"] = np.array([t.n_leaves for t in trees], dtype=np.int64)
     arrays["feature_ranges"] = forest.feature_ranges
     return meta, arrays
 
@@ -92,38 +95,37 @@ def forest_to_dict(forest: Forest) -> dict:
     return {**meta, "arrays": {name: encode_array(a) for name, a in arrays.items()}}
 
 
-def _check_trees(a: dict, d: int) -> None:
+def _check_trees(a: dict, n_levels: np.ndarray) -> None:
     """Reject stacked tree arrays that routing could not walk to a leaf.
 
-    Nodes are stored parent-first: each child id lies after its parent's and
-    inside its tree, and every non-root node has exactly one parent. A tree's
-    leaves carry the ids 0..L-1, each with a count of at least one.
+    Each tree's split mask must describe a full binary tree in breadth-first
+    order: 2I + 1 nodes for I splits, and the implied left child of every
+    split after it, so every path descends. Splits name schema columns and
+    test a finite cut or, on a categorical column, one of its level codes;
+    every leaf counts at least one row.
     """
-    sizes, n_leaves = a["n_nodes"], a["n_leaves"]
-    if sizes.shape != n_leaves.shape or np.any(sizes < 1) or any(
-        a[f.name].shape[:1] != ((n_leaves if f.name in _PER_LEAF else sizes).sum(),)
-        for f in fields(Tree)
+    sizes = a["n_nodes"]
+    if sizes.ndim != 1 or not sizes.size or np.any(sizes < 1) or any(
+        a[name].shape[:1] != (sizes.sum(),) for name in _PER_NODE
     ):
         raise BundleError("tree arrays do not match the per-tree sizes")
-    tree = np.repeat(np.arange(sizes.size), sizes)
-    root = (np.cumsum(sizes) - sizes)[tree]  # global id of each node's tree root
-    local = np.arange(tree.size) - root
-    inner = a["feature"] >= 0
-    kids = np.stack([a["left"], a["right"]])
-    if np.any((kids >= 0) != inner) or np.any((a["leaf_id"] >= 0) == inner):
-        raise BundleError("a node is neither a split with two children nor a leaf")
-    if np.any(a["feature"] >= d):
-        raise BundleError(f"a split names column >= {d}")
-    kids = kids[:, inner]
-    if np.any((kids <= local[inner]) | (kids >= sizes[tree[inner]])):
-        raise BundleError("a child id is out of range or not after its parent's")
-    if not np.array_equal(np.sort((kids + root[inner]).ravel()), np.flatnonzero(local > 0)):
-        raise BundleError("a node is not the child of exactly one node")
-    key = (np.cumsum(n_leaves) - n_leaves)[tree] + a["leaf_id"]  # global leaf id
-    if np.any(a["leaf_id"] >= n_leaves[tree]) or not np.array_equal(
-        np.sort(key[~inner]), np.arange(n_leaves.sum())
-    ):
-        raise BundleError("a tree's leaf ids are not 0..L-1")
+    split = a["feature"] >= 0
+    roots = np.cumsum(sizes) - sizes
+    n_splits = np.add.reduceat(split.astype(np.int64), roots)
+    if np.any(sizes != 2 * n_splits + 1):
+        raise BundleError("a tree's split mask does not make a full binary tree")
+    if any(a[name].shape[:1] != ((n_splits + 1).sum(),) for name in _PER_LEAF):
+        raise BundleError("tree arrays do not match the per-tree sizes")
+    left, _ = breadth_first_layout(split, np.repeat(roots, sizes))
+    if np.any(left[split] <= np.flatnonzero(split)):
+        raise BundleError("an implied child is not after its parent")
+    feature, code = a["feature"][split], a["threshold"][split]
+    if np.any(feature >= n_levels.size):
+        raise BundleError(f"a split names column >= {n_levels.size}")
+    levels = n_levels[feature]
+    is_code = (code == np.floor(code)) & (code >= 0) & (code < levels)
+    if not np.all(np.where(levels > 0, is_code, np.isfinite(code))):
+        raise BundleError("a split's threshold is neither a finite cut nor a level code")
     if np.any(a["leaf_count"] < 1):
         raise BundleError("a leaf count is below 1")
 
@@ -133,14 +135,16 @@ def forest_from_dict(d: dict) -> Forest:
     schema = Schema(tuple(
         Column(c["name"], c["levels"] and tuple(c["levels"])) for c in d["schema"]["columns"]
     ))
-    _check_trees(arrays, schema.n_columns)
-    node_cuts, leaf_cuts = (np.cumsum(arrays[k])[:-1] for k in ("n_nodes", "n_leaves"))
-    split = [
-        np.split(arrays[f.name], leaf_cuts if f.name in _PER_LEAF else node_cuts)
-        for f in fields(Tree)
-    ]
-    return Forest([Tree(*parts) for parts in zip(*split)], schema, arrays["feature_ranges"],
-                  ForestParams(**d["params"]), d["kind"], d["n_classes"])
+    n_levels = schema.n_levels
+    _check_trees(arrays, n_levels)
+    sizes = arrays["n_nodes"]
+    node_cuts, leaf_cuts = np.cumsum(sizes)[:-1], np.cumsum((sizes + 1) // 2)[:-1]
+    feature, threshold = (np.split(arrays[k], node_cuts) for k in _PER_NODE)
+    leaf_count, leaf_stat = (np.split(arrays[k], leaf_cuts) for k in _PER_LEAF)
+    trees = [Tree(f, t, equals_splits(n_levels, f), c, s)
+             for f, t, c, s in zip(feature, threshold, leaf_count, leaf_stat)]
+    return Forest(trees, schema, arrays["feature_ranges"], ForestParams(**d["params"]),
+                  d["kind"], d["n_classes"])
 
 
 @dataclass

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -94,6 +95,7 @@ def _fit_pipeline(table: Table, mode: str, label: str | None, params: ForestPara
 
 
 def cmd_fit(args) -> int:
+    _check_flags(args)
     table = load_csv(args.data)
     if table.n_dropped_rows and args.verbose:
         print(f"dropped {table.n_dropped_rows} incomplete rows", file=sys.stderr)
@@ -162,10 +164,18 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def _check_decoder_flags(args) -> None:
-    for flag in ("n_synth", "sparsity_cap"):
-        if getattr(args, flag, 1) < 1:  # bench has no --n-synth
+def _check_flags(args) -> None:
+    """Usage errors for numeric flags outside their domain; each command
+    checks the flags it has."""
+    for flag in ("n_synth", "sparsity_cap", "k"):
+        if getattr(args, flag, 1) < 1:
             raise UsageError(f"--{flag.replace('_', '-')} must be >= 1")
+    t = getattr(args, "t", 0.0)
+    if not (math.isfinite(t) and t >= 0):
+        raise UsageError("--t must be finite and >= 0")
+    lam = getattr(args, "penalty", 1.0)
+    if not (math.isfinite(lam) and lam > 0):
+        raise UsageError("--lambda must be finite and > 0")
 
 
 def _decode_rows(b, Z0: np.ndarray, args) -> tuple[Table, list[dict]]:
@@ -200,7 +210,7 @@ def _decode_rows(b, Z0: np.ndarray, args) -> tuple[Table, list[dict]]:
 
 
 def cmd_decode(args) -> int:
-    _check_decoder_flags(args)
+    _check_flags(args)
     b = bundle_io.load_bundle(args.bundle)
     Z0 = _read_embedding_csv(args.embeddings)
     if Z0.shape[1] != b.model.d_z:
@@ -218,7 +228,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
-    _check_decoder_flags(args)
+    _check_flags(args)
     b = bundle_io.load_bundle(args.bundle)
     queries = conform_table(load_csv(args.data, schema_hint=b.schema), b.schema)
     K0 = ker.rf_kernel_cross(b.forest, queries, b.synth.table, strict=False)
@@ -281,7 +291,7 @@ def _bench_one(payload) -> list[dict]:
 
 
 def cmd_bench(args) -> int:
-    _check_decoder_flags(args)
+    _check_flags(args)
     table = load_csv(args.data)
     rates = [float(r) for r in args.rates.split(",")]
     if not rates or any(not 0 < r <= 1 for r in rates):

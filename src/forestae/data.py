@@ -67,6 +67,11 @@ class Schema:
     def names(self) -> list[str]:
         return [c.name for c in self.columns]
 
+    @property
+    def n_levels(self) -> np.ndarray:
+        """Level count per column, 0 for continuous ones."""
+        return np.array([len(c.levels) if c.is_categorical else 0 for c in self.columns])
+
     def index_of(self, name: str) -> int:
         for i, c in enumerate(self.columns):
             if c.name == name:

@@ -19,14 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Table
-from .forest import Forest, Region, assigned_region, route_table, route_values
+from .forest import (Forest, Region, assigned_region, breadth_first_layout, route_table,
+                     route_values)
 from .kernel import cross_from_ids, leaf_design, leaf_profile
 from .spectral import SpectralModel, nystrom_embed, reconstruct_kernel
 
 __all__ = [
     "SyntheticTrainingSet",
     "NeighborSet",
-    "FuzzyAssignment",
     "IlpResult",
     "RelabeledForest",
     "build_synthetic_training",
@@ -176,7 +176,8 @@ def knn_decode(
 
 @dataclass
 class RelabeledTree:
-    """Same topology as the source tree, but splits test embedding axes.
+    """Same breadth-first layout as the source tree (``feature >= 0`` at its
+    splits), but splits test embedding axes.
 
     ``flip`` inverts a node's routing (z < threshold goes right) when the
     best-matching latent split runs opposite to the original literal.
@@ -185,9 +186,6 @@ class RelabeledTree:
     feature: np.ndarray
     threshold: np.ndarray
     flip: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    leaf_id: np.ndarray
     smc: np.ndarray  # per-node split agreement on the synthetic draws
 
 
@@ -256,7 +254,7 @@ def relabel_forest(
         flip = np.zeros(tree.n_nodes, dtype=bool)
         smc = np.full(tree.n_nodes, np.nan)
         for idx in range(tree.n_nodes):
-            if tree.left[idx] < 0:
+            if tree.feature[idx] < 0:
                 continue
             draws = boxes[np.full(n_synth, idx)].sample(rng)
             q_ids = route_values(forest, draws)
@@ -283,17 +281,7 @@ def relabel_forest(
                 continue
             feat[idx], thr[idx], flip[idx] = best[0], best[1], best[2]
             smc[idx] = best[3] / m
-        out_trees.append(
-            RelabeledTree(
-                feature=feat,
-                threshold=thr,
-                flip=flip,
-                left=tree.left.copy(),
-                right=tree.right.copy(),
-                leaf_id=tree.leaf_id.copy(),
-                smc=smc,
-            )
-        )
+        out_trees.append(RelabeledTree(feature=feat, threshold=thr, flip=flip, smc=smc))
     return RelabeledForest(out_trees, model.d_z, degenerate, dropped)
 
 
@@ -301,16 +289,17 @@ def route_relabeled(relabeled: RelabeledForest, Z0: np.ndarray) -> np.ndarray:
     Z0 = np.atleast_2d(np.asarray(Z0, dtype=np.float64))
     out = np.empty((Z0.shape[0], len(relabeled.trees)), dtype=np.int32)
     for b, tree in enumerate(relabeled.trees):
-        node = np.zeros(Z0.shape[0], dtype=np.int32)
+        left, leaf_id = breadth_first_layout(tree.feature >= 0)
+        node = np.zeros(Z0.shape[0], dtype=np.intp)
         while True:
-            active = tree.left[node] >= 0
+            active = left[node] >= 0
             if not active.any():
                 break
             idx = np.flatnonzero(active)
             f = tree.feature[node[idx]]
             go_left = (Z0[idx, f] < tree.threshold[node[idx]]) ^ tree.flip[node[idx]]
-            node[idx] = np.where(go_left, tree.left[node[idx]], tree.right[node[idx]])
-        out[:, b] = tree.leaf_id[node]
+            node[idx] = left[node[idx]] + ~go_left
+        out[:, b] = leaf_id[node]
     return out
 
 
@@ -336,29 +325,14 @@ def relabel_decode(
     if trace is not None:
         trace.append({"hardened_rows": int(hardened.shape[0])})
     for i in hardened:
-        fuzzy = FuzzyAssignment(
-            values=np.ones(original.n_trees),
-            leaf_ids=leaf_ids[i].astype(np.int64) + offsets,
-            groups=np.arange(original.n_trees),
-        )
-        leaf_ids[i] = greedy_leaf_assign(fuzzy, original, seed=int(rng.integers(2**31)))
+        scores = np.zeros(original.total_leaves)
+        scores[leaf_ids[i] + offsets] = 1.0
+        leaf_ids[i] = greedy_leaf_assign(scores, original, seed=int(rng.integers(2**31)))
     return Table(original.schema, assigned_region(original, leaf_ids).sample(rng))
 
 
 # ---------------------------------------------------------------------------
 # exclusive lasso + greedy assignment
-
-
-@dataclass
-class FuzzyAssignment:
-    """Soft leaf memberships over a reduced leaf set, grouped by tree."""
-
-    values: np.ndarray  # in [0, 1]
-    leaf_ids: np.ndarray  # global leaf indices
-    groups: np.ndarray  # tree index per entry
-    converged: bool = True
-    objective: float = 0.0
-    iterations: int = 0
 
 
 def exclusive_lasso(
@@ -374,8 +348,8 @@ def exclusive_lasso(
     """
     from scipy.optimize import lsq_linear  # costly import; only this decoder needs it
 
-    if lam <= 0:
-        raise DecodeError("penalty weight must be positive")
+    if not (np.isfinite(lam) and lam > 0):
+        raise DecodeError("penalty weight must be finite and positive")
     A = np.asarray(A, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if not np.all(np.isfinite(y)):
@@ -398,22 +372,24 @@ def exclusive_lasso(
     return psi, bool(res.status > 0), objective, int(res.nit)
 
 
-def greedy_leaf_assign(p_hat: FuzzyAssignment, forest: Forest, seed: int = 0) -> np.ndarray:
-    """Harden fuzzy leaf scores into one leaf per tree whose cells intersect.
+def greedy_leaf_assign(scores: np.ndarray, forest: Forest, seed: int = 0) -> np.ndarray:
+    """Harden fuzzy leaf scores, one per global leaf id, into one leaf per
+    tree whose cells intersect.
 
     One pass over the trees, in descending order of their top score (stable
     by tree index). Each tree takes its highest-scoring leaf whose cell meets
     the running cell, ties broken uniformly (seeded), and that cell is then
     intersected into the running cell, which starts as the training feature
     box. A tree's leaves partition that box, so every step has a feasible
-    leaf and the (B,) assignment of local leaf ids is consistent. Leaves
-    without a score count as 0, so an unscored tree goes last and picks
-    uniformly among its feasible leaves.
+    leaf and the (B,) assignment of local leaf ids is consistent. A tree
+    whose leaves all score 0 goes last and picks uniformly among its
+    feasible leaves.
     """
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape != (forest.total_leaves,):
+        raise DecodeError(f"need one score per leaf ({forest.total_leaves}), got {scores.shape}")
     rng = np.random.default_rng(seed)
-    flat = np.zeros(forest.total_leaves)
-    flat[p_hat.leaf_ids.astype(np.intp)] = p_hat.values
-    scores = np.split(flat, forest.leaf_offsets[1:])
+    scores = np.split(scores, forest.leaf_offsets[1:])
     leaves = _tree_leaf_boxes(forest)
     box = forest.node_boxes(0)[0]  # the training feature box
     picks = np.empty(forest.n_trees, dtype=np.int64)
@@ -472,15 +448,9 @@ def lasso_decode(
         psi, converged, objective, iterations = exclusive_lasso(
             rows[:, col_ids].toarray(), B * khat[neighbors], lam, group_ids
         )
-        fuzzy = FuzzyAssignment(
-            values=psi,
-            leaf_ids=col_ids,
-            groups=group_ids,
-            converged=converged,
-            objective=objective,
-            iterations=iterations,
-        )
-        assignments[i] = greedy_leaf_assign(fuzzy, forest, seed=int(rng.integers(2**31)))
+        scores = np.zeros(forest.total_leaves)
+        scores[col_ids] = psi
+        assignments[i] = greedy_leaf_assign(scores, forest, seed=int(rng.integers(2**31)))
         if trace is not None:
             trace.append(dict(row=i, objective=objective, converged=converged,
                               iterations=iterations))

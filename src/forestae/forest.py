@@ -1,7 +1,8 @@
 """Decision-tree ensembles with leaf bookkeeping and region geometry.
 
-Trees are stored as flat arrays (feature / threshold / children per node) so
-routing and region queries vectorize. Split literals are ``x_j < t`` on
+Trees are stored breadth-first as flat arrays of their splits (feature /
+threshold per node), from which child pointers and leaf ids follow, so routing
+and region queries vectorize. Split literals are ``x_j < t`` on
 continuous columns (strict, ties route right) and ``x_j == level`` on
 categorical ones; the true branch is always the left child. Thresholds sit at
 midpoints of adjacent observed values, so identical data + params + seed give
@@ -79,17 +80,32 @@ class ForestParams:
             raise ForestError("max_depth must be >= 0")
 
 
+def breadth_first_layout(split: np.ndarray, first=0) -> tuple[np.ndarray, np.ndarray]:
+    """Left child (-1 at leaves) and leaf id (-1 at splits) of every node of
+    full binary trees stored breadth-first, one after another; ``first`` is
+    each node's tree root. In its tree, the split of rank r has children
+    1 + 2r and 2 + 2r, and a leaf's id is its rank among the leaves."""
+    inner = np.cumsum(split) - split  # internal nodes before each node
+    rank = inner - inner[first]
+    left = np.where(split, first + 1 + 2 * rank, -1)
+    leaf_id = np.where(split, -1, np.arange(split.size) - first - rank)
+    return left, leaf_id
+
+
+def equals_splits(n_levels: np.ndarray, feature: np.ndarray) -> np.ndarray:
+    """Equals iff the split column is categorical (``n_levels[j] > 0``)."""
+    return (feature >= 0) & (n_levels[np.maximum(feature, 0)] > 0)
+
+
 @dataclass
 class Tree:
-    """Flat-array binary tree; leaf ids are contiguous 0..n_leaves-1."""
+    """Flat-array full binary tree in breadth-first node order; the split mask
+    ``feature >= 0`` fixes its shape, and leaf ids are 0..n_leaves-1 in node
+    order."""
 
     feature: np.ndarray  # int32, -1 at leaves
     threshold: np.ndarray  # float64: cut point, or level code for Equals
     is_equal: np.ndarray  # bool: Equals split (categorical)
-    left: np.ndarray  # int32, -1 at leaves
-    right: np.ndarray  # int32, -1 at leaves
-    node_count: np.ndarray  # int32 split-learning sample count per node
-    leaf_id: np.ndarray  # int32, -1 at internal nodes
     leaf_count: np.ndarray  # int64 counting-sample size per leaf, all >= 1
     leaf_stat: np.ndarray  # (L,) means or (L, C) class counts
 
@@ -100,6 +116,18 @@ class Tree:
     @property
     def n_leaves(self) -> int:
         return self.leaf_count.shape[0]
+
+    @property
+    def left(self) -> np.ndarray:
+        return breadth_first_layout(self.feature >= 0)[0]
+
+    @property
+    def right(self) -> np.ndarray:
+        return np.where(self.feature >= 0, self.left + 1, -1)
+
+    @property
+    def leaf_id(self) -> np.ndarray:
+        return breadth_first_layout(self.feature >= 0)[1]
 
 
 @dataclass
@@ -187,7 +215,7 @@ class _Sample:
 
 def _sample(table: Table, y, kind: str, n_classes: int) -> _Sample:
     values = table.values
-    n_levels = np.array([len(c.levels) if c.is_categorical else 0 for c in table.schema.columns])
+    n_levels = table.schema.n_levels
     uniq = tuple(None if k else np.unique(values[:, j]) for j, k in enumerate(n_levels))
     rank = np.zeros(values.shape, dtype=np.intp)
     for j, u in enumerate(uniq):
@@ -284,16 +312,11 @@ class _Chunk:
             if max_depth is not None and depth >= max_depth:
                 open_[:] = False
             feat, cut = self._random_splits(open_) if self.cr else self._scored_splits(open_)
-            eq = (feat >= 0) & (self.data.n_levels[np.maximum(feat, 0)] > 0)
-            split = feat >= 0
-            ids = first + np.arange(split.size)
-            child = ids[-1] + 1 + 2 * (np.cumsum(split) - 1)
-            levels.append((
-                self.node_tree, self.node_m, feat, cut, eq,
-                np.where(split, child, -1), np.where(split, child + 1, -1),
-            ))
+            eq = equals_splits(self.data.n_levels, feat)
+            ids = first + np.arange(feat.size)
+            levels.append((self.node_tree, feat, cut, eq))
             self._advance(feat, cut, eq, ids)
-            first += split.size
+            first += feat.size
             depth += 1
         return self._trees(levels)
 
@@ -589,7 +612,7 @@ class _Chunk:
         """Per-tree flat arrays in breadth-first order; leaf counts and stats
         come from the label slots' leaves, each distinct row counted once."""
         data = self.data
-        tree, count, feat, cut, eq, left, right = (np.concatenate(a) for a in zip(*levels))
+        tree, feat, cut, eq = (np.concatenate(a) for a in zip(*levels))
         n_nodes, n_trees = tree.size, self.rows.shape[0]
         key = np.arange(n_trees)[:, None] * data.values.shape[0] + self.lab_rows
         _, first = np.unique(key, return_index=True)
@@ -609,22 +632,16 @@ class _Chunk:
             stat = np.zeros(n_nodes)
         order = np.argsort(tree, kind="stable")
         bounds = np.searchsorted(tree[order], np.arange(n_trees + 1))
-        local = np.empty(n_nodes, dtype=np.int64)
-        local[order] = np.arange(n_nodes) - bounds[tree[order]]
         out = []
         for t in range(n_trees):
             nodes = order[bounds[t] : bounds[t + 1]]
-            lf = is_leaf[nodes]
+            leaves = nodes[is_leaf[nodes]]
             out.append(Tree(
                 feature=feat[nodes].astype(np.int32),
                 threshold=cut[nodes].astype(np.float64),
                 is_equal=eq[nodes],
-                left=np.where(lf, -1, local[left[nodes]]).astype(np.int32),
-                right=np.where(lf, -1, local[right[nodes]]).astype(np.int32),
-                node_count=count[nodes].astype(np.int32),
-                leaf_id=np.where(lf, np.cumsum(lf) - 1, -1).astype(np.int32),
-                leaf_count=counts[nodes[lf]].astype(np.int64),
-                leaf_stat=stat[nodes[lf]],
+                leaf_count=counts[leaves].astype(np.int64),
+                leaf_stat=stat[leaves],
             ))
         return out
 
@@ -751,27 +768,22 @@ class _Nodes:
     feature: np.ndarray  # intp, -1 at leaves
     threshold: np.ndarray
     is_equal: np.ndarray
-    left: np.ndarray  # global ids, -1 at leaves
-    right: np.ndarray
+    left: np.ndarray  # global ids, -1 at leaves; the right child is left + 1
     leaf_id: np.ndarray  # local leaf id, -1 at internal nodes
 
 
 def _stack_nodes(trees: list[Tree]) -> _Nodes:
-    starts = np.concatenate([[0], np.cumsum([t.n_nodes for t in trees])]).astype(np.int64)
-
-    def shifted(name):
-        return np.concatenate([
-            np.where(getattr(t, name) >= 0, getattr(t, name) + s, -1) for t, s in zip(trees, starts)
-        ])
-
+    sizes = [t.n_nodes for t in trees]
+    starts = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+    feature = np.concatenate([t.feature for t in trees]).astype(np.intp)
+    left, leaf_id = breadth_first_layout(feature >= 0, np.repeat(starts[:-1], sizes))
     return _Nodes(
         starts=starts,
-        feature=np.concatenate([t.feature for t in trees]).astype(np.intp),
+        feature=feature,
         threshold=np.concatenate([t.threshold for t in trees]),
         is_equal=np.concatenate([t.is_equal for t in trees]),
-        left=shifted("left"),
-        right=shifted("right"),
-        leaf_id=np.concatenate([t.leaf_id for t in trees]),
+        left=left,
+        leaf_id=leaf_id,
     )
 
 
@@ -798,7 +810,7 @@ def route_values(forest: Forest, values: np.ndarray) -> np.ndarray:
             x = block[cell // n_trees, f]
             thr = nodes.threshold[at]
             go_left = np.where(nodes.is_equal[at], x == thr, x < thr)
-            node[cell] = np.where(go_left, nodes.left[at], nodes.right[at])
+            node[cell] = nodes.left[at] + ~go_left
         out[i : i + step] = nodes.leaf_id[node].reshape(-1, n_trees)
     return out
 
@@ -930,9 +942,8 @@ def _node_box_table(forest: Forest) -> tuple[Region, np.ndarray, np.ndarray]:
     the training feature box; a child narrows its parent's cell by the split
     literal (left) or its negation (right).
     """
-    trees = forest.trees
     nodes = forest._node_table()
-    starts, left, right, feature = nodes.starts, nodes.left, nodes.right, nodes.feature
+    starts, left, feature = nodes.starts, nodes.left, nodes.feature
     cut, is_equal = nodes.threshold, nodes.is_equal
     rows = starts[-1]
     lo = np.tile(np.nan_to_num(forest.feature_ranges[:, 0]), (rows, 1))
@@ -946,7 +957,8 @@ def _node_box_table(forest: Forest) -> tuple[Region, np.ndarray, np.ndarray]:
     nodes = starts[:-1]
     while nodes.size:
         nodes = nodes[left[nodes] >= 0]
-        l, r, f, c = left[nodes], right[nodes], feature[nodes], cut[nodes]
+        l, f, c = left[nodes], feature[nodes], cut[nodes]
+        r = l + 1
         for a in (lo, hi, hi_open, *masks.values()):
             a[l] = a[nodes]
             a[r] = a[nodes]
@@ -968,10 +980,8 @@ def _node_box_table(forest: Forest) -> tuple[Region, np.ndarray, np.ndarray]:
         nodes = np.concatenate([l, r])
     for a in (lo, hi, hi_open, *masks.values()):
         a.flags.writeable = False  # the cells handed out are views of this table
-    # internal nodes carry leaf id -1 and sort first
-    leaf_rows = np.concatenate([
-        s + np.argsort(t.leaf_id)[t.n_nodes - t.n_leaves :] for t, s in zip(trees, starts)
-    ])
+    # global leaf ids follow node order
+    leaf_rows = np.flatnonzero(feature < 0)
     return Region(forest.schema, lo, hi, hi_open, masks), starts, leaf_rows
 
 

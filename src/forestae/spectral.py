@@ -135,8 +135,8 @@ def eigendecompose(K: SparseKernelMatrix, d_z: int) -> SpectralModel:
 
 
 def _power(eigenvalues: np.ndarray, t: float) -> np.ndarray:
-    if t < 0:
-        raise SpectralError("diffusion time must be non-negative")
+    if not (np.isfinite(t) and t >= 0):
+        raise SpectralError("diffusion time must be finite and non-negative")
     if np.any(eigenvalues < 0) and t != int(t):
         raise SpectralError("fractional diffusion time with a negative eigenvalue")
     return np.power(eigenvalues, t)

@@ -44,10 +44,6 @@ def _stump(feature: int, threshold: float, counts) -> Tree:
         feature=np.array([feature, -1, -1], dtype=np.int32),
         threshold=np.array([threshold, 0.0, 0.0]),
         is_equal=np.array([False, False, False]),
-        left=np.array([1, -1, -1], dtype=np.int32),
-        right=np.array([2, -1, -1], dtype=np.int32),
-        node_count=np.array([sum(counts), counts[0], counts[1]], dtype=np.int32),
-        leaf_id=np.array([-1, 0, 1], dtype=np.int32),
         leaf_count=np.array(counts, dtype=np.int64),
         leaf_stat=np.zeros(2),
     )

@@ -15,7 +15,6 @@ import scipy.stats
 
 from forestae.data import Column, Schema, Table, load_csv
 from forestae.decode import (
-    FuzzyAssignment,
     build_synthetic_training,
     greedy_leaf_assign,
     ilp_decode_exact,
@@ -217,16 +216,9 @@ def test_c08_greedy_termination():
         forest = fit_completely_random(
             table, ForestParams(n_trees=5, max_depth=3, min_leaf=2, seed=fseed)
         )
-        offs = forest.leaf_offsets
-        ids = np.concatenate(
-            [np.arange(t.n_leaves) + offs[b] for b, t in enumerate(forest.trees)]
-        )
-        grp = np.concatenate([np.full(t.n_leaves, b) for b, t in enumerate(forest.trees)])
         for _ in range(10):
-            fuzzy = FuzzyAssignment(
-                values=rng.random(forest.total_leaves), leaf_ids=ids, groups=grp
-            )
-            picks = greedy_leaf_assign(fuzzy, forest, seed=int(rng.integers(2**31)))
+            scores = rng.random(forest.total_leaves)
+            picks = greedy_leaf_assign(scores, forest, seed=int(rng.integers(2**31)))
             regions = [leaf_region(forest, b, int(l)) for b, l in enumerate(picks)]
             assert len(picks) == forest.n_trees  # one leaf per tree
             for a, b in itertools.combinations(range(forest.n_trees), 2):

@@ -5,9 +5,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forestae.bundle import (
     BundleError,
+    _check_trees,
     bundle_from_parts,
     decode_array,
     encode_array,
@@ -70,14 +73,16 @@ def test_bundle_hash_guards_consistency(tmp_path, parts):
 
 
 def test_bundle_v1_rejected(tmp_path, parts):
+    # version 2 stored child pointers and leaf ids; both older formats are refused
     forest, model, synth, _ = parts
     path = tmp_path / "m.json"
     save_bundle(bundle_from_parts(forest, model, synth), path)
     doc = json.loads(path.read_text())
-    doc["format_version"] = 1
-    path.write_text(json.dumps(doc))
-    with pytest.raises(BundleError, match="version 1.*refit"):
-        load_bundle(path)
+    for version in (1, 2):
+        doc["format_version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(BundleError, match=f"version {version}.*refit"):
+            load_bundle(path)
 
 
 def test_saved_bundle_holds_no_derived_fields(tmp_path, parts):
@@ -85,8 +90,13 @@ def test_saved_bundle_holds_no_derived_fields(tmp_path, parts):
     path = tmp_path / "m.json"
     save_bundle(bundle_from_parts(forest, model, synth), path)
     doc = json.loads(path.read_text())
-    assert doc["format_version"] == 2
+    assert doc["format_version"] == 3
     assert "Z" not in doc["spectral"] and "leaf_ids" not in doc["synthetic"]
+    # each tree's split mask implies its children, leaf ids and leaf total,
+    # and the schema which splits are Equals tests
+    assert set(doc["forest"]["arrays"]) == {
+        "feature", "threshold", "leaf_count", "leaf_stat", "n_nodes", "feature_ranges",
+    }
     assert "schema" not in doc  # stored once, with the forest
 
 
@@ -107,22 +117,27 @@ def _tamper(forest, edit):
 
 
 def _first_leaf(tree):
-    return int(np.flatnonzero(tree.leaf_id >= 0)[0])
+    return int(np.flatnonzero(tree.feature < 0)[0])
 
 
 def _cycle(tree):
-    # one leaf becomes a split whose children are the root
-    i = _first_leaf(tree)
-    tree.feature[i], tree.left[i], tree.right[i], tree.leaf_id[i] = 0, 0, 0, -1
+    # the root and the first leaf swap places: the mask still has 2I + 1
+    # nodes, but the first split now comes after node 1, its implied left
+    # child, so routing would loop
+    swap = [0, _first_leaf(tree)]
+    tree.feature[swap], tree.threshold[swap] = tree.feature[swap[::-1]], tree.threshold[swap[::-1]]
 
 
-def _child_out_of_range(tree):
-    tree.left[0] = tree.n_nodes
+def _leaf_to_split(tree):
+    tree.feature[_first_leaf(tree)] = 0
 
 
-def _duplicate_leaf_id(tree):
-    leaves = np.flatnonzero(tree.leaf_id >= 0)
-    tree.leaf_id[leaves[1]] = tree.leaf_id[leaves[0]]
+def _threshold(value, equals: bool):
+    """Set the first Equals split's level code, or the first cut."""
+    def edit(tree):
+        tree.threshold[np.flatnonzero((tree.feature >= 0) & (tree.is_equal == equals))[0]] = value
+
+    return edit
 
 
 def _empty_leaf(tree):
@@ -135,10 +150,13 @@ def _feature_past_schema(tree):
 
 @pytest.mark.parametrize("edit, message", [
     (_cycle, "not after its parent"),
-    (_child_out_of_range, "out of range"),
-    (_duplicate_leaf_id, "leaf ids"),
+    (_leaf_to_split, "not make a full binary tree"),
     (_empty_leaf, "leaf count"),
     (_feature_past_schema, "column"),
+    *(pytest.param(_threshold(code, True), "level code", id=f"_equals_code_{code}-level code")
+      for code in (7, -1, 0.5)),
+    *(pytest.param(_threshold(cut, False), "finite cut", id=f"_cut_{cut}-finite cut")
+      for cut in (np.nan, np.inf)),
 ])
 def test_malformed_tree_rejected_with_valid_digest(tmp_path, parts, edit, message):
     forest, model, synth, _ = parts
@@ -150,6 +168,47 @@ def test_malformed_tree_rejected_with_valid_digest(tmp_path, parts, edit, messag
     path.write_text(json.dumps(doc))
     with pytest.raises(BundleError, match=message):
         load_bundle(path)
+
+
+@st.composite
+def _breadth_first_masks(draw):
+    """Split masks of 1-3 random full binary trees, each in breadth-first
+    order: nodes are decided in order, and every split adds two pending
+    nodes."""
+    masks = []
+    for splits in draw(st.lists(st.lists(st.booleans(), max_size=12), min_size=1, max_size=3)):
+        mask, pending = [], 1
+        while pending:
+            split = len(mask) < len(splits) and splits[len(mask)]
+            mask.append(split)
+            pending += 1 if split else -1
+        masks.append(mask)
+    return masks
+
+
+def _tree_arrays(masks) -> dict:
+    split = np.concatenate([np.array(m, dtype=bool) for m in masks])
+    n_leaves = int((~split).sum())
+    return {
+        "feature": np.where(split, 0, -1).astype(np.int32),
+        "threshold": np.where(split, 0.5, 0.0),
+        "leaf_count": np.ones(n_leaves, dtype=np.int64),
+        "leaf_stat": np.zeros(n_leaves),
+        "n_nodes": np.array([len(m) for m in masks], dtype=np.int64),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(_breadth_first_masks())
+def test_check_trees_accepts_breadth_first_masks_and_rejects_every_bit_flip(masks):
+    n_levels = np.zeros(1, dtype=np.int64)  # one continuous column
+    a = _tree_arrays(masks)
+    _check_trees(a, n_levels)
+    for i in range(a["feature"].size):
+        flipped = dict(a, feature=a["feature"].copy())
+        flipped["feature"][i] = -1 - flipped["feature"][i]  # -1 <-> 0
+        with pytest.raises(BundleError):
+            _check_trees(flipped, n_levels)
 
 
 def test_bundle_from_parts_digests_once_and_checks_shapes(parts, monkeypatch):

@@ -15,13 +15,14 @@ from forestae.data import Table, load_csv
 from forestae.decode import (
     DecodeError,
     ilp_decode_exact,
+    knn_decode,
     lasso_decode,
     relabel_forest,
     route_relabeled,
 )
 from forestae.forest import assigned_region, route_table
 from forestae.kernel import SparseKernelMatrix, leaf_profile, rf_kernel_train
-from forestae.spectral import reconstruct_kernel
+from forestae.spectral import SpectralError, reconstruct_kernel, with_time
 
 
 def _write_blobs_csv(path, n=80, seed=0, with_label=True):
@@ -258,9 +259,10 @@ def test_encode_rejects_cyclic_tree_without_hanging(tmp_path):
                  "--trees", "3", "--min-leaf", "3", "--out", str(bundle), "--seed", "1"]) == 0
     forest = load_bundle(bundle).forest
     tree = forest.trees[1]
-    leaf = int(np.flatnonzero(tree.leaf_id >= 0)[0])
-    # the leaf becomes a split whose children are the root: routing would loop
-    tree.feature[leaf], tree.left[leaf], tree.right[leaf], tree.leaf_id[leaf] = 0, 0, 0, -1
+    # the root and the first leaf swap places: the first split then comes
+    # after its implied left child (node 1), so routing would loop
+    swap = [0, int(np.flatnonzero(tree.feature < 0)[0])]
+    tree.feature[swap], tree.threshold[swap] = tree.feature[swap[::-1]], tree.threshold[swap[::-1]]
     doc = json.loads(bundle.read_text())
     doc["forest"], doc["forest_sha"] = forest_to_dict(forest), forest_digest(forest)
     bundle.write_text(json.dumps(doc))
@@ -364,25 +366,50 @@ def test_decode_malformed_embedding_usage_error(fitted, tmp_path, capsys, body, 
         ("roundtrip", "--n-synth", "0"),
         ("roundtrip", "--sparsity-cap", "-1"),
         ("bench", "--sparsity-cap", "0"),
+        ("fit", "--t", "nan"),
+        ("fit", "--t", "inf"),
+        ("fit", "--t", "-1"),
+        ("bench", "--t", "nan"),
+        ("decode", "--k", "0"),
+        ("roundtrip", "--k", "-2"),
+        ("bench", "--k", "0"),
+        ("decode", "--lambda", "0"),
+        ("decode", "--lambda", "-1"),
+        ("decode", "--lambda", "nan"),
+        ("roundtrip", "--lambda", "inf"),
+        ("bench", "--lambda", "nan"),
     ],
 )
 def test_decoder_flags_below_one_are_usage_errors(fitted, tmp_path, capsys, command, flag, value):
+    # numeric flags outside their domain exit 2 before any work, and the
+    # library calls they feed refuse the same values
     data, bundle = fitted
     emb = tmp_path / "emb.csv"
     assert main(["encode", str(bundle), str(data), "--out", str(emb)]) == 0
-    decoder = "relabel" if flag == "--n-synth" else "lasso"
-    head = {"decode": [str(bundle), str(emb)], "roundtrip": [str(bundle), str(data)],
-            "bench": [str(data)]}[command]
-    rc = main([command, *head, "--decoder", decoder, flag, value,
+    decoder = {"--n-synth": "relabel", "--sparsity-cap": "lasso", "--lambda": "lasso",
+               "--k": "knn"}.get(flag)
+    head = {"fit": [str(data), "--d-z", "2"], "decode": [str(bundle), str(emb)],
+            "roundtrip": [str(bundle), str(data)], "bench": [str(data)]}[command]
+    rc = main([command, *head, *(["--decoder", decoder] if decoder else []), flag, value,
                "--out", str(tmp_path / "out.csv")])
     assert rc == 2
-    assert f"{flag} must be >= 1" in capsys.readouterr().err
+    rule = {"--t": "finite and >= 0", "--lambda": "finite and > 0"}.get(flag, ">= 1")
+    assert f"{flag} must be {rule}" in capsys.readouterr().err
     b = load_bundle(bundle)
-    with pytest.raises(DecodeError, match=">= 1"):
-        if flag == "--n-synth":
-            relabel_forest(b.forest, b.model, b.synth, n_synth=int(value))
-        else:
-            lasso_decode(b.model.Z[:2], b.model, b.forest, b.synth, sparsity_cap=int(value))
+    Z = b.model.Z[:2]
+    library = {
+        "--n-synth": (">= 1", lambda: relabel_forest(b.forest, b.model, b.synth,
+                                                     n_synth=int(value))),
+        "--sparsity-cap": (">= 1", lambda: lasso_decode(Z, b.model, b.forest, b.synth,
+                                                        sparsity_cap=int(value))),
+        "--k": ("k must lie", lambda: knn_decode(Z, b.model, b.forest, b.synth, k=int(value))),
+        "--lambda": ("finite and positive",
+                     lambda: lasso_decode(Z, b.model, b.forest, b.synth, lam=float(value))),
+        "--t": ("finite and non-negative", lambda: with_time(b.model, float(value))),
+    }
+    message, call = library[flag]
+    with pytest.raises((DecodeError, SpectralError), match=message):
+        call()
 
 
 def test_decode_relabel_traces_dropped_draws(tmp_path):

@@ -7,7 +7,6 @@ import scipy.stats
 from forestae.data import Column, Schema, Table
 from forestae.decode import (
     DecodeError,
-    FuzzyAssignment,
     build_synthetic_training,
     exclusive_lasso,
     greedy_leaf_assign,
@@ -178,9 +177,8 @@ def test_relabel_topology_identical():
     f, model, synth = _pipeline(table, trees=5, max_depth=3, seed=16)
     rl = relabel_forest(f, model, synth, n_synth=64, seed=17)
     for orig, new in zip(f.trees, rl.trees):
-        assert np.array_equal(orig.left, new.left)
-        assert np.array_equal(orig.right, new.right)
-        assert np.array_equal(orig.leaf_id, new.leaf_id)
+        # the split mask fixes the breadth-first layout
+        assert np.array_equal(orig.feature >= 0, new.feature >= 0)
 
 
 def test_relabel_routing_agreement_on_blobs():
@@ -344,20 +342,13 @@ def test_exclusive_lasso_final_at_most_zero_vector():
 # greedy assignment
 
 
-def _uniform_fuzzy(forest: Forest, values: np.ndarray) -> FuzzyAssignment:
-    offs = forest.leaf_offsets
-    ids = np.concatenate([np.arange(t.n_leaves) + offs[b] for b, t in enumerate(forest.trees)])
-    grp = np.concatenate([np.full(t.n_leaves, b) for b, t in enumerate(forest.trees)])
-    return FuzzyAssignment(values=values, leaf_ids=ids, groups=grp)
-
-
 def test_greedy_consistent_one_hot_fixed_point(t2x4):
     forest, table, _ = t2x4
     truth = route(forest, table.values[0])
     vals = np.zeros(4)
     vals[truth[0]] = 1.0
     vals[2 + truth[1]] = 1.0
-    picks = greedy_leaf_assign(_uniform_fuzzy(forest, vals), forest, seed=0)
+    picks = greedy_leaf_assign(vals, forest, seed=0)
     assert np.array_equal(picks, truth)
 
 
@@ -365,7 +356,7 @@ def test_greedy_fixture_trace(t2x4):
     forest, _, _ = t2x4
     # favor leaf A (tree 0) and leaf D (tree 1); A and D overlap
     vals = np.array([0.9, 0.1, 0.2, 0.8])
-    picks = greedy_leaf_assign(_uniform_fuzzy(forest, vals), forest, seed=0)
+    picks = greedy_leaf_assign(vals, forest, seed=0)
     assert picks.tolist() == [0, 1]
     region = region_intersect([leaf_region(forest, b, int(l)) for b, l in enumerate(picks)])
     assert not region.is_empty()
@@ -378,8 +369,7 @@ def test_greedy_random_instances_terminate_consistently():
         f = fit_completely_random(
             table, ForestParams(n_trees=5, max_depth=3, min_leaf=2, seed=trial)
         )
-        fuzzy = _uniform_fuzzy(f, rng.random(f.total_leaves))
-        picks = greedy_leaf_assign(fuzzy, f, seed=trial)
+        picks = greedy_leaf_assign(rng.random(f.total_leaves), f, seed=trial)
         regions = [leaf_region(f, b, int(l)) for b, l in enumerate(picks)]
         for a, b in itertools.combinations(range(f.n_trees), 2):
             assert not region_intersect([regions[a], regions[b]]).is_empty()
@@ -398,7 +388,7 @@ def test_greedy_replays_one_pass_rule_on_random_forests():
         )
         vals = np.round(rng.random(f.total_leaves), 1)  # coarse, so ties occur
         vals[: f.trees[0].n_leaves] = 0.0  # an unscored tree
-        picks = greedy_leaf_assign(_uniform_fuzzy(f, vals), f, seed=trial)
+        picks = greedy_leaf_assign(vals, f, seed=trial)
         scores = np.split(vals, f.leaf_offsets[1:])
         running = f.node_boxes(0)[0]
         for b in sorted(range(f.n_trees), key=lambda b: -scores[b].max()):
@@ -424,30 +414,17 @@ def _injective_grid_forest():
     table = Table(schema, pts)
 
     def chain(feature, cuts, counts):
-        # right-leaning chain of splits on one feature
+        # right-leaning chain of splits on one feature: split k sits at node
+        # 2k, its children at 2k + 1 (a leaf) and 2k + 2
         n_nodes = 2 * len(cuts) + 1
         feat = np.full(n_nodes, -1, dtype=np.int32)
         thr = np.zeros(n_nodes)
-        left = np.full(n_nodes, -1, dtype=np.int32)
-        right = np.full(n_nodes, -1, dtype=np.int32)
-        node = 0
-        for c in cuts:
-            feat[node] = feature
-            thr[node] = c
-            left[node] = node + 1
-            right[node] = node + 2
-            node = node + 2
-        leaf_slots = np.flatnonzero(left < 0)
-        leaf_id = np.full(n_nodes, -1, dtype=np.int32)
-        leaf_id[leaf_slots] = np.arange(leaf_slots.shape[0])
+        feat[0:-1:2] = feature
+        thr[0:-1:2] = cuts
         return Tree(
             feature=feat,
             threshold=thr,
             is_equal=np.zeros(n_nodes, dtype=bool),
-            left=left,
-            right=right,
-            node_count=np.zeros(n_nodes, dtype=np.int32),
-            leaf_id=leaf_id,
             leaf_count=np.asarray(counts, dtype=np.int64),
             leaf_stat=np.zeros(len(counts)),
         )
@@ -542,15 +519,7 @@ def test_ilp_dominates_greedy_on_toy_instances():
     offs = forest.leaf_offsets
     for i in (0, 7, 19):
         exact = ilp_decode_exact(K0[i], forest, ids)
-        vals = rng.random(forest.total_leaves)
-        fz = FuzzyAssignment(
-            values=vals,
-            leaf_ids=np.arange(forest.total_leaves),
-            groups=np.concatenate(
-                [np.full(t.n_leaves, b) for b, t in enumerate(forest.trees)]
-            ),
-        )
-        greedy = greedy_leaf_assign(fz, forest, seed=i)
+        greedy = greedy_leaf_assign(rng.random(forest.total_leaves), forest, seed=i)
         assert exact.objective <= objective(greedy) + 1e-12
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from forestae.data import Column, Schema, Table
 from forestae.decode import (
-    FuzzyAssignment,
     RelabeledForest,
     RelabeledTree,
     build_synthetic_training,
@@ -35,10 +34,6 @@ def _equals_stump(level: float, counts) -> Tree:
         feature=np.array([0, -1, -1], dtype=np.int32),
         threshold=np.array([level, 0.0, 0.0]),
         is_equal=np.array([True, False, False]),
-        left=np.array([1, -1, -1], dtype=np.int32),
-        right=np.array([2, -1, -1], dtype=np.int32),
-        node_count=np.array([sum(counts), counts[0], counts[1]], dtype=np.int32),
-        leaf_id=np.array([-1, 0, 1], dtype=np.int32),
         leaf_count=np.array(counts, dtype=np.int64),
         leaf_stat=np.zeros(2),
     )
@@ -57,11 +52,7 @@ def test_greedy_repairs_pairwise_consistent_but_globally_empty():
         kind="none",
     )
     vals = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0])  # favor every right leaf
-    ids = np.concatenate([[0, 1], [2, 3], [4, 5]]) * 0 + np.arange(6)
-    groups = np.repeat(np.arange(3), 2)
-    picks = greedy_leaf_assign(
-        FuzzyAssignment(values=vals, leaf_ids=ids, groups=groups), forest, seed=5
-    )
+    picks = greedy_leaf_assign(vals, forest, seed=5)
     # trees 0 and 1 take their right leaves, which leave only level c; tree
     # 2's right leaf {a,b} misses it, so tree 2 takes its left leaf {c}
     assert picks.tolist() == [1, 1, 0]
@@ -86,9 +77,6 @@ def test_relabel_decode_fallback_on_infeasible_routing():
             feature=np.array([0, -1, -1], dtype=np.int32),
             threshold=np.array([np.inf if always_left else -np.inf, 0.0, 0.0]),
             flip=np.zeros(3, dtype=bool),
-            left=np.array([1, -1, -1], dtype=np.int32),
-            right=np.array([2, -1, -1], dtype=np.int32),
-            leaf_id=np.array([-1, 0, 1], dtype=np.int32),
             smc=np.full(3, np.nan),
         )
 

@@ -133,8 +133,9 @@ def _node_samples(tree: Tree, values: np.ndarray, rows: np.ndarray):
     order must be breadth-first, so parents come before children."""
     reach = [np.asarray(rows)] + [None] * (tree.n_nodes - 1)
     depth = np.zeros(tree.n_nodes, dtype=int)
+    lefts, rights = tree.left, tree.right
     for node in range(tree.n_nodes):
-        left, right = tree.left[node], tree.right[node]
+        left, right = lefts[node], rights[node]
         if left < 0:
             continue
         assert node < left < right
@@ -212,10 +213,9 @@ def test_splits_match_brute_force(classification, honest):
         for node in range(tree.n_nodes):
             rows, lab = reach[node], lab_reach[node]
             m = rows.size
-            assert tree.node_count[node] == m
             min_child = max(params.min_leaf, math.ceil(params.min_node_fraction * m))
             costs = _all_split_costs(table, y, rows, lab, min_child, honest, classification)
-            if tree.left[node] >= 0:
+            if tree.feature[node] >= 0:
                 chosen = (int(tree.feature[node]), float(tree.threshold[node]), bool(tree.is_equal[node]))
                 assert chosen in costs
                 assert costs[chosen] == pytest.approx(min(costs.values()), rel=1e-9, abs=1e-9)
@@ -293,13 +293,30 @@ def test_route_examples(t2x4):
         assert np.array_equal(counts, tree.leaf_count)
 
 
-def test_route_counts_identity_after_fit():
+def test_route_counts_identity_after_fit(monkeypatch):
+    """Without subsampling, bootstrap or honesty each tree counts every
+    training row once, so on every growth path the stored leaf counts are the
+    counts of routing the training rows through the derived layout."""
+    import forestae.forest as forest_module
+
     table = make_mixed(100, seed=8)
-    f = fit_completely_random(table, ForestParams(n_trees=10, min_leaf=4, seed=3))
-    ids, _ = route_table(f, table)
-    for b, tree in enumerate(f.trees):
-        counts = np.bincount(ids[:, b], minlength=tree.n_leaves)
-        assert np.array_equal(counts, tree.leaf_count)
+    x = table.values
+    params = ForestParams(n_trees=10, min_leaf=4, seed=3)
+    grow, trained = forest_module._fit, []  # the table each forest learned from
+    monkeypatch.setattr(
+        forest_module, "_fit", lambda t, *args, **kw: trained.append(t) or grow(t, *args, **kw)
+    )
+    forests = [
+        fit_supervised(table, (Column("y"), x[:, 0] + x[:, 1]), params),
+        fit_supervised(table, (Column("y", ("p", "q")), (x[:, 0] > 0).astype(float)), params),
+        fit_unsupervised(table, params, rounds=2),  # the last fit is on real + resampled rows
+        fit_completely_random(table, params),
+    ]
+    for f, rows in zip(forests, [trained[0], trained[1], trained[3], trained[4]]):
+        ids, _ = route_table(f, rows)
+        for b, tree in enumerate(f.trees):
+            counts = np.bincount(ids[:, b], minlength=tree.n_leaves)
+            assert np.array_equal(counts, tree.leaf_count)
 
 
 def test_stacked_routing_matches_per_tree_walk(monkeypatch):
@@ -313,13 +330,14 @@ def test_stacked_routing_matches_per_tree_walk(monkeypatch):
     ):
         expected = np.empty((queries.shape[0], f.n_trees), dtype=int)
         for b, tree in enumerate(f.trees):
+            left, right, leaf_id = tree.left, tree.right, tree.leaf_id
             for i, x in enumerate(queries):
                 node = 0
-                while tree.left[node] >= 0:
+                while left[node] >= 0:
                     v, thr = x[tree.feature[node]], tree.threshold[node]
                     go_left = v == thr if tree.is_equal[node] else v < thr
-                    node = tree.left[node] if go_left else tree.right[node]
-                expected[i, b] = tree.leaf_id[node]
+                    node = left[node] if go_left else right[node]
+                expected[i, b] = leaf_id[node]
         assert np.array_equal(route_values(f, queries), expected)
         monkeypatch.setattr(forest_module, "_ROUTE_CELLS", 3 * f.n_trees)  # blocks of 3 rows
         assert np.array_equal(route_values(f, queries), expected)
@@ -421,12 +439,13 @@ def test_gamma_balance_holds():
     params = ForestParams(n_trees=6, min_node_fraction=0.3, seed=7)
     f = fit_supervised(table, (Column("y"), labels), params)
     for tree in f.trees:
-        for idx in range(tree.n_nodes):
-            l, r = tree.left[idx], tree.right[idx]
-            if l < 0:
-                continue
-            need = math.ceil(0.3 * tree.node_count[idx])
-            assert tree.node_count[l] >= need and tree.node_count[r] >= need
+        # without subsampling or bootstrap every tree learns from all rows
+        reach, _ = _node_samples(tree, table.values, np.arange(table.n))
+        lefts = tree.left
+        for idx in np.flatnonzero(lefts >= 0):
+            l, r = lefts[idx], lefts[idx] + 1
+            need = math.ceil(0.3 * reach[idx].size)
+            assert reach[l].size >= need and reach[r].size >= need
 
 
 def test_leaf_regions_partition_by_grid_probe():
@@ -539,10 +558,6 @@ def test_contradictory_categorical_path_asserts():
         feature=np.array([0, -1, 0, -1, -1], dtype=np.int32),
         threshold=np.array([0.0, 0.0, 0.0, 0.0, 0.0]),
         is_equal=np.array([True, False, True, False, False]),
-        left=np.array([1, -1, 3, -1, -1], dtype=np.int32),
-        right=np.array([2, -1, 4, -1, -1], dtype=np.int32),
-        node_count=np.array([4, 2, 2, 1, 1], dtype=np.int32),
-        leaf_id=np.array([-1, 0, -1, 1, 2], dtype=np.int32),
         leaf_count=np.array([2, 1, 1], dtype=np.int64),
         leaf_stat=np.zeros(3),
     )
@@ -560,9 +575,9 @@ def test_contradictory_categorical_path_asserts():
 def test_node_region_matches_leaf_region():
     table = make_mixed(50, seed=20)
     f = fit_completely_random(table, ForestParams(n_trees=3, min_leaf=2, seed=15))
-    tree = f.trees[0]
-    for idx in range(tree.n_nodes):
-        if tree.leaf_id[idx] >= 0:
+    leaf_id = f.trees[0].leaf_id
+    for idx in range(leaf_id.size):
+        if leaf_id[idx] >= 0:
             a = f.node_boxes(0)[idx]
-            b = leaf_region(f, 0, int(tree.leaf_id[idx]))
+            b = leaf_region(f, 0, int(leaf_id[idx]))
             assert np.array_equal(a.lo, b.lo) and np.array_equal(a.hi, b.hi)

@@ -23,10 +23,6 @@ def test_leaf_size_vector_examples(t2x4):
         feature=np.array([-1], dtype=np.int32),
         threshold=np.array([0.0]),
         is_equal=np.array([False]),
-        left=np.array([-1], dtype=np.int32),
-        right=np.array([-1], dtype=np.int32),
-        node_count=np.array([10], dtype=np.int32),
-        leaf_id=np.array([0], dtype=np.int32),
         leaf_count=np.array([10], dtype=np.int64),
         leaf_stat=np.zeros(1),
     )
