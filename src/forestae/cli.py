@@ -142,8 +142,10 @@ def _write_embedding_csv(path, Z0: np.ndarray, d_z: int) -> None:
 
 
 def _csv_has_rows(path) -> bool:
+    """Whether the CSV holds a row after its header; reads at most two rows."""
     with open(path, newline="", encoding="utf-8") as fh:
-        return len(list(csv.reader(fh))) > 1
+        reader = csv.reader(fh)
+        return next(reader, None) is not None and next(reader, None) is not None
 
 
 def cmd_encode(args) -> int:

@@ -244,6 +244,7 @@ def relabel_forest(
         raise DecodeError("n_synth must be >= 1")
     profile = leaf_profile(forest, route_values(forest, synth.table.values))
     populated = profile.counts_flat > 0
+    table = profile.membership.tdot(model.V)  # Frᵀ V: each node's draws gather from it
     rng = np.random.default_rng(seed)
     degenerate = dropped = 0
     out_trees = []
@@ -270,7 +271,7 @@ def relabel_forest(
             best = None
             if 0 < n_left < m:
                 K0 = cross_from_ids(forest, q_ids, profile, strict=False)
-                Z0 = nystrom_embed(K0, model)
+                Z0 = nystrom_embed(K0, model, table)
                 best = _best_latent_split(Z0, labels)
             if best is None:
                 # constant split: +inf sends everything left, -inf right
@@ -390,24 +391,15 @@ def greedy_leaf_assign(scores: np.ndarray, forest: Forest, seed: int = 0) -> np.
         raise DecodeError(f"need one score per leaf ({forest.total_leaves}), got {scores.shape}")
     rng = np.random.default_rng(seed)
     scores = np.split(scores, forest.leaf_offsets[1:])
-    leaves = _tree_leaf_boxes(forest)
     box = forest.node_boxes(0)[0]  # the training feature box
     picks = np.empty(forest.n_trees, dtype=np.int64)
     for b in np.argsort([-s.max() for s in scores], kind="stable"):
-        cells = leaves[b].intersect(box)
+        cells = forest.tree_leaf_boxes(b).intersect(box)
         vals = np.where(cells.is_empty(), -np.inf, scores[b])
         tied = np.flatnonzero(vals == vals.max())
         picks[b] = tied[0] if tied.shape[0] == 1 else tied[rng.integers(tied.shape[0])]
         box = cells[picks[b]]
     return picks
-
-
-def _tree_leaf_boxes(forest: Forest) -> list[Region]:
-    """Per tree, the cells of its leaves indexed by local leaf id."""
-    return [
-        forest.leaf_boxes(np.arange(o, o + t.n_leaves))
-        for o, t in zip(forest.leaf_offsets, forest.trees)
-    ]
 
 
 def lasso_decode(
@@ -431,7 +423,7 @@ def lasso_decode(
         raise DecodeError("sparsity_cap must be >= 1")
     Z0 = np.atleast_2d(np.asarray(Z0, dtype=np.float64))
     khat_all = reconstruct_kernel(Z0, model)
-    M = leaf_design(forest, leaf_profile(forest, route_values(forest, synth.table.values)))
+    M = leaf_design(leaf_profile(forest, route_values(forest, synth.table.values))).tocsr()
     rng = np.random.default_rng(seed)
     B = forest.n_trees
     assignments = np.empty((Z0.shape[0], B), dtype=np.int64)
@@ -473,34 +465,45 @@ class IlpResult:
         return self.n_optima > 1
 
 
-def ilp_decode_exact(khat_row: np.ndarray, forest: Forest, pi: np.ndarray) -> IlpResult:
-    """Exact minimizer of the leaf-assignment program for one kernel row.
-
-    Depth-first enumeration over per-tree leaves, pruning branches whose
-    partial region intersection is already empty; exact l1 objective against
-    B * khat over the training rows. Ties are reported and broken by
-    lexicographic leaf order.
-    """
-    B = forest.n_trees
-    sizes = [t.n_leaves for t in forest.trees]
+def _leaf_members(forest: Forest, pi: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Per global leaf: the reference rows it holds (ascending) and its
+    1/count weight, for reference rows routed to ``pi`` (n x B)."""
     combos = 1
-    for s in sizes:
-        combos *= s
+    for t in forest.trees:
+        combos *= t.n_leaves
         if combos > _ILP_MAX_COMBINATIONS:
             raise DecodeError(
                 "assignment space exceeds the exact-enumeration budget; "
                 "use lasso_decode for forests this large"
             )
+    M = leaf_design(leaf_profile(forest, pi))
+    flat = M.cols.ravel()
+    order = np.argsort(flat, kind="stable")  # row-major, so rows ascend within a leaf
+    bounds = np.cumsum(np.bincount(flat, minlength=forest.total_leaves))[:-1]
+    return np.split(order // forest.n_trees, bounds), M.weights
+
+
+def ilp_decode_exact(
+    khat_row: np.ndarray,
+    forest: Forest,
+    pi: np.ndarray,
+    members: tuple[list[np.ndarray], np.ndarray] | None = None,
+) -> IlpResult:
+    """Exact minimizer of the leaf-assignment program for one kernel row.
+
+    Depth-first enumeration over per-tree leaves, pruning branches whose
+    partial region intersection is already empty; exact l1 objective against
+    B * khat over the training rows. Ties are reported and broken by
+    lexicographic leaf order. ``members`` is ``_leaf_members(forest, pi)``
+    when the caller decodes many rows against the same reference.
+    """
+    rows, weights = _leaf_members(forest, pi) if members is None else members
+    B = forest.n_trees
     n = pi.shape[0]
     target = B * np.asarray(khat_row, dtype=np.float64)
     if target.shape[0] != n:
         raise DecodeError("kernel row length must match training assignments")
-    M = leaf_design(forest, leaf_profile(forest, pi)).tocsc()
-    # per global leaf: the reference rows it holds and their 1/count weights
-    rows = np.split(M.indices.astype(np.intp), M.indptr[1:-1])
-    vals = np.split(M.data, M.indptr[1:-1])
     offsets = forest.leaf_offsets
-    leaves = _tree_leaf_boxes(forest)
 
     acc = np.zeros(n)
     current = np.zeros(B, dtype=np.int64)
@@ -519,13 +522,14 @@ def ilp_decode_exact(khat_row: np.ndarray, forest: Forest, pi: np.ndarray) -> Il
                 if len(best["optima"]) < 8:
                     best["optima"].append(current.copy())
             return
-        nxt = leaves[b] if region is None else leaves[b].intersect(region)
+        leaves = forest.tree_leaf_boxes(b)
+        nxt = leaves if region is None else leaves.intersect(region)
         for l in np.flatnonzero(~nxt.is_empty()):
             current[b] = l
             c = offsets[b] + l
-            acc[rows[c]] += vals[c]
+            acc[rows[c]] += weights[c]
             descend(b + 1, nxt[l])
-            acc[rows[c]] -= vals[c]
+            acc[rows[c]] -= weights[c]
         return
 
     descend(0, None)
@@ -555,9 +559,10 @@ def ilp_decode(
     """
     khat = reconstruct_kernel(np.atleast_2d(np.asarray(Z0, dtype=np.float64)), model)
     pi = route_values(forest, synth.table.values)
+    members = _leaf_members(forest, pi)
     assignments = np.empty((khat.shape[0], forest.n_trees), dtype=np.int64)
     for i, row in enumerate(khat):
-        res = ilp_decode_exact(row, forest, pi)
+        res = ilp_decode_exact(row, forest, pi, members)
         assignments[i] = res.assignment
         if trace is not None:
             trace.append({"row": i, "objective": res.objective, "n_optima": res.n_optima})

@@ -143,6 +143,10 @@ class Forest:
     _boxes: tuple | None = field(default=None, init=False, repr=False, compare=False)
     # every tree's nodes stacked, built on first routing
     _nodes: "_Nodes | None" = field(default=None, init=False, repr=False, compare=False)
+    # per tree, its leaf cells, built on first use by the decoders' per-tree passes
+    _leaf_cells: "list[Region] | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def n_trees(self) -> int:
@@ -177,6 +181,15 @@ class Forest:
         """Cells of the given global leaf ids (any shape)."""
         boxes, _, leaf_rows = self._box_table()
         return boxes[leaf_rows[leaves]]
+
+    def tree_leaf_boxes(self, b: int) -> "Region":
+        """Cells of tree b's leaves, indexed by local leaf id."""
+        if self._leaf_cells is None:
+            self._leaf_cells = [
+                self.leaf_boxes(np.arange(o, o + t.n_leaves))
+                for o, t in zip(self.leaf_offsets, self.trees)
+            ]
+        return self._leaf_cells[b]
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .data import Table
 from .forest import Forest, route, route_table
 
 __all__ = [
+    "LeafFactor",
     "SparseKernelMatrix",
     "LeafProfile",
     "leaf_profile",
@@ -43,6 +43,53 @@ class KernelError(ValueError):
     pass
 
 
+@dataclass(frozen=True)
+class LeafFactor:
+    """An (n x L) leaf-membership factor with exactly one entry per (row,
+    tree), at the row's global leaf and weighted by that leaf.
+
+    Products run in numpy in the accumulation order of SciPy's CSR/CSC
+    products, so they equal products with ``tocsr()`` bit for bit.
+    """
+
+    cols: np.ndarray  # (n, B) global leaf ids
+    weights: np.ndarray  # (L,) one weight per global leaf
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.cols.shape[0], self.weights.shape[0]
+
+    @property
+    def nnz(self) -> int:
+        return self.cols.size
+
+    def dot(self, T: np.ndarray) -> np.ndarray:
+        """F T for a per-leaf table T (L,) or (L, k): a sum over trees, in tree order."""
+        cols = np.ascontiguousarray(self.cols.T)  # (B, n): one contiguous row per tree
+        vals = np.take(self.weights, cols).reshape(cols.shape + (1,) * (T.ndim - 1))
+        out = np.zeros((cols.shape[1],) + T.shape[1:])
+        for c, v in zip(cols, vals):
+            out += v * np.take(T, c, axis=0)
+        return out
+
+    def tdot(self, X: np.ndarray) -> np.ndarray:
+        """Fᵀ X for X (n,) or (n, k): a per-leaf bincount over rows in ascending order."""
+        flat, vals = self.cols.ravel(), self.weights[self.cols]
+        L = self.shape[1]
+        sums = [np.bincount(flat, weights=(vals * x[:, None]).ravel(), minlength=L)
+                for x in (X[:, None] if X.ndim == 1 else X).T]
+        return np.stack(sums, axis=1).reshape((L,) + X.shape[1:])
+
+    def tocsr(self):
+        """F as a SciPy CSR matrix, entries in tree order within each row."""
+        import scipy.sparse as sp  # costly import; only K itself, Lanczos and lasso need it
+
+        n, n_trees = self.cols.shape
+        indptr = np.arange(0, n * n_trees + 1, n_trees)
+        return sp.csr_matrix((self.weights[self.cols].ravel(), self.cols.ravel(), indptr),
+                             shape=self.shape)
+
+
 @dataclass
 class SparseKernelMatrix:
     """Kernel block K = diag(scale) Fq Frᵀ / B kept as its factors.
@@ -53,8 +100,8 @@ class SparseKernelMatrix:
     trees (non-strict cross kernels). Entries lie in (0, 1].
     """
 
-    left: sp.csr_matrix
-    right: sp.csr_matrix
+    left: LeafFactor
+    right: LeafFactor
     n_trees: int
     role: str
     scale: np.ndarray | None = None
@@ -71,16 +118,23 @@ class SparseKernelMatrix:
 
     def dot(self, X: np.ndarray) -> np.ndarray:
         """K @ X without forming K: scale ⊙ Fq (Frᵀ X) / B."""
-        out = self.left @ (self.right.T @ X) / self.n_trees
+        return self.gather(self.right.tdot(X))
+
+    def gather(self, T: np.ndarray) -> np.ndarray:
+        """scale ⊙ Fq T / B for a per-leaf table T = Frᵀ X: K @ X when the
+        caller already holds T."""
+        out = self.left.dot(T) / self.n_trees
         if self.scale is not None:
             out *= self.scale.reshape((-1,) + (1,) * (out.ndim - 1))
         return out
 
     @cached_property
-    def matrix(self) -> sp.csr_matrix:
-        """K itself, built on first access: symmetrized and index-sorted for a
-        train kernel."""
-        K = (self.left @ self.right.T) / self.n_trees
+    def matrix(self):
+        """K itself as a SciPy CSR matrix, built on first access: symmetrized
+        and index-sorted for a train kernel."""
+        import scipy.sparse as sp  # costly import; only K itself needs it
+
+        K = (self.left.tocsr() @ self.right.tocsr().T) / self.n_trees
         if self.role == TRAIN:
             K = (K + K.T) * 0.5
             K.sort_indices()
@@ -112,6 +166,11 @@ class LeafProfile:
         return np.concatenate(self.counts)
 
     @cached_property
+    def cols(self) -> np.ndarray:
+        """Global leaf ids (n x B)."""
+        return self.leaf_ids.astype(np.int64) + self.offsets[None, :]
+
+    @cached_property
     def weights(self) -> np.ndarray:
         """Per global leaf: 1/sqrt(reference count), 0 for unpopulated leaves."""
         counts = self.counts_flat.astype(np.float64)
@@ -121,9 +180,9 @@ class LeafProfile:
         return w
 
     @cached_property
-    def membership(self) -> sp.csr_matrix:
+    def membership(self) -> LeafFactor:
         """Fr: each reference row's B leaves, weighted 1/sqrt(count)."""
-        return _membership(self.offsets, self.leaf_ids, self.weights)
+        return LeafFactor(self.cols, self.weights)
 
 
 def leaf_profile(forest: Forest, reference: Table | np.ndarray) -> LeafProfile:
@@ -139,24 +198,13 @@ def leaf_profile(forest: Forest, reference: Table | np.ndarray) -> LeafProfile:
     return LeafProfile(leaf_ids=ids, counts=counts, offsets=forest.leaf_offsets)
 
 
-def _membership(offsets: np.ndarray, leaf_ids: np.ndarray, weights: np.ndarray) -> sp.csr_matrix:
-    """CSR with one weighted entry per (row, tree) at that row's global leaf;
-    ``weights`` holds one value per global leaf."""
-    n, n_trees = leaf_ids.shape
-    cols = (leaf_ids.astype(np.int64) + offsets[None, :]).ravel()
-    data = weights[cols]
-    indptr = np.arange(0, n * n_trees + 1, n_trees)
-    return sp.csr_matrix((data, cols, indptr), shape=(n, weights.shape[0]))
-
-
-def leaf_design(forest: Forest, profile: LeafProfile) -> sp.csr_matrix:
+def leaf_design(profile: LeafProfile) -> LeafFactor:
     """M = Phi S: each reference row's B leaves, weighted 1/count.
 
     For a one-hot-per-tree leaf choice psi, M psi is B times the kernel row of
     any point in those leaves. Reference rows only touch populated leaves.
     """
-    weights = 1.0 / np.maximum(profile.counts_flat, 1)
-    return _membership(forest.leaf_offsets, profile.leaf_ids, weights)
+    return LeafFactor(profile.cols, 1.0 / np.maximum(profile.counts_flat, 1))
 
 
 def rf_kernel_train(forest: Forest, table: Table | np.ndarray) -> SparseKernelMatrix:
@@ -190,7 +238,7 @@ def cross_from_ids(
             raise KernelError("a query row shares no populated leaf with the reference")
         scale = forest.n_trees / contributing
     return SparseKernelMatrix(
-        left=_membership(profile.offsets, q_ids, w),
+        left=LeafFactor(q_cols, w),
         right=profile.membership,
         n_trees=forest.n_trees,
         role=CROSS,
@@ -259,8 +307,8 @@ def mmd_squared(sample_a: Table, sample_b: Table, forest: Forest, reference: Tab
 
     def mean_map(t: Table) -> np.ndarray:
         # a block mean of K = Fx Fyᵀ / B is a dot of F's column means
-        F = _membership(forest.leaf_offsets, route_table(forest, t)[0], w)
-        return np.asarray(F.mean(axis=0)).ravel()
+        F = LeafFactor(route_table(forest, t)[0].astype(np.int64) + forest.leaf_offsets, w)
+        return F.tdot(np.ones(t.n)) / t.n
 
     diff = mean_map(sample_a) - mean_map(sample_b)
     return float(diff @ diff) / forest.n_trees

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .kernel import CROSS, TRAIN, SparseKernelMatrix
 
@@ -74,8 +73,9 @@ def eigendecompose(K: SparseKernelMatrix, d_z: int) -> SpectralModel:
     """Top d_z+1 eigenpairs of a symmetric train kernel, constant pair dropped.
 
     Small or nearly full problems use a dense solver; otherwise a restarted
-    Lanczos iteration runs on the factored kernel (products v -> K.dot(v), so
-    K is never formed) from a fixed start vector.
+    Lanczos iteration runs on the factored kernel (products v -> F (Fᵀ v) / B
+    through SciPy's CSR form of F, so K is never formed) from a fixed start
+    vector.
     Eigenvector signs are fixed so each vector's largest-magnitude entry is
     positive, and residuals ||K v - lambda v|| are checked against 1e-8.
     """
@@ -85,13 +85,23 @@ def eigendecompose(K: SparseKernelMatrix, d_z: int) -> SpectralModel:
     if not (1 <= d_z <= n - 1):
         raise SpectralError(f"d_z must lie in [1, n-1], got {d_z} with n={n}")
     k = d_z + 1
+    dot = K.dot
     if n <= _DENSE_CUTOFF or k >= n - 1:
         solver = "dense"
         vals, vecs = np.linalg.eigh(K.toarray())
         vals, vecs = vals[::-1][:k], vecs[:, ::-1][:, :k]
     else:
         solver = "lanczos"
-        op = spla.LinearOperator((n, n), matvec=K.dot, matmat=K.dot, dtype=np.float64)
+        import scipy.sparse.linalg as spla  # costly import; only this path needs it
+
+        # Lanczos takes about a hundred products: SciPy's compiled CSR ones
+        # beat the numpy factor's and give the same bits
+        F = K.right.tocsr()
+
+        def dot(X):
+            return F @ (F.T @ X) / K.n_trees
+
+        op = spla.LinearOperator((n, n), matvec=dot, matmat=dot, dtype=np.float64)
         try:
             # a seeded start vector keeps the result bit-reproducible; not the
             # constant vector, which is K's leading eigenvector and stalls Lanczos
@@ -108,7 +118,7 @@ def eigendecompose(K: SparseKernelMatrix, d_z: int) -> SpectralModel:
         if vecs[i, j] < 0:
             vecs[:, j] = -vecs[:, j]
 
-    resid = float(np.linalg.norm(K.dot(vecs) - vecs * vals[None, :], axis=0).max())
+    resid = float(np.linalg.norm(dot(vecs) - vecs * vals[None, :], axis=0).max())
     if resid > _RESIDUAL_TOL:
         raise SpectralError(f"eigenpair residual {resid:.3e} exceeds {_RESIDUAL_TOL}")
 
@@ -151,11 +161,15 @@ def with_time(model: SpectralModel, t: float) -> SpectralModel:
     return dataclasses.replace(model, t=t, Z=diffusion_map(model, t))
 
 
-def nystrom_embed(K0: SparseKernelMatrix, model: SpectralModel) -> np.ndarray:
+def nystrom_embed(
+    K0: SparseKernelMatrix, model: SpectralModel, table: np.ndarray | None = None
+) -> np.ndarray:
     """Project kernel rows into the embedding: Z0 = K0 Z Lambda^{-1}.
 
-    K0 V is taken through the factors, Fq (Frᵀ V) / B: Frᵀ V is a per-leaf
-    table, so no query x reference block is formed.
+    K0 V is taken through the factors, Fq (Frᵀ V) / B: ``table`` = Frᵀ V is a
+    per-leaf table (computed here unless the caller passes it, as it may for
+    many query batches against one reference), and each query row gathers its
+    B entries, so no query x reference block is formed.
 
     Dimensions with a zero eigenvalue carry no out-of-sample information and
     are emitted as zero columns (with a warning).
@@ -172,7 +186,9 @@ def nystrom_embed(K0: SparseKernelMatrix, model: SpectralModel) -> np.ndarray:
     coef = np.zeros_like(lam)
     live = ~dead
     coef[live] = np.sqrt(model.n) * _power(lam[live], t) / lam[live]
-    return K0.dot(model.V) * coef[None, :]
+    if table is None:
+        table = K0.right.tdot(model.V)
+    return K0.gather(table) * coef[None, :]
 
 
 def reconstruct_kernel(

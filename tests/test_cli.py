@@ -240,14 +240,34 @@ def _cli_env() -> dict:
     return {**os.environ, "PYTHONPATH": str(Path(forestae.__file__).resolve().parents[1])}
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # the lasso solver imports scipy.optimize and k-NN decoding scipy.spatial on
-    # first use; no other command pays for them
-    code = ("import sys, forestae.cli; "
-            "print('scipy.optimize' in sys.modules, 'scipy.spatial' in sys.modules)")
+def _scipy_modules_after(code: str) -> list[str]:
+    """The scipy modules a fresh interpreter holds after running ``code``."""
+    code += ("; import json, sys; "
+             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env=_cli_env())
-    assert done.stdout.strip() == "False False"
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # SciPy is imported where it is needed: the lasso solver (scipy.optimize),
+    # k-NN decoding (scipy.spatial), Lanczos and K itself (scipy.sparse)
+    assert _scipy_modules_after("import forestae.cli") == []
+
+
+def test_encode_ilp_relabel_load_no_scipy(tmp_path):
+    data = _write_blobs_csv(tmp_path / "train.csv", n=30, seed=7)
+    bundle, emb = tmp_path / "m.json", tmp_path / "z.csv"
+    assert main(["fit", str(data), "--mode", "completely_random", "--d-z", "2",
+                 "--trees", "3", "--max-depth", "2", "--min-leaf", "3",
+                 "--out", str(bundle), "--seed", "3"]) == 0
+    calls = [["encode", str(bundle), str(data), "--out", str(emb)]] + [
+        ["decode", str(bundle), str(emb), "--decoder", d, "--out", str(tmp_path / f"{d}.csv")]
+        for d in ("ilp", "relabel")
+    ]
+    code = f"from forestae.cli import main; assert [main(a) for a in {calls!r}] == [0, 0, 0]"
+    assert _scipy_modules_after(code) == []
+    assert (tmp_path / "ilp.csv").is_file() and (tmp_path / "relabel.csv").is_file()
 
 
 def test_encode_rejects_cyclic_tree_without_hanging(tmp_path):

@@ -120,6 +120,30 @@ def test_factored_dot_matches_matrix():
         assert np.abs(kern.row_sums() - 1).max() <= 1e-10
 
 
+def test_factor_products_equal_csr_products_exactly():
+    # the numpy factor products accumulate in SciPy's CSR/CSC order, so they
+    # give the same bits as the CSR factors K.matrix and Lanczos are built from
+    table = make_mixed(120, seed=5)
+    f = fit_completely_random(table, ForestParams(n_trees=9, min_leaf=2, seed=5))
+    ref = table.take(np.arange(90))
+    rng = np.random.default_rng(5)
+    K = rf_kernel_train(f, table)
+    strict = rf_kernel_cross(f, table.take(np.arange(30, 60)), table)
+    loose = rf_kernel_cross(f, table, ref, strict=False)
+    assert loose.scale is not None
+    for kern in (K, strict, loose):
+        Fl, Fr = kern.left.tocsr(), kern.right.tocsr()
+        for shape in ((kern.n_cols,), (kern.n_cols, 4)):
+            X = rng.normal(size=shape)
+            T = Fr.T @ X
+            assert np.array_equal(kern.right.tdot(X), T)
+            assert np.array_equal(kern.left.dot(T), Fl @ T)
+            expected = Fl @ T / f.n_trees
+            if kern.scale is not None:
+                expected *= kern.scale.reshape((-1,) + (1,) * (len(shape) - 1))
+            assert np.array_equal(kern.dot(X), expected)
+
+
 def test_scornet_kernel_examples(t2x4):
     forest, table, _ = t2x4
     p = table.values

@@ -126,13 +126,13 @@ def test_nystrom_self_consistency():
 def test_nystrom_uniform_row_maps_to_origin():
     _, _, K = _fitted(n=50, seed=6)
     model = with_time(eigendecompose(K, 3), 1.0)
-    import scipy.sparse as sp
+    from forestae.kernel import CROSS, LeafFactor, SparseKernelMatrix
 
-    from forestae.kernel import CROSS, SparseKernelMatrix
-
-    # K0 = left rightᵀ / n_trees: 1/50 in each of the 50 entries
+    # K0 = left rightᵀ / n_trees: one leaf of weight 1 holds the query and all
+    # 50 reference rows, so 1/50 in each of the 50 entries
     uniform = SparseKernelMatrix(
-        left=sp.csr_matrix(np.ones((1, 1))), right=sp.csr_matrix(np.ones((50, 1))),
+        left=LeafFactor(np.zeros((1, 1), dtype=np.int64), np.ones(1)),
+        right=LeafFactor(np.zeros((50, 1), dtype=np.int64), np.ones(1)),
         n_trees=50, role=CROSS,
     )
     Z0 = nystrom_embed(uniform, model)
