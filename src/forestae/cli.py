@@ -182,32 +182,23 @@ def _check_flags(args) -> None:
 
 def _decode_rows(b, Z0: np.ndarray, args) -> tuple[Table, list[dict]]:
     trace: list[dict] = []
+    sink = trace if args.trace else None
     if args.decoder == "knn":
-        out = dec.knn_decode(Z0, b.model, b.forest, b.synth, k=args.k, seed=args.seed)
-        if args.trace:
-            _, Z = b.model.require_time()
-            for i in range(Z0.shape[0]):
-                ns = dec.knn_neighbors(Z0[i], Z, args.k)
-                trace.append(
-                    {"row": i, "neighbors": ns.indices.tolist(), "weights": ns.weights.tolist()}
-                )
-        return out, trace
-    if args.decoder == "relabel":
+        out = dec.knn_decode(Z0, b.model, b.forest, b.synth, k=args.k, seed=args.seed,
+                             trace=sink)
+    elif args.decoder == "relabel":
         relabeled = dec.relabel_forest(b.forest, b.model, b.synth, args.n_synth, args.seed)
-        out = dec.relabel_decode(relabeled, b.forest, Z0, seed=args.seed,
-                                 trace=trace if args.trace else None)
+        out = dec.relabel_decode(relabeled, b.forest, Z0, seed=args.seed, trace=sink)
         if args.trace:
             trace[0].update(degenerate_nodes=relabeled.n_degenerate,
                             dropped_draws=relabeled.n_dropped_draws)
-        return out, trace
-    if args.decoder == "lasso":
+    elif args.decoder == "lasso":
         out = dec.lasso_decode(
             Z0, b.model, b.forest, b.synth, lam=args.penalty, sparsity_cap=args.sparsity_cap,
-            seed=args.seed, trace=trace if args.trace else None,
+            seed=args.seed, trace=sink,
         )
-        return out, trace
-    out = dec.ilp_decode(Z0, b.model, b.forest, b.synth, seed=args.seed,
-                         trace=trace if args.trace else None)
+    else:
+        out = dec.ilp_decode(Z0, b.model, b.forest, b.synth, seed=args.seed, trace=sink)
     return out, trace
 
 

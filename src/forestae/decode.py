@@ -42,7 +42,18 @@ __all__ = [
 ]
 
 _ZERO_DIST_EPS = 1e-12
+# k-NN distances up to this share of max |Z| are exact matches: rows in the same
+# leaves embed onto one point up to rounding, about 1e-15 of max |Z|
+_COINCIDENT_RTOL = 1e-9
 _KDTREE_MAX_DIM = 20
+# Query-reference pairs up to which the numpy k-NN search beats cKDTree plus
+# its scipy.spatial import, 0.46 s of process start on a 2-vCPU x86 host. There,
+# with k = 20 on Gaussian points, numpy takes 0.18-0.25 s at 2**24 pairs and
+# 0.40-0.46 s at 2**25 for d <= 4, where cKDTree takes 0.02-0.04 s; the
+# break-even lies near 2**25 for d <= 4, between 2**24 and 2**25 at d = 8 and
+# just under 2**24 for d = 20 (numpy 0.92 s, cKDTree plus import 0.88 s).
+_BRUTE_MAX_PAIRS = 2**24
+_BRUTE_BLOCK_PAIRS = 2**16  # (query, reference) distances per block of the numpy search
 _ILP_MAX_COMBINATIONS = 10**6
 _TIE_TOL = 1e-12
 
@@ -97,16 +108,43 @@ class NeighborSet:
 
 
 def _knn_batch(Z0: np.ndarray, Z: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    if Z.shape[1] <= _KDTREE_MAX_DIM:
-        from scipy.spatial import cKDTree  # costly import; only k-NN decoding needs it
+    """Each query's k nearest rows of Z: (m, k) indices and distances, ascending.
+
+    Distances within a tolerance scaled to Z are exact matches and read 0.
+    Up to ``_BRUTE_MAX_PAIRS`` query-reference pairs, and at any size above
+    ``_KDTREE_MAX_DIM`` dimensions, the search is exact in numpy: squared
+    differences over blocks of queries, then the first k of a stable sort, so
+    equal distances go to the lowest index. Above it, ``cKDTree`` repays its
+    import.
+    """
+    (m, d), n = Z0.shape, Z.shape[0]
+    tol = _COINCIDENT_RTOL * np.abs(Z).max(initial=0.0)
+    if m * n > _BRUTE_MAX_PAIRS and d <= _KDTREE_MAX_DIM:
+        from scipy.spatial import cKDTree  # costly import; only large k-NN searches need it
 
         dist, idx = cKDTree(Z).query(Z0, k=k)
-    else:
-        d2 = ((Z0[:, None, :] - Z[None, :, :]) ** 2).sum(axis=2)
-        idx = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        dist = np.sqrt(np.take_along_axis(d2, idx, axis=1))
-    if k == 1:
-        dist, idx = dist[:, None], idx[:, None]
+        dist, idx = dist.reshape(m, k), idx.reshape(m, k)
+        dist[dist <= tol] = 0.0
+        return idx, dist
+    idx = np.empty((m, k), dtype=np.intp)
+    dist = np.empty((m, k))
+    step = max(1, _BRUTE_BLOCK_PAIRS // n)  # at least one query row per block
+    for s in range(0, m, step):
+        q = Z0[s:s + step]
+        d2 = np.zeros((q.shape[0], n))
+        for j in range(d):  # in dimension order: cKDTree's sum, bit for bit, for d <= 4
+            d2 += (q[:, j, None] - Z[:, j]) ** 2
+        d2[d2 <= tol * tol] = 0.0
+        # a stable argsort's first k: every distance up to the k-th smallest
+        # (NaN included), ordered by value and then index
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1, None]
+        rows, cols = np.nonzero(~(d2 > kth))
+        vals = d2[rows, cols]
+        order = np.lexsort((vals, rows))  # by row, then distance, then index
+        first = np.searchsorted(rows, np.arange(q.shape[0]))  # each row's first candidate
+        pick = order[first[:, None] + np.arange(k)]
+        idx[s:s + step] = cols[pick]
+        dist[s:s + step] = np.sqrt(vals[pick])
     return idx, dist
 
 
@@ -137,10 +175,14 @@ def knn_decode(
     synth: SyntheticTrainingSet,
     k: int,
     seed: int = 0,
+    trace: list[dict] | None = None,
 ) -> Table:
     """Weighted neighbor average: continuous features take the weighted mean
     of synthetic neighbor values, categorical ones the weight-summed majority
     level (ties broken uniformly at random).
+
+    If ``trace`` is a list, one record per row is appended to it: the row,
+    its neighbors' synthetic row indices (ascending distance) and weights.
     """
     _, Z = model.require_time()
     if not 1 <= k <= Z.shape[0]:
@@ -148,6 +190,9 @@ def knn_decode(
     Z0 = np.atleast_2d(np.asarray(Z0, dtype=np.float64))
     idx, dist = _knn_batch(Z0, Z, k)
     w = _inverse_distance_weights(dist)
+    if trace is not None:
+        trace.extend({"row": i, "neighbors": idx[i].tolist(), "weights": w[i].tolist()}
+                     for i in range(Z0.shape[0]))
     rng = np.random.default_rng(seed)
     vals = synth.table.values[idx]  # (m, k, d)
     m = Z0.shape[0]

@@ -251,7 +251,8 @@ def _scipy_modules_after(code: str) -> list[str]:
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # SciPy is imported where it is needed: the lasso solver (scipy.optimize),
-    # k-NN decoding (scipy.spatial), Lanczos and K itself (scipy.sparse)
+    # k-NN searches above the kd-tree break-even (scipy.spatial), Lanczos and
+    # K itself (scipy.sparse)
     assert _scipy_modules_after("import forestae.cli") == []
 
 
@@ -268,6 +269,45 @@ def test_encode_ilp_relabel_load_no_scipy(tmp_path):
     code = f"from forestae.cli import main; assert [main(a) for a in {calls!r}] == [0, 0, 0]"
     assert _scipy_modules_after(code) == []
     assert (tmp_path / "ilp.csv").is_file() and (tmp_path / "relabel.csv").is_file()
+
+
+def test_decode_knn_below_break_even_loads_no_scipy(fitted, tmp_path):
+    data, bundle = fitted
+    emb, out = tmp_path / "emb.csv", tmp_path / "knn.csv"
+    assert main(["encode", str(bundle), str(data), "--out", str(emb)]) == 0
+    call = ["decode", str(bundle), str(emb), "--decoder", "knn", "--out", str(out)]
+    assert _scipy_modules_after(f"from forestae.cli import main; assert main({call!r}) == 0") == []
+    assert load_csv(out).n == 60
+
+
+def test_decode_knn_trace_from_one_search(fitted, tmp_path, monkeypatch):
+    from forestae import decode
+
+    data, bundle = fitted
+    emb, out, trace = tmp_path / "emb.csv", tmp_path / "dec.csv", tmp_path / "t.jsonl"
+    assert main(["encode", str(bundle), str(data), "--out", str(emb)]) == 0
+    knn_batch, searches = decode._knn_batch, []
+
+    def counted(*args):
+        searches.append(args[0].shape)
+        return knn_batch(*args)
+
+    monkeypatch.setattr(decode, "_knn_batch", counted)
+    assert main(["decode", str(bundle), str(emb), "--decoder", "knn", "--k", "4",
+                 "--out", str(out), "--trace", str(trace)]) == 0
+    assert searches == [(60, 3)]
+    monkeypatch.undo()
+    untraced = tmp_path / "plain.csv"
+    assert main(["decode", str(bundle), str(emb), "--decoder", "knn", "--k", "4",
+                 "--out", str(untraced)]) == 0
+    assert untraced.read_bytes() == out.read_bytes()
+    recs = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert [r["row"] for r in recs] == list(range(60))
+    Z0 = np.loadtxt(emb, delimiter=",", skiprows=1)
+    _, Z = load_bundle(bundle).model.require_time()
+    for r, z0 in zip(recs, Z0):
+        ns = decode.knn_neighbors(z0, Z, 4)
+        assert r["neighbors"] == ns.indices.tolist() and r["weights"] == ns.weights.tolist()
 
 
 def test_encode_rejects_cyclic_tree_without_hanging(tmp_path):

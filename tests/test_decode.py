@@ -148,6 +148,83 @@ def test_knn_decode_distortion_improves_with_dimension():
     assert scores[1] < scores[0]
 
 
+def _stable_argsort_knn(Z0, Z, k):
+    """Reference search: all squared differences at once, stable argsort."""
+    d2 = ((Z0[:, None, :] - Z[None, :, :]) ** 2).sum(axis=2)
+    idx = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return idx, np.sqrt(np.take_along_axis(d2, idx, axis=1))
+
+
+@pytest.mark.parametrize("d", [2, 25])
+def test_knn_numpy_search_blocked_equals_unblocked(monkeypatch, d):
+    # integer grid points: many equal distances, so the lowest index must win
+    from forestae import decode
+
+    rng = np.random.default_rng(d)
+    Z = rng.integers(0, 3, size=(60, d)).astype(np.float64)
+    Z0 = rng.integers(0, 3, size=(23, d)).astype(np.float64)
+    whole = decode._knn_batch(Z0, Z, 7)
+    monkeypatch.setattr(decode, "_BRUTE_BLOCK_PAIRS", 3 * Z.shape[0])  # 3 queries per block
+    blocked = decode._knn_batch(Z0, Z, 7)
+    ref_idx, ref_dist = _stable_argsort_knn(Z0, Z, 7)
+    assert np.array_equal(blocked[0], whole[0]) and np.array_equal(blocked[1], whole[1])
+    assert np.array_equal(whole[0], ref_idx)
+    assert np.allclose(whole[1], ref_dist, rtol=1e-15, atol=0.0)
+
+
+def test_knn_above_break_even_uses_kdtree(monkeypatch):
+    import scipy.spatial
+
+    from forestae import decode
+
+    built = []
+
+    class SpyTree(scipy.spatial.cKDTree):
+        def __init__(self, data):
+            built.append(data.shape)
+            super().__init__(data)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", SpyTree)
+    monkeypatch.setattr(decode, "_BRUTE_MAX_PAIRS", 12 * 50)
+    rng = np.random.default_rng(3)
+    Z = rng.normal(size=(50, 3))  # tie-free
+    at, above = rng.normal(size=(12, 3)), rng.normal(size=(13, 3))
+    decode._knn_batch(at, Z, 5)
+    assert built == []
+    idx, dist = decode._knn_batch(above, Z, 5)
+    assert built == [(50, 3)]
+    ref_idx, ref_dist = _stable_argsort_knn(above, Z, 5)
+    assert np.array_equal(idx, ref_idx)
+    assert np.allclose(dist, ref_dist)
+
+
+def test_knn_coincident_neighbors_share_weight():
+    # distances at rounding scale are exact matches: equal weights, and the
+    # lowest indices fill the slots whatever the rounding
+    Z = np.array([[1.0, 0.0], [1.0, 3e-16], [1.0, -1e-16], [2.0, 0.0]])
+    ns = knn_neighbors(np.array([1.0, 1e-16]), Z, k=2)
+    assert ns.indices.tolist() == [0, 1]
+    assert ns.distances.tolist() == [0.0, 0.0]
+    assert ns.weights.tolist() == [0.5, 0.5]
+
+
+def test_knn_decode_ignores_rounding_shift_of_coincident_rows(tmp_path):
+    # a shallow forest puts many training rows in the same leaves; their
+    # embeddings then coincide up to rounding, and every training row's
+    # re-embedding has such neighbors
+    from forestae.data import save_csv
+    from forestae.spectral import nystrom_embed
+
+    table = make_mixed(150, seed=4)
+    f, model, synth = _pipeline(table, trees=5, max_depth=3, d_z=2, seed=4)
+    Z0 = nystrom_embed(rf_kernel_cross(f, table, synth.table, strict=False), model)
+    paths = []
+    for shift in (0.0, 1e-14):
+        paths.append(tmp_path / f"out{shift}.csv")
+        save_csv(knn_decode(Z0 + shift, model, f, synth, k=20, seed=0), paths[-1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # relabeling
 
