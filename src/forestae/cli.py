@@ -23,6 +23,7 @@ from . import kernel as ker
 from . import spectral
 from .data import Table, bootstrap_split, conform_table, load_csv, save_csv
 from .forest import (
+    ForestError,
     ForestParams,
     fit_completely_random,
     fit_supervised,
@@ -41,7 +42,9 @@ class UsageError(ValueError):
 
 def _forest_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trees", type=int, default=100, help="number of trees")
-    p.add_argument("--mtry", type=int, default=None, help="candidate features per split")
+    p.add_argument("--mtry", type=int, default=None,
+                   help="candidate features per split (default round(sqrt(columns)); "
+                   "values above the column count are capped)")
     p.add_argument("--max-depth", type=int, default=None)
     p.add_argument("--min-leaf", type=int, default=1)
     p.add_argument("--gamma", type=float, default=0.01, help="min child fraction per split")
@@ -55,6 +58,13 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--verbose", action="store_true")
+
+
+# ForestParams fields by the flag that sets them, for usage errors
+_FOREST_FLAGS = {
+    "n_trees": "--trees", "mtry": "--mtry", "min_node_fraction": "--gamma",
+    "min_leaf": "--min-leaf", "max_depth": "--max-depth", "subsample_fraction": "--subsample",
+}
 
 
 def _params(args, seed: int) -> ForestParams:
@@ -149,6 +159,7 @@ def _csv_has_rows(path) -> bool:
 
 
 def cmd_encode(args) -> int:
+    _check_flags(args)
     b = bundle_io.load_bundle(args.bundle)
     if not _csv_has_rows(args.data):
         _write_embedding_csv(args.out, np.empty((0, b.model.d_z)), b.model.d_z)
@@ -169,9 +180,15 @@ def cmd_encode(args) -> int:
 def _check_flags(args) -> None:
     """Usage errors for numeric flags outside their domain; each command
     checks the flags it has."""
-    for flag in ("n_synth", "sparsity_cap", "k"):
+    for flag in ("n_synth", "sparsity_cap", "k", "jobs", "rounds"):
         if getattr(args, flag, 1) < 1:
             raise UsageError(f"--{flag.replace('_', '-')} must be >= 1")
+    if hasattr(args, "trees"):  # ForestParams holds the forest flags' domains
+        try:
+            _params(args, args.seed)
+        except ForestError as exc:
+            field, rule = str(exc).split(" ", 1)
+            raise UsageError(f"{_FOREST_FLAGS[field]} {rule}") from None
     t = getattr(args, "t", 0.0)
     if not (math.isfinite(t) and t >= 0):
         raise UsageError("--t must be finite and >= 0")

@@ -54,7 +54,8 @@ class ForestParams:
     receive at least ceil(fraction * parent) split-learning samples.
     ``min_leaf`` additionally floors child sizes at an absolute count.
     ``honest`` halves each tree's sample: one half learns splits, the other
-    sets leaf counts and label stats.
+    sets leaf counts and label stats. ``mtry`` candidate columns are drawn
+    per node (default round(sqrt(d)); values above d are capped at d).
     """
 
     n_trees: int = 100
@@ -70,6 +71,8 @@ class ForestParams:
     def __post_init__(self) -> None:
         if self.n_trees < 1:
             raise ForestError("n_trees must be >= 1")
+        if self.mtry is not None and self.mtry < 1:
+            raise ForestError("mtry must be >= 1")
         if not (0.0 < self.min_node_fraction <= 0.5):
             raise ForestError("min_node_fraction must lie in (0, 0.5]")
         if not (0.0 < self.subsample_fraction <= 1.0):
@@ -244,16 +247,35 @@ def _bag_size(params: ForestParams, n: int) -> int:
 def _first_min(group: np.ndarray, cost: np.ndarray) -> np.ndarray:
     """Index of the first lowest ``cost`` in each run of equal ``group``
     values (``group`` sorted)."""
-    start = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
-    low = np.repeat(np.minimum.reduceat(cost, start), np.diff(np.r_[start, group.size]))
+    start = np.flatnonzero(np.concatenate(([True], group[1:] != group[:-1])))
+    low = np.repeat(np.minimum.reduceat(cost, start), np.diff(start, append=group.size))
     hit = np.flatnonzero(cost == low)
-    return hit[np.r_[True, group[hit[1:]] != group[hit[:-1]]]]
+    return hit[np.concatenate(([True], group[hit[1:]] != group[hit[:-1]]))]
 
 
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """Concatenated ``arange(a, a + l)`` over the pairs."""
     ends = np.cumsum(lens)
     return np.repeat(starts + lens - ends, lens) + np.arange(ends[-1])
+
+
+def _segment_cumsum(a: np.ndarray, first: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Inclusive prefix sums of ``a`` along its last axis, restarted at each
+    segment (``first`` index, ``lens`` long, back to back). Integer sums are
+    exact, so they are one running sum less each segment's base. A float sum
+    adds only its own segment's terms, in an order set by its index in the
+    segment (a Hillis-Steele scan), so it does not depend on other segments."""
+    if a.dtype.kind in "biu":
+        out = np.cumsum(a, axis=-1)
+        return out - np.repeat((out - a)[..., first], lens, axis=-1)
+    local = np.arange(a.shape[-1]) - np.repeat(first, lens)
+    out = a.copy()
+    step, longest = 1, lens.max()
+    while step < longest:
+        at = np.flatnonzero(local >= step)
+        out[..., at] += out[..., at - step]
+        step *= 2
+    return out
 
 
 def _pick(mask: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -266,18 +288,19 @@ def _pick(mask: np.ndarray, u: np.ndarray) -> np.ndarray:
 class _Chunk:
     """Trees grown together, breadth-first, one depth level per pass.
 
-    A slot is one sampled row of one tree. Slot arrays are flat: tree t's s
-    slots are ids ``t * (s + 1) + i``, and id ``t * (s + 1) + s`` is a
-    padding slot. Each open node owns a contiguous range of positions in its
-    tree's row of ``orders`` (shape ``(R, T, width)``, padded with padding
-    slots): ``orders[0]`` lists the node's slots by id and, for CART,
-    ``orders[order_row[j]]`` by the value of continuous column j
-    (presorted attribute lists, as in SLIQ: sorted once per chunk, then kept
-    sorted by a stable partition after each level). Open nodes are listed
-    tree by tree in position order, which is breadth-first order.
+    A slot is one sampled row of one tree: tree t's s slots are ids
+    ``t * s + i``. Open nodes are listed tree by tree in breadth-first order,
+    and node k owns the contiguous positions ``live_start[k]`` to
+    ``live_start[k] + node_m[k]`` of each row of ``orders`` (shape
+    ``(R, positions)``, no padding): ``orders[0]`` lists the node's slots by
+    id and, for CART, ``orders[order_row[j]]`` by the value of continuous
+    column j (presorted attribute lists, as in SLIQ: sorted once per chunk,
+    then kept sorted by a stable partition after each level). Each level
+    scores only the positions of nodes that drew a column, and partitions
+    only the positions of nodes that split.
 
     Every draw comes from the tree's own generator and every sum runs over
-    the tree's own row, so a tree does not depend on the chunk it grows in.
+    one node's own slots, so a tree does not depend on the chunk it grows in.
     """
 
     def __init__(self, data: _Sample, params: ForestParams, seeds, cr: bool):
@@ -296,22 +319,19 @@ class _Chunk:
         else:
             self.rows = self.lab_rows = bags
         n_trees, s = self.rows.shape
-        slot_rows = np.concatenate([self.rows, self.rows[:, :1]], axis=1).ravel()
-        self.x = np.ascontiguousarray(data.values[slot_rows].T)  # (d, T * (s + 1))
-        self.y = None if data.y is None else data.y[slot_rows]
+        self.x = np.ascontiguousarray(data.values[self.rows.ravel()].T)  # (d, T * s)
+        self.y = None if data.y is None else data.y[self.rows.ravel()]
         cont = np.flatnonzero(data.n_levels == 0)
         self.order_row = {j: 1 + i for i, j in enumerate(cont)}
         self.mtry = min(params.mtry or max(1, round(math.sqrt(d))), d)
-        base = np.arange(n_trees)[:, None] * (s + 1)
+        base = np.arange(n_trees)[:, None] * s
         orders = [base + np.arange(s)]
         if not cr:
-            x = self.x[cont].reshape(-1, n_trees, s + 1)[:, :, :s]
+            x = self.x[cont].reshape(-1, n_trees, s)
             orders.extend(base + np.argsort(x, axis=2, kind="stable"))
-        self.orders = np.stack(orders)
+        self.orders = np.stack(orders).reshape(len(orders), -1)
         self.node_tree = np.arange(n_trees)  # open nodes: tree,
-        self.node_start = np.zeros(n_trees, dtype=np.intp)  # first position,
         self.node_m = np.full(n_trees, s)  # split-slot count
-        self.pos_node = np.repeat(np.arange(n_trees), s).reshape(n_trees, s)  # -1: padding
         self.lab_leaf = np.full(self.lab_rows.shape, -1)  # node id of each label slot's leaf
         if params.honest:  # open node of each label slot, -1 once settled
             self.lab_node = np.repeat(np.arange(n_trees)[:, None], self.lab_rows.shape[1], axis=1)
@@ -340,8 +360,7 @@ class _Chunk:
         the nodes that may split."""
         p, data = self.params, self.data
         n_nodes, m = self.node_tree.size, self.node_m
-        live = np.flatnonzero(self.pos_node.ravel() >= 0)  # grouped by node, in order
-        self.live_slot = self.orders[0].ravel()[live]
+        self.live_slot = self.orders[0]
         self.live_node = np.repeat(np.arange(n_nodes), m)
         self.live_start = np.cumsum(m) - m
         self.mc = np.maximum(p.min_leaf, np.ceil(p.min_node_fraction * m)).astype(np.intp)
@@ -395,86 +414,77 @@ class _Chunk:
         """CART: each open node's best split over ``mtry`` candidate columns
         drawn per node; ties go to the lowest column, then the leftmost cut."""
         n_nodes, d = open_.size, self.data.values.shape[1]
-        cand = np.zeros((n_nodes + 1, d), dtype=bool)  # row -1: padding positions
         nodes = np.flatnonzero(open_)
-        if self.mtry >= d:
-            cand[nodes] = True
-        else:
-            pick = np.zeros((nodes.size, d), dtype=bool)
+        cand = np.full((nodes.size, d), self.mtry >= d)
+        if self.mtry < d:
             order = np.argsort(self._draw(nodes, d), axis=1)
-            np.put_along_axis(pick, order[:, : self.mtry], True, axis=1)
-            cand[nodes] = pick
+            np.put_along_axis(cand, order[:, : self.mtry], True, axis=1)
         best = np.full(n_nodes, np.inf)
         feat = np.full(n_nodes, -1)
         cut = np.zeros(n_nodes)
-        pn = self.pos_node
-        same = np.zeros(pn.shape, dtype=bool)  # position and the next one share a node
-        same[:, :-1] = pn[:, 1:] == pn[:, :-1]
         for j in range(d):
-            if not cand[:, j].any():
+            at = nodes[cand[:, j]]
+            if not at.size:
                 continue
-            if self.data.n_levels[j]:
-                cost, c = self._score_categorical(j, cand[:n_nodes, j])
-            else:
-                cost, c = self._score_continuous(j, same & cand[pn, j])
-            better = cost < best
-            best[better], feat[better], cut[better] = cost[better], j, c[better]
+            score = self._score_categorical if self.data.n_levels[j] else self._score_continuous
+            cost, c = score(j, at)
+            better = cost < best[at]
+            at = at[better]
+            best[at], feat[at], cut[at] = cost[better], j, c[better]
         return feat, cut
 
-    def _score_continuous(self, j: int, at: np.ndarray):
-        """Per node, the lowest cost over cuts at midpoints between adjacent
-        distinct values of column j, and that cut (inf where none is valid).
-        ``at`` marks the positions a cut may follow."""
-        pn, start, m, mc = self.pos_node, self.node_start, self.node_m, self.mc
-        o = self.orders[self.order_row[j]]
-        width = o.shape[1]
-        v = self.x[j][o].ravel()
-        q = np.flatnonzero(at.ravel())  # cut between positions q and q + 1
-        lo, hi = v[q], v[q + 1]
-        node = pn.ravel()[q]
-        n_left = q % width + 1 - start[node]
+    def _score_continuous(self, j: int, nodes: np.ndarray):
+        """Per node of ``nodes``, the lowest cost over cuts at midpoints
+        between adjacent distinct values of column j that leave each child
+        its floor, and that cut (inf where none is valid)."""
+        m, mc = self.node_m[nodes], self.mc[nodes]
+        slot = self.orders[self.order_row[j]][_ranges(self.live_start[nodes], m)]
+        v = self.x[j][slot]
+        seg = np.cumsum(m) - m  # each node's first index in slot
+        n_cuts = m - 2 * mc + 1
+        k = np.repeat(np.arange(nodes.size), n_cuts)
+        i = _ranges(seg + mc - 1, n_cuts)  # cut between i and i + 1
+        lo, hi = v[i], v[i + 1]
         mid = 0.5 * (lo + hi)
         # a midpoint rounded onto the lower value would send it right
-        ok = (hi > lo) & (n_left >= mc[node]) & (m[node] - n_left >= mc[node]) & (mid > lo)
+        ok = (hi > lo) & (mid > lo)
         if self.params.honest:
-            below = self._label_below(j, node, mid)
-            ok &= (below >= 1) & (below < self.lab_m[node])
-        q, node, n_left, mid = q[ok], node[ok], n_left[ok], mid[ok]
-        n_right = m[node] - n_left
-        # label sums left and right of each cut, by prefix sums along the
-        # tree's row: acc[t, k] sums the row's first k positions
+            below = self._label_below(j, nodes[k], mid)
+            ok &= (below >= 1) & (below < self.lab_m[nodes[k]])
+        i, k, mid = i[ok], k[ok], mid[ok]
+        node = nodes[k]
+        n_left = i - seg[k] + 1
+        n_right = m[k] - n_left
+        # label sums left of each cut: prefix sums over each node's slots
         if self.data.kind == CLASSIFICATION:
-            lab = self.y[o][..., None] == np.arange(self.data.n_classes)
-        else:
-            lab = self.y[o] - self.mean[pn]
-        acc = np.zeros((lab.shape[0], width + 1) + lab.shape[2:])
-        np.cumsum(lab, axis=1, out=acc[:, 1:])
-        acc = acc.reshape((-1,) + lab.shape[2:])
-        row = q // width * (width + 1)
-        cut_at = acc[row + q % width + 1]
-        left = cut_at - acc[row + start[node]]
-        right = acc[row + start[node] + m[node]] - cut_at
-        if self.data.kind == CLASSIFICATION:
-            cost = (n_left - (left * left).sum(axis=1) / n_left) + (
-                n_right - (right * right).sum(axis=1) / n_right
+            # exact counts of classes 1..C-1; class 0 is the rest
+            up = self.y[slot] == np.arange(1, self.data.n_classes)[:, None]
+            up = _segment_cumsum(up, seg, m)[:, i]
+            left = np.vstack([n_left - up.sum(axis=0), up])
+            right = self.class_count[node].T - left
+            cost = (n_left - (left * left).sum(axis=0) / n_left) + (
+                n_right - (right * right).sum(axis=0) / n_right
             )
         else:
+            yc = self.y[slot] - np.repeat(self.mean[nodes], m)
+            left = _segment_cumsum(yc, seg, m)[i]
+            right = self.node_sum[node] - left
             cost = self.sse[node] - left * left / n_left - right * right / n_right
-        out_cost = np.full(m.size, np.inf)
-        out_cut = np.zeros(m.size)
-        if node.size:
-            first = _first_min(node, cost)
-            out_cost[node[first]], out_cut[node[first]] = cost[first], mid[first]
+        out_cost = np.full(nodes.size, np.inf)
+        out_cut = np.zeros(nodes.size)
+        if k.size:
+            first = _first_min(k, cost)
+            out_cost[k[first]], out_cut[k[first]] = cost[first], mid[first]
         return out_cost, out_cut
 
     def _level_key(self, j: int) -> np.ndarray:
         """``node * n_levels + level`` of every live slot, categorical column j."""
         return self.live_node * self.data.n_levels[j] + self.x[j][self.live_slot].astype(np.intp)
 
-    def _score_categorical(self, j: int, cand: np.ndarray):
-        """Per node, the lowest one-vs-rest cost over the levels of column j,
-        and that level, from one bincount over (node, level)."""
-        n_nodes, n_levels = cand.size, self.data.n_levels[j]
+    def _score_categorical(self, j: int, nodes: np.ndarray):
+        """Per node of ``nodes``, the lowest one-vs-rest cost over the levels
+        of column j, and that level, from one bincount over (node, level)."""
+        n_nodes, n_levels = self.node_m.size, self.data.n_levels[j]
         m, mc = self.node_m[:, None], self.mc[:, None]
         key = self._level_key(j)
         cnt = np.bincount(key, minlength=n_nodes * n_levels).reshape(n_nodes, n_levels)
@@ -492,13 +502,13 @@ class _Chunk:
                 s1 = s1.reshape(n_nodes, n_levels)
                 s2 = self.node_sum[:, None] - s1
                 cost = self.sse[:, None] - s1 * s1 / cnt - s2 * s2 / (m - cnt)
-        ok = cand[:, None] & (cnt >= mc) & (m - cnt >= mc)
+        ok = (cnt >= mc) & (m - cnt >= mc)
         if self.params.honest:
             lab = self.lab_index[j]
             ok &= (lab >= 1) & (lab < self.lab_m[:, None])
-        cost = np.where(ok, cost, np.inf)
+        cost = np.where(ok, cost, np.inf)[nodes]
         best = np.argmin(cost, axis=1)
-        return cost[np.arange(n_nodes), best], best.astype(np.float64)
+        return cost[np.arange(nodes.size), best], best.astype(np.float64)
 
     def _random_splits(self, open_: np.ndarray):
         """Completely random: a uniform column among the node's non-constant
@@ -560,10 +570,6 @@ class _Chunk:
         right ones, each in their order; ranges of new leaves are dropped and
         their slots settled to the leaf's node id."""
         split = feat >= 0
-        n_trees, s = self.rows.shape
-        pn = self.pos_node
-        width = pn.shape[1]
-        in_split = np.append(split, False)[pn]
         node = self.live_node
         x = self.x[np.maximum(feat, 0)[node], self.live_slot]
         left = np.where(eq[node], x == cut[node], x < cut[node]) & split[node]
@@ -579,45 +585,32 @@ class _Chunk:
             child = 2 * (np.cumsum(split) - 1)[lnode] + ~lab_left
             self.lab_leaf[on] = np.where(split[lnode], -1, ids[lnode])
             self.lab_node[on] = np.where(split[lnode], child, -1)
-        else:  # label slots are the split slots: slot id t * (s + 1) + i is t * s + i here
-            slot = self.live_slot[~split[node]]
-            self.lab_leaf.ravel()[slot - slot // (s + 1)] = ids[node[~split[node]]]
+        else:  # label slots are the split slots
+            settled = ~split[node]
+            self.lab_leaf.ravel()[self.live_slot[settled]] = ids[node[settled]]
 
         parents = np.flatnonzero(split)
         if not parents.size:
             self.node_tree = parents
             return
-        m = np.where(split, self.node_m, 0)
-        before = np.cumsum(m) - m
-        new_start = before - before[np.searchsorted(self.node_tree, self.node_tree)]
-        new_width = int((new_start + m).max())
-        # stable partition of every order, one at a time: a slot's new position
-        # is its split node's new start, plus the left slots before it in the
-        # node (if it goes left) or the node's left count plus the right slots
-        # before it
-        q = np.flatnonzero(in_split.ravel())
-        node = pn.ravel()[q]
-        q0 = q - q % width + self.node_start[node]  # position of the node's first slot
-        dest = new_start[node] + (q // width) * new_width
-        right_dest = dest + n_left[node] + (q - q0)
-        pad = np.arange(n_trees)[:, None] * (s + 1) + s
-        orders = np.empty((self.orders.shape[0], n_trees, new_width), dtype=np.intp)
+        # stable partition of every order over the split nodes' positions, one
+        # order at a time: with c left slots among the first p + 1 of them, a
+        # left slot lands at c - 1 plus the right slots of earlier nodes, and
+        # a right one at p - c plus the left slots of its own and earlier nodes
+        m, nl = self.node_m[parents], n_left[parents]
+        nr = m - nl
+        at = _ranges(self.live_start[parents], m)
+        to_left = np.repeat(np.cumsum(nr) - nr - 1, m)
+        to_right = np.arange(at.size) + np.repeat(np.cumsum(nl), m)
+        orders = np.empty((self.orders.shape[0], at.size), dtype=np.intp)
         for old, new in zip(self.orders, orders):
-            old, new = old.ravel(), new.reshape(n_trees, new_width)
-            g = goes_left[old] & in_split.ravel()
-            before_left = np.cumsum(g.reshape(n_trees, width), axis=1).ravel() - g
-            lb = before_left[q] - before_left[q0]
-            new[:] = pad
-            new.ravel()[np.where(g[q], dest + lb, right_dest - lb)] = old[q]
+            slot = old[at]
+            g = goes_left[slot]
+            c = np.cumsum(g)
+            new[np.where(g, to_left + c, to_right - c)] = slot
         self.orders = orders
-
-        nl = n_left[parents]
         self.node_tree = np.repeat(self.node_tree[parents], 2)
-        self.node_start = np.stack([new_start[parents], new_start[parents] + nl], axis=1).ravel()
-        self.node_m = np.stack([nl, self.node_m[parents] - nl], axis=1).ravel()
-        self.pos_node = np.full((n_trees, new_width), -1)
-        at = _ranges(self.node_tree * new_width + self.node_start, self.node_m)
-        self.pos_node.ravel()[at] = np.repeat(np.arange(self.node_m.size), self.node_m)
+        self.node_m = np.stack([nl, m - nl], axis=1).ravel()
 
     # -- output --------------------------------------------------------------
 

@@ -20,7 +20,7 @@ from forestae.decode import (
     relabel_forest,
     route_relabeled,
 )
-from forestae.forest import assigned_region, route_table
+from forestae.forest import ForestError, ForestParams, assigned_region, route_table
 from forestae.kernel import SparseKernelMatrix, leaf_profile, rf_kernel_train
 from forestae.spectral import SpectralError, reconstruct_kernel, with_time
 
@@ -470,6 +470,42 @@ def test_decoder_flags_below_one_are_usage_errors(fitted, tmp_path, capsys, comm
     message, call = library[flag]
     with pytest.raises((DecodeError, SpectralError), match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, rule",
+    [
+        ("fit", "--jobs", "0", "be >= 1"),
+        ("fit", "--jobs", "-3", "be >= 1"),
+        ("bench", "--jobs", "0", "be >= 1"),
+        ("fit", "--rounds", "0", "be >= 1"),
+        ("bench", "--rounds", "-1", "be >= 1"),
+        ("fit", "--trees", "0", "be >= 1"),
+        ("bench", "--trees", "-2", "be >= 1"),
+        ("fit", "--mtry", "0", "be >= 1"),
+        ("fit", "--mtry", "-1", "be >= 1"),
+        ("bench", "--mtry", "0", "be >= 1"),
+        ("fit", "--min-leaf", "0", "be >= 1"),
+        ("fit", "--gamma", "0.9", "lie in (0, 0.5]"),
+        ("fit", "--gamma", "nan", "lie in (0, 0.5]"),
+        ("fit", "--subsample", "0", "lie in (0, 1]"),
+        ("fit", "--max-depth", "-1", "be >= 0"),
+    ],
+)
+def test_forest_flags_outside_domain_are_usage_errors(tmp_path, capsys, command, flag, value, rule):
+    # exit 2 before any work; the library refuses the same forest parameters
+    data = _write_blobs_csv(tmp_path / "train.csv", n=30)
+    out = tmp_path / "out"
+    head = ["--d-z", "2"] if command == "fit" else []
+    assert main([command, str(data), *head, flag, value, "--out", str(out)]) == 2
+    assert f"usage error: {flag} must {rule}" in capsys.readouterr().err
+    assert not out.exists()
+    field = {"--trees": "n_trees", "--mtry": "mtry", "--min-leaf": "min_leaf",
+             "--gamma": "min_node_fraction", "--subsample": "subsample_fraction",
+             "--max-depth": "max_depth"}.get(flag)
+    if field:
+        with pytest.raises(ForestError, match=field):
+            ForestParams(**{field: float(value)})
 
 
 def test_decode_relabel_traces_dropped_draws(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -116,6 +117,24 @@ def test_fit_deterministic_serialization(mode):
     assert _serialized(a) == _serialized(_fit_mode(mode, table, params, jobs=2))
 
 
+# sha256 of the serialized forests that test_fit_deterministic_serialization
+# fits. Growth changes that only make fitting faster leave them as they are;
+# a new split rule, draw order or bundle forest layout moves them.
+_PINNED = {
+    "completely_random": "3b8f0d0f219d684f227ea66e88920c58e3dadfa0e30b4e0d7ce5b78d14b2e6fa",
+    "honest_classification": "95574935c0a4d7d2f3bec4a41b88b5571bceaf705ebd4fe7890f905ce6846c3e",
+    "unsupervised": "d867bf5e24e098e7f2e122e517e704f4746c7a4f1c45e051db2d2619fe1374f9",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_PINNED))
+def test_fit_matches_pinned_digest(mode):
+    table = make_mixed(80, seed=5)
+    params = ForestParams(n_trees=12, min_leaf=2, bootstrap=True, seed=21)
+    digest = hashlib.sha256(_serialized(_fit_mode(mode, table, params)).encode()).hexdigest()
+    assert digest == _PINNED[mode]
+
+
 @pytest.mark.parametrize("mode", _MODES)
 def test_chunk_size_does_not_change_forest(mode, monkeypatch):
     import forestae.forest as forest_module
@@ -182,11 +201,16 @@ def _all_split_costs(table, y, rows, lab, min_child, honest, classification) -> 
 
 
 @pytest.mark.parametrize("classification", [True, False], ids=["classification", "regression"])
-@pytest.mark.parametrize("honest", [False, True], ids=["plain", "honest"])
-def test_splits_match_brute_force(classification, honest):
-    """With mtry = d, every split is a lowest-cost valid split of its node's
-    sample (midpoint cuts and categorical levels), and every leaf either hit
-    a stop rule or had no valid split."""
+@pytest.mark.parametrize(
+    ("honest", "mtry"), [(False, 3), (True, 3), (False, 1), (True, 1)],
+    ids=["plain", "honest", "plain-mtry1", "honest-mtry1"],
+)
+def test_splits_match_brute_force(classification, honest, mtry):
+    """Every split is a lowest-cost valid split of its node's sample
+    (midpoint cuts and categorical levels): over all columns with mtry = d,
+    and over its own column's splits with mtry = 1, where sibling nodes score
+    different columns. With mtry = d every leaf either hit a stop rule or had
+    no valid split."""
     n = 80
     table = make_mixed(n, seed=31)  # columns a, b continuous, c categorical
     x = table.values
@@ -195,10 +219,11 @@ def test_splits_match_brute_force(classification, honest):
     else:
         col, y = Column("y"), x[:, 0] + 0.5 * x[:, 1] + np.random.default_rng(32).normal(0, 0.3, n)
     params = ForestParams(
-        n_trees=4, mtry=3, min_leaf=2, min_node_fraction=0.05, max_depth=6,
+        n_trees=4, mtry=mtry, min_leaf=2, min_node_fraction=0.05, max_depth=6,
         bootstrap=True, honest=honest, seed=33,
     )
     forest = fit_supervised(table, (col, y), params)
+    every_column = mtry == x.shape[1]
     children = np.random.SeedSequence(params.seed).spawn(params.n_trees)
     for b, tree in enumerate(forest.trees):
         rng = np.random.default_rng(children[b])
@@ -218,8 +243,9 @@ def test_splits_match_brute_force(classification, honest):
             if tree.feature[node] >= 0:
                 chosen = (int(tree.feature[node]), float(tree.threshold[node]), bool(tree.is_equal[node]))
                 assert chosen in costs
-                assert costs[chosen] == pytest.approx(min(costs.values()), rel=1e-9, abs=1e-9)
-            else:
+                rivals = [c for key, c in costs.items() if every_column or key[0] == chosen[0]]
+                assert costs[chosen] == pytest.approx(min(rivals), rel=1e-9, abs=1e-9)
+            elif every_column:
                 stopped = (
                     depth[node] >= params.max_depth
                     or m < max(2, 2 * min_child)
@@ -548,6 +574,9 @@ def test_params_validation():
         ForestParams(subsample_fraction=0.0)
     with pytest.raises(ForestError):
         ForestParams(n_trees=0)
+    for mtry in (0, -1):
+        with pytest.raises(ForestError, match="mtry"):
+            ForestParams(mtry=mtry)
 
 
 def test_contradictory_categorical_path_asserts():
