@@ -140,6 +140,9 @@ def _read_embedding_csv(path) -> np.ndarray:
             out[i] = [float(x) for x in row]
         except ValueError:
             raise UsageError(f"{path}: row {i + 2} has a non-numeric cell") from None
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if bad.size:
+        raise UsageError(f"{path}: row {bad[0] + 2} has a non-finite cell")
     return out
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -137,13 +138,25 @@ class SplitIndices:
 
 def _parse_continuous(token: str) -> float:
     x = float(token)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError(token)
     return x
 
 
+def _parse_column(tokens) -> np.ndarray | None:
+    """The cells as floats, or None if any is non-numeric or non-finite."""
+    try:
+        values = np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+_MISSING = frozenset({"", "NA", "NAN"})
+
+
 def _is_missing(token: str) -> bool:
-    return token.strip() == "" or token.strip().upper() in {"NA", "NAN"}
+    return token.strip().upper() in _MISSING
 
 
 def load_csv(path: str | Path, schema_hint: Schema | None = None) -> Table:
@@ -170,7 +183,7 @@ def load_csv(path: str | Path, schema_hint: Schema | None = None) -> Table:
     for row in body:
         if len(row) != d:
             raise DataError(f"{path}: row with {len(row)} cells, expected {d}")
-        if any(_is_missing(tok) for tok in row):
+        if any(map(_is_missing, row)):
             dropped += 1
         else:
             kept.append(row)
@@ -183,19 +196,10 @@ def load_csv(path: str | Path, schema_hint: Schema | None = None) -> Table:
 
     columns: list[Column] = []
     grid = np.empty((len(kept), d), dtype=np.float64)
-    for j, name in enumerate(header):
-        tokens = [row[j] for row in kept]
+    for j, (name, tokens) in enumerate(zip(header, zip(*kept))):
         hinted = hint_by_name.get(name)
-        if hinted is not None:
-            categorical = hinted.is_categorical
-        else:
-            categorical = False
-            for tok in tokens:
-                try:
-                    _parse_continuous(tok)
-                except ValueError:
-                    categorical = True
-                    break
+        values = None if hinted is not None and hinted.is_categorical else _parse_column(tokens)
+        categorical = hinted.is_categorical if hinted is not None else values is None
         if categorical:
             levels: list[str] = list(hinted.levels) if hinted and hinted.levels else []
             index = {lv: i for i, lv in enumerate(levels)}
@@ -207,11 +211,14 @@ def load_csv(path: str | Path, schema_hint: Schema | None = None) -> Table:
             columns.append(Column(name, tuple(levels)))
         else:
             try:
-                grid[:, j] = [_parse_continuous(tok) for tok in tokens]
+                if values is None:  # declared continuous: find its first bad cell
+                    for tok in tokens:
+                        _parse_continuous(tok)
             except ValueError as exc:
                 raise DataError(
                     f"{path}: column {name!r} declared continuous but cell {exc} is not"
                 ) from exc
+            grid[:, j] = values
             columns.append(Column(name))
     return Table(Schema(tuple(columns)), grid, n_dropped_rows=dropped)
 

@@ -208,10 +208,15 @@ def _feature_ranges(schema: Schema, values: np.ndarray) -> np.ndarray:
     return out
 
 
-# Sampled rows grown together in one chunk: numpy's per-call cost is paid
+# Most sampled rows grown together in one chunk: numpy's per-call cost is paid
 # once per depth level of a chunk, and a chunk's arrays stay a few times this
 # length.
 _CHUNK_SLOTS = 25_000
+# Completely random chunks hold this many times more: they also pay that cost
+# once per redraw round, so three bags of a 20k-row table share each pass.
+# Larger CART chunks grew no faster, and the larger arrays they free raised a
+# fit's later peak RSS (glibc's mmap threshold follows the largest freed block).
+_CR_CHUNK_SCALE = 3
 
 
 @dataclass(frozen=True)
@@ -278,11 +283,11 @@ def _segment_cumsum(a: np.ndarray, first: np.ndarray, lens: np.ndarray) -> np.nd
     return out
 
 
-def _pick(mask: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per row, the ``floor(u * count)``-th True column of ``mask``: a
-    uniform pick among them for ``u`` uniform on [0, 1)."""
-    k = np.floor(u * mask.sum(axis=1))
-    return np.argmax(np.cumsum(mask, axis=1) > k[:, None], axis=1)
+def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row, the ``floor(u * count)``-th True column of a mask given its
+    running count ``cum`` along the row: a uniform pick among them for ``u``
+    uniform on [0, 1)."""
+    return (cum <= np.floor(u * cum[:, -1])[:, None]).sum(axis=1)
 
 
 class _Chunk:
@@ -406,8 +411,8 @@ class _Chunk:
     def _draw(self, nodes: np.ndarray, width: int) -> np.ndarray:
         """``random((k, width))`` from each tree's own generator for its k
         open ``nodes`` (in order)."""
-        trees, counts = np.unique(self.node_tree[nodes], return_counts=True)
-        parts = [self.rngs[t].random((k, width)) for t, k in zip(trees, counts)]
+        counts = np.bincount(self.node_tree[nodes], minlength=len(self.rngs))
+        parts = [self.rngs[t].random((k, width)) for t, k in enumerate(counts.tolist()) if k]
         return np.concatenate(parts) if parts else np.empty((0, width))
 
     def _scored_splits(self, open_: np.ndarray):
@@ -477,36 +482,36 @@ class _Chunk:
             out_cost[k[first]], out_cut[k[first]] = cost[first], mid[first]
         return out_cost, out_cut
 
-    def _level_key(self, j: int) -> np.ndarray:
-        """``node * n_levels + level`` of every live slot, categorical column j."""
-        return self.live_node * self.data.n_levels[j] + self.x[j][self.live_slot].astype(np.intp)
-
     def _score_categorical(self, j: int, nodes: np.ndarray):
         """Per node of ``nodes``, the lowest one-vs-rest cost over the levels
-        of column j, and that level, from one bincount over (node, level)."""
-        n_nodes, n_levels = self.node_m.size, self.data.n_levels[j]
-        m, mc = self.node_m[:, None], self.mc[:, None]
-        key = self._level_key(j)
-        cnt = np.bincount(key, minlength=n_nodes * n_levels).reshape(n_nodes, n_levels)
+        of column j, and that level, from one bincount over the nodes' slots
+        by (node, level)."""
+        n_levels = self.data.n_levels[j]
+        size, m = nodes.size * n_levels, self.node_m[nodes]
+        at = _ranges(self.live_start[nodes], m)
+        key = np.repeat(np.arange(nodes.size), m) * n_levels
+        key += self.x[j][self.live_slot[at]].astype(np.intp)
+        cnt = np.bincount(key, minlength=size).reshape(nodes.size, n_levels)
+        m, mc = m[:, None], self.mc[nodes, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             if self.data.kind == CLASSIFICATION:
                 c = self.data.n_classes
-                cl = np.bincount(key * c + self.live_class, minlength=n_nodes * n_levels * c)
-                cl = cl.reshape(n_nodes, n_levels, c)
-                rest = self.class_count[:, None, :] - cl
+                cl = np.bincount(key * c + self.live_class[at], minlength=size * c)
+                cl = cl.reshape(nodes.size, n_levels, c)
+                rest = self.class_count[nodes, None, :] - cl
                 cost = (cnt - (cl * cl).sum(axis=2) / cnt) + (
                     (m - cnt) - (rest * rest).sum(axis=2) / (m - cnt)
                 )
             else:
-                s1 = np.bincount(key, weights=self.live_yc, minlength=n_nodes * n_levels)
-                s1 = s1.reshape(n_nodes, n_levels)
-                s2 = self.node_sum[:, None] - s1
-                cost = self.sse[:, None] - s1 * s1 / cnt - s2 * s2 / (m - cnt)
+                s1 = np.bincount(key, weights=self.live_yc[at], minlength=size)
+                s1 = s1.reshape(nodes.size, n_levels)
+                s2 = self.node_sum[nodes, None] - s1
+                cost = self.sse[nodes, None] - s1 * s1 / cnt - s2 * s2 / (m - cnt)
         ok = (cnt >= mc) & (m - cnt >= mc)
         if self.params.honest:
-            lab = self.lab_index[j]
-            ok &= (lab >= 1) & (lab < self.lab_m[:, None])
-        cost = np.where(ok, cost, np.inf)[nodes]
+            lab = self.lab_index[j][nodes]
+            ok &= (lab >= 1) & (lab < self.lab_m[nodes, None])
+        cost = np.where(ok, cost, np.inf)
         best = np.argmin(cost, axis=1)
         return cost[np.arange(nodes.size), best], best.astype(np.float64)
 
@@ -517,45 +522,53 @@ class _Chunk:
         breaks a child floor."""
         data, m, mc = self.data, self.node_m, self.mc
         n_nodes, d = open_.size, data.values.shape[1]
+        # every column's values in position order, so a node's are contiguous
+        x = self.x.take(self.live_slot, axis=1)
         lo, hi = np.zeros((n_nodes, d)), np.zeros((n_nodes, d))
-        present = {}
+        count, present = {}, {}  # categorical column: slots, running level count
         for j in range(d):
             if n_levels := data.n_levels[j]:
-                cnt = np.bincount(self._level_key(j), minlength=n_nodes * n_levels)
-                present[j] = cnt.reshape(n_nodes, n_levels) > 0
-                hi[:, j] = present[j].sum(axis=1) - 1  # eligible: two levels or more
+                key = self.live_node * n_levels + x[j].astype(np.intp)
+                count[j] = np.bincount(key, minlength=n_nodes * n_levels).reshape(n_nodes, n_levels)
+                present[j] = np.cumsum(count[j] > 0, axis=1)
+                hi[:, j] = present[j][:, -1] - 1  # eligible: two levels or more
             else:
-                v = self.x[j][self.live_slot]
-                lo[:, j] = np.minimum.reduceat(v, self.live_start)
-                hi[:, j] = np.maximum.reduceat(v, self.live_start)
-        eligible = hi > lo
+                lo[:, j] = np.minimum.reduceat(x[j], self.live_start)
+                hi[:, j] = np.maximum.reduceat(x[j], self.live_start)
+        eligible = np.cumsum(hi > lo, axis=1)
+        span = hi - lo
+        x, width = x.ravel(), x.shape[1]
         feat = np.full(n_nodes, -1)
         cut = np.zeros(n_nodes)
-        pending = np.flatnonzero(open_ & eligible.any(axis=1))
+        pending = np.flatnonzero(open_ & (eligible[:, -1] > 0))
         for _ in range(_CR_SPLIT_TRIES):
             if not pending.size:
                 break
             u = self._draw(pending, 2)
             col = _pick(eligible[pending], u[:, 0])
-            c = lo[pending, col] + u[:, 1] * (hi[pending, col] - lo[pending, col])
-            ok = c > lo[pending, col]
-            for j in present:
+            low = lo[pending, col]
+            c = low + u[:, 1] * span[pending, col]
+            ok = c > low
+            # split slots of each pending node that its draw sends left: a
+            # level's from the level counts, a cut's by counting values below it
+            n_left = np.zeros(pending.size, dtype=np.intp)
+            for j in count:
                 sel = np.flatnonzero(col == j)
-                c[sel] = _pick(present[j][pending[sel]], u[sel, 1])
+                c[sel] = level = _pick(present[j][pending[sel]], u[sel, 1])
                 ok[sel] = True
-            # split slots of each pending node that its draw sends left
-            at = _ranges(self.live_start[pending], m[pending])
-            who = np.repeat(np.arange(pending.size), m[pending])
-            x = self.x[col[who], self.live_slot[at]]
-            is_eq = data.n_levels[col[who]] > 0
-            goes = np.where(is_eq, x == c[who], x < c[who])
-            n_left = np.bincount(who, weights=goes, minlength=pending.size)
+                n_left[sel] = count[j][pending[sel], level]
+            cont = np.flatnonzero(ok & (data.n_levels[col] == 0))
+            if cont.size:
+                node = pending[cont]
+                at = _ranges(col[cont] * width + self.live_start[node], m[node])
+                below = x[at] < np.repeat(c[cont], m[node])
+                n_left[cont] = np.add.reduceat(below, np.cumsum(m[node]) - m[node], dtype=np.intp)
             ok &= (n_left >= mc[pending]) & (m[pending] - n_left >= mc[pending])
             if self.params.honest:
                 lab = np.zeros(pending.size, dtype=np.intp)
                 for j in np.unique(col):
                     sel = np.flatnonzero(col == j)
-                    if j in present:
+                    if j in count:
                         lab[sel] = self.lab_index[j][pending[sel], c[sel].astype(np.intp)]
                     else:
                         lab[sel] = self._label_below(j, pending[sel], c[sel])
@@ -571,12 +584,6 @@ class _Chunk:
         their slots settled to the leaf's node id."""
         split = feat >= 0
         node = self.live_node
-        x = self.x[np.maximum(feat, 0)[node], self.live_slot]
-        left = np.where(eq[node], x == cut[node], x < cut[node]) & split[node]
-        goes_left = np.zeros(self.x.shape[1], dtype=bool)
-        goes_left[self.live_slot] = left
-        n_left = np.bincount(node, weights=left, minlength=split.size).astype(np.intp)
-
         if self.params.honest:
             on = np.nonzero(self.lab_node >= 0)
             lnode = self.lab_node[on]
@@ -593,24 +600,40 @@ class _Chunk:
         if not parents.size:
             self.node_tree = parents
             return
+        # which of the split nodes' positions go left
+        m = self.node_m[parents]
+        at = _ranges(self.live_start[parents], m)
+        slot = self.live_slot[at]
+        t = np.repeat(cut[parents], m)
+        x = self.x.ravel()[np.repeat(feat[parents] * self.x.shape[1], m) + slot]
+        left = x < t
+        if eq[parents].any():
+            is_eq = np.repeat(eq[parents], m)
+            left[is_eq] = x[is_eq] == t[is_eq]
+        nl = np.add.reduceat(left, np.cumsum(m) - m, dtype=np.intp)
+        nr = m - nl
         # stable partition of every order over the split nodes' positions, one
         # order at a time: with c left slots among the first p + 1 of them, a
         # left slot lands at c - 1 plus the right slots of earlier nodes, and
         # a right one at p - c plus the left slots of its own and earlier nodes
-        m, nl = self.node_m[parents], n_left[parents]
-        nr = m - nl
-        at = _ranges(self.live_start[parents], m)
         to_left = np.repeat(np.cumsum(nr) - nr - 1, m)
         to_right = np.arange(at.size) + np.repeat(np.cumsum(nl), m)
-        orders = np.empty((self.orders.shape[0], at.size), dtype=np.intp)
-        for old, new in zip(self.orders, orders):
-            slot = old[at]
-            g = goes_left[slot]
+
+        def partition(new, slot, g):
             c = np.cumsum(g)
             new[np.where(g, to_left + c, to_right - c)] = slot
+
+        orders = np.empty((self.orders.shape[0], at.size), dtype=np.intp)
+        partition(orders[0], slot, left)
+        if orders.shape[0] > 1:  # CART's presorted orders
+            goes_left = np.zeros(self.x.shape[1], dtype=bool)
+            goes_left[slot] = left
+            for old, new in zip(self.orders[1:], orders[1:]):
+                slot = old[at]
+                partition(new, slot, goes_left[slot])
         self.orders = orders
         self.node_tree = np.repeat(self.node_tree[parents], 2)
-        self.node_m = np.stack([nl, m - nl], axis=1).ravel()
+        self.node_m = np.stack([nl, nr], axis=1).ravel()
 
     # -- output --------------------------------------------------------------
 
@@ -653,12 +676,15 @@ class _Chunk:
 
 
 def _grow(data: _Sample, params: ForestParams, seeds, cr: bool) -> list[Tree]:
-    """One tree per seed, grown ``_CHUNK_SLOTS`` sampled rows at a time."""
-    per = max(1, _CHUNK_SLOTS // _bag_size(params, data.values.shape[0]))
+    """One tree per seed, grown in as few chunks of at most ``slots`` sampled
+    rows (or one tree) as hold them all, trees spread evenly."""
+    slots = _CHUNK_SLOTS * (_CR_CHUNK_SCALE if cr else 1)
+    per = max(1, slots // _bag_size(params, data.values.shape[0]))
+    parts = np.array_split(np.arange(len(seeds)), -(-len(seeds) // per))
     return [
         tree
-        for i in range(0, len(seeds), per)
-        for tree in _Chunk(data, params, seeds[i : i + per], cr).grow()
+        for part in parts
+        for tree in _Chunk(data, params, [seeds[i] for i in part], cr).grow()
     ]
 
 

@@ -404,7 +404,12 @@ def test_bench_parallel_matches_serial(tmp_path):
 
 @pytest.mark.parametrize(
     "body, message",
-    [("1.0,abc\n", "non-numeric"), ("1.0,2.0\n3.0\n", "row 3 has 1 cells")],
+    [
+        ("1.0,abc\n", "non-numeric"),
+        ("1.0,2.0\n3.0\n", "row 3 has 1 cells"),
+        ("1.0,2.0\n1.0,nan\n", "row 3 has a non-finite cell"),
+        ("inf,2.0\n", "row 2 has a non-finite cell"),
+    ],
 )
 def test_decode_malformed_embedding_usage_error(fitted, tmp_path, capsys, body, message):
     _, bundle = fitted
@@ -414,6 +419,18 @@ def test_decode_malformed_embedding_usage_error(fitted, tmp_path, capsys, body, 
     assert rc == 2
     err = capsys.readouterr().err
     assert "bad.csv" in err and message in err
+
+
+@pytest.mark.parametrize("decoder", ["knn", "relabel", "lasso", "ilp"])
+def test_decode_non_finite_embedding_usage_error_every_decoder(fitted, tmp_path, capsys, decoder):
+    _, bundle = fitted
+    emb = tmp_path / "bad.csv"
+    emb.write_text("KPC1,KPC2,KPC3\n0.0,0.0,0.0\n0.0,-inf,0.0\n")
+    out = tmp_path / "r.csv"
+    rc = main(["decode", str(bundle), str(emb), "--out", str(out), "--decoder", decoder])
+    assert rc == 2
+    assert "row 3 has a non-finite cell" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -152,3 +152,46 @@ def test_table_rejects_bad_cells():
         Table(schema, np.array([[np.inf, 0.0]]))
     with pytest.raises(DataError):
         Table(schema, np.array([[0.0, 1.0]]))  # level index out of range
+
+
+def test_load_csv_reads_whitespace_padded_numbers(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("a,b\n 1.5 ,x\n2.0\t,y\n")
+    t = load_csv(p)
+    assert t.schema.columns[0] == Column("a")
+    assert t.values[:, 0].tolist() == [1.5, 2.0]
+
+
+def test_load_csv_non_finite_numbers_make_unhinted_column_categorical(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("a,b,c\n1.0,-nan,2.0\n2.0,3.0,1e999\n")
+    t = load_csv(p)
+    assert t.schema.columns[0] == Column("a")
+    assert t.schema.columns[1] == Column("b", ("-nan", "3.0"))
+    assert t.schema.columns[2] == Column("c", ("2.0", "1e999"))
+    assert t.n == 2 and t.n_dropped_rows == 0
+
+
+def test_load_csv_drops_and_counts_na_rows(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("a,b\n1.0,x\nNA,y\n2.0, na \nnan,x\n3.0,NaN\n4.0,y\n")
+    t = load_csv(p)
+    assert t.values[:, 0].tolist() == [1.0, 4.0]
+    assert t.schema.columns[1] == Column("b", ("x", "y"))
+    assert t.n_dropped_rows == 4
+
+
+@pytest.mark.parametrize(
+    "cells, bad",
+    [
+        (["1.0", "inf", "foo"], "cell inf is not"),
+        (["1.0", "-nan", "1e999"], "cell -nan is not"),
+        (["1.0", "foo", "inf"], "cell could not convert string to float: 'foo' is not"),
+    ],
+)
+def test_load_csv_hinted_continuous_error_names_first_bad_cell(tmp_path, cells, bad):
+    p = tmp_path / "t.csv"
+    p.write_text("a\n" + "\n".join(cells) + "\n")
+    with pytest.raises(DataError) as err:
+        load_csv(p, schema_hint=Schema((Column("a"),)))
+    assert str(err.value) == f"{p}: column 'a' declared continuous but {bad}"

@@ -147,6 +147,40 @@ def test_chunk_size_does_not_change_forest(mode, monkeypatch):
         assert _serialized(_fit_mode(mode, table, params)) == whole
 
 
+# Completely random forests whose floors (min_leaf a tenth of n) make most
+# draws fail, so nodes redraw for many rounds; digests recorded before the
+# redraw loop was batched across trees.
+_REDRAW_PINNED = {
+    False: "165f7dbff2c2f9ab1bec3bd9fe4089db3de4078d326edfe122a4f743a38a667c",
+    True: "56636e07c8f8200a3ba14a37f63df3dc107739999b6e8cbe51719d2080a8d2d9",
+}
+
+
+@pytest.mark.parametrize("honest", [False, True], ids=["plain", "honest"])
+def test_redraw_heavy_completely_random_forest(honest, monkeypatch):
+    import forestae.forest as forest_module
+
+    table = make_mixed(300, seed=31)
+    params = ForestParams(n_trees=12, min_leaf=30, bootstrap=True, honest=honest, seed=37)
+    whole = _serialized(fit_completely_random(table, params))
+    assert hashlib.sha256(whole.encode()).hexdigest() == _REDRAW_PINNED[honest]
+    assert _serialized(fit_completely_random(table, params, jobs=2)) == whole
+    sizes = []
+
+    class Chunk(forest_module._Chunk):
+        def __init__(self, data, params, seeds, cr):
+            sizes.append(len(seeds))
+            super().__init__(data, params, seeds, cr)
+
+    monkeypatch.setattr(forest_module, "_Chunk", Chunk)
+    for per in (1, 2, 12):  # trees per chunk: one, two, all
+        slots = per * 300 // forest_module._CR_CHUNK_SCALE
+        monkeypatch.setattr(forest_module, "_CHUNK_SLOTS", slots)
+        sizes.clear()
+        assert _serialized(fit_completely_random(table, params)) == whole
+        assert sizes == [per] * (12 // per)
+
+
 def _node_samples(tree: Tree, values: np.ndarray, rows: np.ndarray):
     """Rows (with repeats) reaching each node, and each node's depth; node
     order must be breadth-first, so parents come before children."""
