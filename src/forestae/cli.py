@@ -183,7 +183,7 @@ def cmd_encode(args) -> int:
 def _check_flags(args) -> None:
     """Usage errors for numeric flags outside their domain; each command
     checks the flags it has."""
-    for flag in ("n_synth", "sparsity_cap", "k", "jobs", "rounds"):
+    for flag in ("n_synth", "sparsity_cap", "k", "jobs", "rounds", "bootstraps"):
         if getattr(args, flag, 1) < 1:
             raise UsageError(f"--{flag.replace('_', '-')} must be >= 1")
     if hasattr(args, "trees"):  # ForestParams holds the forest flags' domains
@@ -198,6 +198,8 @@ def _check_flags(args) -> None:
     lam = getattr(args, "penalty", 1.0)
     if not (math.isfinite(lam) and lam > 0):
         raise UsageError("--lambda must be finite and > 0")
+    if getattr(args, "dense", False) and not args.export_kernel:
+        raise UsageError("--dense must come with --export-kernel")
 
 
 def _decode_rows(b, Z0: np.ndarray, args) -> tuple[Table, list[dict]]:
@@ -210,8 +212,7 @@ def _decode_rows(b, Z0: np.ndarray, args) -> tuple[Table, list[dict]]:
         relabeled = dec.relabel_forest(b.forest, b.model, b.synth, args.n_synth, args.seed)
         out = dec.relabel_decode(relabeled, b.forest, Z0, seed=args.seed, trace=sink)
         if args.trace:
-            trace[0].update(degenerate_nodes=relabeled.n_degenerate,
-                            dropped_draws=relabeled.n_dropped_draws)
+            trace[0]["degenerate_nodes"] = relabeled.n_degenerate
     elif args.decoder == "lasso":
         out = dec.lasso_decode(
             Z0, b.model, b.forest, b.synth, lam=args.penalty, sparsity_cap=args.sparsity_cap,
@@ -220,6 +221,14 @@ def _decode_rows(b, Z0: np.ndarray, args) -> tuple[Table, list[dict]]:
     else:
         out = dec.ilp_decode(Z0, b.model, b.forest, b.synth, seed=args.seed, trace=sink)
     return out, trace
+
+
+def _write_trace(path, records: list[dict]) -> None:
+    """The decoder's diagnostics as JSONL at ``--trace``, when it is given."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            for rec in records:
+                fh.write(json.dumps(rec) + "\n")
 
 
 def cmd_decode(args) -> int:
@@ -233,10 +242,7 @@ def cmd_decode(args) -> int:
         return 0
     out, trace = _decode_rows(b, Z0, args)
     save_csv(out, args.out)
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            for rec in trace:
-                fh.write(json.dumps(rec) + "\n")
+    _write_trace(args.trace, trace)
     return 0
 
 
@@ -246,8 +252,9 @@ def cmd_roundtrip(args) -> int:
     queries = conform_table(load_csv(args.data, schema_hint=b.schema), b.schema)
     K0 = ker.rf_kernel_cross(b.forest, queries, b.synth.table, strict=False)
     Z0 = spectral.nystrom_embed(K0, b.model)
-    out, _ = _decode_rows(b, Z0, args)
+    out, trace = _decode_rows(b, Z0, args)
     save_csv(out, args.out)
+    _write_trace(args.trace, trace)
     report = distortion(queries, out)
     print(json.dumps(report.to_dict(), indent=2))
     return 0
@@ -303,14 +310,22 @@ def _bench_one(payload) -> list[dict]:
     return rows
 
 
+def _rates(text: str) -> list[float]:
+    try:
+        rates = [float(r) for r in text.split(",")]
+    except ValueError:
+        rates = []
+    if not rates or any(not 0 < r <= 1 for r in rates):
+        raise UsageError("--rates must be comma-separated numbers in (0, 1]")
+    return rates
+
+
 def cmd_bench(args) -> int:
     _check_flags(args)
-    table = load_csv(args.data)
-    rates = [float(r) for r in args.rates.split(",")]
-    if not rates or any(not 0 < r <= 1 for r in rates):
-        raise UsageError("rates must lie in (0, 1]")
+    rates = _rates(args.rates)
     if args.mode == "supervised" and not args.label:
         raise UsageError("--label is required for supervised mode")
+    table = load_csv(args.data)
     name = Path(args.data).stem
     payloads = [
         (
@@ -354,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=1.0, help="diffusion time (0 = raw eigenvectors)")
     p.add_argument("--out", required=True)
     p.add_argument("--export-kernel", default=None)
-    p.add_argument("--dense", action="store_true")
+    p.add_argument("--dense", action="store_true", help="export the kernel as dense CSV")
     _forest_flags(p)
     _common_flags(p)
     p.set_defaults(func=cmd_fit)
@@ -374,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="penalty", type=float, default=1e-4,
                    help="exclusive-lasso penalty weight")
     p.add_argument("--sparsity-cap", type=int, default=100)
-    p.add_argument("--n-synth", type=int, default=256, help="relabeling draws per node")
+    p.add_argument("--n-synth", type=int, default=256,
+                   help="relabel: at most this many reference rows score a split")
     p.add_argument("--out", required=True)
     p.add_argument("--trace", default=None, help="write per-row diagnostics JSONL here")
     _common_flags(p)
@@ -387,9 +403,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=20)
     p.add_argument("--lambda", dest="penalty", type=float, default=1e-4)
     p.add_argument("--sparsity-cap", type=int, default=100)
-    p.add_argument("--n-synth", type=int, default=256)
+    p.add_argument("--n-synth", type=int, default=256,
+                   help="relabel: at most this many reference rows score a split")
     p.add_argument("--out", required=True)
-    p.add_argument("--trace", default=None)
+    p.add_argument("--trace", default=None, help="write per-row diagnostics JSONL here")
     _common_flags(p)
     p.set_defaults(func=cmd_roundtrip)
 

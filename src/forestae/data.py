@@ -144,15 +144,15 @@ def _parse_continuous(token: str) -> float:
 
 
 def _parse_column(tokens) -> np.ndarray | None:
-    """The cells as floats, or None if any is non-numeric or non-finite."""
+    """The cells as floats, or None if any is non-numeric or none is finite."""
     try:
         values = np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
     except ValueError:
         return None
-    return values if np.isfinite(values).all() else None
+    return values if np.isfinite(values).any() else None
 
 
-_MISSING = frozenset({"", "NA", "NAN"})
+_MISSING = frozenset({"", "NA", "NAN", "-NAN", "+NAN"})
 
 
 def _is_missing(token: str) -> bool:
@@ -162,9 +162,11 @@ def _is_missing(token: str) -> bool:
 def load_csv(path: str | Path, schema_hint: Schema | None = None) -> Table:
     """Load a header-ed CSV, inferring kinds unless overridden by the hint.
 
-    Columns containing any non-numeric token are inferred categorical, with
-    levels in first-appearance order. Rows with missing cells are dropped and
-    counted on ``Table.n_dropped_rows``. Tokens unseen by a hinted categorical
+    Columns containing any non-numeric token, or no finite number, are
+    inferred categorical, with levels in first-appearance order; a non-finite
+    number (``inf``, ``1e999``) among finite ones is an error. Rows with missing cells
+    (empty, ``NA``, ``nan``, ``-nan``, ``+nan``) are dropped and counted on
+    ``Table.n_dropped_rows``. Tokens unseen by a hinted categorical
     column extend that column's level list (first-appearance order after the
     hint's levels).
     """
@@ -211,13 +213,13 @@ def load_csv(path: str | Path, schema_hint: Schema | None = None) -> Table:
             columns.append(Column(name, tuple(levels)))
         else:
             try:
-                if values is None:  # declared continuous: find its first bad cell
+                if values is None or not np.isfinite(values).all():  # find the first bad cell
                     for tok in tokens:
                         _parse_continuous(tok)
             except ValueError as exc:
-                raise DataError(
-                    f"{path}: column {name!r} declared continuous but cell {exc} is not"
-                ) from exc
+                why = (f"declared continuous but cell {exc} is not" if hinted is not None
+                       else f"is numeric but cell {exc} is not finite")
+                raise DataError(f"{path}: column {name!r} {why}") from exc
             grid[:, j] = values
             columns.append(Column(name))
     return Table(Schema(tuple(columns)), grid, n_dropped_rows=dropped)

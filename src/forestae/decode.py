@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Table
-from .forest import (Forest, Region, assigned_region, breadth_first_layout, route_table,
-                     route_values)
-from .kernel import cross_from_ids, leaf_design, leaf_profile
-from .spectral import SpectralModel, nystrom_embed, reconstruct_kernel
+from .forest import (Forest, Region, _descend, _first_min, _segment_cumsum, assigned_region,
+                     breadth_first_layout, route_table, route_values)
+from .kernel import leaf_design, leaf_profile
+from .spectral import SpectralModel, reconstruct_kernel
 
 __all__ = [
     "SyntheticTrainingSet",
@@ -54,6 +54,7 @@ _KDTREE_MAX_DIM = 20
 # just under 2**24 for d = 20 (numpy 0.92 s, cKDTree plus import 0.88 s).
 _BRUTE_MAX_PAIRS = 2**24
 _BRUTE_BLOCK_PAIRS = 2**16  # (query, reference) distances per block of the numpy search
+_RELABEL_CELLS = 2**15  # (reference row, tree) cells per block of trees relabeling walks
 _ILP_MAX_COMBINATIONS = 10**6
 _TIE_TOL = 1e-12
 
@@ -231,41 +232,56 @@ class RelabeledTree:
     feature: np.ndarray
     threshold: np.ndarray
     flip: np.ndarray
-    smc: np.ndarray  # per-node split agreement on the synthetic draws
+    smc: np.ndarray  # per-node agreement with the split literal on the reference rows
 
 
 @dataclass
 class RelabeledForest:
     trees: list[RelabeledTree]
     d_z: int
-    n_degenerate: int
-    n_dropped_draws: int = 0  # node draws that fell only in unpopulated leaves
+    n_degenerate: int  # splits given a constant test
 
 
-def _best_latent_split(Z0: np.ndarray, labels: np.ndarray):
-    """(dim, threshold, flip, matches) maximizing agreement with labels."""
-    m = Z0.shape[0]
-    n1 = int(labels.sum())
-    best = None
-    for kdim in range(Z0.shape[1]):
-        z = Z0[:, kdim]
-        order = np.argsort(z, kind="stable")
-        zs = z[order]
-        # a gap at rounding scale is a tie, not a cut
-        valid = np.diff(zs) > _TIE_TOL * np.abs(zs).max()
-        if not valid.any():
-            continue
-        cum1 = np.cumsum(labels[order].astype(np.int64))[:-1]
-        sizes = np.arange(1, m)
-        matches = 2 * cum1 - sizes + (m - n1)
-        matches = np.where(valid, matches, -1)
-        agree = np.maximum(matches, m - matches)
-        agree = np.where(valid, agree, -1)
-        i = int(np.argmax(agree))
-        if best is None or agree[i] > best[3]:
-            flip = (m - matches[i]) > matches[i]
-            best = (kdim, 0.5 * (zs[i] + zs[i + 1]), bool(flip), int(agree[i]))
-    return best
+def _runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Start and length of each run in sorted ``key``; each element's place in its run."""
+    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    lens = np.diff(first, append=key.size)
+    return first, lens, np.arange(key.size) - np.repeat(first, lens)
+
+
+def _best_latent_splits(node: np.ndarray, Z: np.ndarray, labels: np.ndarray):
+    """Sorted node ids and each node's relabeled (feature, threshold, flip,
+    smc): the cut of one embedding axis that agrees with most of its rows'
+    labels, found for all nodes by one lexsort by (node, axis, z), one
+    segmented label cumsum and a first-best pick. Ties go to the lowest axis,
+    then the first cut; gaps within ``_TIE_TOL`` x max |z| are ties, not cuts.
+    A node with no cut between its labels gets a constant test toward its
+    majority."""
+    d = Z.shape[1]
+    key = (node[:, None] * d + np.arange(d)).ravel()  # one segment per (node, axis)
+    order = np.lexsort((Z.ravel(), key))
+    key, z = key[order], Z.ravel()[order]
+    first, lens, pos = _runs(key)
+    cum1 = _segment_cumsum(labels[order // d].astype(np.int64), first, lens)
+    size, n1 = np.repeat(lens, lens), np.repeat(cum1[first + lens - 1], lens)
+    matches = 2 * cum1 - (pos + 1) + size - n1  # rows where "z below the cut" = label
+    agree = np.maximum(matches, size - matches)
+    tol = _TIE_TOL * np.repeat(np.maximum.reduceat(np.abs(z), first), lens)
+    cuts = np.flatnonzero((pos + 1 < size) & (np.diff(z, append=np.inf) > tol)
+                          & (n1 > 0) & (n1 < size))
+    seg = first[key[first] % d == 0]  # each node's first segment
+    ids, m, n_left = key[seg] // d, size[seg], n1[seg]
+    feature, flip = np.zeros(ids.size, dtype=np.int32), np.zeros(ids.size, dtype=bool)
+    threshold = np.where(2 * n_left >= m, np.inf, -np.inf)  # +inf sends all left
+    smc = np.maximum(n_left, m - n_left) / m
+    if cuts.size:
+        best = cuts[_first_min(key[cuts] // d, -agree[cuts])]
+        at = np.searchsorted(ids, key[best] // d)
+        feature[at] = key[best] % d
+        threshold[at] = 0.5 * (z[best] + z[best + 1])
+        flip[at] = size[best] - matches[best] > matches[best]
+        smc[at] = agree[best] / m[at]
+    return ids, feature, threshold, flip, smc
 
 
 def relabel_forest(
@@ -275,60 +291,37 @@ def relabel_forest(
     n_synth: int = 256,
     seed: int = 0,
 ) -> RelabeledForest:
-    """Re-express every split in embedding coordinates.
-
-    Per internal node: draw ``n_synth`` rows uniformly from the node's region,
-    embed them through the cross kernel + out-of-sample extension, label each
-    by the original split literal, and install the latent axis/threshold with
-    the highest simple matching coefficient. Draws that land only in leaves
-    holding no reference row have no embedding; they are dropped (counted).
-    Nodes whose remaining draws all route one way get a constant split toward
-    the majority side (counted).
-    """
+    """Re-express every split in embedding coordinates, scored on the
+    reference rows, whose exact embedding is ``model.Z``: they walk down
+    blocks of trees (at most ``_RELABEL_CELLS`` cells) one depth step at a
+    time, and each step relabels all splits it reaches by their own literal
+    (``_best_latent_splits``). A split scores at most ``n_synth`` of its rows,
+    those first in a permutation drawn under ``seed``. A split no row reaches
+    sends all left; constant splits are counted."""
     if n_synth < 1:
         raise DecodeError("n_synth must be >= 1")
-    profile = leaf_profile(forest, route_values(forest, synth.table.values))
-    populated = profile.counts_flat > 0
-    table = profile.membership.tdot(model.V)  # Frᵀ V: each node's draws gather from it
-    rng = np.random.default_rng(seed)
-    degenerate = dropped = 0
-    out_trees = []
-    for b, tree in enumerate(forest.trees):
-        boxes = forest.node_boxes(b)
-        feat = np.full(tree.n_nodes, -1, dtype=np.int32)
-        thr = np.zeros(tree.n_nodes)
-        flip = np.zeros(tree.n_nodes, dtype=bool)
-        smc = np.full(tree.n_nodes, np.nan)
-        for idx in range(tree.n_nodes):
-            if tree.feature[idx] < 0:
-                continue
-            draws = boxes[np.full(n_synth, idx)].sample(rng)
-            q_ids = route_values(forest, draws)
-            keep = populated[q_ids + profile.offsets].any(axis=1)
-            dropped += int(n_synth - keep.sum())
-            draws, q_ids = draws[keep], q_ids[keep]
-            m = draws.shape[0]
-            col = draws[:, tree.feature[idx]]
-            labels = (col == tree.threshold[idx]) if tree.is_equal[idx] else (
-                col < tree.threshold[idx]
-            )
-            n_left = int(labels.sum())
-            best = None
-            if 0 < n_left < m:
-                K0 = cross_from_ids(forest, q_ids, profile, strict=False)
-                Z0 = nystrom_embed(K0, model, table)
-                best = _best_latent_split(Z0, labels)
-            if best is None:
-                # constant split: +inf sends everything left, -inf right
-                feat[idx] = 0
-                thr[idx] = np.inf if n_left * 2 >= m else -np.inf
-                smc[idx] = max(n_left, m - n_left) / m if m else np.nan
-                degenerate += 1
-                continue
-            feat[idx], thr[idx], flip[idx] = best[0], best[1], best[2]
-            smc[idx] = best[3] / m
-        out_trees.append(RelabeledTree(feature=feat, threshold=thr, flip=flip, smc=smc))
-    return RelabeledForest(out_trees, model.d_z, degenerate, dropped)
+    _, Z = model.require_time()
+    nodes = forest._node_table()
+    values, n = synth.table.values, synth.n
+    rank = np.random.default_rng(seed).permutation(n)
+    split = nodes.feature >= 0
+    out = (np.where(split, 0, -1).astype(np.int32), np.where(split, np.inf, 0.0),
+           np.zeros(split.size, dtype=bool), np.full(split.size, np.nan))
+    width = max(1, _RELABEL_CELLS // n)
+    for b in range(0, forest.n_trees, width):
+        roots = nodes.starts[b:min(b + width, forest.n_trees)]
+        for cell, at, label in _descend(nodes, values, np.tile(roots, n), roots.size):
+            row = cell // roots.size
+            if cell.size > n_synth:
+                order = np.lexsort((rank[row], at))
+                keep = np.sort(order[_runs(at[order])[2] < n_synth])
+                row, at, label = row[keep], at[keep], label[keep]
+            ids, *relabeled = _best_latent_splits(at, Z[row], label)
+            for a, v in zip(out, relabeled):
+                a[ids] = v
+    trees = [RelabeledTree(*(a[s:e] for a in out))
+             for s, e in zip(nodes.starts[:-1], nodes.starts[1:])]
+    return RelabeledForest(trees, model.d_z, int(np.isinf(out[1][split]).sum()))
 
 
 def route_relabeled(relabeled: RelabeledForest, Z0: np.ndarray) -> np.ndarray:

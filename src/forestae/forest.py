@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -819,6 +820,26 @@ def _stack_nodes(trees: list[Tree]) -> _Nodes:
     )
 
 
+def _descend(nodes: _Nodes, values: np.ndarray, node: np.ndarray, width: int):
+    """Walk (row, tree) cells (cell c is row ``c // width``) down the stacked
+    node table, advancing their global node ids ``node`` in place. Each depth
+    step yields the cells at a split, their nodes and whether each takes the
+    literal (left); they move on when the caller resumes."""
+    cell = np.arange(node.size)
+    while True:
+        at = node[cell]
+        f = nodes.feature[at]
+        inner = f >= 0
+        cell, at, f = cell[inner], at[inner], f[inner]
+        if not cell.size:
+            return
+        x = values[cell // width, f]
+        thr = nodes.threshold[at]
+        go_left = np.where(nodes.is_equal[at], x == thr, x < thr)
+        yield cell, at, go_left
+        node[cell] = nodes.left[at] + ~go_left
+
+
 def route_values(forest: Forest, values: np.ndarray) -> np.ndarray:
     """Leaf ids (n x B) for a raw value grid aligned to the forest schema.
 
@@ -833,16 +854,7 @@ def route_values(forest: Forest, values: np.ndarray) -> np.ndarray:
     for i in range(0, values.shape[0], step):
         block = values[i : i + step]
         node = np.tile(nodes.starts[:-1], block.shape[0])
-        cell = np.arange(node.size)
-        while cell.size:
-            at = node[cell]
-            f = nodes.feature[at]
-            inner = f >= 0
-            cell, at, f = cell[inner], at[inner], f[inner]
-            x = block[cell // n_trees, f]
-            thr = nodes.threshold[at]
-            go_left = np.where(nodes.is_equal[at], x == thr, x < thr)
-            node[cell] = nodes.left[at] + ~go_left
+        deque(_descend(nodes, block, node, n_trees), maxlen=0)  # walk, keeping no step
         out[i : i + step] = nodes.leaf_id[node].reshape(-1, n_trees)
     return out
 

@@ -214,14 +214,17 @@ def rf_kernel_train(forest: Forest, table: Table | np.ndarray) -> SparseKernelMa
     return SparseKernelMatrix(left=F, right=F, n_trees=forest.n_trees, role=TRAIN)
 
 
-def cross_from_ids(
-    forest: Forest,
-    q_ids: np.ndarray,
-    profile: LeafProfile,
-    strict: bool = True,
-    unseen_levels: int = 0,
+def rf_kernel_cross(
+    forest: Forest, queries: Table, reference: Table, strict: bool = True
 ) -> SparseKernelMatrix:
-    """Cross kernel of routed queries (m x B leaf ids) against a profile."""
+    """Kernel rows for query points against the reference normalization.
+
+    Each row sums to 1 whenever every query shares a leaf with at least one
+    reference point in every tree; otherwise strict mode raises, and
+    non-strict mode averages over the populated trees only.
+    """
+    q_ids, unseen = route_table(forest, queries)
+    profile = leaf_profile(forest, reference)
     w = profile.weights
     q_cols = q_ids.astype(np.int64) + profile.offsets[None, :]
     empty = w[q_cols] == 0  # (m, B) cells whose leaf holds no reference row
@@ -243,23 +246,9 @@ def cross_from_ids(
         n_trees=forest.n_trees,
         role=CROSS,
         scale=scale,
-        unseen_levels=unseen_levels,
+        unseen_levels=unseen,
         skipped_leaf_cells=n_empty,
     )
-
-
-def rf_kernel_cross(
-    forest: Forest, queries: Table, reference: Table, strict: bool = True
-) -> SparseKernelMatrix:
-    """Kernel rows for query points against the reference normalization.
-
-    Each row sums to 1 whenever every query shares a leaf with at least one
-    reference point in every tree; otherwise strict mode raises, and
-    non-strict mode averages over the populated trees only.
-    """
-    q_ids, unseen = route_table(forest, queries)
-    profile = leaf_profile(forest, reference)
-    return cross_from_ids(forest, q_ids, profile, strict=strict, unseen_levels=unseen)
 
 
 def leaf_size_vector(forest: Forest) -> np.ndarray:

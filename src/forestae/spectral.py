@@ -161,15 +161,12 @@ def with_time(model: SpectralModel, t: float) -> SpectralModel:
     return dataclasses.replace(model, t=t, Z=diffusion_map(model, t))
 
 
-def nystrom_embed(
-    K0: SparseKernelMatrix, model: SpectralModel, table: np.ndarray | None = None
-) -> np.ndarray:
+def nystrom_embed(K0: SparseKernelMatrix, model: SpectralModel) -> np.ndarray:
     """Project kernel rows into the embedding: Z0 = K0 Z Lambda^{-1}.
 
-    K0 V is taken through the factors, Fq (Frᵀ V) / B: ``table`` = Frᵀ V is a
-    per-leaf table (computed here unless the caller passes it, as it may for
-    many query batches against one reference), and each query row gathers its
-    B entries, so no query x reference block is formed.
+    K0 V is taken through the factors, Fq (Frᵀ V) / B: Frᵀ V is a per-leaf
+    table, and each query row gathers its B entries, so no query x reference
+    block is formed.
 
     Dimensions with a zero eigenvalue carry no out-of-sample information and
     are emitted as zero columns (with a warning).
@@ -186,9 +183,7 @@ def nystrom_embed(
     coef = np.zeros_like(lam)
     live = ~dead
     coef[live] = np.sqrt(model.n) * _power(lam[live], t) / lam[live]
-    if table is None:
-        table = K0.right.tdot(model.V)
-    return K0.gather(table) * coef[None, :]
+    return K0.gather(K0.right.tdot(model.V)) * coef[None, :]
 
 
 def reconstruct_kernel(

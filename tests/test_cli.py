@@ -455,6 +455,10 @@ def test_decode_non_finite_embedding_usage_error_every_decoder(fitted, tmp_path,
         ("decode", "--lambda", "nan"),
         ("roundtrip", "--lambda", "inf"),
         ("bench", "--lambda", "nan"),
+        ("bench", "--bootstraps", "0"),
+        ("bench", "--rates", "abc"),
+        ("bench", "--rates", "0.5,"),
+        ("bench", "--rates", "1.5"),
     ],
 )
 def test_decoder_flags_below_one_are_usage_errors(fitted, tmp_path, capsys, command, flag, value):
@@ -466,11 +470,12 @@ def test_decoder_flags_below_one_are_usage_errors(fitted, tmp_path, capsys, comm
     decoder = {"--n-synth": "relabel", "--sparsity-cap": "lasso", "--lambda": "lasso",
                "--k": "knn"}.get(flag)
     head = {"fit": [str(data), "--d-z", "2"], "decode": [str(bundle), str(emb)],
-            "roundtrip": [str(bundle), str(data)], "bench": [str(data)]}[command]
+            "roundtrip": [str(bundle), str(data)], "bench": [str(data), "--verbose"]}[command]
     rc = main([command, *head, *(["--decoder", decoder] if decoder else []), flag, value,
                "--out", str(tmp_path / "out.csv")])
     assert rc == 2
-    rule = {"--t": "finite and >= 0", "--lambda": "finite and > 0"}.get(flag, ">= 1")
+    rule = {"--t": "finite and >= 0", "--lambda": "finite and > 0",
+            "--rates": "comma-separated numbers in (0, 1]"}.get(flag, ">= 1")
     assert f"{flag} must be {rule}" in capsys.readouterr().err
     b = load_bundle(bundle)
     Z = b.model.Z[:2]
@@ -484,6 +489,8 @@ def test_decoder_flags_below_one_are_usage_errors(fitted, tmp_path, capsys, comm
                      lambda: lasso_decode(Z, b.model, b.forest, b.synth, lam=float(value))),
         "--t": ("finite and non-negative", lambda: with_time(b.model, float(value))),
     }
+    if flag not in library:  # a bench-only flag
+        return
     message, call = library[flag]
     with pytest.raises((DecodeError, SpectralError), match=message):
         call()
@@ -525,9 +532,16 @@ def test_forest_flags_outside_domain_are_usage_errors(tmp_path, capsys, command,
             ForestParams(**{field: float(value)})
 
 
-def test_decode_relabel_traces_dropped_draws(tmp_path):
-    # an unsupervised forest has leaves holding only synthetic-class rows, so
-    # some node draws meet no reference row in any tree
+def test_fit_dense_without_export_kernel_is_usage_error(tmp_path, capsys):
+    data = _write_blobs_csv(tmp_path / "train.csv", n=30)
+    out = tmp_path / "m.json"
+    assert main(["fit", str(data), "--d-z", "2", "--dense", "--out", str(out)]) == 2
+    assert "usage error: --dense must come with --export-kernel" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_decode_relabel_traces_degenerate_nodes_and_hardened_rows(tmp_path):
+    # an unsupervised forest has splits whose reference rows all go one way
     data = _write_blobs_csv(tmp_path / "train.csv", n=60, seed=1, with_label=False)
     bundle, emb = tmp_path / "m.json", tmp_path / "z.csv"
     assert main(["fit", str(data), "--mode", "unsupervised", "--d-z", "2", "--trees", "3",
@@ -539,13 +553,33 @@ def test_decode_relabel_traces_dropped_draws(tmp_path):
     lines = trace.read_text().splitlines()
     assert len(lines) == 1
     rec = json.loads(lines[0])
-    assert rec["dropped_draws"] > 0 and rec["degenerate_nodes"] >= 0
-    # hardened rows: those whose routed leaves share no cell
+    assert set(rec) == {"hardened_rows", "degenerate_nodes"}
     b = load_bundle(bundle)
-    Z0 = np.loadtxt(emb, delimiter=",", skiprows=1)
     relabeled = relabel_forest(b.forest, b.model, b.synth, n_synth=32, seed=0)
+    constant = sum(int(np.isinf(t.threshold[t.feature >= 0]).sum()) for t in relabeled.trees)
+    assert rec["degenerate_nodes"] == relabeled.n_degenerate == constant > 0
+    # hardened rows: those whose routed leaves share no cell
+    Z0 = np.loadtxt(emb, delimiter=",", skiprows=1)
     routed = route_relabeled(relabeled, Z0)
     assert rec["hardened_rows"] == int(assigned_region(b.forest, routed).is_empty().sum())
+
+
+@pytest.mark.parametrize("decoder", ["knn", "relabel", "lasso", "ilp"])
+def test_roundtrip_trace_matches_decode_trace(tmp_path, decoder):
+    data = _write_blobs_csv(tmp_path / "train.csv", n=30, seed=7)
+    bundle, emb = tmp_path / "m.json", tmp_path / "emb.csv"
+    assert main(["fit", str(data), "--mode", "completely_random", "--d-z", "2",
+                 "--trees", "3", "--max-depth", "2", "--min-leaf", "3",
+                 "--out", str(bundle), "--seed", "3"]) == 0
+    assert main(["encode", str(bundle), str(data), "--out", str(emb)]) == 0
+    outs = {}
+    for command, source in (("decode", emb), ("roundtrip", data)):
+        out, trace = tmp_path / f"{command}.csv", tmp_path / f"{command}.jsonl"
+        assert main([command, str(bundle), str(source), "--decoder", decoder, "--seed", "4",
+                     "--out", str(out), "--trace", str(trace)]) == 0
+        outs[command] = (out.read_bytes(), trace.read_text())
+    assert outs["roundtrip"] == outs["decode"]
+    assert outs["decode"][1].count("\n") == (1 if decoder == "relabel" else 30)
 
 
 def test_bench_rounds_reach_unsupervised_fit(tmp_path):

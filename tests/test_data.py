@@ -162,14 +162,24 @@ def test_load_csv_reads_whitespace_padded_numbers(tmp_path):
     assert t.values[:, 0].tolist() == [1.5, 2.0]
 
 
-def test_load_csv_non_finite_numbers_make_unhinted_column_categorical(tmp_path):
+@pytest.mark.parametrize("cell", ["inf", "-inf", "1e999", " -1e999 "])
+def test_load_csv_non_finite_number_in_numeric_column_is_an_error(tmp_path, cell):
     p = tmp_path / "t.csv"
-    p.write_text("a,b,c\n1.0,-nan,2.0\n2.0,3.0,1e999\n")
+    p.write_text(f"a,b\n1.0,2.0\n2.0,{cell}\n3.0,4.0\n")
+    with pytest.raises(DataError) as err:
+        load_csv(p)
+    assert str(err.value) == f"{p}: column 'b' is numeric but cell {cell} is not finite"
+
+
+def test_load_csv_signed_nan_is_missing_and_inf_without_finite_numbers_is_a_level(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("a,b,c,d\n1.0,-nan,x,inf\n2.0,3.0,inf,1e999\n4.0,+NaN,y,inf\n5.0,6.0,x,inf\n")
     t = load_csv(p)
-    assert t.schema.columns[0] == Column("a")
-    assert t.schema.columns[1] == Column("b", ("-nan", "3.0"))
-    assert t.schema.columns[2] == Column("c", ("2.0", "1e999"))
-    assert t.n == 2 and t.n_dropped_rows == 0
+    assert t.schema.columns[:2] == (Column("a"), Column("b"))
+    assert t.schema.columns[2] == Column("c", ("inf", "x"))
+    assert t.schema.columns[3] == Column("d", ("1e999", "inf"))  # no finite number
+    assert t.values[:, 1].tolist() == [3.0, 6.0]
+    assert t.n == 2 and t.n_dropped_rows == 2
 
 
 def test_load_csv_drops_and_counts_na_rows(tmp_path):
@@ -185,7 +195,7 @@ def test_load_csv_drops_and_counts_na_rows(tmp_path):
     "cells, bad",
     [
         (["1.0", "inf", "foo"], "cell inf is not"),
-        (["1.0", "-nan", "1e999"], "cell -nan is not"),
+        (["1.0", "-nan", "1e999"], "cell 1e999 is not"),
         (["1.0", "foo", "inf"], "cell could not convert string to float: 'foo' is not"),
     ],
 )

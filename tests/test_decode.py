@@ -321,33 +321,128 @@ def test_relabel_decode_rows_inside_assigned_regions():
             assert np.array_equal(decoded_ids[i], latent_ids[i])
 
 
-def test_relabel_drops_draws_in_unpopulated_leaves():
-    # leaves holding only synthetic-class rows are unpopulated by the real
-    # reference rows; draws landing in such leaves in every tree are dropped
+def _best_latent_split(Z0: np.ndarray, labels: np.ndarray):
+    """Reference for one node: (dim, threshold, flip, matches) maximizing
+    agreement with labels, or None when no cut exists."""
+    m = Z0.shape[0]
+    n1 = int(labels.sum())
+    best = None
+    for kdim in range(Z0.shape[1]):
+        z = Z0[:, kdim]
+        order = np.argsort(z, kind="stable")
+        zs = z[order]
+        valid = np.diff(zs) > 1e-12 * np.abs(zs).max()
+        if not valid.any():
+            continue
+        cum1 = np.cumsum(labels[order].astype(np.int64))[:-1]
+        matches = 2 * cum1 - np.arange(1, m) + (m - n1)
+        agree = np.where(valid, np.maximum(matches, m - matches), -1)
+        i = int(np.argmax(agree))
+        if best is None or agree[i] > best[3]:
+            best = (kdim, 0.5 * (zs[i] + zs[i + 1]), bool(m - matches[i] > matches[i]),
+                    int(agree[i]))
+    return best
+
+
+def _relabel_by_node(f, Z, values, rank=None, cap=None):
+    """Per tree, the reference relabeling node by node: route the rows down
+    the original tree and score each split on the rows reaching it, or on the
+    ``cap`` of them of lowest ``rank``."""
+    out = []
+    for tree in f.trees:
+        feat = np.where(tree.feature >= 0, 0, -1)
+        thr = np.where(tree.feature >= 0, np.inf, 0.0)
+        flip = np.zeros(tree.n_nodes, dtype=bool)
+        smc = np.full(tree.n_nodes, np.nan)
+        rows = {0: np.arange(values.shape[0])}
+        for idx in range(tree.n_nodes):
+            if tree.feature[idx] < 0:
+                continue
+            r = rows.get(idx, np.arange(0))
+            col = values[r, tree.feature[idx]]
+            labels = (col == tree.threshold[idx]) if tree.is_equal[idx] else (
+                col < tree.threshold[idx])
+            rows[tree.left[idx]], rows[tree.left[idx] + 1] = r[labels], r[~labels]
+            if cap is not None and r.size > cap:
+                scored = np.sort(np.argsort(rank[r])[:cap])
+                r, labels = r[scored], labels[scored]
+            m, n_left = r.size, int(labels.sum())
+            best = _best_latent_split(Z[r], labels) if 0 < n_left < m else None
+            if best is None:
+                if m:
+                    thr[idx] = np.inf if 2 * n_left >= m else -np.inf
+                    smc[idx] = max(n_left, m - n_left) / m
+                continue
+            feat[idx], thr[idx], flip[idx], smc[idx] = best[0], best[1], best[2], best[3] / m
+        out.append((feat, thr, flip, smc))
+    return out
+
+
+@pytest.mark.parametrize("cells", [2**16, 2**7])
+@pytest.mark.parametrize("kind", ["completely_random", "unsupervised"])
+def test_relabel_matches_per_node_brute_force(monkeypatch, kind, cells):
+    # with no binding cap every split scores all the reference rows reaching
+    # it; small blocks walk the trees a few at a time
+    from forestae import decode
     from forestae.forest import fit_unsupervised
 
-    table = make_mixed(60, seed=1)
-    f = fit_unsupervised(table, ForestParams(n_trees=3, seed=1))
-    model = with_time(eigendecompose(rf_kernel_train(f, table), 2), 1.0)
-    synth = build_synthetic_training(f, table, 1)
-    rl = relabel_forest(f, model, synth, n_synth=64, seed=1)
-    assert rl.n_dropped_draws > 0
-    out = relabel_decode(rl, f, model.Z, seed=1)
-    assert out.n == table.n and np.all(np.isfinite(out.values))
+    monkeypatch.setattr(decode, "_RELABEL_CELLS", cells)
+    table = make_mixed(90, seed=7)
+    if kind == "unsupervised":
+        f = fit_unsupervised(table, ForestParams(n_trees=6, min_leaf=3, seed=7))
+        model = with_time(eigendecompose(rf_kernel_train(f, table), 3), 1.0)
+        synth = build_synthetic_training(f, table, 8)
+    else:
+        f, model, synth = _pipeline(table, trees=6, min_leaf=3, seed=7)
+    rl = relabel_forest(f, model, synth, n_synth=synth.n, seed=3)
+    ref = _relabel_by_node(f, model.Z, synth.table.values)
+    n_splits = n_constant = 0
+    for tree, new, (feat, thr, flip, smc) in zip(f.trees, rl.trees, ref):
+        assert np.array_equal(new.feature, feat)
+        assert np.array_equal(new.threshold, thr)
+        assert np.array_equal(new.flip, flip)
+        assert np.array_equal(new.smc, smc, equal_nan=True)
+        n_splits += int((tree.feature >= 0).sum())
+        n_constant += int(np.isinf(thr).sum())
+    assert rl.n_degenerate == n_constant < n_splits
+
+
+def test_relabel_fixed_seed_with_binding_cap_is_deterministic():
+    table = make_mixed(80, seed=9)
+    f, model, synth = _pipeline(table, trees=6, min_leaf=3, seed=9)
+    runs = [relabel_forest(f, model, synth, n_synth=10, seed=s) for s in (4, 4, 5)]
+    fields = ("feature", "threshold", "flip", "smc")
+
+    def same(a, b):
+        return all(np.array_equal(getattr(x, k), getattr(y, k), equal_nan=True)
+                   for x, y in zip(a.trees, b.trees) for k in fields)
+
+    assert same(runs[0], runs[1]) and runs[0].n_degenerate == runs[1].n_degenerate
+    assert not same(runs[0], runs[2])  # the cap binds: the seed picks the rows
+    # each split scores the 10 of its rows that come first in the seed's permutation
+    rank = np.random.default_rng(4).permutation(synth.n)
+    ref = _relabel_by_node(f, model.Z, synth.table.values, rank, cap=10)
+    for new, expected in zip(runs[0].trees, ref):
+        for k, v in zip(fields, expected):
+            assert np.array_equal(getattr(new, k), v, equal_nan=True)
 
 
 def test_best_latent_split_ignores_rounding_gaps():
     # every embedding value comes in tied copies whose labels disagree, so a
     # cut inside a tie would beat every real cut once rounding separates them
-    from forestae.decode import _best_latent_split
+    from forestae.decode import _best_latent_splits
 
     rng = np.random.default_rng(42)
     Z0 = np.repeat(rng.normal(size=(6, 2)), 5, axis=0)
     labels = rng.random(30) < 0.5
-    base = _best_latent_split(Z0, labels)
-    moved = _best_latent_split(Z0 + rng.uniform(-1e-14, 1e-14, Z0.shape), labels)
-    assert (moved[0], moved[2], moved[3]) == (base[0], base[2], base[3])
-    assert abs(moved[1] - base[1]) <= 1e-12
+    node = np.zeros(30, dtype=np.intp)
+    base = _best_latent_splits(node, Z0, labels)
+    moved = _best_latent_splits(node, Z0 + rng.uniform(-1e-14, 1e-14, Z0.shape), labels)
+    for k in (0, 1, 3, 4):  # node id, axis, flip, agreement
+        assert np.array_equal(moved[k], base[k])
+    assert abs(moved[2][0] - base[2][0]) <= 1e-12
+    ref = _best_latent_split(Z0, labels)
+    assert (base[1][0], base[3][0], base[4][0] * 30) == (ref[0], ref[2], ref[3])
 
 
 # ---------------------------------------------------------------------------
