@@ -3,11 +3,12 @@ knows the layout.
 
 A bundle stores what cannot be recomputed: the forest with its schema, the
 eigenpairs and diffusion time, and the synthetic training rows. The embedding
-``Z`` and the rows' leaf ids are recomputed on load, and so are each tree's
-child pointers and leaf ids (from its breadth-first split mask) and its Equals
-splits (from the schema). Each array is stored once as little-endian bytes
-(``encode_array``) inside canonical JSON (sorted keys), so a fixed seed yields
-byte-identical bundles; paths ending in .gz are gzipped.
+``Z`` is recomputed on load, and so are each tree's child pointers and leaf
+ids (from its breadth-first split mask) and its Equals splits (from the
+schema); the commands that need the synthetic rows' leaves route them. Each
+array is stored once as little-endian bytes (``encode_array``) inside
+canonical JSON (sorted keys), so a fixed seed yields byte-identical bundles;
+paths ending in .gz are gzipped.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .decode import SyntheticTrainingSet
 from .forest import Forest, ForestParams, Tree, breadth_first_layout, equals_splits
 from .spectral import SpectralModel, with_time
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 # zlib level 6: measured against the default 9 on fitted bundles, 4-11x faster
 # to write and at most 4 % larger; level 5 is 8 % larger on 500-tree forests
 GZIP_LEVEL = 6
@@ -183,7 +184,7 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
         "forest": forest_to_dict(bundle.forest),
         "forest_sha": bundle.forest_sha,
         "spectral": {"eigenvalues": encode_array(m.eigenvalues), "V": encode_array(m.V),
-                     "lambda0": m.lambda0, "v0_max_dev": m.v0_max_dev, "t": m.t},
+                     "t": m.t},
         "synthetic": {"values": encode_array(bundle.synth.table.values),
                       "seed": bundle.synth.seed},
     }
@@ -212,8 +213,7 @@ def load_bundle(path: str | Path) -> ModelBundle:
     forest = forest_from_dict(doc["forest"])
     s, syn = doc["spectral"], doc["synthetic"]
     V = decode_array(s["V"])
-    model = SpectralModel(V.shape[0], V.shape[1], decode_array(s["eigenvalues"]), V,
-                          s["lambda0"], s["v0_max_dev"])
+    model = SpectralModel(V.shape[0], V.shape[1], decode_array(s["eigenvalues"]), V)
     synth = SyntheticTrainingSet(Table(forest.schema, decode_array(syn["values"])), syn["seed"])
     if s["t"] is not None:
         model = with_time(model, s["t"])

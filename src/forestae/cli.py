@@ -161,13 +161,21 @@ def _csv_has_rows(path) -> bool:
         return next(reader, None) is not None and next(reader, None) is not None
 
 
+def _load_queries(path, schema) -> Table:
+    """Query rows for encode and roundtrip, which must emit one row per input row."""
+    queries = load_csv(path, schema_hint=schema)
+    if queries.n_dropped_rows:
+        raise UsageError(f"{path}: {queries.n_dropped_rows} incomplete row(s) with a missing cell")
+    return queries
+
+
 def cmd_encode(args) -> int:
     _check_flags(args)
     b = bundle_io.load_bundle(args.bundle)
     if not _csv_has_rows(args.data):
         _write_embedding_csv(args.out, np.empty((0, b.model.d_z)), b.model.d_z)
         return 0
-    queries = load_csv(args.data, schema_hint=b.schema)
+    queries = _load_queries(args.data, b.schema)
     K0 = ker.rf_kernel_cross(b.forest, queries, b.synth.table, strict=False)
     if K0.unseen_levels or K0.skipped_leaf_cells:
         print(
@@ -249,7 +257,7 @@ def cmd_decode(args) -> int:
 def cmd_roundtrip(args) -> int:
     _check_flags(args)
     b = bundle_io.load_bundle(args.bundle)
-    queries = conform_table(load_csv(args.data, schema_hint=b.schema), b.schema)
+    queries = conform_table(_load_queries(args.data, b.schema), b.schema)
     K0 = ker.rf_kernel_cross(b.forest, queries, b.synth.table, strict=False)
     Z0 = spectral.nystrom_embed(K0, b.model)
     out, trace = _decode_rows(b, Z0, args)

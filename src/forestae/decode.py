@@ -461,7 +461,7 @@ def lasso_decode(
         raise DecodeError("sparsity_cap must be >= 1")
     Z0 = np.atleast_2d(np.asarray(Z0, dtype=np.float64))
     khat_all = reconstruct_kernel(Z0, model)
-    M = leaf_design(leaf_profile(forest, route_values(forest, synth.table.values))).tocsr()
+    M = leaf_design(leaf_profile(forest, route_values(forest, synth.table.values)))
     rng = np.random.default_rng(seed)
     B = forest.n_trees
     assignments = np.empty((Z0.shape[0], B), dtype=np.int64)
@@ -472,11 +472,14 @@ def lasso_decode(
         neighbors = np.sort(order[: min(sparsity_cap, order.shape[0])])
         if neighbors.size == 0:
             neighbors = np.arange(min(sparsity_cap, khat.shape[0]))
-        rows = M[neighbors]
-        col_ids = np.unique(rows.indices)
+        cols = M.cols[neighbors]
+        col_ids = np.unique(cols)
         group_ids = np.searchsorted(forest.leaf_offsets, col_ids, side="right") - 1
+        # each (row, tree) entry lands in its own column of the neighbour block
+        A = np.zeros((neighbors.size, col_ids.size))
+        A[np.arange(neighbors.size)[:, None], np.searchsorted(col_ids, cols)] = M.weights[cols]
         psi, converged, objective, iterations = exclusive_lasso(
-            rows[:, col_ids].toarray(), B * khat[neighbors], lam, group_ids
+            A, B * khat[neighbors], lam, group_ids
         )
         scores = np.zeros(forest.total_leaves)
         scores[col_ids] = psi

@@ -82,7 +82,7 @@ class LeafFactor:
 
     def tocsr(self):
         """F as a SciPy CSR matrix, entries in tree order within each row."""
-        import scipy.sparse as sp  # costly import; only K itself, Lanczos and lasso need it
+        import scipy.sparse as sp  # costly import; only K itself and Lanczos need it
 
         n, n_trees = self.cols.shape
         indptr = np.arange(0, n * n_trees + 1, n_trees)
@@ -151,29 +151,16 @@ class SparseKernelMatrix:
 
 @dataclass
 class LeafProfile:
-    """Routing of a reference table: leaf ids (n x B) and per-leaf counts."""
+    """Routing of a reference table: its global leaf ids (n x B) and the
+    reference rows in each global leaf (L,)."""
 
-    leaf_ids: np.ndarray
-    counts: list[np.ndarray]
-    offsets: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.leaf_ids.shape[0]
-
-    @property
-    def counts_flat(self) -> np.ndarray:
-        return np.concatenate(self.counts)
-
-    @cached_property
-    def cols(self) -> np.ndarray:
-        """Global leaf ids (n x B)."""
-        return self.leaf_ids.astype(np.int64) + self.offsets[None, :]
+    cols: np.ndarray
+    counts: np.ndarray
 
     @cached_property
     def weights(self) -> np.ndarray:
         """Per global leaf: 1/sqrt(reference count), 0 for unpopulated leaves."""
-        counts = self.counts_flat.astype(np.float64)
+        counts = self.counts.astype(np.float64)
         w = np.zeros_like(counts)
         hit = counts > 0
         w[hit] = 1.0 / np.sqrt(counts[hit])
@@ -191,11 +178,8 @@ def leaf_profile(forest: Forest, reference: Table | np.ndarray) -> LeafProfile:
         ids, _ = route_table(forest, reference)
     else:
         ids = reference
-    counts = [
-        np.bincount(ids[:, b], minlength=t.n_leaves).astype(np.int64)
-        for b, t in enumerate(forest.trees)
-    ]
-    return LeafProfile(leaf_ids=ids, counts=counts, offsets=forest.leaf_offsets)
+    cols = ids.astype(np.int64) + forest.leaf_offsets
+    return LeafProfile(cols, np.bincount(cols.ravel(), minlength=forest.total_leaves))
 
 
 def leaf_design(profile: LeafProfile) -> LeafFactor:
@@ -204,7 +188,7 @@ def leaf_design(profile: LeafProfile) -> LeafFactor:
     For a one-hot-per-tree leaf choice psi, M psi is B times the kernel row of
     any point in those leaves. Reference rows only touch populated leaves.
     """
-    return LeafFactor(profile.cols, 1.0 / np.maximum(profile.counts_flat, 1))
+    return LeafFactor(profile.cols, 1.0 / np.maximum(profile.counts, 1))
 
 
 def rf_kernel_train(forest: Forest, table: Table | np.ndarray) -> SparseKernelMatrix:
@@ -226,7 +210,7 @@ def rf_kernel_cross(
     q_ids, unseen = route_table(forest, queries)
     profile = leaf_profile(forest, reference)
     w = profile.weights
-    q_cols = q_ids.astype(np.int64) + profile.offsets[None, :]
+    q_cols = q_ids.astype(np.int64) + forest.leaf_offsets
     empty = w[q_cols] == 0  # (m, B) cells whose leaf holds no reference row
     n_empty = int(empty.sum())
     if n_empty and strict:

@@ -1,7 +1,7 @@
 """Spectral embedding of the kernel matrix and its out-of-sample algebra.
 
 The kernel acts as a Markov transition operator; its top eigenpairs (after
-dropping the constant leading pair) give diffusion-map coordinates
+deflating the constant leading pair) give diffusion-map coordinates
 Z = sqrt(n) * V * Lambda^t. Unseen points extend linearly via
 Z0 = K0 Z Lambda^{-1}, and kernel rows are recoverable as K0_hat = Z0 Lambda Z^+,
 where the pseudo-inverse is closed-form because V has orthonormal columns.
@@ -37,19 +37,17 @@ class SpectralError(ValueError):
 
 @dataclass
 class SpectralModel:
-    """Top eigenpairs of a train kernel, minus the constant leading pair."""
+    """Top eigenpairs of a train kernel with its constant pair deflated."""
 
     n: int
     d_z: int
     eigenvalues: np.ndarray  # (d_z,) descending
     V: np.ndarray  # (n, d_z) orthonormal columns
-    lambda0: float
-    v0_max_dev: float  # max deviation of the dropped eigenvector from constant
     t: float | None = None
     Z: np.ndarray | None = None
     # fit-time diagnostics, not stored in bundles
     solver: str | None = None  # "dense" or "lanczos"
-    residual_max: float | None = None  # largest ||K v - lambda v|| over the pairs
+    residual_max: float | None = None  # largest residual over the deflated pairs
 
     def truncate(self, d_z: int) -> "SpectralModel":
         """The leading d_z coordinates, diffusion time kept."""
@@ -70,26 +68,35 @@ class SpectralModel:
 
 
 def eigendecompose(K: SparseKernelMatrix, d_z: int) -> SpectralModel:
-    """Top d_z+1 eigenpairs of a symmetric train kernel, constant pair dropped.
+    """Top d_z eigenpairs of K − 11ᵀ/n for a doubly stochastic train kernel K.
 
-    Small or nearly full problems use a dense solver; otherwise a restarted
-    Lanczos iteration runs on the factored kernel (products v -> F (Fᵀ v) / B
-    through SciPy's CSR form of F, so K is never formed) from a fixed start
-    vector.
+    K·1 = 1 (checked to 1e-8) makes (1, 1/√n) an exact eigenpair, and
+    deflating it leaves K's other pairs; so on a disconnected kernel graph a
+    retained λ = 1 vector is orthogonal to the constant whatever the solver's
+    rounding. Small or nearly full problems use a dense solver; otherwise a
+    restarted Lanczos iteration runs on the factored kernel (products
+    X -> F (Fᵀ X) / B − mean(X) through SciPy's CSR form of F, so K is never
+    formed) from a fixed start vector.
     Eigenvector signs are fixed so each vector's largest-magnitude entry is
-    positive, and residuals ||K v - lambda v|| are checked against 1e-8.
+    positive, and residuals are checked against 1e-8.
     """
     if K.role != TRAIN:
         raise SpectralError("eigendecompose expects a train-role kernel")
     n = K.n_rows
     if not (1 <= d_z <= n - 1):
         raise SpectralError(f"d_z must lie in [1, n-1], got {d_z} with n={n}")
-    k = d_z + 1
-    dot = K.dot
-    if n <= _DENSE_CUTOFF or k >= n - 1:
+    drift = float(np.abs(K.row_sums() - 1.0).max())
+    if drift > _RESIDUAL_TOL:
+        raise SpectralError(f"kernel rows sum to 1 only within {drift:.3e}; "
+                            "the constant pair cannot be deflated")
+
+    def dot(X):
+        return K.dot(X) - X.mean(axis=0)
+
+    if n <= _DENSE_CUTOFF or d_z >= n - 1:
         solver = "dense"
-        vals, vecs = np.linalg.eigh(K.toarray())
-        vals, vecs = vals[::-1][:k], vecs[:, ::-1][:, :k]
+        vals, vecs = np.linalg.eigh(K.toarray() - 1.0 / n)
+        vals, vecs = vals[::-1][:d_z], vecs[:, ::-1][:, :d_z]
     else:
         solver = "lanczos"
         import scipy.sparse.linalg as spla  # costly import; only this path needs it
@@ -99,14 +106,13 @@ def eigendecompose(K: SparseKernelMatrix, d_z: int) -> SpectralModel:
         F = K.right.tocsr()
 
         def dot(X):
-            return F @ (F.T @ X) / K.n_trees
+            return F @ (F.T @ X) / K.n_trees - X.mean(axis=0)
 
         op = spla.LinearOperator((n, n), matvec=dot, matmat=dot, dtype=np.float64)
         try:
-            # a seeded start vector keeps the result bit-reproducible; not the
-            # constant vector, which is K's leading eigenvector and stalls Lanczos
+            # a seeded start vector keeps the result bit-reproducible
             v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
-            vals, vecs = spla.eigsh(op, k=k, which="LA", v0=v0)
+            vals, vecs = spla.eigsh(op, k=d_z, which="LA", v0=v0)
         except spla.ArpackNoConvergence as exc:
             raise SpectralError(f"eigensolver did not converge: {exc}") from exc
         order = np.argsort(vals)[::-1]
@@ -122,23 +128,18 @@ def eigendecompose(K: SparseKernelMatrix, d_z: int) -> SpectralModel:
     if resid > _RESIDUAL_TOL:
         raise SpectralError(f"eigenpair residual {resid:.3e} exceeds {_RESIDUAL_TOL}")
 
-    lambda0 = float(vals[0])
-    v0 = vecs[:, 0]
-    v0_dev = float(np.max(np.abs(v0 - v0.mean())))
-    retained = vals[1:]
-    if np.any(retained > 1 - _RESIDUAL_TOL):
+    at_one = int(np.sum(vals > 1 - _RESIDUAL_TOL))
+    if at_one:
         warnings.warn(
-            "kernel graph appears disconnected: retained eigenvalue(s) at 1; "
-            "embedding coordinates are constant per component",
+            f"kernel graph appears disconnected: {1 + at_one} components; "
+            "the coordinates at eigenvalue 1 are constant per component",
             stacklevel=2,
         )
     return SpectralModel(
         n=n,
         d_z=d_z,
-        eigenvalues=retained.astype(np.float64),
-        V=vecs[:, 1:].astype(np.float64),
-        lambda0=lambda0,
-        v0_max_dev=v0_dev,
+        eigenvalues=vals.astype(np.float64),
+        V=vecs.astype(np.float64),
         solver=solver,
         residual_max=resid,
     )
@@ -186,19 +187,12 @@ def nystrom_embed(K0: SparseKernelMatrix, model: SpectralModel) -> np.ndarray:
     return K0.gather(K0.right.tdot(model.V)) * coef[None, :]
 
 
-def reconstruct_kernel(
-    Z0: np.ndarray,
-    model: SpectralModel,
-    stochastic: bool = False,
-    add_constant: bool = True,
-) -> np.ndarray:
-    """Estimate kernel rows from embeddings: K0_hat = Z0 Lambda Z^+.
+def reconstruct_kernel(Z0: np.ndarray, model: SpectralModel) -> np.ndarray:
+    """Estimate kernel rows from embeddings: K0_hat = Z0 Lambda Z^+ + 1/n.
 
     With orthonormal V the pseudo-inverse is Lambda^{-t} V^T / sqrt(n), so
-    K0_hat = Z0 diag(lambda^{1-t}) V^T / sqrt(n). The dropped constant pair
-    contributes 1/n to every entry of the true kernel and is added back by
-    default so the output targets the kernel itself. ``stochastic`` clips
-    negatives and renormalizes rows onto the simplex.
+    K0_hat = Z0 diag(lambda^{1-t}) V^T / sqrt(n); the deflated constant pair
+    adds 1/n to every entry of the kernel.
     """
     t, _ = model.require_time()
     Z0 = np.atleast_2d(np.asarray(Z0, dtype=np.float64))
@@ -210,12 +204,4 @@ def reconstruct_kernel(
     if np.any(lam[live] < 0) and (1.0 - t) != int(1.0 - t):
         raise SpectralError("fractional exponent on a negative eigenvalue")
     coef[live] = np.power(lam[live], 1.0 - t)
-    K0 = (Z0 * coef[None, :]) @ model.V.T / np.sqrt(model.n)
-    if add_constant:
-        K0 = K0 + 1.0 / model.n
-    if stochastic:
-        K0 = np.clip(K0, 0.0, None)
-        sums = K0.sum(axis=1, keepdims=True)
-        sums[sums == 0] = 1.0
-        K0 = K0 / sums
-    return K0
+    return (Z0 * coef[None, :]) @ model.V.T / np.sqrt(model.n) + 1.0 / model.n

@@ -331,7 +331,8 @@ def test_c13_fixture_exactness(t2x4):
     forest, table, K_expected = t2x4
     K = rf_kernel_train(forest, table)
     assert np.abs(K.toarray() - K_expected).max() <= 1e-12
+    # the constant pair (1, 1/2) is exact and deflated: K·1 = 1
+    assert np.abs(K.row_sums() - 1.0).max() <= 1e-12
     model = eigendecompose(K, 3)
-    spectrum = np.concatenate([[model.lambda0], model.eigenvalues])
-    assert np.abs(spectrum - np.array([1.0, 0.5, 0.5, 0.0])).max() <= 1e-10
+    assert np.abs(model.eigenvalues - np.array([0.5, 0.5, 0.0])).max() <= 1e-10
     budget.check()

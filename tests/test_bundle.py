@@ -73,12 +73,13 @@ def test_bundle_hash_guards_consistency(tmp_path, parts):
 
 
 def test_bundle_v1_rejected(tmp_path, parts):
-    # version 2 stored child pointers and leaf ids; both older formats are refused
+    # version 2 stored child pointers and leaf ids, version 3 the dropped
+    # constant eigenpair's lambda0 and v0_max_dev; all older formats are refused
     forest, model, synth, _ = parts
     path = tmp_path / "m.json"
     save_bundle(bundle_from_parts(forest, model, synth), path)
     doc = json.loads(path.read_text())
-    for version in (1, 2):
+    for version in (1, 2, 3):
         doc["format_version"] = version
         path.write_text(json.dumps(doc))
         with pytest.raises(BundleError, match=f"version {version}.*refit"):
@@ -90,8 +91,9 @@ def test_saved_bundle_holds_no_derived_fields(tmp_path, parts):
     path = tmp_path / "m.json"
     save_bundle(bundle_from_parts(forest, model, synth), path)
     doc = json.loads(path.read_text())
-    assert doc["format_version"] == 3
-    assert "Z" not in doc["spectral"] and "leaf_ids" not in doc["synthetic"]
+    assert doc["format_version"] == 4
+    assert set(doc["spectral"]) == {"eigenvalues", "V", "t"}
+    assert "leaf_ids" not in doc["synthetic"]
     # each tree's split mask implies its children, leaf ids and leaf total,
     # and the schema which splits are Equals tests
     assert set(doc["forest"]["arrays"]) == {

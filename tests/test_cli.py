@@ -619,3 +619,39 @@ def test_missing_file_runtime_error(tmp_path, capsys):
                "--out", str(tmp_path / "m.json")])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_encode_and_roundtrip_refuse_incomplete_query_rows(tmp_path, capsys):
+    # fit drops and counts a row with a missing cell; encode and roundtrip must
+    # emit one row per input row, so they refuse the file and write nothing
+    data = tmp_path / "banknote.csv"
+    scripts = Path(__file__).resolve().parent.parent / "scripts"
+    subprocess.run([sys.executable, str(scripts / "make_banknote_analog.py"), str(data),
+                    "--seed", "0"], check=True, capture_output=True)
+    lines = data.read_text(encoding="utf-8").splitlines(keepends=True)
+    train, query = tmp_path / "train.csv", tmp_path / "query.csv"
+    train.write_text("".join(lines[:301]) + "NA,1.0,2.0,3.0,genuine\n", encoding="utf-8")
+    cells = lines[301].split(",")
+    cells[2] = "NA"
+    query.write_text(lines[0] + ",".join(cells) + "".join(lines[302:306]), encoding="utf-8")
+    bundle = tmp_path / "m.json.gz"
+    assert main(["fit", str(train), "--trees", "20", "--min-leaf", "4", "--d-z", "2",
+                 "--out", str(bundle), "--seed", "1", "--verbose"]) == 0
+    assert "dropped 1 incomplete rows" in capsys.readouterr().err
+    for cmd in ("encode", "roundtrip"):
+        out = tmp_path / f"{cmd}.csv"
+        assert main([cmd, str(bundle), str(query), "--out", str(out)]) == 2
+        assert "1 incomplete row(s)" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_embedding_demo_separates_true_labels(tmp_path):
+    # the demo runs fit then encode; true labels must separate better than
+    # the shuffled 95th percentile it prints
+    script = Path(__file__).resolve().parent.parent / "scripts" / "embedding_demo.py"
+    proc = subprocess.run([sys.executable, str(script), str(tmp_path)],
+                          capture_output=True, text=True, env=_cli_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    true = float(proc.stdout.split("(true labels): ")[1].split()[0])
+    shuffled_p95 = float(proc.stdout.split("95th pct ")[1].split()[0])
+    assert true > shuffled_p95

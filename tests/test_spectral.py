@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from forestae.data import Column, Schema, Table
+from forestae.data import Column, Schema, Table, load_csv
 from forestae.forest import ForestParams, fit_completely_random
 from forestae.kernel import rf_kernel_train, rf_kernel_cross
 from forestae.spectral import (
@@ -27,15 +27,17 @@ def test_fixture_eigenvalues(t2x4):
     forest, table, _ = t2x4
     K = rf_kernel_train(forest, table)
     model = eigendecompose(K, 3)
-    assert model.lambda0 == pytest.approx(1.0, abs=1e-10)
     assert np.allclose(model.eigenvalues, [0.5, 0.5, 0.0], atol=1e-10)
 
 
 def test_leading_pair_constant_for_connected_kernel():
+    # the deflated pair is K's top one: every retained eigenvalue lies below 1
+    # and every retained vector is orthogonal to the constant
     _, _, K = _fitted()
+    assert np.abs(K.row_sums() - 1.0).max() <= 1e-12
     model = eigendecompose(K, 4)
-    assert model.lambda0 == pytest.approx(1.0, abs=1e-8)
-    assert model.v0_max_dev <= 1e-6
+    assert model.eigenvalues[0] < 1 - 1e-8
+    assert np.abs(model.V.sum(axis=0)).max() <= 1e-10
 
 
 def test_uniform_kernel_all_zero():
@@ -95,7 +97,7 @@ def test_factored_lanczos_matches_dense_eigh():
     assert model.solver == "lanczos" and model.residual_max <= 1e-8
     vals, vecs = np.linalg.eigh(K.toarray())
     vals, vecs = vals[::-1][:4], vecs[:, ::-1][:, :4]
-    assert np.abs(model.lambda0 - vals[0]) <= 1e-10
+    assert np.abs(vals[0] - 1.0) <= 1e-10
     assert np.abs(model.eigenvalues - vals[1:]).max() <= 1e-10
     # the same subspace: projectors agree whatever the signs
     assert np.abs(model.V @ model.V.T - vecs[:, 1:] @ vecs[:, 1:].T).max() <= 1e-8
@@ -107,8 +109,6 @@ def test_fractional_time_with_negative_eigenvalue_rejected():
         d_z=1,
         eigenvalues=np.array([-0.5]),
         V=np.ones((4, 1)) * 0.5,
-        lambda0=1.0,
-        v0_max_dev=0.0,
     )
     assert diffusion_map(model, 2.0) is not None
     with pytest.raises(SpectralError):
@@ -171,19 +171,7 @@ def test_reconstruct_error_monotone_in_dimension():
 def test_reconstruct_zero_row_raw_mode():
     _, _, K = _fitted(n=30, seed=10)
     model = with_time(eigendecompose(K, 3), 1.0)
-    row = reconstruct_kernel(np.zeros((1, 3)), model, add_constant=False)
-    assert np.abs(row).max() == 0.0
-    with_const = reconstruct_kernel(np.zeros((1, 3)), model)
-    assert np.allclose(with_const, 1.0 / 30)
-
-
-def test_reconstruct_stochastic_mode():
-    _, _, K = _fitted(n=30, seed=11)
-    model = with_time(eigendecompose(K, 2), 1.0)
-    rng = np.random.default_rng(0)
-    K0 = reconstruct_kernel(rng.normal(size=(5, 2)), model, stochastic=True)
-    assert K0.min() >= 0
-    assert np.allclose(K0.sum(axis=1), 1.0)
+    assert np.allclose(reconstruct_kernel(np.zeros((1, 3)), model), 1.0 / 30)
 
 
 def test_dirichlet_energy_of_eigenvectors_is_minimal():
@@ -239,9 +227,64 @@ def test_disconnected_kernel_warns(t2x4):
         kind="none",
     )
     K = rf_kernel_train(disconnected, table)
-    with pytest.warns(UserWarning, match="disconnected"):
+    with pytest.warns(UserWarning, match="disconnected: 2 components"):
         model = eigendecompose(K, 2)
     assert model.eigenvalues[0] == pytest.approx(1.0, abs=1e-10)
+
+
+def _mixed_benchmark_table(seed: int, tmp_path) -> Table:
+    """The 300 training rows of the perfbench mixed-decoders table at a data
+    seed, written and loaded as that workload does."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(0.0, 1.0, 500)
+    b = 0.8 * a + rng.normal(0.0, 0.5, 500)
+    c = np.where(a > 0, "high", "low").astype(object)
+    c[rng.random(500) < 0.1] = "odd"
+    g = np.where(b + rng.normal(0.0, 0.5, 500) > 0, "up", "down")
+    path = tmp_path / f"mixed{seed}.csv"
+    path.write_text("a,b,c,g\n" + "".join(
+        f"{float(a[i])!r},{float(b[i])!r},{c[i]},{g[i]}\n" for i in range(300)
+    ), encoding="utf-8")
+    return load_csv(path)
+
+
+@pytest.mark.parametrize("seed", [14, 17, 19])
+def test_disconnected_kernel_dense_and_lanczos_agree(seed, tmp_path, monkeypatch):
+    # mixed-decoders folds whose 5-tree kernel graph has two components
+    from scipy.sparse.csgraph import connected_components
+
+    from forestae import spectral
+    from forestae.forest import fit_unsupervised
+
+    table = _mixed_benchmark_table(seed, tmp_path)
+    params = ForestParams(n_trees=5, max_depth=3, min_leaf=3, seed=seed + 1)
+    K = rf_kernel_train(fit_unsupervised(table, params), table)
+    n_parts, part = connected_components(K.matrix, directed=False)
+    assert n_parts == 2
+    with pytest.warns(UserWarning, match="disconnected: 2 components"):
+        dense = with_time(eigendecompose(K, 2), 1.0)
+    monkeypatch.setattr(spectral, "_DENSE_CUTOFF", 0)
+    with pytest.warns(UserWarning, match="disconnected: 2 components"):
+        lanczos = with_time(eigendecompose(K, 2), 1.0)
+    assert (dense.solver, lanczos.solver) == ("dense", "lanczos")
+    signs = np.sign(np.sum(dense.Z * lanczos.Z, axis=0))
+    assert np.abs(dense.Z - lanczos.Z * signs).max() <= 1e-10
+    # the lambda = 1 coordinate is the centred component indicator
+    assert dense.eigenvalues[0] == pytest.approx(1.0, abs=1e-10)
+    u = part - part.mean()
+    z = dense.Z[:, 0]
+    assert np.abs(z - (z @ u) / (u @ u) * u).max() <= 1e-10
+
+
+def test_non_stochastic_kernel_rejected():
+    from dataclasses import replace
+
+    from forestae.kernel import LeafFactor
+
+    _, _, K = _fitted(n=30, seed=15)
+    F = LeafFactor(K.right.cols, K.right.weights * 1.01)
+    with pytest.raises(SpectralError, match="sum to 1"):
+        eigendecompose(replace(K, left=F, right=F), 3)
 
 
 def test_zero_eigenvalue_dimensions_zeroed(t2x4):
