@@ -56,6 +56,13 @@ _BRUTE_MAX_PAIRS = 2**24
 _BRUTE_BLOCK_PAIRS = 2**16  # (query, reference) distances per block of the numpy search
 _RELABEL_CELLS = 2**15  # (reference row, tree) cells per block of trees relabeling walks
 _ILP_MAX_COMBINATIONS = 10**6
+# Cells (rows x leaf columns) of the largest BVLS problem lasso decoding takes
+# on; checked for every row before any is solved. On a 2-vCPU x86 host, rows
+# of a 150-tree banknote fold at 0.7-0.9 million cells take 3.5-4.6 s each and
+# 20-tree rows at 45k-96k cells 0.8-1.8 s, while 500-tree rows hold 5-13
+# million cells and take 37-58 s each. A desk-scale 5-tree forest needs a few
+# thousand.
+_LASSO_MAX_CELLS = 10**6
 _TIE_TOL = 1e-12
 
 
@@ -382,11 +389,12 @@ def exclusive_lasso(
     Minimizes ||y - A psi||^2 + lam * sum_trees (sum_leaves psi)^2 over
     psi in [0,1]^d. On that box the squared-l1 group penalty is ||G psi||^2
     for the tree-indicator matrix G, so the problem is the bounded-variable
-    least squares [A; sqrt(lam) G] psi ~ [y; 0], solved by BVLS (Stark &
-    Parker 1995). Returns (psi, converged, objective, iterations).
+    least squares [A; sqrt(lam) G] psi ~ [y; 0], solved by ``_bvls``, a numpy
+    port of SciPy's BVLS (Stark & Parker 1995) that returns SciPy's result.
+    The objective is exact; the minimizer need not be unique when there are
+    more leaf columns than rows. Returns (psi, converged, objective,
+    iterations).
     """
-    from scipy.optimize import lsq_linear  # costly import; only this decoder needs it
-
     if not (np.isfinite(lam) and lam > 0):
         raise DecodeError("penalty weight must be finite and positive")
     A = np.asarray(A, dtype=np.float64)
@@ -394,21 +402,174 @@ def exclusive_lasso(
     if not np.all(np.isfinite(y)):
         raise DecodeError("non-finite kernel estimates")
     G = (np.unique(groups)[:, None] == groups[None, :]).astype(np.float64)
-    res = lsq_linear(
+    x, bound, status, nit = _bvls(
         np.vstack([A, np.sqrt(lam) * G]),
         np.concatenate([y, np.zeros(G.shape[0])]),
-        bounds=(0.0, 1.0),
-        method="bvls",
         # SciPy's default of d iterations stops short when there are more
         # leaves than neighbor rows; 3d is Lawson & Hanson's active-set bound
         max_iter=3 * A.shape[1],
     )
     # BVLS's steps can leave a variable it holds at a bound an ulp off it
-    bound = res.active_mask
-    psi = np.where(bound != 0, bound > 0, np.clip(res.x, 0.0, 1.0))
+    psi = np.where(bound != 0, bound > 0, np.clip(x, 0.0, 1.0))
     resid, gsum = y - A @ psi, G @ psi
     objective = float(resid @ resid + lam * (gsum @ gsum))
-    return psi, bool(res.status > 0), objective, int(res.nit)
+    return psi, bool(status > 0), objective, nit
+
+
+# _bvls is ported from the bounded linear least-squares solver of SciPy 1.17
+# (scipy.optimize._lsq, method "bvls"), under the following license:
+#
+# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
+# All rights reserved.
+#
+# Redistribution and use in source and binary forms, with or without
+# modification, are permitted provided that the following conditions
+# are met:
+#
+# 1. Redistributions of source code must retain the above copyright
+#    notice, this list of conditions and the following disclaimer.
+#
+# 2. Redistributions in binary form must reproduce the above
+#    copyright notice, this list of conditions and the following
+#    disclaimer in the documentation and/or other materials provided
+#    with the distribution.
+#
+# 3. Neither the name of the copyright holder nor the names of its
+#    contributors may be used to endorse or promote products derived
+#    from this software without specific prior written permission.
+#
+# THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+# "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+# LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+# A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+# OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+# SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+# LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+# DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+# THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+# (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+# OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+
+
+def _bvls(A: np.ndarray, b: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """min ||A x - b|| over x in [0, 1]^n, step for step as SciPy's bounded
+    linear least squares with ``bounds=(0, 1), method="bvls"`` and the same
+    ``max_iter``: the unbounded start, the initialization loop, and BVLS's
+    loops A and B.
+
+    Returns SciPy's (x, active_mask, status, nit): status 3 when the
+    unbounded least-squares solution already lies in the box, 1 when the KKT
+    conditions hold to 1e-10, 2 when the cost stops falling, 0 when
+    ``max_iter`` steps run out. Only the bookkeeping that SciPy keeps for its
+    verbose output is left out.
+    """
+    lb, ub, tol = 0.0, 1.0, 1e-10
+    n = A.shape[1]
+    x = np.linalg.lstsq(A, b, rcond=-1)[0]
+    if np.all((x >= lb) & (x <= ub)):
+        return x, np.zeros(n), 3, 0
+
+    on_bound = np.zeros(n)
+    mask = x <= lb
+    x[mask] = lb
+    on_bound[mask] = -1
+    mask = x >= ub
+    x[mask] = ub
+    on_bound[mask] = 1
+
+    free_set = on_bound == 0
+    active_set = ~free_set
+    free_set, = np.nonzero(free_set)
+
+    r = A.dot(x) - b
+    cost = 0.5 * np.dot(r, r)
+    g = A.T.dot(r)
+    iteration = 0
+
+    # initialization: least squares on the free variables until it is
+    # feasible, sending the variables that violate a bound to it
+    while free_set.size > 0:
+        iteration += 1
+        A_free = A[:, free_set]
+        b_free = b - A.dot(x * active_set)
+        z = np.linalg.lstsq(A_free, b_free, rcond=None)[0]
+
+        lbv = z < lb
+        ubv = z > ub
+        v = lbv | ubv
+        if np.any(lbv):
+            ind = free_set[lbv]
+            x[ind] = lb
+            active_set[ind] = True
+            on_bound[ind] = -1
+        if np.any(ubv):
+            ind = free_set[ubv]
+            x[ind] = ub
+            active_set[ind] = True
+            on_bound[ind] = 1
+        ind = free_set[~v]
+        x[ind] = z[~v]
+
+        r = A.dot(x) - b
+        cost = 0.5 * np.dot(r, r)
+        g = A.T.dot(r)
+        if np.any(v):
+            free_set = free_set[~v]
+        else:
+            break
+
+    max_iter += iteration
+    status = None
+
+    def kkt_violation() -> float:
+        g_kkt = g * on_bound
+        free = on_bound == 0
+        g_kkt[free] = np.abs(g[free])
+        return np.max(g_kkt)
+
+    optimality = kkt_violation()
+    for iteration in range(iteration, max_iter):  # loop A: free the most violating bound
+        if optimality < tol:
+            status = 1
+        if status is not None:
+            break
+
+        on_bound[np.argmax(g * on_bound)] = 0
+        while True:  # loop B: step toward the free least-squares solution
+            free_set = on_bound == 0
+            active_set = ~free_set
+            free_set, = np.nonzero(free_set)
+
+            x_free = x[free_set]
+            A_free = A[:, free_set]
+            b_free = b - A.dot(x * active_set)
+            z = np.linalg.lstsq(A_free, b_free, rcond=None)[0]
+
+            lbv, = np.nonzero(z < lb)
+            ubv, = np.nonzero(z > ub)
+            v = np.hstack((lbv, ubv))
+            if v.size > 0:
+                alphas = np.hstack((lb - x_free[lbv], ub - x_free[ubv])) / (z[v] - x_free[v])
+                i = np.argmin(alphas)
+                i_free = v[i]
+                alpha = alphas[i]
+                x_free *= 1 - alpha
+                x_free += alpha * z
+                x[free_set] = x_free
+                on_bound[free_set[i_free]] = -1 if i < lbv.size else 1
+            else:
+                x[free_set] = z
+                break
+
+        r = A.dot(x) - b
+        cost_new = 0.5 * np.dot(r, r)
+        if cost - cost_new < tol * cost:
+            status = 2
+        cost = cost_new
+        g = A.T.dot(r)
+        optimality = kkt_violation()
+
+    return x, on_bound, 0 if status is None else status, iteration + 1
 
 
 def greedy_leaf_assign(scores: np.ndarray, forest: Forest, seed: int = 0) -> np.ndarray:
@@ -440,6 +601,17 @@ def greedy_leaf_assign(scores: np.ndarray, forest: Forest, seed: int = 0) -> np.
     return picks
 
 
+def _strongest(khat: np.ndarray, cap: int) -> np.ndarray:
+    """The (at most) ``cap`` reference rows of largest |khat|, ascending; the
+    first ``cap`` rows when khat is all zero."""
+    nz = np.flatnonzero(np.abs(khat) > 0)
+    order = nz[np.argsort(-np.abs(khat[nz]), kind="stable")]
+    neighbors = np.sort(order[: min(cap, order.shape[0])])
+    if neighbors.size == 0:
+        neighbors = np.arange(min(cap, khat.shape[0]))
+    return neighbors
+
+
 def lasso_decode(
     Z0: np.ndarray,
     model: SpectralModel,
@@ -462,16 +634,20 @@ def lasso_decode(
     Z0 = np.atleast_2d(np.asarray(Z0, dtype=np.float64))
     khat_all = reconstruct_kernel(Z0, model)
     M = leaf_design(leaf_profile(forest, route_values(forest, synth.table.values)))
-    rng = np.random.default_rng(seed)
     B = forest.n_trees
+    picked = [_strongest(khat, sparsity_cap) for khat in khat_all]
+    for nb in picked:
+        # a row's problem stacks its neighbor rows over one group row per tree
+        cells = (nb.size + B) * np.unique(M.cols[nb]).size
+        if cells > _LASSO_MAX_CELLS:
+            raise DecodeError(
+                f"an exclusive-lasso problem of {cells} cells (rows x leaf columns) exceeds "
+                f"the budget of {_LASSO_MAX_CELLS}; use --decoder knn for forests this large"
+            )
+    rng = np.random.default_rng(seed)
     assignments = np.empty((Z0.shape[0], B), dtype=np.int64)
-    for i in range(Z0.shape[0]):
+    for i, neighbors in enumerate(picked):
         khat = khat_all[i]
-        nz = np.flatnonzero(np.abs(khat) > 0)
-        order = nz[np.argsort(-np.abs(khat[nz]), kind="stable")]
-        neighbors = np.sort(order[: min(sparsity_cap, order.shape[0])])
-        if neighbors.size == 0:
-            neighbors = np.arange(min(sparsity_cap, khat.shape[0]))
         cols = M.cols[neighbors]
         col_ids = np.unique(cols)
         group_ids = np.searchsorted(forest.leaf_offsets, col_ids, side="right") - 1

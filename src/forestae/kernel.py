@@ -37,6 +37,8 @@ __all__ = [
 
 TRAIN = "train"
 CROSS = "cross"
+# (query row, reference row) pairs per block of the dense kernel build
+_DENSE_BLOCK_PAIRS = 2**18
 
 
 class KernelError(ValueError):
@@ -82,7 +84,7 @@ class LeafFactor:
 
     def tocsr(self):
         """F as a SciPy CSR matrix, entries in tree order within each row."""
-        import scipy.sparse as sp  # costly import; only K itself and Lanczos need it
+        import scipy.sparse as sp  # costly import; only K.matrix and Lanczos need it
 
         n, n_trees = self.cols.shape
         indptr = np.arange(0, n * n_trees + 1, n_trees)
@@ -132,7 +134,7 @@ class SparseKernelMatrix:
     def matrix(self):
         """K itself as a SciPy CSR matrix, built on first access: symmetrized
         and index-sorted for a train kernel."""
-        import scipy.sparse as sp  # costly import; only K itself needs it
+        import scipy.sparse as sp  # costly import; only coordinate export needs it
 
         K = (self.left.tocsr() @ self.right.tocsr().T) / self.n_trees
         if self.role == TRAIN:
@@ -146,7 +148,42 @@ class SparseKernelMatrix:
         return self.dot(np.ones(self.n_cols))
 
     def toarray(self) -> np.ndarray:
-        return self.matrix.toarray()
+        """K as a dense array, built in numpy from the factors; it equals
+        ``matrix.toarray()`` bit for bit.
+
+        The reference rows are sorted by leaf once. Each (query row, tree)
+        cell then gathers the reference rows in its leaf, and a bincount sums
+        the weight products in tree order, the accumulation order of SciPy's
+        CSR product. F Fᵀ is exactly symmetric, so symmetrizing a train
+        kernel changes no bit. Like SciPy, the sums are multiplied by 1/B
+        rather than divided by B, and then by ``scale``. Query rows go in
+        blocks of about ``_DENSE_BLOCK_PAIRS`` gathered pairs.
+        """
+        left, right = self.left, self.right
+        m, n = self.n_rows, self.n_cols
+        flat = right.cols.ravel()
+        members = np.argsort(flat, kind="stable") // right.cols.shape[1]  # reference rows by leaf
+        sizes = np.bincount(flat, minlength=right.shape[1])
+        starts = np.cumsum(sizes) - sizes
+        products = left.weights * right.weights
+        pairs = np.concatenate([[0], np.cumsum(sizes[left.cols].sum(axis=1))])
+        out = np.empty((m, n))
+        r0 = 0
+        while r0 < m:
+            r1 = int(np.searchsorted(pairs, pairs[r0] + _DENSE_BLOCK_PAIRS, side="right")) - 1
+            r1 = min(max(r1, r0 + 1), m)
+            cells = left.cols[r0:r1].ravel()  # row-major: tree order within each row
+            lens = sizes[cells]
+            ends = np.cumsum(lens)
+            at = np.repeat(starts[cells] - (ends - lens), lens) + np.arange(ends[-1])
+            rows = np.repeat(np.arange(r1 - r0).repeat(left.cols.shape[1]), lens)
+            out[r0:r1] = np.bincount(rows * n + members[at], weights=np.repeat(products[cells], lens),
+                                     minlength=(r1 - r0) * n).reshape(r1 - r0, n)
+            r0 = r1
+        out *= 1.0 / self.n_trees
+        if self.scale is not None:
+            out *= self.scale[:, None]
+        return out
 
 
 @dataclass

@@ -70,7 +70,8 @@ class SpectralModel:
 def eigendecompose(K: SparseKernelMatrix, d_z: int) -> SpectralModel:
     """Top d_z eigenpairs of K − 11ᵀ/n for a doubly stochastic train kernel K.
 
-    K·1 = 1 (checked to 1e-8) makes (1, 1/√n) an exact eigenpair, and
+    K·1 = 1 (checked to 1e-8 on the operator the solver uses: the dense K, or
+    SciPy's CSR form of F) makes (1, 1/√n) an exact eigenpair, and
     deflating it leaves K's other pairs; so on a disconnected kernel graph a
     retained λ = 1 vector is orthogonal to the constant whatever the solver's
     rounding. Small or nearly full problems use a dense solver; otherwise a
@@ -85,17 +86,21 @@ def eigendecompose(K: SparseKernelMatrix, d_z: int) -> SpectralModel:
     n = K.n_rows
     if not (1 <= d_z <= n - 1):
         raise SpectralError(f"d_z must lie in [1, n-1], got {d_z} with n={n}")
-    drift = float(np.abs(K.row_sums() - 1.0).max())
-    if drift > _RESIDUAL_TOL:
-        raise SpectralError(f"kernel rows sum to 1 only within {drift:.3e}; "
-                            "the constant pair cannot be deflated")
+
+    def check_drift(row_sums: np.ndarray) -> None:
+        drift = float(np.abs(row_sums - 1.0).max())
+        if drift > _RESIDUAL_TOL:
+            raise SpectralError(f"kernel rows sum to 1 only within {drift:.3e}; "
+                                "the constant pair cannot be deflated")
 
     def dot(X):
         return K.dot(X) - X.mean(axis=0)
 
     if n <= _DENSE_CUTOFF or d_z >= n - 1:
         solver = "dense"
-        vals, vecs = np.linalg.eigh(K.toarray() - 1.0 / n)
+        dense = K.toarray()
+        check_drift(dense.sum(axis=1))
+        vals, vecs = np.linalg.eigh(dense - 1.0 / n)
         vals, vecs = vals[::-1][:d_z], vecs[:, ::-1][:, :d_z]
     else:
         solver = "lanczos"
@@ -108,6 +113,7 @@ def eigendecompose(K: SparseKernelMatrix, d_z: int) -> SpectralModel:
         def dot(X):
             return F @ (F.T @ X) / K.n_trees - X.mean(axis=0)
 
+        check_drift(F @ (F.T @ np.ones(n)) / K.n_trees)
         op = spla.LinearOperator((n, n), matvec=dot, matmat=dot, dtype=np.float64)
         try:
             # a seeded start vector keeps the result bit-reproducible

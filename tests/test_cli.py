@@ -250,10 +250,49 @@ def _scipy_modules_after(code: str) -> list[str]:
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # SciPy is imported where it is needed: the lasso solver (scipy.optimize),
-    # k-NN searches above the kd-tree break-even (scipy.spatial), Lanczos and
-    # K itself (scipy.sparse)
+    # SciPy is imported only where it is needed: k-NN searches above the
+    # kd-tree break-even (scipy.spatial), Lanczos above the dense cutoff
+    # (scipy.sparse.linalg) and the coordinate kernel export (scipy.sparse)
     assert _scipy_modules_after("import forestae.cli") == []
+
+
+def test_dense_fit_and_lasso_decode_load_no_scipy(fitted, tmp_path):
+    data, bundle = fitted
+    emb, head = tmp_path / "emb.csv", tmp_path / "head.csv"
+    assert main(["encode", str(bundle), str(data), "--out", str(emb)]) == 0
+    head.write_text("".join(emb.read_text().splitlines(keepends=True)[:4]))
+    fit = ["fit", str(data), "--mode", "completely_random", "--d-z", "3", "--trees", "15",
+           "--min-leaf", "3", "--seed", "5", "--out", str(tmp_path / "m.json")]
+    for call in (
+        fit,
+        fit + ["--export-kernel", str(tmp_path / "k.csv"), "--dense"],
+        ["decode", str(bundle), str(head), "--decoder", "lasso", "--out", str(tmp_path / "l.csv")],
+    ):
+        code = f"from forestae.cli import main; assert main({call!r}) == 0"
+        assert _scipy_modules_after(code) == [], call
+    assert (tmp_path / "k.csv").is_file() and load_csv(tmp_path / "l.csv").n == 3
+
+
+def test_lanczos_fit_loads_scipy_sparse_linalg(tmp_path):
+    # above the dense cutoff of 800 rows the eigensolve needs eigsh
+    data = _write_blobs_csv(tmp_path / "train.csv", n=850, seed=7, with_label=False)
+    call = ["fit", str(data), "--mode", "completely_random", "--d-z", "2", "--trees", "3",
+            "--min-leaf", "10", "--seed", "3", "--out", str(tmp_path / "m.json")]
+    code = f"from forestae.cli import main; assert main({call!r}) == 0"
+    assert "scipy.sparse.linalg" in _scipy_modules_after(code)
+
+
+def test_decode_lasso_over_budget_exits_1_naming_knn(fitted, tmp_path, monkeypatch, capsys):
+    from forestae import decode
+
+    data, bundle = fitted
+    emb = tmp_path / "emb.csv"
+    assert main(["encode", str(bundle), str(data), "--out", str(emb)]) == 0
+    monkeypatch.setattr(decode, "_LASSO_MAX_CELLS", 100)
+    assert main(["decode", str(bundle), str(emb), "--decoder", "lasso",
+                 "--out", str(tmp_path / "l.csv")]) == 1
+    assert "--decoder knn" in capsys.readouterr().err
+    assert not (tmp_path / "l.csv").exists()
 
 
 def test_encode_ilp_relabel_load_no_scipy(tmp_path):

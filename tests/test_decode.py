@@ -7,6 +7,7 @@ import scipy.stats
 from forestae.data import Column, Schema, Table
 from forestae.decode import (
     DecodeError,
+    _bvls,
     build_synthetic_training,
     exclusive_lasso,
     greedy_leaf_assign,
@@ -510,6 +511,60 @@ def test_exclusive_lasso_final_at_most_zero_vector():
     assert obj <= float(y @ y) + 1e-12
 
 
+def _bvls_cases():
+    """Random box problems: in-bounds starts, wide and tall systems, sparse
+    rows, repeated columns."""
+    rng = np.random.default_rng(41)
+    for trial in range(120):
+        m, n = (int(v) for v in rng.integers(1, 30, size=2))
+        A = rng.normal(size=(m, n))
+        if trial % 3 == 0:
+            A *= rng.random((m, n)) < 0.2  # sparse rows, some all zero
+        if trial % 5 == 0:
+            A[:, n // 2:] = A[:, : n - n // 2][:, ::-1] * 0.7  # rank deficient: repeated columns
+        if trial % 4 == 0:
+            b = A @ rng.uniform(0.1, 0.9, n)  # a consistent system: the start may lie in the box
+        else:
+            b = 3.0 * rng.normal(size=m)
+        yield A, b, int(rng.integers(1, 3 * n + 2))
+
+
+def _bvls_matching_scipy(A, b, max_iter):
+    """The port's result, checked bit for bit against SciPy's BVLS."""
+    from scipy.optimize import lsq_linear
+
+    ref = lsq_linear(A, b, bounds=(0.0, 1.0), method="bvls", max_iter=max_iter)
+    x, active, status, nit = _bvls(A, b, max_iter)
+    assert x.tobytes() == ref.x.tobytes()
+    assert active.tobytes() == ref.active_mask.tobytes()
+    assert (status, nit) == (ref.status, ref.nit)
+    return x, active, status, nit
+
+
+def test_bvls_port_equals_scipy_exactly():
+    statuses = {_bvls_matching_scipy(A, b, max_iter)[2] for A, b, max_iter in _bvls_cases()}
+    assert {0, 1, 3} <= statuses
+    assert sum(A.shape[1] > A.shape[0] for A, _, _ in _bvls_cases()) > 20
+
+
+def test_bvls_port_equals_scipy_on_lasso_problems(monkeypatch):
+    # the stacked [A; sqrt(lam) G] systems lasso decoding builds
+    from forestae import decode
+
+    steps = []
+
+    def compared(A, b, max_iter):
+        out = _bvls_matching_scipy(A, b, max_iter)
+        steps.append(out[3])
+        return out
+
+    monkeypatch.setattr(decode, "_bvls", compared)
+    table = make_mixed(120, seed=39)
+    f, model, synth = _pipeline(table, trees=20, max_depth=None, seed=39)
+    lasso_decode(model.Z[:3], model, f, synth, seed=40)
+    assert len(steps) == 3 and min(steps) > 10
+
+
 # ---------------------------------------------------------------------------
 # greedy assignment
 
@@ -727,6 +782,41 @@ def test_lasso_decode_converges_on_twenty_trees():
     assert [r["row"] for r in trace] == list(range(5))
     assert all(r["converged"] for r in trace), trace
     assert all(np.isfinite(r["objective"]) for r in trace)
+
+
+def test_lasso_budget_checked_before_any_row_is_solved(monkeypatch):
+    from forestae import decode
+    from forestae.decode import _strongest
+    from forestae.kernel import leaf_design, leaf_profile
+    from forestae.spectral import reconstruct_kernel
+
+    table = make_mixed(120, seed=39)
+    f, model, synth = _pipeline(table, trees=20, max_depth=None, seed=39)
+    M = leaf_design(leaf_profile(f, route_values(f, synth.table.values)))
+    cells = max((nb.size + f.n_trees) * np.unique(M.cols[nb]).size
+                for nb in (_strongest(k, 100) for k in reconstruct_kernel(model.Z[:5], model)))
+    assert cells <= decode._LASSO_MAX_CELLS  # 20-tree forests stay inside the budget
+    monkeypatch.setattr(decode, "_LASSO_MAX_CELLS", cells)
+    assert lasso_decode(model.Z[:5], model, f, synth, seed=40).n == 5
+    solved = []
+    monkeypatch.setattr(decode, "exclusive_lasso", lambda *a: solved.append(a))
+    monkeypatch.setattr(decode, "_LASSO_MAX_CELLS", cells - 1)
+    with pytest.raises(DecodeError, match=f"{cells} cells.*knn"):
+        lasso_decode(model.Z[:5], model, f, synth, seed=40)
+    assert solved == []
+
+
+def test_lasso_rejects_a_many_tree_forest_at_once(monkeypatch):
+    from forestae import decode
+
+    # about 5.6 million cells a row, as on a 500-tree banknote fold
+    table = make_mixed(150, seed=42)
+    f, model, synth = _pipeline(table, trees=300, min_leaf=2, seed=42)
+    solved = []
+    monkeypatch.setattr(decode, "exclusive_lasso", lambda *a: solved.append(a))
+    with pytest.raises(DecodeError, match="exceeds the budget.*knn"):
+        lasso_decode(model.Z[:3], model, f, synth, seed=43)
+    assert solved == []
 
 
 def test_lasso_decode_rows_inside_schema():

@@ -144,6 +144,29 @@ def test_factor_products_equal_csr_products_exactly():
             assert np.array_equal(kern.dot(X), expected)
 
 
+@pytest.mark.parametrize("block_pairs", [None, 500])
+def test_toarray_equals_csr_toarray_exactly(monkeypatch, block_pairs):
+    # the numpy build sums in SciPy's CSR product order, scales by 1/B like
+    # SciPy and then by the renormalisation; 500 pairs split the rows into blocks
+    from forestae import kernel
+
+    if block_pairs is not None:
+        monkeypatch.setattr(kernel, "_DENSE_BLOCK_PAIRS", block_pairs)
+    table = make_mixed(120, seed=5)
+    f = fit_completely_random(table, ForestParams(n_trees=9, min_leaf=2, seed=5))
+    K = rf_kernel_train(f, table)
+    strict = rf_kernel_cross(f, table.take(np.arange(30, 60)), table)
+    loose = rf_kernel_cross(f, table, table.take(np.arange(90)), strict=False)
+    assert loose.scale is not None
+    if block_pairs is not None:
+        pairs = np.bincount(K.right.cols.ravel())[K.left.cols].sum(axis=1)
+        assert pairs.sum() > 4 * block_pairs
+    for kern in (K, strict, loose):
+        dense = kern.toarray()
+        assert dense.dtype == np.float64 and dense.shape == (kern.n_rows, kern.n_cols)
+        assert dense.tobytes() == kern.matrix.toarray().tobytes()
+
+
 def test_scornet_kernel_examples(t2x4):
     forest, table, _ = t2x4
     p = table.values

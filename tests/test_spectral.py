@@ -276,15 +276,29 @@ def test_disconnected_kernel_dense_and_lanczos_agree(seed, tmp_path, monkeypatch
     assert np.abs(z - (z @ u) / (u @ u) * u).max() <= 1e-10
 
 
-def test_non_stochastic_kernel_rejected():
+def _drifting_kernel():
+    """A train kernel whose rows sum to 1.01."""
     from dataclasses import replace
 
     from forestae.kernel import LeafFactor
 
     _, _, K = _fitted(n=30, seed=15)
     F = LeafFactor(K.right.cols, K.right.weights * 1.01)
+    return replace(K, left=F, right=F)
+
+
+def test_non_stochastic_kernel_rejected():
     with pytest.raises(SpectralError, match="sum to 1"):
-        eigendecompose(replace(K, left=F, right=F), 3)
+        eigendecompose(_drifting_kernel(), 3)
+
+
+def test_non_stochastic_kernel_rejected_by_lanczos(monkeypatch):
+    # the Lanczos path checks the drift on the CSR F it multiplies with
+    from forestae import spectral
+
+    monkeypatch.setattr(spectral, "_DENSE_CUTOFF", 0)
+    with pytest.raises(SpectralError, match="sum to 1"):
+        eigendecompose(_drifting_kernel(), 3)
 
 
 def test_zero_eigenvalue_dimensions_zeroed(t2x4):
