@@ -6,7 +6,8 @@ Four routes with different cost/accuracy trade-offs:
 * split relabeling, turning the fitted trees into routers over the embedding;
 * an exclusive-lasso relaxation scoring fuzzy leaf memberships, hardened by
   one greedy pass over the trees that keeps the picked cells intersecting;
-* exact enumeration of the leaf-assignment program for desk-scale forests.
+* the exact leaf-assignment program for desk-scale forests: the forest's
+  cells are enumerated once, and every row is scored against all of them.
 
 All decoders emit schema-conformant tables; rows are independent, so query
 batches can be processed in parallel.
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Table
-from .forest import (Forest, Region, _descend, _first_min, _segment_cumsum, assigned_region,
-                     breadth_first_layout, route_table, route_values)
+from .forest import (Forest, _descend, _first_min, _segment_cumsum, _sorted_unique,
+                     assigned_region, breadth_first_layout, route_table, route_values)
 from .kernel import leaf_design, leaf_profile
 from .spectral import SpectralModel, reconstruct_kernel
 
@@ -55,7 +56,6 @@ _KDTREE_MAX_DIM = 20
 _BRUTE_MAX_PAIRS = 2**24
 _BRUTE_BLOCK_PAIRS = 2**16  # (query, reference) distances per block of the numpy search
 _RELABEL_CELLS = 2**15  # (reference row, tree) cells per block of trees relabeling walks
-_ILP_MAX_COMBINATIONS = 10**6
 # Cells (rows x leaf columns) of the largest BVLS problem lasso decoding takes
 # on; checked for every row before any is solved. On a 2-vCPU x86 host, rows
 # of a 150-tree banknote fold at 0.7-0.9 million cells take 3.5-4.6 s each and
@@ -63,6 +63,13 @@ _ILP_MAX_COMBINATIONS = 10**6
 # million cells and take 37-58 s each. A desk-scale 5-tree forest needs a few
 # thousand.
 _LASSO_MAX_CELLS = 10**6
+# (cell, leaf) pairs met while exact decoding enumerates the forest's cells, and
+# (cell, reference row) products it scores. On a 2-vCPU x86 host a 20-tree,
+# depth-6 forest of a mixed-decoders fold (5,245 cells, 300 reference rows: 1.6
+# million products) takes 0.85 s for 40 rows at 77 MB peak RSS; 30 trees (2.5
+# million) take 1.7 s and 104 MB. A desk-scale 5-tree forest needs 14 thousand.
+_ILP_MAX_WORK = 2**21
+_ILP_BLOCK = 2**16  # (cell, leaf) pairs or (row, cell, reference row) terms per block
 _TIE_TOL = 1e-12
 
 
@@ -401,7 +408,7 @@ def exclusive_lasso(
     y = np.asarray(y, dtype=np.float64)
     if not np.all(np.isfinite(y)):
         raise DecodeError("non-finite kernel estimates")
-    G = (np.unique(groups)[:, None] == groups[None, :]).astype(np.float64)
+    G = (_sorted_unique(groups)[:, None] == groups[None, :]).astype(np.float64)
     x, bound, status, nit = _bvls(
         np.vstack([A, np.sqrt(lam) * G]),
         np.concatenate([y, np.zeros(G.shape[0])]),
@@ -638,7 +645,7 @@ def lasso_decode(
     picked = [_strongest(khat, sparsity_cap) for khat in khat_all]
     for nb in picked:
         # a row's problem stacks its neighbor rows over one group row per tree
-        cells = (nb.size + B) * np.unique(M.cols[nb]).size
+        cells = (nb.size + B) * _sorted_unique(M.cols[nb]).size
         if cells > _LASSO_MAX_CELLS:
             raise DecodeError(
                 f"an exclusive-lasso problem of {cells} cells (rows x leaf columns) exceeds "
@@ -649,7 +656,7 @@ def lasso_decode(
     for i, neighbors in enumerate(picked):
         khat = khat_all[i]
         cols = M.cols[neighbors]
-        col_ids = np.unique(cols)
+        col_ids = _sorted_unique(cols)
         group_ids = np.searchsorted(forest.leaf_offsets, col_ids, side="right") - 1
         # each (row, tree) entry lands in its own column of the neighbour block
         A = np.zeros((neighbors.size, col_ids.size))
@@ -682,82 +689,70 @@ class IlpResult:
         return self.n_optima > 1
 
 
-def _leaf_members(forest: Forest, pi: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Per global leaf: the reference rows it holds (ascending) and its
-    1/count weight, for reference rows routed to ``pi`` (n x B)."""
-    combos = 1
-    for t in forest.trees:
-        combos *= t.n_leaves
-        if combos > _ILP_MAX_COMBINATIONS:
-            raise DecodeError(
-                "assignment space exceeds the exact-enumeration budget; "
-                "use lasso_decode for forests this large"
-            )
+def _check_ilp_work(work: int) -> None:
+    if work > _ILP_MAX_WORK:
+        raise DecodeError(f"assignment space exceeds the exact-enumeration budget ({work} > "
+                          f"{_ILP_MAX_WORK}); use lasso_decode for forests this large")
+
+
+def _refinement(forest: Forest, n_rows: int) -> np.ndarray:
+    """The non-empty cells of the forest's common refinement as (cells, B)
+    local leaf ids, in lexicographic order: breadth first over the trees, each
+    step meets the cells so far with the next tree's leaf cells, in blocks of
+    ``_ILP_BLOCK`` pairs, and keeps the non-empty ones in row-major order.
+    Cells never get fewer, as each tree's leaves tile every cell, so every step
+    checks the budget on the products with ``n_rows`` that scoring will need."""
+    region, cells = forest.node_boxes(0)[:1], np.zeros((1, 0), dtype=np.int64)
+    for b, tree in enumerate(forest.trees):
+        _check_ilp_work(cells.shape[0] * max(tree.n_leaves, n_rows))
+        leaves = forest.tree_leaf_boxes(b)
+        step = max(1, _ILP_BLOCK // tree.n_leaves)
+        f, l = np.concatenate([
+            np.argwhere(~region[s:s + step, None].intersect(leaves).is_empty()) + (s, 0)
+            for s in range(0, cells.shape[0], step)
+        ]).T
+        region, cells = region[f].intersect(leaves[l]), np.column_stack([cells[f], l])
+        if not cells.shape[0]:
+            raise DecodeError("no feasible leaf assignment: every combination has empty overlap")
+    _check_ilp_work(cells.shape[0] * n_rows)
+    return cells
+
+
+def _ilp_solve(khat: np.ndarray, forest: Forest, pi: np.ndarray) -> list[IlpResult]:
+    """``ilp_decode_exact`` for (m x n) kernel rows against one enumeration:
+    each cell's M psi is summed once, tree by tree, and every row's l1
+    objective is scored against all cells in blocks of ``_ILP_BLOCK`` terms."""
+    B, n = forest.n_trees, pi.shape[0]
+    target = B * np.asarray(khat, dtype=np.float64)
+    if target.shape[1] != n:
+        raise DecodeError("kernel row length must match training assignments")
+    cells = _refinement(forest, n)
     M = leaf_design(leaf_profile(forest, pi))
-    flat = M.cols.ravel()
-    order = np.argsort(flat, kind="stable")  # row-major, so rows ascend within a leaf
-    bounds = np.cumsum(np.bincount(flat, minlength=forest.total_leaves))[:-1]
-    return np.split(order // forest.n_trees, bounds), M.weights
+    design = np.zeros((cells.shape[0], n))
+    for b, tree in enumerate(forest.trees):
+        per_leaf = np.zeros((tree.n_leaves, n))
+        per_leaf[pi[:, b], np.arange(n)] = M.weights[M.cols[:, b]]
+        design += per_leaf[cells[:, b]]
+    results = []
+    step = max(1, _ILP_BLOCK // design.size)
+    for s in range(0, target.shape[0], step):
+        for obj in np.abs(target[s:s + step, None] - design).sum(axis=2):
+            tied = np.flatnonzero(obj <= obj.min() + _TIE_TOL)
+            results.append(IlpResult(assignment=cells[tied[0]], objective=float(obj[tied[0]]),
+                                     n_optima=tied.size, optima=list(cells[tied[:8]])))
+    return results
 
 
-def ilp_decode_exact(
-    khat_row: np.ndarray,
-    forest: Forest,
-    pi: np.ndarray,
-    members: tuple[list[np.ndarray], np.ndarray] | None = None,
-) -> IlpResult:
+def ilp_decode_exact(khat_row: np.ndarray, forest: Forest, pi: np.ndarray) -> IlpResult:
     """Exact minimizer of the leaf-assignment program for one kernel row.
 
-    Depth-first enumeration over per-tree leaves, pruning branches whose
-    partial region intersection is already empty; exact l1 objective against
-    B * khat over the training rows. Ties are reported and broken by
-    lexicographic leaf order. ``members`` is ``_leaf_members(forest, pi)``
-    when the caller decodes many rows against the same reference.
+    The feasible assignments are the non-empty cells of the forest's common
+    refinement, the same for every row; each is scored by the exact l1
+    objective |B khat - M psi|_1 over the reference rows routed to ``pi``.
+    The lexicographically first cell within ``_TIE_TOL`` of the minimum wins,
+    and ``n_optima`` counts the cells within that tolerance.
     """
-    rows, weights = _leaf_members(forest, pi) if members is None else members
-    B = forest.n_trees
-    n = pi.shape[0]
-    target = B * np.asarray(khat_row, dtype=np.float64)
-    if target.shape[0] != n:
-        raise DecodeError("kernel row length must match training assignments")
-    offsets = forest.leaf_offsets
-
-    acc = np.zeros(n)
-    current = np.zeros(B, dtype=np.int64)
-    best: dict = {"obj": np.inf, "assign": None, "n": 0, "optima": []}
-
-    def descend(b: int, region: Region | None) -> None:
-        if b == B:
-            obj = float(np.abs(target - acc).sum())
-            if obj < best["obj"] - _TIE_TOL:
-                best["obj"] = obj
-                best["assign"] = current.copy()
-                best["n"] = 1
-                best["optima"] = [current.copy()]
-            elif abs(obj - best["obj"]) <= _TIE_TOL:
-                best["n"] += 1
-                if len(best["optima"]) < 8:
-                    best["optima"].append(current.copy())
-            return
-        leaves = forest.tree_leaf_boxes(b)
-        nxt = leaves if region is None else leaves.intersect(region)
-        for l in np.flatnonzero(~nxt.is_empty()):
-            current[b] = l
-            c = offsets[b] + l
-            acc[rows[c]] += weights[c]
-            descend(b + 1, nxt[l])
-            acc[rows[c]] -= weights[c]
-        return
-
-    descend(0, None)
-    if best["assign"] is None:
-        raise DecodeError("no feasible leaf assignment: every combination has empty overlap")
-    return IlpResult(
-        assignment=best["assign"],
-        objective=best["obj"],
-        n_optima=best["n"],
-        optima=best["optima"],
-    )
+    return _ilp_solve(np.asarray(khat_row)[None], forest, pi)[0]
 
 
 def ilp_decode(
@@ -768,20 +763,18 @@ def ilp_decode(
     seed: int = 0,
     trace: list[dict] | None = None,
 ) -> Table:
-    """Reconstruct kernel rows, enumerate each row's exact leaf assignment,
-    and sample from the assigned-leaf intersections.
+    """Reconstruct kernel rows, find each row's exact leaf assignment against
+    one enumeration of the forest's cells, and sample from the assigned-leaf
+    intersections.
 
     If ``trace`` is a list, one record per row is appended to it: the row,
     its optimal objective and the number of optima.
     """
     khat = reconstruct_kernel(np.atleast_2d(np.asarray(Z0, dtype=np.float64)), model)
-    pi = route_values(forest, synth.table.values)
-    members = _leaf_members(forest, pi)
-    assignments = np.empty((khat.shape[0], forest.n_trees), dtype=np.int64)
-    for i, row in enumerate(khat):
-        res = ilp_decode_exact(row, forest, pi, members)
-        assignments[i] = res.assignment
-        if trace is not None:
-            trace.append({"row": i, "objective": res.objective, "n_optima": res.n_optima})
+    results = _ilp_solve(khat, forest, route_values(forest, synth.table.values))
+    if trace is not None:
+        trace.extend({"row": i, "objective": r.objective, "n_optima": r.n_optima}
+                     for i, r in enumerate(results))
+    assignments = np.reshape([r.assignment for r in results], (-1, forest.n_trees))
     values = assigned_region(forest, assignments).sample(np.random.default_rng(seed))
     return Table(forest.schema, values)

@@ -48,6 +48,8 @@ class SpectralModel:
     # fit-time diagnostics, not stored in bundles
     solver: str | None = None  # "dense" or "lanczos"
     residual_max: float | None = None  # largest residual over the deflated pairs
+    row_sum_drift: float | None = None  # max |K·1 − 1|, checked before deflating
+    at_one: int | None = None  # retained eigenvalues at 1, one per extra kernel-graph component
 
     def truncate(self, d_z: int) -> "SpectralModel":
         """The leading d_z coordinates, diffusion time kept."""
@@ -87,11 +89,12 @@ def eigendecompose(K: SparseKernelMatrix, d_z: int) -> SpectralModel:
     if not (1 <= d_z <= n - 1):
         raise SpectralError(f"d_z must lie in [1, n-1], got {d_z} with n={n}")
 
-    def check_drift(row_sums: np.ndarray) -> None:
+    def check_drift(row_sums: np.ndarray) -> float:
         drift = float(np.abs(row_sums - 1.0).max())
         if drift > _RESIDUAL_TOL:
             raise SpectralError(f"kernel rows sum to 1 only within {drift:.3e}; "
                                 "the constant pair cannot be deflated")
+        return drift
 
     def dot(X):
         return K.dot(X) - X.mean(axis=0)
@@ -99,7 +102,7 @@ def eigendecompose(K: SparseKernelMatrix, d_z: int) -> SpectralModel:
     if n <= _DENSE_CUTOFF or d_z >= n - 1:
         solver = "dense"
         dense = K.toarray()
-        check_drift(dense.sum(axis=1))
+        drift = check_drift(dense.sum(axis=1))
         vals, vecs = np.linalg.eigh(dense - 1.0 / n)
         vals, vecs = vals[::-1][:d_z], vecs[:, ::-1][:, :d_z]
     else:
@@ -113,7 +116,7 @@ def eigendecompose(K: SparseKernelMatrix, d_z: int) -> SpectralModel:
         def dot(X):
             return F @ (F.T @ X) / K.n_trees - X.mean(axis=0)
 
-        check_drift(F @ (F.T @ np.ones(n)) / K.n_trees)
+        drift = check_drift(F @ (F.T @ np.ones(n)) / K.n_trees)
         op = spla.LinearOperator((n, n), matvec=dot, matmat=dot, dtype=np.float64)
         try:
             # a seeded start vector keeps the result bit-reproducible
@@ -148,6 +151,8 @@ def eigendecompose(K: SparseKernelMatrix, d_z: int) -> SpectralModel:
         V=vecs.astype(np.float64),
         solver=solver,
         residual_max=resid,
+        row_sum_drift=drift,
+        at_one=at_one,
     )
 
 

@@ -11,7 +11,7 @@ import pytest
 import forestae
 from forestae.bundle import load_bundle
 from forestae.cli import main
-from forestae.data import Table, load_csv
+from forestae.data import Table, load_csv, save_csv
 from forestae.decode import (
     DecodeError,
     ilp_decode_exact,
@@ -23,6 +23,7 @@ from forestae.decode import (
 from forestae.forest import ForestError, ForestParams, assigned_region, route_table
 from forestae.kernel import SparseKernelMatrix, leaf_profile, rf_kernel_train
 from forestae.spectral import SpectralError, reconstruct_kernel, with_time
+from conftest import make_mixed
 
 
 def _write_blobs_csv(path, n=80, seed=0, with_label=True):
@@ -142,6 +143,8 @@ def test_fit_never_builds_the_kernel_matrix(tmp_path, monkeypatch, capsys):
                  "--out", str(tmp_path / "m.json.gz")]) == 0
     err = capsys.readouterr().err
     assert "nnz(F)=5100" in err and "eig=lanczos" in err and "residual_max=" in err
+    drift = float(err.split("row_sum_drift=")[1].split()[0])
+    assert 0.0 <= drift <= 1e-8 and "at_one=0" in err
 
 
 @pytest.mark.parametrize("dense", [False, True])
@@ -216,6 +219,30 @@ def test_decode_ilp_matches_module_oracle(tmp_path):
         assert res.objective == pytest.approx(recs[i]["objective"])
 
 
+def test_decode_ilp_trace_on_twenty_trees(tmp_path):
+    # 4.5e17 combinations of one leaf per tree, far past a per-assignment
+    # search, but only 130 non-empty cells
+    data = tmp_path / "train.csv"
+    save_csv(make_mixed(300, seed=1009), data)
+    bundle, emb, head = tmp_path / "m.json", tmp_path / "emb.csv", tmp_path / "head.csv"
+    assert main(["fit", str(data), "--mode", "unsupervised", "--trees", "20", "--max-depth", "3",
+                 "--min-leaf", "3", "--d-z", "2", "--out", str(bundle), "--seed", "1010"]) == 0
+    assert main(["encode", str(bundle), str(data), "--out", str(emb)]) == 0
+    head.write_text("".join(emb.read_text().splitlines(keepends=True)[:41]))
+    trace, out = tmp_path / "trace.jsonl", tmp_path / "dec.csv"
+    assert main(["decode", str(bundle), str(head), "--decoder", "ilp", "--out", str(out),
+                 "--trace", str(trace), "--seed", "1010"]) == 0
+    b = load_bundle(bundle)
+    assert np.prod([float(t.n_leaves) for t in b.forest.trees]) > 1e6
+    recs = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert [r["row"] for r in recs] == list(range(40)) and load_csv(out).n == 40
+    khat = reconstruct_kernel(np.loadtxt(head, delimiter=",", skiprows=1), b.model)
+    pi = route_table(b.forest, b.synth.table)[0]
+    for i in (0, 17, 39):
+        res = ilp_decode_exact(khat[i], b.forest, pi)
+        assert (res.objective, res.n_optima) == (recs[i]["objective"], recs[i]["n_optima"])
+
+
 def test_decode_lasso_trace_records(fitted, tmp_path):
     data, bundle = fitted
     emb, out, trace = tmp_path / "emb.csv", tmp_path / "dec.csv", tmp_path / "t.jsonl"
@@ -240,10 +267,12 @@ def _cli_env() -> dict:
     return {**os.environ, "PYTHONPATH": str(Path(forestae.__file__).resolve().parents[1])}
 
 
-def _scipy_modules_after(code: str) -> list[str]:
-    """The scipy modules a fresh interpreter holds after running ``code``."""
-    code += ("; import json, sys; "
-             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))")
+def _scipy_modules_after(code: str, packages: tuple[str, ...] = ("scipy",)) -> list[str]:
+    """The modules of ``packages`` that a fresh interpreter holds after running
+    ``code``."""
+    below = tuple(p + "." for p in packages)
+    code += ("; import json, sys; print(json.dumps(sorted(m for m in sys.modules "
+             f"if m in {packages!r} or m.startswith({below!r}))))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env=_cli_env())
     return json.loads(done.stdout.splitlines()[-1])
@@ -269,7 +298,8 @@ def test_dense_fit_and_lasso_decode_load_no_scipy(fitted, tmp_path):
         ["decode", str(bundle), str(head), "--decoder", "lasso", "--out", str(tmp_path / "l.csv")],
     ):
         code = f"from forestae.cli import main; assert main({call!r}) == 0"
-        assert _scipy_modules_after(code) == [], call
+        # np.unique's hash path imports numpy.ma, 16 ms of a desk-scale command
+        assert _scipy_modules_after(code, ("scipy", "numpy.ma")) == [], call
     assert (tmp_path / "k.csv").is_file() and load_csv(tmp_path / "l.csv").n == 3
 
 
@@ -306,7 +336,7 @@ def test_encode_ilp_relabel_load_no_scipy(tmp_path):
         for d in ("ilp", "relabel")
     ]
     code = f"from forestae.cli import main; assert [main(a) for a in {calls!r}] == [0, 0, 0]"
-    assert _scipy_modules_after(code) == []
+    assert _scipy_modules_after(code, ("scipy", "numpy.ma")) == []
     assert (tmp_path / "ilp.csv").is_file() and (tmp_path / "relabel.csv").is_file()
 
 
@@ -315,7 +345,8 @@ def test_decode_knn_below_break_even_loads_no_scipy(fitted, tmp_path):
     emb, out = tmp_path / "emb.csv", tmp_path / "knn.csv"
     assert main(["encode", str(bundle), str(data), "--out", str(emb)]) == 0
     call = ["decode", str(bundle), str(emb), "--decoder", "knn", "--out", str(out)]
-    assert _scipy_modules_after(f"from forestae.cli import main; assert main({call!r}) == 0") == []
+    code = f"from forestae.cli import main; assert main({call!r}) == 0"
+    assert _scipy_modules_after(code, ("scipy", "numpy.ma")) == []
     assert load_csv(out).n == 60
 
 

@@ -22,6 +22,7 @@ from forestae.forest import (
     Forest,
     ForestParams,
     Tree,
+    assigned_region,
     fit_completely_random,
     leaf_region,
     region_intersect,
@@ -706,11 +707,53 @@ def test_ilp_counterexample_reports_two_optima():
 
 
 def test_ilp_rejects_oversized_instance():
-    table = make_mixed(100, seed=31)
-    f = fit_completely_random(table, ForestParams(n_trees=10, min_leaf=2, seed=31))
+    # one leaf per row in each of 10 trees: the cells times 300 reference rows
+    # outgrow the work budget within a few trees
+    table = make_mixed(300, seed=31)
+    f = fit_completely_random(table, ForestParams(n_trees=10, min_leaf=1, seed=31))
     ids, _ = route_table(f, table)
     with pytest.raises(DecodeError, match="lasso_decode"):
-        ilp_decode_exact(np.full(100, 0.01), f, ids)
+        ilp_decode_exact(np.full(300, 1 / 300), f, ids)
+
+
+def _brute_force_ilp(khat, forest, ids):
+    """Reference for exact decoding: every combination of one leaf per tree in
+    lexicographic order, its cell recomputed from the leaf cells and its l1
+    objective from the leaf counts. Returns the combinations within 1e-12 of
+    the minimum and the first one's objective."""
+    combos = np.array(list(itertools.product(*(range(t.n_leaves) for t in forest.trees))))
+    combos = combos[~assigned_region(forest, combos).is_empty()]
+    counts = [np.bincount(ids[:, b], minlength=t.n_leaves) for b, t in enumerate(forest.trees)]
+    objs = np.empty(len(combos))
+    for c, combo in enumerate(combos):
+        acc = np.zeros(ids.shape[0])
+        for b, leaf in enumerate(combo):
+            acc += (ids[:, b] == leaf) / max(counts[b][leaf], 1)
+        objs[c] = np.abs(forest.n_trees * khat - acc).sum()
+    tied = np.flatnonzero(objs <= objs.min() + 1e-12)
+    return combos[tied], objs[tied[0]]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ilp_matches_brute_force_enumeration(seed):
+    table = make_mixed(40, seed=50 + seed)
+    f = fit_completely_random(table, ForestParams(n_trees=3 + seed % 2, max_depth=3,
+                                                  min_leaf=2, seed=seed))
+    ids, _ = route_table(f, table)
+    rng = np.random.default_rng(seed)
+    rows = {
+        "random": rng.random(40) * 2 / 40,
+        "kernel": rf_kernel_cross(f, table, table).toarray()[seed],
+        "zero": np.zeros(40),  # every cell of populated leaves scores B: ties
+    }
+    for name, khat in rows.items():
+        res = ilp_decode_exact(khat, f, ids)
+        tied, objective = _brute_force_ilp(khat, f, ids)
+        assert np.array_equal(res.assignment, tied[0]), name
+        assert res.n_optima == len(tied), name
+        assert np.array_equal(np.array(res.optima), tied[:8]), name
+        assert abs(res.objective - objective) <= 1e-12, name
+    assert res.n_optima > 1
 
 
 def test_ilp_infeasible_instance_errors(t2x4):

@@ -267,6 +267,8 @@ def test_disconnected_kernel_dense_and_lanczos_agree(seed, tmp_path, monkeypatch
     with pytest.warns(UserWarning, match="disconnected: 2 components"):
         lanczos = with_time(eigendecompose(K, 2), 1.0)
     assert (dense.solver, lanczos.solver) == ("dense", "lanczos")
+    assert dense.at_one == lanczos.at_one == 1
+    assert max(dense.row_sum_drift, lanczos.row_sum_drift) <= 1e-8
     signs = np.sign(np.sum(dense.Z * lanczos.Z, axis=0))
     assert np.abs(dense.Z - lanczos.Z * signs).max() <= 1e-10
     # the lambda = 1 coordinate is the centred component indicator
