@@ -54,6 +54,17 @@ def _forest_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rounds", type=int, default=1, help="discriminator refit rounds")
 
 
+def _decoder_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--decoder", choices=DECODERS, default="knn")
+    p.add_argument("--k", type=int, default=20)
+    p.add_argument("--lambda", dest="penalty", type=float, default=1e-4,
+                   help="exclusive-lasso penalty weight")
+    p.add_argument("--sparsity-cap", type=int, default=100)
+    p.add_argument("--n-synth", type=int, default=256,
+                   help="relabel: at most this many reference rows score a split")
+    p.add_argument("--trace", default=None, help="write per-row diagnostics JSONL here")
+
+
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
@@ -393,29 +404,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="map an embedding CSV back to feature space")
     p.add_argument("bundle")
     p.add_argument("embeddings")
-    p.add_argument("--decoder", choices=DECODERS, default="knn")
-    p.add_argument("--k", type=int, default=20)
-    p.add_argument("--lambda", dest="penalty", type=float, default=1e-4,
-                   help="exclusive-lasso penalty weight")
-    p.add_argument("--sparsity-cap", type=int, default=100)
-    p.add_argument("--n-synth", type=int, default=256,
-                   help="relabel: at most this many reference rows score a split")
     p.add_argument("--out", required=True)
-    p.add_argument("--trace", default=None, help="write per-row diagnostics JSONL here")
+    _decoder_flags(p)
     _common_flags(p)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("roundtrip", help="encode then decode a CSV; print distortion")
     p.add_argument("bundle")
     p.add_argument("data")
-    p.add_argument("--decoder", choices=DECODERS, default="knn")
-    p.add_argument("--k", type=int, default=20)
-    p.add_argument("--lambda", dest="penalty", type=float, default=1e-4)
-    p.add_argument("--sparsity-cap", type=int, default=100)
-    p.add_argument("--n-synth", type=int, default=256,
-                   help="relabel: at most this many reference rows score a split")
     p.add_argument("--out", required=True)
-    p.add_argument("--trace", default=None, help="write per-row diagnostics JSONL here")
+    _decoder_flags(p)
     _common_flags(p)
     p.set_defaults(func=cmd_roundtrip)
 

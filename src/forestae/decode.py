@@ -4,8 +4,9 @@ Four routes with different cost/accuracy trade-offs:
 
 * k-NN regression against a synthetic training set that embeds exactly onto Z;
 * split relabeling, turning the fitted trees into routers over the embedding;
-* an exclusive-lasso relaxation scoring fuzzy leaf memberships, hardened by
-  one greedy pass over the trees that keeps the picked cells intersecting;
+* an exclusive-lasso relaxation scoring fuzzy leaf memberships, hardened (as
+  relabeling's routed leaves are) by one greedy pass over the trees for all
+  rows at once, which keeps each row's picked cells intersecting;
 * the exact leaf-assignment program for desk-scale forests: the forest's
   cells are enumerated once, and every row is scored against all of them.
 
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Table
-from .forest import (Forest, _descend, _first_min, _segment_cumsum, _sorted_unique,
-                     assigned_region, breadth_first_layout, route_table, route_values)
+from .forest import (Forest, _descend, _first_min, _node_arrays, _pick, _route,
+                     _segment_cumsum, _sorted_unique, assigned_region, route_table, route_values)
 from .kernel import leaf_design, leaf_profile
 from .spectral import SpectralModel, reconstruct_kernel
 
@@ -56,6 +57,9 @@ _KDTREE_MAX_DIM = 20
 _BRUTE_MAX_PAIRS = 2**24
 _BRUTE_BLOCK_PAIRS = 2**16  # (query, reference) distances per block of the numpy search
 _RELABEL_CELLS = 2**15  # (reference row, tree) cells per block of trees relabeling walks
+# (row, leaf) pairs per hardening step: on a 2-vCPU x86 host the 500-tree banknote
+# fold hardens as fast at 2**13 as at 2**16, at 89 rather than 115 MB peak RSS
+_HARDEN_CELLS = 2**14
 # Cells (rows x leaf columns) of the largest BVLS problem lasso decoding takes
 # on; checked for every row before any is solved. On a 2-vCPU x86 host, rows
 # of a 150-tree banknote fold at 0.7-0.9 million cells take 3.5-4.6 s each and
@@ -235,23 +239,20 @@ def knn_decode(
 
 
 @dataclass
-class RelabeledTree:
-    """Same breadth-first layout as the source tree (``feature >= 0`` at its
-    splits), but splits test embedding axes.
+class RelabeledForest:
+    """The source forest's splits re-expressed on embedding axes, as flat
+    per-node arrays in the order of its stacked node table (``feature >= 0``
+    at the same splits).
 
-    ``flip`` inverts a node's routing (z < threshold goes right) when the
+    ``flip`` inverts a node's routing (z >= threshold goes left) when the
     best-matching latent split runs opposite to the original literal.
     """
 
+    starts: np.ndarray  # (B + 1,) first node of each tree; the node count at the end
     feature: np.ndarray
     threshold: np.ndarray
     flip: np.ndarray
     smc: np.ndarray  # per-node agreement with the split literal on the reference rows
-
-
-@dataclass
-class RelabeledForest:
-    trees: list[RelabeledTree]
     d_z: int
     n_degenerate: int  # splits given a constant test
 
@@ -333,27 +334,20 @@ def relabel_forest(
             ids, *relabeled = _best_latent_splits(at, Z[row], label)
             for a, v in zip(out, relabeled):
                 a[ids] = v
-    trees = [RelabeledTree(*(a[s:e] for a in out))
-             for s, e in zip(nodes.starts[:-1], nodes.starts[1:])]
-    return RelabeledForest(trees, model.d_z, int(np.isinf(out[1][split]).sum()))
+    return RelabeledForest(nodes.starts, *out, model.d_z, int(np.isinf(out[1][split]).sum()))
 
 
 def route_relabeled(relabeled: RelabeledForest, Z0: np.ndarray) -> np.ndarray:
+    """Local leaf ids (m x B) of embeddings routed down the relabeled trees,
+    all trees at once through the walk that ``route_values`` takes. A flipped
+    split sends z >= t left, so it tests the negated axis: -z < nextafter(-t,
+    +inf) is exactly -z <= -t."""
+    r = relabeled
     Z0 = np.atleast_2d(np.asarray(Z0, dtype=np.float64))
-    out = np.empty((Z0.shape[0], len(relabeled.trees)), dtype=np.int32)
-    for b, tree in enumerate(relabeled.trees):
-        left, leaf_id = breadth_first_layout(tree.feature >= 0)
-        node = np.zeros(Z0.shape[0], dtype=np.intp)
-        while True:
-            active = left[node] >= 0
-            if not active.any():
-                break
-            idx = np.flatnonzero(active)
-            f = tree.feature[node[idx]]
-            go_left = (Z0[idx, f] < tree.threshold[node[idx]]) ^ tree.flip[node[idx]]
-            node[idx] = left[node[idx]] + ~go_left
-        out[:, b] = leaf_id[node]
-    return out
+    nodes = _node_arrays(r.starts, r.feature + r.flip * r.d_z,
+                         np.where(r.flip, np.nextafter(-r.threshold, np.inf), r.threshold),
+                         np.zeros(r.flip.size, dtype=bool))
+    return _route(nodes, np.hstack([Z0, -Z0]))
 
 
 def relabel_decode(
@@ -363,24 +357,21 @@ def relabel_decode(
     seed: int = 0,
     trace: list[dict] | None = None,
 ) -> Table:
-    """Route embeddings through the relabeled trees, then sample from the
-    intersection of the original forest's corresponding leaf regions. A row
-    whose routed leaves share no cell is hardened by ``greedy_leaf_assign``,
-    with each routed leaf scored 1 and every other leaf 0.
+    """Route embeddings through the relabeled trees, harden every row in one
+    ``greedy_leaf_assign`` call with its routed leaves scored 1 (so the trees
+    go in index order), then sample from the intersection of the original
+    forest's assigned leaf regions. Routed leaves that share a cell each meet
+    the running cell at their step, so hardening keeps them.
 
     If ``trace`` is a list, one record is appended to it: ``hardened_rows``,
-    the number of rows that went through hardening.
+    the number of rows whose hardened leaves differ from the routed ones.
     """
-    leaf_ids = route_relabeled(relabeled, Z0)
+    routed = route_relabeled(relabeled, Z0)
     rng = np.random.default_rng(seed)
-    offsets = original.leaf_offsets
-    hardened = np.flatnonzero(assigned_region(original, leaf_ids).is_empty())
+    leaf_ids = greedy_leaf_assign(routed + original.leaf_offsets, np.ones(routed.shape),
+                                  original, rng)
     if trace is not None:
-        trace.append({"hardened_rows": int(hardened.shape[0])})
-    for i in hardened:
-        scores = np.zeros(original.total_leaves)
-        scores[leaf_ids[i] + offsets] = 1.0
-        leaf_ids[i] = greedy_leaf_assign(scores, original, seed=int(rng.integers(2**31)))
+        trace.append({"hardened_rows": int((leaf_ids != routed).any(axis=1).sum())})
     return Table(original.schema, assigned_region(original, leaf_ids).sample(rng))
 
 
@@ -579,32 +570,58 @@ def _bvls(A: np.ndarray, b: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.n
     return x, on_bound, 0 if status is None else status, iteration + 1
 
 
-def greedy_leaf_assign(scores: np.ndarray, forest: Forest, seed: int = 0) -> np.ndarray:
-    """Harden fuzzy leaf scores, one per global leaf id, into one leaf per
-    tree whose cells intersect.
+def greedy_leaf_assign(leaves: np.ndarray, scores: np.ndarray, forest: Forest,
+                       rng=0) -> np.ndarray:
+    """Harden fuzzy leaf scores into one leaf per tree whose cells intersect,
+    for m rows at once. ``leaves`` and ``scores`` (m, k) are each row's scored
+    global leaf ids and their scores (>= 0); every other leaf scores 0, and a
+    leaf listed twice keeps its higher score, so short rows pad with score 0.
 
-    One pass over the trees, in descending order of their top score (stable
-    by tree index). Each tree takes its highest-scoring leaf whose cell meets
-    the running cell, ties broken uniformly (seeded), and that cell is then
-    intersected into the running cell, which starts as the training feature
-    box. A tree's leaves partition that box, so every step has a feasible
-    leaf and the (B,) assignment of local leaf ids is consistent. A tree
-    whose leaves all score 0 goes last and picks uniformly among its
-    feasible leaves.
+    Each row visits the trees in descending order of their top score (stable
+    by tree index). Each tree takes its best leaf whose cell meets the row's
+    running cell, which starts as the training feature box, ties broken
+    uniformly; a tree's leaves tile that box, so every step has a feasible
+    leaf. Rows take each step together against one padded (B, L_max) batch of
+    leaf cells, in blocks that meet at most ``_HARDEN_CELLS`` (row, leaf)
+    pairs a step. Ties use one uniform per (row, step), drawn row after row
+    from ``rng`` (a Generator or a seed), so blocks do not change the picks.
     """
+    leaves = np.asarray(leaves, dtype=np.int64)
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape != (forest.total_leaves,):
-        raise DecodeError(f"need one score per leaf ({forest.total_leaves}), got {scores.shape}")
-    rng = np.random.default_rng(seed)
-    scores = np.split(scores, forest.leaf_offsets[1:])
-    box = forest.node_boxes(0)[0]  # the training feature box
-    picks = np.empty(forest.n_trees, dtype=np.int64)
-    for b in np.argsort([-s.max() for s in scores], kind="stable"):
-        cells = forest.tree_leaf_boxes(b).intersect(box)
-        vals = np.where(cells.is_empty(), -np.inf, scores[b])
-        tied = np.flatnonzero(vals == vals.max())
-        picks[b] = tied[0] if tied.shape[0] == 1 else tied[rng.integers(tied.shape[0])]
-        box = cells[picks[b]]
+    if (leaves.ndim != 2 or scores.shape != leaves.shape or not np.all(scores >= 0)
+            or not np.all((leaves >= 0) & (leaves < forest.total_leaves))):
+        raise DecodeError("need (m, k) leaf ids of the forest and their scores, all >= 0")
+    rng = np.random.default_rng(rng)
+    (m, k), n_trees, offsets = leaves.shape, forest.n_trees, forest.leaf_offsets
+    n_leaves = np.diff(offsets, append=forest.total_leaves)
+    width = n_leaves.max()
+    # each tree's leaf cells, padded to the widest tree with copies of its first leaf
+    real = np.arange(width) < n_leaves[:, None]
+    cells = forest.leaf_boxes(offsets[:, None] + np.where(real, np.arange(width), 0))
+    tree = np.searchsorted(offsets, leaves, side="right") - 1
+    local = leaves - offsets[tree]
+    picks = np.empty((m, n_trees), dtype=np.int64)
+    step = max(1, _HARDEN_CELLS // width)
+    for s in range(0, m, step):
+        r = min(step, m - s)
+        u = rng.random((r, n_trees))
+        row = np.repeat(np.arange(r), k)
+        t, leaf, score = tree[s:s + r].ravel(), local[s:s + r].ravel(), scores[s:s + r].ravel()
+        top = np.zeros((r, n_trees))
+        np.maximum.at(top, (row, t), score)
+        order = np.argsort(-top, axis=1, kind="stable")  # each row's trees in visit order
+        visit = np.argsort(order, axis=1)[row, t]  # the step that visits each scored leaf
+        running = forest.node_boxes(0)[:1]  # the training feature box
+        for j in range(n_trees):
+            at = order[:, j]
+            met = cells[at].intersect(running[:, None])
+            vals = np.zeros((r, width))
+            e = np.flatnonzero(visit == j)
+            np.maximum.at(vals, (row[e], leaf[e]), score[e])
+            vals[~real[at] | met.is_empty()] = -np.inf
+            pick = _pick(np.cumsum(vals == vals.max(axis=1, keepdims=True), axis=1), u[:, j])
+            picks[s + np.arange(r), at] = pick
+            running = met[np.arange(r), pick]
     return picks
 
 
@@ -630,8 +647,9 @@ def lasso_decode(
     trace: list[dict] | None = None,
 ) -> Table:
     """Reconstruct kernel rows, reduce to the strongest neighbors, solve the
-    exclusive lasso over the leaves those neighbors touch, harden greedily,
-    and sample from the assigned-leaf intersection.
+    exclusive lasso over the leaves those neighbors touch, harden every row's
+    psi in one ``greedy_leaf_assign`` call, and sample from the assigned-leaf
+    intersections.
 
     If ``trace`` is a list, one record per row is appended to it: the row,
     the solver's objective, convergence flag and iteration count.
@@ -643,33 +661,33 @@ def lasso_decode(
     M = leaf_design(leaf_profile(forest, route_values(forest, synth.table.values)))
     B = forest.n_trees
     picked = [_strongest(khat, sparsity_cap) for khat in khat_all]
-    for nb in picked:
+    col_ids = [_sorted_unique(M.cols[nb]) for nb in picked]
+    for nb, cols in zip(picked, col_ids):
         # a row's problem stacks its neighbor rows over one group row per tree
-        cells = (nb.size + B) * _sorted_unique(M.cols[nb]).size
+        cells = (nb.size + B) * cols.size
         if cells > _LASSO_MAX_CELLS:
             raise DecodeError(
                 f"an exclusive-lasso problem of {cells} cells (rows x leaf columns) exceeds "
                 f"the budget of {_LASSO_MAX_CELLS}; use --decoder knn for forests this large"
             )
-    rng = np.random.default_rng(seed)
-    assignments = np.empty((Z0.shape[0], B), dtype=np.int64)
-    for i, neighbors in enumerate(picked):
-        khat = khat_all[i]
+    # each row's leaf columns and their psi, padded with score 0
+    leaves = np.zeros((len(picked), max((c.size for c in col_ids), default=0)), dtype=np.int64)
+    scores = np.zeros(leaves.shape)
+    for i, (neighbors, ids) in enumerate(zip(picked, col_ids)):
         cols = M.cols[neighbors]
-        col_ids = _sorted_unique(cols)
-        group_ids = np.searchsorted(forest.leaf_offsets, col_ids, side="right") - 1
+        group_ids = np.searchsorted(forest.leaf_offsets, ids, side="right") - 1
         # each (row, tree) entry lands in its own column of the neighbour block
-        A = np.zeros((neighbors.size, col_ids.size))
-        A[np.arange(neighbors.size)[:, None], np.searchsorted(col_ids, cols)] = M.weights[cols]
+        A = np.zeros((neighbors.size, ids.size))
+        A[np.arange(neighbors.size)[:, None], np.searchsorted(ids, cols)] = M.weights[cols]
         psi, converged, objective, iterations = exclusive_lasso(
-            A, B * khat[neighbors], lam, group_ids
+            A, B * khat_all[i, neighbors], lam, group_ids
         )
-        scores = np.zeros(forest.total_leaves)
-        scores[col_ids] = psi
-        assignments[i] = greedy_leaf_assign(scores, forest, seed=int(rng.integers(2**31)))
+        leaves[i, :ids.size], scores[i, :ids.size] = ids, psi
         if trace is not None:
             trace.append(dict(row=i, objective=objective, converged=converged,
                               iterations=iterations))
+    rng = np.random.default_rng(seed)
+    assignments = greedy_leaf_assign(leaves, scores, forest, rng)
     return Table(forest.schema, assigned_region(forest, assignments).sample(rng))
 
 
@@ -692,7 +710,7 @@ class IlpResult:
 def _check_ilp_work(work: int) -> None:
     if work > _ILP_MAX_WORK:
         raise DecodeError(f"assignment space exceeds the exact-enumeration budget ({work} > "
-                          f"{_ILP_MAX_WORK}); use lasso_decode for forests this large")
+                          f"{_ILP_MAX_WORK}); use --decoder lasso or --decoder knn")
 
 
 def _refinement(forest: Forest, n_rows: int) -> np.ndarray:
@@ -703,9 +721,9 @@ def _refinement(forest: Forest, n_rows: int) -> np.ndarray:
     Cells never get fewer, as each tree's leaves tile every cell, so every step
     checks the budget on the products with ``n_rows`` that scoring will need."""
     region, cells = forest.node_boxes(0)[:1], np.zeros((1, 0), dtype=np.int64)
-    for b, tree in enumerate(forest.trees):
+    for offset, tree in zip(forest.leaf_offsets, forest.trees):
         _check_ilp_work(cells.shape[0] * max(tree.n_leaves, n_rows))
-        leaves = forest.tree_leaf_boxes(b)
+        leaves = forest.leaf_boxes(offset + np.arange(tree.n_leaves))
         step = max(1, _ILP_BLOCK // tree.n_leaves)
         f, l = np.concatenate([
             np.argwhere(~region[s:s + step, None].intersect(leaves).is_empty()) + (s, 0)

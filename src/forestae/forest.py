@@ -147,10 +147,6 @@ class Forest:
     _boxes: tuple | None = field(default=None, init=False, repr=False, compare=False)
     # every tree's nodes stacked, built on first routing
     _nodes: "_Nodes | None" = field(default=None, init=False, repr=False, compare=False)
-    # per tree, its leaf cells, built on first use by the decoders' per-tree passes
-    _leaf_cells: "list[Region] | None" = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def n_trees(self) -> int:
@@ -168,7 +164,11 @@ class Forest:
 
     def _node_table(self) -> "_Nodes":
         if self._nodes is None:
-            self._nodes = _stack_nodes(self.trees)
+            starts = np.concatenate([[0], np.cumsum([t.n_nodes for t in self.trees])])
+            feature, threshold, is_equal = (np.concatenate([getattr(t, k) for t in self.trees])
+                                            for k in ("feature", "threshold", "is_equal"))
+            self._nodes = _node_arrays(starts.astype(np.int64), feature.astype(np.intp),
+                                       threshold, is_equal)
         return self._nodes
 
     def _box_table(self) -> tuple:
@@ -185,15 +185,6 @@ class Forest:
         """Cells of the given global leaf ids (any shape)."""
         boxes, _, leaf_rows = self._box_table()
         return boxes[leaf_rows[leaves]]
-
-    def tree_leaf_boxes(self, b: int) -> "Region":
-        """Cells of tree b's leaves, indexed by local leaf id."""
-        if self._leaf_cells is None:
-            self._leaf_cells = [
-                self.leaf_boxes(np.arange(o, o + t.n_leaves))
-                for o, t in zip(self.leaf_offsets, self.trees)
-            ]
-        return self._leaf_cells[b]
 
 
 # ---------------------------------------------------------------------------
@@ -812,19 +803,10 @@ class _Nodes:
     leaf_id: np.ndarray  # local leaf id, -1 at internal nodes
 
 
-def _stack_nodes(trees: list[Tree]) -> _Nodes:
-    sizes = [t.n_nodes for t in trees]
-    starts = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-    feature = np.concatenate([t.feature for t in trees]).astype(np.intp)
-    left, leaf_id = breadth_first_layout(feature >= 0, np.repeat(starts[:-1], sizes))
-    return _Nodes(
-        starts=starts,
-        feature=feature,
-        threshold=np.concatenate([t.threshold for t in trees]),
-        is_equal=np.concatenate([t.is_equal for t in trees]),
-        left=left,
-        leaf_id=leaf_id,
-    )
+def _node_arrays(starts, feature, threshold, is_equal) -> _Nodes:
+    """A node table from its splits; the split mask fixes children and leaf ids."""
+    left, leaf_id = breadth_first_layout(feature >= 0, np.repeat(starts[:-1], np.diff(starts)))
+    return _Nodes(starts, feature, threshold, is_equal, left, leaf_id)
 
 
 def _descend(nodes: _Nodes, values: np.ndarray, node: np.ndarray, width: int):
@@ -853,9 +835,12 @@ def route_values(forest: Forest, values: np.ndarray) -> np.ndarray:
     All trees route together: every (row, tree) cell walks the stacked node
     table until it reaches a leaf.
     """
-    values = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    nodes = forest._node_table()
-    n_trees = forest.n_trees
+    return _route(forest._node_table(), np.atleast_2d(np.asarray(values, dtype=np.float64)))
+
+
+def _route(nodes: _Nodes, values: np.ndarray) -> np.ndarray:
+    """Leaf ids (n x B) in every tree of the node table, ``_ROUTE_CELLS`` at a time."""
+    n_trees = nodes.starts.size - 1
     out = np.empty((values.shape[0], n_trees), dtype=np.int32)
     step = max(1, _ROUTE_CELLS // n_trees)
     for i in range(0, values.shape[0], step):
@@ -936,11 +921,9 @@ class Region:
         emptiness is a result, not an error."""
         lo = np.maximum(self.lo, other.lo)
         hi = np.minimum(self.hi, other.hi)
-        hi_open = np.where(
-            self.hi < other.hi,
-            self.hi_open,
-            np.where(self.hi > other.hi, other.hi_open, self.hi_open | other.hi_open),
-        )
+        # open where the lower of the two bounds (or either, when they tie) is open
+        hi_open = self.hi_open & (self.hi <= other.hi)
+        hi_open |= other.hi_open & (other.hi <= self.hi)
         masks = {j: m & other.masks[j] for j, m in self.masks.items()}
         return Region(self.schema, lo, hi, hi_open, masks)
 
@@ -967,7 +950,7 @@ class Region:
         for j, col in enumerate(self.schema.columns):
             u = rng.random(n)
             if col.is_categorical:
-                m = self.masks[j].reshape(n, -1)
+                m = self.masks[j].reshape(n, self.masks[j].shape[-1])
                 pick = np.floor(u * m.sum(axis=1)).astype(np.intp)
                 out[:, j] = np.argmax(np.cumsum(m, axis=1) > pick[:, None], axis=1)
             else:

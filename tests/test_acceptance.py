@@ -217,8 +217,9 @@ def test_c08_greedy_termination():
             table, ForestParams(n_trees=5, max_depth=3, min_leaf=2, seed=fseed)
         )
         for _ in range(10):
-            scores = rng.random(forest.total_leaves)
-            picks = greedy_leaf_assign(scores, forest, seed=int(rng.integers(2**31)))
+            scores = rng.random((1, forest.total_leaves))
+            leaves = np.arange(forest.total_leaves)[None]
+            picks = greedy_leaf_assign(leaves, scores, forest, int(rng.integers(2**31)))[0]
             regions = [leaf_region(forest, b, int(l)) for b, l in enumerate(picks)]
             assert len(picks) == forest.n_trees  # one leaf per tree
             for a, b in itertools.combinations(range(forest.n_trees), 2):

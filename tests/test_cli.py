@@ -626,7 +626,7 @@ def test_decode_relabel_traces_degenerate_nodes_and_hardened_rows(tmp_path):
     assert set(rec) == {"hardened_rows", "degenerate_nodes"}
     b = load_bundle(bundle)
     relabeled = relabel_forest(b.forest, b.model, b.synth, n_synth=32, seed=0)
-    constant = sum(int(np.isinf(t.threshold[t.feature >= 0]).sum()) for t in relabeled.trees)
+    constant = int(np.isinf(relabeled.threshold[relabeled.feature >= 0]).sum())
     assert rec["degenerate_nodes"] == relabeled.n_degenerate == constant > 0
     # hardened rows: those whose routed leaves share no cell
     Z0 = np.loadtxt(emb, delimiter=",", skiprows=1)

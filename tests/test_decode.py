@@ -17,12 +17,14 @@ from forestae.decode import (
     lasso_decode,
     relabel_decode,
     relabel_forest,
+    route_relabeled,
 )
 from forestae.forest import (
     Forest,
     ForestParams,
     Tree,
     assigned_region,
+    breadth_first_layout,
     fit_completely_random,
     leaf_region,
     region_intersect,
@@ -248,16 +250,16 @@ def test_relabel_separable_split_has_perfect_smc():
     model = with_time(eigendecompose(K, 1), 1.0)
     synth = build_synthetic_training(f, table, seed=14)
     rl = relabel_forest(f, model, synth, n_synth=128, seed=15)
-    assert rl.trees[0].smc[0] == 1.0
+    assert rl.smc[0] == 1.0
 
 
 def test_relabel_topology_identical():
     table = make_mixed(70, seed=16)
     f, model, synth = _pipeline(table, trees=5, max_depth=3, seed=16)
     rl = relabel_forest(f, model, synth, n_synth=64, seed=17)
-    for orig, new in zip(f.trees, rl.trees):
-        # the split mask fixes the breadth-first layout
-        assert np.array_equal(orig.feature >= 0, new.feature >= 0)
+    # the split mask fixes the breadth-first layout
+    assert np.array_equal(rl.starts, f._node_table().starts)
+    assert np.array_equal(np.concatenate([t.feature for t in f.trees]) >= 0, rl.feature >= 0)
 
 
 def test_relabel_routing_agreement_on_blobs():
@@ -273,8 +275,6 @@ def test_relabel_routing_agreement_on_blobs():
     model = with_time(eigendecompose(K, 3), 1.0)
     synth = build_synthetic_training(f, table, seed=19)
     rl = relabel_forest(f, model, synth, n_synth=256, seed=19)
-    from forestae.decode import route_relabeled
-
     latent = route_relabeled(rl, model.Z)
     original, _ = route_table(f, table)
     agreement = np.mean(latent == original)
@@ -298,8 +298,6 @@ def test_relabel_decode_oracle_case():
     model = with_time(eigendecompose(K, 1), 1.0)
     synth = build_synthetic_training(f, table, seed=21)
     rl = relabel_forest(f, model, synth, n_synth=128, seed=22)
-    from forestae.decode import route_relabeled
-
     source_ids = route_table(f, table)[0]
     assert np.array_equal(route_relabeled(rl, model.Z), source_ids)
     out = relabel_decode(rl, f, model.Z, seed=23)
@@ -312,8 +310,6 @@ def test_relabel_decode_rows_inside_assigned_regions():
     f, model, synth = _pipeline(table, trees=8, max_depth=3, seed=24)
     rl = relabel_forest(f, model, synth, n_synth=64, seed=25)
     out = relabel_decode(rl, f, model.Z[:10], seed=26)
-    from forestae.decode import route_relabeled
-
     latent_ids = route_relabeled(rl, model.Z[:10])
     decoded_ids, _ = route_table(f, out)
     # wherever the latent assignment was feasible, the decoded row realizes it
@@ -321,6 +317,50 @@ def test_relabel_decode_rows_inside_assigned_regions():
         regions = [leaf_region(f, b, int(latent_ids[i, b])) for b in range(f.n_trees)]
         if not region_intersect(regions).is_empty():
             assert np.array_equal(decoded_ids[i], latent_ids[i])
+
+
+def _route_relabeled_per_tree(rl, Z0):
+    """Reference routing: each relabeled tree walked on its own, a flipped
+    split sending z >= t left. Also returns how many (row, flipped split)
+    visits met z == t exactly."""
+    out = np.empty((Z0.shape[0], rl.starts.size - 1), dtype=np.int32)
+    ties = 0
+    for b, (s, e) in enumerate(zip(rl.starts[:-1], rl.starts[1:])):
+        feature, threshold, flip = rl.feature[s:e], rl.threshold[s:e], rl.flip[s:e]
+        left, leaf_id = breadth_first_layout(feature >= 0)
+        node = np.zeros(Z0.shape[0], dtype=np.intp)
+        while True:
+            active = left[node] >= 0
+            if not active.any():
+                break
+            idx = np.flatnonzero(active)
+            z, t = Z0[idx, feature[node[idx]]], threshold[node[idx]]
+            ties += int(((z == t) & flip[node[idx]]).sum())
+            go_left = (z < t) ^ flip[node[idx]]
+            node[idx] = left[node[idx]] + ~go_left
+        out[:, b] = leaf_id[node]
+    return out, ties
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_route_relabeled_matches_per_tree_walk(seed):
+    table = make_mixed(90, seed=50 + seed)
+    f, model, synth = _pipeline(table, trees=8, min_leaf=3, seed=50 + seed)
+    rl = relabel_forest(f, model, synth, n_synth=64, seed=seed)
+    assert rl.flip.any()
+    rng = np.random.default_rng(seed)
+    # random points, and points whose every coordinate is one of its axis's
+    # finite thresholds or a neighbouring float, so splits meet z == t
+    cut = np.flatnonzero((rl.feature >= 0) & np.isfinite(rl.threshold))
+    on = np.empty((2000, model.d_z))
+    for j in range(model.d_z):
+        t = rl.threshold[cut[rl.feature[cut] == j]]
+        t = np.concatenate([t, t, np.nextafter(t, np.inf), np.nextafter(t, -np.inf)])
+        on[:, j] = rng.choice(t, on.shape[0])
+    Z0 = np.vstack([model.Z, rng.normal(size=(200, model.d_z)) * np.abs(model.Z).max(), on])
+    ref, ties = _route_relabeled_per_tree(rl, Z0)
+    assert ties > 0
+    assert np.array_equal(route_relabeled(rl, Z0), ref)
 
 
 def _best_latent_split(Z0: np.ndarray, labels: np.ndarray):
@@ -347,9 +387,10 @@ def _best_latent_split(Z0: np.ndarray, labels: np.ndarray):
 
 
 def _relabel_by_node(f, Z, values, rank=None, cap=None):
-    """Per tree, the reference relabeling node by node: route the rows down
-    the original tree and score each split on the rows reaching it, or on the
-    ``cap`` of them of lowest ``rank``."""
+    """The reference relabeling node by node, tree by tree: route the rows
+    down the original tree and score each split on the rows reaching it, or on
+    the ``cap`` of them of lowest ``rank``. Returns (feature, threshold, flip,
+    smc) over the stacked nodes of all trees."""
     out = []
     for tree in f.trees:
         feat = np.where(tree.feature >= 0, 0, -1)
@@ -377,7 +418,7 @@ def _relabel_by_node(f, Z, values, rank=None, cap=None):
                 continue
             feat[idx], thr[idx], flip[idx], smc[idx] = best[0], best[1], best[2], best[3] / m
         out.append((feat, thr, flip, smc))
-    return out
+    return tuple(np.concatenate(a) for a in zip(*out))
 
 
 @pytest.mark.parametrize("cells", [2**16, 2**7])
@@ -397,16 +438,13 @@ def test_relabel_matches_per_node_brute_force(monkeypatch, kind, cells):
     else:
         f, model, synth = _pipeline(table, trees=6, min_leaf=3, seed=7)
     rl = relabel_forest(f, model, synth, n_synth=synth.n, seed=3)
-    ref = _relabel_by_node(f, model.Z, synth.table.values)
-    n_splits = n_constant = 0
-    for tree, new, (feat, thr, flip, smc) in zip(f.trees, rl.trees, ref):
-        assert np.array_equal(new.feature, feat)
-        assert np.array_equal(new.threshold, thr)
-        assert np.array_equal(new.flip, flip)
-        assert np.array_equal(new.smc, smc, equal_nan=True)
-        n_splits += int((tree.feature >= 0).sum())
-        n_constant += int(np.isinf(thr).sum())
-    assert rl.n_degenerate == n_constant < n_splits
+    feat, thr, flip, smc = _relabel_by_node(f, model.Z, synth.table.values)
+    assert np.array_equal(rl.feature, feat)
+    assert np.array_equal(rl.threshold, thr)
+    assert np.array_equal(rl.flip, flip)
+    assert np.array_equal(rl.smc, smc, equal_nan=True)
+    n_splits = sum(int((tree.feature >= 0).sum()) for tree in f.trees)
+    assert rl.n_degenerate == int(np.isinf(thr).sum()) < n_splits
 
 
 def test_relabel_fixed_seed_with_binding_cap_is_deterministic():
@@ -416,17 +454,16 @@ def test_relabel_fixed_seed_with_binding_cap_is_deterministic():
     fields = ("feature", "threshold", "flip", "smc")
 
     def same(a, b):
-        return all(np.array_equal(getattr(x, k), getattr(y, k), equal_nan=True)
-                   for x, y in zip(a.trees, b.trees) for k in fields)
+        return all(np.array_equal(getattr(a, k), getattr(b, k), equal_nan=True)
+                   for k in fields)
 
     assert same(runs[0], runs[1]) and runs[0].n_degenerate == runs[1].n_degenerate
     assert not same(runs[0], runs[2])  # the cap binds: the seed picks the rows
     # each split scores the 10 of its rows that come first in the seed's permutation
     rank = np.random.default_rng(4).permutation(synth.n)
     ref = _relabel_by_node(f, model.Z, synth.table.values, rank, cap=10)
-    for new, expected in zip(runs[0].trees, ref):
-        for k, v in zip(fields, expected):
-            assert np.array_equal(getattr(new, k), v, equal_nan=True)
+    for k, v in zip(fields, ref):
+        assert np.array_equal(getattr(runs[0], k), v, equal_nan=True)
 
 
 def test_best_latent_split_ignores_rounding_gaps():
@@ -445,6 +482,31 @@ def test_best_latent_split_ignores_rounding_gaps():
     assert abs(moved[2][0] - base[2][0]) <= 1e-12
     ref = _best_latent_split(Z0, labels)
     assert (base[1][0], base[3][0], base[4][0] * 30) == (ref[0], ref[2], ref[3])
+
+
+@pytest.mark.parametrize("decoder", ["lasso", "relabel"])
+def test_hardening_blocks_do_not_change_the_output(monkeypatch, decoder):
+    # one row per block against one block for all rows: ties draw the same
+    # uniforms either way
+    from forestae import decode
+
+    table = make_mixed(80, seed=60)
+    f, model, synth = _pipeline(table, trees=6, max_depth=3, seed=60)
+    Z0 = np.random.default_rng(61).normal(size=(12, model.d_z)) * np.abs(model.Z).max()
+    outs, traces = [], []
+    for cells in (2**16, 1):
+        monkeypatch.setattr(decode, "_HARDEN_CELLS", cells)
+        trace = []
+        if decoder == "lasso":
+            out = lasso_decode(Z0, model, f, synth, seed=62, trace=trace)
+        else:
+            rl = relabel_forest(f, model, synth, n_synth=64, seed=62)
+            out = relabel_decode(rl, f, Z0, seed=62, trace=trace)
+        outs.append(out.values)
+        traces.append(trace)
+    assert np.array_equal(outs[0], outs[1]) and traces[0] == traces[1]
+    if decoder == "relabel":
+        assert traces[0][0]["hardened_rows"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -570,13 +632,19 @@ def test_bvls_port_equals_scipy_on_lasso_problems(monkeypatch):
 # greedy assignment
 
 
+def _harden(vals, forest, rng=0):
+    """One row hardened from a dense score per global leaf."""
+    leaves = np.arange(forest.total_leaves)[None]
+    return greedy_leaf_assign(leaves, np.asarray(vals)[None], forest, rng)[0]
+
+
 def test_greedy_consistent_one_hot_fixed_point(t2x4):
     forest, table, _ = t2x4
     truth = route(forest, table.values[0])
     vals = np.zeros(4)
     vals[truth[0]] = 1.0
     vals[2 + truth[1]] = 1.0
-    picks = greedy_leaf_assign(vals, forest, seed=0)
+    picks = _harden(vals, forest)
     assert np.array_equal(picks, truth)
 
 
@@ -584,7 +652,7 @@ def test_greedy_fixture_trace(t2x4):
     forest, _, _ = t2x4
     # favor leaf A (tree 0) and leaf D (tree 1); A and D overlap
     vals = np.array([0.9, 0.1, 0.2, 0.8])
-    picks = greedy_leaf_assign(vals, forest, seed=0)
+    picks = _harden(vals, forest)
     assert picks.tolist() == [0, 1]
     region = region_intersect([leaf_region(forest, b, int(l)) for b, l in enumerate(picks)])
     assert not region.is_empty()
@@ -597,7 +665,7 @@ def test_greedy_random_instances_terminate_consistently():
         f = fit_completely_random(
             table, ForestParams(n_trees=5, max_depth=3, min_leaf=2, seed=trial)
         )
-        picks = greedy_leaf_assign(rng.random(f.total_leaves), f, seed=trial)
+        picks = _harden(rng.random(f.total_leaves), f, rng=trial)
         regions = [leaf_region(f, b, int(l)) for b, l in enumerate(picks)]
         for a, b in itertools.combinations(range(f.n_trees), 2):
             assert not region_intersect([regions[a], regions[b]]).is_empty()
@@ -605,33 +673,39 @@ def test_greedy_random_instances_terminate_consistently():
 
 
 def test_greedy_replays_one_pass_rule_on_random_forests():
-    # brute-force replay: in visit order (descending top score, stable by
-    # tree), each pick is a top-scoring leaf among those whose cell meets the
-    # intersection of the earlier picks
+    # brute-force replay of every row of one call: in visit order (descending
+    # top score, stable by tree), each pick is a top-scoring leaf among those
+    # whose cell meets the intersection of the earlier picks
     rng = np.random.default_rng(43)
     for trial in range(30):
         table = make_mixed(40, seed=100 + trial)
         f = fit_completely_random(
             table, ForestParams(n_trees=6, max_depth=3, min_leaf=2, seed=trial)
         )
-        vals = np.round(rng.random(f.total_leaves), 1)  # coarse, so ties occur
-        vals[: f.trees[0].n_leaves] = 0.0  # an unscored tree
-        picks = greedy_leaf_assign(vals, f, seed=trial)
-        scores = np.split(vals, f.leaf_offsets[1:])
-        running = f.node_boxes(0)[0]
-        for b in sorted(range(f.n_trees), key=lambda b: -scores[b].max()):
-            feasible = [
-                l for l in range(f.trees[b].n_leaves)
-                if not region_intersect([running, leaf_region(f, b, l)]).is_empty()
-            ]
-            assert picks[b] in feasible
-            assert scores[b][picks[b]] == max(scores[b][l] for l in feasible)
-            running = region_intersect([running, leaf_region(f, b, int(picks[b]))])
-        assert not running.is_empty()
-
-
-# ---------------------------------------------------------------------------
-# exact enumeration
+        m, k = 5, f.total_leaves // 2
+        # each row scores a random half of the leaves, coarsely so that ties
+        # occur, and pads with leaf 0 at score 0
+        leaves = np.argsort(rng.random((m, f.total_leaves)), axis=1)[:, :k]
+        vals = np.round(rng.random((m, k)), 1)
+        vals[leaves < f.trees[0].n_leaves] = 0.0  # an unscored tree
+        leaves = np.hstack([leaves, np.zeros((m, 1), dtype=int)])
+        vals = np.hstack([vals, np.zeros((m, 1))])
+        picks = greedy_leaf_assign(leaves, vals, f, rng=trial)
+        assert picks.shape == (m, f.n_trees)
+        for i in range(m):
+            dense = np.zeros(f.total_leaves)
+            dense[leaves[i, :k]] = vals[i, :k]
+            scores = np.split(dense, f.leaf_offsets[1:])
+            running = f.node_boxes(0)[0]
+            for b in sorted(range(f.n_trees), key=lambda b: -scores[b].max()):
+                feasible = [
+                    l for l in range(f.trees[b].n_leaves)
+                    if not region_intersect([running, leaf_region(f, b, l)]).is_empty()
+                ]
+                assert picks[i, b] in feasible
+                assert scores[b][picks[i, b]] == max(scores[b][l] for l in feasible)
+                running = region_intersect([running, leaf_region(f, b, int(picks[i, b]))])
+            assert not running.is_empty()
 
 
 def _injective_grid_forest():
@@ -712,7 +786,7 @@ def test_ilp_rejects_oversized_instance():
     table = make_mixed(300, seed=31)
     f = fit_completely_random(table, ForestParams(n_trees=10, min_leaf=1, seed=31))
     ids, _ = route_table(f, table)
-    with pytest.raises(DecodeError, match="lasso_decode"):
+    with pytest.raises(DecodeError, match="--decoder lasso or --decoder knn"):
         ilp_decode_exact(np.full(300, 1 / 300), f, ids)
 
 
@@ -789,7 +863,7 @@ def test_ilp_dominates_greedy_on_toy_instances():
     offs = forest.leaf_offsets
     for i in (0, 7, 19):
         exact = ilp_decode_exact(K0[i], forest, ids)
-        greedy = greedy_leaf_assign(rng.random(forest.total_leaves), forest, seed=i)
+        greedy = _harden(rng.random(forest.total_leaves), forest, rng=i)
         assert exact.objective <= objective(greedy) + 1e-12
 
 

@@ -7,12 +7,13 @@ import pytest
 from forestae.data import Column, Schema, Table
 from forestae.decode import (
     RelabeledForest,
-    RelabeledTree,
     build_synthetic_training,
     greedy_leaf_assign,
+    ilp_decode,
     knn_decode,
     lasso_decode,
     relabel_decode,
+    relabel_forest,
 )
 from forestae.forest import (
     Forest,
@@ -52,7 +53,7 @@ def test_greedy_repairs_pairwise_consistent_but_globally_empty():
         kind="none",
     )
     vals = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0])  # favor every right leaf
-    picks = greedy_leaf_assign(vals, forest, seed=5)
+    picks = greedy_leaf_assign(np.arange(6)[None], vals[None], forest, 5)[0]
     # trees 0 and 1 take their right leaves, which leave only level c; tree
     # 2's right leaf {a,b} misses it, so tree 2 takes its left leaf {c}
     assert picks.tolist() == [1, 1, 0]
@@ -72,16 +73,15 @@ def test_relabel_decode_fallback_on_infeasible_routing():
         kind="none",
     )
 
-    def fixed_router(always_left: bool) -> RelabeledTree:
-        return RelabeledTree(
-            feature=np.array([0, -1, -1], dtype=np.int32),
-            threshold=np.array([np.inf if always_left else -np.inf, 0.0, 0.0]),
-            flip=np.zeros(3, dtype=bool),
-            smc=np.full(3, np.nan),
-        )
-
+    # tree 0's router sends every query left, tree 1's every query right
     relabeled = RelabeledForest(
-        trees=[fixed_router(True), fixed_router(False)], d_z=1, n_degenerate=0
+        starts=np.array([0, 3, 6]),
+        feature=np.array([0, -1, -1, 0, -1, -1], dtype=np.int32),
+        threshold=np.array([np.inf, 0.0, 0.0, -np.inf, 0.0, 0.0]),
+        flip=np.zeros(6, dtype=bool),
+        smc=np.full(6, np.nan),
+        d_z=1,
+        n_degenerate=0,
     )
     out = relabel_decode(relabeled, original, np.zeros((4, 1)), seed=3)
     # fallback still produces rows realizing a consistent assignment
@@ -90,6 +90,28 @@ def test_relabel_decode_fallback_on_infeasible_routing():
         regions = [leaf_region(original, b, int(redo[i, b])) for b in range(2)]
         assert not region_intersect(regions).is_empty()
         assert regions[0].contains(out.values[i]) and regions[1].contains(out.values[i])
+
+
+@pytest.mark.parametrize("decoder", ["knn", "relabel", "lasso", "ilp"])
+def test_empty_embedding_decodes_to_empty_table(decoder):
+    # the schema has a categorical column, whose level masks must reshape
+    # to (0, levels)
+    from forestae.forest import fit_completely_random
+
+    table = make_mixed(60, seed=62)
+    f = fit_completely_random(table, ForestParams(n_trees=3, max_depth=3, min_leaf=3, seed=62))
+    model = with_time(eigendecompose(rf_kernel_train(f, table), 2), 1.0)
+    synth = build_synthetic_training(f, table, seed=63)
+    Z0 = np.empty((0, 2))
+    if decoder == "knn":
+        out = knn_decode(Z0, model, f, synth, k=5)
+    elif decoder == "relabel":
+        out = relabel_decode(relabel_forest(f, model, synth, n_synth=32), f, Z0)
+    elif decoder == "lasso":
+        out = lasso_decode(Z0, model, f, synth)
+    else:
+        out = ilp_decode(Z0, model, f, synth)
+    assert out.schema == table.schema and out.values.shape == (0, table.d)
 
 
 def test_nystrom_self_consistency_at_time_zero():
