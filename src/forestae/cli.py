@@ -12,7 +12,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -355,6 +354,8 @@ def cmd_bench(args) -> int:
         for i in range(args.bootstraps)
     ]
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             chunks = list(pool.map(_bench_one, payloads))
     else:

@@ -264,17 +264,27 @@ def _runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return first, lens, np.arange(key.size) - np.repeat(first, lens)
 
 
-def _best_latent_splits(node: np.ndarray, Z: np.ndarray, labels: np.ndarray):
+def _axis_ranks(Z: np.ndarray) -> np.ndarray:
+    """Each value's rank among the distinct values of its column."""
+    out = np.empty(Z.shape, dtype=np.int64)
+    for a in range(Z.shape[1]):
+        out[:, a] = np.searchsorted(_sorted_unique(Z[:, a]), Z[:, a])
+    return out
+
+
+def _best_latent_splits(node: np.ndarray, Z: np.ndarray, labels: np.ndarray,
+                        z_rank: np.ndarray):
     """Sorted node ids and each node's relabeled (feature, threshold, flip,
     smc): the cut of one embedding axis that agrees with most of its rows'
-    labels, found for all nodes by one lexsort by (node, axis, z), one
+    labels, found for all nodes by one stable sort by (node, axis, z) (``z_rank``
+    holds each z's ``_axis_ranks`` rank, so one integer key orders them), one
     segmented label cumsum and a first-best pick. Ties go to the lowest axis,
     then the first cut; gaps within ``_TIE_TOL`` x max |z| are ties, not cuts.
     A node with no cut between its labels gets a constant test toward its
     majority."""
     d = Z.shape[1]
     key = (node[:, None] * d + np.arange(d)).ravel()  # one segment per (node, axis)
-    order = np.lexsort((Z.ravel(), key))
+    order = np.argsort(key * (z_rank.max(initial=0) + 1) + z_rank.ravel(), kind="stable")
     key, z = key[order], Z.ravel()[order]
     first, lens, pos = _runs(key)
     cum1 = _segment_cumsum(labels[order // d].astype(np.int64), first, lens)
@@ -319,19 +329,20 @@ def relabel_forest(
     nodes = forest._node_table()
     values, n = synth.table.values, synth.n
     rank = np.random.default_rng(seed).permutation(n)
+    z_rank = _axis_ranks(Z)
     split = nodes.feature >= 0
     out = (np.where(split, 0, -1).astype(np.int32), np.where(split, np.inf, 0.0),
            np.zeros(split.size, dtype=bool), np.full(split.size, np.nan))
     width = max(1, _RELABEL_CELLS // n)
     for b in range(0, forest.n_trees, width):
         roots = nodes.starts[b:min(b + width, forest.n_trees)]
-        for cell, at, label in _descend(nodes, values, np.tile(roots, n), roots.size):
-            row = cell // roots.size
-            if cell.size > n_synth:
-                order = np.lexsort((rank[row], at))
+        for row, at, label, inner in _descend(nodes, values, np.repeat(roots, n)):
+            row, at, label = row[inner], at[inner], label[inner]
+            if row.size > n_synth:
+                order = np.argsort(at * n + rank[row])  # a node's rows by rank
                 keep = np.sort(order[_runs(at[order])[2] < n_synth])
                 row, at, label = row[keep], at[keep], label[keep]
-            ids, *relabeled = _best_latent_splits(at, Z[row], label)
+            ids, *relabeled = _best_latent_splits(at, Z[row], label, z_rank[row])
             for a, v in zip(out, relabeled):
                 a[ids] = v
     return RelabeledForest(nodes.starts, *out, model.d_z, int(np.isinf(out[1][split]).sum()))
@@ -346,7 +357,7 @@ def route_relabeled(relabeled: RelabeledForest, Z0: np.ndarray) -> np.ndarray:
     Z0 = np.atleast_2d(np.asarray(Z0, dtype=np.float64))
     nodes = _node_arrays(r.starts, r.feature + r.flip * r.d_z,
                          np.where(r.flip, np.nextafter(-r.threshold, np.inf), r.threshold),
-                         np.zeros(r.flip.size, dtype=bool))
+                         np.zeros(r.flip.size, dtype=bool), 2 * r.d_z)
     return _route(nodes, np.hstack([Z0, -Z0]))
 
 

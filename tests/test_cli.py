@@ -278,11 +278,16 @@ def _scipy_modules_after(code: str, packages: tuple[str, ...] = ("scipy",)) -> l
     return json.loads(done.stdout.splitlines()[-1])
 
 
+# packages that a one-process command should not import
+_LAZY = ("scipy", "numpy.ma", "multiprocessing", "concurrent.futures.process")
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # SciPy is imported only where it is needed: k-NN searches above the
     # kd-tree break-even (scipy.spatial), Lanczos above the dense cutoff
-    # (scipy.sparse.linalg) and the coordinate kernel export (scipy.sparse)
-    assert _scipy_modules_after("import forestae.cli") == []
+    # (scipy.sparse.linalg) and the coordinate kernel export (scipy.sparse);
+    # the process pool only for --jobs > 1
+    assert _scipy_modules_after("import forestae.cli", _LAZY) == []
 
 
 def test_dense_fit_and_lasso_decode_load_no_scipy(fitted, tmp_path):
@@ -336,7 +341,7 @@ def test_encode_ilp_relabel_load_no_scipy(tmp_path):
         for d in ("ilp", "relabel")
     ]
     code = f"from forestae.cli import main; assert [main(a) for a in {calls!r}] == [0, 0, 0]"
-    assert _scipy_modules_after(code, ("scipy", "numpy.ma")) == []
+    assert _scipy_modules_after(code, _LAZY) == []
     assert (tmp_path / "ilp.csv").is_file() and (tmp_path / "relabel.csv").is_file()
 
 

@@ -363,6 +363,38 @@ def test_route_relabeled_matches_per_tree_walk(seed):
     assert np.array_equal(route_relabeled(rl, Z0), ref)
 
 
+def test_route_relabeled_edge_cells_match_scalar_walk(monkeypatch):
+    # each row walked node by node, a flipped split sending z >= t left: NaN
+    # goes right everywhere, +inf left at flipped splits; one row alone, and
+    # blocks whose last one is partial
+    import forestae.forest as forest_module
+
+    table = make_mixed(90, seed=53)
+    f, model, synth = _pipeline(table, trees=6, min_leaf=3, seed=53)
+    rl = relabel_forest(f, model, synth, n_synth=64, seed=4)
+    assert rl.flip.any()
+    edge = np.repeat(model.Z[:3], 3, axis=0)
+    edge[np.arange(9), np.arange(9) % model.d_z] = np.tile([np.nan, np.inf, -np.inf], 3)
+    Z0 = np.vstack([model.Z[:40], edge, np.full((1, model.d_z), np.nan)])
+    assert Z0.shape[0] % 3
+    expected = np.empty((Z0.shape[0], f.n_trees), dtype=np.int32)
+    for b, (s, e) in enumerate(zip(rl.starts[:-1], rl.starts[1:])):
+        feature, threshold, flip = rl.feature[s:e], rl.threshold[s:e], rl.flip[s:e]
+        left, leaf_id = breadth_first_layout(feature >= 0)
+        for i, z in enumerate(Z0):
+            node = 0
+            while left[node] >= 0:
+                v, t = z[feature[node]], threshold[node]
+                node = left[node] + (not (v >= t if flip[node] else v < t))
+            expected[i, b] = leaf_id[node]
+    for cells in (None, 3 * f.n_trees, 1):
+        if cells is not None:
+            monkeypatch.setattr(forest_module, "_ROUTE_CELLS", cells)
+        assert np.array_equal(route_relabeled(rl, Z0), expected)
+        assert np.array_equal(route_relabeled(rl, Z0[-1]), expected[-1:])
+        monkeypatch.undo()
+
+
 def _best_latent_split(Z0: np.ndarray, labels: np.ndarray):
     """Reference for one node: (dim, threshold, flip, matches) maximizing
     agreement with labels, or None when no cut exists."""
@@ -469,14 +501,15 @@ def test_relabel_fixed_seed_with_binding_cap_is_deterministic():
 def test_best_latent_split_ignores_rounding_gaps():
     # every embedding value comes in tied copies whose labels disagree, so a
     # cut inside a tie would beat every real cut once rounding separates them
-    from forestae.decode import _best_latent_splits
+    from forestae.decode import _axis_ranks, _best_latent_splits
 
     rng = np.random.default_rng(42)
     Z0 = np.repeat(rng.normal(size=(6, 2)), 5, axis=0)
     labels = rng.random(30) < 0.5
     node = np.zeros(30, dtype=np.intp)
-    base = _best_latent_splits(node, Z0, labels)
-    moved = _best_latent_splits(node, Z0 + rng.uniform(-1e-14, 1e-14, Z0.shape), labels)
+    base = _best_latent_splits(node, Z0, labels, _axis_ranks(Z0))
+    Z1 = Z0 + rng.uniform(-1e-14, 1e-14, Z0.shape)
+    moved = _best_latent_splits(node, Z1, labels, _axis_ranks(Z1))
     for k in (0, 1, 3, 4):  # node id, axis, flip, agreement
         assert np.array_equal(moved[k], base[k])
     assert abs(moved[2][0] - base[2][0]) <= 1e-12

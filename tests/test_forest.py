@@ -289,6 +289,45 @@ def test_splits_match_brute_force(classification, honest, mtry):
                 assert stopped or not costs
 
 
+def test_regression_ties_go_to_the_lowest_column(tmp_path):
+    """Two columns that cut a node into the same two halves tie in exact
+    arithmetic, though each sums the labels in its own order; the lower column
+    must win. Banknote ``variance`` on the other columns, every column a
+    candidate at every node (seed-0 bootstrap fold's unique rows)."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from forestae.data import bootstrap_split, load_csv
+
+    data = tmp_path / "banknote.csv"
+    scripts = Path(__file__).resolve().parent.parent / "scripts"
+    subprocess.run([sys.executable, str(scripts / "make_banknote_analog.py"), str(data),
+                    "--seed", "0"], check=True, capture_output=True)
+    full = load_csv(data)
+    table = full.take(np.unique(bootstrap_split(full.n, 0).train))
+    x = table.drop("variance")
+    forest = fit_supervised(x, table.column("variance"),
+                            ForestParams(n_trees=10, mtry=4, min_leaf=2, seed=0))
+    v, n_levels = x.values, x.schema.n_levels
+    ties = 0
+    for tree in forest.trees:
+        reach, _ = _node_samples(tree, v, np.arange(x.n))
+        for node in np.flatnonzero(tree.feature >= 0):
+            rows, j = reach[node], tree.feature[node]
+            go = v[rows, j] == tree.threshold[node] if tree.is_equal[node] else (
+                v[rows, j] < tree.threshold[node])
+            for lower in range(j):  # does a split of a lower column give these halves?
+                a, b = v[rows[go], lower], v[rows[~go], lower]
+                if n_levels[lower]:
+                    same = any(np.all(p == p[0]) and not np.any(q == p[0])
+                               for p, q in ((a, b), (b, a)))
+                else:
+                    same = a.max() < b.min() or b.max() < a.min()
+                ties += same
+    assert ties == 0
+
+
 def test_resample_within_leaves_takes_cells_from_one_leaf(monkeypatch):
     import forestae.forest as forest_module
 
@@ -383,10 +422,20 @@ def test_stacked_routing_matches_per_tree_walk(monkeypatch):
     import forestae.forest as forest_module
 
     table = make_mixed(90, seed=26)
-    queries = make_mixed(40, seed=27).values
+    queries = make_mixed(41, seed=27).values
+    # edge cells: NaN and both infinities in each continuous column, and an
+    # unseen level (-1) in the categorical one, alone and all in one row
+    edge = queries[:7].copy()
+    for i, (j, v) in enumerate([(0, np.nan), (0, np.inf), (0, -np.inf), (1, np.nan),
+                                (1, np.inf), (1, -np.inf), (2, -1.0)]):
+        edge[i, j] = v
+    queries = np.vstack([queries, edge, [[np.nan, np.inf, -1.0]]])
+    assert queries.shape[0] % 3  # the last block of 3 rows is partial
     for f in (
         fit_completely_random(table, ForestParams(n_trees=7, min_leaf=2, seed=16)),
         fit_unsupervised(table, ForestParams(n_trees=5, min_leaf=3, seed=17)),
+        fit_completely_random(table, ForestParams(n_trees=1, min_leaf=2, seed=18)),
+        fit_completely_random(table, ForestParams(n_trees=3, max_depth=0, seed=19)),
     ):
         expected = np.empty((queries.shape[0], f.n_trees), dtype=int)
         for b, tree in enumerate(f.trees):
@@ -398,10 +447,13 @@ def test_stacked_routing_matches_per_tree_walk(monkeypatch):
                     go_left = v == thr if tree.is_equal[node] else v < thr
                     node = left[node] if go_left else right[node]
                 expected[i, b] = leaf_id[node]
-        assert np.array_equal(route_values(f, queries), expected)
-        monkeypatch.setattr(forest_module, "_ROUTE_CELLS", 3 * f.n_trees)  # blocks of 3 rows
-        assert np.array_equal(route_values(f, queries), expected)
-        monkeypatch.undo()
+        for cells in (None, 3 * f.n_trees, 1):  # one block; blocks of 3 rows; of one row
+            if cells is not None:
+                monkeypatch.setattr(forest_module, "_ROUTE_CELLS", cells)
+            assert np.array_equal(route_values(f, queries), expected)
+            assert np.array_equal(route_values(f, queries[-1:]), expected[-1:])
+            monkeypatch.undo()
+    assert f.trees[0].n_leaves == 1  # the last forest's trees are single leaves
 
 
 def test_unseen_level_routes_not_equal():
