@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +55,7 @@ def _forest_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rounds", type=int, default=1, help="discriminator refit rounds")
 
 
-def _decoder_flags(p: argparse.ArgumentParser) -> None:
+def _decoder_flags(p: argparse.ArgumentParser, trace: bool = True) -> None:
     p.add_argument("--decoder", choices=DECODERS, default="knn")
     p.add_argument("--k", type=int, default=20)
     p.add_argument("--lambda", dest="penalty", type=float, default=1e-4,
@@ -61,7 +63,8 @@ def _decoder_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sparsity-cap", type=int, default=100)
     p.add_argument("--n-synth", type=int, default=256,
                    help="relabel: at most this many reference rows score a split")
-    p.add_argument("--trace", default=None, help="write per-row diagnostics JSONL here")
+    if trace:
+        p.add_argument("--trace", default=None, help="write per-row diagnostics JSONL here")
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
@@ -186,7 +189,14 @@ def cmd_encode(args) -> int:
     if not _csv_has_rows(args.data):
         _write_embedding_csv(args.out, np.empty((0, b.model.d_z)), b.model.d_z)
         return 0
-    queries = _load_queries(args.data, b.schema)
+    Z0 = _embed(b, _load_queries(args.data, b.schema))
+    _write_embedding_csv(args.out, Z0, b.model.d_z)
+    return 0
+
+
+def _embed(b, queries: Table) -> np.ndarray:
+    """Nyström embedding of the query rows through the cross kernel, with a
+    warning line when it met unseen levels or renormalized empty-leaf cells."""
     K0 = ker.rf_kernel_cross(b.forest, queries, b.synth.table, strict=False)
     if K0.unseen_levels or K0.skipped_leaf_cells:
         print(
@@ -194,9 +204,7 @@ def cmd_encode(args) -> int:
             f"{K0.skipped_leaf_cells} empty-leaf tree cells renormalized",
             file=sys.stderr,
         )
-    Z0 = spectral.nystrom_embed(K0, b.model)
-    _write_embedding_csv(args.out, Z0, b.model.d_z)
-    return 0
+    return spectral.nystrom_embed(K0, b.model)
 
 
 def _check_flags(args) -> None:
@@ -269,9 +277,7 @@ def cmd_roundtrip(args) -> int:
     _check_flags(args)
     b = bundle_io.load_bundle(args.bundle)
     queries = conform_table(_load_queries(args.data, b.schema), b.schema)
-    K0 = ker.rf_kernel_cross(b.forest, queries, b.synth.table, strict=False)
-    Z0 = spectral.nystrom_embed(K0, b.model)
-    out, trace = _decode_rows(b, Z0, args)
+    out, trace = _decode_rows(b, _embed(b, queries), args)
     save_csv(out, args.out)
     _write_trace(args.trace, trace)
     report = distortion(queries, out)
@@ -284,44 +290,39 @@ def _dz_for_rate(rate: float, d_x: int) -> int:
     return max(1, int(np.floor(rate * d_x + 0.5)))
 
 
-def _bench_one(payload) -> list[dict]:
-    (table, name, mode, label, params, rates, t, k, decoder,
-     penalty, sparsity_cap, boot_seed, rounds) = payload
-    split = bootstrap_split(table.n, boot_seed)
+def _bench_one(table: Table, name: str, rates: list[float], args) -> list[dict]:
+    """One bootstrap fold of ``bench``: fit on its de-duplicated training
+    rows, then embed and decode the held-out rows at every rate, with the
+    fold's seed in ``args.seed``."""
+    split = bootstrap_split(table.n, args.seed)
     train = table.take(np.unique(split.train))  # de-duplicated kernel reference
     test = table.take(split.holdout)
-    if mode == "supervised":
-        test = test.drop(label)
+    if args.mode == "supervised":
+        test = test.drop(args.label)
     t0 = time.perf_counter()
     d_x = test.schema.n_columns
     dims = [min(_dz_for_rate(r, d_x), train.n - 1) for r in rates]
     feats_train, forest, _, full, synth = _fit_pipeline(
-        train, mode, label, params, max(dims), t, boot_seed, jobs=1, rounds=rounds
+        train, args.mode, args.label, _params(args, args.seed), max(dims), args.t, args.seed,
+        jobs=1, rounds=args.rounds,
     )
     K0 = ker.rf_kernel_cross(forest, test, feats_train, strict=False)
+    b = bundle_io.bundle_from_parts(forest, full, synth)
     shared = time.perf_counter() - t0
     rows = []
     for rate, d_z in zip(rates, dims):
         t1 = time.perf_counter()
         model = full.truncate(d_z)
         Z0 = spectral.nystrom_embed(K0, model)
-        if decoder == "knn":
-            out = dec.knn_decode(Z0, model, forest, synth, k=min(k, synth.n), seed=boot_seed)
-        elif decoder == "lasso":
-            out = dec.lasso_decode(
-                Z0, model, forest, synth, lam=penalty, sparsity_cap=sparsity_cap, seed=boot_seed
-            )
-        else:
-            relabeled = dec.relabel_forest(forest, model, synth, seed=boot_seed)
-            out = dec.relabel_decode(relabeled, forest, Z0, seed=boot_seed)
+        out, _ = _decode_rows(replace(b, model=model), Z0, args)
         score = distortion(test, out)
         rows.append(
             {
                 "dataset": name,
                 "rate": rate,
                 "d_z": d_z,
-                "seed": boot_seed,
-                "decoder": decoder,
+                "seed": args.seed,
+                "decoder": args.decoder,
                 "distortion": score.combined,
                 "runtime_s": round(shared / len(rates) + time.perf_counter() - t1, 4),
             }
@@ -344,22 +345,16 @@ def cmd_bench(args) -> int:
     rates = _rates(args.rates)
     if args.mode == "supervised" and not args.label:
         raise UsageError("--label is required for supervised mode")
-    table = load_csv(args.data)
-    name = Path(args.data).stem
-    payloads = [
-        (
-            table, name, args.mode, args.label, _params(args, args.seed + i), rates, args.t,
-            args.k, args.decoder, args.penalty, args.sparsity_cap, args.seed + i, args.rounds,
-        )
-        for i in range(args.bootstraps)
-    ]
+    run = functools.partial(_bench_one, load_csv(args.data), Path(args.data).stem, rates)
+    folds = [argparse.Namespace(**{**vars(args), "seed": args.seed + i})
+             for i in range(args.bootstraps)]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            chunks = list(pool.map(_bench_one, payloads))
+            chunks = list(pool.map(run, folds))
     else:
-        chunks = [_bench_one(p) for p in payloads]
+        chunks = [run(fold) for fold in folds]
     rows = [r for chunk in chunks for r in chunk]
     rows.sort(key=lambda r: (r["rate"], r["seed"]))
     fields = ["dataset", "rate", "d_z", "seed", "decoder", "distortion", "runtime_s"]
@@ -425,14 +420,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES, default="unsupervised")
     p.add_argument("--label", default=None)
     p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--k", type=int, default=20)
-    p.add_argument("--decoder", choices=("knn", "lasso", "relabel"), default="knn")
-    p.add_argument("--lambda", dest="penalty", type=float, default=1e-4)
-    p.add_argument("--sparsity-cap", type=int, default=100)
     p.add_argument("--out", required=True)
+    _decoder_flags(p, trace=False)
     _forest_flags(p)
     _common_flags(p)
-    p.set_defaults(func=cmd_bench)
+    p.set_defaults(func=cmd_bench, trace=None)
 
     return parser
 

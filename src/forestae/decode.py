@@ -622,7 +622,7 @@ def greedy_leaf_assign(leaves: np.ndarray, scores: np.ndarray, forest: Forest,
         np.maximum.at(top, (row, t), score)
         order = np.argsort(-top, axis=1, kind="stable")  # each row's trees in visit order
         visit = np.argsort(order, axis=1)[row, t]  # the step that visits each scored leaf
-        running = forest.node_boxes(0)[:1]  # the training feature box
+        running = forest.box[None]
         for j in range(n_trees):
             at = order[:, j]
             met = cells[at].intersect(running[:, None])
@@ -731,7 +731,7 @@ def _refinement(forest: Forest, n_rows: int) -> np.ndarray:
     ``_ILP_BLOCK`` pairs, and keeps the non-empty ones in row-major order.
     Cells never get fewer, as each tree's leaves tile every cell, so every step
     checks the budget on the products with ``n_rows`` that scoring will need."""
-    region, cells = forest.node_boxes(0)[:1], np.zeros((1, 0), dtype=np.int64)
+    region, cells = forest.box[None], np.zeros((1, 0), dtype=np.int64)
     for offset, tree in zip(forest.leaf_offsets, forest.trees):
         _check_ilp_work(cells.shape[0] * max(tree.n_leaves, n_rows))
         leaves = forest.leaf_boxes(offset + np.arange(tree.n_leaves))

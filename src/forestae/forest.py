@@ -142,9 +142,9 @@ class Forest:
     params: ForestParams
     kind: str  # "regression" | "classification" | "none"
     n_classes: int = 0
-    # node cells, built on first use: only the decoders read them, and they
+    # leaf cells, built on first use: only the decoders read them, and they
     # depend on feature_ranges, which the Forest owns
-    _boxes: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _leaf_cells: "Region | None" = field(default=None, init=False, repr=False, compare=False)
     # every tree's nodes stacked, built on first routing
     _nodes: "_Nodes | None" = field(default=None, init=False, repr=False, compare=False)
 
@@ -171,20 +171,19 @@ class Forest:
                                        threshold, is_equal, self.schema.n_columns)
         return self._nodes
 
-    def _box_table(self) -> tuple:
-        if self._boxes is None:
-            self._boxes = _node_box_table(self)
-        return self._boxes
-
-    def node_boxes(self, b: int) -> "Region":
-        """Cells of tree b's nodes, indexed by node."""
-        boxes, starts, _ = self._box_table()
-        return boxes[starts[b] : starts[b + 1]]
+    @property
+    def box(self) -> "Region":
+        """The training feature box as one cell: every level allowed."""
+        masks = {j: np.ones(len(c.levels), dtype=bool)
+                 for j, c in enumerate(self.schema.columns) if c.is_categorical}
+        lo, hi = np.nan_to_num(self.feature_ranges).T
+        return Region(self.schema, lo, hi, masks)
 
     def leaf_boxes(self, leaves) -> "Region":
         """Cells of the given global leaf ids (any shape)."""
-        boxes, _, leaf_rows = self._box_table()
-        return boxes[leaf_rows[leaves]]
+        if self._leaf_cells is None:
+            self._leaf_cells = _leaf_cell_table(self)
+        return self._leaf_cells[leaves]
 
 
 # ---------------------------------------------------------------------------
@@ -944,26 +943,23 @@ def predict(forest: Forest, x):
 
 @dataclass
 class Region:
-    """A batch of axis-aligned cells: intervals on continuous columns (upper
-    bound open when it came from a split literal), allowed-level masks on
-    categorical ones.
+    """A batch of axis-aligned closed cells: intervals ``[lo, hi]`` on
+    continuous columns, allowed-level masks on categorical ones.
 
-    ``lo``, ``hi`` and ``hi_open`` have shape ``(..., d)`` and each mask
-    ``(..., L_j)``; a single cell is a batch of shape ``()``. Categorical
-    columns keep ``lo = hi = 0``. Regions are never modified in place.
+    ``lo`` and ``hi`` have shape ``(..., d)`` and each mask ``(..., L_j)``; a
+    single cell is a batch of shape ``()``. Categorical columns keep
+    ``lo = hi = 0``. Regions are never modified in place.
     """
 
     schema: Schema
     lo: np.ndarray
     hi: np.ndarray
-    hi_open: np.ndarray
     masks: dict[int, np.ndarray]
 
     def __getitem__(self, idx) -> "Region":
         """Index the batch dimensions."""
         return Region(
-            self.schema, self.lo[idx], self.hi[idx], self.hi_open[idx],
-            {j: m[idx] for j, m in self.masks.items()},
+            self.schema, self.lo[idx], self.hi[idx], {j: m[idx] for j, m in self.masks.items()}
         )
 
     def intersect(self, other: "Region") -> "Region":
@@ -971,15 +967,12 @@ class Region:
         emptiness is a result, not an error."""
         lo = np.maximum(self.lo, other.lo)
         hi = np.minimum(self.hi, other.hi)
-        # open where the lower of the two bounds (or either, when they tie) is open
-        hi_open = self.hi_open & (self.hi <= other.hi)
-        hi_open |= other.hi_open & (other.hi <= self.hi)
         masks = {j: m & other.masks[j] for j, m in self.masks.items()}
-        return Region(self.schema, lo, hi, hi_open, masks)
+        return Region(self.schema, lo, hi, masks)
 
     def is_empty(self) -> np.ndarray:
         """Emptiness of every cell, shaped like the batch."""
-        empty = np.any((self.lo > self.hi) | ((self.lo == self.hi) & self.hi_open), axis=-1)
+        empty = np.any(self.lo > self.hi, axis=-1)
         for m in self.masks.values():
             empty = empty | ~m.any(axis=-1)
         return empty
@@ -1004,9 +997,7 @@ class Region:
                 pick = np.floor(u * m.sum(axis=1)).astype(np.intp)
                 out[:, j] = np.argmax(np.cumsum(m, axis=1) > pick[:, None], axis=1)
             else:
-                out[:, j] = np.where(
-                    lo[:, j] == hi[:, j], lo[:, j], lo[:, j] + u * (hi[:, j] - lo[:, j])
-                )
+                out[:, j] = lo[:, j] + u * (hi[:, j] - lo[:, j])
         return out.reshape(self.lo.shape)
 
     def contains(self, x) -> bool:
@@ -1014,42 +1005,37 @@ class Region:
         x = np.asarray(x, dtype=np.float64)
         at = np.where([c.is_categorical for c in self.schema.columns], 0.0, x)
         levels = {j: np.arange(m.shape[-1]) == x[j] for j, m in self.masks.items()}
-        point = Region(self.schema, at, at, np.zeros(at.shape, dtype=bool), levels)
+        point = Region(self.schema, at, at, levels)
         return not self.intersect(point).is_empty()
 
 
-def _node_box_table(forest: Forest) -> tuple[Region, np.ndarray, np.ndarray]:
-    """Cells of every node of every tree, built level by level.
+def _leaf_cell_table(forest: Forest) -> Region:
+    """Cells of every leaf of every tree, (total_leaves, d) in global leaf
+    order, built level by level over the node table.
 
-    Returns the (total_nodes, d) batch in tree order, the first row of each
-    tree (length B + 1) and the row of each global leaf id. A root's cell is
-    the training feature box; a child narrows its parent's cell by the split
-    literal (left) or its negation (right).
+    A root's cell is the training feature box; a child narrows its parent's
+    cell by the split literal (left) or its negation (right). The literal
+    ``x < t`` is strict, so a left child's upper bound is the largest float
+    below the cut, and every cell is closed.
     """
     nodes = forest._node_table()
     starts, left, feature = nodes.starts, nodes.left, nodes.feature
     cut, is_equal = nodes.threshold, nodes.is_equal
-    rows = starts[-1]
-    lo = np.tile(np.nan_to_num(forest.feature_ranges[:, 0]), (rows, 1))
-    hi = np.tile(np.nan_to_num(forest.feature_ranges[:, 1]), (rows, 1))
-    hi_open = np.zeros(lo.shape, dtype=bool)
-    masks = {
-        j: np.ones((rows, len(c.levels)), dtype=bool)
-        for j, c in enumerate(forest.schema.columns)
-        if c.is_categorical
-    }
+    rows, box = starts[-1], forest.box
+    lo = np.tile(box.lo, (rows, 1))
+    hi = np.tile(box.hi, (rows, 1))
+    masks = {j: np.tile(m, (rows, 1)) for j, m in box.masks.items()}
     nodes = starts[:-1]
     while nodes.size:
         nodes = nodes[left[nodes] >= 0]
         l, f, c = left[nodes], feature[nodes], cut[nodes]
         r = l + 1
-        for a in (lo, hi, hi_open, *masks.values()):
+        for a in (lo, hi, *masks.values()):
             a[l] = a[nodes]
             a[r] = a[nodes]
         cont = ~is_equal[nodes]
         p, fc, cc = nodes[cont], f[cont], c[cont]
-        hi_open[l[cont], fc] = (cc <= hi[p, fc]) | hi_open[p, fc]
-        hi[l[cont], fc] = np.minimum(hi[p, fc], cc)
+        hi[l[cont], fc] = np.minimum(hi[p, fc], np.nextafter(cc, -np.inf))
         lo[r[cont], fc] = np.maximum(lo[p, fc], cc)
         for j, m in masks.items():
             sel = is_equal[nodes] & (f == j)
@@ -1062,11 +1048,12 @@ def _node_box_table(forest: Forest) -> tuple[Region, np.ndarray, np.ndarray]:
                 "contradictory path"
             )
         nodes = np.concatenate([l, r])
-    for a in (lo, hi, hi_open, *masks.values()):
-        a.flags.writeable = False  # the cells handed out are views of this table
     # global leaf ids follow node order
-    leaf_rows = np.flatnonzero(feature < 0)
-    return Region(forest.schema, lo, hi, hi_open, masks), starts, leaf_rows
+    leaf = np.flatnonzero(feature < 0)
+    cells = Region(forest.schema, lo, hi, masks)[leaf]
+    for a in (cells.lo, cells.hi, *cells.masks.values()):
+        a.flags.writeable = False  # the cells handed out are views of this table
+    return cells
 
 
 def leaf_region(forest: Forest, b: int, leaf: int) -> Region:

@@ -85,6 +85,19 @@ def test_fit_rejects_oversized_dimension(tmp_path, capsys):
     assert "d-z" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:kernel graph appears disconnected")
+@pytest.mark.parametrize("mode", ["unsupervised", "completely_random"])
+def test_fit_on_one_ulp_cells(tmp_path, mode):
+    # every pair of three adjacent floats: the leaf cells are one ulp wide, and
+    # a synthetic draw must not round onto a cut
+    values = ["1.0", "1.0000000000000002", "1.0000000000000004"]
+    data = tmp_path / "ulp.csv"
+    data.write_text("a,b\n" + "".join(f"{values[i % 3]},{values[i // 3 % 3]}\n"
+                                      for i in range(90)))
+    assert main(["fit", str(data), "--mode", mode, "--d-z", "1", "--trees", "50",
+                 "--min-leaf", "1", "--seed", "3", "--out", str(tmp_path / "m.json")]) == 0
+
+
 def test_gzip_bundle_container(tmp_path):
     data = _write_blobs_csv(tmp_path / "train.csv", n=40, seed=4)
     bundle = tmp_path / "model.json.gz"
@@ -113,6 +126,7 @@ def test_encode_empty_query_file(fitted, tmp_path):
     assert out.read_text().splitlines() == ["KPC1,KPC2,KPC3"]
 
 
+@pytest.mark.filterwarnings("ignore:kernel graph appears disconnected")
 def test_encode_warns_on_unseen_level(tmp_path, capsys):
     rng = np.random.default_rng(6)
     data = tmp_path / "train.csv"
@@ -121,7 +135,7 @@ def test_encode_warns_on_unseen_level(tmp_path, capsys):
         for i in range(40):
             fh.write(f"{rng.normal()!r},{'u' if i % 2 else 'v'}\n")
     bundle = tmp_path / "m.json"
-    assert main(["fit", str(data), "--mode", "completely_random", "--d-z", "2",
+    assert main(["fit", str(data), "--mode", "unsupervised", "--d-z", "2",
                  "--trees", "10", "--out", str(bundle), "--seed", "2"]) == 0
     query = tmp_path / "q.csv"
     query.write_text("x,c\n0.5,brand-new\n")
@@ -129,6 +143,13 @@ def test_encode_warns_on_unseen_level(tmp_path, capsys):
     assert main(["encode", str(bundle), str(query), "--out", str(out)]) == 0
     assert "unseen-level" in capsys.readouterr().err
     assert len(out.read_text().splitlines()) == 2
+    # roundtrip refuses unseen levels, but reports rows that reach leaves
+    # holding only marginal-synthetic rows as encode does
+    query.write_text("x,c\n-1.0,v\n1.0,u\n")
+    for command in ("encode", "roundtrip"):
+        assert main([command, str(bundle), str(query), "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert "warnings: 0 unseen-level cells, 5 empty-leaf tree cells renormalized" in err
 
 
 def test_fit_never_builds_the_kernel_matrix(tmp_path, monkeypatch, capsys):
@@ -446,19 +467,22 @@ def test_roundtrip_supervised_bundle_ignores_label_column(tmp_path, capsys):
     assert len(report["per_feature"]) == 3
 
 
-def test_bench_row_count_and_ranges(tmp_path):
+# fewer trees for lasso and ilp: 20 take lasso seconds, and exceed ilp's cell budget
+@pytest.mark.parametrize("decoder, trees", [("knn", 20), ("relabel", 20), ("lasso", 8),
+                                            ("ilp", 8)])
+def test_bench_row_count_and_ranges(tmp_path, decoder, trees):
     data = _write_blobs_csv(tmp_path / "train.csv", n=70, seed=8)
     out = tmp_path / "bench.csv"
     rc = main(["bench", str(data), "--rates", "0.5,1.0", "--bootstraps", "2",
-               "--mode", "completely_random", "--trees", "20", "--min-leaf", "3",
-               "--k", "5", "--out", str(out), "--seed", "11"])
+               "--mode", "completely_random", "--trees", str(trees), "--min-leaf", "3",
+               "--decoder", decoder, "--k", "5", "--out", str(out), "--seed", "11"])
     assert rc == 0
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 4
     for row in rows:
         assert 0.0 <= float(row["distortion"]) <= 1.0
-        assert row["decoder"] == "knn"
+        assert row["decoder"] == decoder
     assert sorted({row["rate"] for row in rows}) == ["0.5", "1.0"]
 
 

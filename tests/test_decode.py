@@ -58,6 +58,26 @@ def test_synthetic_rows_route_identically():
     assert np.array_equal(redo, route_table(f, table)[0])
 
 
+def test_synthetic_rows_in_one_ulp_cell():
+    # two stumps cut at b and at the next float c, so rows at b share the
+    # one-ulp cell [b, c): a draw must not round onto the cut c
+    b = np.nextafter(1.0, 2.0)
+    c = np.nextafter(b, 2.0)
+    values = np.tile([1.0, b, c], 10)[:, None]
+    table = Table(Schema((Column("x"),)), values)
+    forest = Forest(
+        trees=[_stump(0, b, (10, 20)), _stump(0, c, (20, 10))],
+        schema=table.schema,
+        feature_ranges=np.array([[1.0, c]]),
+        params=ForestParams(n_trees=2, seed=0),
+        kind="none",
+    )
+    at_b = values[:, 0] == b
+    for seed in range(20):
+        synth = build_synthetic_training(forest, table, seed)
+        assert np.all(synth.table.values[at_b, 0] == b)
+
+
 def test_single_leaf_forest_synthesizes_inside_box():
     table = make_mixed(40, seed=3)
     f = fit_completely_random(table, ForestParams(n_trees=3, max_depth=0, seed=3))
@@ -729,7 +749,7 @@ def test_greedy_replays_one_pass_rule_on_random_forests():
             dense = np.zeros(f.total_leaves)
             dense[leaves[i, :k]] = vals[i, :k]
             scores = np.split(dense, f.leaf_offsets[1:])
-            running = f.node_boxes(0)[0]
+            running = f.box
             for b in sorted(range(f.n_trees), key=lambda b: -scores[b].max()):
                 feasible = [
                     l for l in range(f.trees[b].n_leaves)
@@ -866,16 +886,16 @@ def test_ilp_matches_brute_force_enumeration(seed):
 def test_ilp_infeasible_instance_errors(t2x4):
     forest, table, _ = t2x4
     ids, _ = route_table(forest, table)
-    # corrupt the cached region tables so no leaf pair overlaps; well-formed
+    # corrupt the cached leaf cells so no leaf pair overlaps; well-formed
     # trees always tile the box, so infeasibility requires a broken structure
     from forestae.forest import Region
 
-    boxes, starts, leaf_rows = forest._box_table()
-    lo, hi, op = boxes.lo.copy(), boxes.hi.copy(), boxes.hi_open.copy()
-    t0, t1 = slice(starts[0], starts[1]), slice(starts[1], starts[2])
-    hi[t0], op[t0] = np.minimum(hi[t0], 0.3), True
+    cells = forest.leaf_boxes(np.arange(forest.total_leaves))
+    lo, hi = cells.lo.copy(), cells.hi.copy()
+    t0, t1 = slice(0, forest.leaf_offsets[1]), slice(forest.leaf_offsets[1], None)
+    hi[t0] = np.minimum(hi[t0], 0.3)
     lo[t1] = np.maximum(lo[t1], 0.6)
-    forest._boxes = (Region(forest.schema, lo, hi, op, {}), starts, leaf_rows)
+    forest._leaf_cells = Region(forest.schema, lo, hi, {})
     with pytest.raises(DecodeError, match="no feasible"):
         ilp_decode_exact(np.full(4, 0.25), forest, ids)
 

@@ -477,9 +477,12 @@ def test_leaf_region_root_is_full_box(t2x4):
         params=forest.params,
         kind="none",
     )
+    assert np.array_equal(single.box.lo, [0.25, 0.25])
+    assert np.array_equal(single.box.hi, [0.75, 0.75])
+    # x0 < 0.5 is strict, so the closed cell ends one float below the cut
     reg = leaf_region(single, 0, 0)
-    assert reg.lo[0] == 0.25 and reg.hi[0] == 0.5 and reg.hi_open[0]
-    assert reg.lo[1] == 0.25 and reg.hi[1] == 0.75 and not reg.hi_open[1]
+    assert reg.lo[0] == 0.25 and reg.hi[0] == np.nextafter(0.5, -np.inf)
+    assert reg.lo[1] == 0.25 and reg.hi[1] == 0.75
 
 
 def test_region_interval_intersection(t2x4):
@@ -488,7 +491,7 @@ def test_region_interval_intersection(t2x4):
     b = leaf_region(forest, 1, 1)  # x1 in [0.5, 0.75]
     both = region_intersect([a, b])
     assert not both.is_empty()
-    assert both.lo[0] == 0.25 and both.hi[0] == 0.5
+    assert both.lo[0] == 0.25 and both.hi[0] == np.nextafter(0.5, -np.inf)
     assert both.lo[1] == 0.5 and both.hi[1] == 0.75
     # disjoint intervals collapse
     disjoint = region_intersect([leaf_region(forest, 0, 0), leaf_region(forest, 0, 1)])
@@ -509,9 +512,9 @@ def test_region_sample_degenerate_and_uniform():
     schema = Schema((Column("x"),))
     from forestae.forest import Region
 
-    point = Region(schema, np.array([2.0]), np.array([2.0]), np.array([False]), {})
+    point = Region(schema, np.array([2.0]), np.array([2.0]), {})
     assert point.sample(0)[0] == 2.0
-    box = Region(schema, np.array([0.0]), np.array([1.0]), np.array([False]), {})
+    box = Region(schema, np.array([0.0]), np.array([1.0]), {})
     rng = np.random.default_rng(12)
     draws = np.array([box.sample(rng)[0] for _ in range(10_000)])
     ks = scipy.stats.kstest(draws, "uniform").statistic
@@ -687,12 +690,41 @@ def test_contradictory_categorical_path_asserts():
         leaf_region(forest, 0, 1)
 
 
-def test_node_region_matches_leaf_region():
-    table = make_mixed(50, seed=20)
-    f = fit_completely_random(table, ForestParams(n_trees=3, min_leaf=2, seed=15))
-    leaf_id = f.trees[0].leaf_id
-    for idx in range(leaf_id.size):
-        if leaf_id[idx] >= 0:
-            a = f.node_boxes(0)[idx]
-            b = leaf_region(f, 0, int(leaf_id[idx]))
-            assert np.array_equal(a.lo, b.lo) and np.array_equal(a.hi, b.hi)
+def _leaves_under(tree: Tree, node: int) -> list[int]:
+    left, leaf_id, stack, out = tree.left, tree.leaf_id, [node], []
+    while stack:
+        k = stack.pop()
+        if left[k] < 0:
+            out.append(int(leaf_id[k]))
+        else:
+            stack += [left[k], left[k] + 1]
+    return out
+
+
+@pytest.mark.parametrize("fit", [fit_unsupervised, fit_completely_random])
+def test_cells_and_routing_agree_at_every_cut(fit):
+    # each continuous split's cut lies in, and routes to, exactly one leaf, and
+    # that leaf is under the right child; the float below the cut, under the left
+    table = make_mixed(60, seed=20)
+    f = fit(table, ForestParams(n_trees=3, min_leaf=2, seed=15))
+    cat = [j for j, c in enumerate(f.schema.columns) if c.is_categorical]
+    checked = 0
+    for b, tree in enumerate(f.trees):
+        cells = [leaf_region(f, b, leaf) for leaf in range(tree.n_leaves)]
+        for k in np.flatnonzero((tree.feature >= 0) & ~tree.is_equal):
+            j, cut, left = tree.feature[k], tree.threshold[k], tree.left[k]
+            for child, at in ((left + 1, cut), (left, np.nextafter(cut, -np.inf))):
+                under = _leaves_under(tree, child)
+                # a point on the cut: the lower corner of a leaf cell under the
+                # child that spans it, moved onto it
+                spans = [c for c in (cells[leaf] for leaf in under) if c.lo[j] <= at <= c.hi[j]]
+                assert spans, (b, k)
+                x = spans[0].lo.copy()
+                x[j] = at
+                for jc in cat:
+                    x[jc] = np.argmax(spans[0].masks[jc])
+                hits = [leaf for leaf, c in enumerate(cells) if c.contains(x)]
+                assert hits == [route(f, x)[b]] and hits[0] in under, (b, k)
+                checked += 1
+    assert checked >= 20
+    assert f._leaf_cells.lo.shape == (f.total_leaves, f.schema.n_columns)  # leaves only
