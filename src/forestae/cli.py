@@ -273,10 +273,26 @@ def cmd_decode(args) -> int:
     return 0
 
 
+def _refuse_unseen_levels(path, queries: Table, schema) -> None:
+    """roundtrip's distortion against a level the bundle never saw is
+    undefined; the hinted load appends such levels after the bundle's own."""
+    unseen = []
+    for col in schema.columns:
+        if col.is_categorical:
+            n = int(np.count_nonzero(queries.column(col.name)[1] >= len(col.levels)))
+            if n:
+                unseen.append(f"{n} cell(s) of column {col.name!r}")
+    if unseen:
+        raise UsageError(f"{path}: {', '.join(unseen)} carry levels the bundle never saw; "
+                         "distortion against them is undefined")
+
+
 def cmd_roundtrip(args) -> int:
     _check_flags(args)
     b = bundle_io.load_bundle(args.bundle)
-    queries = conform_table(_load_queries(args.data, b.schema), b.schema)
+    queries = _load_queries(args.data, b.schema)
+    _refuse_unseen_levels(args.data, queries, b.schema)
+    queries = conform_table(queries, b.schema)
     out, trace = _decode_rows(b, _embed(b, queries), args)
     save_csv(out, args.out)
     _write_trace(args.trace, trace)

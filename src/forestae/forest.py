@@ -199,14 +199,15 @@ def _feature_ranges(schema: Schema, values: np.ndarray) -> np.ndarray:
     return out
 
 
-# Most sampled rows grown together in one chunk: numpy's per-call cost is paid
-# once per depth level of a chunk, and a chunk's arrays stay a few times this
-# length.
-_CHUNK_SLOTS = 25_000
+# Most distinct sampled rows (expected) grown together in one chunk: numpy's
+# per-call cost is paid once per depth level of a chunk. On a 2-vCPU x86 host
+# a banknote fold's 500 trees (1,100 distinct of 1,700 rows per bag) grew in
+# 2.12, 1.92, 2.08, 2.04 and 1.86 s at 15k, 20k, 25k, 30k and 40k (median of 7,
+# within the host's spread), while growth's peak RSS read 45.8, 47.5, 49.0,
+# 50.5 and 55.4 MB at 15k, 20k, 25k, 30k and 50k.
+_CHUNK_SLOTS = 20_000
 # Completely random chunks hold this many times more: they also pay that cost
 # once per redraw round, so three bags of a 20k-row table share each pass.
-# Larger CART chunks grew no faster, and the larger arrays they free raised a
-# fit's later peak RSS (glibc's mmap threshold follows the largest freed block).
 _CR_CHUNK_SCALE = 3
 
 
@@ -223,9 +224,11 @@ class _Sample:
     # continuous (else None), and each value's position in them (else 0)
     uniq: tuple
     rank: np.ndarray  # (n, d)
+    order: np.ndarray  # (continuous columns, n): rows by value, stable
 
 
 def _sample(table: Table, y, kind: str, n_classes: int) -> _Sample:
+    """Each continuous column is sorted here once, for every tree."""
     values = table.values
     n_levels = table.schema.n_levels
     uniq = tuple(None if k else _sorted_unique(values[:, j]) for j, k in enumerate(n_levels))
@@ -233,11 +236,29 @@ def _sample(table: Table, y, kind: str, n_classes: int) -> _Sample:
     for j, u in enumerate(uniq):
         if u is not None:
             rank[:, j] = np.searchsorted(u, values[:, j])
-    return _Sample(values, n_levels, y, kind, n_classes, uniq, rank)
+    order = np.argsort(values[:, n_levels == 0], axis=0, kind="stable").T
+    return _Sample(values, n_levels, y, kind, n_classes, uniq, rank, order)
 
 
 def _bag_size(params: ForestParams, n: int) -> int:
     return max(2, math.ceil(params.subsample_fraction * n))
+
+
+def _split_slots(params: ForestParams, n: int) -> int:
+    """Expected distinct rows in a tree's split sample: a bootstrap bag of s
+    draws from n rows holds n (1 - (1 - 1/n)^s) of them."""
+    s = _bag_size(params, n)
+    if params.honest:
+        s = max(1, s // 2)
+    if params.bootstrap:
+        s = round(-n * math.expm1(s * math.log1p(-1 / n)))
+    return max(1, s)
+
+
+def _draw_counts(bags: np.ndarray, n: int) -> np.ndarray:
+    """(trees, n): how often each tree's bag drew each row."""
+    t = bags.shape[0]
+    return np.bincount((np.arange(t)[:, None] * n + bags).ravel(), minlength=t * n).reshape(t, n)
 
 
 def _first_min(group: np.ndarray, cost: np.ndarray) -> np.ndarray:
@@ -291,13 +312,16 @@ def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
 class _Chunk:
     """Trees grown together, breadth-first, one depth level per pass.
 
-    A slot is one sampled row of one tree: tree t's s slots are ids
-    ``t * s + i``. Open nodes are listed tree by tree in breadth-first order,
-    and node k owns the contiguous positions ``live_start[k]`` to
-    ``live_start[k] + node_m[k]`` of each row of ``orders`` (shape
-    ``(R, positions)``, no padding): ``orders[0]`` lists the node's slots by
-    id and, for CART, ``orders[order_row[j]]`` by the value of continuous
-    column j (presorted attribute lists, as in SLIQ: sorted once per chunk,
+    A slot is one distinct sampled row of one tree, weighted by how often
+    the tree's bag drew it (1 without bootstrap); slots are numbered tree by
+    tree, rows ascending. Sizes, floors, stops and label sums weigh each slot
+    by its draw count, so a tree is the one its bag's copies would grow. Open
+    nodes are listed tree by tree in breadth-first order, and node k owns the
+    contiguous positions ``live_start[k]`` to ``live_start[k] + node_len[k]``
+    of each row of ``orders`` (shape ``(R, positions)``, no padding):
+    ``orders[0]`` lists the node's slots by id and, for CART,
+    ``orders[order_row[j]]`` by the value of continuous column j (presorted
+    attribute lists, as in SLIQ: the table's sort restricted to each bag,
     then kept sorted by a stable partition after each level). Each level
     scores only the positions of nodes that drew a column, and partitions
     only the positions of nodes that split.
@@ -316,28 +340,33 @@ class _Chunk:
         if params.honest:
             perm = np.stack([g.permutation(bag) for g, bag in zip(self.rngs, bags)])
             half = max(1, bag_size // 2)
-            self.rows, self.lab_rows = perm[:, :half], perm[:, half:]
-            self.lab_x = np.moveaxis(data.values[self.lab_rows], 2, 0)
-            self.lab_rank = np.moveaxis(data.rank[self.lab_rows], 2, 0)
-        else:
-            self.rows = self.lab_rows = bags
-        n_trees, s = self.rows.shape
-        self.x = np.ascontiguousarray(data.values[self.rows.ravel()].T)  # (d, T * s)
-        self.y = None if data.y is None else data.y[self.rows.ravel()]
+            bags, lab = perm[:, :half], _draw_counts(perm[:, half:], n)
+            # label rows, distinct per tree; their draw counts set only the open rule
+            self.lab_node, self.lab_row = np.nonzero(lab)  # open node, -1 once settled
+            self.lab_w = lab[self.lab_node, self.lab_row]
+            self.lab_x = data.values[self.lab_row].T  # (d, label rows)
+            self.lab_rank = data.rank[self.lab_row].T
+        count = _draw_counts(bags, n)
+        tree, self.row = np.nonzero(count)
+        if not params.honest:
+            self.lab_row = self.row
+        self.w = count[tree, self.row]
+        self.x = data.values.T.take(self.row, axis=1)  # (d, slots)
+        self.y = None if data.y is None else data.y[self.row]
         cont = np.flatnonzero(data.n_levels == 0)
         self.order_row = {j: 1 + i for i, j in enumerate(cont)}
         self.mtry = min(params.mtry or max(1, round(math.sqrt(d))), d)
-        base = np.arange(n_trees)[:, None] * s
-        orders = [base + np.arange(s)]
-        if not cr:
-            x = self.x[cont].reshape(-1, n_trees, s)
-            orders.extend(base + np.argsort(x, axis=2, kind="stable"))
-        self.orders = np.stack(orders).reshape(len(orders), -1)
-        self.node_tree = np.arange(n_trees)  # open nodes: tree,
-        self.node_m = np.full(n_trees, s)  # split-slot count
-        self.lab_leaf = np.full(self.lab_rows.shape, -1)  # node id of each label slot's leaf
-        if params.honest:  # open node of each label slot, -1 once settled
-            self.lab_node = np.repeat(np.arange(n_trees)[:, None], self.lab_rows.shape[1], axis=1)
+        orders = [np.arange(tree.size)]
+        if not cr:  # each column's sort, restricted to every bag
+            slot_of = np.full(count.shape, -1)
+            slot_of[tree, self.row] = orders[0]
+            for o in data.order:
+                s = slot_of[:, o]
+                orders.append(s[s >= 0])
+        self.orders = np.stack(orders)
+        self.node_tree = np.arange(len(seeds))  # open nodes: tree,
+        self.node_len = np.bincount(tree, minlength=len(seeds))  # slot count
+        self.lab_leaf = np.full(self.lab_row.size, -1)  # node id of each label row's leaf
 
     def grow(self) -> list[Tree]:
         levels = []
@@ -362,16 +391,18 @@ class _Chunk:
         """Per open node: child floor, label sums and the stop rules; returns
         the nodes that may split."""
         p, data = self.params, self.data
-        n_nodes, m = self.node_tree.size, self.node_m
+        n_nodes, length = self.node_tree.size, self.node_len
         self.live_slot = self.orders[0]
-        self.live_node = np.repeat(np.arange(n_nodes), m)
-        self.live_start = np.cumsum(m) - m
+        w = self.w[self.live_slot]
+        self.live_node = np.repeat(np.arange(n_nodes), length)
+        self.live_start = np.cumsum(length) - length
+        self.node_m = m = np.add.reduceat(w, self.live_start)  # size: slot weight
         self.mc = np.maximum(p.min_leaf, np.ceil(p.min_node_fraction * m)).astype(np.intp)
         open_ = m >= np.maximum(2, 2 * self.mc)
         if p.honest:
             on = self.lab_node >= 0
-            self.lab_m = np.bincount(self.lab_node[on], minlength=n_nodes)
-            open_ &= self.lab_m >= 2
+            self.lab_n = np.bincount(self.lab_node[on], minlength=n_nodes)
+            open_ &= np.bincount(self.lab_node[on], self.lab_w[on], minlength=n_nodes) >= 2
             self.lab_index = [self._label_index(j, on) for j in range(data.values.shape[1])]
         if self.cr:
             return open_
@@ -380,14 +411,15 @@ class _Chunk:
             c = data.n_classes
             self.live_class = y0.astype(np.intp)
             key = self.live_node * c + self.live_class
-            self.class_count = np.bincount(key, minlength=n_nodes * c).reshape(n_nodes, c)
+            self.class_count = np.bincount(key, w, n_nodes * c).reshape(n_nodes, c)
             return open_ & (self.class_count.max(axis=1) < m)  # purity stop
         pure = np.minimum.reduceat(y0, self.live_start) == np.maximum.reduceat(y0, self.live_start)
         # labels centered per node keep prefix sums small
-        self.mean = np.bincount(self.live_node, weights=y0, minlength=n_nodes) / m
+        self.mean = np.bincount(self.live_node, weights=w * y0, minlength=n_nodes) / m
         self.live_yc = y0 - self.mean[self.live_node]
-        self.node_sum = np.bincount(self.live_node, weights=self.live_yc, minlength=n_nodes)
-        self.sse = np.bincount(self.live_node, weights=self.live_yc**2, minlength=n_nodes)
+        wyc = w * self.live_yc
+        self.node_sum = np.bincount(self.live_node, weights=wyc, minlength=n_nodes)
+        self.sse = np.bincount(self.live_node, weights=wyc * self.live_yc, minlength=n_nodes)
         return open_ & ~pure
 
     def _label_index(self, j: int, on: np.ndarray) -> np.ndarray:
@@ -445,37 +477,40 @@ class _Chunk:
         """Per node of ``nodes``, the lowest cost over cuts at midpoints
         between adjacent distinct values of column j that leave each child
         its floor, and that cut (inf where none is valid)."""
-        m, mc = self.node_m[nodes], self.mc[nodes]
-        slot = self.orders[self.order_row[j]][_ranges(self.live_start[nodes], m)]
-        v = self.x[j][slot]
-        seg = np.cumsum(m) - m  # each node's first index in slot
-        n_cuts = m - 2 * mc + 1
-        k = np.repeat(np.arange(nodes.size), n_cuts)
-        i = _ranges(seg + mc - 1, n_cuts)  # cut between i and i + 1
+        length, m, mc = self.node_len[nodes], self.node_m[nodes], self.mc[nodes]
+        slot = self.orders[self.order_row[j]][_ranges(self.live_start[nodes], length)]
+        v, w = self.x[j][slot], self.w[slot]
+        seg = np.cumsum(length) - length  # each node's first index in slot
+        k = np.repeat(np.arange(nodes.size), length)
+        # cut between i and i + 1 where each child keeps its floor; never
+        # after a node's last slot, which leaves the right child empty
+        n_left = _segment_cumsum(w, seg, length)
+        i = np.flatnonzero((n_left >= mc[k]) & (n_left <= (m - mc)[k]))
+        k = k[i]
         lo, hi = v[i], v[i + 1]
         mid = 0.5 * (lo + hi)
         # a midpoint rounded onto the lower value would send it right
         ok = (hi > lo) & (mid > lo)
         if self.params.honest:
             below = self._label_below(j, nodes[k], mid)
-            ok &= (below >= 1) & (below < self.lab_m[nodes[k]])
+            ok &= (below >= 1) & (below < self.lab_n[nodes[k]])
         i, k, mid = i[ok], k[ok], mid[ok]
         node = nodes[k]
-        n_left = i - seg[k] + 1
+        n_left = n_left[i]
         n_right = m[k] - n_left
         # label sums left of each cut: prefix sums over each node's slots
         if self.data.kind == CLASSIFICATION:
             # exact counts of classes 1..C-1; class 0 is the rest
-            up = self.y[slot] == np.arange(1, self.data.n_classes)[:, None]
-            up = _segment_cumsum(up, seg, m)[:, i]
+            up = (self.y[slot] == np.arange(1, self.data.n_classes)[:, None]) * w
+            up = _segment_cumsum(up, seg, length)[:, i]
             left = np.vstack([n_left - up.sum(axis=0), up])
             right = self.class_count[node].T - left
             cost = (n_left - (left * left).sum(axis=0) / n_left) + (
                 n_right - (right * right).sum(axis=0) / n_right
             )
         else:
-            yc = self.y[slot] - np.repeat(self.mean[nodes], m)
-            left = _segment_cumsum(yc, seg, m)[i]
+            yc = (self.y[slot] - np.repeat(self.mean[nodes], length)) * w
+            left = _segment_cumsum(yc, seg, length)[i]
             right = self.node_sum[node] - left
             cost = self.sse[node] - left * left / n_left - right * right / n_right
         out_cost = np.full(nodes.size, np.inf)
@@ -490,30 +525,31 @@ class _Chunk:
         of column j, and that level, from one bincount over the nodes' slots
         by (node, level)."""
         n_levels = self.data.n_levels[j]
-        size, m = nodes.size * n_levels, self.node_m[nodes]
-        at = _ranges(self.live_start[nodes], m)
-        key = np.repeat(np.arange(nodes.size), m) * n_levels
+        size, length = nodes.size * n_levels, self.node_len[nodes]
+        at = _ranges(self.live_start[nodes], length)
+        key = np.repeat(np.arange(nodes.size), length) * n_levels
         key += self.x[j][self.live_slot[at]].astype(np.intp)
-        cnt = np.bincount(key, minlength=size).reshape(nodes.size, n_levels)
-        m, mc = m[:, None], self.mc[nodes, None]
+        w = self.w[self.live_slot[at]]
+        cnt = np.bincount(key, w, size).reshape(nodes.size, n_levels)
+        m, mc = self.node_m[nodes, None], self.mc[nodes, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             if self.data.kind == CLASSIFICATION:
                 c = self.data.n_classes
-                cl = np.bincount(key * c + self.live_class[at], minlength=size * c)
+                cl = np.bincount(key * c + self.live_class[at], w, size * c)
                 cl = cl.reshape(nodes.size, n_levels, c)
                 rest = self.class_count[nodes, None, :] - cl
                 cost = (cnt - (cl * cl).sum(axis=2) / cnt) + (
                     (m - cnt) - (rest * rest).sum(axis=2) / (m - cnt)
                 )
             else:
-                s1 = np.bincount(key, weights=self.live_yc[at], minlength=size)
+                s1 = np.bincount(key, weights=w * self.live_yc[at], minlength=size)
                 s1 = s1.reshape(nodes.size, n_levels)
                 s2 = self.node_sum[nodes, None] - s1
                 cost = self.sse[nodes, None] - s1 * s1 / cnt - s2 * s2 / (m - cnt)
         ok = (cnt >= mc) & (m - cnt >= mc)
         if self.params.honest:
             lab = self.lab_index[j][nodes]
-            ok &= (lab >= 1) & (lab < self.lab_m[nodes, None])
+            ok &= (lab >= 1) & (lab < self.lab_n[nodes, None])
         cost = np.where(ok, cost, np.inf)
         best = np.argmin(cost, axis=1)
         return cost[np.arange(nodes.size), best], best.astype(np.float64)
@@ -523,16 +559,18 @@ class _Chunk:
         ones and a uniform cut on (node min, node max) or a uniform present
         level, redrawn up to ``_CR_SPLIT_TRIES`` times for nodes whose draw
         breaks a child floor."""
-        data, m, mc = self.data, self.node_m, self.mc
+        data, m, mc, length = self.data, self.node_m, self.mc, self.node_len
         n_nodes, d = open_.size, data.values.shape[1]
-        # every column's values in position order, so a node's are contiguous
+        # every column's values in position order, so a node's are contiguous,
+        # and the slot weights, unless every slot weighs 1 (no bootstrap)
         x = self.x.take(self.live_slot, axis=1)
+        w = self.w[self.live_slot] if self.params.bootstrap else None
         lo, hi = np.zeros((n_nodes, d)), np.zeros((n_nodes, d))
-        count, present = {}, {}  # categorical column: slots, running level count
+        count, present = {}, {}  # categorical column: weight, running level count
         for j in range(d):
             if n_levels := data.n_levels[j]:
                 key = self.live_node * n_levels + x[j].astype(np.intp)
-                count[j] = np.bincount(key, minlength=n_nodes * n_levels).reshape(n_nodes, n_levels)
+                count[j] = np.bincount(key, w, n_nodes * n_levels).reshape(n_nodes, -1)
                 present[j] = np.cumsum(count[j] > 0, axis=1)
                 hi[:, j] = present[j][:, -1] - 1  # eligible: two levels or more
             else:
@@ -552,8 +590,8 @@ class _Chunk:
             low = lo[pending, col]
             c = low + u[:, 1] * span[pending, col]
             ok = c > low
-            # split slots of each pending node that its draw sends left: a
-            # level's from the level counts, a cut's by counting values below it
+            # split weight of each pending node that its draw sends left: a
+            # level's from the level counts, a cut's by summing the weights below it
             n_left = np.zeros(pending.size, dtype=np.intp)
             for j in count:
                 sel = np.flatnonzero(col == j)
@@ -563,9 +601,12 @@ class _Chunk:
             cont = np.flatnonzero(ok & (data.n_levels[col] == 0))
             if cont.size:
                 node = pending[cont]
-                at = _ranges(col[cont] * width + self.live_start[node], m[node])
-                below = x[at] < np.repeat(c[cont], m[node])
-                n_left[cont] = np.add.reduceat(below, np.cumsum(m[node]) - m[node], dtype=np.intp)
+                at = _ranges(col[cont] * width + self.live_start[node], length[node])
+                below = x[at] < np.repeat(c[cont], length[node])
+                if w is not None:
+                    below = below * w[at % width]
+                n_left[cont] = np.add.reduceat(below, np.cumsum(length[node]) - length[node],
+                                               dtype=np.intp)
             ok &= (n_left >= mc[pending]) & (m[pending] - n_left >= mc[pending])
             if self.params.honest:
                 lab = np.zeros(pending.size, dtype=np.intp)
@@ -575,7 +616,7 @@ class _Chunk:
                         lab[sel] = self.lab_index[j][pending[sel], c[sel].astype(np.intp)]
                     else:
                         lab[sel] = self._label_below(j, pending[sel], c[sel])
-                ok &= (lab >= 1) & (lab < self.lab_m[pending])
+                ok &= (lab >= 1) & (lab < self.lab_n[pending])
             feat[pending[ok]], cut[pending[ok]] = col[ok], c[ok]
             pending = pending[~ok]
         return feat, cut
@@ -588,39 +629,39 @@ class _Chunk:
         split = feat >= 0
         node = self.live_node
         if self.params.honest:
-            on = np.nonzero(self.lab_node >= 0)
+            on = np.flatnonzero(self.lab_node >= 0)
             lnode = self.lab_node[on]
-            lx = self.lab_x[np.maximum(feat, 0)[lnode], on[0], on[1]]
+            lx = self.lab_x[np.maximum(feat, 0)[lnode], on]
             lab_left = np.where(eq[lnode], lx == cut[lnode], lx < cut[lnode])
             child = 2 * (np.cumsum(split) - 1)[lnode] + ~lab_left
             self.lab_leaf[on] = np.where(split[lnode], -1, ids[lnode])
             self.lab_node[on] = np.where(split[lnode], child, -1)
-        else:  # label slots are the split slots
+        else:  # label rows are the split slots
             settled = ~split[node]
-            self.lab_leaf.ravel()[self.live_slot[settled]] = ids[node[settled]]
+            self.lab_leaf[self.live_slot[settled]] = ids[node[settled]]
 
         parents = np.flatnonzero(split)
         if not parents.size:
             self.node_tree = parents
             return
         # which of the split nodes' positions go left
-        m = self.node_m[parents]
-        at = _ranges(self.live_start[parents], m)
+        length = self.node_len[parents]
+        at = _ranges(self.live_start[parents], length)
         slot = self.live_slot[at]
-        t = np.repeat(cut[parents], m)
-        x = self.x.ravel()[np.repeat(feat[parents] * self.x.shape[1], m) + slot]
+        t = np.repeat(cut[parents], length)
+        x = self.x.ravel()[np.repeat(feat[parents] * self.x.shape[1], length) + slot]
         left = x < t
         if eq[parents].any():
-            is_eq = np.repeat(eq[parents], m)
+            is_eq = np.repeat(eq[parents], length)
             left[is_eq] = x[is_eq] == t[is_eq]
-        nl = np.add.reduceat(left, np.cumsum(m) - m, dtype=np.intp)
-        nr = m - nl
+        nl = np.add.reduceat(left, np.cumsum(length) - length, dtype=np.intp)
+        nr = length - nl
         # stable partition of every order over the split nodes' positions, one
         # order at a time: with c left slots among the first p + 1 of them, a
         # left slot lands at c - 1 plus the right slots of earlier nodes, and
         # a right one at p - c plus the left slots of its own and earlier nodes
-        to_left = np.repeat(np.cumsum(nr) - nr - 1, m)
-        to_right = np.arange(at.size) + np.repeat(np.cumsum(nl), m)
+        to_left = np.repeat(np.cumsum(nr) - nr - 1, length)
+        to_right = np.arange(at.size) + np.repeat(np.cumsum(nl), length)
 
         def partition(new, slot, g):
             c = np.cumsum(g)
@@ -636,20 +677,17 @@ class _Chunk:
                 partition(new, slot, goes_left[slot])
         self.orders = orders
         self.node_tree = np.repeat(self.node_tree[parents], 2)
-        self.node_m = np.stack([nl, nr], axis=1).ravel()
+        self.node_len = np.stack([nl, nr], axis=1).ravel()
 
     # -- output --------------------------------------------------------------
 
     def _trees(self, levels) -> list[Tree]:
         """Per-tree flat arrays in breadth-first order; leaf counts and stats
-        come from the label slots' leaves, each distinct row counted once."""
+        come from the leaves of the distinct label rows, each counted once."""
         data = self.data
         tree, feat, cut, eq = (np.concatenate(a) for a in zip(*levels))
-        n_nodes, n_trees = tree.size, self.rows.shape[0]
-        key = np.arange(n_trees)[:, None] * data.values.shape[0] + self.lab_rows
-        _, first = np.unique(key, return_index=True)
-        leaf = self.lab_leaf.ravel()[first]
-        row = self.lab_rows.ravel()[first]
+        n_nodes, n_trees = tree.size, len(self.rngs)
+        leaf, row = self.lab_leaf, self.lab_row
         counts = np.bincount(leaf, minlength=n_nodes)
         is_leaf = feat < 0
         if counts[is_leaf].min() < 1:
@@ -679,10 +717,10 @@ class _Chunk:
 
 
 def _grow(data: _Sample, params: ForestParams, seeds, cr: bool) -> list[Tree]:
-    """One tree per seed, grown in as few chunks of at most ``slots`` sampled
-    rows (or one tree) as hold them all, trees spread evenly."""
+    """One tree per seed, grown in as few chunks of at most ``slots`` expected
+    distinct sampled rows (or one tree) as hold them all, trees spread evenly."""
     slots = _CHUNK_SLOTS * (_CR_CHUNK_SCALE if cr else 1)
-    per = max(1, slots // _bag_size(params, data.values.shape[0]))
+    per = max(1, slots // _split_slots(params, data.values.shape[0]))
     parts = np.array_split(np.arange(len(seeds)), -(-len(seeds) // per))
     return [
         tree

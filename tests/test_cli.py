@@ -152,6 +152,23 @@ def test_encode_warns_on_unseen_level(tmp_path, capsys):
         assert "warnings: 0 unseen-level cells, 5 empty-leaf tree cells renormalized" in err
 
 
+def test_roundtrip_refuses_unseen_levels_as_usage_error(tmp_path, capsys):
+    # distortion against a level the bundle never saw is undefined, so the
+    # error names the column and its count of unseen cells, and writes nothing
+    data = tmp_path / "train.csv"
+    data.write_text("x,c\n" + "".join(f"{0.1 * i!r},{'uv'[i % 2]}\n" for i in range(40)))
+    bundle = tmp_path / "m.json"
+    assert main(["fit", str(data), "--mode", "unsupervised", "--d-z", "2",
+                 "--trees", "10", "--out", str(bundle), "--seed", "2"]) == 0
+    query = tmp_path / "q.csv"
+    query.write_text("x,c\n0.5,brand-new\n1.5,u\n2.5,other\n")
+    out = tmp_path / "rec.csv"
+    assert main(["roundtrip", str(bundle), str(query), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and "2 cell(s) of column 'c'" in err
+    assert not out.exists()
+
+
 def test_fit_never_builds_the_kernel_matrix(tmp_path, monkeypatch, capsys):
     # past the dense cutoff fit needs only products with the factored kernel
     def refuse(self):

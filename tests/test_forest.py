@@ -28,12 +28,14 @@ from forestae.forest import (
 from conftest import make_blobs, make_mixed
 
 
-def _tree_bag(params: ForestParams, n: int, b: int) -> np.ndarray:
-    """Replay the subsample draw of tree b (same stream as fitting)."""
+def _tree_bag(params: ForestParams, n: int, b: int, label_half: bool = False) -> np.ndarray:
+    """Replay the subsample draw of tree b (same stream as fitting); with
+    ``label_half``, the half of its shuffled bag that an honest tree counts."""
     children = np.random.SeedSequence(params.seed).spawn(params.n_trees)
     rng = np.random.default_rng(children[b])
     ssize = max(2, math.ceil(params.subsample_fraction * n))
-    return rng.choice(n, size=ssize, replace=params.bootstrap)
+    bag = rng.choice(n, size=ssize, replace=params.bootstrap)
+    return rng.permutation(bag)[max(1, ssize // 2) :] if label_half else bag
 
 
 def test_separable_single_split():
@@ -135,16 +137,67 @@ def test_fit_matches_pinned_digest(mode):
     assert digest == _PINNED[mode]
 
 
+def _chunk_sizes(monkeypatch) -> list:
+    """Trees per grown chunk, appended as chunks are made."""
+    import forestae.forest as forest_module
+
+    sizes = []
+
+    class Chunk(forest_module._Chunk):
+        def __init__(self, data, params, seeds, cr):
+            sizes.append(len(seeds))
+            super().__init__(data, params, seeds, cr)
+
+    monkeypatch.setattr(forest_module, "_Chunk", Chunk)
+    return sizes
+
+
 @pytest.mark.parametrize("mode", _MODES)
 def test_chunk_size_does_not_change_forest(mode, monkeypatch):
     import forestae.forest as forest_module
 
     table = make_mixed(60, seed=22)
-    params = ForestParams(n_trees=9, min_leaf=2, bootstrap=True, seed=23)
+    params = ForestParams(n_trees=8, min_leaf=2, bootstrap=True, seed=23)
     whole = _serialized(_fit_mode(mode, table, params))
-    for slots in (1, 130, 500):  # one tree per chunk, two, four
-        monkeypatch.setattr(forest_module, "_CHUNK_SLOTS", slots)
+    # _CHUNK_SLOTS counts a tree's expected distinct split rows: 38 of a
+    # 60-row bag, 24 of an honest tree's 30 split draws, 76 on the
+    # unsupervised 120-row stack
+    grown = replace(params, honest=mode == "honest_classification")
+    per_tree = forest_module._split_slots(grown, 2 * table.n if mode == "unsupervised" else table.n)
+    scale = forest_module._CR_CHUNK_SCALE if mode == "completely_random" else 1
+    sizes = _chunk_sizes(monkeypatch)
+    for per in (1, 2, 4):  # trees per chunk
+        monkeypatch.setattr(forest_module, "_CHUNK_SLOTS", -(-per * per_tree // scale))
+        sizes.clear()
         assert _serialized(_fit_mode(mode, table, params)) == whole
+        assert set(sizes) == {per}
+
+
+# Digests recorded before growth weighed each distinct bag row by its draw
+# count instead of growing on its copies: a continuous-only unsupervised
+# bootstrap forest of the banknote fold's shape (min_leaf 4, trees reaching
+# depth 10), where a third of each bag's draws are copies, and a subsampled
+# classification forest on tied (rounded) values, where every row weighs 1.
+_SHAPE_PINNED = {
+    "deep_unsupervised": "bdc961d9d91beab7b2a595d7bdbeecfe31253bbbf1266529155740275b8508ed",
+    "subsampled_classification": "c769548e917e099e7fcde26884fb1c9f09746db4db1c8b8b0f65ef9adf033c06",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPE_PINNED))
+def test_fit_matches_pinned_digest_of_other_shapes(shape):
+    if shape == "deep_unsupervised":
+        table, _ = make_blobs(200, 4, seed=41)
+        params = ForestParams(n_trees=12, max_depth=10, min_leaf=4, bootstrap=True, seed=43)
+        forest = fit_unsupervised(table, params)
+    else:
+        mixed = make_mixed(120, seed=45)
+        x = np.round(mixed.values, 1)
+        y = (x[:, 0] > 0).astype(float) + (x[:, 1] > 0.5)
+        params = ForestParams(n_trees=12, min_leaf=2, subsample_fraction=0.7, seed=47)
+        forest = fit_supervised(Table(mixed.schema, x), (Column("y", ("p", "q", "r")), y), params)
+    digest = hashlib.sha256(_serialized(forest).encode()).hexdigest()
+    assert digest == _SHAPE_PINNED[shape]
 
 
 # Completely random forests whose floors (min_leaf a tenth of n) make most
@@ -165,16 +218,10 @@ def test_redraw_heavy_completely_random_forest(honest, monkeypatch):
     whole = _serialized(fit_completely_random(table, params))
     assert hashlib.sha256(whole.encode()).hexdigest() == _REDRAW_PINNED[honest]
     assert _serialized(fit_completely_random(table, params, jobs=2)) == whole
-    sizes = []
-
-    class Chunk(forest_module._Chunk):
-        def __init__(self, data, params, seeds, cr):
-            sizes.append(len(seeds))
-            super().__init__(data, params, seeds, cr)
-
-    monkeypatch.setattr(forest_module, "_Chunk", Chunk)
+    sizes = _chunk_sizes(monkeypatch)
+    per_tree = forest_module._split_slots(params, table.n)  # expected distinct split rows
     for per in (1, 2, 12):  # trees per chunk: one, two, all
-        slots = per * 300 // forest_module._CR_CHUNK_SCALE
+        slots = -(-per * per_tree // forest_module._CR_CHUNK_SCALE)
         monkeypatch.setattr(forest_module, "_CHUNK_SLOTS", slots)
         sizes.clear()
         assert _serialized(fit_completely_random(table, params)) == whole
@@ -416,6 +463,20 @@ def test_route_counts_identity_after_fit(monkeypatch):
         for b, tree in enumerate(f.trees):
             counts = np.bincount(ids[:, b], minlength=tree.n_leaves)
             assert np.array_equal(counts, tree.leaf_count)
+
+
+@pytest.mark.parametrize("honest", [False, True], ids=["bootstrap", "honest"])
+def test_route_counts_identity_with_copies(honest):
+    """A bootstrap bag holds copies, and an honest tree counts only its label
+    half: each leaf counts the tree's distinct counted rows that route to it."""
+    table = make_mixed(100, seed=8)
+    x = table.values
+    params = ForestParams(n_trees=10, min_leaf=2, bootstrap=True, honest=honest, seed=3)
+    f = fit_supervised(table, (Column("y", ("p", "q")), (x[:, 0] > 0).astype(float)), params)
+    ids = route_values(f, x)
+    for b, tree in enumerate(f.trees):
+        rows = np.unique(_tree_bag(params, table.n, b, label_half=honest))
+        assert np.array_equal(np.bincount(ids[rows, b], minlength=tree.n_leaves), tree.leaf_count)
 
 
 def test_stacked_routing_matches_per_tree_walk(monkeypatch):
