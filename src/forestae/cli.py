@@ -135,8 +135,8 @@ def cmd_fit(args) -> int:
     if args.verbose:
         print(f"fit: n={model.n} trees={forest.n_trees} leaves={forest.total_leaves} "
               f"d_z={model.d_z} nnz(F)={K.right.nnz} eig={model.solver} "
-              f"residual_max={model.residual_max:.2e} row_sum_drift={model.row_sum_drift:.2e} "
-              f"at_one={model.at_one}", file=sys.stderr)
+              f"eig_products={model.products} residual_max={model.residual_max:.2e} "
+              f"row_sum_drift={model.row_sum_drift:.2e} at_one={model.at_one}", file=sys.stderr)
     return 0
 
 

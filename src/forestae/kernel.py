@@ -84,7 +84,7 @@ class LeafFactor:
 
     def tocsr(self):
         """F as a SciPy CSR matrix, entries in tree order within each row."""
-        import scipy.sparse as sp  # costly import; only K.matrix and Lanczos need it
+        import scipy.sparse as sp  # costly import; only K.matrix needs it
 
         n, n_trees = self.cols.shape
         indptr = np.arange(0, n * n_trees + 1, n_trees)

@@ -29,6 +29,8 @@ __all__ = [
 _RESIDUAL_TOL = 1e-8
 _ZERO_EIG_TOL = 1e-12
 _DENSE_CUTOFF = 800
+_MAX_RESTARTS = 300  # Lanczos restarts before the solve is declared non-convergent
+_BREAKDOWN = 1e-12  # Lanczos β below this share of the projection norm is rounding
 
 
 class SpectralError(ValueError):
@@ -50,6 +52,7 @@ class SpectralModel:
     residual_max: float | None = None  # largest residual over the deflated pairs
     row_sum_drift: float | None = None  # max |K·1 − 1|, checked before deflating
     at_one: int | None = None  # retained eigenvalues at 1, one per extra kernel-graph component
+    products: int | None = None  # operator products the Lanczos solve took, 0 for dense
 
     def truncate(self, d_z: int) -> "SpectralModel":
         """The leading d_z coordinates, diffusion time kept."""
@@ -73,15 +76,15 @@ def eigendecompose(K: SparseKernelMatrix, d_z: int) -> SpectralModel:
     """Top d_z eigenpairs of K − 11ᵀ/n for a doubly stochastic train kernel K.
 
     K·1 = 1 (checked to 1e-8 on the operator the solver uses: the dense K, or
-    SciPy's CSR form of F) makes (1, 1/√n) an exact eigenpair, and
-    deflating it leaves K's other pairs; so on a disconnected kernel graph a
-    retained λ = 1 vector is orthogonal to the constant whatever the solver's
-    rounding. Small or nearly full problems use a dense solver; otherwise a
-    restarted Lanczos iteration runs on the factored kernel (products
-    X -> F (Fᵀ X) / B − mean(X) through SciPy's CSR form of F, so K is never
-    formed) from a fixed start vector.
+    the factored product) makes (1, 1/√n) an exact eigenpair, and deflating it
+    leaves K's other pairs; so on a disconnected kernel graph a retained
+    λ = 1 vector is orthogonal to the constant whatever the solver's
+    rounding. Small or nearly full problems use dense ``eigh``; otherwise a
+    thick-restart Lanczos iteration (``_lanczos``) runs in numpy on the
+    factored kernel, X -> F (Fᵀ X) / B − mean(X), so K is never formed, from
+    a fixed start vector.
     Eigenvector signs are fixed so each vector's largest-magnitude entry is
-    positive, and residuals are checked against 1e-8.
+    positive, and residuals are checked against 1e-8 on the factored product.
     """
     if K.role != TRAIN:
         raise SpectralError("eigendecompose expects a train-role kernel")
@@ -89,43 +92,24 @@ def eigendecompose(K: SparseKernelMatrix, d_z: int) -> SpectralModel:
     if not (1 <= d_z <= n - 1):
         raise SpectralError(f"d_z must lie in [1, n-1], got {d_z} with n={n}")
 
-    def check_drift(row_sums: np.ndarray) -> float:
-        drift = float(np.abs(row_sums - 1.0).max())
+    def check_drift(excess: np.ndarray) -> float:
+        drift = float(np.abs(excess).max())
         if drift > _RESIDUAL_TOL:
             raise SpectralError(f"kernel rows sum to 1 only within {drift:.3e}; "
                                 "the constant pair cannot be deflated")
         return drift
 
-    def dot(X):
-        return K.dot(X) - X.mean(axis=0)
-
+    dot = _deflated_operator(K)
     if n <= _DENSE_CUTOFF or d_z >= n - 1:
-        solver = "dense"
+        solver, products = "dense", 0
         dense = K.toarray()
-        drift = check_drift(dense.sum(axis=1))
+        drift = check_drift(dense.sum(axis=1) - 1.0)
         vals, vecs = np.linalg.eigh(dense - 1.0 / n)
         vals, vecs = vals[::-1][:d_z], vecs[:, ::-1][:, :d_z]
     else:
         solver = "lanczos"
-        import scipy.sparse.linalg as spla  # costly import; only this path needs it
-
-        # Lanczos takes about a hundred products: SciPy's compiled CSR ones
-        # beat the numpy factor's and give the same bits
-        F = K.right.tocsr()
-
-        def dot(X):
-            return F @ (F.T @ X) / K.n_trees - X.mean(axis=0)
-
-        drift = check_drift(F @ (F.T @ np.ones(n)) / K.n_trees)
-        op = spla.LinearOperator((n, n), matvec=dot, matmat=dot, dtype=np.float64)
-        try:
-            # a seeded start vector keeps the result bit-reproducible
-            v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
-            vals, vecs = spla.eigsh(op, k=d_z, which="LA", v0=v0)
-        except spla.ArpackNoConvergence as exc:
-            raise SpectralError(f"eigensolver did not converge: {exc}") from exc
-        order = np.argsort(vals)[::-1]
-        vals, vecs = vals[order], vecs[:, order]
+        drift = check_drift(dot(np.ones(n)))
+        vals, vecs, products = _lanczos(dot, n, d_z)
 
     # orient deterministically: largest-magnitude entry positive
     for j in range(vecs.shape[1]):
@@ -153,7 +137,96 @@ def eigendecompose(K: SparseKernelMatrix, d_z: int) -> SpectralModel:
         residual_max=resid,
         row_sum_drift=drift,
         at_one=at_one,
+        products=products,
     )
+
+
+def _deflated_operator(K: SparseKernelMatrix):
+    """X -> F (Fᵀ X) / B − mean(X) for X (n,) or (n, k), on the train factor F.
+
+    F's entries are gathered once; each product is then one bincount for Fᵀx
+    and one gather-and-sum for F y, at most a third of the time of
+    ``K.dot``'s per-tree loop (whose bits match SciPy's CSR product).
+    """
+    cols = K.right.cols
+    vals = K.right.weights[cols]
+    flat, n_leaves = cols.ravel(), K.right.shape[1]
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        T = np.bincount(flat, weights=(vals * x[:, None]).ravel(), minlength=n_leaves)
+        return np.einsum("ij,ij->i", vals, T[cols]) / K.n_trees - x.mean()
+
+    def dot(X: np.ndarray) -> np.ndarray:
+        return apply(X) if X.ndim == 1 else np.stack([apply(x) for x in X.T], axis=1)
+
+    return dot
+
+
+def _lanczos(dot, n: int, k: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Top k eigenpairs of the symmetric operator ``dot`` on R^n, descending,
+    and the number of products taken.
+
+    Thick-restart Lanczos (Wu & Simon, SIAM J. Matrix Anal. Appl. 22(2),
+    2000) with full reorthogonalization: a basis of ARPACK's default size
+    max(2k + 1, 20) is grown from a seeded start vector; each new vector is
+    orthogonalized against the whole basis twice (``_orthogonalize``), and the
+    projected matrix is read off those coefficients. At a full basis the Ritz
+    pairs are taken; when the top k residual estimates β|s| are at machine
+    precision they are returned, otherwise the basis restarts from the
+    leading Ritz vectors and the last Lanczos vector. When β falls to
+    rounding level the basis spans an invariant subspace (a low-rank kernel),
+    its pairs are exact, and the iteration goes on from a fresh seeded vector
+    orthogonal to the basis. The n-long sums run in ``einsum``, not BLAS,
+    whose threaded kernels would make the bits depend on the thread count.
+    """
+    eps = np.finfo(np.float64).eps
+    rng = np.random.default_rng(0)  # a seeded start keeps the result bit-reproducible
+    m = min(max(2 * k + 1, 20), n)
+    keep = k + (m - k) // 2  # Ritz vectors kept at a restart
+    basis = np.empty((m + 1, n))  # one basis vector per row
+    H = np.zeros((m, m))
+    v = rng.uniform(-1.0, 1.0, n)
+    basis[0] = v / _norm(v)
+    start, products = 0, 0
+    for _ in range(_MAX_RESTARTS):
+        for j in range(start, m):
+            w = dot(basis[j])
+            products += 1
+            h = _orthogonalize(w, basis[: j + 1])
+            H[: j + 1, j] = H[j, : j + 1] = h
+            beta = _norm(w)
+            if beta <= _BREAKDOWN * _norm(h):
+                beta = 0.0
+                w = rng.uniform(-1.0, 1.0, n)
+                _orthogonalize(w, basis[: j + 1])
+                basis[j + 1] = w / _norm(w)
+            else:
+                basis[j + 1] = w / beta
+        theta, S = np.linalg.eigh(H)
+        theta, S = theta[::-1], S[:, ::-1]
+        estimate = beta * np.abs(S[-1, :k])
+        if np.all(estimate <= eps * np.maximum(eps ** (2 / 3), np.abs(theta[:k]))):
+            return theta[:k], np.einsum("ji,jk->ki", S[:, :k], basis[:m]), products
+        basis[:keep] = np.einsum("ji,jk->ik", S[:, :keep], basis[:m])
+        basis[keep] = basis[m]
+        H[:] = 0.0
+        H[:keep, :keep] = np.diag(theta[:keep])
+        start = keep
+    raise SpectralError("eigensolver did not converge")
+
+
+def _orthogonalize(w: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Remove from w, in place, its components along the orthonormal rows of
+    Q by two passes of classical Gram-Schmidt; return the coefficients."""
+    h = np.einsum("ij,j->i", Q, w)
+    w -= np.einsum("i,ij->j", h, Q)
+    c = np.einsum("ij,j->i", Q, w)
+    w -= np.einsum("i,ij->j", c, Q)
+    return h + c
+
+
+def _norm(w: np.ndarray) -> float:
+    return float(np.sqrt(np.einsum("i,i->", w, w)))
 
 
 def _power(eigenvalues: np.ndarray, t: float) -> np.ndarray:

@@ -58,18 +58,20 @@ def test_fit_round_trips_bundle(fitted):
     assert np.array_equal(b.model.Z, again.model.Z)
 
 
-def test_fit_deterministic_bytes(tmp_path):
-    data = _write_blobs_csv(tmp_path / "train.csv", n=50, seed=2)
-    out1, out2 = tmp_path / "m1.json", tmp_path / "m2.json"
-    args = ["fit", str(data), "--mode", "unsupervised", "--d-z", "2",
-            "--trees", "10", "--min-leaf", "3", "--seed", "9"]
-    assert main(args + ["--out", str(out1)]) == 0
-    assert main(args + ["--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-    # growing the trees in two processes must not change the bundle
-    out3 = tmp_path / "m3.json"
-    assert main(args + ["--jobs", "2", "--out", str(out3)]) == 0
-    assert out1.read_bytes() == out3.read_bytes()
+def test_fit_deterministic_bytes(tmp_path, capsys):
+    for n, solver in ((50, "dense"), (850, "lanczos")):
+        data = _write_blobs_csv(tmp_path / f"train{n}.csv", n=n, seed=2)
+        out1, out2 = tmp_path / f"{n}-1.json", tmp_path / f"{n}-2.json"
+        args = ["fit", str(data), "--mode", "unsupervised", "--d-z", "2",
+                "--trees", "10", "--min-leaf", "3", "--seed", "9"]
+        assert main(args + ["--verbose", "--out", str(out1)]) == 0
+        assert f"eig={solver}" in capsys.readouterr().err
+        assert main(args + ["--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        # growing the trees in two processes must not change the bundle
+        out3 = tmp_path / f"{n}-3.json"
+        assert main(args + ["--jobs", "2", "--out", str(out3)]) == 0
+        assert out1.read_bytes() == out3.read_bytes()
     # the gzip container must not record the output file name
     gz1, gz2 = tmp_path / "first.json.gz", tmp_path / "second-name.json.gz"
     assert main(args + ["--out", str(gz1)]) == 0
@@ -181,6 +183,7 @@ def test_fit_never_builds_the_kernel_matrix(tmp_path, monkeypatch, capsys):
                  "--out", str(tmp_path / "m.json.gz")]) == 0
     err = capsys.readouterr().err
     assert "nnz(F)=5100" in err and "eig=lanczos" in err and "residual_max=" in err
+    assert int(err.split("eig_products=")[1].split()[0]) > 0
     drift = float(err.split("row_sum_drift=")[1].split()[0])
     assert 0.0 <= drift <= 1e-8 and "at_one=0" in err
 
@@ -322,9 +325,8 @@ _LAZY = ("scipy", "numpy.ma", "multiprocessing", "concurrent.futures.process")
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # SciPy is imported only where it is needed: k-NN searches above the
-    # kd-tree break-even (scipy.spatial), Lanczos above the dense cutoff
-    # (scipy.sparse.linalg) and the coordinate kernel export (scipy.sparse);
-    # the process pool only for --jobs > 1
+    # kd-tree break-even (scipy.spatial) and the coordinate kernel export
+    # (scipy.sparse); the process pool only for --jobs > 1
     assert _scipy_modules_after("import forestae.cli", _LAZY) == []
 
 
@@ -346,13 +348,40 @@ def test_dense_fit_and_lasso_decode_load_no_scipy(fitted, tmp_path):
     assert (tmp_path / "k.csv").is_file() and load_csv(tmp_path / "l.csv").n == 3
 
 
-def test_lanczos_fit_loads_scipy_sparse_linalg(tmp_path):
-    # above the dense cutoff of 800 rows the eigensolve needs eigsh
+def test_lanczos_fit_loads_no_scipy(tmp_path):
+    # above the dense cutoff of 800 rows the eigensolve is Lanczos in numpy
     data = _write_blobs_csv(tmp_path / "train.csv", n=850, seed=7, with_label=False)
     call = ["fit", str(data), "--mode", "completely_random", "--d-z", "2", "--trees", "3",
-            "--min-leaf", "10", "--seed", "3", "--out", str(tmp_path / "m.json")]
-    code = f"from forestae.cli import main; assert main({call!r}) == 0"
-    assert "scipy.sparse.linalg" in _scipy_modules_after(code)
+            "--min-leaf", "10", "--seed", "3", "--verbose", "--out", str(tmp_path / "m.json")]
+    code = ("import io, sys; from forestae.cli import main; sys.stderr = err = io.StringIO(); "
+            f"assert main({call!r}) == 0; sys.stderr = sys.__stderr__; "
+            "assert 'eig=lanczos' in err.getvalue(), err.getvalue()")
+    assert _scipy_modules_after(code, _LAZY) == []
+
+
+@pytest.mark.parametrize("shape", [
+    ("--trees", "1", "--max-depth", "1", "--d-z", "1"),
+    ("--trees", "2", "--max-depth", "1", "--d-z", "2"),
+    ("--trees", "2", "--max-depth", "2", "--d-z", "3"),
+])
+def test_lanczos_fits_low_rank_kernels(tmp_path, monkeypatch, capsys, shape):
+    # a kernel of a few shallow trees has rank at most their leaf count, so
+    # the Krylov basis reaches an invariant subspace long before it is full
+    from forestae import spectral
+
+    rng = np.random.default_rng(11)
+    data = tmp_path / "train.csv"
+    rows = rng.normal(size=(850, 2)).tolist()
+    data.write_text("a,b\n" + "".join(f"{a!r},{b!r}\n" for a, b in rows))
+    fit = ["fit", str(data), "--mode", "completely_random", *shape, "--seed", "3", "--verbose"]
+    assert main(fit + ["--out", str(tmp_path / "lanczos.json")]) == 0
+    assert "eig=lanczos" in capsys.readouterr().err
+    monkeypatch.setattr(spectral, "_DENSE_CUTOFF", 1000)
+    assert main(fit + ["--out", str(tmp_path / "dense.json")]) == 0
+    assert "eig=dense" in capsys.readouterr().err
+    lanczos, dense = (load_bundle(tmp_path / f"{s}.json").model for s in ("lanczos", "dense"))
+    assert np.abs(lanczos.eigenvalues - dense.eigenvalues).max() <= 1e-12
+    assert np.abs(lanczos.V @ lanczos.V.T - dense.V @ dense.V.T).max() <= 1e-8
 
 
 def test_decode_lasso_over_budget_exits_1_naming_knn(fitted, tmp_path, monkeypatch, capsys):

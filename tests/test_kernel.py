@@ -122,7 +122,7 @@ def test_factored_dot_matches_matrix():
 
 def test_factor_products_equal_csr_products_exactly():
     # the numpy factor products accumulate in SciPy's CSR/CSC order, so they
-    # give the same bits as the CSR factors K.matrix and Lanczos are built from
+    # give the same bits as the CSR factors K.matrix is built from
     table = make_mixed(120, seed=5)
     f = fit_completely_random(table, ForestParams(n_trees=9, min_leaf=2, seed=5))
     ref = table.take(np.arange(90))

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import forestae
 from forestae.data import Column, Schema, Table, load_csv
 from forestae.forest import ForestParams, fit_completely_random
 from forestae.kernel import rf_kernel_train, rf_kernel_cross
@@ -28,6 +34,7 @@ def test_fixture_eigenvalues(t2x4):
     K = rf_kernel_train(forest, table)
     model = eigendecompose(K, 3)
     assert np.allclose(model.eigenvalues, [0.5, 0.5, 0.0], atol=1e-10)
+    assert (model.solver, model.products) == ("dense", 0)
 
 
 def test_leading_pair_constant_for_connected_kernel():
@@ -79,28 +86,65 @@ def test_diffusion_map_time_scaling():
     assert np.allclose(Z2, Z1 * model.eigenvalues[None, :])
 
 
-def test_sparse_eigensolve_is_bit_reproducible():
-    # past the dense cutoff the Lanczos path runs; its start vector is fixed
+def _lanczos_kernel():
+    """A train kernel past the dense cutoff."""
     table, _ = make_blobs(863, 3, seed=21)
     f = fit_completely_random(table, ForestParams(n_trees=10, min_leaf=5, seed=21))
-    K = rf_kernel_train(f, table)
+    return rf_kernel_train(f, table)
+
+
+def test_sparse_eigensolve_is_bit_reproducible():
+    # past the dense cutoff the Lanczos path runs; its start vector is fixed
+    K = _lanczos_kernel()
     a, b = eigendecompose(K, 3), eigendecompose(K, 3)
     assert np.array_equal(a.V, b.V)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
 
 
 def test_factored_lanczos_matches_dense_eigh():
-    table, _ = make_blobs(863, 3, seed=21)
-    f = fit_completely_random(table, ForestParams(n_trees=10, min_leaf=5, seed=21))
-    K = rf_kernel_train(f, table)
+    K = _lanczos_kernel()
     model = eigendecompose(K, 3)
-    assert model.solver == "lanczos" and model.residual_max <= 1e-8
+    assert model.solver == "lanczos" and model.residual_max <= 1e-8 and model.products > 0
     vals, vecs = np.linalg.eigh(K.toarray())
     vals, vecs = vals[::-1][:4], vecs[:, ::-1][:, :4]
     assert np.abs(vals[0] - 1.0) <= 1e-10
     assert np.abs(model.eigenvalues - vals[1:]).max() <= 1e-10
     # the same subspace: projectors agree whatever the signs
     assert np.abs(model.V @ model.V.T - vecs[:, 1:] @ vecs[:, 1:].T).max() <= 1e-8
+
+
+def test_lanczos_bits_do_not_depend_on_blas_threads():
+    # threaded BLAS splits long dot products by thread count, so the solver's
+    # n-long sums avoid it: the same seed gives the same bundle on any host
+    code = """if True:
+        import hashlib
+        import numpy as np
+        from forestae.kernel import TRAIN, LeafFactor, SparseKernelMatrix
+        from forestae.spectral import eigendecompose
+        rng = np.random.default_rng(0)
+        x = np.sort(rng.uniform(0.0, 1.0, 20000))
+        cols = np.floor(x[:, None] * 40 + rng.uniform(0.0, 1.0, 5)).astype(np.int64)
+        cols += np.arange(5) * 41
+        F = LeafFactor(cols, 1.0 / np.sqrt(np.bincount(cols.ravel(), minlength=205)))
+        model = eigendecompose(SparseKernelMatrix(left=F, right=F, n_trees=5, role=TRAIN), 3)
+        print(model.solver, hashlib.sha256(model.V.tobytes()).hexdigest())
+    """
+    src = str(Path(forestae.__file__).resolve().parents[1])
+    outputs = {
+        subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                       env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+                            "OMP_NUM_THREADS": threads}).stdout
+        for threads in ("1", "2")
+    }
+    assert len(outputs) == 1 and outputs.pop().startswith("lanczos ")
+
+
+def test_lanczos_restart_cap_raises(monkeypatch):
+    from forestae import spectral
+
+    monkeypatch.setattr(spectral, "_MAX_RESTARTS", 1)
+    with pytest.raises(SpectralError, match="eigensolver did not converge"):
+        eigendecompose(_lanczos_kernel(), 3)
 
 
 def test_fractional_time_with_negative_eigenvalue_rejected():
@@ -232,6 +276,28 @@ def test_disconnected_kernel_warns(t2x4):
     assert model.eigenvalues[0] == pytest.approx(1.0, abs=1e-10)
 
 
+def test_double_eigenvalue_one_dense_and_lanczos_agree(monkeypatch):
+    # three groups of 300 rows whose leaves never mix groups: each of 10 trees
+    # cuts each group into 6 leaves at random, so λ = 1 is left twice after
+    # the constant pair is deflated
+    from forestae import spectral
+    from forestae.kernel import TRAIN, LeafFactor, SparseKernelMatrix
+
+    rng = np.random.default_rng(0)
+    group = np.repeat(np.arange(3), 300)[:, None]
+    cols = np.arange(10) * 18 + group * 6 + rng.integers(0, 6, (900, 10))
+    F = LeafFactor(cols, 1.0 / np.sqrt(np.bincount(cols.ravel(), minlength=180)))
+    K = SparseKernelMatrix(left=F, right=F, n_trees=10, role=TRAIN)
+    with pytest.warns(UserWarning, match="disconnected: 3 components"):
+        lanczos = eigendecompose(K, 3)
+    monkeypatch.setattr(spectral, "_DENSE_CUTOFF", 1000)
+    with pytest.warns(UserWarning, match="disconnected: 3 components"):
+        dense = eigendecompose(K, 3)
+    assert (lanczos.solver, dense.solver) == ("lanczos", "dense")
+    assert lanczos.at_one == dense.at_one == 2
+    assert np.abs(lanczos.V @ lanczos.V.T - dense.V @ dense.V.T).max() <= 1e-8
+
+
 def _mixed_benchmark_table(seed: int, tmp_path) -> Table:
     """The 300 training rows of the perfbench mixed-decoders table at a data
     seed, written and loaded as that workload does."""
@@ -295,7 +361,7 @@ def test_non_stochastic_kernel_rejected():
 
 
 def test_non_stochastic_kernel_rejected_by_lanczos(monkeypatch):
-    # the Lanczos path checks the drift on the CSR F it multiplies with
+    # the Lanczos path checks the drift on the factored product it iterates with
     from forestae import spectral
 
     monkeypatch.setattr(spectral, "_DENSE_CUTOFF", 0)
