@@ -17,12 +17,12 @@ from .decode import (
     SyntheticTrainingSet,
     build_synthetic_training,
     exclusive_lasso,
-    greedy_leaf_assign,
     ilp_decode,
     ilp_decode_exact,
     knn_decode,
     knn_neighbors,
     lasso_decode,
+    reference_leaf_assign,
     relabel_decode,
     relabel_forest,
 )

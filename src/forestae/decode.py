@@ -5,8 +5,9 @@ Four routes with different cost/accuracy trade-offs:
 * k-NN regression against a synthetic training set that embeds exactly onto Z;
 * split relabeling, turning the fitted trees into routers over the embedding;
 * an exclusive-lasso relaxation scoring fuzzy leaf memberships, hardened (as
-  relabeling's routed leaves are) by one greedy pass over the trees for all
-  rows at once, which keeps each row's picked cells intersecting;
+  relabeling's conflicting routed leaves are) onto the leaves of the
+  best-agreeing reference row, which share a cell because the row lies in all
+  of them;
 * the exact leaf-assignment program for desk-scale forests: the forest's
   cells are enumerated once, and every row is scored against all of them.
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Table
-from .forest import (Forest, _descend, _first_min, _node_arrays, _pick, _route,
+from .forest import (Forest, _descend, _first_min, _node_arrays, _route,
                      _segment_cumsum, _sorted_unique, assigned_region, route_table, route_values)
 from .kernel import leaf_design, leaf_profile
 from .spectral import SpectralModel, reconstruct_kernel
@@ -37,7 +38,7 @@ __all__ = [
     "relabel_forest",
     "relabel_decode",
     "exclusive_lasso",
-    "greedy_leaf_assign",
+    "reference_leaf_assign",
     "lasso_decode",
     "ilp_decode_exact",
     "ilp_decode",
@@ -57,9 +58,11 @@ _KDTREE_MAX_DIM = 20
 _BRUTE_MAX_PAIRS = 2**24
 _BRUTE_BLOCK_PAIRS = 2**16  # (query, reference) distances per block of the numpy search
 _RELABEL_CELLS = 2**15  # (reference row, tree) cells per block of trees relabeling walks
-# (row, leaf) pairs per hardening step: on a 2-vCPU x86 host the 500-tree banknote
-# fold hardens as fast at 2**13 as at 2**16, at 89 rather than 115 MB peak RSS
-_HARDEN_CELLS = 2**14
+# (row, reference row) pairs per hardening block, both those that share a scored
+# leaf and the dense agreement sums: on a 2-vCPU x86 host the 498 rows of a
+# 500-tree banknote fold harden in 0.21 s at 22 MiB traced peak, against
+# 0.28-0.35 s and 46 MiB at 2**20
+_HARDEN_PAIRS = 2**18
 # Cells (rows x leaf columns) of the largest BVLS problem lasso decoding takes
 # on; checked for every row before any is solved. On a 2-vCPU x86 host, rows
 # of a 150-tree banknote fold at 0.7-0.9 million cells take 3.5-4.6 s each and
@@ -255,6 +258,7 @@ class RelabeledForest:
     smc: np.ndarray  # per-node agreement with the split literal on the reference rows
     d_z: int
     n_degenerate: int  # splits given a constant test
+    reference: np.ndarray  # (n, B) the reference rows' global leaf ids in the source forest
 
 
 def _runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -322,7 +326,8 @@ def relabel_forest(
     time, and each step relabels all splits it reaches by their own literal
     (``_best_latent_splits``). A split scores at most ``n_synth`` of its rows,
     those first in a permutation drawn under ``seed``. A split no row reaches
-    sends all left; constant splits are counted."""
+    sends all left; constant splits are counted. The walk's leaves are kept as
+    the reference rows' leaf ids, onto which ``relabel_decode`` hardens."""
     if n_synth < 1:
         raise DecodeError("n_synth must be >= 1")
     _, Z = model.require_time()
@@ -333,10 +338,12 @@ def relabel_forest(
     split = nodes.feature >= 0
     out = (np.where(split, 0, -1).astype(np.int32), np.where(split, np.inf, 0.0),
            np.zeros(split.size, dtype=bool), np.full(split.size, np.nan))
+    leaves = np.empty((n, forest.n_trees), dtype=np.int64)
     width = max(1, _RELABEL_CELLS // n)
     for b in range(0, forest.n_trees, width):
         roots = nodes.starts[b:min(b + width, forest.n_trees)]
-        for row, at, label, inner in _descend(nodes, values, np.repeat(roots, n)):
+        node = np.repeat(roots, n)
+        for row, at, label, inner in _descend(nodes, values, node):
             row, at, label = row[inner], at[inner], label[inner]
             if row.size > n_synth:
                 order = np.argsort(at * n + rank[row])  # a node's rows by rank
@@ -345,7 +352,9 @@ def relabel_forest(
             ids, *relabeled = _best_latent_splits(at, Z[row], label, z_rank[row])
             for a, v in zip(out, relabeled):
                 a[ids] = v
-    return RelabeledForest(nodes.starts, *out, model.d_z, int(np.isinf(out[1][split]).sum()))
+        leaves[:, b:b + roots.size] = nodes.leaf_id[node].reshape(roots.size, n).T
+    return RelabeledForest(nodes.starts, *out, model.d_z, int(np.isinf(out[1][split]).sum()),
+                           leaves + forest.leaf_offsets)
 
 
 def route_relabeled(relabeled: RelabeledForest, Z0: np.ndarray) -> np.ndarray:
@@ -368,26 +377,28 @@ def relabel_decode(
     seed: int = 0,
     trace: list[dict] | None = None,
 ) -> Table:
-    """Route embeddings through the relabeled trees, harden every row in one
-    ``greedy_leaf_assign`` call with its routed leaves scored 1 (so the trees
-    go in index order), then sample from the intersection of the original
-    forest's assigned leaf regions. Routed leaves that share a cell each meet
-    the running cell at their step, so hardening keeps them.
+    """Route embeddings through the relabeled trees and sample from the
+    intersection of the original forest's assigned leaf cells. A row keeps its
+    routed leaves when they share a cell; any other row is hardened onto the
+    leaves of the best-agreeing reference row (``reference_leaf_assign``, each
+    routed leaf scoring 1).
 
     If ``trace`` is a list, one record is appended to it: ``hardened_rows``,
-    the number of rows whose hardened leaves differ from the routed ones.
+    the number of rows whose routed leaves share no cell.
     """
-    routed = route_relabeled(relabeled, Z0)
-    rng = np.random.default_rng(seed)
-    leaf_ids = greedy_leaf_assign(routed + original.leaf_offsets, np.ones(routed.shape),
-                                  original, rng)
+    leaf_ids = route_relabeled(relabeled, Z0)
+    conflict = assigned_region(original, leaf_ids).is_empty()
+    routed = leaf_ids[conflict] + original.leaf_offsets
+    leaf_ids[conflict] = reference_leaf_assign(routed, np.ones(routed.shape),
+                                               relabeled.reference) - original.leaf_offsets
     if trace is not None:
-        trace.append({"hardened_rows": int((leaf_ids != routed).any(axis=1).sum())})
-    return Table(original.schema, assigned_region(original, leaf_ids).sample(rng))
+        trace.append({"hardened_rows": int(conflict.sum())})
+    values = assigned_region(original, leaf_ids).sample(np.random.default_rng(seed))
+    return Table(original.schema, values)
 
 
 # ---------------------------------------------------------------------------
-# exclusive lasso + greedy assignment
+# exclusive lasso + hardening
 
 
 def exclusive_lasso(
@@ -581,59 +592,43 @@ def _bvls(A: np.ndarray, b: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.n
     return x, on_bound, 0 if status is None else status, iteration + 1
 
 
-def greedy_leaf_assign(leaves: np.ndarray, scores: np.ndarray, forest: Forest,
-                       rng=0) -> np.ndarray:
-    """Harden fuzzy leaf scores into one leaf per tree whose cells intersect,
-    for m rows at once. ``leaves`` and ``scores`` (m, k) are each row's scored
-    global leaf ids and their scores (>= 0); every other leaf scores 0, and a
-    leaf listed twice keeps its higher score, so short rows pad with score 0.
-
-    Each row visits the trees in descending order of their top score (stable
-    by tree index). Each tree takes its best leaf whose cell meets the row's
-    running cell, which starts as the training feature box, ties broken
-    uniformly; a tree's leaves tile that box, so every step has a feasible
-    leaf. Rows take each step together against one padded (B, L_max) batch of
-    leaf cells, in blocks that meet at most ``_HARDEN_CELLS`` (row, leaf)
-    pairs a step. Ties use one uniform per (row, step), drawn row after row
-    from ``rng`` (a Generator or a seed), so blocks do not change the picks.
-    """
+def reference_leaf_assign(leaves: np.ndarray, scores: np.ndarray,
+                          reference: np.ndarray) -> np.ndarray:
+    """Harden leaf scores onto reference-row cells: for each of m rows, the
+    row of ``reference`` (n, B global leaf ids) whose leaves carry the most of
+    its score, ties to the lowest index; a reference row lies in all of its
+    leaves, so their cells meet. ``leaves`` and ``scores`` (m, k) are each
+    row's scored global leaf ids and scores (>= 0); other leaves score 0 and a
+    leaf listed twice counts twice, so short rows pad with score 0. The sums
+    are one ``bincount`` over the (row, reference row) pairs that share a
+    scored leaf, in row blocks of at most ``_HARDEN_PAIRS`` pairs and sums."""
     leaves = np.asarray(leaves, dtype=np.int64)
     scores = np.asarray(scores, dtype=np.float64)
+    reference = np.asarray(reference, dtype=np.int64)
     if (leaves.ndim != 2 or scores.shape != leaves.shape or not np.all(scores >= 0)
-            or not np.all((leaves >= 0) & (leaves < forest.total_leaves))):
-        raise DecodeError("need (m, k) leaf ids of the forest and their scores, all >= 0")
-    rng = np.random.default_rng(rng)
-    (m, k), n_trees, offsets = leaves.shape, forest.n_trees, forest.leaf_offsets
-    n_leaves = np.diff(offsets, append=forest.total_leaves)
-    width = n_leaves.max()
-    # each tree's leaf cells, padded to the widest tree with copies of its first leaf
-    real = np.arange(width) < n_leaves[:, None]
-    cells = forest.leaf_boxes(offsets[:, None] + np.where(real, np.arange(width), 0))
-    tree = np.searchsorted(offsets, leaves, side="right") - 1
-    local = leaves - offsets[tree]
-    picks = np.empty((m, n_trees), dtype=np.int64)
-    step = max(1, _HARDEN_CELLS // width)
-    for s in range(0, m, step):
-        r = min(step, m - s)
-        u = rng.random((r, n_trees))
-        row = np.repeat(np.arange(r), k)
-        t, leaf, score = tree[s:s + r].ravel(), local[s:s + r].ravel(), scores[s:s + r].ravel()
-        top = np.zeros((r, n_trees))
-        np.maximum.at(top, (row, t), score)
-        order = np.argsort(-top, axis=1, kind="stable")  # each row's trees in visit order
-        visit = np.argsort(order, axis=1)[row, t]  # the step that visits each scored leaf
-        running = forest.box[None]
-        for j in range(n_trees):
-            at = order[:, j]
-            met = cells[at].intersect(running[:, None])
-            vals = np.zeros((r, width))
-            e = np.flatnonzero(visit == j)
-            np.maximum.at(vals, (row[e], leaf[e]), score[e])
-            vals[~real[at] | met.is_empty()] = -np.inf
-            pick = _pick(np.cumsum(vals == vals.max(axis=1, keepdims=True), axis=1), u[:, j])
-            picks[s + np.arange(r), at] = pick
-            running = met[np.arange(r), pick]
-    return picks
+            or reference.ndim != 2 or not reference.shape[0]):
+        raise DecodeError("need (m, k) leaf ids with their scores, all >= 0, and the "
+                          "(n, B) leaf ids of at least one reference row")
+    m, n = leaves.shape[0], reference.shape[0]
+    # each leaf's reference rows: a run of the (row, tree) cells sorted by leaf
+    order = np.argsort(reference.ravel(), kind="stable")
+    by_leaf, members = reference.ravel()[order], order // reference.shape[1]
+    first = np.searchsorted(by_leaf, leaves)
+    count = np.where(scores > 0, np.searchsorted(by_leaf, leaves, side="right") - first, 0)
+    pairs = np.concatenate(([0], np.cumsum(count.sum(axis=1))))
+    best = np.empty(m, dtype=np.int64)
+    s = 0
+    while s < m:
+        # rows s to e: at most _HARDEN_PAIRS pairs and dense sums, or one row
+        e = np.searchsorted(pairs, pairs[s] + _HARDEN_PAIRS, side="right") - 1
+        e = max(s + 1, min(e, s + _HARDEN_PAIRS // n, m))
+        c = count[s:e].ravel()
+        at = np.repeat(first[s:e].ravel() - np.cumsum(c) + c, c) + np.arange(pairs[e] - pairs[s])
+        key = np.repeat(np.arange(e - s), count[s:e].sum(axis=1)) * n + members[at]
+        agree = np.bincount(key, np.repeat(scores[s:e].ravel(), c), minlength=(e - s) * n)
+        best[s:e] = agree.reshape(e - s, n).argmax(axis=1)
+        s = e
+    return reference[best]
 
 
 def _strongest(khat: np.ndarray, cap: int) -> np.ndarray:
@@ -659,8 +654,8 @@ def lasso_decode(
 ) -> Table:
     """Reconstruct kernel rows, reduce to the strongest neighbors, solve the
     exclusive lasso over the leaves those neighbors touch, harden every row's
-    psi in one ``greedy_leaf_assign`` call, and sample from the assigned-leaf
-    intersections.
+    psi onto the leaves of the best-agreeing reference row
+    (``reference_leaf_assign``), and sample from the cell those leaves share.
 
     If ``trace`` is a list, one record per row is appended to it: the row,
     the solver's objective, convergence flag and iteration count.
@@ -697,9 +692,9 @@ def lasso_decode(
         if trace is not None:
             trace.append(dict(row=i, objective=objective, converged=converged,
                               iterations=iterations))
-    rng = np.random.default_rng(seed)
-    assignments = greedy_leaf_assign(leaves, scores, forest, rng)
-    return Table(forest.schema, assigned_region(forest, assignments).sample(rng))
+    assignments = reference_leaf_assign(leaves, scores, M.cols) - forest.leaf_offsets
+    values = assigned_region(forest, assignments).sample(np.random.default_rng(seed))
+    return Table(forest.schema, values)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ _CRITERIA = {
     "test_c05": "kernel reconstruction monotonicity",
     "test_c06": "synthetic training invariant",
     "test_c07": "exact assignment uniqueness",
-    "test_c08": "greedy termination",
+    "test_c08": "hardening termination",
     "test_c09": "k-NN decoder consistency trend",
     "test_c10": "headline benchmark analog",
     "test_c11": "embedding cluster separation",

@@ -16,9 +16,9 @@ import scipy.stats
 from forestae.data import Column, Schema, Table, load_csv
 from forestae.decode import (
     build_synthetic_training,
-    greedy_leaf_assign,
     ilp_decode_exact,
     knn_decode,
+    reference_leaf_assign,
 )
 from forestae.forest import (
     ForestParams,
@@ -207,7 +207,7 @@ def test_c07_exact_assignment_uniqueness():
     budget.check()
 
 
-def test_c08_greedy_termination():
+def test_c08_hardening_termination():
     budget = Budget(5)
     rng = np.random.default_rng(12)
     count = 0
@@ -216,10 +216,14 @@ def test_c08_greedy_termination():
         forest = fit_completely_random(
             table, ForestParams(n_trees=5, max_depth=3, min_leaf=2, seed=fseed)
         )
+        # the training routing is the reference
+        reference = route_table(forest, table)[0] + forest.leaf_offsets
         for _ in range(10):
             scores = rng.random((1, forest.total_leaves))
             leaves = np.arange(forest.total_leaves)[None]
-            picks = greedy_leaf_assign(leaves, scores, forest, int(rng.integers(2**31)))[0]
+            pick = reference_leaf_assign(leaves, scores, reference)[0]
+            assert (reference == pick).all(axis=1).any()  # some reference row's leaves
+            picks = pick - forest.leaf_offsets
             regions = [leaf_region(forest, b, int(l)) for b, l in enumerate(picks)]
             assert len(picks) == forest.n_trees  # one leaf per tree
             for a, b in itertools.combinations(range(forest.n_trees), 2):

@@ -10,11 +10,11 @@ from forestae.decode import (
     _bvls,
     build_synthetic_training,
     exclusive_lasso,
-    greedy_leaf_assign,
     ilp_decode_exact,
     knn_decode,
     knn_neighbors,
     lasso_decode,
+    reference_leaf_assign,
     relabel_decode,
     relabel_forest,
     route_relabeled,
@@ -539,16 +539,15 @@ def test_best_latent_split_ignores_rounding_gaps():
 
 @pytest.mark.parametrize("decoder", ["lasso", "relabel"])
 def test_hardening_blocks_do_not_change_the_output(monkeypatch, decoder):
-    # one row per block against one block for all rows: ties draw the same
-    # uniforms either way
+    # one row per block against one block for all rows
     from forestae import decode
 
     table = make_mixed(80, seed=60)
     f, model, synth = _pipeline(table, trees=6, max_depth=3, seed=60)
     Z0 = np.random.default_rng(61).normal(size=(12, model.d_z)) * np.abs(model.Z).max()
     outs, traces = [], []
-    for cells in (2**16, 1):
-        monkeypatch.setattr(decode, "_HARDEN_CELLS", cells)
+    for pairs in (2**20, 1):
+        monkeypatch.setattr(decode, "_HARDEN_PAIRS", pairs)
         trace = []
         if decoder == "lasso":
             out = lasso_decode(Z0, model, f, synth, seed=62, trace=trace)
@@ -560,6 +559,28 @@ def test_hardening_blocks_do_not_change_the_output(monkeypatch, decoder):
     assert np.array_equal(outs[0], outs[1]) and traces[0] == traces[1]
     if decoder == "relabel":
         assert traces[0][0]["hardened_rows"] > 0
+
+
+def test_relabel_decode_hardens_conflicting_rows_onto_reference_cells():
+    # training embeddings mostly route to leaves that share a cell, far-off
+    # points mostly do not
+    table = make_mixed(80, seed=64)
+    f, model, synth = _pipeline(table, trees=8, max_depth=4, seed=64)
+    rl = relabel_forest(f, model, synth, n_synth=64, seed=65)
+    offsets = f.leaf_offsets
+    assert np.array_equal(rl.reference, route_table(f, table)[0] + offsets)
+    Z0 = np.vstack([model.Z[:30], np.random.default_rng(66).normal(size=(30, model.d_z))
+                    * np.abs(model.Z).max()])
+    routed = route_relabeled(rl, Z0)
+    conflict = assigned_region(f, routed).is_empty()
+    assert 0 < conflict.sum() < Z0.shape[0]
+    trace = []
+    decoded = route_values(f, relabel_decode(rl, f, Z0, seed=67, trace=trace).values)
+    assert trace == [{"hardened_rows": int(conflict.sum())}]
+    assert np.array_equal(decoded[~conflict], routed[~conflict])
+    # a conflicting row is sampled in the cell of its best-agreeing reference row
+    agree = (rl.reference[None] == (routed[conflict] + offsets)[:, None]).sum(axis=2)
+    assert np.array_equal(decoded[conflict] + offsets, rl.reference[agree.argmax(axis=1)])
 
 
 # ---------------------------------------------------------------------------
@@ -682,43 +703,56 @@ def test_bvls_port_equals_scipy_on_lasso_problems(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# greedy assignment
+# hardening onto reference-row cells
 
 
-def _harden(vals, forest, rng=0):
-    """One row hardened from a dense score per global leaf."""
+def _reference(forest, table):
+    """The reference rows' global leaf ids."""
+    return route_table(forest, table)[0] + forest.leaf_offsets
+
+
+def _harden(vals, forest, reference):
+    """One row hardened from a dense score per global leaf, as local leaf ids."""
     leaves = np.arange(forest.total_leaves)[None]
-    return greedy_leaf_assign(leaves, np.asarray(vals)[None], forest, rng)[0]
+    picks = reference_leaf_assign(leaves, np.asarray(vals, dtype=float)[None], reference)
+    return picks[0] - forest.leaf_offsets
 
 
-def test_greedy_consistent_one_hot_fixed_point(t2x4):
+def test_hardening_one_hot_fixed_point(t2x4):
     forest, table, _ = t2x4
-    truth = route(forest, table.values[0])
-    vals = np.zeros(4)
-    vals[truth[0]] = 1.0
-    vals[2 + truth[1]] = 1.0
-    picks = _harden(vals, forest)
-    assert np.array_equal(picks, truth)
+    reference = _reference(forest, table)
+    for truth in route_table(forest, table)[0]:
+        vals = np.zeros(4)
+        vals[truth + forest.leaf_offsets] = 1.0
+        assert np.array_equal(_harden(vals, forest, reference), truth)
 
 
-def test_greedy_fixture_trace(t2x4):
-    forest, _, _ = t2x4
-    # favor leaf A (tree 0) and leaf D (tree 1); A and D overlap
-    vals = np.array([0.9, 0.1, 0.2, 0.8])
-    picks = _harden(vals, forest)
+def test_hardening_fixture_picks(t2x4):
+    forest, table, _ = t2x4
+    # favor leaf A (tree 0) and leaf D (tree 1): reference row p1 lies in both
+    picks = _harden([0.9, 0.1, 0.2, 0.8], forest, _reference(forest, table))
     assert picks.tolist() == [0, 1]
     region = region_intersect([leaf_region(forest, b, int(l)) for b, l in enumerate(picks)])
     assert not region.is_empty()
+    with pytest.raises(DecodeError, match="all >= 0"):
+        _harden([0.9, -0.1, 0.2, 0.8], forest, _reference(forest, table))
+    with pytest.raises(DecodeError, match="at least one reference row"):
+        _harden([0.9, 0.1, 0.2, 0.8], forest, np.zeros((0, 2), dtype=int))
 
 
 def test_greedy_random_instances_terminate_consistently():
+    # hardening picks greedily the reference row of most agreement; on random
+    # scores over 100 random forests that pick is a reference row's leaves,
+    # and its cells meet pairwise and all at once
     rng = np.random.default_rng(30)
     for trial in range(100):
         table = make_mixed(40, seed=trial)
         f = fit_completely_random(
             table, ForestParams(n_trees=5, max_depth=3, min_leaf=2, seed=trial)
         )
-        picks = _harden(rng.random(f.total_leaves), f, rng=trial)
+        reference = _reference(f, table)
+        picks = _harden(rng.random(f.total_leaves), f, reference)
+        assert (reference == picks + f.leaf_offsets).all(axis=1).any()
         regions = [leaf_region(f, b, int(l)) for b, l in enumerate(picks)]
         for a, b in itertools.combinations(range(f.n_trees), 2):
             assert not region_intersect([regions[a], regions[b]]).is_empty()
@@ -726,39 +760,41 @@ def test_greedy_random_instances_terminate_consistently():
 
 
 def test_greedy_replays_one_pass_rule_on_random_forests():
-    # brute-force replay of every row of one call: in visit order (descending
-    # top score, stable by tree), each pick is a top-scoring leaf among those
-    # whose cell meets the intersection of the earlier picks
+    # brute-force replay of every row of one call: the one-pass rule picks the
+    # leaves of the first reference row whose leaves carry the most score;
+    # scores on a 1/8 grid sum exactly, so equal agreements tie exactly
     rng = np.random.default_rng(43)
+    ties = 0
     for trial in range(30):
         table = make_mixed(40, seed=100 + trial)
         f = fit_completely_random(
             table, ForestParams(n_trees=6, max_depth=3, min_leaf=2, seed=trial)
         )
+        reference = _reference(f, table)
         m, k = 5, f.total_leaves // 2
-        # each row scores a random half of the leaves, coarsely so that ties
-        # occur, and pads with leaf 0 at score 0
+        # each row scores a random half of the leaves and pads with leaf 0 at
+        # score 0; the last row scores nothing
         leaves = np.argsort(rng.random((m, f.total_leaves)), axis=1)[:, :k]
-        vals = np.round(rng.random((m, k)), 1)
+        vals = np.floor(rng.random((m, k)) * 4) / 8
         vals[leaves < f.trees[0].n_leaves] = 0.0  # an unscored tree
+        vals[-1] = 0.0
         leaves = np.hstack([leaves, np.zeros((m, 1), dtype=int)])
         vals = np.hstack([vals, np.zeros((m, 1))])
-        picks = greedy_leaf_assign(leaves, vals, f, rng=trial)
+        picks = reference_leaf_assign(leaves, vals, reference)
         assert picks.shape == (m, f.n_trees)
         for i in range(m):
             dense = np.zeros(f.total_leaves)
             dense[leaves[i, :k]] = vals[i, :k]
-            scores = np.split(dense, f.leaf_offsets[1:])
-            running = f.box
-            for b in sorted(range(f.n_trees), key=lambda b: -scores[b].max()):
-                feasible = [
-                    l for l in range(f.trees[b].n_leaves)
-                    if not region_intersect([running, leaf_region(f, b, l)]).is_empty()
-                ]
-                assert picks[i, b] in feasible
-                assert scores[b][picks[i, b]] == max(scores[b][l] for l in feasible)
-                running = region_intersect([running, leaf_region(f, b, int(picks[i, b]))])
-            assert not running.is_empty()
+            agree = [float(dense[r].sum()) for r in reference]
+            ties += agree.count(max(agree)) > 1
+            assert np.array_equal(picks[i], reference[agree.index(max(agree))])
+            regions = [leaf_region(f, b, int(l)) for b, l in enumerate(picks[i] - f.leaf_offsets)]
+            assert not region_intersect(regions).is_empty()
+    assert ties > 0
+
+
+# ---------------------------------------------------------------------------
+# exact assignment
 
 
 def _injective_grid_forest():
@@ -913,11 +949,11 @@ def test_ilp_dominates_greedy_on_toy_instances():
         return float(np.abs(forest.n_trees * K0[i] - acc).sum())
 
     rng = np.random.default_rng(32)
-    offs = forest.leaf_offsets
+    reference = ids + forest.leaf_offsets
     for i in (0, 7, 19):
         exact = ilp_decode_exact(K0[i], forest, ids)
-        greedy = _harden(rng.random(forest.total_leaves), forest, rng=i)
-        assert exact.objective <= objective(greedy) + 1e-12
+        hardened = _harden(rng.random(forest.total_leaves), forest, reference)
+        assert exact.objective <= objective(hardened) + 1e-12
 
 
 # ---------------------------------------------------------------------------

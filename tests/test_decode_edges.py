@@ -8,10 +8,10 @@ from forestae.data import Column, Schema, Table
 from forestae.decode import (
     RelabeledForest,
     build_synthetic_training,
-    greedy_leaf_assign,
     ilp_decode,
     knn_decode,
     lasso_decode,
+    reference_leaf_assign,
     relabel_decode,
     relabel_forest,
 )
@@ -40,7 +40,7 @@ def _equals_stump(level: float, counts) -> Tree:
     )
 
 
-def test_greedy_repairs_pairwise_consistent_but_globally_empty():
+def test_hardening_one_vs_rest_stumps_give_feasible_cell():
     # three one-vs-rest trees over one 3-level column: the "not equal" leaves
     # {b,c}, {a,c}, {a,b} overlap pairwise yet share no level, so picking each
     # tree's favorite alone would give an infeasible triple
@@ -52,11 +52,14 @@ def test_greedy_repairs_pairwise_consistent_but_globally_empty():
         params=ForestParams(n_trees=3, seed=0),
         kind="none",
     )
+    reference = route_values(forest, np.array([[0.0], [1.0], [2.0]])) + forest.leaf_offsets
     vals = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0])  # favor every right leaf
-    picks = greedy_leaf_assign(np.arange(6)[None], vals[None], forest, 5)[0]
-    # trees 0 and 1 take their right leaves, which leave only level c; tree
-    # 2's right leaf {a,b} misses it, so tree 2 takes its left leaf {c}
-    assert picks.tolist() == [1, 1, 0]
+    picks = reference_leaf_assign(np.arange(6)[None], vals[None], reference)[0]
+    # every reference row lies in two of the right leaves: the tie goes to
+    # row 0 (level a), in tree 0's left leaf {a}
+    assert np.array_equal(picks, reference[0])
+    picks = picks - forest.leaf_offsets
+    assert picks.tolist() == [0, 1, 1]
     regions = [leaf_region(forest, b, int(l)) for b, l in enumerate(picks)]
     assert not region_intersect(regions).is_empty()
 
@@ -82,13 +85,15 @@ def test_relabel_decode_fallback_on_infeasible_routing():
         smc=np.full(6, np.nan),
         d_z=1,
         n_degenerate=0,
+        reference=route_values(original, np.array([[0.1], [0.5], [0.9]])) + original.leaf_offsets,
     )
     out = relabel_decode(relabeled, original, np.zeros((4, 1)), seed=3)
-    # fallback still produces rows realizing a consistent assignment
+    # reference rows 0 and 2 each share one routed leaf; the tie goes to row
+    # 0, so every row is sampled in its cell, x < 0.4
     redo = route_values(original, out.values)
+    assert np.array_equal(redo, np.zeros((4, 2)))
     for i in range(4):
         regions = [leaf_region(original, b, int(redo[i, b])) for b in range(2)]
-        assert not region_intersect(regions).is_empty()
         assert regions[0].contains(out.values[i]) and regions[1].contains(out.values[i])
 
 
