@@ -133,10 +133,14 @@ def cmd_fit(args) -> int:
         else:
             ker.write_coordinate(K, args.export_kernel)
     if args.verbose:
+        import resource  # only the report reads it
+
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6  # KiB on Linux
         print(f"fit: n={model.n} trees={forest.n_trees} leaves={forest.total_leaves} "
               f"d_z={model.d_z} nnz(F)={K.right.nnz} eig={model.solver} "
               f"eig_products={model.products} residual_max={model.residual_max:.2e} "
-              f"row_sum_drift={model.row_sum_drift:.2e} at_one={model.at_one}", file=sys.stderr)
+              f"row_sum_drift={model.row_sum_drift:.2e} at_one={model.at_one} "
+              f"peak_rss_mb={peak_mb:.1f}", file=sys.stderr)
     return 0
 
 

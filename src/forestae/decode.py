@@ -387,13 +387,19 @@ def relabel_decode(
     the number of rows whose routed leaves share no cell.
     """
     leaf_ids = route_relabeled(relabeled, Z0)
-    conflict = assigned_region(original, leaf_ids).is_empty()
-    routed = leaf_ids[conflict] + original.leaf_offsets
-    leaf_ids[conflict] = reference_leaf_assign(routed, np.ones(routed.shape),
-                                               relabeled.reference) - original.leaf_offsets
+    region = assigned_region(original, leaf_ids)
+    conflict = region.is_empty()
+    if conflict.any():
+        routed = leaf_ids[conflict] + original.leaf_offsets
+        hardened = reference_leaf_assign(routed, np.ones(routed.shape), relabeled.reference)
+        # only the hardened rows' cells are rebuilt; ``region`` is this call's own
+        cells = assigned_region(original, hardened - original.leaf_offsets)
+        for a, h in ((region.lo, cells.lo), (region.hi, cells.hi),
+                     *((m, cells.masks[j]) for j, m in region.masks.items())):
+            a[conflict] = h
     if trace is not None:
         trace.append({"hardened_rows": int(conflict.sum())})
-    values = assigned_region(original, leaf_ids).sample(np.random.default_rng(seed))
+    values = region.sample(np.random.default_rng(seed))
     return Table(original.schema, values)
 
 

@@ -1,4 +1,5 @@
 import gzip
+import io
 import json
 from copy import deepcopy
 from dataclasses import replace
@@ -8,9 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forestae import bundle as bundle_module
 from forestae.bundle import (
+    FORMAT_VERSION,
+    GZIP_LEVEL,
     BundleError,
     _check_trees,
+    _dumps,
     bundle_from_parts,
     decode_array,
     encode_array,
@@ -19,6 +24,7 @@ from forestae.bundle import (
     load_bundle,
     save_bundle,
 )
+from forestae.data import Column, Schema, Table
 from forestae.decode import build_synthetic_training
 from forestae.forest import ForestParams, fit_completely_random, route_table
 from forestae.kernel import rf_kernel_train, write_coordinate, write_dense_csv
@@ -235,6 +241,60 @@ def test_gzip_payload_matches_plain(tmp_path, parts):
     save_bundle(b, plain)
     save_bundle(b, packed)
     assert gzip.decompress(packed.read_bytes()) == plain.read_bytes()
+
+
+def _one_shot(b) -> bytes:
+    """The bundle's JSON built whole: every array encoded first, then dumped."""
+    m = b.model
+    return _dumps({
+        "format_version": FORMAT_VERSION,
+        "forest": forest_to_dict(b.forest),
+        "forest_sha": b.forest_sha,
+        "spectral": {"eigenvalues": encode_array(m.eigenvalues), "V": encode_array(m.V),
+                     "t": m.t},
+        "synthetic": {"values": encode_array(b.synth.table.values), "seed": b.synth.seed},
+    })
+
+
+@pytest.mark.parametrize("suffix", [".json", ".json.gz"])
+@pytest.mark.parametrize("block", [7, 1 << 16])
+def test_streamed_write_equals_the_one_shot_form(tmp_path, parts, monkeypatch, suffix, block):
+    forest, model, synth, _ = parts
+    b = bundle_from_parts(forest, model, synth)
+    monkeypatch.setattr(bundle_module, "_WRITE_BLOCK", block)  # 7: every array text in slices
+    path = tmp_path / f"m{suffix}"
+    save_bundle(b, path)
+    expected = _one_shot(b)
+    if suffix == ".json.gz":
+        buf = io.BytesIO()
+        with gzip.GzipFile(filename="", fileobj=buf, mode="wb", mtime=0,
+                           compresslevel=GZIP_LEVEL) as fh:
+            fh.write(expected)
+        expected = buf.getvalue()
+    assert path.read_bytes() == expected
+
+
+@pytest.mark.filterwarnings("ignore:kernel graph appears disconnected")
+@pytest.mark.parametrize("suffix", [".json", ".json.gz"])
+def test_streamed_write_never_holds_the_whole_text(tmp_path, suffix):
+    # the one-shot form holds the encoded arrays, the JSON text and its bytes
+    # at once (three times its length); the stream holds the raw arrays and one
+    # array's text, never two copies of the whole text
+    import tracemalloc
+
+    rng = np.random.default_rng(24)
+    table = Table(Schema(tuple(Column(f"x{j}") for j in range(8))), rng.normal(size=(600, 8)))
+    forest = fit_completely_random(table, ForestParams(n_trees=100, min_leaf=1, seed=24))
+    model = with_time(eigendecompose(rf_kernel_train(forest, table), 2), 1.0)
+    b = bundle_from_parts(forest, model, build_synthetic_training(forest, table, seed=25))
+    path = tmp_path / f"m{suffix}"
+    tracemalloc.start()
+    try:
+        save_bundle(b, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(_one_shot(b))
 
 
 def test_kernel_exports(tmp_path, parts):

@@ -186,6 +186,7 @@ def test_fit_never_builds_the_kernel_matrix(tmp_path, monkeypatch, capsys):
     assert int(err.split("eig_products=")[1].split()[0]) > 0
     drift = float(err.split("row_sum_drift=")[1].split()[0])
     assert 0.0 <= drift <= 1e-8 and "at_one=0" in err
+    assert float(err.split("peak_rss_mb=")[1].split()[0]) > 0
 
 
 @pytest.mark.parametrize("dense", [False, True])

@@ -89,6 +89,25 @@ def test_single_leaf_forest_synthesizes_inside_box():
         assert np.all((synth.table.values[:, j] >= lo) & (synth.table.values[:, j] <= hi))
 
 
+def test_synthetic_set_never_builds_the_forest_wide_cell_table():
+    # leaf cells are built a block of trees at a time, so the build's traced
+    # peak stays far below the (nodes x d) lo/hi table of every node
+    import tracemalloc
+
+    rng = np.random.default_rng(22)
+    table = Table(Schema(tuple(Column(f"x{j}") for j in range(8))), rng.normal(size=(600, 8)))
+    f = fit_completely_random(table, ForestParams(n_trees=100, min_leaf=1, seed=22))
+    ids = route_values(f, table.values)
+    node_table_bytes = sum(t.n_nodes for t in f.trees) * table.schema.n_columns * 16
+    tracemalloc.start()
+    try:
+        build_synthetic_training(f, table, seed=23, leaf_ids=ids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < node_table_bytes / 2
+
+
 def test_deep_forest_synthetic_close_to_original():
     table, _ = make_blobs(60, 2, seed=5)
     f = fit_completely_random(table, ForestParams(n_trees=40, min_leaf=1, seed=5))

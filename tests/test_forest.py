@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from forestae import forest as forest_module
 from forestae.bundle import forest_from_dict, forest_to_dict
 from forestae.data import Column, Schema, Table
 from forestae.forest import (
@@ -593,6 +594,25 @@ def test_region_sample_routes_back():
         draws = box.sample(rng)
         redo = route_values(f, draws)
         assert np.array_equal(redo, ids)
+
+
+@pytest.mark.parametrize("block_nodes", [1, 60, 10**9], ids=["per-tree", "blocks", "one"])
+def test_assigned_region_over_tree_blocks_matches_per_tree_cells(monkeypatch, block_nodes):
+    # cells built a block of trees at a time meet to exactly the cached
+    # per-tree cells' intersection, Equals masks and empty cells included
+    table = make_mixed(80, seed=21)
+    f = fit_unsupervised(table, ForestParams(n_trees=9, min_leaf=2, seed=16))
+    assert any(t.is_equal.any() for t in f.trees)
+    rng = np.random.default_rng(5)
+    drawn = np.column_stack([rng.integers(0, t.n_leaves, 40) for t in f.trees])
+    ids = np.vstack([route_table(f, table)[0], drawn])
+    want = region_intersect(f.leaf_boxes(f.leaf_offsets[b] + ids[:, b]) for b in range(f.n_trees))
+    monkeypatch.setattr(forest_module, "_CELL_NODES", block_nodes)
+    got = assigned_region(f, ids)
+    assert np.array_equal(got.lo, want.lo) and np.array_equal(got.hi, want.hi)
+    assert got.masks.keys() == want.masks.keys()
+    assert all(np.array_equal(got.masks[j], m) for j, m in want.masks.items())
+    assert got.is_empty()[:80].sum() == 0 and got.is_empty()[80:].any()
 
 
 def test_predict_leaf_mean():
