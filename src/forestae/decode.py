@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Table
-from .forest import (Forest, _descend, _first_min, _node_arrays, _route,
+from .forest import (Forest, _descend, _first_min, _leaf_cells, _node_arrays, _route,
                      _segment_cumsum, _sorted_unique, assigned_region, route_table, route_values)
-from .kernel import leaf_design, leaf_profile
+from .kernel import _leaf_join, leaf_design, leaf_profile
 from .spectral import SpectralModel, reconstruct_kernel
 
 __all__ = [
@@ -58,11 +58,6 @@ _KDTREE_MAX_DIM = 20
 _BRUTE_MAX_PAIRS = 2**24
 _BRUTE_BLOCK_PAIRS = 2**16  # (query, reference) distances per block of the numpy search
 _RELABEL_CELLS = 2**15  # (reference row, tree) cells per block of trees relabeling walks
-# (row, reference row) pairs per hardening block, both those that share a scored
-# leaf and the dense agreement sums: on a 2-vCPU x86 host the 498 rows of a
-# 500-tree banknote fold harden in 0.21 s at 22 MiB traced peak, against
-# 0.28-0.35 s and 46 MiB at 2**20
-_HARDEN_PAIRS = 2**18
 # Cells (rows x leaf columns) of the largest BVLS problem lasso decoding takes
 # on; checked for every row before any is solved. On a 2-vCPU x86 host, rows
 # of a 150-tree banknote fold at 0.7-0.9 million cells take 3.5-4.6 s each and
@@ -71,10 +66,11 @@ _HARDEN_PAIRS = 2**18
 # thousand.
 _LASSO_MAX_CELLS = 10**6
 # (cell, leaf) pairs met while exact decoding enumerates the forest's cells, and
-# (cell, reference row) products it scores. On a 2-vCPU x86 host a 20-tree,
-# depth-6 forest of a mixed-decoders fold (5,245 cells, 300 reference rows: 1.6
-# million products) takes 0.85 s for 40 rows at 77 MB peak RSS; 30 trees (2.5
-# million) take 1.7 s and 104 MB. A desk-scale 5-tree forest needs 14 thousand.
+# (cell, reference row) products it scores. On a 2-vCPU x86 host, `decode` of
+# 40 rows of a mixed-decoders fold (data seed 1009, 300 reference rows, depth 6)
+# takes 0.61-0.74 s at 79 MB peak RSS with 20 trees (5,245 cells: 1.6 million
+# products) and 1.1-1.3 s at 87 MB with 25 trees (6,751 cells: 2.0 million);
+# 30 trees are refused. A desk-scale 5-tree forest needs 14 thousand.
 _ILP_MAX_WORK = 2**21
 _ILP_BLOCK = 2**16  # (cell, leaf) pairs or (row, cell, reference row) terms per block
 _TIE_TOL = 1e-12
@@ -606,34 +602,18 @@ def reference_leaf_assign(leaves: np.ndarray, scores: np.ndarray,
     leaves, so their cells meet. ``leaves`` and ``scores`` (m, k) are each
     row's scored global leaf ids and scores (>= 0); other leaves score 0 and a
     leaf listed twice counts twice, so short rows pad with score 0. The sums
-    are one ``bincount`` over the (row, reference row) pairs that share a
-    scored leaf, in row blocks of at most ``_HARDEN_PAIRS`` pairs and sums."""
+    are the kernel module's leaf join, a block of rows at a time."""
     leaves = np.asarray(leaves, dtype=np.int64)
     scores = np.asarray(scores, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.int64)
     if (leaves.ndim != 2 or scores.shape != leaves.shape or not np.all(scores >= 0)
-            or reference.ndim != 2 or not reference.shape[0]):
-        raise DecodeError("need (m, k) leaf ids with their scores, all >= 0, and the "
+            or reference.ndim != 2 or not reference.shape[0]
+            or np.any(leaves < 0) or np.any(reference < 0)):
+        raise DecodeError("need (m, k) leaf ids >= 0 with their scores, all >= 0, and the "
                           "(n, B) leaf ids of at least one reference row")
-    m, n = leaves.shape[0], reference.shape[0]
-    # each leaf's reference rows: a run of the (row, tree) cells sorted by leaf
-    order = np.argsort(reference.ravel(), kind="stable")
-    by_leaf, members = reference.ravel()[order], order // reference.shape[1]
-    first = np.searchsorted(by_leaf, leaves)
-    count = np.where(scores > 0, np.searchsorted(by_leaf, leaves, side="right") - first, 0)
-    pairs = np.concatenate(([0], np.cumsum(count.sum(axis=1))))
-    best = np.empty(m, dtype=np.int64)
-    s = 0
-    while s < m:
-        # rows s to e: at most _HARDEN_PAIRS pairs and dense sums, or one row
-        e = np.searchsorted(pairs, pairs[s] + _HARDEN_PAIRS, side="right") - 1
-        e = max(s + 1, min(e, s + _HARDEN_PAIRS // n, m))
-        c = count[s:e].ravel()
-        at = np.repeat(first[s:e].ravel() - np.cumsum(c) + c, c) + np.arange(pairs[e] - pairs[s])
-        key = np.repeat(np.arange(e - s), count[s:e].sum(axis=1)) * n + members[at]
-        agree = np.bincount(key, np.repeat(scores[s:e].ravel(), c), minlength=(e - s) * n)
-        best[s:e] = agree.reshape(e - s, n).argmax(axis=1)
-        s = e
+    best = np.zeros(leaves.shape[0], dtype=np.int64)
+    for s, e, agree in _leaf_join(leaves, scores, reference):
+        best[s:e] = agree.argmax(axis=1)
     return reference[best]
 
 
@@ -733,9 +713,9 @@ def _refinement(forest: Forest, n_rows: int) -> np.ndarray:
     Cells never get fewer, as each tree's leaves tile every cell, so every step
     checks the budget on the products with ``n_rows`` that scoring will need."""
     region, cells = forest.box[None], np.zeros((1, 0), dtype=np.int64)
-    for offset, tree in zip(forest.leaf_offsets, forest.trees):
+    for b, tree in enumerate(forest.trees):
         _check_ilp_work(cells.shape[0] * max(tree.n_leaves, n_rows))
-        leaves = forest.leaf_boxes(offset + np.arange(tree.n_leaves))
+        leaves = _leaf_cells(forest, b, b + 1)
         step = max(1, _ILP_BLOCK // tree.n_leaves)
         f, l = np.concatenate([
             np.argwhere(~region[s:s + step, None].intersect(leaves).is_empty()) + (s, 0)
@@ -750,19 +730,19 @@ def _refinement(forest: Forest, n_rows: int) -> np.ndarray:
 
 def _ilp_solve(khat: np.ndarray, forest: Forest, pi: np.ndarray) -> list[IlpResult]:
     """``ilp_decode_exact`` for (m x n) kernel rows against one enumeration:
-    each cell's M psi is summed once, tree by tree, and every row's l1
-    objective is scored against all cells in blocks of ``_ILP_BLOCK`` terms."""
+    each cell's M psi is summed once by the kernel module's leaf join, in tree
+    order, and every row's l1 objective is scored against all cells in blocks
+    of ``_ILP_BLOCK`` terms."""
     B, n = forest.n_trees, pi.shape[0]
     target = B * np.asarray(khat, dtype=np.float64)
     if target.shape[1] != n:
         raise DecodeError("kernel row length must match training assignments")
     cells = _refinement(forest, n)
     M = leaf_design(leaf_profile(forest, pi))
-    design = np.zeros((cells.shape[0], n))
-    for b, tree in enumerate(forest.trees):
-        per_leaf = np.zeros((tree.n_leaves, n))
-        per_leaf[pi[:, b], np.arange(n)] = M.weights[M.cols[:, b]]
-        design += per_leaf[cells[:, b]]
+    design = np.empty((cells.shape[0], n))
+    leaves = cells + forest.leaf_offsets
+    for s, e, sums in _leaf_join(leaves, M.weights[leaves], M.cols):
+        design[s:e] = sums
     results = []
     step = max(1, _ILP_BLOCK // design.size)
     for s in range(0, target.shape[0], step):

@@ -142,9 +142,6 @@ class Forest:
     params: ForestParams
     kind: str  # "regression" | "classification" | "none"
     n_classes: int = 0
-    # leaf cells, built on first use: only the decoders read them, and they
-    # depend on feature_ranges, which the Forest owns
-    _leaf_cells: "Region | None" = field(default=None, init=False, repr=False, compare=False)
     # every tree's nodes stacked, built on first routing
     _nodes: "_Nodes | None" = field(default=None, init=False, repr=False, compare=False)
 
@@ -178,15 +175,6 @@ class Forest:
                  for j, c in enumerate(self.schema.columns) if c.is_categorical}
         lo, hi = np.nan_to_num(self.feature_ranges).T
         return Region(self.schema, lo, hi, masks)
-
-    def leaf_boxes(self, leaves) -> "Region":
-        """Cells of the given global leaf ids (any shape)."""
-        if self._leaf_cells is None:
-            cells = _leaf_cells(self, 0, self.n_trees)
-            for a in (cells.lo, cells.hi, *cells.masks.values()):
-                a.flags.writeable = False  # the cells handed out are views of this table
-            self._leaf_cells = cells
-        return self._leaf_cells[leaves]
 
 
 # ---------------------------------------------------------------------------
@@ -1053,9 +1041,8 @@ class Region:
 # Nodes whose leaf cells ``assigned_region`` builds at once: whole trees, at
 # least one. On a 2-vCPU x86 host, the cells of the synthetic set of the
 # 500-tree banknote fold (144,606 nodes, 856 rows) took 49 ms at 2**14 nodes
-# (median of 9) with a 6.5 MB traced peak, against 52 ms and 5.1 MB at 2**13,
-# 48 ms and 9.4 MB at 2**15, and 59 ms and 21.8 MB through the forest-wide
-# table; on the 25-tree clusters fold (20k rows) 37 ms, against 39 ms.
+# (median of 9) with a 6.5 MB traced peak, against 52 ms and 5.1 MB at 2**13
+# and 48 ms and 9.4 MB at 2**15.
 _CELL_NODES = 1 << 14
 
 
@@ -1108,9 +1095,9 @@ def leaf_region(forest: Forest, b: int, leaf: int) -> Region:
     """Intersection of all split conditions on the root-to-leaf path, with
     unconstrained dimensions clipped to the training feature box.
     """
-    if not 0 <= leaf < forest.trees[b].n_leaves:
-        raise ForestError(f"tree {b} has no leaf {leaf}")
-    return forest.leaf_boxes(forest.leaf_offsets[b] + leaf)
+    if not (0 <= b < forest.n_trees and 0 <= leaf < forest.trees[b].n_leaves):
+        raise ForestError(f"the forest has no leaf {leaf} in tree {b}")
+    return _leaf_cells(forest, b, b + 1)[leaf]
 
 
 def region_intersect(regions) -> Region:
@@ -1123,8 +1110,7 @@ def assigned_region(forest: Forest, leaf_ids: np.ndarray) -> Region:
 
     ``leaf_ids`` is (..., B) local ids; the result has batch shape (...). The
     leaf cells are built one block of trees at a time (``_CELL_NODES`` nodes,
-    or one tree if it has more), so only one block's cells are held, never the
-    table of every leaf that ``Forest.leaf_boxes`` caches.
+    or one tree if it has more), so only one block's cells are held.
     """
     ids = np.asarray(leaf_ids, dtype=np.int64)
     starts, offsets = forest._node_table().starts, forest.leaf_offsets

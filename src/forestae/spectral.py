@@ -268,7 +268,7 @@ def nystrom_embed(K0: SparseKernelMatrix, model: SpectralModel) -> np.ndarray:
     coef = np.zeros_like(lam)
     live = ~dead
     coef[live] = np.sqrt(model.n) * _power(lam[live], t) / lam[live]
-    return K0.gather(K0.right.tdot(model.V)) * coef[None, :]
+    return K0.dot(model.V) * coef[None, :]
 
 
 def reconstruct_kernel(Z0: np.ndarray, model: SpectralModel) -> np.ndarray:

@@ -559,14 +559,14 @@ def test_best_latent_split_ignores_rounding_gaps():
 @pytest.mark.parametrize("decoder", ["lasso", "relabel"])
 def test_hardening_blocks_do_not_change_the_output(monkeypatch, decoder):
     # one row per block against one block for all rows
-    from forestae import decode
+    from forestae import kernel
 
     table = make_mixed(80, seed=60)
     f, model, synth = _pipeline(table, trees=6, max_depth=3, seed=60)
     Z0 = np.random.default_rng(61).normal(size=(12, model.d_z)) * np.abs(model.Z).max()
     outs, traces = [], []
     for pairs in (2**20, 1):
-        monkeypatch.setattr(decode, "_HARDEN_PAIRS", pairs)
+        monkeypatch.setattr(kernel, "_JOIN_PAIRS", pairs)
         trace = []
         if decoder == "lasso":
             out = lasso_decode(Z0, model, f, synth, seed=62, trace=trace)
@@ -938,19 +938,25 @@ def test_ilp_matches_brute_force_enumeration(seed):
     assert res.n_optima > 1
 
 
-def test_ilp_infeasible_instance_errors(t2x4):
+def test_ilp_infeasible_instance_errors(monkeypatch, t2x4):
     forest, table, _ = t2x4
     ids, _ = route_table(forest, table)
-    # corrupt the cached leaf cells so no leaf pair overlaps; well-formed
-    # trees always tile the box, so infeasibility requires a broken structure
-    from forestae.forest import Region
+    # corrupt the leaf cells decoding builds so no leaf pair overlaps;
+    # well-formed trees always tile the box, so infeasibility requires a
+    # broken structure
+    from forestae import decode
+    from forestae.forest import Region, _leaf_cells
 
-    cells = forest.leaf_boxes(np.arange(forest.total_leaves))
-    lo, hi = cells.lo.copy(), cells.hi.copy()
-    t0, t1 = slice(0, forest.leaf_offsets[1]), slice(forest.leaf_offsets[1], None)
-    hi[t0] = np.minimum(hi[t0], 0.3)
-    lo[t1] = np.maximum(lo[t1], 0.6)
-    forest._leaf_cells = Region(forest.schema, lo, hi, {})
+    def corrupted(f, b0, b1):
+        cells = _leaf_cells(f, b0, b1)
+        lo, hi = cells.lo, cells.hi
+        if b0 == 0:
+            hi = np.minimum(hi, 0.3)
+        else:
+            lo = np.maximum(lo, 0.6)
+        return Region(f.schema, lo, hi, {})
+
+    monkeypatch.setattr(decode, "_leaf_cells", corrupted)
     with pytest.raises(DecodeError, match="no feasible"):
         ilp_decode_exact(np.full(4, 0.25), forest, ids)
 

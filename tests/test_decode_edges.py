@@ -6,6 +6,7 @@ import pytest
 
 from forestae.data import Column, Schema, Table
 from forestae.decode import (
+    DecodeError,
     RelabeledForest,
     build_synthetic_training,
     ilp_decode,
@@ -38,6 +39,17 @@ def _equals_stump(level: float, counts) -> Tree:
         leaf_count=np.array(counts, dtype=np.int64),
         leaf_stat=np.zeros(2),
     )
+
+
+@pytest.mark.parametrize("leaves, scores, reference", [
+    ([[-1, 0]], [[1.0, 1.0]], [[0, 2]]),  # a negative leaf id
+    ([[0, 1]], [[1.0, 1.0]], [[-1, 2]]),  # a negative reference leaf id
+    ([[0, 1]], [[1.0, -1.0]], [[0, 2]]),  # a negative score
+    ([[0, 1]], [[1.0, 1.0]], np.zeros((0, 2), dtype=int)),  # no reference row
+], ids=["leaf", "reference", "score", "empty"])
+def test_reference_leaf_assign_rejects_malformed_input(leaves, scores, reference):
+    with pytest.raises(DecodeError, match="need"):
+        reference_leaf_assign(np.array(leaves), np.array(scores), np.array(reference))
 
 
 def test_hardening_one_vs_rest_stumps_give_feasible_cell():

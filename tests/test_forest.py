@@ -419,7 +419,7 @@ def test_leaf_diameter_shrinks_with_depth():
         )
         total, count = 0.0, 0
         for b in range(f.n_trees):
-            box = f.leaf_boxes(f.leaf_offsets[b] + np.arange(f.trees[b].n_leaves))
+            box = forest_module._leaf_cells(f, b, b + 1)
             lo, hi = box.lo, box.hi
             total += float(np.linalg.norm(hi - lo, axis=1).sum())
             count += lo.shape[0]
@@ -547,6 +547,13 @@ def test_leaf_region_root_is_full_box(t2x4):
     assert reg.lo[1] == 0.25 and reg.hi[1] == 0.75
 
 
+@pytest.mark.parametrize("b, leaf", [(-1, 0), (2, 0), (0, -1), (0, 2)])
+def test_leaf_region_rejects_a_missing_tree_or_leaf(t2x4, b, leaf):
+    forest, _, _ = t2x4  # two trees of two leaves
+    with pytest.raises(ForestError, match=f"no leaf {leaf} in tree {b}"):
+        leaf_region(forest, b, leaf)
+
+
 def test_region_interval_intersection(t2x4):
     forest, _, _ = t2x4
     a = leaf_region(forest, 0, 0)  # x0 in [0.25, 0.5)
@@ -598,15 +605,16 @@ def test_region_sample_routes_back():
 
 @pytest.mark.parametrize("block_nodes", [1, 60, 10**9], ids=["per-tree", "blocks", "one"])
 def test_assigned_region_over_tree_blocks_matches_per_tree_cells(monkeypatch, block_nodes):
-    # cells built a block of trees at a time meet to exactly the cached
-    # per-tree cells' intersection, Equals masks and empty cells included
+    # cells built a block of trees at a time meet to exactly the per-tree
+    # cells' intersection, Equals masks and empty cells included
     table = make_mixed(80, seed=21)
     f = fit_unsupervised(table, ForestParams(n_trees=9, min_leaf=2, seed=16))
     assert any(t.is_equal.any() for t in f.trees)
     rng = np.random.default_rng(5)
     drawn = np.column_stack([rng.integers(0, t.n_leaves, 40) for t in f.trees])
     ids = np.vstack([route_table(f, table)[0], drawn])
-    want = region_intersect(f.leaf_boxes(f.leaf_offsets[b] + ids[:, b]) for b in range(f.n_trees))
+    want = region_intersect(forest_module._leaf_cells(f, b, b + 1)[ids[:, b]]
+                            for b in range(f.n_trees))
     monkeypatch.setattr(forest_module, "_CELL_NODES", block_nodes)
     got = assigned_region(f, ids)
     assert np.array_equal(got.lo, want.lo) and np.array_equal(got.hi, want.hi)
@@ -808,4 +816,3 @@ def test_cells_and_routing_agree_at_every_cut(fit):
                 assert hits == [route(f, x)[b]] and hits[0] in under, (b, k)
                 checked += 1
     assert checked >= 20
-    assert f._leaf_cells.lo.shape == (f.total_leaves, f.schema.n_columns)  # leaves only

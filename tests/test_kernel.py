@@ -151,7 +151,7 @@ def test_toarray_equals_csr_toarray_exactly(monkeypatch, block_pairs):
     from forestae import kernel
 
     if block_pairs is not None:
-        monkeypatch.setattr(kernel, "_DENSE_BLOCK_PAIRS", block_pairs)
+        monkeypatch.setattr(kernel, "_JOIN_PAIRS", block_pairs)
     table = make_mixed(120, seed=5)
     f = fit_completely_random(table, ForestParams(n_trees=9, min_leaf=2, seed=5))
     K = rf_kernel_train(f, table)
@@ -165,6 +165,35 @@ def test_toarray_equals_csr_toarray_exactly(monkeypatch, block_pairs):
         dense = kern.toarray()
         assert dense.dtype == np.float64 and dense.shape == (kern.n_rows, kern.n_cols)
         assert dense.tobytes() == kern.matrix.toarray().tobytes()
+
+
+@pytest.mark.parametrize("block_pairs", [1, 7, 2**20])
+def test_leaf_join_sums_in_entry_order(monkeypatch, block_pairs):
+    # S[i, r] = sum_j w[i, j] [r lies in leaf cols[i, j]], each sum taken in
+    # entry order, whatever the blocks; 4 trees of 4 leaves, whose last leaf
+    # holds no reference row
+    from forestae import kernel
+
+    monkeypatch.setattr(kernel, "_JOIN_PAIRS", block_pairs)
+    rng = np.random.default_rng(8)
+    reference = rng.integers(0, 3, (30, 4)) + 4 * np.arange(4)
+    cols = rng.integers(0, 16, (9, 6))
+    cols[0, 1] = cols[0, 0]  # a leaf listed twice
+    cols[1, :] = 4 * np.arange(6) % 16 + 3  # only empty leaves
+    weights = rng.random(cols.shape)
+    weights[rng.random(cols.shape) < 0.3] = 0.0
+    want = np.zeros((9, 30))
+    for i in range(9):
+        for r in range(30):
+            for j in range(6):
+                if reference[r, cols[i, j] // 4] == cols[i, j]:
+                    want[i, r] += weights[i, j]
+    got, done = np.full(want.shape, np.nan), 0
+    for r0, r1, sums in kernel._leaf_join(cols, weights, reference):
+        assert r0 == done < r1
+        got[r0:r1], done = sums, r1
+    assert done == 9 and got.tobytes() == want.tobytes()
+    assert not list(kernel._leaf_join(cols[:0], weights[:0], reference))
 
 
 def test_scornet_kernel_examples(t2x4):
