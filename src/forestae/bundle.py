@@ -26,7 +26,7 @@ import numpy as np
 
 from .data import Column, Schema, Table
 from .decode import SyntheticTrainingSet
-from .forest import Forest, ForestParams, Tree, breadth_first_layout, equals_splits
+from .forest import Forest, ForestParams, breadth_first_layout
 from .spectral import SpectralModel, with_time
 
 FORMAT_VERSION = 4
@@ -45,9 +45,11 @@ __all__ = [
     "forest_from_dict", "encode_array", "decode_array",
 ]
 
-# Stored tree fields: one entry per node, then one per leaf
+# Stored forest arrays, each the ``Forest`` field of its name: the per-tree
+# node counts, one entry per node, one per leaf, and the training feature box
 _PER_NODE = ("feature", "threshold")
 _PER_LEAF = ("leaf_count", "leaf_stat")
+_ARRAYS = ("n_nodes", *_PER_NODE, *_PER_LEAF, "feature_ranges")
 
 
 class BundleError(ValueError):
@@ -76,16 +78,10 @@ def decode_array(d: dict) -> np.ndarray:
 
 
 def _forest_parts(forest: Forest) -> tuple[dict, dict]:
-    """The forest's small JSON fields, and its arrays: one stacked array per
-    stored ``Tree`` field plus the per-tree node counts."""
-    trees = forest.trees
+    """The forest's small JSON fields, and its stored arrays, not copied."""
     meta = {"schema": asdict(forest.schema), "params": asdict(forest.params),
             "kind": forest.kind, "n_classes": forest.n_classes}
-    arrays = {name: np.concatenate([getattr(t, name) for t in trees])
-              for name in _PER_NODE + _PER_LEAF}
-    arrays["n_nodes"] = np.array([t.n_nodes for t in trees], dtype=np.int64)
-    arrays["feature_ranges"] = forest.feature_ranges
-    return meta, arrays
+    return meta, {name: getattr(forest, name) for name in _ARRAYS}
 
 
 def forest_digest(forest: Forest) -> str:
@@ -95,7 +91,7 @@ def forest_digest(forest: Forest) -> str:
     for name in sorted(arrays):
         a = _canonical(arrays[name])
         h.update(_dumps([name, a.dtype.str, a.shape]))
-        h.update(a.tobytes())
+        h.update(a)
     return h.hexdigest()
 
 
@@ -140,20 +136,18 @@ def _check_trees(a: dict, n_levels: np.ndarray) -> None:
 
 
 def forest_from_dict(d: dict) -> Forest:
-    arrays = {name: decode_array(v) for name, v in d["arrays"].items()}
+    missing = [name for name in _ARRAYS if name not in d["arrays"]]
+    if missing:
+        raise BundleError(f"the forest lacks its {', '.join(missing)} array")
+    arrays = {name: decode_array(d["arrays"][name]) for name in _ARRAYS}
     schema = Schema(tuple(
         Column(c["name"], c["levels"] and tuple(c["levels"])) for c in d["schema"]["columns"]
     ))
-    n_levels = schema.n_levels
-    _check_trees(arrays, n_levels)
-    sizes = arrays["n_nodes"]
-    node_cuts, leaf_cuts = np.cumsum(sizes)[:-1], np.cumsum((sizes + 1) // 2)[:-1]
-    feature, threshold = (np.split(arrays[k], node_cuts) for k in _PER_NODE)
-    leaf_count, leaf_stat = (np.split(arrays[k], leaf_cuts) for k in _PER_LEAF)
-    trees = [Tree(f, t, equals_splits(n_levels, f), c, s)
-             for f, t, c, s in zip(feature, threshold, leaf_count, leaf_stat)]
-    return Forest(trees, schema, arrays["feature_ranges"], ForestParams(**d["params"]),
-                  d["kind"], d["n_classes"])
+    _check_trees(arrays, schema.n_levels)
+    if arrays["feature_ranges"].shape != (schema.n_columns, 2):
+        raise BundleError(f"feature_ranges is not shaped ({schema.n_columns}, 2)")
+    return Forest(**arrays, schema=schema, params=ForestParams(**d["params"]), kind=d["kind"],
+                  n_classes=d["n_classes"])
 
 
 @dataclass

@@ -174,6 +174,14 @@ def _inverse_distance_weights(dist: np.ndarray) -> np.ndarray:
     return w / w.sum(axis=1, keepdims=True)
 
 
+def _embedding(Z0, d_z: int) -> np.ndarray:
+    """``Z0`` as (m, d_z) float rows; an embedding of another width is refused."""
+    Z0 = np.atleast_2d(np.asarray(Z0, dtype=np.float64))
+    if Z0.ndim != 2 or Z0.shape[1] != d_z:
+        raise DecodeError(f"the embedding has {Z0.shape[-1]} columns; the model has d_z = {d_z}")
+    return Z0
+
+
 def knn_neighbors(z0: np.ndarray, Z: np.ndarray, k: int) -> NeighborSet:
     """The k nearest training embeddings, weighted inversely to distance.
 
@@ -181,7 +189,7 @@ def knn_neighbors(z0: np.ndarray, Z: np.ndarray, k: int) -> NeighborSet:
     """
     if not 1 <= k <= Z.shape[0]:
         raise DecodeError(f"k must lie in [1, {Z.shape[0]}]")
-    idx, dist = _knn_batch(np.atleast_2d(z0), Z, k)
+    idx, dist = _knn_batch(_embedding(z0, Z.shape[1]), Z, k)
     w = _inverse_distance_weights(dist)
     return NeighborSet(indices=idx[0], distances=dist[0], weights=w[0])
 
@@ -205,7 +213,7 @@ def knn_decode(
     _, Z = model.require_time()
     if not 1 <= k <= Z.shape[0]:
         raise DecodeError(f"k must lie in [1, {Z.shape[0]}]")
-    Z0 = np.atleast_2d(np.asarray(Z0, dtype=np.float64))
+    Z0 = _embedding(Z0, model.d_z)
     idx, dist = _knn_batch(Z0, Z, k)
     w = _inverse_distance_weights(dist)
     if trace is not None:
@@ -382,7 +390,7 @@ def relabel_decode(
     If ``trace`` is a list, one record is appended to it: ``hardened_rows``,
     the number of rows whose routed leaves share no cell.
     """
-    leaf_ids = route_relabeled(relabeled, Z0)
+    leaf_ids = route_relabeled(relabeled, _embedding(Z0, relabeled.d_z))
     region = assigned_region(original, leaf_ids)
     conflict = region.is_empty()
     if conflict.any():
@@ -713,10 +721,10 @@ def _refinement(forest: Forest, n_rows: int) -> np.ndarray:
     Cells never get fewer, as each tree's leaves tile every cell, so every step
     checks the budget on the products with ``n_rows`` that scoring will need."""
     region, cells = forest.box[None], np.zeros((1, 0), dtype=np.int64)
-    for b, tree in enumerate(forest.trees):
-        _check_ilp_work(cells.shape[0] * max(tree.n_leaves, n_rows))
+    for b, n_leaves in enumerate(forest.n_leaves.tolist()):
+        _check_ilp_work(cells.shape[0] * max(n_leaves, n_rows))
         leaves = _leaf_cells(forest, b, b + 1)
-        step = max(1, _ILP_BLOCK // tree.n_leaves)
+        step = max(1, _ILP_BLOCK // n_leaves)
         f, l = np.concatenate([
             np.argwhere(~region[s:s + step, None].intersect(leaves).is_empty()) + (s, 0)
             for s in range(0, cells.shape[0], step)
@@ -732,7 +740,8 @@ def _ilp_solve(khat: np.ndarray, forest: Forest, pi: np.ndarray) -> list[IlpResu
     """``ilp_decode_exact`` for (m x n) kernel rows against one enumeration:
     each cell's M psi is summed once by the kernel module's leaf join, in tree
     order, and every row's l1 objective is scored against all cells in blocks
-    of ``_ILP_BLOCK`` terms."""
+    of rows and of cells of at most ``_ILP_BLOCK`` terms (or one row and one
+    cell), each (row, cell) summing its reference rows alone."""
     B, n = forest.n_trees, pi.shape[0]
     target = B * np.asarray(khat, dtype=np.float64)
     if target.shape[1] != n:
@@ -744,9 +753,14 @@ def _ilp_solve(khat: np.ndarray, forest: Forest, pi: np.ndarray) -> list[IlpResu
     for s, e, sums in _leaf_join(leaves, M.weights[leaves], M.cols):
         design[s:e] = sums
     results = []
-    step = max(1, _ILP_BLOCK // design.size)
+    step = max(1, _ILP_BLOCK // design.size)  # rows per block
+    width = max(1, _ILP_BLOCK // n)  # cells per block
     for s in range(0, target.shape[0], step):
-        for obj in np.abs(target[s:s + step, None] - design).sum(axis=2):
+        rows = target[s:s + step, None]
+        objs = np.empty((rows.shape[0], design.shape[0]))
+        for c in range(0, design.shape[0], width):
+            objs[:, c:c + width] = np.abs(rows - design[c:c + width]).sum(axis=2)
+        for obj in objs:
             tied = np.flatnonzero(obj <= obj.min() + _TIE_TOL)
             results.append(IlpResult(assignment=cells[tied[0]], objective=float(obj[tied[0]]),
                                      n_optima=tied.size, optima=list(cells[tied[:8]])))

@@ -103,15 +103,13 @@ def equals_splits(n_levels: np.ndarray, feature: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Tree:
-    """Flat-array full binary tree in breadth-first node order; the split mask
-    ``feature >= 0`` fixes its shape, and leaf ids are 0..n_leaves-1 in node
-    order."""
+    """One tree's slice of a ``Forest``'s arrays, and its Equals splits."""
 
-    feature: np.ndarray  # int32, -1 at leaves
-    threshold: np.ndarray  # float64: cut point, or level code for Equals
-    is_equal: np.ndarray  # bool: Equals split (categorical)
-    leaf_count: np.ndarray  # int64 counting-sample size per leaf, all >= 1
-    leaf_stat: np.ndarray  # (L,) means or (L, C) class counts
+    feature: np.ndarray
+    threshold: np.ndarray
+    is_equal: np.ndarray
+    leaf_count: np.ndarray
+    leaf_stat: np.ndarray
 
     @property
     def n_nodes(self) -> int:
@@ -136,36 +134,61 @@ class Tree:
 
 @dataclass
 class Forest:
-    trees: list[Tree]
+    """Every tree's splits and leaves stacked tree after tree, as a bundle
+    stores them: a tree's nodes in breadth-first order, then the next tree's,
+    and its leaves in node order. The split mask ``feature >= 0`` fixes each
+    tree's children and leaf ids, and the schema which splits are Equals."""
+
+    n_nodes: np.ndarray  # (B,) int64 nodes per tree
+    feature: np.ndarray  # int32 per node, -1 at leaves
+    threshold: np.ndarray  # float64 per node: cut point, or level code for Equals
+    leaf_count: np.ndarray  # int64 counting-sample size per leaf, all >= 1
+    leaf_stat: np.ndarray  # (leaves,) means or (leaves, C) class counts
     schema: Schema
     feature_ranges: np.ndarray  # (d, 2) training min/max; NaN rows for categorical
     params: ForestParams
     kind: str  # "regression" | "classification" | "none"
     n_classes: int = 0
-    # every tree's nodes stacked, built on first routing
+    # the routing table derived from the splits, built on first routing
     _nodes: "_Nodes | None" = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_trees(self) -> int:
-        return len(self.trees)
+        return self.n_nodes.size
+
+    @property
+    def n_leaves(self) -> np.ndarray:
+        """(B,) leaves per tree: a full binary tree of n nodes has (n + 1) / 2."""
+        return (self.n_nodes + 1) // 2
 
     @property
     def total_leaves(self) -> int:
-        return sum(t.n_leaves for t in self.trees)
+        return self.leaf_count.size
 
     @property
     def leaf_offsets(self) -> np.ndarray:
         """Global leaf index = leaf_offsets[b] + local leaf id."""
-        sizes = [t.n_leaves for t in self.trees]
-        return np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64)
+        sizes = self.n_leaves
+        return (np.cumsum(sizes) - sizes).astype(np.int64)
+
+    @property
+    def is_equal(self) -> np.ndarray:
+        """Per node: an Equals split (on a categorical column)."""
+        return equals_splits(self.schema.n_levels, self.feature)
+
+    @property
+    def trees(self) -> tuple[Tree, ...]:
+        """Per-tree ``Tree`` views into the stacked arrays, built on each access."""
+        nodes, leaves = np.cumsum(self.n_nodes)[:-1], self.leaf_offsets[1:]
+        return tuple(Tree(*t) for t in zip(
+            *(np.split(a, nodes) for a in (self.feature, self.threshold, self.is_equal)),
+            *(np.split(a, leaves) for a in (self.leaf_count, self.leaf_stat))))
 
     def _node_table(self) -> "_Nodes":
         if self._nodes is None:
-            starts = np.concatenate([[0], np.cumsum([t.n_nodes for t in self.trees])])
-            feature, threshold, is_equal = (np.concatenate([getattr(t, k) for t in self.trees])
-                                            for k in ("feature", "threshold", "is_equal"))
-            self._nodes = _node_arrays(starts.astype(np.int64), feature.astype(np.intp),
-                                       threshold, is_equal, self.schema.n_columns)
+            starts = np.concatenate(([0], np.cumsum(self.n_nodes))).astype(np.int64)
+            self._nodes = _node_arrays(starts, self.feature.astype(np.intp), self.threshold,
+                                       self.is_equal, self.schema.n_columns)
         return self._nodes
 
     @property
@@ -359,7 +382,7 @@ class _Chunk:
         self.node_len = np.bincount(tree, minlength=len(seeds))  # slot count
         self.lab_leaf = np.full(self.lab_row.size, -1)  # node id of each label row's leaf
 
-    def grow(self) -> list[Tree]:
+    def grow(self) -> dict:
         levels = []
         first = depth = 0
         max_depth = self.params.max_depth
@@ -370,7 +393,7 @@ class _Chunk:
             feat, cut = self._random_splits(open_) if self.cr else self._scored_splits(open_)
             eq = equals_splits(self.data.n_levels, feat)
             ids = first + np.arange(feat.size)
-            levels.append((self.node_tree, feat, cut, eq))
+            levels.append((self.node_tree, feat, cut))
             self._advance(feat, cut, eq, ids)
             first += feat.size
             depth += 1
@@ -672,12 +695,13 @@ class _Chunk:
 
     # -- output --------------------------------------------------------------
 
-    def _trees(self, levels) -> list[Tree]:
-        """Per-tree flat arrays in breadth-first order; leaf counts and stats
-        come from the leaves of the distinct label rows, each counted once."""
+    def _trees(self, levels) -> dict:
+        """The chunk's trees as ``Forest`` arrays, tree after tree in
+        breadth-first order; leaf counts and stats come from the leaves of the
+        distinct label rows, each counted once."""
         data = self.data
-        tree, feat, cut, eq = (np.concatenate(a) for a in zip(*levels))
-        n_nodes, n_trees = tree.size, len(self.rngs)
+        tree, feat, cut = (np.concatenate(a) for a in zip(*levels))
+        n_nodes = tree.size
         leaf, row = self.lab_leaf, self.lab_row
         counts = np.bincount(leaf, minlength=n_nodes)
         is_leaf = feat < 0
@@ -691,33 +715,25 @@ class _Chunk:
             stat = np.bincount(leaf, weights=data.y[row], minlength=n_nodes) / np.maximum(counts, 1)
         else:
             stat = np.zeros(n_nodes)
-        order = np.argsort(tree, kind="stable")
-        bounds = np.searchsorted(tree[order], np.arange(n_trees + 1))
-        out = []
-        for t in range(n_trees):
-            nodes = order[bounds[t] : bounds[t + 1]]
-            leaves = nodes[is_leaf[nodes]]
-            out.append(Tree(
-                feature=feat[nodes].astype(np.int32),
-                threshold=cut[nodes].astype(np.float64),
-                is_equal=eq[nodes],
-                leaf_count=counts[leaves].astype(np.int64),
-                leaf_stat=stat[leaves],
-            ))
-        return out
+        nodes = np.argsort(tree, kind="stable")
+        leaves = nodes[is_leaf[nodes]]
+        return {"n_nodes": np.bincount(tree, minlength=len(self.rngs)),
+                "feature": feat[nodes].astype(np.int32), "threshold": cut[nodes],
+                "leaf_count": counts[leaves], "leaf_stat": stat[leaves]}
 
 
-def _grow(data: _Sample, params: ForestParams, seeds, cr: bool) -> list[Tree]:
+def _join(parts: list[dict]) -> dict:
+    """The ``Forest`` arrays of consecutive groups of trees, as one forest's."""
+    return {name: np.concatenate([p[name] for p in parts]) for name in parts[0]}
+
+
+def _grow(data: _Sample, params: ForestParams, seeds, cr: bool) -> dict:
     """One tree per seed, grown in as few chunks of at most ``slots`` expected
     distinct sampled rows (or one tree) as hold them all, trees spread evenly."""
     slots = _CHUNK_SLOTS * (_CR_CHUNK_SCALE if cr else 1)
     per = max(1, slots // _split_slots(params, data.values.shape[0]))
     parts = np.array_split(np.arange(len(seeds)), -(-len(seeds) // per))
-    return [
-        tree
-        for part in parts
-        for tree in _Chunk(data, params, [seeds[i] for i in part], cr).grow()
-    ]
+    return _join([_Chunk(data, params, [seeds[i] for i in part], cr).grow() for part in parts])
 
 
 def _worker(args):
@@ -735,11 +751,11 @@ def _fit(table: Table, y, kind, n_classes, params: ForestParams, cr: bool, jobs:
         chunks = np.array_split(np.arange(params.n_trees), min(jobs, params.n_trees))
         tasks = [(data, params, [children[i] for i in c], cr) for c in chunks if len(c)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            trees = [t for part in pool.map(_worker, tasks) for t in part]
+            arrays = _join(list(pool.map(_worker, tasks)))
     else:
-        trees = _grow(data, params, children, cr)
+        arrays = _grow(data, params, children, cr)
     return Forest(
-        trees=trees,
+        **arrays,
         schema=table.schema,
         feature_ranges=_feature_ranges(table.schema, table.values),
         params=params,
@@ -806,10 +822,11 @@ def _resample_within_leaves(forest: Forest, real_values: np.ndarray, rng) -> np.
     assigned = route_values(forest, real_values)
     out = np.empty_like(real_values)
     tree_pick = rng.integers(0, forest.n_trees, size=n)
+    n_leaves = forest.n_leaves
     for b in _sorted_unique(tree_pick):
         rows = np.flatnonzero(tree_pick == b)
         leaves = assigned[:, b]
-        counts = np.bincount(leaves, minlength=forest.trees[b].n_leaves)
+        counts = np.bincount(leaves, minlength=n_leaves[b])
         chosen = rng.choice(counts.shape[0], size=rows.shape[0], p=counts / counts.sum())
         members = np.argsort(leaves, kind="stable")  # real rows grouped by leaf
         first = np.cumsum(counts) - counts
@@ -949,20 +966,11 @@ def predict(forest: Forest, x):
     """Mean leaf label over trees: scalar (or vector of class frequencies)."""
     if forest.kind not in (REGRESSION, CLASSIFICATION):
         raise ForestError("forest carries no label stats")
-    values = np.atleast_2d(np.asarray(x, dtype=np.float64))
     single = np.asarray(x).ndim == 1
-    assigned = route_values(forest, values)
-    if forest.kind == REGRESSION:
-        acc = np.zeros(values.shape[0])
-        for b, tree in enumerate(forest.trees):
-            acc += tree.leaf_stat[assigned[:, b]]
-        out = acc / forest.n_trees
-    else:
-        acc = np.zeros((values.shape[0], forest.n_classes))
-        for b, tree in enumerate(forest.trees):
-            stat = tree.leaf_stat[assigned[:, b]]
-            acc += stat / stat.sum(axis=1, keepdims=True)
-        out = acc / forest.n_trees
+    stat = forest.leaf_stat
+    if forest.kind == CLASSIFICATION:
+        stat = stat / stat.sum(axis=1, keepdims=True)  # each leaf's class frequencies
+    out = stat[route_values(forest, x) + forest.leaf_offsets].sum(axis=1) / forest.n_trees
     return out[0] if single else out
 
 
@@ -1095,7 +1103,7 @@ def leaf_region(forest: Forest, b: int, leaf: int) -> Region:
     """Intersection of all split conditions on the root-to-leaf path, with
     unconstrained dimensions clipped to the training feature box.
     """
-    if not (0 <= b < forest.n_trees and 0 <= leaf < forest.trees[b].n_leaves):
+    if not (0 <= b < forest.n_trees and 0 <= leaf < forest.n_leaves[b]):
         raise ForestError(f"the forest has no leaf {leaf} in tree {b}")
     return _leaf_cells(forest, b, b + 1)[leaf]
 

@@ -287,8 +287,8 @@ def rf_kernel_cross(
 
 
 def leaf_size_vector(forest: Forest) -> np.ndarray:
-    """Inverse stored leaf counts, concatenated over trees (length d_phi)."""
-    counts = np.concatenate([t.leaf_count for t in forest.trees]).astype(np.float64)
+    """Inverse stored leaf counts, in global leaf order (length d_phi)."""
+    counts = forest.leaf_count.astype(np.float64)
     if counts.min(initial=1) < 1:
         raise KernelError("zero-count leaf")
     return 1.0 / counts

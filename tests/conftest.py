@@ -38,6 +38,20 @@ def pytest_runtest_logreport(report):
     print(f"\n[{tag.replace('test_c', 'AC-')}] {label}: {status} ({report.duration:.1f}s)")
 
 
+def forest_of(trees, **fields) -> Forest:
+    """A forest of hand-built ``Tree``s, stacked tree after tree; ``fields``
+    are its other ``Forest`` fields. Each tree's Equals splits must be the
+    ones its schema implies."""
+    forest = Forest(
+        n_nodes=np.array([t.n_nodes for t in trees], dtype=np.int64),
+        **{name: np.concatenate([getattr(t, name) for t in trees])
+           for name in ("feature", "threshold", "leaf_count", "leaf_stat")},
+        **fields,
+    )
+    assert all(np.array_equal(t.is_equal, s.is_equal) for t, s in zip(trees, forest.trees))
+    return forest
+
+
 def _stump(feature: int, threshold: float, counts) -> Tree:
     """Single-split tree: x[feature] < threshold goes left."""
     return Tree(
@@ -60,8 +74,8 @@ def t2x4():
     schema = Schema((Column("x0"), Column("x1")))
     points = np.array([[0.25, 0.25], [0.25, 0.75], [0.75, 0.25], [0.75, 0.75]])
     table = Table(schema, points)
-    forest = Forest(
-        trees=[_stump(0, 0.5, (2, 2)), _stump(1, 0.5, (2, 2))],
+    forest = forest_of(
+        [_stump(0, 0.5, (2, 2)), _stump(1, 0.5, (2, 2))],
         schema=schema,
         feature_ranges=np.array([[0.25, 0.75], [0.25, 0.75]]),
         params=ForestParams(n_trees=2, seed=0),

@@ -39,7 +39,7 @@ from forestae.spectral import (
 )
 from forestae.bundle import load_bundle
 from forestae.cli import main as cli_main
-from conftest import make_blobs, make_mixed
+from conftest import forest_of, make_blobs, make_mixed
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -192,10 +192,8 @@ def test_c07_exact_assignment_uniqueness():
     # the two-point counterexample admits exactly two tied optima
     schema = Schema((Column("x0"), Column("x1")))
     pair = Table(schema, np.array([[0.0, 0.0], [1.0, 1.0]]))
-    from forestae.forest import Forest
-
-    cx = Forest(
-        trees=[_stump(0, 0.5, (1, 1)), _stump(1, 0.5, (1, 1))],
+    cx = forest_of(
+        [_stump(0, 0.5, (1, 1)), _stump(1, 0.5, (1, 1))],
         schema=schema,
         feature_ranges=np.array([[0.0, 1.0], [0.0, 1.0]]),
         params=ForestParams(n_trees=2, seed=0),

@@ -1,6 +1,7 @@
 import gzip
 import io
 import json
+import warnings
 from copy import deepcopy
 from dataclasses import replace
 
@@ -178,6 +179,32 @@ def test_malformed_tree_rejected_with_valid_digest(tmp_path, parts, edit, messag
         load_bundle(path)
 
 
+def _without_leaf_stat(forest):
+    d = forest_to_dict(forest)
+    del d["arrays"]["leaf_stat"]
+    return d, forest_digest(forest)
+
+
+def _two_feature_ranges(forest):
+    bad = replace(forest, feature_ranges=forest.feature_ranges[:2])
+    return forest_to_dict(bad), forest_digest(bad)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_without_leaf_stat, "lacks its leaf_stat array"),
+    (_two_feature_ranges, r"feature_ranges is not shaped \(3, 2\)"),
+])
+def test_malformed_forest_arrays_rejected_with_valid_digest(tmp_path, parts, edit, message):
+    forest, model, synth, _ = parts
+    path = tmp_path / "m.json"
+    save_bundle(bundle_from_parts(forest, model, synth), path)
+    doc = json.loads(path.read_text())
+    doc["forest"], doc["forest_sha"] = edit(forest)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(BundleError, match=message):
+        load_bundle(path)
+
+
 @st.composite
 def _breadth_first_masks(draw):
     """Split masks of 1-3 random full binary trees, each in breadth-first
@@ -295,6 +322,59 @@ def test_streamed_write_never_holds_the_whole_text(tmp_path, suffix):
     finally:
         tracemalloc.stop()
     assert peak < 2 * len(_one_shot(b))
+
+
+@pytest.fixture(scope="module")
+def bundle_100():
+    """A fitted 100-tree bundle: its forest arrays outweigh every other
+    allocation of a save."""
+    rng = np.random.default_rng(24)
+    table = Table(Schema(tuple(Column(f"x{j}") for j in range(8))), rng.normal(size=(600, 8)))
+    forest = fit_completely_random(table, ForestParams(n_trees=100, min_leaf=1, seed=24))
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "kernel graph appears disconnected")
+        model = with_time(eigendecompose(rf_kernel_train(forest, table), 2), 1.0)
+    return bundle_from_parts(forest, model, build_synthetic_training(forest, table, seed=25))
+
+
+def _traced_peak(fn) -> int:
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _stored_forest_arrays(forest) -> list[np.ndarray]:
+    return [decode_array(a) for a in forest_to_dict(forest)["arrays"].values()]
+
+
+def test_forest_digest_reads_the_arrays_in_place(bundle_100):
+    forest = bundle_100.forest
+    forest_bytes = sum(a.nbytes for a in _stored_forest_arrays(forest))
+    assert _traced_peak(lambda: forest_digest(forest)) < 0.05 * forest_bytes
+
+
+@pytest.mark.parametrize("suffix", [".json", ".json.gz"])
+def test_save_holds_no_stacked_copy_of_the_forest(tmp_path, bundle_100, suffix):
+    # the write holds one array's base64 text and its quoted copy, each 4/3 of
+    # the array's bytes; a stacked copy of the forest arrays would add their bytes
+    arrays = _stored_forest_arrays(bundle_100.forest)
+    largest = max(a.nbytes for a in (*arrays, bundle_100.model.V, bundle_100.synth.table.values))
+    peak = _traced_peak(lambda: save_bundle(bundle_100, tmp_path / f"m{suffix}"))
+    assert peak < 2 * 4 / 3 * largest + sum(a.nbytes for a in arrays) / 2
+
+
+def test_loaded_trees_are_views_of_the_stacked_arrays(tmp_path, parts):
+    forest, model, synth, _ = parts
+    save_bundle(bundle_from_parts(forest, model, synth), tmp_path / "m.json")
+    back = load_bundle(tmp_path / "m.json").forest
+    for tree in back.trees:
+        for name in ("feature", "threshold", "leaf_count", "leaf_stat"):
+            assert np.shares_memory(getattr(tree, name), getattr(back, name))
 
 
 def test_kernel_exports(tmp_path, parts):

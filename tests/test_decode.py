@@ -20,7 +20,6 @@ from forestae.decode import (
     route_relabeled,
 )
 from forestae.forest import (
-    Forest,
     ForestParams,
     Tree,
     assigned_region,
@@ -33,8 +32,8 @@ from forestae.forest import (
     route_values,
 )
 from forestae.kernel import rf_kernel_cross, rf_kernel_train
-from forestae.spectral import eigendecompose, with_time
-from conftest import make_blobs, make_mixed, _stump
+from forestae.spectral import eigendecompose, reconstruct_kernel, with_time
+from conftest import forest_of, make_blobs, make_mixed, _stump
 
 
 def _pipeline(table, trees=12, min_leaf=3, d_z=3, seed=0, max_depth=None):
@@ -65,8 +64,8 @@ def test_synthetic_rows_in_one_ulp_cell():
     c = np.nextafter(b, 2.0)
     values = np.tile([1.0, b, c], 10)[:, None]
     table = Table(Schema((Column("x"),)), values)
-    forest = Forest(
-        trees=[_stump(0, b, (10, 20)), _stump(0, c, (20, 10))],
+    forest = forest_of(
+        [_stump(0, b, (10, 20)), _stump(0, c, (20, 10))],
         schema=table.schema,
         feature_ranges=np.array([[1.0, c]]),
         params=ForestParams(n_trees=2, seed=0),
@@ -142,6 +141,21 @@ def test_knn_weights_simplex_and_monotone():
     assert np.all(np.diff(ns.weights) <= 1e-15)
     with pytest.raises(DecodeError):
         knn_neighbors(np.zeros(3), Z, k=51)
+
+
+@pytest.mark.parametrize("width", [2, 4])
+def test_knn_neighbors_refuses_an_embedding_of_another_width(width):
+    Z = np.random.default_rng(7).normal(size=(50, 3))
+    with pytest.raises(DecodeError, match="d_z = 3"):
+        knn_neighbors(np.zeros(width), Z, k=5)
+
+
+@pytest.mark.parametrize("width", [2, 4])
+def test_knn_decode_refuses_an_embedding_of_another_width(width):
+    table = make_mixed(50, seed=8)
+    f, model, synth = _pipeline(table, seed=8)
+    with pytest.raises(DecodeError, match="d_z = 3"):
+        knn_decode(np.zeros((4, width)), model, f, synth, k=5)
 
 
 def test_knn_decode_k1_returns_synthetic_row():
@@ -275,8 +289,8 @@ def test_knn_decode_ignores_rounding_shift_of_coincident_rows(tmp_path):
 @pytest.mark.filterwarnings("ignore:kernel graph appears disconnected")
 def test_relabel_separable_split_has_perfect_smc():
     table, _ = make_blobs(80, 2, seed=13, separation=6.0)
-    f = Forest(
-        trees=[_stump(0, 0.0, (40, 40))],
+    f = forest_of(
+        [_stump(0, 0.0, (40, 40))],
         schema=table.schema,
         feature_ranges=np.array(
             [[table.values[:, 0].min(), table.values[:, 0].max()],
@@ -323,8 +337,8 @@ def test_relabel_routing_agreement_on_blobs():
 @pytest.mark.filterwarnings("ignore:kernel graph appears disconnected")
 def test_relabel_decode_oracle_case():
     table, _ = make_blobs(80, 2, seed=20, separation=6.0)
-    f = Forest(
-        trees=[_stump(0, 0.0, (40, 40))],
+    f = forest_of(
+        [_stump(0, 0.0, (40, 40))],
         schema=table.schema,
         feature_ranges=np.array(
             [[table.values[:, 0].min(), table.values[:, 0].max()],
@@ -342,6 +356,15 @@ def test_relabel_decode_oracle_case():
     out = relabel_decode(rl, f, model.Z, seed=23)
     redo, _ = route_table(f, out)
     assert np.array_equal(redo, source_ids)
+
+
+@pytest.mark.parametrize("width", [2, 4])
+def test_relabel_decode_refuses_an_embedding_of_another_width(width):
+    table = make_mixed(60, seed=24)
+    f, model, synth = _pipeline(table, trees=6, max_depth=3, seed=24)
+    rl = relabel_forest(f, model, synth, n_synth=64, seed=25)
+    with pytest.raises(DecodeError, match="d_z = 3"):
+        relabel_decode(rl, f, np.zeros((4, width)))
 
 
 def test_relabel_decode_rows_inside_assigned_regions():
@@ -844,8 +867,8 @@ def _injective_grid_forest():
         chain(0, [1.0, 3.0, 5.0], [4, 4, 4, 8]),  # x in {0},{1},{2},{3,4}
         chain(0, [7.0], [16, 4]),  # x <= 3 vs x = 4
     ]
-    forest = Forest(
-        trees=trees,
+    forest = forest_of(
+        trees,
         schema=schema,
         feature_ranges=np.array([[0.0, 8.0], [0.0, 6.0]]),
         params=ForestParams(n_trees=3, seed=0),
@@ -871,8 +894,8 @@ def test_ilp_counterexample_reports_two_optima():
     # two binary axes, two single-split trees, two diagonal training points
     schema = Schema((Column("x0"), Column("x1")))
     table = Table(schema, np.array([[0.0, 0.0], [1.0, 1.0]]))
-    forest = Forest(
-        trees=[_stump(0, 0.5, (1, 1)), _stump(1, 0.5, (1, 1))],
+    forest = forest_of(
+        [_stump(0, 0.5, (1, 1)), _stump(1, 0.5, (1, 1))],
         schema=schema,
         feature_ranges=np.array([[0.0, 1.0], [0.0, 1.0]]),
         params=ForestParams(n_trees=2, seed=0),
@@ -936,6 +959,28 @@ def test_ilp_matches_brute_force_enumeration(seed):
         assert np.array_equal(np.array(res.optima), tied[:8]), name
         assert abs(res.objective - objective) <= 1e-12, name
     assert res.n_optima > 1
+
+
+@pytest.mark.parametrize("block", [1, 100, 5000])
+def test_ilp_blocks_do_not_change_the_results(monkeypatch, block):
+    # against one block for everything: one cell per block (1, 100), and a
+    # few cells per block (5000 terms over 60 reference rows)
+    from forestae import decode
+
+    table = make_mixed(60, seed=70)
+    f, model, synth = _pipeline(table, trees=4, max_depth=3, seed=70)
+    Z0 = np.vstack([model.Z[:5], np.random.default_rng(71).normal(size=(5, model.d_z))
+                    * np.abs(model.Z).max()])
+    khat = reconstruct_kernel(Z0, model)
+    pi = route_values(f, synth.table.values)
+    runs = []
+    for b in (2**40, block):
+        monkeypatch.setattr(decode, "_ILP_BLOCK", b)
+        runs.append(decode._ilp_solve(khat, f, pi))
+    for want, got in zip(*runs, strict=True):
+        assert np.array_equal(want.assignment, got.assignment)
+        assert (want.objective, want.n_optima) == (got.objective, got.n_optima)
+        assert np.array_equal(want.optima, got.optima)
 
 
 def test_ilp_infeasible_instance_errors(monkeypatch, t2x4):

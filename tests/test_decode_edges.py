@@ -17,7 +17,6 @@ from forestae.decode import (
     relabel_forest,
 )
 from forestae.forest import (
-    Forest,
     ForestParams,
     Tree,
     leaf_region,
@@ -27,7 +26,7 @@ from forestae.forest import (
 )
 from forestae.kernel import rf_kernel_cross, rf_kernel_train
 from forestae.spectral import eigendecompose, nystrom_embed, with_time
-from conftest import make_mixed, _stump
+from conftest import forest_of, make_mixed, _stump
 
 
 def _equals_stump(level: float, counts) -> Tree:
@@ -57,8 +56,8 @@ def test_hardening_one_vs_rest_stumps_give_feasible_cell():
     # {b,c}, {a,c}, {a,b} overlap pairwise yet share no level, so picking each
     # tree's favorite alone would give an infeasible triple
     schema = Schema((Column("c", ("a", "b", "c")),))
-    forest = Forest(
-        trees=[_equals_stump(0.0, (1, 2)), _equals_stump(1.0, (1, 2)), _equals_stump(2.0, (1, 2))],
+    forest = forest_of(
+        [_equals_stump(0.0, (1, 2)), _equals_stump(1.0, (1, 2)), _equals_stump(2.0, (1, 2))],
         schema=schema,
         feature_ranges=np.array([[np.nan, np.nan]]),
         params=ForestParams(n_trees=3, seed=0),
@@ -80,8 +79,8 @@ def test_relabel_decode_fallback_on_infeasible_routing():
     # two stumps on the same axis; force the relabeled router into the
     # incompatible (left of 0.4, right of 0.6) pair for every query
     schema = Schema((Column("x"),))
-    original = Forest(
-        trees=[_stump(0, 0.4, (2, 3)), _stump(0, 0.6, (3, 2))],
+    original = forest_of(
+        [_stump(0, 0.4, (2, 3)), _stump(0, 0.6, (3, 2))],
         schema=schema,
         feature_ranges=np.array([[0.0, 1.0]]),
         params=ForestParams(n_trees=2, seed=0),

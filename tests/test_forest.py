@@ -26,7 +26,7 @@ from forestae.forest import (
     route_table,
     route_values,
 )
-from conftest import make_blobs, make_mixed
+from conftest import forest_of, make_blobs, make_mixed
 
 
 def _tree_bag(params: ForestParams, n: int, b: int, label_half: bool = False) -> np.ndarray:
@@ -532,8 +532,8 @@ def test_unseen_level_routes_not_equal():
 
 def test_leaf_region_root_is_full_box(t2x4):
     forest, table, _ = t2x4
-    single = Forest(
-        trees=[forest.trees[0]],
+    single = forest_of(
+        [forest.trees[0]],
         schema=forest.schema,
         feature_ranges=forest.feature_ranges,
         params=forest.params,
@@ -768,8 +768,8 @@ def test_contradictory_categorical_path_asserts():
         leaf_count=np.array([2, 1, 1], dtype=np.int64),
         leaf_stat=np.zeros(3),
     )
-    forest = Forest(
-        trees=[tree],
+    forest = forest_of(
+        [tree],
         schema=schema,
         feature_ranges=np.array([[np.nan, np.nan]]),
         params=ForestParams(n_trees=1, seed=0),

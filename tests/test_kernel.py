@@ -12,8 +12,8 @@ from forestae.kernel import (
     rf_kernel_train,
     scornet_kernel,
 )
-from conftest import make_blobs, make_mixed, _stump
-from forestae.forest import Forest, Tree
+from conftest import forest_of, make_blobs, make_mixed, _stump
+from forestae.forest import Tree
 
 
 def test_leaf_size_vector_examples(t2x4):
@@ -26,8 +26,8 @@ def test_leaf_size_vector_examples(t2x4):
         leaf_count=np.array([10], dtype=np.int64),
         leaf_stat=np.zeros(1),
     )
-    lone = Forest(
-        trees=[single],
+    lone = forest_of(
+        [single],
         schema=Schema((Column("x"),)),
         feature_ranges=np.array([[0.0, 1.0]]),
         params=ForestParams(n_trees=1),

@@ -19,7 +19,7 @@ from forestae.spectral import (
     reconstruct_kernel,
     with_time,
 )
-from conftest import make_mixed, make_blobs
+from conftest import forest_of, make_mixed, make_blobs
 
 
 def _fitted(n=80, seed=0, trees=12, min_leaf=2):
@@ -261,10 +261,8 @@ def test_d_z_bounds_checked():
 def test_disconnected_kernel_warns(t2x4):
     forest, table, _ = t2x4
     # two copies of the same stump produce a two-component kernel graph
-    from forestae.forest import Forest
-
-    disconnected = Forest(
-        trees=[forest.trees[0], forest.trees[0]],
+    disconnected = forest_of(
+        [forest.trees[0], forest.trees[0]],
         schema=forest.schema,
         feature_ranges=forest.feature_ranges,
         params=forest.params,
