@@ -94,13 +94,27 @@ def _params(args, seed: int) -> ForestParams:
     )
 
 
+def _check_label(table: Table, mode: str, label: str | None) -> None:
+    """A supervised fit needs ``label`` to name a column of the table, and
+    another column to split on."""
+    if mode != "supervised":
+        return
+    if not label:
+        raise UsageError("--label is required for supervised mode")
+    names = table.schema.names
+    if label not in names:
+        raise UsageError(f"--label {label!r} is not a column of the table; "
+                         f"its columns are {', '.join(map(repr, names))}")
+    if len(names) == 1:
+        raise UsageError(f"the table has no feature columns, only the label {label!r}")
+
+
 def _fit_pipeline(table: Table, mode: str, label: str | None, params: ForestParams,
                   d_z: int, t: float, seed: int, jobs: int, rounds: int):
     if not 1 <= d_z <= table.n - 1:
         raise UsageError(f"--d-z must lie in [1, n-1]; got {d_z} with n={table.n}")
+    _check_label(table, mode, label)
     if mode == "supervised":
-        if label is None:
-            raise UsageError("--label is required for supervised mode")
         labels = table.column(label)
         features = table.drop(label)
         forest = fit_supervised(features, labels, params, jobs=jobs)
@@ -182,6 +196,9 @@ def _csv_has_rows(path) -> bool:
 def _load_queries(path, schema) -> Table:
     """Query rows for encode and roundtrip, which must emit one row per input row."""
     queries = load_csv(path, schema_hint=schema)
+    missing = [name for name in schema.names if name not in queries.schema.names]
+    if missing:
+        raise UsageError(f"{path}: lacks the bundle's column(s) {', '.join(map(repr, missing))}")
     if queries.n_dropped_rows:
         raise UsageError(f"{path}: {queries.n_dropped_rows} incomplete row(s) with a missing cell")
     return queries
@@ -363,9 +380,9 @@ def _rates(text: str) -> list[float]:
 def cmd_bench(args) -> int:
     _check_flags(args)
     rates = _rates(args.rates)
-    if args.mode == "supervised" and not args.label:
-        raise UsageError("--label is required for supervised mode")
-    run = functools.partial(_bench_one, load_csv(args.data), Path(args.data).stem, rates)
+    table = load_csv(args.data)
+    _check_label(table, args.mode, args.label)
+    run = functools.partial(_bench_one, table, Path(args.data).stem, rates)
     folds = [argparse.Namespace(**{**vars(args), "seed": args.seed + i})
              for i in range(args.bootstraps)]
     if args.jobs > 1:

@@ -220,8 +220,12 @@ def _feature_ranges(schema: Schema, values: np.ndarray) -> np.ndarray:
 # within the host's spread), while growth's peak RSS read 45.8, 47.5, 49.0,
 # 50.5 and 55.4 MB at 15k, 20k, 25k, 30k and 50k.
 _CHUNK_SLOTS = 20_000
-# Completely random chunks hold this many times more: they also pay that cost
-# once per redraw round, so three bags of a 20k-row table share each pass.
+# Completely random chunks hold this many times more: their slots carry one
+# order, not one per continuous column, and three bags of a 20k-row table then
+# share each level's passes. On the same host the 25-tree clusters fold (20k
+# rows, min_leaf 20) grew in 0.87-1.06, 0.83-0.96, 0.80-0.94 and 0.85-0.86 s
+# (median of 3, two rounds) at scales 1, 3, 6 and 9, and the process's peak
+# RSS read 46.0, 54.6, 64.1 and 85.1 MB.
 _CR_CHUNK_SCALE = 3
 
 
@@ -234,23 +238,27 @@ class _Sample:
     y: np.ndarray | None  # (n,) regression labels or class codes; None if unlabeled
     kind: str
     n_classes: int
-    # for honest label counts: per column, its sorted distinct values if
+    # honest label counts only: per column, its sorted distinct values if
     # continuous (else None), and each value's position in them (else 0)
-    uniq: tuple
-    rank: np.ndarray  # (n, d)
-    order: np.ndarray  # (continuous columns, n): rows by value, stable
+    uniq: tuple | None
+    rank: np.ndarray | None  # (n, d)
+    order: np.ndarray | None  # CART only: (continuous columns, n) rows by value, stable
 
 
-def _sample(table: Table, y, kind: str, n_classes: int) -> _Sample:
-    """Each continuous column is sorted here once, for every tree."""
+def _sample(table: Table, y, kind: str, n_classes: int, honest: bool, cr: bool) -> _Sample:
+    """What growth reads of the table, built once for every tree: CART's
+    presorted continuous columns and honest mode's value ranks."""
     values = table.values
     n_levels = table.schema.n_levels
-    uniq = tuple(None if k else _sorted_unique(values[:, j]) for j, k in enumerate(n_levels))
-    rank = np.zeros(values.shape, dtype=np.intp)
-    for j, u in enumerate(uniq):
-        if u is not None:
-            rank[:, j] = np.searchsorted(u, values[:, j])
-    order = np.argsort(values[:, n_levels == 0], axis=0, kind="stable").T
+    uniq = rank = order = None
+    if honest:
+        uniq = tuple(None if k else _sorted_unique(values[:, j]) for j, k in enumerate(n_levels))
+        rank = np.zeros(values.shape, dtype=np.intp)
+        for j, u in enumerate(uniq):
+            if u is not None:
+                rank[:, j] = np.searchsorted(u, values[:, j])
+    if not cr:
+        order = np.argsort(values[:, n_levels == 0], axis=0, kind="stable").T
     return _Sample(values, n_levels, y, kind, n_classes, uniq, rank, order)
 
 
@@ -571,8 +579,10 @@ class _Chunk:
     def _random_splits(self, open_: np.ndarray):
         """Completely random: a uniform column among the node's non-constant
         ones and a uniform cut on (node min, node max) or a uniform present
-        level, redrawn up to ``_CR_SPLIT_TRIES`` times for nodes whose draw
-        breaks a child floor."""
+        level. Each node draws ``_CR_SPLIT_TRIES`` tries at once and takes the
+        first that keeps both child floors, or stays a leaf; the tries are
+        tested in doubling batches (1, 1, 2, 4, ...) over every node still
+        without a split, so a level runs a few passes, not one per try."""
         data, m, mc, length = self.data, self.node_m, self.mc, self.node_len
         n_nodes, d = open_.size, data.values.shape[1]
         # every column's values in position order, so a node's are contiguous,
@@ -595,44 +605,51 @@ class _Chunk:
         x, width = x.ravel(), x.shape[1]
         feat = np.full(n_nodes, -1)
         cut = np.zeros(n_nodes)
-        pending = np.flatnonzero(open_ & (eligible[:, -1] > 0))
-        for _ in range(_CR_SPLIT_TRIES):
-            if not pending.size:
-                break
-            u = self._draw(pending, 2)
-            col = _pick(eligible[pending], u[:, 0])
-            low = lo[pending, col]
-            c = low + u[:, 1] * span[pending, col]
+        nodes = np.flatnonzero(open_ & (eligible[:, -1] > 0))
+        # try t of node i reads tries[i, t]: (column, cut or level) uniforms
+        tries = self._draw(nodes, 2 * _CR_SPLIT_TRIES).reshape(nodes.size, _CR_SPLIT_TRIES, 2)
+        pending, t0 = np.arange(nodes.size), 0  # rows of tries still without a split
+        while pending.size and t0 < _CR_SPLIT_TRIES:
+            t1 = min(max(1, 2 * t0), _CR_SPLIT_TRIES)
+            # one (node, try) pair per entry, node-major
+            u = tries[pending, t0:t1].reshape(-1, 2)
+            node = np.repeat(nodes[pending], t1 - t0)
+            col = _pick(eligible[node], u[:, 0])
+            low = lo[node, col]
+            c = low + u[:, 1] * span[node, col]
             ok = c > low
-            # split weight of each pending node that its draw sends left: a
-            # level's from the level counts, a cut's by summing the weights below it
-            n_left = np.zeros(pending.size, dtype=np.intp)
+            # split weight that each try sends left: a level's from the level
+            # counts, a cut's by summing the weights below it
+            n_left = np.zeros(node.size, dtype=np.intp)
             for j in count:
                 sel = np.flatnonzero(col == j)
-                c[sel] = level = _pick(present[j][pending[sel]], u[sel, 1])
+                c[sel] = level = _pick(present[j][node[sel]], u[sel, 1])
                 ok[sel] = True
-                n_left[sel] = count[j][pending[sel], level]
+                n_left[sel] = count[j][node[sel], level]
             cont = np.flatnonzero(ok & (data.n_levels[col] == 0))
             if cont.size:
-                node = pending[cont]
-                at = _ranges(col[cont] * width + self.live_start[node], length[node])
-                below = x[at] < np.repeat(c[cont], length[node])
+                k = node[cont]
+                at = _ranges(col[cont] * width + self.live_start[k], length[k])
+                below = x[at] < np.repeat(c[cont], length[k])
                 if w is not None:
                     below = below * w[at % width]
-                n_left[cont] = np.add.reduceat(below, np.cumsum(length[node]) - length[node],
+                n_left[cont] = np.add.reduceat(below, np.cumsum(length[k]) - length[k],
                                                dtype=np.intp)
-            ok &= (n_left >= mc[pending]) & (m[pending] - n_left >= mc[pending])
+            ok &= (n_left >= mc[node]) & (m[node] - n_left >= mc[node])
             if self.params.honest:
-                lab = np.zeros(pending.size, dtype=np.intp)
+                lab = np.zeros(node.size, dtype=np.intp)
                 for j in _sorted_unique(col):
                     sel = np.flatnonzero(col == j)
                     if j in count:
-                        lab[sel] = self.lab_index[j][pending[sel], c[sel].astype(np.intp)]
+                        lab[sel] = self.lab_index[j][node[sel], c[sel].astype(np.intp)]
                     else:
-                        lab[sel] = self._label_below(j, pending[sel], c[sel])
-                ok &= (lab >= 1) & (lab < self.lab_n[pending])
-            feat[pending[ok]], cut[pending[ok]] = col[ok], c[ok]
-            pending = pending[~ok]
+                        lab[sel] = self._label_below(j, node[sel], c[sel])
+                ok &= (lab >= 1) & (lab < self.lab_n[node])
+            ok = ok.reshape(pending.size, t1 - t0)
+            won = ok.any(axis=1)
+            first = np.flatnonzero(won) * (t1 - t0) + ok.argmax(axis=1)[won]
+            feat[node[first]], cut[node[first]] = col[first], c[first]
+            pending, t0 = pending[~won], t1
         return feat, cut
 
     def _advance(self, feat, cut, eq, ids) -> None:
@@ -743,7 +760,7 @@ def _worker(args):
 def _fit(table: Table, y, kind, n_classes, params: ForestParams, cr: bool, jobs: int) -> Forest:
     if table.n < 2:
         raise ForestError("need at least 2 rows")
-    data = _sample(table, y, kind, n_classes)
+    data = _sample(table, y, kind, n_classes, params.honest, cr)
     children = np.random.SeedSequence(params.seed).spawn(params.n_trees)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -767,6 +767,37 @@ def test_missing_file_runtime_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_supervised_fit_of_a_label_only_table_is_usage_error(tmp_path, capsys):
+    data = tmp_path / "y.csv"
+    data.write_text("y\n1.0\n2.0\n3.0\n4.0\n5.0\n", encoding="utf-8")
+    assert main(["fit", str(data), "--mode", "supervised", "--label", "y", "--d-z", "1",
+                 "--out", str(tmp_path / "m.json")]) == 2
+    assert "no feature columns, only the label 'y'" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "bench"])
+def test_unknown_label_is_usage_error(tmp_path, capsys, command):
+    data = _write_blobs_csv(tmp_path / "train.csv", n=30, seed=3)
+    extra = ["--d-z", "2"] if command == "fit" else ["--bootstraps", "1"]
+    assert main([command, str(data), "--mode", "supervised", "--label", "nosuch", *extra,
+                 "--trees", "3", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "--label 'nosuch' is not a column of the table" in err
+    assert "its columns are 'a', 'b', 'c', 'grp'" in err
+
+
+def test_encode_and_roundtrip_name_every_missing_column(fitted, tmp_path, capsys):
+    _, bundle = fitted  # fitted on columns a, b, c and grp
+    query = tmp_path / "query.csv"
+    query.write_text("b,extra\n0.5,1.0\n-0.5,2.0\n", encoding="utf-8")
+    for cmd in ("encode", "roundtrip"):
+        out = tmp_path / f"{cmd}.csv"
+        assert main([cmd, str(bundle), str(query), "--out", str(out)]) == 2
+        assert "lacks the bundle's column(s) 'a', 'c', 'grp'" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_encode_and_roundtrip_refuse_incomplete_query_rows(tmp_path, capsys):
     # fit drops and counts a row with a missing cell; encode and roundtrip must
     # emit one row per input row, so they refuse the file and write nothing

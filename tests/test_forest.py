@@ -124,7 +124,7 @@ def test_fit_deterministic_serialization(mode):
 # fits. Growth changes that only make fitting faster leave them as they are;
 # a new split rule, draw order or bundle forest layout moves them.
 _PINNED = {
-    "completely_random": "3b8f0d0f219d684f227ea66e88920c58e3dadfa0e30b4e0d7ce5b78d14b2e6fa",
+    "completely_random": "d42515a788f6361bd4a8b2aa39e9b53f9e1d061abd71cf426e264012d5d61cdd",
     "honest_classification": "95574935c0a4d7d2f3bec4a41b88b5571bceaf705ebd4fe7890f905ce6846c3e",
     "unsupervised": "d867bf5e24e098e7f2e122e517e704f4746c7a4f1c45e051db2d2619fe1374f9",
 }
@@ -202,11 +202,11 @@ def test_fit_matches_pinned_digest_of_other_shapes(shape):
 
 
 # Completely random forests whose floors (min_leaf a tenth of n) make most
-# draws fail, so nodes redraw for many rounds; digests recorded before the
-# redraw loop was batched across trees.
+# draws fail, so nodes need many tries; digests recorded when each node's
+# tries were first drawn in one block and tested in doubling batches.
 _REDRAW_PINNED = {
-    False: "165f7dbff2c2f9ab1bec3bd9fe4089db3de4078d326edfe122a4f743a38a667c",
-    True: "56636e07c8f8200a3ba14a37f63df3dc107739999b6e8cbe51719d2080a8d2d9",
+    False: "8a69752fe0b47b73fa98b23ae99bb36d42eba7e2b69628eea99fb3d3a4400285",
+    True: "479a4386a9d9f978c4799aef6f94277de29190ecb74b393d80c88e7a33a86efc",
 }
 
 
@@ -227,6 +227,79 @@ def test_redraw_heavy_completely_random_forest(honest, monkeypatch):
         sizes.clear()
         assert _serialized(fit_completely_random(table, params)) == whole
         assert sizes == [per] * (12 // per)
+
+
+def _replayed_random_splits(chunk, open_: np.ndarray, tries: np.ndarray):
+    """Completely random splits of one level, node by node and try by try:
+    ``tries`` holds the uniforms the level drew, one row per open node with a
+    non-constant column, (column, cut or level) for each try in turn. Returns
+    the splits and the nodes that drew."""
+    n_levels, d = chunk.data.n_levels, chunk.x.shape[0]
+    feat, cut, drawn = np.full(open_.size, -1), np.zeros(open_.size), []
+    for k in range(open_.size):
+        slots = chunk.live_slot[chunk.live_start[k]:][: chunk.node_len[k]]
+        x, w = chunk.x[:, slots], chunk.w[slots]
+        present = [sorted(set(x[j].astype(int))) for j in range(d)]
+        eligible = [j for j in range(d)
+                    if (len(present[j]) > 1 if n_levels[j] else x[j].max() > x[j].min())]
+        if not (open_[k] and eligible):
+            continue
+        drawn.append(k)
+        lab_x = chunk.lab_x[:, chunk.lab_node == k] if chunk.params.honest else None
+        for u_col, u_cut in tries[len(drawn) - 1].reshape(-1, 2):
+            j = eligible[math.floor(u_col * len(eligible))]
+            if n_levels[j]:
+                c = float(present[j][math.floor(u_cut * len(present[j]))])
+                left, lab_left = x[j] == c, None if lab_x is None else lab_x[j] == c
+            else:
+                low = x[j].min()
+                c = low + u_cut * (x[j].max() - low)
+                if not c > low:
+                    continue
+                left, lab_left = x[j] < c, None if lab_x is None else lab_x[j] < c
+            n_left = w[left].sum()
+            if not chunk.mc[k] <= n_left <= w.sum() - chunk.mc[k]:
+                continue
+            if lab_x is not None and not 1 <= lab_left.sum() < lab_left.size:
+                continue
+            feat[k], cut[k] = j, c
+            break
+    return feat, cut, drawn
+
+
+# min_leaf 30 is the redraw-heavy table above; at min_leaf 2 an honest try
+# fails by leaving a child no label row far more often than by its floors
+@pytest.mark.parametrize("min_leaf", [30, 2])
+@pytest.mark.parametrize("honest", [False, True], ids=["plain", "honest"])
+def test_batched_split_tries_match_a_per_try_replay(honest, min_leaf, monkeypatch):
+    chunk_type = forest_module._Chunk
+    draw, random_splits = chunk_type._draw, chunk_type._random_splits
+    draws, seen = [], {"continuous": 0, "categorical": 0, "no feasible try": 0}
+
+    def recorded_draw(self, nodes, width):
+        draws.append((nodes, draw(self, nodes, width)))
+        return draws[-1][1]
+
+    def checked_splits(self, open_):
+        draws.clear()
+        feat, cut = random_splits(self, open_)
+        [(nodes, tries)] = draws  # one block of tries per level
+        assert tries.shape[1] == 2 * forest_module._CR_SPLIT_TRIES
+        want_feat, want_cut, drawn = _replayed_random_splits(self, open_, tries)
+        np.testing.assert_array_equal(nodes, drawn)
+        np.testing.assert_array_equal(feat, want_feat)
+        np.testing.assert_array_equal(cut, want_cut)
+        split = feat[nodes]
+        seen["no feasible try"] += int(np.sum(split < 0))
+        seen["categorical"] += int(np.sum(self.data.n_levels[split[split >= 0]] > 0))
+        seen["continuous"] += int(np.sum(self.data.n_levels[split[split >= 0]] == 0))
+        return feat, cut
+
+    monkeypatch.setattr(chunk_type, "_draw", recorded_draw)
+    monkeypatch.setattr(chunk_type, "_random_splits", checked_splits)
+    params = ForestParams(n_trees=12, min_leaf=min_leaf, bootstrap=True, honest=honest, seed=37)
+    fit_completely_random(make_mixed(300, seed=31), params)
+    assert min(seen.values()) > 0, seen
 
 
 def _node_samples(tree: Tree, values: np.ndarray, rows: np.ndarray):
