@@ -1,24 +1,19 @@
 """Versioned on-disk persistence for a fitted pipeline; the only module that
-knows the layout.
-
-A bundle stores what cannot be recomputed: the forest with its schema, the
-eigenpairs and diffusion time, and the synthetic training rows. The embedding
-``Z`` is recomputed on load, and so are each tree's child pointers and leaf
-ids (from its breadth-first split mask) and its Equals splits (from the
-schema); the commands that need the synthetic rows' leaves route them. Each
-array is stored once as little-endian bytes (``encode_array``) inside
-canonical JSON (sorted keys), so a fixed seed yields byte-identical bundles;
-paths ending in .gz are gzipped. The JSON is written as a stream, one array's
-text at a time.
+knows the layout. A bundle stores what cannot be recomputed: the forest with
+its schema, the eigenpairs and diffusion time, and the synthetic rows; load
+derives ``Z``, each tree's children and leaf ids from its breadth-first split
+mask, its Equals splits and its 0.0 leaf thresholds. The file is one line of
+canonical JSON, then each array's little-endian bytes in the narrowest dtype
+that gives them back, written as it comes; .gz paths are gzipped.
 """
 
 from __future__ import annotations
 
-import base64
 import contextlib
 import gzip
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -29,27 +24,24 @@ from .decode import SyntheticTrainingSet
 from .forest import Forest, ForestParams, breadth_first_layout
 from .spectral import SpectralModel, with_time
 
-FORMAT_VERSION = 4
-# zlib level 6: measured against the default 9 on fitted bundles, 4-11x faster
-# to write and at most 4 % larger; level 5 is 8 % larger on 500-tree forests
+FORMAT_VERSION = 5
+# zlib level 6, on the banknote and clusters bundles: level 9 is 0.1-0.9 % smaller
+# and 2.6-6.3x slower to save, level 1 1.4-3.7 % larger and 1.2-3.0x faster
 GZIP_LEVEL = 6
-# Characters per file write. The encoder yields an array's base64 text as one
-# chunk while it still holds the unquoted string; encoding and compressing the
-# chunk in slices adds no third whole copy. Saving the 500-tree banknote bundle
-# (4.7 MB of JSON) traced a 7.2 MB peak this way, against 10.4 MB with whole
-# chunks.
-_WRITE_BLOCK = 1 << 16
 
-__all__ = [
-    "ModelBundle", "save_bundle", "load_bundle", "forest_digest", "forest_to_dict",
-    "forest_from_dict", "encode_array", "decode_array",
-]
+__all__ = ["ModelBundle", "save_bundle", "load_bundle", "forest_digest"]
 
 # Stored forest arrays, each the ``Forest`` field of its name: the per-tree
 # node counts, one entry per node, one per leaf, and the training feature box
 _PER_NODE = ("feature", "threshold")
 _PER_LEAF = ("leaf_count", "leaf_stat")
 _ARRAYS = ("n_nodes", *_PER_NODE, *_PER_LEAF, "feature_ranges")
+# every stored array in write order, and its dtype in memory
+_DTYPES = {**dict.fromkeys((*_ARRAYS, "eigenvalues", "V", "synthetic"), np.dtype("<f8")),
+           "n_nodes": np.dtype("<i8"), "feature": np.dtype("<i4"), "leaf_count": np.dtype("<i8")}
+# narrower stored dtypes, tried narrowest first; integers stay integers
+_NARROW = tuple(np.dtype(t) for t in ("u1", "i1", "<u2", "<i2", "<f2", "<u4", "<i4", "<f4"))
+_WRITE_ITEMS = 1 << 15  # elements cast and written at once; bounds zlib's output buffer
 
 
 class BundleError(ValueError):
@@ -61,20 +53,56 @@ def _dumps(obj) -> bytes:
 
 
 def _canonical(a) -> np.ndarray:
-    a = np.asarray(a)
-    return np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<"))
+    return np.ascontiguousarray(a, dtype=np.asarray(a).dtype.newbyteorder("<"))
 
 
-def encode_array(a) -> dict:
-    """Self-describing JSON form of an array: dtype, shape, base64 bytes."""
-    a = _canonical(a)
-    data = base64.b64encode(a.tobytes()).decode("ascii")
-    return {"dtype": a.dtype.str, "shape": list(a.shape), "data": data}
+def _narrowest(a: np.ndarray) -> np.dtype:
+    """The narrowest dtype whose round trip gives ``a``'s bytes back."""
+    flat = _canonical(a).reshape(-1)
+    bits = f"<u{flat.itemsize}"  # compared as bytes: -0.0 and NaN stay floats
+    with np.errstate(invalid="ignore", over="ignore"):
+        for t in _NARROW:
+            if (t.itemsize < flat.itemsize and t.kind in "ui" + flat.dtype.kind
+                    and np.array_equal(flat.astype(t).astype(flat.dtype).view(bits),
+                                       flat.view(bits))):
+                return t
+    return flat.dtype
 
 
-def decode_array(d: dict) -> np.ndarray:
-    buf = bytearray(base64.b64decode(d["data"]))  # a writable buffer
-    return np.frombuffer(buf, dtype=np.dtype(d["dtype"])).reshape(d["shape"])
+def _write(path: str | Path, header: dict, arrays: dict) -> None:
+    """The container: one JSON line, ``header`` and each array's [name, stored
+    dtype, shape], then the arrays' bytes in that order."""
+    stored = {name: _narrowest(a) for name, a in arrays.items()}
+    header = {**header, "arrays": [[k, stored[k].str, list(a.shape)] for k, a in arrays.items()]}
+    # fixed mtime and no embedded filename keep the container byte-stable;
+    # the stream is never flushed midway, which would change its bytes
+    with open(path, "wb") as raw, (
+        gzip.GzipFile(filename="", fileobj=raw, mode="wb", mtime=0, compresslevel=GZIP_LEVEL)
+        if Path(path).suffix == ".gz" else contextlib.nullcontext(raw)
+    ) as fh:
+        fh.write(_dumps(header) + b"\n")
+        for name, a in arrays.items():
+            flat = _canonical(a).reshape(-1)
+            for i in range(0, flat.size, _WRITE_ITEMS):
+                fh.write(flat[i:i + _WRITE_ITEMS].astype(stored[name]))
+
+
+def _read(path: str | Path) -> tuple[dict, dict]:
+    """The header of a current-version container and its arrays as stored."""
+    with (gzip.open if Path(path).suffix == ".gz" else open)(path, "rb") as fh:
+        header = json.loads(fh.readline())  # a version 1-4 file is one JSON line
+        if (version := header.get("format_version")) != FORMAT_VERSION:
+            raise BundleError(f"unsupported bundle format version {version!r}; "
+                              f"refit the model to write version {FORMAT_VERSION}")
+        arrays = {}
+        for name, dtype, shape in header.pop("arrays"):
+            buf = bytearray(np.dtype(dtype).itemsize * math.prod(shape))  # a writable buffer
+            if fh.readinto(buf) != len(buf):
+                raise BundleError(f"the bundle ends inside its {name} array")
+            arrays[name] = np.frombuffer(buf, dtype=dtype).reshape(shape)
+        if fh.read(1):
+            raise BundleError("the bundle has bytes after its last array")
+    return header, arrays
 
 
 def _forest_parts(forest: Forest) -> tuple[dict, dict]:
@@ -93,11 +121,6 @@ def forest_digest(forest: Forest) -> str:
         h.update(_dumps([name, a.dtype.str, a.shape]))
         h.update(a)
     return h.hexdigest()
-
-
-def forest_to_dict(forest: Forest) -> dict:
-    meta, arrays = _forest_parts(forest)
-    return {**meta, "arrays": {name: encode_array(a) for name, a in arrays.items()}}
 
 
 def _check_trees(a: dict, n_levels: np.ndarray) -> None:
@@ -135,21 +158,6 @@ def _check_trees(a: dict, n_levels: np.ndarray) -> None:
         raise BundleError("a leaf count is below 1")
 
 
-def forest_from_dict(d: dict) -> Forest:
-    missing = [name for name in _ARRAYS if name not in d["arrays"]]
-    if missing:
-        raise BundleError(f"the forest lacks its {', '.join(missing)} array")
-    arrays = {name: decode_array(d["arrays"][name]) for name in _ARRAYS}
-    schema = Schema(tuple(
-        Column(c["name"], c["levels"] and tuple(c["levels"])) for c in d["schema"]["columns"]
-    ))
-    _check_trees(arrays, schema.n_levels)
-    if arrays["feature_ranges"].shape != (schema.n_columns, 2):
-        raise BundleError(f"feature_ranges is not shaped ({schema.n_columns}, 2)")
-    return Forest(**arrays, schema=schema, params=ForestParams(**d["params"]), kind=d["kind"],
-                  n_classes=d["n_classes"])
-
-
 @dataclass
 class ModelBundle:
     schema: Schema
@@ -170,9 +178,8 @@ class ModelBundle:
             raise BundleError("forest hash mismatch: bundle components are inconsistent")
 
 
-def bundle_from_parts(
-    forest: Forest, model: SpectralModel, synth: SyntheticTrainingSet
-) -> ModelBundle:
+def bundle_from_parts(forest: Forest, model: SpectralModel,
+                      synth: SyntheticTrainingSet) -> ModelBundle:
     bundle = ModelBundle(forest.schema, forest, model, synth, forest_digest(forest))
     bundle.check_shapes()  # the digest was just computed from this forest
     return bundle
@@ -182,46 +189,39 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
     bundle.validate()
     m = bundle.model  # n, d_z and Z follow from the eigenpairs and t
     meta, arrays = _forest_parts(bundle.forest)
-    # arrays stay numpy here; the encoder base64-encodes each one when it
-    # reaches it, so the whole JSON text never exists at once
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "forest": {**meta, "arrays": arrays},
-        "forest_sha": bundle.forest_sha,
-        "spectral": {"eigenvalues": m.eigenvalues, "V": m.V, "t": m.t},
-        "synthetic": {"values": bundle.synth.table.values, "seed": bundle.synth.seed},
-    }
-    chunks = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                              default=encode_array).iterencode(doc)
-    path = Path(path)
-    with open(path, "wb") as raw:
-        # fixed mtime and no embedded filename keep the container byte-stable;
-        # the stream is never flushed midway, which would change its bytes
-        with (gzip.GzipFile(filename="", fileobj=raw, mode="wb", mtime=0,
-                            compresslevel=GZIP_LEVEL)
-              if path.suffix == ".gz" else contextlib.nullcontext(raw)) as fh:
-            for chunk in chunks:
-                for i in range(0, len(chunk), _WRITE_BLOCK):
-                    fh.write(chunk[i:i + _WRITE_BLOCK].encode())
+    arrays.update(eigenvalues=m.eigenvalues, V=m.V, synthetic=bundle.synth.table.values)
+    if name := next((k for k, a in arrays.items() if a.dtype != _DTYPES[k]), None):
+        raise BundleError(f"the {name} array is {arrays[name].dtype}, not {_DTYPES[name]}")
+    if arrays["threshold"][arrays["feature"] < 0].view("<u8").any():  # a bit set: not +0.0
+        raise BundleError("a leaf's threshold is not 0.0; only split thresholds are stored")
+    arrays["threshold"] = arrays["threshold"][arrays["feature"] >= 0]
+    _write(path, {"format_version": FORMAT_VERSION, **meta, "forest_sha": bundle.forest_sha,
+                  "t": m.t, "synthetic_seed": bundle.synth.seed}, arrays)
 
 
 def load_bundle(path: str | Path) -> ModelBundle:
-    path = Path(path)
-    raw = path.read_bytes()
-    if path.suffix == ".gz":
-        raw = gzip.decompress(raw)
-    doc = json.loads(raw)
-    version = doc.get("format_version")
-    if version != FORMAT_VERSION:
-        raise BundleError(f"unsupported bundle format version {version!r}; "
-                          f"refit the model to write version {FORMAT_VERSION}")
-    forest = forest_from_dict(doc["forest"])
-    s, syn = doc["spectral"], doc["synthetic"]
-    V = decode_array(s["V"])
-    model = SpectralModel(V.shape[0], V.shape[1], decode_array(s["eigenvalues"]), V)
-    synth = SyntheticTrainingSet(Table(forest.schema, decode_array(syn["values"])), syn["seed"])
-    if s["t"] is not None:
-        model = with_time(model, s["t"])
-    bundle = ModelBundle(forest.schema, forest, model, synth, doc["forest_sha"])
+    header, stored = _read(path)
+    a = {}
+    for name, target in _DTYPES.items():  # widened back to the in-memory dtypes
+        if name not in stored or not np.can_cast(stored[name].dtype, target):
+            raise BundleError(f"the bundle lacks its {name} array as {target} or narrower")
+        a[name] = stored[name].astype(target, copy=False)
+    split = a["feature"] >= 0
+    if a["threshold"].shape != (np.count_nonzero(split),):
+        raise BundleError("tree arrays do not match the per-tree sizes")
+    a["threshold"] = np.zeros(split.shape)
+    a["threshold"][split] = stored["threshold"]
+    schema = Schema(tuple(Column(c["name"], c["levels"] and tuple(c["levels"]))
+                          for c in header["schema"]["columns"]))
+    _check_trees(a, schema.n_levels)
+    if a["feature_ranges"].shape != (schema.n_columns, 2):
+        raise BundleError(f"feature_ranges is not shaped ({schema.n_columns}, 2)")
+    forest = Forest(**{k: a[k] for k in _ARRAYS}, schema=schema, kind=header["kind"],
+                    params=ForestParams(**header["params"]), n_classes=header["n_classes"])
+    model = SpectralModel(*a["V"].shape, a["eigenvalues"], a["V"])
+    synth = SyntheticTrainingSet(Table(schema, a["synthetic"]), header["synthetic_seed"])
+    if header["t"] is not None:
+        model = with_time(model, header["t"])
+    bundle = ModelBundle(schema, forest, model, synth, header["forest_sha"])
     bundle.validate()
     return bundle

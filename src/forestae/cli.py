@@ -154,7 +154,8 @@ def cmd_fit(args) -> int:
               f"d_z={model.d_z} nnz(F)={K.right.nnz} eig={model.solver} "
               f"eig_products={model.products} residual_max={model.residual_max:.2e} "
               f"row_sum_drift={model.row_sum_drift:.2e} at_one={model.at_one} "
-              f"peak_rss_mb={peak_mb:.1f}", file=sys.stderr)
+              f"peak_rss_mb={peak_mb:.1f} bundle_mb={Path(args.out).stat().st_size / 1e6:.3f}",
+              file=sys.stderr)
     return 0
 
 
@@ -312,6 +313,9 @@ def cmd_roundtrip(args) -> int:
     _check_flags(args)
     b = bundle_io.load_bundle(args.bundle)
     queries = _load_queries(args.data, b.schema)
+    if queries.n < 2:  # distortion's 1 - R^2 needs two rows
+        raise UsageError(f"{args.data}: roundtrip needs at least 2 query rows to measure "
+                         f"distortion; got {queries.n}")
     _refuse_unseen_levels(args.data, queries, b.schema)
     queries = conform_table(queries, b.schema)
     out, trace = _decode_rows(b, _embed(b, queries), args)
@@ -334,6 +338,9 @@ def _bench_one(table: Table, name: str, rates: list[float], args) -> list[dict]:
     split = bootstrap_split(table.n, args.seed)
     train = table.take(np.unique(split.train))  # de-duplicated kernel reference
     test = table.take(split.holdout)
+    if train.n < 2 or test.n < 2:  # d_z lies in [1, n-1]; distortion's 1 - R^2 needs two rows
+        raise UsageError(f"bootstrap fold {args.seed} keeps {train.n} distinct training row(s) "
+                         f"and {test.n} held-out row(s); bench needs at least 2 of each")
     if args.mode == "supervised":
         test = test.drop(args.label)
     t0 = time.perf_counter()

@@ -65,7 +65,10 @@ def test_fit_deterministic_bytes(tmp_path, capsys):
         args = ["fit", str(data), "--mode", "unsupervised", "--d-z", "2",
                 "--trees", "10", "--min-leaf", "3", "--seed", "9"]
         assert main(args + ["--verbose", "--out", str(out1)]) == 0
-        assert f"eig={solver}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"eig={solver}" in err
+        # the report's bundle size is the file's, in MB
+        assert f"bundle_mb={out1.stat().st_size / 1e6:.3f}" in err
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         # growing the trees in two processes must not change the bundle
@@ -454,21 +457,21 @@ def test_decode_knn_trace_from_one_search(fitted, tmp_path, monkeypatch):
 
 
 def test_encode_rejects_cyclic_tree_without_hanging(tmp_path):
-    from forestae.bundle import forest_digest, forest_to_dict
+    from dataclasses import replace
+
+    from forestae.bundle import forest_digest, save_bundle
 
     data = _write_blobs_csv(tmp_path / "train.csv", n=40, seed=6, with_label=False)
     bundle = tmp_path / "m.json"
     assert main(["fit", str(data), "--mode", "completely_random", "--d-z", "2",
                  "--trees", "3", "--min-leaf", "3", "--out", str(bundle), "--seed", "1"]) == 0
-    forest = load_bundle(bundle).forest
-    tree = forest.trees[1]
+    b = load_bundle(bundle)
+    tree = b.forest.trees[1]  # its arrays are views of the forest's
     # the root and the first leaf swap places: the first split then comes
     # after its implied left child (node 1), so routing would loop
     swap = [0, int(np.flatnonzero(tree.feature < 0)[0])]
     tree.feature[swap], tree.threshold[swap] = tree.feature[swap[::-1]], tree.threshold[swap[::-1]]
-    doc = json.loads(bundle.read_text())
-    doc["forest"], doc["forest_sha"] = forest_to_dict(forest), forest_digest(forest)
-    bundle.write_text(json.dumps(doc))
+    save_bundle(replace(b, forest_sha=forest_digest(b.forest)), bundle)
     done = subprocess.run(
         [sys.executable, "-m", "forestae.cli", "encode", str(bundle), str(data),
          "--out", str(tmp_path / "emb.csv")],
@@ -497,6 +500,16 @@ def test_roundtrip_reports_distortion(fitted, tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert 0.0 <= report["combined"] <= 1.0
     assert load_csv(out).n == 60
+
+
+def test_roundtrip_refuses_one_query_row_before_writing(fitted, tmp_path, capsys):
+    data, bundle = fitted
+    one = tmp_path / "one.csv"
+    one.write_text("".join(data.read_text().splitlines(keepends=True)[:2]))
+    out = tmp_path / "rec.csv"
+    assert main(["roundtrip", str(bundle), str(one), "--k", "5", "--out", str(out)]) == 2
+    assert "at least 2 query rows" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_roundtrip_supervised_bundle_ignores_label_column(tmp_path, capsys):
@@ -531,6 +544,19 @@ def test_bench_row_count_and_ranges(tmp_path, decoder, trees):
         assert 0.0 <= float(row["distortion"]) <= 1.0
         assert row["decoder"] == decoder
     assert sorted({row["rate"] for row in rows}) == ["0.5", "1.0"]
+
+
+@pytest.mark.parametrize("rows", [2, 3])
+def test_bench_on_a_tiny_table_is_usage_error(tmp_path, capsys, rows):
+    # seed 0 keeps 1 distinct training row of 2, and 1 held-out row of 3
+    data = tmp_path / "tiny.csv"
+    data.write_text("a,b\n" + "".join(f"{i}.0,{i * i}.5\n" for i in range(rows)))
+    out = tmp_path / "bench.csv"
+    assert main(["bench", str(data), "--mode", "completely_random", "--bootstraps", "1",
+                 "--rates", "0.5", "--k", "1", "--out", str(out), "--seed", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "distinct training row(s)" in err and "at least 2" in err and "--d-z" not in err
+    assert not out.exists()
 
 
 def test_bench_parallel_matches_serial(tmp_path):

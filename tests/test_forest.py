@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import json
 import math
@@ -8,8 +9,9 @@ import pytest
 import scipy.stats
 
 from forestae import forest as forest_module
-from forestae.bundle import forest_from_dict, forest_to_dict
+from forestae.bundle import _canonical, _forest_parts, bundle_from_parts, load_bundle, save_bundle
 from forestae.data import Column, Schema, Table
+from forestae.decode import build_synthetic_training
 from forestae.forest import (
     Forest,
     ForestParams,
@@ -26,6 +28,8 @@ from forestae.forest import (
     route_table,
     route_values,
 )
+from forestae.kernel import rf_kernel_train
+from forestae.spectral import eigendecompose, with_time
 from conftest import forest_of, make_blobs, make_mixed
 
 
@@ -106,7 +110,21 @@ def _fit_mode(mode: str, table: Table, params: ForestParams, jobs: int = 1) -> F
 _MODES = ["completely_random", "regression", "honest_classification", "unsupervised"]
 
 
+def encode_array(a) -> dict:
+    """Self-describing JSON form of an array: dtype, shape, base64 bytes."""
+    a = _canonical(a)
+    data = base64.b64encode(a.tobytes()).decode("ascii")
+    return {"dtype": a.dtype.str, "shape": list(a.shape), "data": data}
+
+
+def forest_to_dict(forest: Forest) -> dict:
+    meta, arrays = _forest_parts(forest)
+    return {**meta, "arrays": {name: encode_array(a) for name, a in arrays.items()}}
+
+
 def _serialized(forest: Forest) -> str:
+    """The forest's fields and arrays as JSON, the form the pinned digests
+    below were recorded in (bundle format 4's forest object)."""
     return json.dumps(forest_to_dict(forest), sort_keys=True)
 
 
@@ -472,10 +490,14 @@ def test_resample_within_leaves_takes_cells_from_one_leaf(monkeypatch):
         )
 
 
-def test_forest_json_round_trip():
+def test_forest_json_round_trip(tmp_path):
+    # through a bundle, whose forest is its JSON header's fields and its arrays
     table = make_mixed(60, seed=6)
     f = fit_unsupervised(table, ForestParams(n_trees=5, min_leaf=3, seed=2))
-    back = forest_from_dict(json.loads(json.dumps(forest_to_dict(f))))
+    synth = build_synthetic_training(f, table, seed=3)
+    model = with_time(eigendecompose(rf_kernel_train(f, table), 2), 1.0)
+    save_bundle(bundle_from_parts(f, model, synth), tmp_path / "m.json")
+    back = load_bundle(tmp_path / "m.json").forest
     assert _serialized(back) == _serialized(f)
     ids_a, _ = route_table(f, table)
     ids_b, _ = route_table(back, table)
