@@ -14,6 +14,7 @@ import gzip
 import hashlib
 import json
 import math
+import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -87,21 +88,52 @@ def _write(path: str | Path, header: dict, arrays: dict) -> None:
                 fh.write(flat[i:i + _WRITE_ITEMS].astype(stored[name]))
 
 
+def _header(line: bytes, path) -> dict:
+    """The container's first line as a current-version header whose array
+    list reads as stored arrays."""
+    try:
+        header = json.loads(line)  # a version 1-4 file is one JSON line
+    except ValueError:  # not UTF-8 or not JSON
+        raise BundleError(f"{path} is not a bundle: its first line is not JSON") from None
+    if not isinstance(header, dict):
+        raise BundleError(f"{path} is not a bundle: its first line is not a JSON object")
+    if (version := header.get("format_version")) != FORMAT_VERSION:
+        raise BundleError(f"{path}: unsupported bundle format version {version!r}; "
+                          f"refit the model to write version {FORMAT_VERSION}")
+    entries = header.get("arrays")
+    if not isinstance(entries, list) or not all(map(_is_entry, entries)):
+        raise BundleError(f"{path}: the bundle header's array list is malformed")
+    return header
+
+
+def _is_entry(e) -> bool:
+    """Whether ``e`` reads as [name, bool or number dtype, shape]."""
+    if not (isinstance(e, list) and len(e) == 3 and isinstance(e[0], str)
+            and isinstance(e[1], str) and isinstance(e[2], list)
+            and all(type(n) is int and n >= 0 for n in e[2])):
+        return False
+    try:
+        return np.dtype(e[1]).kind in "biuf"
+    except (TypeError, ValueError):
+        return False
+
+
 def _read(path: str | Path) -> tuple[dict, dict]:
-    """The header of a current-version container and its arrays as stored."""
-    with (gzip.open if Path(path).suffix == ".gz" else open)(path, "rb") as fh:
-        header = json.loads(fh.readline())  # a version 1-4 file is one JSON line
-        if (version := header.get("format_version")) != FORMAT_VERSION:
-            raise BundleError(f"unsupported bundle format version {version!r}; "
-                              f"refit the model to write version {FORMAT_VERSION}")
-        arrays = {}
-        for name, dtype, shape in header.pop("arrays"):
-            buf = bytearray(np.dtype(dtype).itemsize * math.prod(shape))  # a writable buffer
-            if fh.readinto(buf) != len(buf):
-                raise BundleError(f"the bundle ends inside its {name} array")
-            arrays[name] = np.frombuffer(buf, dtype=dtype).reshape(shape)
-        if fh.read(1):
-            raise BundleError("the bundle has bytes after its last array")
+    """The header of a current-version container and its arrays as stored;
+    a file that is not one raises ``BundleError`` naming it."""
+    try:
+        with (gzip.open if Path(path).suffix == ".gz" else open)(path, "rb") as fh:
+            header = _header(fh.readline(), path)
+            arrays = {}
+            for name, dtype, shape in header.pop("arrays"):
+                buf = bytearray(np.dtype(dtype).itemsize * math.prod(shape))  # a writable buffer
+                if fh.readinto(buf) != len(buf):
+                    raise BundleError(f"{path}: the bundle ends inside its {name} array")
+                arrays[name] = np.frombuffer(buf, dtype=dtype).reshape(shape)
+            if fh.read(1):
+                raise BundleError(f"{path}: the bundle has bytes after its last array")
+    except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
+        raise BundleError(f"{path} is not a readable gzip file: {exc}") from None
     return header, arrays
 
 
@@ -211,17 +243,23 @@ def load_bundle(path: str | Path) -> ModelBundle:
         raise BundleError("tree arrays do not match the per-tree sizes")
     a["threshold"] = np.zeros(split.shape)
     a["threshold"][split] = stored["threshold"]
-    schema = Schema(tuple(Column(c["name"], c["levels"] and tuple(c["levels"]))
-                          for c in header["schema"]["columns"]))
+    try:
+        schema = Schema(tuple(Column(c["name"], c["levels"] and tuple(c["levels"]))
+                              for c in header["schema"]["columns"]))
+        params = ForestParams(**header["params"])
+        kind, n_classes, t, seed, sha = (header[k] for k in (
+            "kind", "n_classes", "t", "synthetic_seed", "forest_sha"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise BundleError(f"{path}: the bundle header is malformed ({exc!r})") from None
     _check_trees(a, schema.n_levels)
     if a["feature_ranges"].shape != (schema.n_columns, 2):
         raise BundleError(f"feature_ranges is not shaped ({schema.n_columns}, 2)")
-    forest = Forest(**{k: a[k] for k in _ARRAYS}, schema=schema, kind=header["kind"],
-                    params=ForestParams(**header["params"]), n_classes=header["n_classes"])
+    forest = Forest(**{k: a[k] for k in _ARRAYS}, schema=schema, kind=kind, params=params,
+                    n_classes=n_classes)
     model = SpectralModel(*a["V"].shape, a["eigenvalues"], a["V"])
-    synth = SyntheticTrainingSet(Table(schema, a["synthetic"]), header["synthetic_seed"])
-    if header["t"] is not None:
-        model = with_time(model, header["t"])
-    bundle = ModelBundle(schema, forest, model, synth, header["forest_sha"])
+    synth = SyntheticTrainingSet(Table(schema, a["synthetic"]), seed)
+    if t is not None:
+        model = with_time(model, t)
+    bundle = ModelBundle(schema, forest, model, synth, sha)
     bundle.validate()
     return bundle

@@ -312,10 +312,10 @@ def _refuse_unseen_levels(path, queries: Table, schema) -> None:
 def cmd_roundtrip(args) -> int:
     _check_flags(args)
     b = bundle_io.load_bundle(args.bundle)
-    queries = _load_queries(args.data, b.schema)
-    if queries.n < 2:  # distortion's 1 - R^2 needs two rows
+    queries = _load_queries(args.data, b.schema) if _csv_has_rows(args.data) else None
+    if queries is None or queries.n < 2:  # distortion's 1 - R^2 needs two rows
         raise UsageError(f"{args.data}: roundtrip needs at least 2 query rows to measure "
-                         f"distortion; got {queries.n}")
+                         f"distortion; got {queries.n if queries else 0}")
     _refuse_unseen_levels(args.data, queries, b.schema)
     queries = conform_table(queries, b.schema)
     out, trace = _decode_rows(b, _embed(b, queries), args)

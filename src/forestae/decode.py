@@ -128,38 +128,62 @@ class NeighborSet:
 def _knn_batch(Z0: np.ndarray, Z: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Each query's k nearest rows of Z: (m, k) indices and distances, ascending.
 
-    Distances within a tolerance scaled to Z are exact matches and read 0.
-    Up to ``_BRUTE_MAX_PAIRS`` query-reference pairs, and at any size above
-    ``_KDTREE_MAX_DIM`` dimensions, the search is exact in numpy: squared
-    differences over blocks of queries, then the first k of a stable sort, so
-    equal distances go to the lowest index. Above it, ``cKDTree`` repays its
-    import.
+    Squared distances within a tolerance scaled to Z are exact matches and
+    read 0, and equal distances go to the lowest index. Up to
+    ``_BRUTE_MAX_PAIRS`` query-reference pairs, and at any size above
+    ``_KDTREE_MAX_DIM`` dimensions, the search is exact in numpy. Above it,
+    ``cKDTree`` repays its import: it finds k + 1 neighbours, whose squared
+    distances are then summed as numpy sums them, and a row whose (k + 1)-th
+    is within a factor 1 + ``_COINCIDENT_RTOL`` of its k-th (a tie across the
+    k-th neighbour, which cKDTree breaks its own way) is searched again in
+    numpy. Either way a row's neighbours do not depend on the rows searched
+    with it.
     """
     (m, d), n = Z0.shape, Z.shape[0]
     tol = _COINCIDENT_RTOL * np.abs(Z).max(initial=0.0)
-    if m * n > _BRUTE_MAX_PAIRS and d <= _KDTREE_MAX_DIM:
-        from scipy.spatial import cKDTree  # costly import; only large k-NN searches need it
+    if m * n <= _BRUTE_MAX_PAIRS or d > _KDTREE_MAX_DIM:
+        return _knn_exact(Z0, Z, k, tol)
+    from scipy.spatial import cKDTree  # costly import; only large k-NN searches need it
 
-        dist, idx = cKDTree(Z).query(Z0, k=k)
-        dist, idx = dist.reshape(m, k), idx.reshape(m, k)
-        dist[dist <= tol] = 0.0
-        return idx, dist
+    r = min(k + 1, n)
+    idx = cKDTree(Z).query(Z0, k=r)[1].reshape(m, r)
+    d2 = _sq_dist(Z0, Z[idx], tol)
+    order = np.lexsort((idx, d2))  # per row, by distance, then index
+    idx, d2 = np.take_along_axis(idx, order, 1), np.take_along_axis(d2, order, 1)
+    tied = np.flatnonzero(d2[:, k] <= d2[:, k - 1] * (1 + _COINCIDENT_RTOL)) if r > k else []
+    idx, dist = idx[:, :k], np.sqrt(d2[:, :k])
+    if len(tied):
+        idx[tied], dist[tied] = _knn_exact(Z0[tied], Z, k, tol)
+    return idx, dist
+
+
+def _sq_dist(q: np.ndarray, R: np.ndarray, tol: float) -> np.ndarray:
+    """Squared distances from each query row to the rows of R, (n, d) for all
+    queries or (m, r, d) per query, summed in dimension order (cKDTree's sum,
+    bit for bit, for d <= 4); those up to ``tol`` squared read 0."""
+    d2 = np.zeros(np.broadcast_shapes((q.shape[0], 1), R.shape[:-1]))
+    for j in range(q.shape[1]):
+        d2 += (q[:, j, None] - R[..., j]) ** 2
+    d2[d2 <= tol * tol] = 0.0
+    return d2
+
+
+def _knn_exact(Z0: np.ndarray, Z: np.ndarray, k: int, tol: float):
+    """``_knn_batch`` in numpy: squared differences over blocks of queries,
+    then the first k of a stable sort."""
+    m, n = Z0.shape[0], Z.shape[0]
     idx = np.empty((m, k), dtype=np.intp)
     dist = np.empty((m, k))
     step = max(1, _BRUTE_BLOCK_PAIRS // n)  # at least one query row per block
     for s in range(0, m, step):
-        q = Z0[s:s + step]
-        d2 = np.zeros((q.shape[0], n))
-        for j in range(d):  # in dimension order: cKDTree's sum, bit for bit, for d <= 4
-            d2 += (q[:, j, None] - Z[:, j]) ** 2
-        d2[d2 <= tol * tol] = 0.0
+        d2 = _sq_dist(Z0[s:s + step], Z, tol)
         # a stable argsort's first k: every distance up to the k-th smallest
         # (NaN included), ordered by value and then index
         kth = np.partition(d2, k - 1, axis=1)[:, k - 1, None]
         rows, cols = np.nonzero(~(d2 > kth))
         vals = d2[rows, cols]
         order = np.lexsort((vals, rows))  # by row, then distance, then index
-        first = np.searchsorted(rows, np.arange(q.shape[0]))  # each row's first candidate
+        first = np.searchsorted(rows, np.arange(d2.shape[0]))  # each row's first candidate
         pick = order[first[:, None] + np.arange(k)]
         idx[s:s + step] = cols[pick]
         dist[s:s + step] = np.sqrt(vals[pick])
@@ -308,7 +332,7 @@ def _best_latent_splits(node: np.ndarray, Z: np.ndarray, labels: np.ndarray,
     threshold = np.where(2 * n_left >= m, np.inf, -np.inf)  # +inf sends all left
     smc = np.maximum(n_left, m - n_left) / m
     if cuts.size:
-        best = cuts[_first_min(key[cuts] // d, -agree[cuts])]
+        best = cuts[_first_min(-agree[cuts], *_runs(key[cuts] // d)[:2])]
         at = np.searchsorted(ids, key[best] // d)
         feature[at] = key[best] % d
         threshold[at] = 0.5 * (z[best] + z[best + 1])

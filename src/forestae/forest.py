@@ -283,13 +283,11 @@ def _draw_counts(bags: np.ndarray, n: int) -> np.ndarray:
     return np.bincount((np.arange(t)[:, None] * n + bags).ravel(), minlength=t * n).reshape(t, n)
 
 
-def _first_min(group: np.ndarray, cost: np.ndarray) -> np.ndarray:
-    """Index of the first lowest ``cost`` in each run of equal ``group``
-    values (``group`` sorted)."""
-    start = np.flatnonzero(np.concatenate(([True], group[1:] != group[:-1])))
-    low = np.repeat(np.minimum.reduceat(cost, start), np.diff(start, append=group.size))
-    hit = np.flatnonzero(cost == low)
-    return hit[np.concatenate(([True], group[hit[1:]] != group[hit[:-1]]))]
+def _first_min(cost: np.ndarray, first: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Index of the first lowest ``cost`` in each run ``first[g]`` to
+    ``first[g] + lens[g]`` (runs back to back, none empty)."""
+    hit = np.flatnonzero(cost == np.repeat(np.minimum.reduceat(cost, first), lens))
+    return hit[np.searchsorted(hit, first)]
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
@@ -375,6 +373,9 @@ class _Chunk:
         self.w = count[tree, self.row]
         self.x = data.values.T.take(self.row, axis=1)  # (d, slots)
         self.y = None if data.y is None else data.y[self.row]
+        # two classes: each slot's class-1 weight, for the scorer's running sums
+        two = data.kind == CLASSIFICATION and data.n_classes == 2
+        self.w1 = (self.y == 1) * self.w if two else None
         cont = np.flatnonzero(data.n_levels == 0)
         self.order_row = {j: 1 + i for i, j in enumerate(cont)}
         self.mtry = min(params.mtry or max(1, round(math.sqrt(d))), d)
@@ -502,44 +503,67 @@ class _Chunk:
         length, m, mc = self.node_len[nodes], self.node_m[nodes], self.mc[nodes]
         slot = self.orders[self.order_row[j]][_ranges(self.live_start[nodes], length)]
         v, w = self.x[j][slot], self.w[slot]
-        seg = np.cumsum(length) - length  # each node's first index in slot
-        k = np.repeat(np.arange(nodes.size), length)
-        # cut between i and i + 1 where each child keeps its floor; never
-        # after a node's last slot, which leaves the right child empty
-        n_left = _segment_cumsum(w, seg, length)
-        i = np.flatnonzero((n_left >= mc[k]) & (n_left <= (m - mc)[k]))
-        k = k[i]
-        lo, hi = v[i], v[i + 1]
-        mid = 0.5 * (lo + hi)
-        # a midpoint rounded onto the lower value would send it right
-        ok = (hi > lo) & (mid > lo)
+        end = np.cumsum(length)  # one past each node's last index in slot
+        seg = end - length
+        # the cut between i and i + 1 sends cw[i] - base of its node's weight
+        # left. Every slot weighs 1 or more, so cw rises strictly, and the cuts
+        # that leave each child its floor (mc <= n_left <= m - mc, so never
+        # after a node's last slot) are one run per node, lo to hi
+        cw = np.cumsum(w)
+        base, top = cw[seg] - w[seg], cw[end - 1]
+        lo = np.searchsorted(cw, base + mc, "left")
+        hi = np.searchsorted(cw, top - mc, "right")
+        runs = np.empty(3 * nodes.size, dtype=np.intp)
+        runs[0::3], runs[1::3], runs[2::3] = lo - seg, hi - lo, end - hi
+        ok = np.repeat(np.arange(runs.size) % 3 == 1, runs)[:-1]
+        # between distinct values, where the midpoint does not round onto the
+        # lower one (which would send it right)
+        below, above = v[:-1], v[1:]
+        mid = 0.5 * (below + above)
+        ok &= (above > below) & (mid > below)
+        i = np.flatnonzero(ok)
         if self.params.honest:
-            below = self._label_below(j, nodes[k], mid)
-            ok &= (below >= 1) & (below < self.lab_n[nodes[k]])
-        i, k, mid = i[ok], k[ok], mid[ok]
-        node = nodes[k]
-        n_left = n_left[i]
-        n_right = m[k] - n_left
+            k = np.searchsorted(end, i, "right")
+            lab = self._label_below(j, nodes[k], mid[i])
+            i = i[(lab >= 1) & (lab < self.lab_n[nodes[k]])]
+        first = np.searchsorted(i, lo)  # a node's cuts are i[first:first + n_cut]
+        n_cut = np.searchsorted(i, hi) - first
+        cwi = cw[i]
+        n_left = cwi - np.repeat(base, n_cut)
+        n_right = np.repeat(top, n_cut) - cwi
         # label sums left of each cut: prefix sums over each node's slots
-        if self.data.kind == CLASSIFICATION:
+        if self.w1 is not None:
+            # two classes: class 1's weight left and right of each cut
+            w1 = self.w1[slot]
+            c1 = np.cumsum(w1)
+            c1i = c1[i]
+            l1 = c1i - np.repeat(c1[seg] - w1[seg], n_cut)
+            r1 = np.repeat(c1[end - 1], n_cut) - c1i
+            l0, r0 = n_left - l1, n_right - r1
+            cost = (n_left - (l0 * l0 + l1 * l1) / n_left) + (
+                n_right - (r0 * r0 + r1 * r1) / n_right
+            )
+        elif self.data.kind == CLASSIFICATION:
             # exact counts of classes 1..C-1; class 0 is the rest
             up = (self.y[slot] == np.arange(1, self.data.n_classes)[:, None]) * w
             up = _segment_cumsum(up, seg, length)[:, i]
             left = np.vstack([n_left - up.sum(axis=0), up])
-            right = self.class_count[node].T - left
+            right = self.class_count[np.repeat(nodes, n_cut)].T - left
             cost = (n_left - (left * left).sum(axis=0) / n_left) + (
                 n_right - (right * right).sum(axis=0) / n_right
             )
         else:
             yc = (self.y[slot] - np.repeat(self.mean[nodes], length)) * w
             left = _segment_cumsum(yc, seg, length)[i]
+            node = np.repeat(nodes, n_cut)
             right = self.node_sum[node] - left
             cost = self.sse[node] - left * left / n_left - right * right / n_right
         out_cost = np.full(nodes.size, np.inf)
         out_cut = np.zeros(nodes.size)
-        if k.size:
-            first = _first_min(k, cost)
-            out_cost[k[first]], out_cut[k[first]] = cost[first], mid[first]
+        has = n_cut > 0
+        if has.any():
+            best = _first_min(cost, first[has], n_cut[has])
+            out_cost[has], out_cut[has] = cost[best], mid[i[best]]
         return out_cost, out_cut
 
     def _score_categorical(self, j: int, nodes: np.ndarray):

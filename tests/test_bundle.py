@@ -105,6 +105,37 @@ def test_bundle_v1_rejected(tmp_path):
                 load_bundle(path)
 
 
+_README = b"# forestae\n\nAutoencoding tabular data with random forests.\n"
+
+
+@pytest.mark.parametrize("name, payload, message", [
+    ("README.md", _README, "is not a bundle: its first line is not JSON"),
+    ("m.json.gz", gzip.compress(b"hello\nworld\n"), "is not a bundle: its first line is not JSON"),
+    ("m.json", b'{"format_version":5}\n', "array list is malformed"),
+    ("m.json", b"[1,2]\n", "is not a bundle: its first line is not a JSON object"),
+    ("m.json.gz", _README, "is not a readable gzip file"),
+    ("m.json", bytes(np.random.default_rng(0).integers(0, 256, 3000, dtype=np.uint8)),
+     "is not a bundle: its first line is not JSON"),
+    ("m.json", b'{"format_version":5,"arrays":[["V","<q9",[2]]]}\n', "array list is malformed"),
+], ids=["text", "gzipped-text", "no-arrays", "json-list", "not-gzip", "random-bytes",
+        "unknown-dtype"])
+def test_a_file_that_is_not_a_bundle_raises_bundle_error_naming_it(tmp_path, name, payload,
+                                                                    message):
+    path = tmp_path / name
+    path.write_bytes(payload)
+    with pytest.raises(BundleError, match=f"{name}.*{message}"):
+        load_bundle(path)
+
+
+def test_a_header_without_its_schema_raises_bundle_error(tmp_path, parts):
+    forest, model, synth, _ = parts
+    path = tmp_path / "m.json"
+    _save(path, forest, model, synth)
+    _rewrite(path, lambda header, _: header.pop("schema"))
+    with pytest.raises(BundleError, match="m.json: the bundle header is malformed.*schema"):
+        load_bundle(path)
+
+
 def test_saved_bundle_holds_no_derived_fields(tmp_path, parts):
     forest, model, synth, _ = parts
     path = tmp_path / "m.json"

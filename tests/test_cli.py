@@ -512,6 +512,17 @@ def test_roundtrip_refuses_one_query_row_before_writing(fitted, tmp_path, capsys
     assert not out.exists()
 
 
+def test_roundtrip_of_a_header_only_file_is_usage_error(fitted, tmp_path, capsys):
+    # refused for its row count, not as a file without complete rows
+    data, bundle = fitted
+    header = tmp_path / "header.csv"
+    header.write_text(data.read_text().splitlines(keepends=True)[0])
+    out = tmp_path / "rec.csv"
+    assert main(["roundtrip", str(bundle), str(header), "--k", "5", "--out", str(out)]) == 2
+    assert "at least 2 query rows to measure distortion; got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_roundtrip_supervised_bundle_ignores_label_column(tmp_path, capsys):
     # the data file still carries the label column; distortion is computed on
     # the feature schema only

@@ -253,6 +253,19 @@ def test_knn_above_break_even_uses_kdtree(monkeypatch):
     ref_idx, ref_dist = _stable_argsort_knn(above, Z, 5)
     assert np.array_equal(idx, ref_idx)
     assert np.allclose(dist, ref_dist)
+    # integer grid points tie at the k-th neighbour, zero distances included:
+    # the lowest indices win, as in the numpy search of fewer rows
+    Z = rng.integers(0, 3, size=(50, 3)).astype(np.float64)
+    above = rng.integers(0, 3, size=(13, 3)).astype(np.float64)
+    idx, dist = decode._knn_batch(above, Z, 5)
+    assert len(built) == 2
+    ref_idx, ref_dist = _stable_argsort_knn(above, Z, 5)
+    assert np.array_equal(idx, ref_idx)
+    assert np.array_equal(dist, ref_dist)
+    for rows in (slice(0, 1), slice(5, 9)):  # below the break-even: numpy alone
+        part = decode._knn_batch(above[rows], Z, 5)
+        assert len(built) == 2
+        assert np.array_equal(part[0], idx[rows]) and np.array_equal(part[1], dist[rows])
 
 
 def test_knn_coincident_neighbors_share_weight():

@@ -373,22 +373,26 @@ def _all_split_costs(table, y, rows, lab, min_child, honest, classification) -> 
     return costs
 
 
-@pytest.mark.parametrize("classification", [True, False], ids=["classification", "regression"])
+@pytest.mark.parametrize("label", ["classification", "regression", "two-class"])
 @pytest.mark.parametrize(
     ("honest", "mtry"), [(False, 3), (True, 3), (False, 1), (True, 1)],
     ids=["plain", "honest", "plain-mtry1", "honest-mtry1"],
 )
-def test_splits_match_brute_force(classification, honest, mtry):
+def test_splits_match_brute_force(label, honest, mtry):
     """Every split is a lowest-cost valid split of its node's sample
     (midpoint cuts and categorical levels): over all columns with mtry = d,
     and over its own column's splits with mtry = 1, where sibling nodes score
     different columns. With mtry = d every leaf either hit a stop rule or had
-    no valid split."""
+    no valid split. Three classes, two classes (the scorer's own path, as in
+    every unsupervised fit) and a regression label."""
     n = 80
     table = make_mixed(n, seed=31)  # columns a, b continuous, c categorical
     x = table.values
-    if classification:
+    classification = label != "regression"
+    if label == "classification":
         col, y = Column("y", ("p", "q", "r")), (x[:, 0] > 0).astype(float) + (x[:, 1] > 0.5)
+    elif label == "two-class":
+        col, y = Column("y", ("p", "q")), ((x[:, 0] > 0) != (x[:, 1] > 0.5)).astype(float)
     else:
         col, y = Column("y"), x[:, 0] + 0.5 * x[:, 1] + np.random.default_rng(32).normal(0, 0.3, n)
     params = ForestParams(
