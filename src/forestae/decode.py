@@ -148,8 +148,12 @@ def _knn_batch(Z0: np.ndarray, Z: np.ndarray, k: int) -> tuple[np.ndarray, np.nd
     r = min(k + 1, n)
     idx = cKDTree(Z).query(Z0, k=r)[1].reshape(m, r)
     d2 = _sq_dist(Z0, Z[idx], tol)
-    order = np.lexsort((idx, d2))  # per row, by distance, then index
-    idx, d2 = np.take_along_axis(idx, order, 1), np.take_along_axis(d2, order, 1)
+    # by distance, then index: cKDTree's order differs only where distances
+    # tie or, above 4 dimensions, round otherwise
+    redo = np.flatnonzero((d2[:, 1:] <= d2[:, :-1]).any(axis=1))
+    order = np.lexsort((idx[redo], d2[redo]))
+    idx[redo] = np.take_along_axis(idx[redo], order, 1)
+    d2[redo] = np.take_along_axis(d2[redo], order, 1)
     tied = np.flatnonzero(d2[:, k] <= d2[:, k - 1] * (1 + _COINCIDENT_RTOL)) if r > k else []
     idx, dist = idx[:, :k], np.sqrt(d2[:, :k])
     if len(tied):
