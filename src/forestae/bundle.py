@@ -43,6 +43,9 @@ _DTYPES = {**dict.fromkeys((*_ARRAYS, "eigenvalues", "V", "synthetic"), np.dtype
 # narrower stored dtypes, tried narrowest first; integers stay integers
 _NARROW = tuple(np.dtype(t) for t in ("u1", "i1", "<u2", "<i2", "<f2", "<u4", "<i4", "<f4"))
 _WRITE_ITEMS = 1 << 15  # elements cast and written at once; bounds zlib's output buffer
+# bytes read at a time: memory follows the bytes a file holds, not the array
+# sizes its header declares
+_READ_BYTES = 1 << 20
 
 
 class BundleError(ValueError):
@@ -126,8 +129,11 @@ def _read(path: str | Path) -> tuple[dict, dict]:
             header = _header(fh.readline(), path)
             arrays = {}
             for name, dtype, shape in header.pop("arrays"):
-                buf = bytearray(np.dtype(dtype).itemsize * math.prod(shape))  # a writable buffer
-                if fh.readinto(buf) != len(buf):
+                size = np.dtype(dtype).itemsize * math.prod(shape)
+                buf = bytearray()  # a writable buffer
+                while len(buf) < size and (block := fh.read(min(size - len(buf), _READ_BYTES))):
+                    buf += block
+                if len(buf) != size:
                     raise BundleError(f"{path}: the bundle ends inside its {name} array")
                 arrays[name] = np.frombuffer(buf, dtype=dtype).reshape(shape)
             if fh.read(1):

@@ -117,8 +117,10 @@ _README = b"# forestae\n\nAutoencoding tabular data with random forests.\n"
     ("m.json", bytes(np.random.default_rng(0).integers(0, 256, 3000, dtype=np.uint8)),
      "is not a bundle: its first line is not JSON"),
     ("m.json", b'{"format_version":5,"arrays":[["V","<q9",[2]]]}\n', "array list is malformed"),
+    ("m.json", b'{"format_version":5,"arrays":[["V","<f8",[4611686018427387904]]]}\n',
+     "ends inside its V array"),
 ], ids=["text", "gzipped-text", "no-arrays", "json-list", "not-gzip", "random-bytes",
-        "unknown-dtype"])
+        "unknown-dtype", "huge-shape"])
 def test_a_file_that_is_not_a_bundle_raises_bundle_error_naming_it(tmp_path, name, payload,
                                                                     message):
     path = tmp_path / name
