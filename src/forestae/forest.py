@@ -508,16 +508,17 @@ class _Chunk:
         # the cut between i and i + 1 sends cw[i] - base of its node's weight
         # left. Every slot weighs 1 or more, so cw rises strictly, and the cuts
         # that leave each child its floor (mc <= n_left <= m - mc, so never
-        # after a node's last slot) are one run per node, lo to hi
+        # after a node's last slot) are its positions lo to hi - 1
         cw = np.cumsum(w)
         base, top = cw[seg] - w[seg], cw[end - 1]
         lo = np.searchsorted(cw, base + mc, "left")
         hi = np.searchsorted(cw, top - mc, "right")
+        # a mask over the positions: per node, runs of False, True, False
         runs = np.empty(3 * nodes.size, dtype=np.intp)
         runs[0::3], runs[1::3], runs[2::3] = lo - seg, hi - lo, end - hi
         ok = np.repeat(np.arange(runs.size) % 3 == 1, runs)[:-1]
-        # between distinct values, where the midpoint does not round onto the
-        # lower one (which would send it right)
+        # ... at cuts between distinct values, where the midpoint does not
+        # round onto the lower one (which would send it right)
         below, above = v[:-1], v[1:]
         mid = 0.5 * (below + above)
         ok &= (above > below) & (mid > below)
