@@ -216,14 +216,14 @@ def _feature_ranges(schema: Schema, values: np.ndarray) -> np.ndarray:
 # Most distinct sampled rows (expected) grown together in one chunk: numpy's
 # per-call cost is paid once per depth level of a chunk. On a 2-vCPU x86 host
 # a banknote fold's 500 trees (1,100 distinct of 1,700 rows per bag) grew in
-# 2.12, 1.92, 2.08, 2.04 and 1.86 s at 15k, 20k, 25k, 30k and 40k (median of 7,
-# within the host's spread), while growth's peak RSS read 45.8, 47.5, 49.0,
-# 50.5 and 55.4 MB at 15k, 20k, 25k, 30k and 50k.
+# 1.30, 1.35 and 1.23 s at 20k, 40k and 60k (median of 5 fits, median of three
+# rounds; within the host's spread), while the CLI fit's peak RSS read 71.5,
+# 72.4 and 74.0 MB and growth's traced peak 7.7, 11.4 and 14.7 MB.
 _CHUNK_SLOTS = 20_000
-# Completely random chunks hold this many times more: their slots carry one
-# order, not one per continuous column, and three bags of a 20k-row table then
-# share each level's passes. On the same host the 25-tree clusters fold (20k
-# rows, min_leaf 20) grew in 0.87-1.06, 0.83-0.96, 0.80-0.94 and 0.85-0.86 s
+# Completely random chunks hold this many times more: their slots carry no
+# per-column sort keys, and three bags of a 20k-row table then share each
+# level's passes. On the same host the 25-tree clusters fold (20k rows,
+# min_leaf 20) grew in 0.87-1.06, 0.83-0.96, 0.80-0.94 and 0.85-0.86 s
 # (median of 3, two rounds) at scales 1, 3, 6 and 9, and the process's peak
 # RSS read 46.0, 54.6, 64.1 and 85.1 MB.
 _CR_CHUNK_SCALE = 3
@@ -242,15 +242,15 @@ class _Sample:
     # continuous (else None), and each value's position in them (else 0)
     uniq: tuple | None
     rank: np.ndarray | None  # (n, d)
-    order: np.ndarray | None  # CART only: (continuous columns, n) rows by value, stable
+    place: np.ndarray | None  # CART only: (continuous columns, n) each row's stable rank
 
 
 def _sample(table: Table, y, kind: str, n_classes: int, honest: bool, cr: bool) -> _Sample:
     """What growth reads of the table, built once for every tree: CART's
-    presorted continuous columns and honest mode's value ranks."""
+    stable ranks of the continuous columns and honest mode's value ranks."""
     values = table.values
     n_levels = table.schema.n_levels
-    uniq = rank = order = None
+    uniq = rank = place = None
     if honest:
         uniq = tuple(None if k else _sorted_unique(values[:, j]) for j, k in enumerate(n_levels))
         rank = np.zeros(values.shape, dtype=np.intp)
@@ -259,7 +259,8 @@ def _sample(table: Table, y, kind: str, n_classes: int, honest: bool, cr: bool) 
                 rank[:, j] = np.searchsorted(u, values[:, j])
     if not cr:
         order = np.argsort(values[:, n_levels == 0], axis=0, kind="stable").T
-    return _Sample(values, n_levels, y, kind, n_classes, uniq, rank, order)
+        place = np.argsort(order, axis=1)  # ties keep row order
+    return _Sample(values, n_levels, y, kind, n_classes, uniq, rank, place)
 
 
 def _bag_size(params: ForestParams, n: int) -> int:
@@ -303,6 +304,15 @@ def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return np.repeat(starts + lens - ends, lens) + np.arange(ends[-1])
 
 
+def _key_bits(size: int) -> int:
+    """Bits b of the low field of growth's sort keys ``(node << b) | (tree * n + place)``: both
+    fields lie below ``size`` = trees * n, so each fits an int32 and a key an int64 while
+    size < 2**31."""
+    if size >= 1 << 31:
+        raise ForestError(f"a chunk of trees x rows = {size} overflows growth's int64 sort keys")
+    return size.bit_length()
+
+
 def _segment_cumsum(a: np.ndarray, first: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """Inclusive prefix sums of ``a`` along its last axis, restarted at each
     segment (``first`` index, ``lens`` long, back to back). Integer sums are
@@ -338,13 +348,10 @@ class _Chunk:
     by its draw count, so a tree is the one its bag's copies would grow. Open
     nodes are listed tree by tree in breadth-first order, and node k owns the
     contiguous positions ``live_start[k]`` to ``live_start[k] + node_len[k]``
-    of each row of ``orders`` (shape ``(R, positions)``, no padding):
-    ``orders[0]`` lists the node's slots by id and, for CART,
-    ``orders[order_row[j]]`` by the value of continuous column j (presorted
-    attribute lists, as in SLIQ: the table's sort restricted to each bag,
-    then kept sorted by a stable partition after each level). Each level
-    scores only the positions of nodes that drew a column, and partitions
-    only the positions of nodes that split.
+    of ``live_slot``, which lists its slots by id (no padding) and is kept so
+    by a stable partition after each level. CART keeps no order by value:
+    each level sorts, per continuous column, only the slots of the nodes that
+    drew it, by one integer key per slot that ranks (node, value, row).
 
     Every draw comes from the tree's own generator and every sum runs over
     one node's own slots, so a tree does not depend on the chunk it grows in.
@@ -376,17 +383,15 @@ class _Chunk:
         # two classes: each slot's class-1 weight, for the scorer's running sums
         two = data.kind == CLASSIFICATION and data.n_classes == 2
         self.w1 = (self.y == 1) * self.w if two else None
-        cont = np.flatnonzero(data.n_levels == 0)
-        self.order_row = {j: 1 + i for i, j in enumerate(cont)}
         self.mtry = min(params.mtry or max(1, round(math.sqrt(d))), d)
-        orders = [np.arange(tree.size)]
-        if not cr:  # each column's sort, restricted to every bag
-            slot_of = np.full(count.shape, -1)
-            slot_of[tree, self.row] = orders[0]
-            for o in data.order:
-                s = slot_of[:, o]
-                orders.append(s[s >= 0])
-        self.orders = np.stack(orders)
+        self.live_slot = np.arange(tree.size)
+        if not cr:  # per continuous column: each slot's tree * n + place, and its inverse
+            self.bits = _key_bits(count.size)
+            self.key, self.slot_of = {}, {}
+            for j, place in zip(np.flatnonzero(data.n_levels == 0), data.place):
+                self.key[j] = key = (tree * n + place[self.row]).astype(np.int32)
+                self.slot_of[j] = np.empty(count.size, dtype=np.int32)  # read only at keys
+                self.slot_of[j][key] = self.live_slot
         self.node_tree = np.arange(len(seeds))  # open nodes: tree,
         self.node_len = np.bincount(tree, minlength=len(seeds))  # slot count
         self.lab_leaf = np.full(self.lab_row.size, -1)  # node id of each label row's leaf
@@ -415,7 +420,6 @@ class _Chunk:
         the nodes that may split."""
         p, data = self.params, self.data
         n_nodes, length = self.node_tree.size, self.node_len
-        self.live_slot = self.orders[0]
         w = self.w[self.live_slot]
         self.live_node = np.repeat(np.arange(n_nodes), length)
         self.live_start = np.cumsum(length) - length
@@ -501,7 +505,7 @@ class _Chunk:
         between adjacent distinct values of column j that leave each child
         its floor, and that cut (inf where none is valid)."""
         length, m, mc = self.node_len[nodes], self.node_m[nodes], self.mc[nodes]
-        slot = self.orders[self.order_row[j]][_ranges(self.live_start[nodes], length)]
+        slot = self._by_value(j, nodes, length)
         v, w = self.x[j][slot], self.w[slot]
         end = np.cumsum(length)  # one past each node's last index in slot
         seg = end - length
@@ -566,6 +570,14 @@ class _Chunk:
             best = _first_min(cost, first[has], n_cut[has])
             out_cost[has], out_cut[has] = cost[best], mid[i[best]]
         return out_cost, out_cut
+
+    def _by_value(self, j: int, nodes: np.ndarray, length: np.ndarray) -> np.ndarray:
+        """The slots of ``nodes``, node by node, each node's by (value of
+        column j, row): one sort of unique ``(node << bits) | key`` int64s."""
+        slot = self.live_slot[_ranges(self.live_start[nodes], length)]
+        key = np.repeat(np.arange(nodes.size) << self.bits, length) | self.key[j][slot]
+        key.sort()
+        return self.slot_of[j][key & ((1 << self.bits) - 1)]
 
     def _score_categorical(self, j: int, nodes: np.ndarray):
         """Per node of ``nodes``, the lowest one-vs-rest cost over the levels
@@ -712,26 +724,14 @@ class _Chunk:
             left[is_eq] = x[is_eq] == t[is_eq]
         nl = np.add.reduceat(left, np.cumsum(length) - length, dtype=np.intp)
         nr = length - nl
-        # stable partition of every order over the split nodes' positions, one
-        # order at a time: with c left slots among the first p + 1 of them, a
-        # left slot lands at c - 1 plus the right slots of earlier nodes, and
+        # stable partition: with c left slots among the first p + 1 of the split nodes'
+        # positions, a left slot lands at c - 1 plus the right slots of earlier nodes,
         # a right one at p - c plus the left slots of its own and earlier nodes
-        to_left = np.repeat(np.cumsum(nr) - nr - 1, length)
-        to_right = np.arange(at.size) + np.repeat(np.cumsum(nl), length)
-
-        def partition(new, slot, g):
-            c = np.cumsum(g)
-            new[np.where(g, to_left + c, to_right - c)] = slot
-
-        orders = np.empty((self.orders.shape[0], at.size), dtype=np.intp)
-        partition(orders[0], slot, left)
-        if orders.shape[0] > 1:  # CART's presorted orders
-            goes_left = np.zeros(self.x.shape[1], dtype=bool)
-            goes_left[slot] = left
-            for old, new in zip(self.orders[1:], orders[1:]):
-                slot = old[at]
-                partition(new, slot, goes_left[slot])
-        self.orders = orders
+        c = np.cumsum(left)
+        to = np.where(left, np.repeat(np.cumsum(nr) - nr - 1, length) + c,
+                      np.arange(at.size) + np.repeat(np.cumsum(nl), length) - c)
+        self.live_slot = np.empty(at.size, dtype=np.intp)
+        self.live_slot[to] = slot
         self.node_tree = np.repeat(self.node_tree[parents], 2)
         self.node_len = np.stack([nl, nr], axis=1).ravel()
 

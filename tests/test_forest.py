@@ -197,9 +197,14 @@ def test_chunk_size_does_not_change_forest(mode, monkeypatch):
 # bootstrap forest of the banknote fold's shape (min_leaf 4, trees reaching
 # depth 10), where a third of each bag's draws are copies, and a subsampled
 # classification forest on tied (rounded) values, where every row weighs 1.
+# The two regression digests were recorded before CART stopped keeping a
+# presorted order per column: values and labels rounded to 0.1, so costs tie
+# exactly, and regression's float label sums follow each node's slot order.
 _SHAPE_PINNED = {
     "deep_unsupervised": "bdc961d9d91beab7b2a595d7bdbeecfe31253bbbf1266529155740275b8508ed",
     "subsampled_classification": "c769548e917e099e7fcde26884fb1c9f09746db4db1c8b8b0f65ef9adf033c06",
+    "bootstrap_regression": "5bfcbe61a209a89c018ac0cbec404cf0ef0f26d3e85a46792ce80a27e9d1b9bf",
+    "honest_regression": "26f2501683430bb900bd47f85f566b1bda681d62c140c7ccc225ad0eafc3b304",
 }
 
 
@@ -209,6 +214,13 @@ def test_fit_matches_pinned_digest_of_other_shapes(shape):
         table, _ = make_blobs(200, 4, seed=41)
         params = ForestParams(n_trees=12, max_depth=10, min_leaf=4, bootstrap=True, seed=43)
         forest = fit_unsupervised(table, params)
+    elif shape.endswith("regression"):
+        mixed = make_mixed(120, seed=49)
+        x = np.round(mixed.values, 1)
+        y = np.round(x[:, 0] + 0.5 * x[:, 1] + np.random.default_rng(50).normal(0, 0.3, 120), 1)
+        params = ForestParams(n_trees=12, min_leaf=2, bootstrap=True,
+                              honest=shape == "honest_regression", seed=51)
+        forest = fit_supervised(Table(mixed.schema, x), (Column("y"), y), params)
     else:
         mixed = make_mixed(120, seed=45)
         x = np.round(mixed.values, 1)
@@ -430,6 +442,54 @@ def test_splits_match_brute_force(label, honest, mtry):
                     or np.unique(y[rows]).size == 1
                 )
                 assert stopped or not costs
+
+
+def test_scorer_reads_each_node_by_value_then_row(monkeypatch):
+    """The slots that CART's scorer reads for a continuous column are, node
+    by node, its slots ordered by (value, row): an ``np.lexsort`` oracle at
+    every level of trees grown on tied (rounded) values, with bootstrap
+    copies and every column a candidate at every node."""
+    mixed = make_mixed(150, seed=53)
+    x = np.round(mixed.values, 1)
+    y = np.random.default_rng(54).integers(0, 3, mixed.n).astype(float)  # noisy: deep trees
+    params = ForestParams(n_trees=3, mtry=3, min_leaf=2, max_depth=4, bootstrap=True, seed=55)
+    by_value, key_bits = forest_module._Chunk._by_value, forest_module._key_bits
+    reads, ties, sizes = [], [], []
+
+    def oracle(chunk, j, nodes, length):
+        got = by_value(chunk, j, nodes, length)
+        slot = chunk.live_slot[forest_module._ranges(chunk.live_start[nodes], length)]
+        node = np.repeat(np.arange(nodes.size), length)
+        want = slot[np.lexsort((chunk.row[slot], chunk.x[j][slot], node))]
+        assert np.array_equal(got, want)
+        reads.append((j, chunk.w[got].max()))
+        ties.append(np.count_nonzero((np.diff(chunk.x[j][got]) == 0) & (np.diff(node) == 0)))
+        return got
+
+    def recorded_key_bits(size):
+        sizes.append(size)
+        return key_bits(size)
+
+    monkeypatch.setattr(forest_module._Chunk, "_by_value", oracle)
+    monkeypatch.setattr(forest_module, "_key_bits", recorded_key_bits)
+    fit_supervised(Table(mixed.schema, x), (Column("y", ("p", "q", "r")), y), params)
+    assert len(reads) >= 2 * 4  # both continuous columns at every level
+    assert {j for j, _ in reads} == {0, 1}
+    assert max(w for _, w in reads) > 1  # slots carry copies
+    assert min(ties) > 0  # every read has equal values within a node
+    assert sizes == [params.n_trees * mixed.n]  # one chunk, keyed by trees * n
+
+
+def test_sort_key_width_is_checked():
+    """Growth's sort keys ``(node << b) | (tree * n + place)`` fit an int64
+    up to trees * n = 2**31 - 1, and a larger chunk is refused, not wrapped."""
+    size = 2**31 - 1
+    bits = forest_module._key_bits(size)
+    assert bits == 31
+    top = np.int64(size - 1) << np.int64(bits) | np.int64(size - 1)
+    assert 0 < top == ((size - 1) << bits | (size - 1)) < 2**63
+    with pytest.raises(ForestError, match="sort keys"):
+        forest_module._key_bits(2**31)
 
 
 def test_regression_ties_go_to_the_lowest_column(tmp_path):
