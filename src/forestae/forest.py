@@ -380,9 +380,10 @@ class _Chunk:
         self.w = count[tree, self.row]
         self.x = data.values.T.take(self.row, axis=1)  # (d, slots)
         self.y = None if data.y is None else data.y[self.row]
-        # two classes: each slot's class-1 weight, for the scorer's running sums
+        # two classes: each slot's class-1 weight above its weight, w1 << 32 | w, so one
+        # running sum holds both (a CART chunk weighs at most trees * n < 2**31, _key_bits)
         two = data.kind == CLASSIFICATION and data.n_classes == 2
-        self.w1 = (self.y == 1) * self.w if two else None
+        self.w1 = ((self.y == 1) * self.w) << 32 | self.w if two else None
         self.mtry = min(params.mtry or max(1, round(math.sqrt(d))), d)
         self.live_slot = np.arange(tree.size)
         if not cr:  # per continuous column: each slot's tree * n + place, and its inverse
@@ -506,15 +507,16 @@ class _Chunk:
         its floor, and that cut (inf where none is valid)."""
         length, m, mc = self.node_len[nodes], self.node_m[nodes], self.mc[nodes]
         slot = self._by_value(j, nodes, length)
-        v, w = self.x[j][slot], self.w[slot]
+        v, w = self.x[j][slot], (self.w if self.w1 is None else self.w1)[slot]
         end = np.cumsum(length)  # one past each node's last index in slot
         seg = end - length
         # the cut between i and i + 1 sends cw[i] - base of its node's weight
         # left. Every slot weighs 1 or more, so cw rises strictly, and the cuts
         # that leave each child its floor (mc <= n_left <= m - mc, so never
         # after a node's last slot) are its positions lo to hi - 1
-        cw = np.cumsum(w)
-        base, top = cw[seg] - w[seg], cw[end - 1]
+        c = np.cumsum(w)  # two classes: class 1's running weight in the high 32 bits
+        cw, c0 = c & 0xFFFFFFFF, c[seg] - w[seg]  # c0: the sums before each node
+        base, top = c0 & 0xFFFFFFFF, cw[end - 1]
         lo = np.searchsorted(cw, base + mc, "left")
         hi = np.searchsorted(cw, top - mc, "right")
         # a mask over the positions: per node, runs of False, True, False
@@ -539,11 +541,9 @@ class _Chunk:
         # label sums left of each cut: prefix sums over each node's slots
         if self.w1 is not None:
             # two classes: class 1's weight left and right of each cut
-            w1 = self.w1[slot]
-            c1 = np.cumsum(w1)
-            c1i = c1[i]
-            l1 = c1i - np.repeat(c1[seg] - w1[seg], n_cut)
-            r1 = np.repeat(c1[end - 1], n_cut) - c1i
+            c1i = c[i] >> 32
+            l1 = c1i - np.repeat(c0 >> 32, n_cut)
+            r1 = np.repeat(c[end - 1] >> 32, n_cut) - c1i
             l0, r0 = n_left - l1, n_right - r1
             cost = (n_left - (l0 * l0 + l1 * l1) / n_left) + (
                 n_right - (r0 * r0 + r1 * r1) / n_right
