@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Table
-from .forest import (Forest, _descend, _first_min, _leaf_cells, _node_arrays, _route,
+from .forest import (Forest, _descend, _first_min, _leaf_cells, _node_arrays, _route, _widen,
                      _segment_cumsum, _sorted_unique, assigned_region, route_table, route_values)
 from .kernel import _leaf_join, leaf_design, leaf_profile
 from .spectral import SpectralModel, reconstruct_kernel
@@ -364,7 +364,7 @@ def relabel_forest(
         raise DecodeError("n_synth must be >= 1")
     _, Z = model.require_time()
     nodes = forest._node_table()
-    values, n = synth.table.values, synth.n
+    grid, n = _widen(nodes, synth.table.values), synth.n
     rank = np.random.default_rng(seed).permutation(n)
     z_rank = _axis_ranks(Z)
     split = nodes.feature >= 0
@@ -375,7 +375,7 @@ def relabel_forest(
     for b in range(0, forest.n_trees, width):
         roots = nodes.starts[b:min(b + width, forest.n_trees)]
         node = np.repeat(roots, n)
-        for row, at, label, inner in _descend(nodes, values, node):
+        for row, at, label, inner in _descend(nodes, grid, node):
             row, at, label = row[inner], at[inner], label[inner]
             if row.size > n_synth:
                 order = np.argsort(at * n + rank[row])  # a node's rows by rank

@@ -187,8 +187,8 @@ class Forest:
     def _node_table(self) -> "_Nodes":
         if self._nodes is None:
             starts = np.concatenate(([0], np.cumsum(self.n_nodes))).astype(np.int64)
-            self._nodes = _node_arrays(starts, self.feature.astype(np.intp), self.threshold,
-                                       self.is_equal, self.schema.n_columns)
+            self._nodes = _node_arrays(starts, self.feature, self.threshold, self.is_equal,
+                                       self.schema.n_columns)
         return self._nodes
 
     @property
@@ -882,67 +882,109 @@ def _resample_within_leaves(forest: Forest, real_values: np.ndarray, rng) -> np.
 
 
 # (tree, row) cells routed per block, so that a step's arrays stay in cache. On
-# a 2-vCPU x86 host, routing the reference tables of the 500-tree banknote fold
-# (856 rows) and the 25-tree clusters fold (20k rows) took 0.077 and 0.102 s
-# at 2**16 cells (median of 9), as at 2**15 and 2**17, against 0.092 and
-# 0.119 s at 2**18, where routing's allocations peak at 22 MB, not 7 MB.
-_ROUTE_CELLS = 1 << 16
+# a 2-vCPU x86 host, routing the seed-3027 perfbench folds' reference and query
+# rows (banknote: 878 + 494 rows, 500 trees; clusters: 20k + 10k rows, 25
+# trees) took 0.063-0.091 and 0.103-0.114 s at 2**15 cells (median of 15),
+# 0.064-0.087 and 0.111-0.115 s at 2**16, and 0.10 and 0.18 s at 2**17. The
+# walk's allocations beyond the output peak at 1.8 MB at 2**15 (banknote
+# reference table), 3.6 MB at 2**16 and 7.1 MB at 2**17.
+_ROUTE_CELLS = 1 << 15
+# Values in a block's widened grid, so a table whose splits test many levels
+# routes fewer rows per block and the block's memory stays bounded. On a
+# 5,000-row table whose 25 completely random trees test 246 levels of one
+# column, 2**17 values (524 rows a block) routed in 0.032 s against 0.035 s at
+# 2**16 and 0.049 s at 2**15, with a 2.4 MB peak: the grid, its gathered
+# categorical columns and their match mask.
+_ROUTE_GRID = 1 << 17
+# Packed keys and grid positions are int32 while they lie below this, int64 otherwise.
+_INT32_LIMIT = 1 << 31
 
 
 @dataclass(frozen=True)
 class _Nodes:
     """Every tree's nodes stacked into one array set with global node ids.
 
-    The walk reads two arrays per step. ``key`` packs a node's next node and
-    the column it tests as ``(next << shift) | column``: a split's next node is
-    its left child, and a leaf's is the leaf itself, testing the sentinel
-    column ``n_columns``. A leaf's threshold is +inf, so its cell "goes left"
-    and stays.
+    Routing tests every split as ``x < t`` on a column of the widened grid
+    (``_widen``): the value columns, then one indicator column per (column,
+    level) that some Equals split tests, -inf where the cell holds that level
+    and +inf elsewhere (so the split's own threshold, the level code, sends
+    exactly the matches left), then a sentinel column of zeros. ``key`` packs
+    a node's step as ``((next + 1) << shift) | column``, where a split's next
+    node is its left child and a leaf's is the leaf itself. A step gathers the
+    key, the cell's grid value and the threshold, compares once, and takes
+    ``(key >> shift) - (x < t)``: the left child if x < t, else the right one
+    (left + 1). A leaf tests the sentinel column against +inf, so its cell
+    always goes left, to the leaf.
     """
 
     starts: np.ndarray  # (B + 1,) global id of each tree's root; total at the end
-    feature: np.ndarray  # intp, -1 at leaves
-    threshold: np.ndarray  # +inf at leaves
+    feature: np.ndarray  # -1 at leaves
+    threshold: np.ndarray  # cut or level code at splits, +inf at leaves
     is_equal: np.ndarray  # Equals splits
-    left: np.ndarray  # global ids, -1 at leaves; the right child is left + 1
-    leaf_id: np.ndarray  # local leaf id, -1 at internal nodes
-    key: np.ndarray  # int64 (next node << shift) | column
+    left: np.ndarray  # global ids, -1 at leaves; the right child is left + 1 (int32 if all fit)
+    leaf_id: np.ndarray  # local leaf id, -1 at internal nodes (int32 if all fit)
+    key: np.ndarray  # ((next + 1) << shift) | grid column; int32 if every key fits
     shift: int
-    n_columns: int
+    eq_column: np.ndarray  # (k,) value column of each indicator column
+    eq_level: np.ndarray  # (k,) level code it marks
+    width: int  # grid columns: values, indicators, sentinel
 
 
 def _node_arrays(starts, feature, threshold, is_equal, n_columns: int) -> _Nodes:
     """A node table from its splits; the split mask fixes children and leaf ids."""
     split = feature >= 0
+    is_equal = is_equal & split
     left, leaf_id = breadth_first_layout(split, np.repeat(starts[:-1], np.diff(starts)))
-    shift = max(1, int(n_columns).bit_length())
-    nxt = np.where(split, left, np.arange(split.size))  # a leaf's next node is itself
-    key = (nxt << shift) | np.where(split, feature, n_columns)
-    return _Nodes(starts, feature, np.where(split, threshold, np.inf), is_equal & split, left,
-                  leaf_id, key.astype(np.int64), shift, int(n_columns))
+    threshold = np.where(split, threshold, np.inf)
+    # one indicator column per (column, level) pair that an Equals split tests
+    code = threshold[is_equal].astype(np.intp)
+    span = int(code.max(initial=0)) + 1
+    pairs, which = np.unique(feature[is_equal] * span + code, return_inverse=True)
+    sentinel = int(n_columns) + pairs.size
+    column = np.where(split, feature, sentinel)
+    column[is_equal] = n_columns + which
+    shift = max(1, sentinel.bit_length())
+    key = np.where(split, left, np.arange(split.size))  # a leaf's next node is itself
+    key += 1
+    key <<= shift
+    key |= column
+    ids = np.int32 if split.size < _INT32_LIMIT else np.int64
+    dtype = np.int32 if (split.size + 1) << shift <= _INT32_LIMIT else np.int64
+    return _Nodes(starts, feature, threshold, is_equal, left.astype(ids), leaf_id.astype(ids),
+                  key.astype(dtype), shift, pairs // span, (pairs % span).astype(np.float64),
+                  sentinel + 1)
 
 
-def _descend(nodes: _Nodes, values: np.ndarray, node: np.ndarray):
-    """Walk tree-major cells down the stacked node table: with m rows of
-    ``values``, cell ``b * m + i`` is row i starting at global node
+def _widen(nodes: _Nodes, values: np.ndarray) -> np.ndarray:
+    """The row-major widened grid (see ``_Nodes``) of a block of value rows, flat."""
+    m, d = values.shape
+    grid = np.empty((m, nodes.width))
+    grid[:, :d] = values
+    grid[:, d:-1] = np.inf
+    np.copyto(grid[:, d:-1], -np.inf, where=values[:, nodes.eq_column] == nodes.eq_level)
+    grid[:, -1] = 0.0
+    return grid.ravel()
+
+
+def _descend(nodes: _Nodes, grid: np.ndarray, node: np.ndarray):
+    """Walk tree-major cells down the stacked node table: with m rows in the
+    flat widened ``grid``, cell ``b * m + i`` is row i starting at global node
     ``node[b * m + i]``, and ``node`` is advanced in place to each cell's leaf.
     Each depth step yields the walking cells' rows, their nodes, whether each
     takes the literal (left) and which of them are at a split; they move on
     when the caller resumes. A cell at a leaf loops on it, and walking cells
     are compacted once fewer than half of them are at a split: completely
     random trees are deep and unbalanced."""
-    m, d = values.shape[0], nodes.n_columns
-    flat = np.zeros((d + 1, m))  # transposed values and the leaves' sentinel column
-    flat[:d] = values.T
-    flat = flat.ravel()
-    mask, shift = (1 << nodes.shift) - 1, nodes.shift
-    equals = nodes.is_equal.any()
-    cell, at = None, node  # cell: each walking cell's index in node, once compacted
-    row = np.tile(np.arange(m), node.size // m)
+    width, m = nodes.width, grid.size // nodes.width
+    mask, shift, sentinel = (1 << nodes.shift) - 1, nodes.shift, width - 1
+    cell, at = None, node.astype(np.intp, copy=False)  # cell: a walking cell's index in node
+    row = np.arange(m, dtype=np.int32 if grid.size <= _INT32_LIMIT else np.int64)
+    row = np.tile(row, node.size // m)
+    base = row * width  # where each cell's grid row starts
     while True:
         key = nodes.key.take(at)
-        col = key & mask
-        split = col != d
+        col = (key & mask).astype(row.dtype, copy=False)  # a grid column, as a grid position
+        split = col != sentinel
         n_split = np.count_nonzero(split)
         if 2 * n_split < at.size:  # also when none is left at a split
             keep = np.flatnonzero(split)
@@ -954,16 +996,13 @@ def _descend(nodes: _Nodes, values: np.ndarray, node: np.ndarray):
                 cell = cell[keep]
             if not n_split:
                 return
-            at, row, key, col, split = at[keep], row[keep], key[keep], col[keep], split[keep]
-        col *= m
-        col += row
-        x = flat.take(col)
-        thr = nodes.threshold.take(at)
-        go_left = np.where(nodes.is_equal[at], x == thr, x < thr) if equals else x < thr
+            at, row, base, key, col, split = (a[keep] for a in (at, row, base, key, col, split))
+        col += base
+        go_left = grid.take(col) < nodes.threshold.take(at)
         yield row, at, go_left, split
-        key >>= shift  # the next node: a split's left child, or the leaf itself
-        key += ~go_left
-        at = key
+        key >>= shift  # the next node + 1: a split's right child, or the leaf + 1
+        key -= go_left
+        at = key.astype(np.intp, copy=False)  # the index type ``take`` reads without a cast
 
 
 def route_values(forest: Forest, values: np.ndarray) -> np.ndarray:
@@ -972,18 +1011,23 @@ def route_values(forest: Forest, values: np.ndarray) -> np.ndarray:
     All trees route together: every (tree, row) cell walks the stacked node
     table until it reaches a leaf.
     """
-    return _route(forest._node_table(), np.atleast_2d(np.asarray(values, dtype=np.float64)))
+    values = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    if values.shape[1] != forest.schema.n_columns:
+        raise ForestError(f"rows have {values.shape[1]} columns; the forest has "
+                          f"{forest.schema.n_columns}")
+    return _route(forest._node_table(), values)
 
 
 def _route(nodes: _Nodes, values: np.ndarray) -> np.ndarray:
-    """Leaf ids (n x B) in every tree of the node table, ``_ROUTE_CELLS`` at a time."""
+    """Leaf ids (n x B) in every tree of the node table, a block of at most
+    ``_ROUTE_CELLS`` cells and ``_ROUTE_GRID`` grid values (or one row) at a time."""
     n_trees = nodes.starts.size - 1
     out = np.empty((values.shape[0], n_trees), dtype=np.int32)
-    step = max(1, _ROUTE_CELLS // n_trees)
+    step = max(1, min(_ROUTE_CELLS // n_trees, _ROUTE_GRID // nodes.width))
     for i in range(0, values.shape[0], step):
         block = values[i : i + step]
         node = np.repeat(nodes.starts[:-1], block.shape[0])
-        deque(_descend(nodes, block, node), maxlen=0)  # walk, keeping no step
+        deque(_descend(nodes, _widen(nodes, block), node), maxlen=0)  # walk, keeping no step
         out[i : i + step] = nodes.leaf_id[node].reshape(n_trees, -1).T
     return out
 

@@ -599,6 +599,19 @@ def test_route_examples(t2x4):
         assert np.array_equal(counts, tree.leaf_count)
 
 
+def test_routing_rejects_rows_of_another_width():
+    table = make_mixed(60, seed=8)  # three columns
+    x = table.values
+    f = fit_supervised(table, (Column("y"), x[:, 0] + x[:, 1]), ForestParams(n_trees=4, seed=3))
+    row4, row2 = [0.1, 0.2, 0.0, 1.0], [0.1, 0.2]
+    for call, rows, width in ((route, row4, 4), (route, row2, 2), (route_values, row4, 4),
+                              (route_values, np.zeros((5, 2)), 2), (predict, row2, 2),
+                              (predict, np.zeros((5, 4)), 4)):
+        with pytest.raises(ForestError, match=f"rows have {width} columns; the forest has 3"):
+            call(f, rows)
+    assert route(f, x[0]).shape == (4,) and predict(f, x).shape == (60,)
+
+
 def test_route_counts_identity_after_fit(monkeypatch):
     """Without subsampling, bootstrap or honesty each tree counts every
     training row once, so on every growth path the stored leaf counts are the
@@ -639,41 +652,80 @@ def test_route_counts_identity_with_copies(honest):
         assert np.array_equal(np.bincount(ids[rows, b], minlength=tree.n_leaves), tree.leaf_count)
 
 
-def test_stacked_routing_matches_per_tree_walk(monkeypatch):
-    import forestae.forest as forest_module
+def _walk_each_tree(f: Forest, queries: np.ndarray) -> np.ndarray:
+    """Leaf ids (n x B) from a scalar walk of one tree and one row at a time."""
+    expected = np.empty((queries.shape[0], f.n_trees), dtype=int)
+    for b, tree in enumerate(f.trees):
+        left, right, leaf_id = tree.left, tree.right, tree.leaf_id
+        for i, x in enumerate(queries):
+            node = 0
+            while left[node] >= 0:
+                v, thr = x[tree.feature[node]], tree.threshold[node]
+                go_left = v == thr if tree.is_equal[node] else v < thr
+                node = left[node] if go_left else right[node]
+            expected[i, b] = leaf_id[node]
+    return expected
 
+
+def test_stacked_routing_matches_per_tree_walk(monkeypatch):
     table = make_mixed(90, seed=26)
+    rng = np.random.default_rng(28)
+    n_many = 60  # a fourth column with many levels, so splits test many of them
+    many = Schema(table.schema.columns + (Column("m", tuple(f"l{i}" for i in range(n_many))),))
+    wide = Table(many, np.column_stack([table.values, rng.integers(0, n_many, table.n)]))
     queries = make_mixed(41, seed=27).values
-    # edge cells: NaN and both infinities in each continuous column, and an
-    # unseen level (-1) in the categorical one, alone and all in one row
-    edge = queries[:7].copy()
-    for i, (j, v) in enumerate([(0, np.nan), (0, np.inf), (0, -np.inf), (1, np.nan),
-                                (1, np.inf), (1, -np.inf), (2, -1.0)]):
-        edge[i, j] = v
-    queries = np.vstack([queries, edge, [[np.nan, np.inf, -1.0]]])
+    queries = np.column_stack([queries, rng.integers(0, n_many, queries.shape[0])])
+    # edge cells: NaN and both infinities in each continuous column, and in each
+    # categorical one cells that are no level code: 0.5, L, an unseen level (-1)
+    # and NaN; each alone, and all in one row
+    edge = [(j, v) for j in (0, 1) for v in (np.nan, np.inf, -np.inf)]
+    edge += [(j, v) for j, n_levels in ((2, 3), (3, n_many)) for v in (0.5, n_levels, -1.0, np.nan)]
+    rows = np.repeat(queries[:1], len(edge), axis=0)
+    for i, (j, v) in enumerate(edge):
+        rows[i, j] = v
+    queries = np.vstack([queries, rows, [[np.nan, np.inf, 0.5, -1.0]]])
     assert queries.shape[0] % 3  # the last block of 3 rows is partial
+    blocks, widen_block = [], forest_module._widen  # rows of every block routed
+
+    def widen(nodes, values):
+        blocks.append(values.shape[0])
+        return widen_block(nodes, values)
+
+    levels_tested = []
     for f in (
-        fit_completely_random(table, ForestParams(n_trees=7, min_leaf=2, seed=16)),
-        fit_unsupervised(table, ForestParams(n_trees=5, min_leaf=3, seed=17)),
-        fit_completely_random(table, ForestParams(n_trees=1, min_leaf=2, seed=18)),
-        fit_completely_random(table, ForestParams(n_trees=3, max_depth=0, seed=19)),
+        fit_completely_random(wide, ForestParams(n_trees=7, min_leaf=2, seed=16)),
+        fit_unsupervised(wide, ForestParams(n_trees=5, min_leaf=3, seed=17)),
+        fit_completely_random(wide, ForestParams(n_trees=1, min_leaf=2, seed=18)),
+        fit_completely_random(wide, ForestParams(n_trees=3, max_depth=0, seed=19)),
     ):
-        expected = np.empty((queries.shape[0], f.n_trees), dtype=int)
-        for b, tree in enumerate(f.trees):
-            left, right, leaf_id = tree.left, tree.right, tree.leaf_id
-            for i, x in enumerate(queries):
-                node = 0
-                while left[node] >= 0:
-                    v, thr = x[tree.feature[node]], tree.threshold[node]
-                    go_left = v == thr if tree.is_equal[node] else v < thr
-                    node = left[node] if go_left else right[node]
-                expected[i, b] = leaf_id[node]
-        for cells in (None, 3 * f.n_trees, 1):  # one block; blocks of 3 rows; of one row
-            if cells is not None:
-                monkeypatch.setattr(forest_module, "_ROUTE_CELLS", cells)
-            assert np.array_equal(route_values(f, queries), expected)
-            assert np.array_equal(route_values(f, queries[-1:]), expected[-1:])
-            monkeypatch.undo()
+        expected = _walk_each_tree(f, queries)
+        nodes = f._node_table()
+        # one indicator column per (column, level) that some split tests
+        tested = {(j, int(c)) for j, c, eq in zip(f.feature, f.threshold, f.is_equal) if eq}
+        assert set(zip(nodes.eq_column, nodes.eq_level.astype(int))) == tested
+        assert nodes.width == 4 + len(tested) + 1 and nodes.key.dtype == np.int32
+        levels_tested.append(sum(j == 3 for j, _ in tested))
+        for setting in (
+            {},
+            {"_ROUTE_CELLS": 3 * f.n_trees},  # blocks of 3 rows
+            {"_ROUTE_CELLS": 1},  # blocks of one row
+            {"_ROUTE_GRID": 2 * nodes.width},  # the grid cap alone: blocks of 2 rows
+            {"_INT32_LIMIT": 0},  # int64 packed keys and grid positions
+        ):
+            with monkeypatch.context() as m:
+                m.setattr(forest_module, "_widen", widen)
+                for name, value in setting.items():
+                    m.setattr(forest_module, name, value)
+                g = replace(f)  # a copy that has built no routing table yet
+                blocks.clear()
+                assert np.array_equal(route_values(g, queries), expected)
+                assert np.array_equal(route_values(g, queries[-1:]), expected[-1:])
+                int64 = "_INT32_LIMIT" in setting
+                assert g._node_table().key.dtype == (np.int64 if int64 else np.int32)
+                cells = forest_module._ROUTE_CELLS // f.n_trees
+                assert max(blocks) == max(1, min(forest_module._ROUTE_GRID // nodes.width, cells,
+                                                 queries.shape[0]))
+    assert levels_tested[0] >= 10  # the first forest splits on many levels of "m"
     assert f.trees[0].n_leaves == 1  # the last forest's trees are single leaves
 
 
