@@ -886,8 +886,8 @@ def _resample_within_leaves(forest: Forest, real_values: np.ndarray, rng) -> np.
 # rows (banknote: 878 + 494 rows, 500 trees; clusters: 20k + 10k rows, 25
 # trees) took 0.063-0.091 and 0.103-0.114 s at 2**15 cells (median of 15),
 # 0.064-0.087 and 0.111-0.115 s at 2**16, and 0.10 and 0.18 s at 2**17. The
-# walk's allocations beyond the output peak at 1.8 MB at 2**15 (banknote
-# reference table), 3.6 MB at 2**16 and 7.1 MB at 2**17.
+# walk's allocations beyond the output peak at 1.7 MB at 2**15 (banknote
+# reference table), 3.4 MB at 2**16 and 6.7 MB at 2**17.
 _ROUTE_CELLS = 1 << 15
 # Values in a block's widened grid, so a table whose splits test many levels
 # routes fewer rows per block and the block's memory stays bounded. On a
@@ -896,7 +896,7 @@ _ROUTE_CELLS = 1 << 15
 # 2**16 and 0.049 s at 2**15, with a 2.4 MB peak: the grid, its gathered
 # categorical columns and their match mask.
 _ROUTE_GRID = 1 << 17
-# Packed keys and grid positions are int32 while they lie below this, int64 otherwise.
+# Node ids, packed keys and grid positions are int32 while they lie below this.
 _INT32_LIMIT = 1 << 31
 
 

@@ -673,7 +673,7 @@ def test_stacked_routing_matches_per_tree_walk(monkeypatch):
     n_many = 60  # a fourth column with many levels, so splits test many of them
     many = Schema(table.schema.columns + (Column("m", tuple(f"l{i}" for i in range(n_many))),))
     wide = Table(many, np.column_stack([table.values, rng.integers(0, n_many, table.n)]))
-    queries = make_mixed(41, seed=27).values
+    queries = make_mixed(40, seed=27).values
     queries = np.column_stack([queries, rng.integers(0, n_many, queries.shape[0])])
     # edge cells: NaN and both infinities in each continuous column, and in each
     # categorical one cells that are no level code: 0.5, L, an unseen level (-1)
@@ -683,7 +683,8 @@ def test_stacked_routing_matches_per_tree_walk(monkeypatch):
     rows = np.repeat(queries[:1], len(edge), axis=0)
     for i, (j, v) in enumerate(edge):
         rows[i, j] = v
-    queries = np.vstack([queries, rows, [[np.nan, np.inf, 0.5, -1.0]]])
+    queries = np.vstack([queries, rows, [[np.nan, np.inf, 0.5, -1.0],
+                                         [-np.inf, np.nan, 3.0, np.nan]]])
     assert queries.shape[0] % 3  # the last block of 3 rows is partial
     blocks, widen_block = [], forest_module._widen  # rows of every block routed
 
