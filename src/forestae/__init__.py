@@ -18,7 +18,6 @@ from .decode import (
     build_synthetic_training,
     exclusive_lasso,
     ilp_decode,
-    ilp_decode_exact,
     knn_decode,
     knn_neighbors,
     lasso_decode,
@@ -37,18 +36,12 @@ from .forest import (
     fit_unsupervised,
     leaf_region,
     predict,
-    region_intersect,
-    route,
 )
 from .kernel import (
-    FeatureMapVector,
     SparseKernelMatrix,
-    feature_map,
-    leaf_size_vector,
     mmd_squared,
     rf_kernel_cross,
     rf_kernel_train,
-    scornet_kernel,
 )
 from .metrics import DistortionReport, distortion, separation_ratio
 from .spectral import (

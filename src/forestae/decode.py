@@ -40,7 +40,6 @@ __all__ = [
     "exclusive_lasso",
     "reference_leaf_assign",
     "lasso_decode",
-    "ilp_decode_exact",
     "ilp_decode",
 ]
 
@@ -65,14 +64,14 @@ _RELABEL_CELLS = 2**15  # (reference row, tree) cells per block of trees relabel
 # million cells and take 37-58 s each. A desk-scale 5-tree forest needs a few
 # thousand.
 _LASSO_MAX_CELLS = 10**6
-# (cell, leaf) pairs met while exact decoding enumerates the forest's cells, and
-# (cell, reference row) products it scores. On a 2-vCPU x86 host, `decode` of
-# 40 rows of a mixed-decoders fold (data seed 1009, 300 reference rows, depth 6)
-# takes 0.61-0.74 s at 79 MB peak RSS with 20 trees (5,245 cells: 1.6 million
-# products) and 1.1-1.3 s at 87 MB with 25 trees (6,751 cells: 2.0 million);
-# 30 trees are refused. A desk-scale 5-tree forest needs 14 thousand.
+# Cells times the next tree's leaves while exact decoding enumerates the forest's
+# cells, and (cell, reference row) products it scores. On a 2-vCPU x86 host,
+# `decode` of 40 rows of a mixed-decoders fold (data seed 1009, 300 reference
+# rows, depth 6) takes 0.44-0.64 s at 56 MB peak RSS with 20 trees (5,245 cells:
+# 1.6 million products) and 0.52-0.70 s at 61 MB with 25 trees (6,751 cells: 2.0
+# million); 30 trees are refused. A desk-scale 5-tree forest needs 14 thousand.
 _ILP_MAX_WORK = 2**21
-_ILP_BLOCK = 2**16  # (cell, leaf) pairs or (row, cell, reference row) terms per block
+_ILP_BLOCK = 2**16  # (row, cell, reference row) terms per block of scoring; enumeration has none
 _TIE_TOL = 1e-12
 
 
@@ -743,21 +742,15 @@ def _check_ilp_work(work: int) -> None:
 
 def _refinement(forest: Forest, n_rows: int) -> np.ndarray:
     """The non-empty cells of the forest's common refinement as (cells, B)
-    local leaf ids, in lexicographic order: breadth first over the trees, each
-    step meets the cells so far with the next tree's leaf cells, in blocks of
-    ``_ILP_BLOCK`` pairs, and keeps the non-empty ones in row-major order.
-    Cells never get fewer, as each tree's leaves tile every cell, so every step
-    checks the budget on the products with ``n_rows`` that scoring will need."""
+    local leaf ids, in lexicographic order: each tree in turn walks the cells
+    so far down its splits (``_leaf_cells``). Cells never get fewer, as each
+    tree's leaves tile every cell, so every step checks the budget on the
+    products with ``n_rows`` that scoring will need."""
     region, cells = forest.box[None], np.zeros((1, 0), dtype=np.int64)
     for b, n_leaves in enumerate(forest.n_leaves.tolist()):
         _check_ilp_work(cells.shape[0] * max(n_leaves, n_rows))
-        leaves = _leaf_cells(forest, b, b + 1)
-        step = max(1, _ILP_BLOCK // n_leaves)
-        f, l = np.concatenate([
-            np.argwhere(~region[s:s + step, None].intersect(leaves).is_empty()) + (s, 0)
-            for s in range(0, cells.shape[0], step)
-        ]).T
-        region, cells = region[f].intersect(leaves[l]), np.column_stack([cells[f], l])
+        root, leaf, region = _leaf_cells(forest, b, b + 1, region)
+        cells = np.column_stack([cells[root], leaf])
         if not cells.shape[0]:
             raise DecodeError("no feasible leaf assignment: every combination has empty overlap")
     _check_ilp_work(cells.shape[0] * n_rows)
@@ -765,11 +758,15 @@ def _refinement(forest: Forest, n_rows: int) -> np.ndarray:
 
 
 def _ilp_solve(khat: np.ndarray, forest: Forest, pi: np.ndarray) -> list[IlpResult]:
-    """``ilp_decode_exact`` for (m x n) kernel rows against one enumeration:
-    each cell's M psi is summed once by the kernel module's leaf join, in tree
-    order, and every row's l1 objective is scored against all cells in blocks
-    of rows and of cells of at most ``_ILP_BLOCK`` terms (or one row and one
-    cell), each (row, cell) summing its reference rows alone."""
+    """Exact minimizers of the leaf-assignment program for (m x n) kernel rows:
+    the non-empty cells of the forest's common refinement are enumerated once,
+    and each row scores every cell by the exact l1 objective |B khat - M psi|_1
+    over the reference rows routed to ``pi``. The lexicographically first cell
+    within ``_TIE_TOL`` of the minimum wins, and ``n_optima`` counts the cells
+    within it. Each cell's M psi is summed once by the kernel module's leaf
+    join, in tree order, and rows are scored in blocks of rows and of cells of
+    at most ``_ILP_BLOCK`` terms (or one row and one cell), each (row, cell)
+    summing its reference rows alone."""
     B, n = forest.n_trees, pi.shape[0]
     target = B * np.asarray(khat, dtype=np.float64)
     if target.shape[1] != n:
@@ -793,18 +790,6 @@ def _ilp_solve(khat: np.ndarray, forest: Forest, pi: np.ndarray) -> list[IlpResu
             results.append(IlpResult(assignment=cells[tied[0]], objective=float(obj[tied[0]]),
                                      n_optima=tied.size, optima=list(cells[tied[:8]])))
     return results
-
-
-def ilp_decode_exact(khat_row: np.ndarray, forest: Forest, pi: np.ndarray) -> IlpResult:
-    """Exact minimizer of the leaf-assignment program for one kernel row.
-
-    The feasible assignments are the non-empty cells of the forest's common
-    refinement, the same for every row; each is scored by the exact l1
-    objective |B khat - M psi|_1 over the reference rows routed to ``pi``.
-    The lexicographically first cell within ``_TIE_TOL`` of the minimum wins,
-    and ``n_optima`` counts the cells within that tolerance.
-    """
-    return _ilp_solve(np.asarray(khat_row)[None], forest, pi)[0]
 
 
 def ilp_decode(

@@ -28,10 +28,8 @@ __all__ = [
     "fit_supervised",
     "fit_completely_random",
     "fit_unsupervised",
-    "route",
     "route_table",
     "leaf_region",
-    "region_intersect",
     "assigned_region",
     "predict",
 ]
@@ -1043,11 +1041,6 @@ def route_table(forest: Forest, table: Table) -> tuple[np.ndarray, int]:
     return route_values(forest, values), unseen
 
 
-def route(forest: Forest, x) -> np.ndarray:
-    """One leaf id per tree for a single row."""
-    return route_values(forest, np.asarray(x, dtype=np.float64).reshape(1, -1))[0]
-
-
 def predict(forest: Forest, x):
     """Mean leaf label over trees: scalar (or vector of class frequencies)."""
     if forest.kind not in (REGRESSION, CLASSIFICATION):
@@ -1132,57 +1125,83 @@ class Region:
         return not self.intersect(point).is_empty()
 
 
-# Nodes whose leaf cells ``assigned_region`` builds at once: whole trees, at
-# least one. On a 2-vCPU x86 host, the cells of the synthetic set of the
-# 500-tree banknote fold (144,606 nodes, 856 rows) took 49 ms at 2**14 nodes
-# (median of 9) with a 6.5 MB traced peak, against 52 ms and 5.1 MB at 2**13
-# and 48 ms and 9.4 MB at 2**15.
+# Nodes whose leaf cells ``assigned_region`` takes at once: whole trees, at least
+# one. On a 2-vCPU x86 host, a 500-tree banknote fold's synthetic-set cells (146,402
+# nodes, 856 rows; medians of 9, six processes) took 63-87 ms at 2**14 with a 7.2 MB
+# traced peak, 67-107 ms and 5.4 MB at 2**13, and 57-86 ms and 10.8 MB at 2**15.
 _CELL_NODES = 1 << 14
 
 
-def _leaf_cells(forest: Forest, b0: int, b1: int) -> Region:
-    """Cells of every leaf of trees ``b0`` to ``b1 - 1``, (leaves, d) in global
-    leaf order, built level by level over those trees' nodes.
+def _leaf_cells(forest: Forest, b0: int, b1: int, roots: Region | None = None):
+    """Every non-empty meet of a root cell with a leaf cell of trees ``b0`` to
+    ``b1 - 1``: (root, block leaf, cell) triples sorted by root, then leaf; a
+    block leaf is a global leaf id less ``leaf_offsets[b0]``.
 
-    A root's cell is the training feature box; a child narrows its parent's
-    cell by the split literal (left) or its negation (right). The literal
-    ``x < t`` is strict, so a left child's upper bound is the largest float
-    below the cut, and every cell is closed.
-    """
+    ``roots`` is a (k, d) batch of cells inside the feature box, the box when
+    None. Each walks down every tree: a child's cell is its parent's narrowed on
+    the split column alone, by the strict literal ``x < t`` (left: up to the
+    largest float below the cut, so cells stay closed), its negation or an
+    Equals level's mask, and kept only where that column stays non-empty.
+    ``min`` and ``max`` are exact, so a cell is its root met with the leaf's
+    cell. From the box every leaf has a cell: one without (a contradictory
+    path) raises ``ForestError``."""
     table = forest._node_table()
     first, last = table.starts[b0], table.starts[b1]
     left = table.left[first:last] - first  # ids within the block; still < 0 at leaves
     feature, cut, is_equal = (a[first:last] for a in (table.feature, table.threshold,
                                                      table.is_equal))
-    rows, box = last - first, forest.box
-    lo = np.tile(box.lo, (rows, 1))
-    hi = np.tile(box.hi, (rows, 1))
-    masks = {j: np.tile(m, (rows, 1)) for j, m in box.masks.items()}
-    nodes = table.starts[b0:b1] - first
-    while nodes.size:
-        nodes = nodes[left[nodes] >= 0]
-        l, f, c = left[nodes], feature[nodes], cut[nodes]
-        r = l + 1
-        for a in (lo, hi, *masks.values()):
-            a[l] = a[nodes]
-            a[r] = a[nodes]
-        cont = ~is_equal[nodes]
-        p, fc, cc = nodes[cont], f[cont], c[cont]
-        hi[l[cont], fc] = np.minimum(hi[p, fc], np.nextafter(cc, -np.inf))
-        lo[r[cont], fc] = np.maximum(lo[p, fc], cc)
-        for j, m in masks.items():
-            sel = is_equal[nodes] & (f == j)
-            code = c[sel].astype(np.intp)
-            allowed = m[nodes[sel], code]
-            m[l[sel]] = False
-            m[l[sel], code] = allowed
-            m[r[sel], code] = False
-            assert m[l[sel]].any(axis=1).all() and m[r[sel]].any(axis=1).all(), (
-                "contradictory path"
-            )
-        nodes = np.concatenate([l, r])
-    # global leaf ids follow node order
-    return Region(forest.schema, lo, hi, masks)[np.flatnonzero(feature < 0)]
+    leaf_of = np.cumsum(left < 0) - 1  # block leaf of each leaf node: global leaves follow nodes
+    from_box = roots is None
+    roots = forest.box[None] if from_box else roots
+    d, k = forest.schema.n_columns, len(roots.lo)
+    # frontier entries: root, cell bounds (lo then hi) in one row, a mask per
+    # categorical column; children copy their parents' rows, leaves first
+    entries = [np.arange(k), np.hstack([roots.lo, roots.hi]), *roots.masks.values()]
+    parent = np.repeat(np.arange(k), b1 - b0)
+    node = np.tile(table.starts[b0:b1] - first, k)
+    done, val = [], None
+    while node.size:
+        order = np.argsort(left[node] >= 0, kind="stable")
+        node, parent = node[order], parent[order]
+        entries = [a[parent] for a in entries]
+        if val is not None:  # narrow each child on its parent's split column
+            on_left, val = on_left[order], val[order]
+            entries[1][np.arange(node.size), f[parent] + d * on_left] = val  # hi on the left
+            for j, m in zip(roots.masks, entries[2:]):
+                at = np.flatnonzero(eq[parent] & (f[parent] == j))
+                code, side = c[parent[at]].astype(np.intp), on_left[at]
+                m[at[side]] = False
+                m[at, code] = side  # the level alone on the left, all but it on the right
+        n_done = np.count_nonzero(left[node] < 0)
+        done.append([node[:n_done], *(a[:n_done].copy() for a in entries)])  # frees the level
+        node, entries = node[n_done:], [a[n_done:] for a in entries]
+        f, c, eq = feature[node], cut[node], is_equal[node]
+        lo, hi = (entries[1][np.arange(node.size), j] for j in (f, f + d))
+        below = np.where(eq, hi, np.minimum(hi, np.nextafter(c, -np.inf)))
+        above = np.where(eq, lo, np.maximum(lo, c))
+        go_left, go_right = lo <= below, above <= hi
+        for j, m in zip(roots.masks, entries[2:]):
+            at = np.flatnonzero(eq & (f == j))
+            allowed = m[at, c[at].astype(np.intp)]
+            go_left[at] = allowed
+            go_right[at] = m[at].sum(axis=1) > allowed  # another level is allowed
+        # filter before gathering: only kept children copy their parent's entry
+        li, ri = np.flatnonzero(go_left), np.flatnonzero(go_right)
+        parent = np.concatenate([li, ri])
+        node = np.concatenate([left[node[li]], left[node[ri]] + 1])
+        on_left = np.arange(parent.size) < li.size
+        val = np.concatenate([below[li], above[ri]])
+    node, root, bounds, *masks = (np.concatenate(a) for a in zip(*done))
+    leaf, n_leaves = leaf_of[node], int(leaf_of[-1]) + 1
+    if from_box and leaf.size < n_leaves:
+        missing = first + np.flatnonzero(left < 0)[np.setdiff1d(np.arange(n_leaves), leaf)[0]]
+        b = int(np.searchsorted(table.starts, missing, "right")) - 1
+        raise ForestError(f"leaf {table.leaf_id[missing]} of tree {b} has an empty cell: "
+                          "its path is contradictory")
+    order = np.argsort(root * n_leaves + leaf, kind="stable")
+    bounds = bounds[order]
+    return root[order], leaf[order], Region(forest.schema, bounds[:, :d], bounds[:, d:],
+                                            {j: m[order] for j, m in zip(roots.masks, masks)})
 
 
 def leaf_region(forest: Forest, b: int, leaf: int) -> Region:
@@ -1191,12 +1210,7 @@ def leaf_region(forest: Forest, b: int, leaf: int) -> Region:
     """
     if not (0 <= b < forest.n_trees and 0 <= leaf < forest.n_leaves[b]):
         raise ForestError(f"the forest has no leaf {leaf} in tree {b}")
-    return _leaf_cells(forest, b, b + 1)[leaf]
-
-
-def region_intersect(regions) -> Region:
-    """Intersection of an iterable of (broadcastable) regions."""
-    return functools.reduce(Region.intersect, regions)
+    return _leaf_cells(forest, b, b + 1)[2][leaf]
 
 
 def assigned_region(forest: Forest, leaf_ids: np.ndarray) -> Region:
@@ -1213,9 +1227,9 @@ def assigned_region(forest: Forest, leaf_ids: np.ndarray) -> Region:
         b0 = 0
         while b0 < forest.n_trees:
             b1 = max(b0 + 1, int(np.searchsorted(starts, starts[b0] + _CELL_NODES, "right")) - 1)
-            block = _leaf_cells(forest, b0, b1)
+            block = _leaf_cells(forest, b0, b1)[2]
             for b in range(b0, b1):
                 yield block[ids[..., b] + (offsets[b] - offsets[b0])]
             b0 = b1
 
-    return region_intersect(tree_cells())
+    return functools.reduce(Region.intersect, tree_cells())

@@ -3,9 +3,9 @@ normalized by the leaf's reference-sample count.
 
 Normalization always runs over a designated reference table (the forest's
 training data, or the synthetic stand-in that routes identically). That makes
-the train matrix doubly stochastic and keeps cross rows on the simplex. Leaf
-counts stored on the trees (fitting or labeling sample) back the feature-map
-view; the two coincide for full-sample, non-honest forests.
+the train matrix doubly stochastic and keeps cross rows on the simplex. The
+leaf counts stored on the trees (fitting or labeling sample) coincide with the
+reference counts for full-sample, non-honest forests.
 
 A kernel block is kept as its leaf-membership factors, K = Fq Frᵀ / B, with
 one entry per (row, tree); products with K cost O(rows · B) and the n × n
@@ -20,18 +20,15 @@ from functools import cached_property
 import numpy as np
 
 from .data import Table
-from .forest import Forest, route, route_table
+from .forest import Forest, route_table
 
 __all__ = [
     "LeafFactor",
     "SparseKernelMatrix",
     "LeafProfile",
     "leaf_profile",
-    "leaf_size_vector",
-    "feature_map",
     "rf_kernel_train",
     "rf_kernel_cross",
-    "scornet_kernel",
     "mmd_squared",
 ]
 
@@ -284,40 +281,6 @@ def rf_kernel_cross(
         unseen_levels=unseen,
         skipped_leaf_cells=n_empty,
     )
-
-
-def leaf_size_vector(forest: Forest) -> np.ndarray:
-    """Inverse stored leaf counts, in global leaf order (length d_phi)."""
-    counts = forest.leaf_count.astype(np.float64)
-    if counts.min(initial=1) < 1:
-        raise KernelError("zero-count leaf")
-    return 1.0 / counts
-
-
-@dataclass(frozen=True)
-class FeatureMapVector:
-    """Sparse canonical feature map: exactly one entry per tree."""
-
-    indices: np.ndarray  # (B,) global leaf ids
-    values: np.ndarray  # (B,) = 1/sqrt(leaf count)
-    d_phi: int
-
-    def dot(self, other: "FeatureMapVector") -> float:
-        _, ia, ib = np.intersect1d(self.indices, other.indices, return_indices=True)
-        return float(np.dot(self.values[ia], other.values[ib]))
-
-
-def feature_map(forest: Forest, x) -> FeatureMapVector:
-    s = leaf_size_vector(forest)
-    leaves = route(forest, x).astype(np.int64) + forest.leaf_offsets
-    return FeatureMapVector(indices=leaves, values=np.sqrt(s[leaves]), d_phi=forest.total_leaves)
-
-
-def scornet_kernel(forest: Forest, x, x2) -> float:
-    """Unnormalized colocation rate: the share of trees where x and x2 meet."""
-    a = route(forest, x)
-    b = route(forest, x2)
-    return float(np.mean(a == b))
 
 
 def mmd_squared(sample_a: Table, sample_b: Table, forest: Forest, reference: Table) -> float:

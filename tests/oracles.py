@@ -1,0 +1,127 @@
+"""Reference implementations the tests compare the package against: the
+one-row routing and kernel API of the paper's definitions, one-row exact
+decoding, region intersection, and the leaf-cell builders that the single
+cell descent (``forest._leaf_cells``) replaced."""
+
+from __future__ import annotations
+
+import functools
+from dataclasses import dataclass
+
+import numpy as np
+
+from forestae.decode import DecodeError, IlpResult, _check_ilp_work, _ilp_solve
+from forestae.forest import Forest, Region, _leaf_cells, route_values
+from forestae.kernel import KernelError
+
+
+def route(forest: Forest, x) -> np.ndarray:
+    """One leaf id per tree for a single row."""
+    return route_values(forest, np.asarray(x, dtype=np.float64).reshape(1, -1))[0]
+
+
+def leaf_size_vector(forest: Forest) -> np.ndarray:
+    """Inverse stored leaf counts, in global leaf order (length d_phi)."""
+    counts = forest.leaf_count.astype(np.float64)
+    if counts.min(initial=1) < 1:
+        raise KernelError("zero-count leaf")
+    return 1.0 / counts
+
+
+@dataclass(frozen=True)
+class FeatureMapVector:
+    """Sparse canonical feature map: exactly one entry per tree."""
+
+    indices: np.ndarray  # (B,) global leaf ids
+    values: np.ndarray  # (B,) = 1/sqrt(leaf count)
+    d_phi: int
+
+    def dot(self, other: "FeatureMapVector") -> float:
+        _, ia, ib = np.intersect1d(self.indices, other.indices, return_indices=True)
+        return float(np.dot(self.values[ia], other.values[ib]))
+
+
+def feature_map(forest: Forest, x) -> FeatureMapVector:
+    s = leaf_size_vector(forest)
+    leaves = route(forest, x).astype(np.int64) + forest.leaf_offsets
+    return FeatureMapVector(indices=leaves, values=np.sqrt(s[leaves]), d_phi=forest.total_leaves)
+
+
+def scornet_kernel(forest: Forest, x, x2) -> float:
+    """Unnormalized colocation rate: the share of trees where x and x2 meet."""
+    a = route(forest, x)
+    b = route(forest, x2)
+    return float(np.mean(a == b))
+
+
+def ilp_decode_exact(khat_row: np.ndarray, forest: Forest, pi: np.ndarray) -> IlpResult:
+    """Exact minimizer of the leaf-assignment program for one kernel row."""
+    return _ilp_solve(np.asarray(khat_row)[None], forest, pi)[0]
+
+
+def region_intersect(regions) -> Region:
+    """Intersection of an iterable of (broadcastable) regions."""
+    return functools.reduce(Region.intersect, regions)
+
+
+def level_fill_leaf_cells(forest: Forest, b0: int, b1: int) -> Region:
+    """Cells of every leaf of trees ``b0`` to ``b1 - 1``, (leaves, d) in global
+    leaf order, built level by level over those trees' nodes: every node's
+    cell starts as the feature box, and a child copies its parent's and
+    narrows it by the split literal (left) or its negation (right)."""
+    table = forest._node_table()
+    first, last = table.starts[b0], table.starts[b1]
+    left = table.left[first:last] - first
+    feature, cut, is_equal = (a[first:last] for a in (table.feature, table.threshold,
+                                                     table.is_equal))
+    rows, box = last - first, forest.box
+    lo = np.tile(box.lo, (rows, 1))
+    hi = np.tile(box.hi, (rows, 1))
+    masks = {j: np.tile(m, (rows, 1)) for j, m in box.masks.items()}
+    nodes = table.starts[b0:b1] - first
+    while nodes.size:
+        nodes = nodes[left[nodes] >= 0]
+        l, f, c = left[nodes], feature[nodes], cut[nodes]
+        r = l + 1
+        for a in (lo, hi, *masks.values()):
+            a[l] = a[nodes]
+            a[r] = a[nodes]
+        cont = ~is_equal[nodes]
+        p, fc, cc = nodes[cont], f[cont], c[cont]
+        hi[l[cont], fc] = np.minimum(hi[p, fc], np.nextafter(cc, -np.inf))
+        lo[r[cont], fc] = np.maximum(lo[p, fc], cc)
+        for j, m in masks.items():
+            sel = is_equal[nodes] & (f == j)
+            code = c[sel].astype(np.intp)
+            allowed = m[nodes[sel], code]
+            m[l[sel]] = False
+            m[l[sel], code] = allowed
+            m[r[sel], code] = False
+        nodes = np.concatenate([l, r])
+    return Region(forest.schema, lo, hi, masks)[np.flatnonzero(feature < 0)]
+
+
+def all_pairs_meet(roots: Region, leaves: Region):
+    """(root, leaf, cell) of every non-empty meet of a root with a leaf cell,
+    in row-major order of the (root, leaf) pairs, in blocks of 2**16 pairs."""
+    step = max(1, 2**16 // leaves.lo.shape[0])
+    f, l = np.concatenate([
+        np.argwhere(~roots[s:s + step, None].intersect(leaves).is_empty()) + (s, 0)
+        for s in range(0, roots.lo.shape[0], step)
+    ]).T
+    return f, l, roots[f].intersect(leaves[l])
+
+
+def all_pairs_refinement(forest: Forest, n_rows: int) -> np.ndarray:
+    """The common refinement as ``decode._refinement`` enumerated it before the
+    cell descent: each step meets every cell so far with every leaf cell of the
+    next tree and keeps the non-empty pairs in row-major order."""
+    region, cells = forest.box[None], np.zeros((1, 0), dtype=np.int64)
+    for b, n_leaves in enumerate(forest.n_leaves.tolist()):
+        _check_ilp_work(cells.shape[0] * max(n_leaves, n_rows))
+        f, l, region = all_pairs_meet(region, level_fill_leaf_cells(forest, b, b + 1))
+        cells = np.column_stack([cells[f], l])
+        if not cells.shape[0]:
+            raise DecodeError("no feasible leaf assignment: every combination has empty overlap")
+    _check_ilp_work(cells.shape[0] * n_rows)
+    return cells

@@ -16,7 +16,6 @@ import scipy.stats
 from forestae.data import Column, Schema, Table, load_csv
 from forestae.decode import (
     build_synthetic_training,
-    ilp_decode_exact,
     knn_decode,
     reference_leaf_assign,
 )
@@ -26,7 +25,6 @@ from forestae.forest import (
     fit_supervised,
     fit_unsupervised,
     leaf_region,
-    region_intersect,
     route_table,
 )
 from forestae.kernel import mmd_squared, rf_kernel_cross, rf_kernel_train
@@ -40,6 +38,7 @@ from forestae.spectral import (
 from forestae.bundle import load_bundle
 from forestae.cli import main as cli_main
 from conftest import forest_of, make_blobs, make_mixed
+from oracles import ilp_decode_exact, region_intersect
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 

@@ -14,7 +14,6 @@ from forestae.cli import main
 from forestae.data import Table, load_csv, save_csv
 from forestae.decode import (
     DecodeError,
-    ilp_decode_exact,
     knn_decode,
     lasso_decode,
     relabel_forest,
@@ -24,6 +23,7 @@ from forestae.forest import ForestError, ForestParams, assigned_region, route_ta
 from forestae.kernel import SparseKernelMatrix, leaf_profile, rf_kernel_train
 from forestae.spectral import SpectralError, reconstruct_kernel, with_time
 from conftest import make_mixed
+from oracles import ilp_decode_exact
 
 
 def _write_blobs_csv(path, n=80, seed=0, with_label=True):
@@ -479,6 +479,33 @@ def test_encode_rejects_cyclic_tree_without_hanging(tmp_path):
     )
     assert done.returncode == 1
     assert "BundleError" in done.stderr and "parent" in done.stderr
+
+
+def test_decode_ilp_refuses_contradictory_path_under_optimization(tmp_path):
+    from dataclasses import replace
+
+    from forestae.bundle import forest_digest, save_bundle
+
+    data = _write_blobs_csv(tmp_path / "train.csv", n=40, seed=6, with_label=False)
+    bundle, emb = tmp_path / "m.json", tmp_path / "emb.csv"
+    assert main(["fit", str(data), "--mode", "completely_random", "--d-z", "2",
+                 "--trees", "3", "--min-leaf", "3", "--out", str(bundle), "--seed", "1"]) == 0
+    assert main(["encode", str(bundle), str(data), "--out", str(emb)]) == 0
+    b = load_bundle(bundle)
+    tree = b.forest.trees[0]  # its arrays are views of the forest's
+    # a split's left child repeats the split: the child's right side is empty
+    p = next(int(k) for k in np.flatnonzero(tree.feature >= 0) if tree.feature[tree.left[k]] >= 0)
+    child = tree.left[p]
+    tree.feature[child], tree.threshold[child] = tree.feature[p], tree.threshold[p]
+    save_bundle(replace(b, forest_sha=forest_digest(b.forest)), bundle)
+    # -O strips asserts: the refusal must not be one
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "forestae.cli", "decode", str(bundle), str(emb),
+         "--decoder", "ilp", "--out", str(tmp_path / "dec.csv")],
+        capture_output=True, text=True, env=_cli_env(), timeout=60,
+    )
+    assert done.returncode == 1
+    assert "ForestError" in done.stderr and "contradictory" in done.stderr, done.stderr
 
 
 def test_decode_unknown_decoder_usage_error(fitted, tmp_path):

@@ -10,7 +10,6 @@ from forestae.decode import (
     _bvls,
     build_synthetic_training,
     exclusive_lasso,
-    ilp_decode_exact,
     knn_decode,
     knn_neighbors,
     lasso_decode,
@@ -25,15 +24,21 @@ from forestae.forest import (
     assigned_region,
     breadth_first_layout,
     fit_completely_random,
+    fit_unsupervised,
     leaf_region,
-    region_intersect,
-    route,
     route_table,
     route_values,
 )
 from forestae.kernel import rf_kernel_cross, rf_kernel_train
 from forestae.spectral import eigendecompose, reconstruct_kernel, with_time
 from conftest import forest_of, make_blobs, make_mixed, _stump
+from oracles import (
+    all_pairs_meet,
+    all_pairs_refinement,
+    ilp_decode_exact,
+    level_fill_leaf_cells,
+    region_intersect,
+)
 
 
 def _pipeline(table, trees=12, min_leaf=3, d_z=3, seed=0, max_depth=None):
@@ -996,27 +1001,83 @@ def test_ilp_blocks_do_not_change_the_results(monkeypatch, block):
         assert np.array_equal(want.optima, got.optima)
 
 
-def test_ilp_infeasible_instance_errors(monkeypatch, t2x4):
+def test_ilp_infeasible_instance_errors(t2x4):
     forest, table, _ = t2x4
     ids, _ = route_table(forest, table)
-    # corrupt the leaf cells decoding builds so no leaf pair overlaps;
-    # well-formed trees always tile the box, so infeasibility requires a
-    # broken structure
+    # well-formed trees tile their feature box, so infeasibility needs a broken
+    # forest: here a box whose x0 range is inverted, which neither child of
+    # tree 0's x0 split meets
+    from dataclasses import replace
+
+    ranges = forest.feature_ranges.copy()
+    ranges[0] = ranges[0, ::-1]
+    broken = replace(forest, feature_ranges=ranges)
+    with pytest.raises(DecodeError, match="no feasible"):
+        ilp_decode_exact(np.full(4, 0.25), broken, ids)
+
+
+def _oracle_forest(name):
+    """The ilp tests' forests, and a mixed fold fitted unsupervised at depth 6
+    and completely at random at depth 5."""
+    if name == "grid":
+        return _injective_grid_forest()[0]
+    if name == "stumps":
+        return forest_of([_stump(0, 0.5, (1, 1)), _stump(1, 0.5, (1, 1))],
+                         schema=Schema((Column("x0"), Column("x1"))),
+                         feature_ranges=np.array([[0.0, 1.0], [0.0, 1.0]]),
+                         params=ForestParams(n_trees=2, seed=0), kind="none")
+    if name.startswith("brute"):
+        seed = int(name[-1])
+        return fit_completely_random(make_mixed(40, seed=50 + seed), ForestParams(
+            n_trees=3 + seed % 2, max_depth=3, min_leaf=2, seed=seed))
+    table = make_mixed(300, seed=1009)
+    if name == "twenty":
+        return fit_unsupervised(table, ForestParams(n_trees=20, max_depth=3, min_leaf=3,
+                                                    seed=1010))
+    fit, depth = {"mixed-unsup": (fit_unsupervised, 6),
+                  "mixed-cr": (fit_completely_random, 5)}[name]
+    return fit(table, ForestParams(n_trees=12, max_depth=depth, min_leaf=3, seed=1009))
+
+
+def _assert_same_cells(got, want):
+    assert np.array_equal(got.lo, want.lo) and np.array_equal(got.hi, want.hi)
+    assert list(got.masks) == list(want.masks)
+    assert all(np.array_equal(got.masks[j], m) for j, m in want.masks.items())
+
+
+@pytest.mark.parametrize("name", ["grid", "stumps", *(f"brute{s}" for s in range(4)), "twenty",
+                                  "mixed-unsup", "mixed-cr"])
+def test_cell_descent_matches_level_fill_and_all_pairs_oracles(name):
+    # the descent reproduces the level fill's leaf cells, the all-pairs meet's
+    # cells and order from given roots, and the all-pairs refinement, bit for bit
     from forestae import decode
     from forestae.forest import Region, _leaf_cells
 
-    def corrupted(f, b0, b1):
-        cells = _leaf_cells(f, b0, b1)
-        lo, hi = cells.lo, cells.hi
-        if b0 == 0:
-            hi = np.minimum(hi, 0.3)
-        else:
-            lo = np.maximum(lo, 0.6)
-        return Region(f.schema, lo, hi, {})
-
-    monkeypatch.setattr(decode, "_leaf_cells", corrupted)
-    with pytest.raises(DecodeError, match="no feasible"):
-        ilp_decode_exact(np.full(4, 0.25), forest, ids)
+    f = _oracle_forest(name)
+    for b0, b1 in [(b, b + 1) for b in range(f.n_trees)] + [(0, f.n_trees)]:
+        root, leaf, cells = _leaf_cells(f, b0, b1)
+        want = level_fill_leaf_cells(f, b0, b1)
+        assert not root.any() and np.array_equal(leaf, np.arange(want.lo.shape[0]))
+        _assert_same_cells(cells, want)
+    assert np.array_equal(decode._refinement(f, 40), all_pairs_refinement(f, 40))
+    # roots: the box; one float wide across the cut of the first tree's root
+    # (the box again where that is a leaf or an Equals split); and the lowest
+    # quarter of every interval with the first level of each mask
+    box, j, t = f.box, f.feature[0], f.threshold[0]
+    lo, hi = np.tile(box.lo, (3, 1)), np.tile(box.hi, (3, 1))
+    if j >= 0 and not f.is_equal[0]:
+        lo[1, j], hi[1, j] = np.nextafter(t, -np.inf), t
+    hi[2] = 0.75 * box.lo + 0.25 * box.hi
+    masks = {c: np.vstack([m, m, np.arange(m.size) == 0]) for c, m in box.masks.items()}
+    roots = Region(f.schema, lo, hi, masks)
+    partial = []
+    for b in range(f.n_trees):
+        got = _leaf_cells(f, b, b + 1, roots)
+        want = all_pairs_meet(roots, level_fill_leaf_cells(f, b, b + 1))
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        _assert_same_cells(got[2], want[2])
+        partial.append(np.count_nonzero(got[0] == 2) < f.n_leaves[b])
+    assert any(partial)  # the lowest quarter meets only some leaves of a tree
 
 
 def test_ilp_dominates_greedy_on_toy_instances():

@@ -20,13 +20,13 @@ from forestae.forest import (
     ForestParams,
     Tree,
     leaf_region,
-    region_intersect,
     route_table,
     route_values,
 )
 from forestae.kernel import rf_kernel_cross, rf_kernel_train
 from forestae.spectral import eigendecompose, nystrom_embed, with_time
 from conftest import forest_of, make_mixed, _stump
+from oracles import region_intersect
 
 
 def _equals_stump(level: float, counts) -> Tree:

@@ -23,14 +23,13 @@ from forestae.forest import (
     fit_unsupervised,
     leaf_region,
     predict,
-    region_intersect,
-    route,
     route_table,
     route_values,
 )
 from forestae.kernel import rf_kernel_train
 from forestae.spectral import eigendecompose, with_time
 from conftest import forest_of, make_blobs, make_mixed
+from oracles import region_intersect, route
 
 
 def _tree_bag(params: ForestParams, n: int, b: int, label_half: bool = False) -> np.ndarray:
@@ -578,7 +577,7 @@ def test_leaf_diameter_shrinks_with_depth():
         )
         total, count = 0.0, 0
         for b in range(f.n_trees):
-            box = forest_module._leaf_cells(f, b, b + 1)
+            box = forest_module._leaf_cells(f, b, b + 1)[2]
             lo, hi = box.lo, box.hi
             total += float(np.linalg.norm(hi - lo, axis=1).sum())
             count += lo.shape[0]
@@ -825,7 +824,7 @@ def test_assigned_region_over_tree_blocks_matches_per_tree_cells(monkeypatch, bl
     rng = np.random.default_rng(5)
     drawn = np.column_stack([rng.integers(0, t.n_leaves, 40) for t in f.trees])
     ids = np.vstack([route_table(f, table)[0], drawn])
-    want = region_intersect(forest_module._leaf_cells(f, b, b + 1)[ids[:, b]]
+    want = region_intersect(forest_module._leaf_cells(f, b, b + 1)[2][ids[:, b]]
                             for b in range(f.n_trees))
     monkeypatch.setattr(forest_module, "_CELL_NODES", block_nodes)
     got = assigned_region(f, ids)
@@ -987,8 +986,36 @@ def test_contradictory_categorical_path_asserts():
         params=ForestParams(n_trees=1, seed=0),
         kind="none",
     )
-    with pytest.raises(AssertionError, match="contradictory"):
+    with pytest.raises(ForestError, match="leaf 1 of tree 0 has an empty cell: its path is contra"):
         leaf_region(forest, 0, 1)
+
+
+def test_contradictory_continuous_path_raises():
+    # "x < 0.3", then "x < 0.5" under its left child: that split's right child,
+    # x >= 0.5, is empty. A walk from the box refuses it; a walk from given
+    # cells drops it like any leaf they do not meet
+    schema = Schema((Column("x"),))
+    tree = Tree(
+        feature=np.array([0, 0, -1, -1, -1], dtype=np.int32),
+        threshold=np.array([0.3, 0.5, 0.0, 0.0, 0.0]),
+        is_equal=np.zeros(5, dtype=bool),
+        leaf_count=np.array([1, 1, 1], dtype=np.int64),
+        leaf_stat=np.zeros(3),
+    )
+    forest = forest_of(
+        [tree],
+        schema=schema,
+        feature_ranges=np.array([[0.0, 1.0]]),
+        params=ForestParams(n_trees=1, seed=0),
+        kind="none",
+    )
+    for call in (lambda: leaf_region(forest, 0, 0),
+                 lambda: assigned_region(forest, np.array([[0], [1]]))):
+        with pytest.raises(ForestError, match="leaf 2 of tree 0 has an empty cell"):
+            call()
+    root, leaf, cells = forest_module._leaf_cells(forest, 0, 1, forest.box[None])
+    assert root.tolist() == [0, 0] and leaf.tolist() == [0, 1]
+    assert cells.lo[:, 0].tolist() == [0.3, 0.0]
 
 
 def _leaves_under(tree: Tree, node: int) -> list[int]:

@@ -2,17 +2,10 @@ import numpy as np
 import pytest
 
 from forestae.data import Column, Schema, Table
-from forestae.forest import ForestParams, fit_completely_random, fit_supervised, predict, route
-from forestae.kernel import (
-    KernelError,
-    feature_map,
-    leaf_size_vector,
-    mmd_squared,
-    rf_kernel_cross,
-    rf_kernel_train,
-    scornet_kernel,
-)
+from forestae.forest import ForestParams, fit_completely_random, fit_supervised, predict
+from forestae.kernel import KernelError, mmd_squared, rf_kernel_cross, rf_kernel_train
 from conftest import forest_of, make_blobs, make_mixed, _stump
+from oracles import feature_map, leaf_size_vector, scornet_kernel
 from forestae.forest import Tree
 
 
