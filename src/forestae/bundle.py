@@ -260,6 +260,9 @@ def load_bundle(path: str | Path) -> ModelBundle:
     _check_trees(a, schema.n_levels)
     if a["feature_ranges"].shape != (schema.n_columns, 2):
         raise BundleError(f"feature_ranges is not shaped ({schema.n_columns}, 2)")
+    lo, hi = a["feature_ranges"][schema.n_levels == 0].T
+    if not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)):
+        raise BundleError("feature_ranges has a continuous row that is not finite low <= high")
     forest = Forest(**{k: a[k] for k in _ARRAYS}, schema=schema, kind=kind, params=params,
                     n_classes=n_classes)
     model = SpectralModel(*a["V"].shape, a["eigenvalues"], a["V"])

@@ -683,8 +683,7 @@ def lasso_decode(
     """
     if sparsity_cap < 1:
         raise DecodeError("sparsity_cap must be >= 1")
-    Z0 = np.atleast_2d(np.asarray(Z0, dtype=np.float64))
-    khat_all = reconstruct_kernel(Z0, model)
+    khat_all = reconstruct_kernel(_embedding(Z0, model.d_z), model)
     M = leaf_design(leaf_profile(forest, route_values(forest, synth.table.values)))
     B = forest.n_trees
     picked = [_strongest(khat, sparsity_cap) for khat in khat_all]
@@ -807,7 +806,7 @@ def ilp_decode(
     If ``trace`` is a list, one record per row is appended to it: the row,
     its optimal objective and the number of optima.
     """
-    khat = reconstruct_kernel(np.atleast_2d(np.asarray(Z0, dtype=np.float64)), model)
+    khat = reconstruct_kernel(_embedding(Z0, model.d_z), model)
     results = _ilp_solve(khat, forest, route_values(forest, synth.table.values))
     if trace is not None:
         trace.extend({"row": i, "objective": r.objective, "n_optima": r.n_optima}

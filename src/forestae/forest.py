@@ -282,10 +282,10 @@ def _draw_counts(bags: np.ndarray, n: int) -> np.ndarray:
     return np.bincount((np.arange(t)[:, None] * n + bags).ravel(), minlength=t * n).reshape(t, n)
 
 
-def _first_min(cost: np.ndarray, first: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Index of the first lowest ``cost`` in each run ``first[g]`` to
-    ``first[g] + lens[g]`` (runs back to back, none empty)."""
-    hit = np.flatnonzero(cost == np.repeat(np.minimum.reduceat(cost, first), lens))
+def _first_min(cost: np.ndarray, first: np.ndarray, lens: np.ndarray, slack=0.0) -> np.ndarray:
+    """Index of the first ``cost`` within ``slack[g]`` of the lowest in each
+    run ``first[g]`` to ``first[g] + lens[g]`` (runs back to back, none empty)."""
+    hit = np.flatnonzero(cost <= np.repeat(np.minimum.reduceat(cost, first) + slack, lens))
     return hit[np.searchsorted(hit, first)]
 
 
@@ -473,9 +473,8 @@ class _Chunk:
 
     def _scored_splits(self, open_: np.ndarray):
         """CART: each open node's best split over ``mtry`` candidate columns
-        drawn per node; ties go to the lowest column, then the leftmost cut. A
-        regression cost within ``_TIE_RTOL`` x the node's SSE of the best so
-        far is a tie."""
+        drawn per node; ties (``_slack``) go to the lowest column, then the
+        leftmost cut or the lowest level."""
         n_nodes, d = open_.size, self.data.values.shape[1]
         nodes = np.flatnonzero(open_)
         cand = np.full((nodes.size, d), self.mtry >= d)
@@ -491,13 +490,17 @@ class _Chunk:
                 continue
             score = self._score_categorical if self.data.n_levels[j] else self._score_continuous
             cost, c = score(j, at)
-            # regression costs of one partition differ by the rounding of label
-            # sums taken in each column's order, so a later column must win by more
-            slack = _TIE_RTOL * self.sse[at] if self.data.kind == REGRESSION else 0.0
-            better = cost < best[at] - slack
+            better = cost < best[at] - self._slack(at)
             at = at[better]
             best[at], feat[at], cut[at] = cost[better], j, c[better]
         return feat, cut
+
+    def _slack(self, nodes: np.ndarray):
+        """Per node, the cost gap below which two splits tie. Regression costs
+        of one partition differ by the rounding of label sums taken in row or
+        column order, so a gap within ``_TIE_RTOL`` x the node's SSE is a tie;
+        classification costs come from exact counts."""
+        return _TIE_RTOL * self.sse[nodes] if self.data.kind == REGRESSION else 0.0
 
     def _score_continuous(self, j: int, nodes: np.ndarray):
         """Per node of ``nodes``, the lowest cost over cuts at midpoints
@@ -565,7 +568,7 @@ class _Chunk:
         out_cut = np.zeros(nodes.size)
         has = n_cut > 0
         if has.any():
-            best = _first_min(cost, first[has], n_cut[has])
+            best = _first_min(cost, first[has], n_cut[has], self._slack(nodes[has]))
             out_cost[has], out_cut[has] = cost[best], mid[i[best]]
         return out_cost, out_cut
 
@@ -608,7 +611,7 @@ class _Chunk:
             lab = self.lab_index[j][nodes]
             ok &= (lab >= 1) & (lab < self.lab_n[nodes, None])
         cost = np.where(ok, cost, np.inf)
-        best = np.argmin(cost, axis=1)
+        best = np.argmax(cost <= (cost.min(axis=1) + self._slack(nodes))[:, None], axis=1)
         return cost[np.arange(nodes.size), best], best.astype(np.float64)
 
     def _random_splits(self, open_: np.ndarray):
@@ -752,7 +755,9 @@ class _Chunk:
             key = leaf * c + data.y[row].astype(np.intp)
             stat = np.bincount(key, minlength=n_nodes * c).reshape(n_nodes, c).astype(np.float64)
         elif data.kind == REGRESSION:
-            stat = np.bincount(leaf, weights=data.y[row], minlength=n_nodes) / np.maximum(counts, 1)
+            order = np.lexsort((data.y[row], leaf))  # a leaf's labels in ascending order
+            stat = np.bincount(leaf[order], weights=data.y[row[order]], minlength=n_nodes)
+            stat /= np.maximum(counts, 1)
         else:
             stat = np.zeros(n_nodes)
         nodes = np.argsort(tree, kind="stable")

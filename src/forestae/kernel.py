@@ -56,7 +56,7 @@ class LeafFactor:
     products, so they equal products with ``tocsr()`` bit for bit.
     """
 
-    cols: np.ndarray  # (n, B) global leaf ids
+    cols: np.ndarray  # (n, B) global leaf ids, stored tree-major (``cols.T`` contiguous)
     weights: np.ndarray  # (L,) one weight per global leaf
 
     @property
@@ -68,21 +68,22 @@ class LeafFactor:
         return self.cols.size
 
     def dot(self, T: np.ndarray) -> np.ndarray:
-        """F T for a per-leaf table T (L,) or (L, k): a sum over trees, in tree order."""
-        cols = np.ascontiguousarray(self.cols.T)  # (B, n): one contiguous row per tree
-        vals = np.take(self.weights, cols).reshape(cols.shape + (1,) * (T.ndim - 1))
-        out = np.zeros((cols.shape[1],) + T.shape[1:])
-        for c, v in zip(cols, vals):
-            out += v * np.take(T, c, axis=0)
-        return out
+        """F T for a per-leaf table T (L,) or (L, k), a column at a time: a sum
+        over trees, in tree order."""
+        if T.ndim == 2:
+            return np.stack([self.dot(t) for t in T.T], axis=1)
+        vals = np.take(T * self.weights, self.cols.T)  # (B, n): one row per tree
+        # numpy adds axis 0 row after row, but sums a lone column pairwise
+        return np.add.reduce(vals, axis=0) if vals.shape[1] > 1 else vals.cumsum(axis=0)[-1]
 
     def tdot(self, X: np.ndarray) -> np.ndarray:
         """Fᵀ X for X (n,) or (n, k): a per-leaf bincount over rows in ascending order."""
-        flat, vals = self.cols.ravel(), self.weights[self.cols]
-        L = self.shape[1]
-        sums = [np.bincount(flat, weights=(vals * x[:, None]).ravel(), minlength=L)
-                for x in (X[:, None] if X.ndim == 1 else X).T]
-        return np.stack(sums, axis=1).reshape((L,) + X.shape[1:])
+        if X.ndim == 2:
+            return np.stack([self.tdot(x) for x in X.T], axis=1)
+        cols = self.cols.T
+        vals = self.weights[cols]
+        vals *= X
+        return np.bincount(cols.ravel(), weights=vals.ravel(), minlength=self.shape[1])
 
     def tocsr(self):
         """F as a SciPy CSR matrix, entries in tree order within each row."""
@@ -177,8 +178,8 @@ def _leaf_join(cols: np.ndarray, weights: np.ndarray, reference: np.ndarray):
     dense sums, or one row.
     """
     m, n = cols.shape[0], reference.shape[0]
-    flat = reference.ravel()
-    members = np.argsort(flat, kind="stable") // reference.shape[1]  # reference rows by leaf
+    flat = reference.T.ravel()  # tree-major; a leaf lies in one tree, so its rows ascend
+    members = np.argsort(flat, kind="stable") % n  # reference rows by leaf
     sizes = np.bincount(flat, minlength=int(cols.max(initial=-1)) + 1)
     starts = np.cumsum(sizes) - sizes
     lens = np.where(weights != 0, sizes[cols], 0)
@@ -226,8 +227,15 @@ def leaf_profile(forest: Forest, reference: Table | np.ndarray) -> LeafProfile:
         ids, _ = route_table(forest, reference)
     else:
         ids = reference
-    cols = ids.astype(np.int64) + forest.leaf_offsets
-    return LeafProfile(cols, np.bincount(cols.ravel(), minlength=forest.total_leaves))
+    cols = _global_leaves(forest, ids)
+    return LeafProfile(cols, np.bincount(cols.T.ravel(), minlength=forest.total_leaves))
+
+
+def _global_leaves(forest: Forest, ids: np.ndarray) -> np.ndarray:
+    """Global leaf ids (n x B) of local ones, stored tree-major: ``.T`` is contiguous."""
+    cols = np.array(ids.T, dtype=np.int64, order="C")
+    cols += forest.leaf_offsets[:, None]
+    return cols.T
 
 
 def leaf_design(profile: LeafProfile) -> LeafFactor:
@@ -258,7 +266,7 @@ def rf_kernel_cross(
     q_ids, unseen = route_table(forest, queries)
     profile = leaf_profile(forest, reference)
     w = profile.weights
-    q_cols = q_ids.astype(np.int64) + forest.leaf_offsets
+    q_cols = _global_leaves(forest, q_ids)
     empty = w[q_cols] == 0  # (m, B) cells whose leaf holds no reference row
     n_empty = int(empty.sum())
     if n_empty and strict:
@@ -294,7 +302,7 @@ def mmd_squared(sample_a: Table, sample_b: Table, forest: Forest, reference: Tab
 
     def mean_map(t: Table) -> np.ndarray:
         # a block mean of K = Fx Fyᵀ / B is a dot of F's column means
-        F = LeafFactor(route_table(forest, t)[0].astype(np.int64) + forest.leaf_offsets, w)
+        F = LeafFactor(_global_leaves(forest, route_table(forest, t)[0]), w)
         return F.tdot(np.ones(t.n)) / t.n
 
     diff = mean_map(sample_a) - mean_map(sample_b)

@@ -75,16 +75,16 @@ class SpectralModel:
 def eigendecompose(K: SparseKernelMatrix, d_z: int) -> SpectralModel:
     """Top d_z eigenpairs of K − 11ᵀ/n for a doubly stochastic train kernel K.
 
-    K·1 = 1 (checked to 1e-8 on the operator the solver uses: the dense K, or
-    the factored product) makes (1, 1/√n) an exact eigenpair, and deflating it
-    leaves K's other pairs; so on a disconnected kernel graph a retained
-    λ = 1 vector is orthogonal to the constant whatever the solver's
-    rounding. Small or nearly full problems use dense ``eigh``; otherwise a
-    thick-restart Lanczos iteration (``_lanczos``) runs in numpy on the
-    factored kernel, X -> F (Fᵀ X) / B − mean(X), so K is never formed, from
-    a fixed start vector.
-    Eigenvector signs are fixed so each vector's largest-magnitude entry is
-    positive, and residuals are checked against 1e-8 on the factored product.
+    Every product with K is ``K.dot``, on the deflated operator X -> K X −
+    mean(X). It first checks max |K·1 − 1| ≤ 1e-8, which makes (1, 1/√n) an
+    exact eigenpair, and deflating it leaves K's other pairs; so on a
+    disconnected kernel graph a retained λ = 1 vector is orthogonal to the
+    constant whatever the solver's rounding. Small or nearly full problems
+    use dense ``eigh`` on ``K.toarray()``; otherwise a thick-restart Lanczos
+    iteration (``_lanczos``) runs on the operator from a fixed start vector,
+    so K is never formed. Eigenvector signs are fixed so each vector's
+    largest-magnitude entry is positive, and residuals are checked against
+    1e-8 on the operator.
     """
     if K.role != TRAIN:
         raise SpectralError("eigendecompose expects a train-role kernel")
@@ -92,23 +92,19 @@ def eigendecompose(K: SparseKernelMatrix, d_z: int) -> SpectralModel:
     if not (1 <= d_z <= n - 1):
         raise SpectralError(f"d_z must lie in [1, n-1], got {d_z} with n={n}")
 
-    def check_drift(excess: np.ndarray) -> float:
-        drift = float(np.abs(excess).max())
-        if drift > _RESIDUAL_TOL:
-            raise SpectralError(f"kernel rows sum to 1 only within {drift:.3e}; "
-                                "the constant pair cannot be deflated")
-        return drift
+    def dot(X: np.ndarray) -> np.ndarray:
+        return K.dot(X) - X.mean(axis=0)
 
-    dot = _deflated_operator(K)
+    drift = float(np.abs(dot(np.ones(n))).max())
+    if drift > _RESIDUAL_TOL:
+        raise SpectralError(f"kernel rows sum to 1 only within {drift:.3e}; "
+                            "the constant pair cannot be deflated")
     if n <= _DENSE_CUTOFF or d_z >= n - 1:
         solver, products = "dense", 0
-        dense = K.toarray()
-        drift = check_drift(dense.sum(axis=1) - 1.0)
-        vals, vecs = np.linalg.eigh(dense - 1.0 / n)
+        vals, vecs = np.linalg.eigh(K.toarray() - 1.0 / n)
         vals, vecs = vals[::-1][:d_z], vecs[:, ::-1][:, :d_z]
     else:
         solver = "lanczos"
-        drift = check_drift(dot(np.ones(n)))
         vals, vecs, products = _lanczos(dot, n, d_z)
 
     # orient deterministically: largest-magnitude entry positive
@@ -139,27 +135,6 @@ def eigendecompose(K: SparseKernelMatrix, d_z: int) -> SpectralModel:
         at_one=at_one,
         products=products,
     )
-
-
-def _deflated_operator(K: SparseKernelMatrix):
-    """X -> F (Fᵀ X) / B − mean(X) for X (n,) or (n, k), on the train factor F.
-
-    F's entries are gathered once; each product is then one bincount for Fᵀx
-    and one gather-and-sum for F y, at most a third of the time of
-    ``K.dot``'s per-tree loop (whose bits match SciPy's CSR product).
-    """
-    cols = K.right.cols
-    vals = K.right.weights[cols]
-    flat, n_leaves = cols.ravel(), K.right.shape[1]
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        T = np.bincount(flat, weights=(vals * x[:, None]).ravel(), minlength=n_leaves)
-        return np.einsum("ij,ij->i", vals, T[cols]) / K.n_trees - x.mean()
-
-    def dot(X: np.ndarray) -> np.ndarray:
-        return apply(X) if X.ndim == 1 else np.stack([apply(x) for x in X.T], axis=1)
-
-    return dot
 
 
 def _lanczos(dot, n: int, k: int) -> tuple[np.ndarray, np.ndarray, int]:

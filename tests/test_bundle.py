@@ -332,6 +332,16 @@ def _two_feature_ranges(path, forest, model, synth):
     _save(path, replace(forest, feature_ranges=forest.feature_ranges[:2]), model, synth)
 
 
+def _ranges(row: int, low: float, high: float):
+    """Save with one continuous row of ``feature_ranges`` set to (low, high)."""
+    def edit(path, forest, model, synth):
+        ranges = forest.feature_ranges.copy()
+        ranges[row] = low, high
+        _save(path, replace(forest, feature_ranges=ranges), model, synth)
+
+    return edit
+
+
 def _short_thresholds(path, forest, model, synth):
     _save(path, forest, model, synth)
     _rewrite(path, lambda _, arrays: arrays.update(threshold=arrays["threshold"][:-1]))
@@ -345,6 +355,8 @@ def _fractional_feature(path, forest, model, synth):
 @pytest.mark.parametrize("edit, message", [
     (_without_leaf_stat, "lacks its leaf_stat array"),
     (_two_feature_ranges, r"feature_ranges is not shaped \(3, 2\)"),
+    pytest.param(_ranges(0, 1.0, -1.0), "feature_ranges", id="_inverted_range-feature_ranges"),
+    pytest.param(_ranges(1, -1.0, np.inf), "feature_ranges", id="_infinite_range-feature_ranges"),
     (_short_thresholds, "do not match the per-tree sizes"),
     (_fractional_feature, "lacks its feature array as int32 or narrower"),
 ])

@@ -10,6 +10,7 @@ from forestae.decode import (
     _bvls,
     build_synthetic_training,
     exclusive_lasso,
+    ilp_decode,
     knn_decode,
     knn_neighbors,
     lasso_decode,
@@ -383,6 +384,15 @@ def test_relabel_decode_refuses_an_embedding_of_another_width(width):
     rl = relabel_forest(f, model, synth, n_synth=64, seed=25)
     with pytest.raises(DecodeError, match="d_z = 3"):
         relabel_decode(rl, f, np.zeros((4, width)))
+
+
+@pytest.mark.parametrize("decoder", [lasso_decode, ilp_decode])
+@pytest.mark.parametrize("width", [2, 4])
+def test_lasso_and_ilp_decode_refuse_an_embedding_of_another_width(decoder, width):
+    table = make_mixed(60, seed=24)
+    f, model, synth = _pipeline(table, trees=6, max_depth=3, seed=24)
+    with pytest.raises(DecodeError, match="d_z = 3"):
+        decoder(np.zeros((4, width)), model, f, synth)
 
 
 def test_relabel_decode_rows_inside_assigned_regions():

@@ -196,14 +196,14 @@ def test_chunk_size_does_not_change_forest(mode, monkeypatch):
 # bootstrap forest of the banknote fold's shape (min_leaf 4, trees reaching
 # depth 10), where a third of each bag's draws are copies, and a subsampled
 # classification forest on tied (rounded) values, where every row weighs 1.
-# The two regression digests were recorded before CART stopped keeping a
-# presorted order per column: values and labels rounded to 0.1, so costs tie
-# exactly, and regression's float label sums follow each node's slot order.
+# The two regression digests fit values and labels rounded to 0.1, so costs
+# tie exactly; they were recorded when cuts within one column came to tie by
+# ``_TIE_RTOL`` as columns do, and leaf means summed labels in ascending order.
 _SHAPE_PINNED = {
     "deep_unsupervised": "bdc961d9d91beab7b2a595d7bdbeecfe31253bbbf1266529155740275b8508ed",
     "subsampled_classification": "c769548e917e099e7fcde26884fb1c9f09746db4db1c8b8b0f65ef9adf033c06",
-    "bootstrap_regression": "5bfcbe61a209a89c018ac0cbec404cf0ef0f26d3e85a46792ce80a27e9d1b9bf",
-    "honest_regression": "26f2501683430bb900bd47f85f566b1bda681d62c140c7ccc225ad0eafc3b304",
+    "bootstrap_regression": "e036d7e01e69702aa02c0b0b2d1d4c8066f9259c8e4fbe6a0fba6b12e9b5bf5c",
+    "honest_regression": "53fa134d2fc4ab66fddaeac493fb0fe0d104cc95f8360c616f500f6785b01ff1",
 }
 
 
@@ -228,6 +228,20 @@ def test_fit_matches_pinned_digest_of_other_shapes(shape):
         forest = fit_supervised(Table(mixed.schema, x), (Column("y", ("p", "q", "r")), y), params)
     digest = hashlib.sha256(_serialized(forest).encode()).hexdigest()
     assert digest == _SHAPE_PINNED[shape]
+
+
+@pytest.mark.parametrize("mtry", [1, 2, 3])
+def test_tied_regression_forest_does_not_depend_on_row_order(mtry):
+    # rounded values and labels make many cuts tie in exact arithmetic; their
+    # float costs then differ only by the order the label sums are taken in
+    mixed = make_mixed(200, seed=61)
+    x = np.round(mixed.values, 1)
+    y = np.round(x[:, 0] - x[:, 1] ** 2 + np.random.default_rng(61).normal(0, 0.3, 200), 1)
+    perm = np.random.default_rng(62).permutation(200)
+    params = ForestParams(n_trees=8, min_leaf=4, mtry=mtry, seed=63)
+    a = fit_supervised(Table(mixed.schema, x), (Column("y"), y), params)
+    b = fit_supervised(Table(mixed.schema, x[perm]), (Column("y"), y[perm]), params)
+    assert _serialized(a) == _serialized(b)
 
 
 # Completely random forests whose floors (min_leaf a tenth of n) make most

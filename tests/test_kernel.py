@@ -3,7 +3,8 @@ import pytest
 
 from forestae.data import Column, Schema, Table
 from forestae.forest import ForestParams, fit_completely_random, fit_supervised, predict
-from forestae.kernel import KernelError, mmd_squared, rf_kernel_cross, rf_kernel_train
+from forestae.kernel import (KernelError, LeafFactor, mmd_squared, rf_kernel_cross,
+                             rf_kernel_train)
 from conftest import forest_of, make_blobs, make_mixed, _stump
 from oracles import feature_map, leaf_size_vector, scornet_kernel
 from forestae.forest import Tree
@@ -135,6 +136,27 @@ def test_factor_products_equal_csr_products_exactly():
             if kern.scale is not None:
                 expected *= kern.scale.reshape((-1,) + (1,) * (len(shape) - 1))
             assert np.array_equal(kern.dot(X), expected)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 120])
+def test_factor_products_do_not_depend_on_the_layout_of_cols(rows):
+    # F's leaf ids are stored tree-major; a row-major copy gives the same
+    # bits, and both equal the CSR products, for one row too (whose 40 tree
+    # terms numpy's reduce would otherwise sum pairwise)
+    table = make_mixed(120, seed=6)
+    f = fit_completely_random(table, ForestParams(n_trees=40, min_leaf=2, seed=6))
+    F = rf_kernel_train(f, table).right
+    assert F.cols.T.flags.c_contiguous
+    tree_major = LeafFactor(np.ascontiguousarray(F.cols[:rows].T).T, F.weights)
+    row_major = LeafFactor(np.ascontiguousarray(F.cols[:rows]), F.weights)
+    csr = row_major.tocsr()
+    rng = np.random.default_rng(6)
+    for shape in ((), (3,)):
+        T = rng.normal(size=(F.shape[1],) + shape)
+        X = rng.normal(size=(rows,) + shape)
+        for G in (tree_major, row_major):
+            assert np.array_equal(G.dot(T), csr @ T)
+            assert np.array_equal(G.tdot(X), csr.T @ X)
 
 
 @pytest.mark.parametrize("block_pairs", [None, 500])

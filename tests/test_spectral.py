@@ -101,6 +101,21 @@ def test_sparse_eigensolve_is_bit_reproducible():
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
 
 
+def test_every_product_of_the_eigensolve_is_one_kernel_dot(monkeypatch):
+    # the Lanczos operator, the row-sum drift check and the residual check
+    # all multiply by K.dot: one call per product, plus the two checks
+    from forestae.kernel import SparseKernelMatrix
+
+    calls = []
+    dot = SparseKernelMatrix.dot
+    monkeypatch.setattr(SparseKernelMatrix, "dot", lambda K, X: calls.append(1) or dot(K, X))
+    model = eigendecompose(_lanczos_kernel(), 3)
+    assert model.solver == "lanczos" and len(calls) == model.products + 2
+    calls.clear()
+    model = eigendecompose(_fitted()[2], 3)
+    assert model.solver == "dense" and len(calls) == 2
+
+
 def test_factored_lanczos_matches_dense_eigh():
     K = _lanczos_kernel()
     model = eigendecompose(K, 3)
