@@ -160,7 +160,7 @@ def cmd_fit(args) -> int:
 
 
 def _read_embedding_csv(path) -> np.ndarray:
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise UsageError(f"{path}: empty embedding file")
@@ -189,7 +189,7 @@ def _write_embedding_csv(path, Z0: np.ndarray, d_z: int) -> None:
 
 def _csv_has_rows(path) -> bool:
     """Whether the CSV holds a row after its header; reads at most two rows."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         return next(reader, None) is not None and next(reader, None) is not None
 

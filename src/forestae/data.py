@@ -172,7 +172,7 @@ def load_csv(path: str | Path, schema_hint: Schema | None = None) -> Table:
     """
     path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             rows = list(reader)
     except OSError as exc:

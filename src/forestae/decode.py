@@ -49,13 +49,15 @@ _ZERO_DIST_EPS = 1e-12
 _COINCIDENT_RTOL = 1e-9
 _KDTREE_MAX_DIM = 20
 # Query-reference pairs up to which the numpy k-NN search beats cKDTree plus
-# its scipy.spatial import, 0.46 s of process start on a 2-vCPU x86 host. There,
-# with k = 20 on Gaussian points, numpy takes 0.18-0.25 s at 2**24 pairs and
-# 0.40-0.46 s at 2**25 for d <= 4, where cKDTree takes 0.02-0.04 s; the
-# break-even lies near 2**25 for d <= 4, between 2**24 and 2**25 at d = 8 and
-# just under 2**24 for d = 20 (numpy 0.92 s, cKDTree plus import 0.88 s).
+# its scipy.spatial import. On a 2-vCPU x86 host the import takes 0.30-0.41 s
+# of `decode`'s process start and about 30 MiB of its RSS (it took 0.46 s when
+# this break-even was measured). There, with k = 20 on Gaussian points, numpy
+# takes 0.18-0.25 s at 2**24 pairs and 0.40-0.46 s at 2**25 for d <= 4, where
+# cKDTree takes 0.02-0.04 s; the break-even lies near 2**25 for d <= 4, between
+# 2**24 and 2**25 at d = 8 and just under 2**24 for d = 20 (numpy 0.92 s,
+# cKDTree plus import 0.88 s).
 _BRUTE_MAX_PAIRS = 2**24
-_BRUTE_BLOCK_PAIRS = 2**16  # (query, reference) distances per block of the numpy search
+_BRUTE_BLOCK_PAIRS = 2**16  # (query, reference) distances per block of either k-NN search
 _RELABEL_CELLS = 2**15  # (reference row, tree) cells per block of trees relabeling walks
 # Cells (rows x leaf columns) of the largest BVLS problem lasso decoding takes
 # on; checked for every row before any is solved. On a 2-vCPU x86 host, rows
@@ -131,7 +133,8 @@ def _knn_batch(Z0: np.ndarray, Z: np.ndarray, k: int) -> tuple[np.ndarray, np.nd
     read 0, and equal distances go to the lowest index. Up to
     ``_BRUTE_MAX_PAIRS`` query-reference pairs, and at any size above
     ``_KDTREE_MAX_DIM`` dimensions, the search is exact in numpy. Above it,
-    ``cKDTree`` repays its import: it finds k + 1 neighbours, whose squared
+    ``cKDTree`` repays its import: it finds k + 1 neighbours for blocks of
+    queries (at most ``_BRUTE_BLOCK_PAIRS`` pairs each), whose squared
     distances are then summed as numpy sums them, and a row whose (k + 1)-th
     is within a factor 1 + ``_COINCIDENT_RTOL`` of its k-th (a tie across the
     k-th neighbour, which cKDTree breaks its own way) is searched again in
@@ -144,29 +147,36 @@ def _knn_batch(Z0: np.ndarray, Z: np.ndarray, k: int) -> tuple[np.ndarray, np.nd
         return _knn_exact(Z0, Z, k, tol)
     from scipy.spatial import cKDTree  # costly import; only large k-NN searches need it
 
-    r = min(k + 1, n)
-    idx = cKDTree(Z).query(Z0, k=r)[1].reshape(m, r)
-    d2 = _sq_dist(Z0, Z[idx], tol)
-    # by distance, then index: cKDTree's order differs only where distances
-    # tie or, above 4 dimensions, round otherwise
-    redo = np.flatnonzero((d2[:, 1:] <= d2[:, :-1]).any(axis=1))
-    order = np.lexsort((idx[redo], d2[redo]))
-    idx[redo] = np.take_along_axis(idx[redo], order, 1)
-    d2[redo] = np.take_along_axis(d2[redo], order, 1)
-    tied = np.flatnonzero(d2[:, k] <= d2[:, k - 1] * (1 + _COINCIDENT_RTOL)) if r > k else []
-    idx, dist = idx[:, :k], np.sqrt(d2[:, :k])
-    if len(tied):
-        idx[tied], dist[tied] = _knn_exact(Z0[tied], Z, k, tol)
+    tree, r = cKDTree(Z), min(k + 1, n)
+    idx = np.empty((m, k), dtype=np.intp)
+    dist = np.empty((m, k))
+    step = max(1, _BRUTE_BLOCK_PAIRS // r)
+    for s in range(0, m, step):
+        q = Z0[s:s + step]
+        near = tree.query(q, k=r)[1].reshape(q.shape[0], r)
+        d2 = _sq_dist(q, Z, tol, near)
+        # by distance, then index: cKDTree's order differs only where distances
+        # tie or, above 4 dimensions, round otherwise
+        redo = np.flatnonzero((d2[:, 1:] <= d2[:, :-1]).any(axis=1))
+        order = np.lexsort((near[redo], d2[redo]))
+        near[redo] = np.take_along_axis(near[redo], order, 1)
+        d2[redo] = np.take_along_axis(d2[redo], order, 1)
+        idx[s:s + step], dist[s:s + step] = near[:, :k], np.sqrt(d2[:, :k])
+        if r > k:
+            tied = np.flatnonzero(d2[:, k] <= d2[:, k - 1] * (1 + _COINCIDENT_RTOL))
+            if tied.size:
+                idx[s + tied], dist[s + tied] = _knn_exact(q[tied], Z, k, tol)
     return idx, dist
 
 
-def _sq_dist(q: np.ndarray, R: np.ndarray, tol: float) -> np.ndarray:
-    """Squared distances from each query row to the rows of R, (n, d) for all
-    queries or (m, r, d) per query, summed in dimension order (cKDTree's sum,
-    bit for bit, for d <= 4); those up to ``tol`` squared read 0."""
-    d2 = np.zeros(np.broadcast_shapes((q.shape[0], 1), R.shape[:-1]))
+def _sq_dist(q: np.ndarray, Z: np.ndarray, tol: float, near: np.ndarray | None = None):
+    """Squared distances from each query row to every row of Z, (m, n), or to
+    its rows ``near`` of Z, (m, r), summed one dimension at a time in dimension
+    order (cKDTree's sum, bit for bit, for d <= 4); those up to ``tol`` squared
+    read 0."""
+    d2 = np.zeros((q.shape[0], Z.shape[0]) if near is None else near.shape)
     for j in range(q.shape[1]):
-        d2 += (q[:, j, None] - R[..., j]) ** 2
+        d2 += (q[:, j, None] - (Z[:, j] if near is None else Z[:, j][near])) ** 2
     d2[d2 <= tol * tol] = 0.0
     return d2
 
@@ -194,11 +204,13 @@ def _knn_exact(Z0: np.ndarray, Z: np.ndarray, k: int, tol: float):
 
 
 def _inverse_distance_weights(dist: np.ndarray) -> np.ndarray:
-    w = 1.0 / (dist + _ZERO_DIST_EPS)
+    w = dist + _ZERO_DIST_EPS
+    np.divide(1.0, w, out=w)
     exact = dist == 0.0
     hit = exact.any(axis=1)
     w[hit] = exact[hit].astype(np.float64)
-    return w / w.sum(axis=1, keepdims=True)
+    w /= w.sum(axis=1, keepdims=True)
+    return w
 
 
 def _embedding(Z0, d_z: int) -> np.ndarray:
@@ -243,21 +255,28 @@ def knn_decode(
     Z0 = _embedding(Z0, model.d_z)
     idx, dist = _knn_batch(Z0, Z, k)
     w = _inverse_distance_weights(dist)
+    del dist
     if trace is not None:
         trace.extend({"row": i, "neighbors": idx[i].tolist(), "weights": w[i].tolist()}
                      for i in range(Z0.shape[0]))
     rng = np.random.default_rng(seed)
-    vals = synth.table.values[idx]  # (m, k, d)
     m = Z0.shape[0]
     out = np.empty((m, synth.table.d))
     for j, col in enumerate(synth.table.schema.columns):
+        column = synth.table.values[:, j]
         if not col.is_categorical:
-            out[:, j] = (w * vals[:, :, j]).sum(axis=1)
+            vals = column[idx]  # (m, k): this column of every neighbour
+            vals *= w
+            out[:, j] = vals.sum(axis=1)
+            del vals
             continue
+        # each row's weight per level: one bincount over row * n_levels + level
+        # keys, which adds a row's weights in neighbour order
         n_levels = len(col.levels)
-        scores = np.zeros((m, n_levels))
-        rows = np.repeat(np.arange(m), k)
-        np.add.at(scores, (rows, vals[:, :, j].astype(np.intp).ravel()), w.ravel())
+        key = column.astype(np.intp)[idx]
+        key += np.arange(0, m * n_levels, n_levels)[:, None]
+        scores = np.bincount(key.ravel(), w.ravel(), m * n_levels).reshape(m, n_levels)
+        del key
         best = scores.max(axis=1, keepdims=True)
         ties = scores >= best - _TIE_TOL
         pick = np.argmax(ties, axis=1).astype(np.float64)
@@ -307,6 +326,16 @@ def _axis_ranks(Z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _stable_order(key: np.ndarray) -> np.ndarray:
+    """``np.argsort(key, kind="stable")`` of non-negative int64 keys: one
+    ``np.sort`` of ``key << b | position``, b bits holding every position, or
+    the stable argsort itself where those fields need more than 63 bits."""
+    b = max(key.size - 1, 0).bit_length()
+    if not key.size or int(key.max()) >> (63 - b):
+        return np.argsort(key, kind="stable")
+    return np.sort(key << b | np.arange(key.size)) & ((1 << b) - 1)
+
+
 def _best_latent_splits(node: np.ndarray, Z: np.ndarray, labels: np.ndarray,
                         z_rank: np.ndarray):
     """Sorted node ids and each node's relabeled (feature, threshold, flip,
@@ -319,7 +348,7 @@ def _best_latent_splits(node: np.ndarray, Z: np.ndarray, labels: np.ndarray,
     majority."""
     d = Z.shape[1]
     key = (node[:, None] * d + np.arange(d)).ravel()  # one segment per (node, axis)
-    order = np.argsort(key * (z_rank.max(initial=0) + 1) + z_rank.ravel(), kind="stable")
+    order = _stable_order(key * (z_rank.max(initial=0) + 1) + z_rank.ravel())
     key, z = key[order], Z.ravel()[order]
     first, lens, pos = _runs(key)
     cum1 = _segment_cumsum(labels[order // d].astype(np.int64), first, lens)

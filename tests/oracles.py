@@ -1,7 +1,8 @@
 """Reference implementations the tests compare the package against: the
 one-row routing and kernel API of the paper's definitions, one-row exact
-decoding, region intersection, and the leaf-cell builders that the single
-cell descent (``forest._leaf_cells``) replaced."""
+decoding, region intersection, the leaf-cell builders that the single
+cell descent (``forest._leaf_cells``) replaced, and k-NN averaging by
+``np.add.at``."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from forestae.decode import DecodeError, IlpResult, _check_ilp_work, _ilp_solve
+from forestae.decode import _TIE_TOL, DecodeError, IlpResult, _check_ilp_work, _ilp_solve
 from forestae.forest import Forest, Region, _leaf_cells, route_values
 from forestae.kernel import KernelError
 
@@ -125,3 +126,29 @@ def all_pairs_refinement(forest: Forest, n_rows: int) -> np.ndarray:
             raise DecodeError("no feasible leaf assignment: every combination has empty overlap")
     _check_ilp_work(cells.shape[0] * n_rows)
     return cells
+
+
+def knn_average_add_at(w: np.ndarray, idx: np.ndarray, synth_values: np.ndarray, schema,
+                       seed: int):
+    """``knn_decode``'s averaging as it was before the one-column gathers:
+    every neighbour's whole row gathered at once, (m, k, d), and categorical
+    scores summed by ``np.add.at``; ties are drawn column by column, rows
+    ascending. Returns the decoded values and the number of draws."""
+    rng = np.random.default_rng(seed)
+    vals = synth_values[idx]
+    (m, k), draws = idx.shape, 0
+    out = np.empty((m, synth_values.shape[1]))
+    for j, col in enumerate(schema.columns):
+        if not col.is_categorical:
+            out[:, j] = (w * vals[:, :, j]).sum(axis=1)
+            continue
+        scores = np.zeros((m, len(col.levels)))
+        np.add.at(scores, (np.repeat(np.arange(m), k), vals[:, :, j].astype(np.intp).ravel()),
+                  w.ravel())
+        ties = scores >= scores.max(axis=1, keepdims=True) - _TIE_TOL
+        pick = np.argmax(ties, axis=1).astype(np.float64)
+        for i in np.flatnonzero(ties.sum(axis=1) > 1):
+            pick[i] = rng.choice(np.flatnonzero(ties[i]))
+            draws += 1
+        out[:, j] = pick
+    return out, draws

@@ -131,6 +131,29 @@ def test_encode_empty_query_file(fitted, tmp_path):
     assert out.read_text().splitlines() == ["KPC1,KPC2,KPC3"]
 
 
+def test_encode_and_decode_read_a_byte_order_mark(fitted, tmp_path):
+    # Excel's "CSV UTF-8" starts the file with a BOM; the bundle was fitted on a BOM-less table
+    data, bundle = fitted
+    bom = b"\xef\xbb\xbf"
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(bom + data.read_bytes())
+    plain_emb, marked_emb = tmp_path / "plain_emb.csv", tmp_path / "marked_emb.csv"
+    assert main(["encode", str(bundle), str(data), "--out", str(plain_emb)]) == 0
+    assert main(["encode", str(bundle), str(marked), "--out", str(marked_emb)]) == 0
+    assert marked_emb.read_bytes() == plain_emb.read_bytes()
+    marked_emb.write_bytes(bom + plain_emb.read_bytes())
+    outs = []
+    for emb in (plain_emb, marked_emb):
+        outs.append(tmp_path / f"dec_{emb.stem}.csv")
+        assert main(["decode", str(bundle), str(emb), "--decoder", "knn", "--k", "3",
+                     "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_bytes(bom + b"a,b,c\n")
+    assert main(["encode", str(bundle), str(header_only), "--out", str(marked_emb)]) == 0
+    assert marked_emb.read_text().splitlines() == ["KPC1,KPC2,KPC3"]
+
+
 @pytest.mark.filterwarnings("ignore:kernel graph appears disconnected")
 def test_encode_warns_on_unseen_level(tmp_path, capsys):
     rng = np.random.default_rng(6)

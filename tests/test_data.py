@@ -205,3 +205,14 @@ def test_load_csv_hinted_continuous_error_names_first_bad_cell(tmp_path, cells, 
     with pytest.raises(DataError) as err:
         load_csv(p, schema_hint=Schema((Column("a"),)))
     assert str(err.value) == f"{p}: column 'a' declared continuous but {bad}"
+
+
+def test_load_csv_reads_a_byte_order_mark(tmp_path):
+    # Excel's "CSV UTF-8" starts the file with a BOM, which must not reach the first name
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text("a,b\n1.5,x\n2.0,y\n", encoding="utf-8")
+    marked.write_text("a,b\n1.5,x\n2.0,y\n", encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    t = load_csv(marked)
+    assert t.schema.names == ["a", "b"]
+    assert table_equal(t, load_csv(plain))

@@ -37,6 +37,7 @@ from oracles import (
     all_pairs_meet,
     all_pairs_refinement,
     ilp_decode_exact,
+    knn_average_add_at,
     level_fill_leaf_cells,
     region_intersect,
 )
@@ -274,6 +275,82 @@ def test_knn_above_break_even_uses_kdtree(monkeypatch):
         assert np.array_equal(part[0], idx[rows]) and np.array_equal(part[1], dist[rows])
 
 
+def test_knn_kdtree_blocks_equal_the_stable_argsort(monkeypatch):
+    # integer grid points: ties across the k-th neighbour and zero distances;
+    # blocks of 4 queries split the batch, and each block's rows get the
+    # neighbours that the whole batch and the reference search give them
+    from forestae import decode
+
+    rng = np.random.default_rng(31)
+    Z = rng.integers(0, 3, size=(50, 3)).astype(np.float64)
+    Z0 = np.vstack([Z[:5], rng.integers(0, 3, size=(14, 3))]).astype(np.float64)
+    monkeypatch.setattr(decode, "_BRUTE_MAX_PAIRS", 10)
+    whole = decode._knn_batch(Z0, Z, 5)
+    monkeypatch.setattr(decode, "_BRUTE_BLOCK_PAIRS", 4 * 6)  # 4 queries of k + 1 neighbours
+    blocked = decode._knn_batch(Z0, Z, 5)
+    ref_idx, ref_dist = _stable_argsort_knn(Z0, Z, 5)
+    assert (ref_dist == 0).any() and (ref_dist[:, -1] == ref_dist[:, -2]).any()
+    for idx, dist in (whole, blocked):
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(dist, ref_dist)
+
+
+def _knn_mixed_fixture(m, n, d_z, seed, grid=False):
+    """A k-NN decode problem without a forest: reference embedding, queries,
+    and a synthetic table of 4 continuous and 3 categorical columns."""
+    from forestae.decode import SyntheticTrainingSet
+    from forestae.spectral import SpectralModel
+
+    rng = np.random.default_rng(seed)
+    if grid:  # half-integer queries between integer points: equal weights, tied votes
+        Z = rng.integers(0, 4, size=(n, d_z)).astype(np.float64)
+        Z0 = rng.integers(0, 4, size=(m, d_z)) + 0.5
+    else:
+        Z, Z0 = rng.normal(size=(n, d_z)), rng.normal(size=(m, d_z))
+    model = SpectralModel(n=n, d_z=d_z, eigenvalues=np.ones(d_z), V=np.zeros((n, d_z)), t=1.0,
+                          Z=Z)
+    columns = tuple(Column(f"x{j}") for j in range(4)) + tuple(
+        Column(f"c{j}", tuple("abcd"[:j + 2])) for j in range(3))
+    values = np.column_stack([rng.normal(size=(n, 4))]
+                             + [rng.integers(0, j + 2, n) for j in range(3)]).astype(np.float64)
+    return model, SyntheticTrainingSet(Table(Schema(columns), values), seed=0), Z0
+
+
+@pytest.mark.parametrize("k", [2, 4, 8])
+def test_knn_vote_equals_the_add_at_oracle(k):
+    from forestae.decode import _inverse_distance_weights, _knn_batch
+
+    model, synth, Z0 = _knn_mixed_fixture(300, 120, 2, seed=k, grid=True)
+    out = knn_decode(Z0, model, None, synth, k=k, seed=41)
+    idx, dist = _knn_batch(Z0, model.Z, k)
+    ref, draws = knn_average_add_at(_inverse_distance_weights(dist), idx, synth.table.values,
+                                    synth.table.schema, seed=41)
+    assert draws > 0
+    assert np.array_equal(out.values, ref)
+
+
+def test_knn_decode_memory_is_a_few_rows_by_neighbours():
+    # above the break-even: neither the search nor the averaging holds a
+    # (rows x neighbours x dimensions) or (rows x neighbours x columns) array,
+    # so the traced peak is a few (m, k) float arrays, whatever d or d_z
+    import tracemalloc
+
+    import scipy.spatial  # imported before tracing starts
+
+    from forestae import decode
+
+    m, n, d_z, k = 10_000, 20_000, 4, 20
+    assert m * n > decode._BRUTE_MAX_PAIRS
+    model, synth, Z0 = _knn_mixed_fixture(m, n, d_z, seed=43)
+    tracemalloc.start()
+    try:
+        knn_decode(Z0, model, None, synth, k=k, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * m * k * 8
+
+
 def test_knn_coincident_neighbors_share_weight():
     # distances at rounding scale are exact matches: equal weights, and the
     # lowest indices fill the slots whatever the rounding
@@ -303,6 +380,29 @@ def test_knn_decode_ignores_rounding_shift_of_coincident_rows(tmp_path):
 
 # ---------------------------------------------------------------------------
 # relabeling
+
+
+@pytest.mark.parametrize("size", [1, 2, 100, 1000])
+def test_stable_order_equals_the_stable_argsort(size, monkeypatch):
+    # many ties; keys up to the largest that packs with a position into 63
+    # bits, and keys above it, which fall back to the argsort
+    from forestae.decode import _stable_order
+
+    stable_argsort, fallbacks = np.argsort, []
+
+    def counted(*args, **kwargs):
+        fallbacks.append(1)
+        return stable_argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    rng = np.random.default_rng(size)
+    top = 1 << (63 - (size - 1).bit_length())  # the smallest key that does not pack
+    for high, packs in ((8, True), (top, True), (top + 8, False))[:1 if size == 1 else 3]:
+        key = high - 8 + rng.integers(0, 8, size)
+        order = _stable_order(key)
+        assert len(fallbacks) == (not packs)
+        assert np.array_equal(order, stable_argsort(key, kind="stable"))
+        fallbacks.clear()
 
 
 @pytest.mark.filterwarnings("ignore:kernel graph appears disconnected")
