@@ -13,13 +13,11 @@ from .data import (
 )
 from .decode import (
     IlpResult,
-    NeighborSet,
     SyntheticTrainingSet,
     build_synthetic_training,
     exclusive_lasso,
     ilp_decode,
     knn_decode,
-    knn_neighbors,
     lasso_decode,
     reference_leaf_assign,
     relabel_decode,

@@ -114,21 +114,19 @@ def _fit_pipeline(table: Table, mode: str, label: str | None, params: ForestPara
     if not 1 <= d_z <= table.n - 1:
         raise UsageError(f"--d-z must lie in [1, n-1]; got {d_z} with n={table.n}")
     _check_label(table, mode, label)
+    features = table
     if mode == "supervised":
-        labels = table.column(label)
         features = table.drop(label)
-        forest = fit_supervised(features, labels, params, jobs=jobs)
+        forest = fit_supervised(features, table.column(label), params, jobs=jobs)
     elif mode == "completely_random":
-        features = table
         forest = fit_completely_random(table, params, jobs=jobs)
     else:
-        features = table
         forest = fit_unsupervised(table, params, rounds=rounds, jobs=jobs)
     leaf_ids, _ = route_table(forest, features)  # routed once for the kernel and synth set
     K = ker.rf_kernel_train(forest, leaf_ids)
     model = spectral.with_time(spectral.eigendecompose(K, d_z), t)
     synth = dec.build_synthetic_training(forest, features, seed, leaf_ids=leaf_ids)
-    return features, forest, K, model, synth
+    return forest, K, model, synth
 
 
 def cmd_fit(args) -> int:
@@ -137,7 +135,7 @@ def cmd_fit(args) -> int:
     if table.n_dropped_rows and args.verbose:
         print(f"dropped {table.n_dropped_rows} incomplete rows", file=sys.stderr)
     params = _params(args, args.seed)
-    _, forest, K, model, synth = _fit_pipeline(
+    forest, K, model, synth = _fit_pipeline(
         table, args.mode, args.label, params, args.d_z, args.t, args.seed, args.jobs, args.rounds
     )
     bundle_io.save_bundle(bundle_io.bundle_from_parts(forest, model, synth), args.out)
@@ -235,6 +233,8 @@ def _check_flags(args) -> None:
     for flag in ("n_synth", "sparsity_cap", "k", "jobs", "rounds", "bootstraps"):
         if getattr(args, flag, 1) < 1:
             raise UsageError(f"--{flag.replace('_', '-')} must be >= 1")
+    if args.jobs > 1 and not hasattr(args, "trees"):  # only fit and bench grow forests
+        raise UsageError(f"--jobs must be 1 for {args.command}; only fit and bench run in parallel")
     if hasattr(args, "trees"):  # ForestParams holds the forest flags' domains
         try:
             _params(args, args.seed)
@@ -346,19 +346,17 @@ def _bench_one(table: Table, name: str, rates: list[float], args) -> list[dict]:
     t0 = time.perf_counter()
     d_x = test.schema.n_columns
     dims = [min(_dz_for_rate(r, d_x), train.n - 1) for r in rates]
-    feats_train, forest, _, full, synth = _fit_pipeline(
+    forest, _, full, synth = _fit_pipeline(
         train, args.mode, args.label, _params(args, args.seed), max(dims), args.t, args.seed,
         jobs=1, rounds=args.rounds,
     )
-    K0 = ker.rf_kernel_cross(forest, test, feats_train, strict=False)
     b = bundle_io.bundle_from_parts(forest, full, synth)
+    Z0 = _embed(b, test)  # Nyström's columns are independent: each rate takes the first d_z
     shared = time.perf_counter() - t0
     rows = []
     for rate, d_z in zip(rates, dims):
         t1 = time.perf_counter()
-        model = full.truncate(d_z)
-        Z0 = spectral.nystrom_embed(K0, model)
-        out, _ = _decode_rows(replace(b, model=model), Z0, args)
+        out, _ = _decode_rows(replace(b, model=full.truncate(d_z)), Z0[:, :d_z], args)
         score = distortion(test, out)
         rows.append(
             {

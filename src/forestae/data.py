@@ -288,7 +288,6 @@ def align_to_schema(table: Table, schema: Schema) -> tuple[np.ndarray, int]:
         if not col.is_categorical:
             out[:, j] = cells
             continue
-        assert src_col.levels is not None and col.levels is not None
         target = {lv: i for i, lv in enumerate(col.levels)}
         remap = np.array([target.get(lv, -1) for lv in src_col.levels], dtype=np.float64)
         mapped = remap[cells.astype(np.intp)]

@@ -29,11 +29,9 @@ from .spectral import SpectralModel, reconstruct_kernel
 
 __all__ = [
     "SyntheticTrainingSet",
-    "NeighborSet",
     "IlpResult",
     "RelabeledForest",
     "build_synthetic_training",
-    "knn_neighbors",
     "knn_decode",
     "relabel_forest",
     "relabel_decode",
@@ -101,6 +99,12 @@ class SyntheticTrainingSet:
         return self.table.n
 
 
+def _sample_cells(forest: Forest, leaf_ids: np.ndarray, seed: int) -> Table:
+    """One uniform draw from the cell that each row's (m, B) local leaf ids share."""
+    values = assigned_region(forest, leaf_ids).sample(np.random.default_rng(seed))
+    return Table(forest.schema, values)
+
+
 def build_synthetic_training(
     forest: Forest, table: Table, seed: int, leaf_ids: np.ndarray | None = None
 ) -> SyntheticTrainingSet:
@@ -108,22 +112,15 @@ def build_synthetic_training(
     ``leaf_ids`` is the table's (n x B) routing, if the caller already has it."""
     if leaf_ids is None:
         leaf_ids, _ = route_table(forest, table)
-    values = assigned_region(forest, leaf_ids).sample(np.random.default_rng(seed))
-    synth = Table(table.schema, values)
-    check, _ = route_table(forest, synth)
-    assert np.array_equal(check, leaf_ids), "synthetic row escaped its source regions"
+    synth = _sample_cells(forest, leaf_ids, seed)
+    escaped = np.flatnonzero((route_values(forest, synth.values) != leaf_ids).any(axis=1))
+    if escaped.size:
+        raise DecodeError(f"synthetic row {escaped[0]} escaped its source regions")
     return SyntheticTrainingSet(table=synth, seed=seed)
 
 
 # ---------------------------------------------------------------------------
 # k-nearest neighbors
-
-
-@dataclass
-class NeighborSet:
-    indices: np.ndarray  # ascending distance
-    distances: np.ndarray
-    weights: np.ndarray  # simplex, non-increasing in distance
 
 
 def _knn_batch(Z0: np.ndarray, Z: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -221,18 +218,6 @@ def _embedding(Z0, d_z: int) -> np.ndarray:
     return Z0
 
 
-def knn_neighbors(z0: np.ndarray, Z: np.ndarray, k: int) -> NeighborSet:
-    """The k nearest training embeddings, weighted inversely to distance.
-
-    Exact matches (zero distance) absorb all the weight, split equally.
-    """
-    if not 1 <= k <= Z.shape[0]:
-        raise DecodeError(f"k must lie in [1, {Z.shape[0]}]")
-    idx, dist = _knn_batch(_embedding(z0, Z.shape[1]), Z, k)
-    w = _inverse_distance_weights(dist)
-    return NeighborSet(indices=idx[0], distances=dist[0], weights=w[0])
-
-
 def knn_decode(
     Z0: np.ndarray,
     model: SpectralModel,
@@ -244,7 +229,8 @@ def knn_decode(
 ) -> Table:
     """Weighted neighbor average: continuous features take the weighted mean
     of synthetic neighbor values, categorical ones the weight-summed majority
-    level (ties broken uniformly at random).
+    level (ties broken uniformly at random). Weights are inverse to distance;
+    exact matches (zero distance) share all the weight equally.
 
     If ``trace`` is a list, one record per row is appended to it: the row,
     its neighbors' synthetic row indices (ascending distance) and weights.
@@ -256,11 +242,10 @@ def knn_decode(
     idx, dist = _knn_batch(Z0, Z, k)
     w = _inverse_distance_weights(dist)
     del dist
+    m, rng = Z0.shape[0], np.random.default_rng(seed)
     if trace is not None:
         trace.extend({"row": i, "neighbors": idx[i].tolist(), "weights": w[i].tolist()}
-                     for i in range(Z0.shape[0]))
-    rng = np.random.default_rng(seed)
-    m = Z0.shape[0]
+                     for i in range(m))
     out = np.empty((m, synth.table.d))
     for j, col in enumerate(synth.table.schema.columns):
         column = synth.table.values[:, j]
@@ -277,11 +262,9 @@ def knn_decode(
         key += np.arange(0, m * n_levels, n_levels)[:, None]
         scores = np.bincount(key.ravel(), w.ravel(), m * n_levels).reshape(m, n_levels)
         del key
-        best = scores.max(axis=1, keepdims=True)
-        ties = scores >= best - _TIE_TOL
+        ties = scores >= scores.max(axis=1, keepdims=True) - _TIE_TOL
         pick = np.argmax(ties, axis=1).astype(np.float64)
-        multi = ties.sum(axis=1) > 1
-        for i in np.flatnonzero(multi):
+        for i in np.flatnonzero(ties.sum(axis=1) > 1):
             pick[i] = rng.choice(np.flatnonzero(ties[i]))
         out[:, j] = pick
     return Table(synth.table.schema, out)
@@ -447,20 +430,14 @@ def relabel_decode(
     the number of rows whose routed leaves share no cell.
     """
     leaf_ids = route_relabeled(relabeled, _embedding(Z0, relabeled.d_z))
-    region = assigned_region(original, leaf_ids)
-    conflict = region.is_empty()
+    conflict = assigned_region(original, leaf_ids).is_empty()
     if conflict.any():
         routed = leaf_ids[conflict] + original.leaf_offsets
         hardened = reference_leaf_assign(routed, np.ones(routed.shape), relabeled.reference)
-        # only the hardened rows' cells are rebuilt; ``region`` is this call's own
-        cells = assigned_region(original, hardened - original.leaf_offsets)
-        for a, h in ((region.lo, cells.lo), (region.hi, cells.hi),
-                     *((m, cells.masks[j]) for j, m in region.masks.items())):
-            a[conflict] = h
+        leaf_ids[conflict] = hardened - original.leaf_offsets
     if trace is not None:
         trace.append({"hardened_rows": int(conflict.sum())})
-    values = region.sample(np.random.default_rng(seed))
-    return Table(original.schema, values)
+    return _sample_cells(original, leaf_ids, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -742,8 +719,7 @@ def lasso_decode(
             trace.append(dict(row=i, objective=objective, converged=converged,
                               iterations=iterations))
     assignments = reference_leaf_assign(leaves, scores, M.cols) - forest.leaf_offsets
-    values = assigned_region(forest, assignments).sample(np.random.default_rng(seed))
-    return Table(forest.schema, values)
+    return _sample_cells(forest, assignments, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -841,5 +817,4 @@ def ilp_decode(
         trace.extend({"row": i, "objective": r.objective, "n_optima": r.n_optima}
                      for i, r in enumerate(results))
     assignments = np.reshape([r.assignment for r in results], (-1, forest.n_trees))
-    values = assigned_region(forest, assignments).sample(np.random.default_rng(seed))
-    return Table(forest.schema, values)
+    return _sample_cells(forest, assignments, seed)

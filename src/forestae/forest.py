@@ -845,18 +845,18 @@ def fit_unsupervised(
         raise ForestError("rounds must be >= 1")
     label_col = Column("__real__", ("synthetic", "real"))
     y = np.concatenate([np.ones(table.n), np.zeros(table.n)])
-    synth_values = marginal_synthesize(table, params.seed).values
-    forest = None
-    round_seeds = np.random.SeedSequence(params.seed).spawn(max(1, rounds - 1))
-    for r in range(rounds):
+
+    def fit_round(synth_values: np.ndarray, round_params: ForestParams) -> Forest:
         stacked = Table(table.schema, np.vstack([table.values, synth_values]))
-        round_params = params if r == 0 else replace(params, seed=params.seed + r + 1)
-        forest = fit_supervised(stacked, (label_col, y), round_params, jobs=jobs)
-        if r + 1 < rounds:
-            synth_values = _resample_within_leaves(
-                forest, table.values, np.random.default_rng(round_seeds[r])
-            )
-    assert forest is not None
+        return fit_supervised(stacked, (label_col, y), round_params, jobs=jobs)
+
+    forest = fit_round(marginal_synthesize(table, params.seed).values, params)
+    round_seeds = np.random.SeedSequence(params.seed).spawn(max(1, rounds - 1))
+    for r in range(1, rounds):
+        synth_values = _resample_within_leaves(
+            forest, table.values, np.random.default_rng(round_seeds[r - 1])
+        )
+        forest = fit_round(synth_values, replace(params, seed=params.seed + r + 1))
     return forest
 
 

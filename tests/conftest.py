@@ -4,6 +4,10 @@ per acceptance criterion."""
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -36,6 +40,30 @@ def pytest_runtest_logreport(report):
     label = _CRITERIA.get(tag, name)
     status = "PASS" if report.outcome == "passed" else "FAIL"
     print(f"\n[{tag.replace('test_c', 'AC-')}] {label}: {status} ({report.duration:.1f}s)")
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="session")
+def mixed_fold_1009(tmp_path_factory):
+    """The benchmark's mixed-decoders fold of data seed 1009 (``perfbench/
+    workloads.py``), fitted and encoded by the CLI at the workload's flags and
+    CLI seed 1010: (train CSV, bundle, query embedding CSV)."""
+    from forestae.cli import main
+
+    name = "perfbench_workloads"
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / "workloads.py")
+    workloads = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workload = workloads.WORKLOADS["mixed-decoders"]
+    work = tmp_path_factory.mktemp("mixed1009")
+    workload.make_inputs(ROOT, work, 1009)
+    train, bundle, emb = work / "train.csv", work / "model.json.gz", work / "z.csv"
+    seed = ["--seed", "1010"]
+    assert main(["fit", str(train), *workload.fit_args, *seed, "--out", str(bundle)]) == 0
+    assert main(["encode", str(bundle), str(work / "query.csv"), *seed, "--out", str(emb)]) == 0
+    return train, bundle, emb
 
 
 def forest_of(trees, **fields) -> Forest:

@@ -1,8 +1,8 @@
 """Reference implementations the tests compare the package against: the
 one-row routing and kernel API of the paper's definitions, one-row exact
 decoding, region intersection, the leaf-cell builders that the single
-cell descent (``forest._leaf_cells``) replaced, and k-NN averaging by
-``np.add.at``."""
+cell descent (``forest._leaf_cells``) replaced, k-NN averaging by
+``np.add.at``, and relabel decoding that patches its hardened rows' cells."""
 
 from __future__ import annotations
 
@@ -11,8 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from forestae.decode import _TIE_TOL, DecodeError, IlpResult, _check_ilp_work, _ilp_solve
-from forestae.forest import Forest, Region, _leaf_cells, route_values
+from forestae.data import Table
+from forestae.decode import (_TIE_TOL, DecodeError, IlpResult, _check_ilp_work, _embedding,
+                             _ilp_solve, reference_leaf_assign, route_relabeled)
+from forestae.forest import Forest, Region, _leaf_cells, assigned_region, route_values
 from forestae.kernel import KernelError
 
 
@@ -152,3 +154,20 @@ def knn_average_add_at(w: np.ndarray, idx: np.ndarray, synth_values: np.ndarray,
             draws += 1
         out[:, j] = pick
     return out, draws
+
+
+def relabel_decode_two_pass(relabeled, original: Forest, Z0, seed: int = 0) -> Table:
+    """``relabel_decode`` as it was before the shared sampling tail: the routed
+    rows' cells are built once, the hardened rows' cells are built again and
+    written into them field by field, and the patched cells are sampled."""
+    leaf_ids = route_relabeled(relabeled, _embedding(Z0, relabeled.d_z))
+    region = assigned_region(original, leaf_ids)
+    conflict = region.is_empty()
+    if conflict.any():
+        routed = leaf_ids[conflict] + original.leaf_offsets
+        hardened = reference_leaf_assign(routed, np.ones(routed.shape), relabeled.reference)
+        cells = assigned_region(original, hardened - original.leaf_offsets)
+        for a, h in ((region.lo, cells.lo), (region.hi, cells.hi),
+                     *((m, cells.masks[j]) for j, m in region.masks.items())):
+            a[conflict] = h
+    return Table(original.schema, region.sample(np.random.default_rng(seed)))

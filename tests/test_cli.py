@@ -474,9 +474,10 @@ def test_decode_knn_trace_from_one_search(fitted, tmp_path, monkeypatch):
     assert [r["row"] for r in recs] == list(range(60))
     Z0 = np.loadtxt(emb, delimiter=",", skiprows=1)
     _, Z = load_bundle(bundle).model.require_time()
-    for r, z0 in zip(recs, Z0):
-        ns = decode.knn_neighbors(z0, Z, 4)
-        assert r["neighbors"] == ns.indices.tolist() and r["weights"] == ns.weights.tolist()
+    for r, z0 in zip(recs, Z0):  # each row searched on its own finds the same neighbours
+        idx, dist = decode._knn_batch(z0[None], Z, 4)
+        weights = decode._inverse_distance_weights(dist)
+        assert r["neighbors"] == idx[0].tolist() and r["weights"] == weights[0].tolist()
 
 
 def test_encode_rejects_cyclic_tree_without_hanging(tmp_path):
@@ -692,6 +693,9 @@ def test_decode_non_finite_embedding_usage_error_every_decoder(fitted, tmp_path,
         ("bench", "--rates", "abc"),
         ("bench", "--rates", "0.5,"),
         ("bench", "--rates", "1.5"),
+        ("encode", "--jobs", "2"),
+        ("decode", "--jobs", "2"),
+        ("roundtrip", "--jobs", "3"),
     ],
 )
 def test_decoder_flags_below_one_are_usage_errors(fitted, tmp_path, capsys, command, flag, value):
@@ -703,12 +707,14 @@ def test_decoder_flags_below_one_are_usage_errors(fitted, tmp_path, capsys, comm
     decoder = {"--n-synth": "relabel", "--sparsity-cap": "lasso", "--lambda": "lasso",
                "--k": "knn"}.get(flag)
     head = {"fit": [str(data), "--d-z", "2"], "decode": [str(bundle), str(emb)],
-            "roundtrip": [str(bundle), str(data)], "bench": [str(data), "--verbose"]}[command]
+            "encode": [str(bundle), str(data)], "roundtrip": [str(bundle), str(data)],
+            "bench": [str(data), "--verbose"]}[command]
     rc = main([command, *head, *(["--decoder", decoder] if decoder else []), flag, value,
                "--out", str(tmp_path / "out.csv")])
     assert rc == 2
     rule = {"--t": "finite and >= 0", "--lambda": "finite and > 0",
-            "--rates": "comma-separated numbers in (0, 1]"}.get(flag, ">= 1")
+            "--rates": "comma-separated numbers in (0, 1]",
+            "--jobs": f"1 for {command}; only fit and bench run in parallel"}.get(flag, ">= 1")
     assert f"{flag} must be {rule}" in capsys.readouterr().err
     b = load_bundle(bundle)
     Z = b.model.Z[:2]
@@ -727,6 +733,15 @@ def test_decoder_flags_below_one_are_usage_errors(fitted, tmp_path, capsys, comm
     message, call = library[flag]
     with pytest.raises((DecodeError, SpectralError), match=message):
         call()
+
+
+def test_query_commands_accept_jobs_one(fitted, tmp_path):
+    # perfbench passes --jobs 1 to every command
+    data, bundle = fitted
+    emb, out = tmp_path / "emb.csv", tmp_path / "out.csv"
+    assert main(["encode", str(bundle), str(data), "--jobs", "1", "--out", str(emb)]) == 0
+    assert main(["decode", str(bundle), str(emb), "--jobs", "1", "--out", str(out)]) == 0
+    assert main(["roundtrip", str(bundle), str(data), "--jobs", "1", "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize(

@@ -11,8 +11,9 @@ from forestae.decode import (
     build_synthetic_training,
     exclusive_lasso,
     ilp_decode,
+    _inverse_distance_weights,
+    _knn_batch,
     knn_decode,
-    knn_neighbors,
     lasso_decode,
     reference_leaf_assign,
     relabel_decode,
@@ -40,6 +41,7 @@ from oracles import (
     knn_average_add_at,
     level_fill_leaf_cells,
     region_intersect,
+    relabel_decode_two_pass,
 )
 
 
@@ -62,6 +64,46 @@ def test_synthetic_rows_route_identically():
     f, model, synth = _pipeline(table, seed=2)
     redo, _ = route_table(f, synth.table)
     assert np.array_equal(redo, route_table(f, table)[0])
+
+
+def test_synthetic_set_of_reordered_columns_is_in_the_forest_schema(mixed_fold_1009, tmp_path):
+    # the draws are in the forest's column order, whatever the caller's
+    from forestae.bundle import load_bundle
+    from forestae.data import load_csv
+
+    train, bundle, _ = mixed_fold_1009
+    forest = load_bundle(bundle).forest
+    rows = [line.split(",") for line in train.read_text().splitlines()]
+    order = [rows[0].index(c) for c in ("c", "a", "g", "b")]
+    (tmp_path / "cagb.csv").write_text("".join(",".join(r[j] for j in order) + "\n"
+                                               for r in rows))
+    table, reordered = load_csv(train), load_csv(tmp_path / "cagb.csv")
+    assert reordered.schema.names == ["c", "a", "g", "b"]
+    own = build_synthetic_training(forest, table, seed=1010)
+    other = build_synthetic_training(forest, reordered, seed=1010)
+    assert own.table.schema == other.table.schema == forest.schema
+    assert np.array_equal(own.table.values, other.table.values)
+    assert np.array_equal(own.table.values, load_bundle(bundle).synth.table.values)
+
+
+def test_synthetic_row_escaping_its_cell_is_a_decode_error(monkeypatch):
+    # a draw that routes elsewhere is refused by name, also under python -O
+    from forestae.forest import Region
+
+    table = make_mixed(60, seed=2)
+    f = fit_completely_random(table, ForestParams(n_trees=4, min_leaf=3, seed=2))
+    leaf_ids = route_table(f, table)[0]
+    other = int(np.flatnonzero((leaf_ids != leaf_ids[0]).any(axis=1))[0])
+    sample = Region.sample
+
+    def swapped(self, rng):
+        out = sample(self, rng)
+        out[[0, other]] = out[[other, 0]]
+        return out
+
+    monkeypatch.setattr(Region, "sample", swapped)
+    with pytest.raises(DecodeError, match="synthetic row 0 escaped its source regions"):
+        build_synthetic_training(f, table, seed=3)
 
 
 def test_synthetic_rows_in_one_ulp_cell():
@@ -126,35 +168,36 @@ def test_deep_forest_synthetic_close_to_original():
 # k-NN
 
 
+def _one_row(z0, Z, k):
+    """One row's neighbours, distances and weights, as ``knn_decode`` finds them."""
+    idx, dist = _knn_batch(np.atleast_2d(z0), Z, k)
+    return idx[0], dist[0], _inverse_distance_weights(dist)[0]
+
+
 def test_knn_exact_match_single_neighbor():
     Z = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
-    ns = knn_neighbors(np.array([1.0, 1.0]), Z, k=1)
-    assert ns.indices.tolist() == [1]
-    assert ns.weights.tolist() == [1.0]
+    indices, _, weights = _one_row([1.0, 1.0], Z, k=1)
+    assert indices.tolist() == [1]
+    assert weights.tolist() == [1.0]
 
 
 def test_knn_equidistant_split():
     Z = np.array([[-1.0], [1.0], [5.0]])
-    ns = knn_neighbors(np.array([0.0]), Z, k=2)
-    assert np.allclose(ns.weights, [0.5, 0.5])
+    _, _, weights = _one_row([0.0], Z, k=2)
+    assert np.allclose(weights, [0.5, 0.5])
 
 
 def test_knn_weights_simplex_and_monotone():
     rng = np.random.default_rng(7)
     Z = rng.normal(size=(50, 3))
-    ns = knn_neighbors(rng.normal(size=3), Z, k=10)
-    assert ns.weights.sum() == pytest.approx(1.0)
-    assert np.all(np.diff(ns.distances) >= 0)
-    assert np.all(np.diff(ns.weights) <= 1e-15)
-    with pytest.raises(DecodeError):
-        knn_neighbors(np.zeros(3), Z, k=51)
-
-
-@pytest.mark.parametrize("width", [2, 4])
-def test_knn_neighbors_refuses_an_embedding_of_another_width(width):
-    Z = np.random.default_rng(7).normal(size=(50, 3))
-    with pytest.raises(DecodeError, match="d_z = 3"):
-        knn_neighbors(np.zeros(width), Z, k=5)
+    _, distances, weights = _one_row(rng.normal(size=3), Z, k=10)
+    assert weights.sum() == pytest.approx(1.0)
+    assert np.all(np.diff(distances) >= 0)
+    assert np.all(np.diff(weights) <= 1e-15)
+    model, synth, Z0 = _knn_mixed_fixture(4, 50, 3, seed=7)
+    for k in (0, 51):
+        with pytest.raises(DecodeError, match=r"k must lie in \[1, 50\]"):
+            knn_decode(Z0, model, None, synth, k=k)
 
 
 @pytest.mark.parametrize("width", [2, 4])
@@ -318,8 +361,6 @@ def _knn_mixed_fixture(m, n, d_z, seed, grid=False):
 
 @pytest.mark.parametrize("k", [2, 4, 8])
 def test_knn_vote_equals_the_add_at_oracle(k):
-    from forestae.decode import _inverse_distance_weights, _knn_batch
-
     model, synth, Z0 = _knn_mixed_fixture(300, 120, 2, seed=k, grid=True)
     out = knn_decode(Z0, model, None, synth, k=k, seed=41)
     idx, dist = _knn_batch(Z0, model.Z, k)
@@ -355,10 +396,10 @@ def test_knn_coincident_neighbors_share_weight():
     # distances at rounding scale are exact matches: equal weights, and the
     # lowest indices fill the slots whatever the rounding
     Z = np.array([[1.0, 0.0], [1.0, 3e-16], [1.0, -1e-16], [2.0, 0.0]])
-    ns = knn_neighbors(np.array([1.0, 1e-16]), Z, k=2)
-    assert ns.indices.tolist() == [0, 1]
-    assert ns.distances.tolist() == [0.0, 0.0]
-    assert ns.weights.tolist() == [0.5, 0.5]
+    indices, distances, weights = _one_row([1.0, 1e-16], Z, k=2)
+    assert indices.tolist() == [0, 1]
+    assert distances.tolist() == [0.0, 0.0]
+    assert weights.tolist() == [0.5, 0.5]
 
 
 def test_knn_decode_ignores_rounding_shift_of_coincident_rows(tmp_path):
@@ -751,6 +792,23 @@ def test_relabel_decode_hardens_conflicting_rows_onto_reference_cells():
     # a conflicting row is sampled in the cell of its best-agreeing reference row
     agree = (rl.reference[None] == (routed[conflict] + offsets)[:, None]).sum(axis=2)
     assert np.array_equal(decoded[conflict] + offsets, rl.reference[agree.argmax(axis=1)])
+
+
+def test_relabel_decode_equals_the_two_pass_oracle(mixed_fold_1009):
+    # one draw over the routed ids with the hardened rows' ids written in is
+    # the draw over routed cells patched with the hardened rows' cells
+    from forestae.bundle import load_bundle
+
+    _, bundle, emb = mixed_fold_1009
+    b = load_bundle(bundle)
+    Z0 = np.loadtxt(emb, delimiter=",", skiprows=1)
+    rl = relabel_forest(b.forest, b.model, b.synth, seed=1010)
+    trace = []
+    out = relabel_decode(rl, b.forest, Z0, seed=1010, trace=trace)
+    assert trace == [{"hardened_rows": 11}] and Z0.shape[0] == 200
+    ref = relabel_decode_two_pass(rl, b.forest, Z0, seed=1010)
+    assert out.schema == ref.schema
+    assert out.values.tobytes() == ref.values.tobytes()
 
 
 # ---------------------------------------------------------------------------
