@@ -22,7 +22,19 @@ from . import bundle as bundle_io
 from . import decode as dec
 from . import kernel as ker
 from . import spectral
-from .data import Table, bootstrap_split, conform_table, load_csv, save_csv
+from .data import (
+    Column,
+    Schema,
+    Table,
+    bootstrap_split,
+    cells_where,
+    conform_table,
+    first_misfit,
+    float_column,
+    load_csv,
+    not_a_number,
+    save_csv,
+)
 from .forest import (
     ForestError,
     ForestParams,
@@ -162,15 +174,22 @@ def _read_embedding_csv(path) -> np.ndarray:
         rows = list(csv.reader(fh))
     if not rows:
         raise UsageError(f"{path}: empty embedding file")
-    d = len(rows[0])
-    out = np.empty((len(rows) - 1, d), dtype=np.float64)
-    for i, row in enumerate(rows[1:]):
-        if len(row) != d:
-            raise UsageError(f"{path}: row {i + 2} has {len(row)} cells, the header has {d}")
-        try:
-            out[i] = [float(x) for x in row]
-        except ValueError:
-            raise UsageError(f"{path}: row {i + 2} has a non-numeric cell") from None
+    header, body = rows[0], rows[1:]
+    d = len(header)
+    misfit = first_misfit(body, d)  # the rows before it all have d cells
+    out = np.empty((misfit, d), dtype=np.float64)
+    non_numeric = misfit  # the first row with a non-numeric cell, if one comes before it
+    for j, tokens in enumerate(zip(*body[:misfit])):
+        values = float_column(tokens)
+        if values is None:
+            non_numeric = min(non_numeric, int(np.argmax(cells_where(tokens, not_a_number))))
+        else:
+            out[:, j] = values
+    if non_numeric < misfit:
+        raise UsageError(f"{path}: row {non_numeric + 2} has a non-numeric cell")
+    if misfit < len(body):
+        raise UsageError(f"{path}: row {misfit + 2} has {len(body[misfit])} cells, "
+                         f"the header has {d}")
     bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
     if bad.size:
         raise UsageError(f"{path}: row {bad[0] + 2} has a non-finite cell")
@@ -178,11 +197,8 @@ def _read_embedding_csv(path) -> np.ndarray:
 
 
 def _write_embedding_csv(path, Z0: np.ndarray, d_z: int) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"KPC{j + 1}" for j in range(d_z)])
-        for row in np.atleast_2d(Z0):
-            writer.writerow([repr(float(v)) for v in row])
+    schema = Schema(tuple(Column(f"KPC{j + 1}") for j in range(d_z)))
+    save_csv(Table(schema, np.atleast_2d(Z0)), path)
 
 
 def _csv_has_rows(path) -> bool:

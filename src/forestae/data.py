@@ -9,6 +9,7 @@ schema so routing stays stable across sessions.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -136,20 +137,38 @@ class SplitIndices:
     seed: int
 
 
-def _parse_continuous(token: str) -> float:
-    x = float(token)
-    if not math.isfinite(x):
-        raise ValueError(token)
-    return x
-
-
-def _parse_column(tokens) -> np.ndarray | None:
-    """The cells as floats, or None if any is non-numeric or none is finite."""
+def float_column(tokens) -> np.ndarray | None:
+    """The cells as floats, or None if any is not a number."""
     try:
-        values = np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
+        return np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
     except ValueError:
         return None
-    return values if np.isfinite(values).any() else None
+
+
+def cells_where(tokens, test) -> np.ndarray:
+    """Which cells hold a token that passes ``test``, called once per distinct token."""
+    hits = set(filter(test, set(tokens)))
+    if not hits:
+        return np.zeros(len(tokens), dtype=bool)
+    return np.fromiter(map(hits.__contains__, tokens), dtype=bool, count=len(tokens))
+
+
+def first_misfit(rows, d: int) -> int:
+    """Index of the first row that does not have ``d`` cells, or len(rows)."""
+    wrong = np.flatnonzero(np.fromiter(map(len, rows), dtype=np.intp, count=len(rows)) != d)
+    return int(wrong[0]) if wrong.size else len(rows)
+
+
+def not_a_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return True
+    return False
+
+
+def _not_finite(token: str) -> bool:
+    return not_a_number(token) or not math.isfinite(float(token))
 
 
 _MISSING = frozenset({"", "NA", "NAN", "-NAN", "+NAN"})
@@ -157,6 +176,17 @@ _MISSING = frozenset({"", "NA", "NAN", "-NAN", "+NAN"})
 
 def _is_missing(token: str) -> bool:
     return token.strip().upper() in _MISSING
+
+
+def _first_bad_cell(tokens) -> ValueError:
+    """What ``float`` or the finiteness test raises on the first cell that is
+    not a finite number."""
+    token = tokens[int(np.argmax(cells_where(tokens, _not_finite)))]
+    try:
+        float(token)
+    except ValueError as exc:
+        return exc
+    return ValueError(token)
 
 
 def load_csv(path: str | Path, schema_hint: Schema | None = None) -> Table:
@@ -168,76 +198,102 @@ def load_csv(path: str | Path, schema_hint: Schema | None = None) -> Table:
     (empty, ``NA``, ``nan``, ``-nan``, ``+nan``) are dropped and counted on
     ``Table.n_dropped_rows``. Tokens unseen by a hinted categorical
     column extend that column's level list (first-appearance order after the
-    hint's levels).
+    hint's levels). A name used twice in the header, or a row with another
+    cell count than the header's, is an error naming it.
     """
     path = Path(path)
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
+            rows = list(csv.reader(fh))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: empty file")
     header, body = rows[0], rows[1:]
     d = len(header)
-    kept, dropped = [], 0
-    for row in body:
-        if len(row) != d:
-            raise DataError(f"{path}: row with {len(row)} cells, expected {d}")
-        if any(map(_is_missing, row)):
-            dropped += 1
-        else:
-            kept.append(row)
-    if not kept:
+    seen: set[str] = set()
+    for name in header:
+        if name in seen:
+            raise DataError(f"{path}: column {name!r} appears twice in the header")
+        seen.add(name)
+    i = first_misfit(body, d)
+    if i < len(body):
+        raise DataError(f"{path}: row {i + 2} has {len(body[i])} cells, the header has {d}")
+
+    columns = list(zip(*body))
+    parsed = [float_column(tokens) for tokens in columns]
+    missing = np.zeros(len(body), dtype=bool)
+    for tokens, values in zip(columns, parsed):
+        # float reads exactly the nan tokens as NaN, and fails on "" and NA
+        missing |= cells_where(tokens, _is_missing) if values is None else np.isnan(values)
+    dropped = int(np.count_nonzero(missing))
+    if dropped == len(body):
         raise DataError(f"{path}: no complete rows after filtering")
+    if dropped:
+        keep = ~missing
+        columns = [tuple(itertools.compress(tokens, keep)) for tokens in columns]
+        parsed = [float_column(tokens) if values is None else values[keep]
+                  for tokens, values in zip(columns, parsed)]
 
     hint_by_name = {}
     if schema_hint is not None:
         hint_by_name = {c.name: c for c in schema_hint.columns}
 
-    columns: list[Column] = []
-    grid = np.empty((len(kept), d), dtype=np.float64)
-    for j, (name, tokens) in enumerate(zip(header, zip(*kept))):
+    n = len(body) - dropped
+    typed: list[Column] = []
+    grid = np.empty((n, d), dtype=np.float64)
+    for j, (name, tokens, values) in enumerate(zip(header, columns, parsed)):
         hinted = hint_by_name.get(name)
-        values = None if hinted is not None and hinted.is_categorical else _parse_column(tokens)
-        categorical = hinted.is_categorical if hinted is not None else values is None
-        if categorical:
-            levels: list[str] = list(hinted.levels) if hinted and hinted.levels else []
-            index = {lv: i for i, lv in enumerate(levels)}
-            for i, tok in enumerate(tokens):
-                if tok not in index:
-                    index[tok] = len(levels)
-                    levels.append(tok)
-                grid[i, j] = index[tok]
-            columns.append(Column(name, tuple(levels)))
+        if hinted is None:
+            categorical = values is None or not np.isfinite(values).any()
         else:
-            try:
-                if values is None or not np.isfinite(values).all():  # find the first bad cell
-                    for tok in tokens:
-                        _parse_continuous(tok)
-            except ValueError as exc:
-                why = (f"declared continuous but cell {exc} is not" if hinted is not None
-                       else f"is numeric but cell {exc} is not finite")
-                raise DataError(f"{path}: column {name!r} {why}") from exc
-            grid[:, j] = values
-            columns.append(Column(name))
-    return Table(Schema(tuple(columns)), grid, n_dropped_rows=dropped)
+            categorical = hinted.is_categorical
+        if categorical:
+            levels = tuple(dict.fromkeys(itertools.chain(hinted.levels if hinted else (), tokens)))
+            code = dict(zip(levels, itertools.count()))
+            grid[:, j] = np.fromiter(map(code.__getitem__, tokens), dtype=np.float64, count=n)
+            typed.append(Column(name, levels))
+            continue
+        if values is None or not np.isfinite(values).all():
+            exc = _first_bad_cell(tokens)
+            why = (f"declared continuous but cell {exc} is not" if hinted is not None
+                   else f"is numeric but cell {exc} is not finite")
+            raise DataError(f"{path}: column {name!r} {why}") from exc
+        grid[:, j] = values
+        typed.append(Column(name))
+    return Table(Schema(tuple(typed)), grid, n_dropped_rows=dropped)
+
+
+_BLOCK_ROWS = 512  # rows formatted per write, which bounds save_csv's memory
+
+
+def _field(text: str, alone: bool) -> str:
+    """``text`` as csv.writer writes it, in a row of its own or beside other fields."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text] if alone else [text, ""])
+    return buf.getvalue()[:-2 if alone else -3]
 
 
 def save_csv(table: Table, path: str | Path) -> None:
-    """Write a table as RFC-4180 CSV; continuous cells use exact float repr."""
+    """Write a table as RFC-4180 CSV; continuous cells use exact float repr.
+
+    The text is what ``csv.writer`` writes: a header of names, rows ended by
+    ``\r\n``, levels quoted only where they need it. Rows are formatted a
+    column at a time, ``_BLOCK_ROWS`` rows at a time.
+    """
+    alone = table.d == 1
+    quoted = [None if c.levels is None else [_field(lv, alone) for lv in c.levels]
+              for c in table.schema.columns]
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(table.schema.names)
-        for row in table.values:
-            out = []
-            for j, col in enumerate(table.schema.columns):
-                if col.is_categorical:
-                    out.append(col.levels[int(row[j])])
-                else:
-                    out.append(repr(float(row[j])))
-            writer.writerow(out)
+        csv.writer(fh).writerow(table.schema.names)
+        for s in range(0, table.n, _BLOCK_ROWS):
+            block = table.values[s:s + _BLOCK_ROWS]
+            cells = [map(repr, block[:, j].tolist()) if q is None
+                     else map(q.__getitem__, block[:, j].astype(np.intp).tolist())
+                     for j, q in enumerate(quoted)]
+            lines = map(",".join, zip(*cells)) if cells else itertools.repeat("", len(block))
+            fh.write("\r\n".join(lines))
+            fh.write("\r\n")
 
 
 def bootstrap_split(n: int, seed: int) -> SplitIndices:

@@ -309,12 +309,16 @@ def mmd_squared(sample_a: Table, sample_b: Table, forest: Forest, reference: Tab
     return float(diff @ diff) / forest.n_trees
 
 
+_LINES_PER_WRITE = 4096  # entries formatted per write
+
+
 def write_coordinate(K: SparseKernelMatrix, path) -> None:
     """Text export: one `row col value` line per stored entry."""
     coo = K.matrix.tocoo()
     with open(path, "w", encoding="utf-8") as fh:
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{int(i)} {int(j)} {float(v)!r}\n")
+        for s in range(0, coo.nnz, _LINES_PER_WRITE):
+            block = (a[s:s + _LINES_PER_WRITE].tolist() for a in (coo.row, coo.col, coo.data))
+            fh.write("".join(map("{} {} {!r}\n".format, *block)))
 
 
 def write_dense_csv(K: SparseKernelMatrix, path, limit: int = 2000) -> None:

@@ -2,19 +2,24 @@
 one-row routing and kernel API of the paper's definitions, one-row exact
 decoding, region intersection, the leaf-cell builders that the single
 cell descent (``forest._leaf_cells``) replaced, k-NN averaging by
-``np.add.at``, and relabel decoding that patches its hardened rows' cells."""
+``np.add.at``, relabel decoding that patches its hardened rows' cells, and
+the CSV reader and writers that handled one cell or row at a time."""
 
 from __future__ import annotations
 
+import csv
 import functools
+import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from forestae.data import Table
+from forestae.data import Column, DataError, Schema, Table
 from forestae.decode import (_TIE_TOL, DecodeError, IlpResult, _check_ilp_work, _embedding,
                              _ilp_solve, reference_leaf_assign, route_relabeled)
 from forestae.forest import Forest, Region, _leaf_cells, assigned_region, route_values
+from forestae.cli import UsageError
 from forestae.kernel import KernelError
 
 
@@ -171,3 +176,133 @@ def relabel_decode_two_pass(relabeled, original: Forest, Z0, seed: int = 0) -> T
                      *((m, cells.masks[j]) for j, m in region.masks.items())):
             a[conflict] = h
     return Table(original.schema, region.sample(np.random.default_rng(seed)))
+
+
+_MISSING = frozenset({"", "NA", "NAN", "-NAN", "+NAN"})
+
+
+def _parse_continuous(token: str) -> float:
+    x = float(token)
+    if not math.isfinite(x):
+        raise ValueError(token)
+    return x
+
+
+def _parse_column(tokens) -> np.ndarray | None:
+    try:
+        values = np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
+    except ValueError:
+        return None
+    return values if np.isfinite(values).any() else None
+
+
+def load_csv_per_cell(path, schema_hint: Schema | None = None) -> Table:
+    """``data.load_csv`` as it was before the column-at-a-time reader: every
+    cell is tested for a missing token, and level codes are assigned one cell
+    at a time. Its errors read as ``load_csv``'s do: a duplicate name fails at
+    the header, and a row of the wrong width is named by its number."""
+    path = Path(path)
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    header, body = rows[0], rows[1:]
+    for j, name in enumerate(header):
+        if name in header[:j]:
+            raise DataError(f"{path}: column {name!r} appears twice in the header")
+    d = len(header)
+    kept, dropped = [], 0
+    for i, row in enumerate(body):
+        if len(row) != d:
+            raise DataError(f"{path}: row {i + 2} has {len(row)} cells, the header has {d}")
+        if any(tok.strip().upper() in _MISSING for tok in row):
+            dropped += 1
+        else:
+            kept.append(row)
+    if not kept:
+        raise DataError(f"{path}: no complete rows after filtering")
+    hint_by_name = {c.name: c for c in schema_hint.columns} if schema_hint is not None else {}
+    columns: list[Column] = []
+    grid = np.empty((len(kept), d), dtype=np.float64)
+    for j, (name, tokens) in enumerate(zip(header, zip(*kept))):
+        hinted = hint_by_name.get(name)
+        values = None if hinted is not None and hinted.is_categorical else _parse_column(tokens)
+        categorical = hinted.is_categorical if hinted is not None else values is None
+        if categorical:
+            levels: list[str] = list(hinted.levels) if hinted and hinted.levels else []
+            index = {lv: i for i, lv in enumerate(levels)}
+            for i, tok in enumerate(tokens):
+                if tok not in index:
+                    index[tok] = len(levels)
+                    levels.append(tok)
+                grid[i, j] = index[tok]
+            columns.append(Column(name, tuple(levels)))
+        else:
+            try:
+                if values is None or not np.isfinite(values).all():
+                    for tok in tokens:
+                        _parse_continuous(tok)
+            except ValueError as exc:
+                why = (f"declared continuous but cell {exc} is not" if hinted is not None
+                       else f"is numeric but cell {exc} is not finite")
+                raise DataError(f"{path}: column {name!r} {why}") from exc
+            grid[:, j] = values
+            columns.append(Column(name))
+    return Table(Schema(tuple(columns)), grid, n_dropped_rows=dropped)
+
+
+def save_csv_per_row(table: Table, path) -> None:
+    """``data.save_csv`` as it was: ``csv.writer`` once per row, ``repr`` once
+    per continuous cell."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(table.schema.names)
+        for row in table.values:
+            out = []
+            for j, col in enumerate(table.schema.columns):
+                if col.is_categorical:
+                    out.append(col.levels[int(row[j])])
+                else:
+                    out.append(repr(float(row[j])))
+            writer.writerow(out)
+
+
+def read_embedding_csv_per_row(path) -> np.ndarray:
+    """``cli._read_embedding_csv`` as it was, parsing one row at a time."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise UsageError(f"{path}: empty embedding file")
+    d = len(rows[0])
+    out = np.empty((len(rows) - 1, d), dtype=np.float64)
+    for i, row in enumerate(rows[1:]):
+        if len(row) != d:
+            raise UsageError(f"{path}: row {i + 2} has {len(row)} cells, the header has {d}")
+        try:
+            out[i] = [float(x) for x in row]
+        except ValueError:
+            raise UsageError(f"{path}: row {i + 2} has a non-numeric cell") from None
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if bad.size:
+        raise UsageError(f"{path}: row {bad[0] + 2} has a non-finite cell")
+    return out
+
+
+def write_embedding_csv_per_row(path, Z0: np.ndarray, d_z: int) -> None:
+    """``cli._write_embedding_csv`` as it was, before it became ``save_csv``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"KPC{j + 1}" for j in range(d_z)])
+        for row in np.atleast_2d(Z0):
+            writer.writerow([repr(float(v)) for v in row])
+
+
+def write_coordinate_per_entry(K, path) -> None:
+    """``kernel.write_coordinate`` as it was: one write per stored entry."""
+    coo = K.matrix.tocoo()
+    with open(path, "w", encoding="utf-8") as fh:
+        for i, j, v in zip(coo.row, coo.col, coo.data):
+            fh.write(f"{int(i)} {int(j)} {float(v)!r}\n")

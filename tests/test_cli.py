@@ -154,6 +154,22 @@ def test_encode_and_decode_read_a_byte_order_mark(fitted, tmp_path):
     assert marked_emb.read_text().splitlines() == ["KPC1,KPC2,KPC3"]
 
 
+def test_encode_names_the_row_of_a_trailing_blank_line(fitted, tmp_path, capsys):
+    data, bundle = fitted
+    query = tmp_path / "q.csv"
+    query.write_text("".join(data.read_text().splitlines(keepends=True)[:2]) + "\n")
+    assert main(["encode", str(bundle), str(query), "--out", str(tmp_path / "z.csv")]) == 1
+    assert f"{query}: row 3 has 0 cells, the header has 4" in capsys.readouterr().err
+
+
+def test_fit_names_a_duplicate_column(tmp_path, capsys):
+    data = tmp_path / "dup.csv"
+    data.write_text("a,b,a\n" + "".join(f"{i},{i % 3},{-i}\n" for i in range(10)))
+    assert main(["fit", str(data), "--d-z", "2", "--trees", "3",
+                 "--out", str(tmp_path / "m.json")]) == 1
+    assert f"{data}: column 'a' appears twice in the header" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore:kernel graph appears disconnected")
 def test_encode_warns_on_unseen_level(tmp_path, capsys):
     rng = np.random.default_rng(6)

@@ -216,3 +216,24 @@ def test_load_csv_reads_a_byte_order_mark(tmp_path):
     t = load_csv(marked)
     assert t.schema.names == ["a", "b"]
     assert table_equal(t, load_csv(plain))
+
+
+def test_load_csv_names_the_row_of_the_wrong_width(tmp_path):
+    # a trailing blank line is a row of no cells
+    p = tmp_path / "q.csv"
+    p.write_text("a,b,c,d\n1,2,3,4\n\n")
+    with pytest.raises(DataError) as err:
+        load_csv(p)
+    assert str(err.value) == f"{p}: row 3 has 0 cells, the header has 4"
+    p.write_text("a,b\n1,2\n3\n4,5,6\n")
+    with pytest.raises(DataError) as err:
+        load_csv(p)
+    assert str(err.value) == f"{p}: row 3 has 1 cells, the header has 2"
+
+
+def test_load_csv_names_a_duplicate_column(tmp_path):
+    p = tmp_path / "dup.csv"
+    p.write_text("a,b,a\n1,x,2\n3,y,4\n")
+    with pytest.raises(DataError) as err:
+        load_csv(p)
+    assert str(err.value) == f"{p}: column 'a' appears twice in the header"
