@@ -142,6 +142,10 @@ def test_save_csv_matches_the_per_row_writer(tmp_path):
     save_csv(lone, new)
     save_csv_per_row(lone, old)
     assert new.read_bytes() == old.read_bytes() == b'""\r\n""\r\n"a,b"\r\n""\r\n'
+    empty = Table(Schema(()), np.empty((2, 0)))  # no columns: blank lines
+    save_csv(empty, new)
+    save_csv_per_row(empty, old)
+    assert new.read_bytes() == old.read_bytes() == b"\r\n\r\n\r\n"
 
 
 def _embedding_file(rng, path) -> None:
