@@ -14,6 +14,7 @@ import gzip
 import hashlib
 import json
 import math
+import sys
 import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -257,6 +258,8 @@ def load_bundle(path: str | Path) -> ModelBundle:
             "kind", "n_classes", "t", "synthetic_seed", "forest_sha"))
     except (KeyError, TypeError, ValueError) as exc:
         raise BundleError(f"{path}: the bundle header is malformed ({exc!r})") from None
+    if t is not None and (type(t) not in (int, float) or not 0 <= t <= sys.float_info.max):
+        raise BundleError(f"{path}: the diffusion time t={t!r} is not a finite number >= 0")
     _check_trees(a, schema.n_levels)
     if a["feature_ranges"].shape != (schema.n_columns, 2):
         raise BundleError(f"feature_ranges is not shaped ({schema.n_columns}, 2)")
@@ -268,7 +271,7 @@ def load_bundle(path: str | Path) -> ModelBundle:
     model = SpectralModel(*a["V"].shape, a["eigenvalues"], a["V"])
     synth = SyntheticTrainingSet(Table(schema, a["synthetic"]), seed)
     if t is not None:
-        model = with_time(model, t)
+        model = with_time(model, float(t))
     bundle = ModelBundle(schema, forest, model, synth, sha)
     bundle.validate()
     return bundle

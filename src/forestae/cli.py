@@ -276,8 +276,6 @@ def _decode_rows(b, Z0: np.ndarray, args) -> tuple[Table, list[dict]]:
     elif args.decoder == "relabel":
         relabeled = dec.relabel_forest(b.forest, b.model, b.synth, args.n_synth, args.seed)
         out = dec.relabel_decode(relabeled, b.forest, Z0, seed=args.seed, trace=sink)
-        if args.trace:
-            trace[0]["degenerate_nodes"] = relabeled.n_degenerate
     elif args.decoder == "lasso":
         out = dec.lasso_decode(
             Z0, b.model, b.forest, b.synth, lam=args.penalty, sparsity_cap=args.sparsity_cap,

@@ -178,15 +178,10 @@ def _is_missing(token: str) -> bool:
     return token.strip().upper() in _MISSING
 
 
-def _first_bad_cell(tokens) -> ValueError:
-    """What ``float`` or the finiteness test raises on the first cell that is
-    not a finite number."""
+def _first_bad_cell(tokens) -> str:
+    """The first cell that is not a finite number, and what it is instead."""
     token = tokens[int(np.argmax(cells_where(tokens, _not_finite)))]
-    try:
-        float(token)
-    except ValueError as exc:
-        return exc
-    return ValueError(token)
+    return f"{token!r} is not a number" if not_a_number(token) else f"{token} is not finite"
 
 
 def load_csv(path: str | Path, schema_hint: Schema | None = None) -> Table:
@@ -255,10 +250,8 @@ def load_csv(path: str | Path, schema_hint: Schema | None = None) -> Table:
             typed.append(Column(name, levels))
             continue
         if values is None or not np.isfinite(values).all():
-            exc = _first_bad_cell(tokens)
-            why = (f"declared continuous but cell {exc} is not" if hinted is not None
-                   else f"is numeric but cell {exc} is not finite")
-            raise DataError(f"{path}: column {name!r} {why}") from exc
+            kind = "declared continuous" if hinted is not None else "is numeric"
+            raise DataError(f"{path}: column {name!r} {kind} but cell {_first_bad_cell(tokens)}")
         grid[:, j] = values
         typed.append(Column(name))
     return Table(Schema(tuple(typed)), grid, n_dropped_rows=dropped)

@@ -288,7 +288,6 @@ class RelabeledForest:
     feature: np.ndarray
     threshold: np.ndarray
     flip: np.ndarray
-    smc: np.ndarray  # per-node agreement with the split literal on the reference rows
     d_z: int
     n_degenerate: int  # splits given a constant test
     reference: np.ndarray  # (n, B) the reference rows' global leaf ids in the source forest
@@ -321,11 +320,11 @@ def _stable_order(key: np.ndarray) -> np.ndarray:
 
 def _best_latent_splits(node: np.ndarray, Z: np.ndarray, labels: np.ndarray,
                         z_rank: np.ndarray):
-    """Sorted node ids and each node's relabeled (feature, threshold, flip,
-    smc): the cut of one embedding axis that agrees with most of its rows'
-    labels, found for all nodes by one stable sort by (node, axis, z) (``z_rank``
-    holds each z's ``_axis_ranks`` rank, so one integer key orders them), one
-    segmented label cumsum and a first-best pick. Ties go to the lowest axis,
+    """Sorted node ids and each node's relabeled (feature, threshold, flip): the
+    cut of one embedding axis that agrees with most of its rows' labels, found
+    for all nodes by one stable sort by (node, axis, z) (``z_rank`` holds each
+    z's ``_axis_ranks`` rank, so one integer key orders them), one segmented
+    label cumsum and a first-best pick. Ties go to the lowest axis,
     then the first cut; gaps within ``_TIE_TOL`` x max |z| are ties, not cuts.
     A node with no cut between its labels gets a constant test toward its
     majority."""
@@ -345,15 +344,13 @@ def _best_latent_splits(node: np.ndarray, Z: np.ndarray, labels: np.ndarray,
     ids, m, n_left = key[seg] // d, size[seg], n1[seg]
     feature, flip = np.zeros(ids.size, dtype=np.int32), np.zeros(ids.size, dtype=bool)
     threshold = np.where(2 * n_left >= m, np.inf, -np.inf)  # +inf sends all left
-    smc = np.maximum(n_left, m - n_left) / m
     if cuts.size:
         best = cuts[_first_min(-agree[cuts], *_runs(key[cuts] // d)[:2])]
         at = np.searchsorted(ids, key[best] // d)
         feature[at] = key[best] % d
         threshold[at] = 0.5 * (z[best] + z[best + 1])
         flip[at] = size[best] - matches[best] > matches[best]
-        smc[at] = agree[best] / m[at]
-    return ids, feature, threshold, flip, smc
+    return ids, feature, threshold, flip
 
 
 def relabel_forest(
@@ -380,7 +377,7 @@ def relabel_forest(
     z_rank = _axis_ranks(Z)
     split = nodes.feature >= 0
     out = (np.where(split, 0, -1).astype(np.int32), np.where(split, np.inf, 0.0),
-           np.zeros(split.size, dtype=bool), np.full(split.size, np.nan))
+           np.zeros(split.size, dtype=bool))
     leaves = np.empty((n, forest.n_trees), dtype=np.int64)
     width = max(1, _RELABEL_CELLS // n)
     for b in range(0, forest.n_trees, width):
@@ -427,7 +424,8 @@ def relabel_decode(
     routed leaf scoring 1).
 
     If ``trace`` is a list, one record is appended to it: ``hardened_rows``,
-    the number of rows whose routed leaves share no cell.
+    the number of rows whose routed leaves share no cell, and
+    ``degenerate_nodes``, the relabeled splits given a constant test.
     """
     leaf_ids = route_relabeled(relabeled, _embedding(Z0, relabeled.d_z))
     conflict = assigned_region(original, leaf_ids).is_empty()
@@ -436,7 +434,8 @@ def relabel_decode(
         hardened = reference_leaf_assign(routed, np.ones(routed.shape), relabeled.reference)
         leaf_ids[conflict] = hardened - original.leaf_offsets
     if trace is not None:
-        trace.append({"hardened_rows": int(conflict.sum())})
+        trace.append({"hardened_rows": int(conflict.sum()),
+                      "degenerate_nodes": relabeled.n_degenerate})
     return _sample_cells(original, leaf_ids, seed)
 
 

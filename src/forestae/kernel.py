@@ -8,8 +8,9 @@ leaf counts stored on the trees (fitting or labeling sample) coincide with the
 reference counts for full-sample, non-honest forests.
 
 A kernel block is kept as its leaf-membership factors, K = Fq Frᵀ / B, with
-one entry per (row, tree); products with K cost O(rows · B) and the n × n
-matrix is built only when asked for.
+one entry per (row, tree); products with K cost O(rows · B). Its entries come
+only from ``SparseKernelMatrix.blocks``, dense row blocks of one leaf join, so
+no command needs SciPy for them; SciPy's ``matrix`` is kept as an oracle.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ __all__ = [
     "mmd_squared",
 ]
 
-TRAIN = "train"
-CROSS = "cross"
 # (row, reference row) pairs per block of ``_leaf_join``, both the pairs that
 # share a leaf and the dense sums. On a 2-vCPU x86 host (min of 15 calls),
 # hardening the 516 rows of the seed-1009 banknote fold (500 trees) takes
@@ -86,8 +85,8 @@ class LeafFactor:
         return np.bincount(cols.ravel(), weights=vals.ravel(), minlength=self.shape[1])
 
     def tocsr(self):
-        """F as a SciPy CSR matrix, entries in tree order within each row."""
-        import scipy.sparse as sp  # costly import; only K.matrix needs it
+        """F as a SciPy CSR matrix (tree order within each row), for ``K.matrix``."""
+        import scipy.sparse as sp  # costly import; only the oracle needs it
 
         n, n_trees = self.cols.shape
         indptr = np.arange(0, n * n_trees + 1, n_trees)
@@ -100,15 +99,14 @@ class SparseKernelMatrix:
     """Kernel block K = diag(scale) Fq Frᵀ / B kept as its factors.
 
     ``left`` (Fq, m x L) and ``right`` (Fr, n x L) hold one 1/sqrt(count)
-    entry per (row, tree) at the row's global leaf; a train kernel has the
-    same F on both sides. ``scale`` renormalizes rows over their populated
-    trees (non-strict cross kernels). Entries lie in (0, 1].
+    entry per (row, tree) at the row's global leaf; a train kernel is one
+    whose two factors are the same object. ``scale`` renormalizes rows over
+    their populated trees (non-strict cross kernels). Entries lie in (0, 1].
     """
 
     left: LeafFactor
     right: LeafFactor
     n_trees: int
-    role: str
     scale: np.ndarray | None = None
     unseen_levels: int = 0
     skipped_leaf_cells: int = 0
@@ -130,12 +128,13 @@ class SparseKernelMatrix:
 
     @cached_property
     def matrix(self):
-        """K itself as a SciPy CSR matrix, built on first access: symmetrized
-        and index-sorted for a train kernel."""
-        import scipy.sparse as sp  # costly import; only coordinate export needs it
+        """K as a SciPy CSR matrix, built on first access: symmetrized and
+        index-sorted for a train kernel. It is the oracle that tests and
+        perfbench's traced run read; nothing in the package calls it."""
+        import scipy.sparse as sp  # costly import; only the oracle needs it
 
         K = (self.left.tocsr() @ self.right.tocsr().T) / self.n_trees
-        if self.role == TRAIN:
+        if self.left is self.right:
             K = (K + K.T) * 0.5
             K.sort_indices()
         if self.scale is not None:
@@ -145,9 +144,9 @@ class SparseKernelMatrix:
     def row_sums(self) -> np.ndarray:
         return self.dot(np.ones(self.n_cols))
 
-    def toarray(self) -> np.ndarray:
-        """K as a dense array, built in numpy from the factors; it equals
-        ``matrix.toarray()`` bit for bit.
+    def blocks(self):
+        """K's dense row blocks ``(r0, r1, K[r0:r1])``, equal to ``matrix``'s
+        rows bit for bit.
 
         ``_leaf_join`` sums each row's weight products in tree order, the
         accumulation order of SciPy's CSR product. F Fᵀ is exactly symmetric,
@@ -155,13 +154,18 @@ class SparseKernelMatrix:
         multiplied by 1/B rather than divided by B, and then by ``scale``.
         """
         left, right = self.left, self.right
-        out = np.empty((self.n_rows, self.n_cols))
         for r0, r1, sums in _leaf_join(left.cols, (left.weights * right.weights)[left.cols],
                                        right.cols):
-            out[r0:r1] = sums
-        out *= 1.0 / self.n_trees
-        if self.scale is not None:
-            out *= self.scale[:, None]
+            sums *= 1.0 / self.n_trees
+            if self.scale is not None:
+                sums *= self.scale[r0:r1, None]
+            yield r0, r1, sums
+
+    def toarray(self) -> np.ndarray:
+        """K as a dense array, assembled from ``blocks``."""
+        out = np.empty((self.n_rows, self.n_cols))
+        for r0, r1, block in self.blocks():
+            out[r0:r1] = block
         return out
 
 
@@ -251,7 +255,7 @@ def rf_kernel_train(forest: Forest, table: Table | np.ndarray) -> SparseKernelMa
     """Symmetric doubly stochastic kernel over the reference table's rows,
     kept as K = F Fᵀ / B; ``table`` may also be its (n x B) leaf ids."""
     F = leaf_profile(forest, table).membership
-    return SparseKernelMatrix(left=F, right=F, n_trees=forest.n_trees, role=TRAIN)
+    return SparseKernelMatrix(left=F, right=F, n_trees=forest.n_trees)
 
 
 def rf_kernel_cross(
@@ -284,7 +288,6 @@ def rf_kernel_cross(
         left=LeafFactor(q_cols, w),
         right=profile.membership,
         n_trees=forest.n_trees,
-        role=CROSS,
         scale=scale,
         unseen_levels=unseen,
         skipped_leaf_cells=n_empty,
@@ -309,19 +312,18 @@ def mmd_squared(sample_a: Table, sample_b: Table, forest: Forest, reference: Tab
     return float(diff @ diff) / forest.n_trees
 
 
-_LINES_PER_WRITE = 4096  # entries formatted per write
-
-
 def write_coordinate(K: SparseKernelMatrix, path) -> None:
-    """Text export: one `row col value` line per stored entry."""
-    coo = K.matrix.tocoo()
+    """Text export: one `row col value` line per non-zero entry, row-major."""
     with open(path, "w", encoding="utf-8") as fh:
-        for s in range(0, coo.nnz, _LINES_PER_WRITE):
-            block = (a[s:s + _LINES_PER_WRITE].tolist() for a in (coo.row, coo.col, coo.data))
-            fh.write("".join(map("{} {} {!r}\n".format, *block)))
+        for r0, _, block in K.blocks():
+            i, j = np.nonzero(block)
+            fh.write("".join(map("{} {} {!r}\n".format, (i + r0).tolist(), j.tolist(),
+                                 block[i, j].tolist())))
 
 
 def write_dense_csv(K: SparseKernelMatrix, path, limit: int = 2000) -> None:
     if max(K.n_rows, K.n_cols) > limit:
         raise KernelError(f"dense export limited to {limit} rows/cols")
-    np.savetxt(path, K.toarray(), delimiter=",")
+    with open(path, "w", encoding="utf-8") as fh:
+        for _, _, block in K.blocks():
+            np.savetxt(fh, block, delimiter=",")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import CROSS, TRAIN, SparseKernelMatrix
+from .kernel import SparseKernelMatrix
 
 __all__ = [
     "SpectralModel",
@@ -86,8 +86,8 @@ def eigendecompose(K: SparseKernelMatrix, d_z: int) -> SpectralModel:
     largest-magnitude entry is positive, and residuals are checked against
     1e-8 on the operator.
     """
-    if K.role != TRAIN:
-        raise SpectralError("eigendecompose expects a train-role kernel")
+    if K.left is not K.right:
+        raise SpectralError("eigendecompose expects a train kernel")
     n = K.n_rows
     if not (1 <= d_z <= n - 1):
         raise SpectralError(f"d_z must lie in [1, n-1], got {d_z} with n={n}")
@@ -231,8 +231,6 @@ def nystrom_embed(K0: SparseKernelMatrix, model: SpectralModel) -> np.ndarray:
     Dimensions with a zero eigenvalue carry no out-of-sample information and
     are emitted as zero columns (with a warning).
     """
-    if K0.role not in (CROSS, TRAIN):
-        raise SpectralError("nystrom_embed expects a kernel matrix")
     if K0.n_cols != model.n:
         raise SpectralError(f"kernel has {K0.n_cols} columns, model expects {model.n}")
     t, _ = model.require_time()

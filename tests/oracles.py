@@ -2,8 +2,9 @@
 one-row routing and kernel API of the paper's definitions, one-row exact
 decoding, region intersection, the leaf-cell builders that the single
 cell descent (``forest._leaf_cells``) replaced, k-NN averaging by
-``np.add.at``, relabel decoding that patches its hardened rows' cells, and
-the CSV reader and writers that handled one cell or row at a time."""
+``np.add.at``, relabel decoding that patches its hardened rows' cells, the
+CSV reader and writers that handled one cell or row at a time, and the kernel
+exports that wrote the whole K."""
 
 from __future__ import annotations
 
@@ -182,9 +183,12 @@ _MISSING = frozenset({"", "NA", "NAN", "-NAN", "+NAN"})
 
 
 def _parse_continuous(token: str) -> float:
-    x = float(token)
+    try:
+        x = float(token)
+    except ValueError:
+        raise ValueError(f"{token!r} is not a number") from None
     if not math.isfinite(x):
-        raise ValueError(token)
+        raise ValueError(f"{token} is not finite")
     return x
 
 
@@ -246,9 +250,8 @@ def load_csv_per_cell(path, schema_hint: Schema | None = None) -> Table:
                     for tok in tokens:
                         _parse_continuous(tok)
             except ValueError as exc:
-                why = (f"declared continuous but cell {exc} is not" if hinted is not None
-                       else f"is numeric but cell {exc} is not finite")
-                raise DataError(f"{path}: column {name!r} {why}") from exc
+                kind = "declared continuous" if hinted is not None else "is numeric"
+                raise DataError(f"{path}: column {name!r} {kind} but cell {exc}") from exc
             grid[:, j] = values
             columns.append(Column(name))
     return Table(Schema(tuple(columns)), grid, n_dropped_rows=dropped)
@@ -301,8 +304,14 @@ def write_embedding_csv_per_row(path, Z0: np.ndarray, d_z: int) -> None:
 
 
 def write_coordinate_per_entry(K, path) -> None:
-    """``kernel.write_coordinate`` as it was: one write per stored entry."""
+    """``kernel.write_coordinate`` as it was: one write per stored entry of
+    SciPy's ``K.matrix``."""
     coo = K.matrix.tocoo()
     with open(path, "w", encoding="utf-8") as fh:
         for i, j, v in zip(coo.row, coo.col, coo.data):
             fh.write(f"{int(i)} {int(j)} {float(v)!r}\n")
+
+
+def write_dense_csv_one_shot(K, path) -> None:
+    """``kernel.write_dense_csv`` as it was: one ``np.savetxt`` of the whole dense K."""
+    np.savetxt(path, K.toarray(), delimiter=",")

@@ -138,6 +138,28 @@ def test_a_header_without_its_schema_raises_bundle_error(tmp_path, parts):
         load_bundle(path)
 
 
+@pytest.mark.parametrize("t", ["abc", [1], -1, -0.5, float("inf"), float("nan"), True, 10**400],
+                         ids=["string", "list", "negative-int", "negative", "infinity", "nan",
+                              "bool", "huge-int"])
+def test_a_bad_diffusion_time_raises_bundle_error_naming_the_file(tmp_path, parts, t):
+    forest, model, synth, _ = parts
+    path = tmp_path / "m.json"
+    _save(path, forest, model, synth)
+    _rewrite(path, lambda header, _: header.update(t=t))
+    with pytest.raises(BundleError, match="m.json: the diffusion time t=.* is not a finite"):
+        load_bundle(path)
+
+
+@pytest.mark.parametrize("t", [None, 0, 2, 0.5])
+def test_a_null_or_finite_non_negative_diffusion_time_loads(tmp_path, parts, t):
+    forest, model, synth, _ = parts
+    path = tmp_path / "m.json"
+    _save(path, forest, model, synth)
+    _rewrite(path, lambda header, _: header.update(t=t))
+    back = load_bundle(path).model
+    assert back.t == t and (back.Z is None) == (t is None)
+
+
 def test_saved_bundle_holds_no_derived_fields(tmp_path, parts):
     forest, model, synth, _ = parts
     path = tmp_path / "m.json"

@@ -383,12 +383,14 @@ def test_dense_fit_and_lasso_decode_load_no_scipy(fitted, tmp_path):
     for call in (
         fit,
         fit + ["--export-kernel", str(tmp_path / "k.csv"), "--dense"],
+        fit + ["--export-kernel", str(tmp_path / "k.txt")],
         ["decode", str(bundle), str(head), "--decoder", "lasso", "--out", str(tmp_path / "l.csv")],
     ):
         code = f"from forestae.cli import main; assert main({call!r}) == 0"
         # np.unique's hash path imports numpy.ma, 16 ms of a desk-scale command
         assert _scipy_modules_after(code, ("scipy", "numpy.ma")) == [], call
-    assert (tmp_path / "k.csv").is_file() and load_csv(tmp_path / "l.csv").n == 3
+    assert (tmp_path / "k.csv").is_file() and (tmp_path / "k.txt").is_file()
+    assert load_csv(tmp_path / "l.csv").n == 3
 
 
 def test_lanczos_fit_loads_no_scipy(tmp_path):

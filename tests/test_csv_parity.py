@@ -1,7 +1,8 @@
 """The column-at-a-time CSV reader and writers against the per-cell ones they
 replaced (``oracles.py``): a seeded sweep of awkward files and tables, which
 must read to equal tables, write byte-identical files and fail with identical
-error text."""
+error text. The kernel exports, streamed from K's row blocks, are checked
+against writers of the whole K."""
 
 import csv
 import io
@@ -12,10 +13,12 @@ import pytest
 from forestae.cli import UsageError, _read_embedding_csv, _write_embedding_csv
 from forestae.data import Column, DataError, Schema, Table, load_csv, save_csv
 from forestae.forest import ForestParams, fit_completely_random
-from forestae.kernel import rf_kernel_train, write_coordinate
+from forestae import kernel
+from forestae.kernel import rf_kernel_cross, rf_kernel_train, write_coordinate, write_dense_csv
 from conftest import make_mixed
 from oracles import (load_csv_per_cell, read_embedding_csv_per_row, save_csv_per_row,
-                     write_coordinate_per_entry, write_embedding_csv_per_row)
+                     write_coordinate_per_entry, write_dense_csv_one_shot,
+                     write_embedding_csv_per_row)
 
 NAMES = ["a", "b c", "d,e", 'q"t', "ü", "", "x\ny", "KPC1", " pad "]
 LEVELS = ["a", "b,c", 'say "hi"', "two\nlines", "cr\rend", "crlf\r\nend", " edge ", "naïve",
@@ -187,14 +190,33 @@ def test_embedding_reader_and_writer_match_the_per_row_ones(tmp_path):
         assert new.read_bytes() == old.read_bytes()
 
 
-def test_write_coordinate_matches_the_per_entry_writer(tmp_path):
+def test_write_coordinate_matches_the_per_entry_writer(tmp_path, monkeypatch):
+    # the export streams K's join blocks; the oracle writes K.matrix entry by entry
+    monkeypatch.setattr(kernel, "_JOIN_PAIRS", 2**12)
     table = make_mixed(150, seed=3)
     forest = fit_completely_random(table, ForestParams(n_trees=8, min_leaf=25, seed=4))
     K = rf_kernel_train(forest, table)
-    assert K.matrix.nnz > 4096  # more than one block
+    assert sum(1 for _ in K.blocks()) > 1  # more than one join block
     write_coordinate(K, tmp_path / "new.txt")
     write_coordinate_per_entry(K, tmp_path / "old.txt")
     assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+
+
+def test_write_dense_csv_matches_the_one_shot_writer(tmp_path, monkeypatch):
+    # a train kernel and a renormalized cross kernel, several join blocks each
+    monkeypatch.setattr(kernel, "_JOIN_PAIRS", 500)
+    table = make_mixed(120, seed=5)
+    forest = fit_completely_random(table, ForestParams(n_trees=9, min_leaf=2, seed=5))
+    loose = rf_kernel_cross(forest, table, table.take(np.arange(90)), strict=False)
+    assert loose.scale is not None
+    for K in (rf_kernel_train(forest, table), loose):
+        assert sum(1 for _ in K.blocks()) > 4
+        write_dense_csv(K, tmp_path / "new.csv")
+        write_dense_csv_one_shot(K, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        # %.18e keeps every bit, so the text also reads back as SciPy's K
+        assert np.array_equal(np.loadtxt(tmp_path / "new.csv", delimiter=","),
+                              K.matrix.toarray())
 
 
 @pytest.mark.parametrize("seed", [1, 2])

@@ -194,9 +194,9 @@ def test_load_csv_drops_and_counts_na_rows(tmp_path):
 @pytest.mark.parametrize(
     "cells, bad",
     [
-        (["1.0", "inf", "foo"], "cell inf is not"),
-        (["1.0", "-nan", "1e999"], "cell 1e999 is not"),
-        (["1.0", "foo", "inf"], "cell could not convert string to float: 'foo' is not"),
+        (["1.0", "inf", "foo"], "cell inf is not finite"),
+        (["1.0", "-nan", "1e999"], "cell 1e999 is not finite"),
+        (["1.0", "foo", "inf"], "cell 'foo' is not a number"),
     ],
 )
 def test_load_csv_hinted_continuous_error_names_first_bad_cell(tmp_path, cells, bad):

@@ -447,7 +447,7 @@ def test_stable_order_equals_the_stable_argsort(size, monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:kernel graph appears disconnected")
-def test_relabel_separable_split_has_perfect_smc():
+def test_relabel_separable_stump_routes_reference_rows_to_their_leaves():
     table, _ = make_blobs(80, 2, seed=13, separation=6.0)
     f = forest_of(
         [_stump(0, 0.0, (40, 40))],
@@ -463,7 +463,8 @@ def test_relabel_separable_split_has_perfect_smc():
     model = with_time(eigendecompose(K, 1), 1.0)
     synth = build_synthetic_training(f, table, seed=14)
     rl = relabel_forest(f, model, synth, n_synth=128, seed=15)
-    assert rl.smc[0] == 1.0
+    # the one latent cut agrees with the split on every reference row
+    assert np.array_equal(route_relabeled(rl, model.Z) + f.leaf_offsets, rl.reference)
 
 
 def test_relabel_topology_identical():
@@ -652,14 +653,13 @@ def _best_latent_split(Z0: np.ndarray, labels: np.ndarray):
 def _relabel_by_node(f, Z, values, rank=None, cap=None):
     """The reference relabeling node by node, tree by tree: route the rows
     down the original tree and score each split on the rows reaching it, or on
-    the ``cap`` of them of lowest ``rank``. Returns (feature, threshold, flip,
-    smc) over the stacked nodes of all trees."""
+    the ``cap`` of them of lowest ``rank``. Returns (feature, threshold, flip)
+    over the stacked nodes of all trees."""
     out = []
     for tree in f.trees:
         feat = np.where(tree.feature >= 0, 0, -1)
         thr = np.where(tree.feature >= 0, np.inf, 0.0)
         flip = np.zeros(tree.n_nodes, dtype=bool)
-        smc = np.full(tree.n_nodes, np.nan)
         rows = {0: np.arange(values.shape[0])}
         for idx in range(tree.n_nodes):
             if tree.feature[idx] < 0:
@@ -677,10 +677,9 @@ def _relabel_by_node(f, Z, values, rank=None, cap=None):
             if best is None:
                 if m:
                     thr[idx] = np.inf if 2 * n_left >= m else -np.inf
-                    smc[idx] = max(n_left, m - n_left) / m
                 continue
-            feat[idx], thr[idx], flip[idx], smc[idx] = best[0], best[1], best[2], best[3] / m
-        out.append((feat, thr, flip, smc))
+            feat[idx], thr[idx], flip[idx] = best[:3]
+        out.append((feat, thr, flip))
     return tuple(np.concatenate(a) for a in zip(*out))
 
 
@@ -701,11 +700,10 @@ def test_relabel_matches_per_node_brute_force(monkeypatch, kind, cells):
     else:
         f, model, synth = _pipeline(table, trees=6, min_leaf=3, seed=7)
     rl = relabel_forest(f, model, synth, n_synth=synth.n, seed=3)
-    feat, thr, flip, smc = _relabel_by_node(f, model.Z, synth.table.values)
+    feat, thr, flip = _relabel_by_node(f, model.Z, synth.table.values)
     assert np.array_equal(rl.feature, feat)
     assert np.array_equal(rl.threshold, thr)
     assert np.array_equal(rl.flip, flip)
-    assert np.array_equal(rl.smc, smc, equal_nan=True)
     n_splits = sum(int((tree.feature >= 0).sum()) for tree in f.trees)
     assert rl.n_degenerate == int(np.isinf(thr).sum()) < n_splits
 
@@ -714,11 +712,10 @@ def test_relabel_fixed_seed_with_binding_cap_is_deterministic():
     table = make_mixed(80, seed=9)
     f, model, synth = _pipeline(table, trees=6, min_leaf=3, seed=9)
     runs = [relabel_forest(f, model, synth, n_synth=10, seed=s) for s in (4, 4, 5)]
-    fields = ("feature", "threshold", "flip", "smc")
+    fields = ("feature", "threshold", "flip")
 
     def same(a, b):
-        return all(np.array_equal(getattr(a, k), getattr(b, k), equal_nan=True)
-                   for k in fields)
+        return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in fields)
 
     assert same(runs[0], runs[1]) and runs[0].n_degenerate == runs[1].n_degenerate
     assert not same(runs[0], runs[2])  # the cap binds: the seed picks the rows
@@ -726,7 +723,7 @@ def test_relabel_fixed_seed_with_binding_cap_is_deterministic():
     rank = np.random.default_rng(4).permutation(synth.n)
     ref = _relabel_by_node(f, model.Z, synth.table.values, rank, cap=10)
     for k, v in zip(fields, ref):
-        assert np.array_equal(getattr(runs[0], k), v, equal_nan=True)
+        assert np.array_equal(getattr(runs[0], k), v)
 
 
 def test_best_latent_split_ignores_rounding_gaps():
@@ -741,11 +738,11 @@ def test_best_latent_split_ignores_rounding_gaps():
     base = _best_latent_splits(node, Z0, labels, _axis_ranks(Z0))
     Z1 = Z0 + rng.uniform(-1e-14, 1e-14, Z0.shape)
     moved = _best_latent_splits(node, Z1, labels, _axis_ranks(Z1))
-    for k in (0, 1, 3, 4):  # node id, axis, flip, agreement
+    for k in (0, 1, 3):  # node id, axis, flip
         assert np.array_equal(moved[k], base[k])
     assert abs(moved[2][0] - base[2][0]) <= 1e-12
     ref = _best_latent_split(Z0, labels)
-    assert (base[1][0], base[3][0], base[4][0] * 30) == (ref[0], ref[2], ref[3])
+    assert (base[1][0], base[2][0], base[3][0]) == ref[:3]
 
 
 @pytest.mark.parametrize("decoder", ["lasso", "relabel"])
@@ -787,7 +784,7 @@ def test_relabel_decode_hardens_conflicting_rows_onto_reference_cells():
     assert 0 < conflict.sum() < Z0.shape[0]
     trace = []
     decoded = route_values(f, relabel_decode(rl, f, Z0, seed=67, trace=trace).values)
-    assert trace == [{"hardened_rows": int(conflict.sum())}]
+    assert trace == [{"hardened_rows": int(conflict.sum()), "degenerate_nodes": rl.n_degenerate}]
     assert np.array_equal(decoded[~conflict], routed[~conflict])
     # a conflicting row is sampled in the cell of its best-agreeing reference row
     agree = (rl.reference[None] == (routed[conflict] + offsets)[:, None]).sum(axis=2)
@@ -805,7 +802,8 @@ def test_relabel_decode_equals_the_two_pass_oracle(mixed_fold_1009):
     rl = relabel_forest(b.forest, b.model, b.synth, seed=1010)
     trace = []
     out = relabel_decode(rl, b.forest, Z0, seed=1010, trace=trace)
-    assert trace == [{"hardened_rows": 11}] and Z0.shape[0] == 200
+    assert trace == [{"hardened_rows": 11, "degenerate_nodes": rl.n_degenerate}]
+    assert Z0.shape[0] == 200
     ref = relabel_decode_two_pass(rl, b.forest, Z0, seed=1010)
     assert out.schema == ref.schema
     assert out.values.tobytes() == ref.values.tobytes()

@@ -93,7 +93,6 @@ def test_relabel_decode_fallback_on_infeasible_routing():
         feature=np.array([0, -1, -1, 0, -1, -1], dtype=np.int32),
         threshold=np.array([np.inf, 0.0, 0.0, -np.inf, 0.0, 0.0]),
         flip=np.zeros(6, dtype=bool),
-        smc=np.full(6, np.nan),
         d_z=1,
         n_degenerate=0,
         reference=route_values(original, np.array([[0.1], [0.5], [0.9]])) + original.leaf_offsets,

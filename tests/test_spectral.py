@@ -134,14 +134,14 @@ def test_lanczos_bits_do_not_depend_on_blas_threads():
     code = """if True:
         import hashlib
         import numpy as np
-        from forestae.kernel import TRAIN, LeafFactor, SparseKernelMatrix
+        from forestae.kernel import LeafFactor, SparseKernelMatrix
         from forestae.spectral import eigendecompose
         rng = np.random.default_rng(0)
         x = np.sort(rng.uniform(0.0, 1.0, 20000))
         cols = np.floor(x[:, None] * 40 + rng.uniform(0.0, 1.0, 5)).astype(np.int64)
         cols += np.arange(5) * 41
         F = LeafFactor(cols, 1.0 / np.sqrt(np.bincount(cols.ravel(), minlength=205)))
-        model = eigendecompose(SparseKernelMatrix(left=F, right=F, n_trees=5, role=TRAIN), 3)
+        model = eigendecompose(SparseKernelMatrix(left=F, right=F, n_trees=5), 3)
         print(model.solver, hashlib.sha256(model.V.tobytes()).hexdigest())
     """
     src = str(Path(forestae.__file__).resolve().parents[1])
@@ -182,17 +182,27 @@ def test_nystrom_self_consistency():
     assert np.abs(Z0 - model.Z).max() <= 1e-8
 
 
+def test_eigendecompose_takes_only_a_train_kernel():
+    # a train kernel is one whose two factors are the same object; the cross
+    # kernel of the reference table against itself holds the same entries
+    table, f, K = _fitted(n=40, seed=5)
+    K0 = rf_kernel_cross(f, table, table)
+    assert K0.toarray().tobytes() == K.toarray().tobytes()
+    with pytest.raises(SpectralError, match="expects a train kernel"):
+        eigendecompose(K0, 2)
+
+
 def test_nystrom_uniform_row_maps_to_origin():
     _, _, K = _fitted(n=50, seed=6)
     model = with_time(eigendecompose(K, 3), 1.0)
-    from forestae.kernel import CROSS, LeafFactor, SparseKernelMatrix
+    from forestae.kernel import LeafFactor, SparseKernelMatrix
 
     # K0 = left rightᵀ / n_trees: one leaf of weight 1 holds the query and all
     # 50 reference rows, so 1/50 in each of the 50 entries
     uniform = SparseKernelMatrix(
         left=LeafFactor(np.zeros((1, 1), dtype=np.int64), np.ones(1)),
         right=LeafFactor(np.zeros((50, 1), dtype=np.int64), np.ones(1)),
-        n_trees=50, role=CROSS,
+        n_trees=50,
     )
     Z0 = nystrom_embed(uniform, model)
     assert np.abs(Z0).max() <= 1e-8
@@ -294,13 +304,13 @@ def test_double_eigenvalue_one_dense_and_lanczos_agree(monkeypatch):
     # cuts each group into 6 leaves at random, so λ = 1 is left twice after
     # the constant pair is deflated
     from forestae import spectral
-    from forestae.kernel import TRAIN, LeafFactor, SparseKernelMatrix
+    from forestae.kernel import LeafFactor, SparseKernelMatrix
 
     rng = np.random.default_rng(0)
     group = np.repeat(np.arange(3), 300)[:, None]
     cols = np.arange(10) * 18 + group * 6 + rng.integers(0, 6, (900, 10))
     F = LeafFactor(cols, 1.0 / np.sqrt(np.bincount(cols.ravel(), minlength=180)))
-    K = SparseKernelMatrix(left=F, right=F, n_trees=10, role=TRAIN)
+    K = SparseKernelMatrix(left=F, right=F, n_trees=10)
     with pytest.warns(UserWarning, match="disconnected: 3 components"):
         lanczos = eigendecompose(K, 3)
     monkeypatch.setattr(spectral, "_DENSE_CUTOFF", 1000)
