@@ -239,7 +239,16 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
 
 
 def load_bundle(path: str | Path) -> ModelBundle:
+    """The bundle at ``path``; a file that is not a well-formed bundle raises
+    ``BundleError`` naming it."""
     header, stored = _read(path)
+    try:
+        return _bundle(header, stored)
+    except BundleError as exc:
+        raise BundleError(f"{path}: {exc}") from None
+
+
+def _bundle(header: dict, stored: dict) -> ModelBundle:
     a = {}
     for name, target in _DTYPES.items():  # widened back to the in-memory dtypes
         if name not in stored or not np.can_cast(stored[name].dtype, target):
@@ -257,9 +266,9 @@ def load_bundle(path: str | Path) -> ModelBundle:
         kind, n_classes, t, seed, sha = (header[k] for k in (
             "kind", "n_classes", "t", "synthetic_seed", "forest_sha"))
     except (KeyError, TypeError, ValueError) as exc:
-        raise BundleError(f"{path}: the bundle header is malformed ({exc!r})") from None
+        raise BundleError(f"the bundle header is malformed ({exc!r})") from None
     if t is not None and (type(t) not in (int, float) or not 0 <= t <= sys.float_info.max):
-        raise BundleError(f"{path}: the diffusion time t={t!r} is not a finite number >= 0")
+        raise BundleError(f"the diffusion time t={t!r} is not a finite number >= 0")
     _check_trees(a, schema.n_levels)
     if a["feature_ranges"].shape != (schema.n_columns, 2):
         raise BundleError(f"feature_ranges is not shaped ({schema.n_columns}, 2)")

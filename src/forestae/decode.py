@@ -22,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Table
-from .forest import (Forest, _descend, _first_min, _leaf_cells, _node_arrays, _route, _widen,
-                     _segment_cumsum, _sorted_unique, assigned_region, route_table, route_values)
+from .forest import (Forest, _descend, _first_min, _leaf_cells, _node_arrays, _ranges, _route,
+                     _segment_cumsum, _sorted_unique, _widen, assigned_region, route_table,
+                     route_values)
 from .kernel import _leaf_join, leaf_design, leaf_profile
 from .spectral import SpectralModel, reconstruct_kernel
 
@@ -45,17 +46,10 @@ _ZERO_DIST_EPS = 1e-12
 # k-NN distances up to this share of max |Z| are exact matches: rows in the same
 # leaves embed onto one point up to rounding, about 1e-15 of max |Z|
 _COINCIDENT_RTOL = 1e-9
-_KDTREE_MAX_DIM = 20
-# Query-reference pairs up to which the numpy k-NN search beats cKDTree plus
-# its scipy.spatial import. On a 2-vCPU x86 host the import takes 0.30-0.41 s
-# of `decode`'s process start and about 30 MiB of its RSS (it took 0.46 s when
-# this break-even was measured). There, with k = 20 on Gaussian points, numpy
-# takes 0.18-0.25 s at 2**24 pairs and 0.40-0.46 s at 2**25 for d <= 4, where
-# cKDTree takes 0.02-0.04 s; the break-even lies near 2**25 for d <= 4, between
-# 2**24 and 2**25 at d = 8 and just under 2**24 for d = 20 (numpy 0.92 s,
-# cKDTree plus import 0.88 s).
-_BRUTE_MAX_PAIRS = 2**24
-_BRUTE_BLOCK_PAIRS = 2**16  # (query, reference) distances per block of either k-NN search
+# (home leaf, leaf) box pairs, (query, leaf, dimension) gaps or (query, reference
+# row) distances per block of the k-NN search; a block holds at least one query
+_BRUTE_BLOCK_PAIRS = 2**16
+_KNN_LEAF = 80  # reference rows per leaf of the k-NN search's k-d tree, at most
 _RELABEL_CELLS = 2**15  # (reference row, tree) cells per block of trees relabeling walks
 # Cells (rows x leaf columns) of the largest BVLS problem lasso decoding takes
 # on; checked for every row before any is solved. On a 2-vCPU x86 host, rows
@@ -123,81 +117,197 @@ def build_synthetic_training(
 # k-nearest neighbors
 
 
+def _spans(cost: np.ndarray, limit: int):
+    """Consecutive ranges ``(s, e)`` of items whose summed ``cost`` is at most
+    ``limit``, or one item."""
+    ends, s = np.cumsum(cost), 0
+    while s < cost.size:
+        e = max(s + 1, int(np.searchsorted(ends, ends[s] - cost[s] + limit, side="right")))
+        yield s, e
+        s = e
+
+
+@dataclass
+class _KdTree:
+    """A k-d tree over the rows of Z with every leaf at one depth. Level i
+    splits node j on ``axes[i][j]`` at ``cuts[i][j]`` (larger values go
+    right). Leaf l holds ``sizes[l]`` rows: their ids ``ids[l]`` and
+    coordinates ``padded[:, l]``, padded to one width with +inf rows, and its
+    box ``lo[:, l]``, ``hi[:, l]``."""
+
+    axes: list
+    cuts: list
+    sizes: np.ndarray
+    lo: np.ndarray  # (d, leaves)
+    hi: np.ndarray
+    padded: np.ndarray  # (d, leaves, width)
+    ids: np.ndarray  # (leaves, width)
+
+    def home(self, q: np.ndarray) -> np.ndarray:
+        """The leaf that each (m, d) query row descends to."""
+        node = np.zeros(q.shape[0], dtype=np.intp)
+        for axis, cut in zip(self.axes, self.cuts):
+            node = 2 * node + (q[np.arange(q.shape[0]), axis[node]] >= cut[node])
+        return node
+
+
+def _kd_tree(Z: np.ndarray, leaf: int) -> _KdTree:
+    """Each level splits every node at its median on its widest axis, by one
+    ``lexsort`` of (node, value), until no leaf holds more than ``leaf`` rows;
+    the nodes of a level differ in size by at most one row."""
+    n, d = Z.shape
+    depth = (-(-n // leaf) - 1).bit_length()  # the fewest halvings to at most `leaf` rows
+    order, starts, axes, cuts = np.arange(n), np.array([0, n]), [], []
+    for _ in range(depth):
+        Zs, sizes = Z[order], np.diff(starts)
+        spread = np.maximum.reduceat(Zs, starts[:-1]) - np.minimum.reduceat(Zs, starts[:-1])
+        axis = np.argmax(spread, axis=1)
+        node = np.repeat(np.arange(sizes.size), sizes)
+        order = order[np.lexsort((Zs[np.arange(n), axis[node]], node))]
+        mid = starts[:-1] + sizes // 2
+        axes.append(axis)
+        cuts.append(Z[order[mid], axis])
+        starts = np.append(np.column_stack([starts[:-1], mid]).ravel(), n)
+    Zs, sizes = Z[order], np.diff(starts)
+    width = int(sizes.max())
+    slot = np.arange(n) + np.repeat(np.arange(sizes.size) * width - starts[:-1], sizes)
+    padded = np.full((d, sizes.size * width), np.inf)
+    padded[:, slot] = Zs.T
+    ids = np.zeros(sizes.size * width, dtype=np.intp)
+    ids[slot] = order
+    return _KdTree(axes, cuts, sizes, np.minimum.reduceat(Zs, starts[:-1]).T.copy(),
+                   np.maximum.reduceat(Zs, starts[:-1]).T.copy(),
+                   padded.reshape(d, sizes.size, width), ids.reshape(sizes.size, width))
+
+
 def _knn_batch(Z0: np.ndarray, Z: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Each query's k nearest rows of Z: (m, k) indices and distances, ascending.
 
-    Squared distances within a tolerance scaled to Z are exact matches and
-    read 0, and equal distances go to the lowest index. Up to
-    ``_BRUTE_MAX_PAIRS`` query-reference pairs, and at any size above
-    ``_KDTREE_MAX_DIM`` dimensions, the search is exact in numpy. Above it,
-    ``cKDTree`` repays its import: it finds k + 1 neighbours for blocks of
-    queries (at most ``_BRUTE_BLOCK_PAIRS`` pairs each), whose squared
-    distances are then summed as numpy sums them, and a row whose (k + 1)-th
-    is within a factor 1 + ``_COINCIDENT_RTOL`` of its k-th (a tie across the
-    k-th neighbour, which cKDTree breaks its own way) is searched again in
-    numpy. Either way a row's neighbours do not depend on the rows searched
-    with it.
+    Squared distances are summed one dimension at a time in dimension order;
+    those within a tolerance scaled to Z are exact matches and read 0, and
+    equal distances go to the lowest index. The search is exact, over a k-d
+    tree (``_kd_tree``). Each query's search is bounded by ``_kth_bound``, and
+    a leaf is skipped where the squared gaps from the query to its box, summed
+    in the same order, exceed the bound: rounding is monotone, so that sum
+    never exceeds the distance to a row of the leaf. A block holds at most
+    ``_BRUTE_BLOCK_PAIRS`` (query, leaf, dimension) gaps, then (query,
+    reference row) distances, or one query; a row's neighbours do not depend on
+    the rows searched with it. Coordinates must be finite.
     """
-    (m, d), n = Z0.shape, Z.shape[0]
-    tol = _COINCIDENT_RTOL * np.abs(Z).max(initial=0.0)
-    if m * n <= _BRUTE_MAX_PAIRS or d > _KDTREE_MAX_DIM:
-        return _knn_exact(Z0, Z, k, tol)
-    from scipy.spatial import cKDTree  # costly import; only large k-NN searches need it
-
-    tree, r = cKDTree(Z), min(k + 1, n)
+    m, d = Z0.shape
     idx = np.empty((m, k), dtype=np.intp)
     dist = np.empty((m, k))
-    step = max(1, _BRUTE_BLOCK_PAIRS // r)
-    for s in range(0, m, step):
-        q = Z0[s:s + step]
-        near = tree.query(q, k=r)[1].reshape(q.shape[0], r)
-        d2 = _sq_dist(q, Z, tol, near)
-        # by distance, then index: cKDTree's order differs only where distances
-        # tie or, above 4 dimensions, round otherwise
-        redo = np.flatnonzero((d2[:, 1:] <= d2[:, :-1]).any(axis=1))
-        order = np.lexsort((near[redo], d2[redo]))
-        near[redo] = np.take_along_axis(near[redo], order, 1)
-        d2[redo] = np.take_along_axis(d2[redo], order, 1)
-        idx[s:s + step], dist[s:s + step] = near[:, :k], np.sqrt(d2[:, :k])
-        if r > k:
-            tied = np.flatnonzero(d2[:, k] <= d2[:, k - 1] * (1 + _COINCIDENT_RTOL))
-            if tied.size:
-                idx[s + tied], dist[s + tied] = _knn_exact(q[tied], Z, k, tol)
+    if not m:
+        return idx, dist
+    tol2 = (_COINCIDENT_RTOL * np.abs(Z).max(initial=0.0)) ** 2
+    tree = _kd_tree(Z, _KNN_LEAF)
+    home = tree.home(Z0)
+    by_home = np.argsort(home, kind="stable")
+    q, home = Z0[by_home].T.copy(), home[by_home]
+    bound = _kth_bound(tree, q, home, k, tol2)
+    leaves, first, count = _candidate_leaves(tree, q, home, bound)
+    width = tree.ids.shape[1]
+    for s, e in _spans(count * d, _BRUTE_BLOCK_PAIRS):
+        qi = np.repeat(np.arange(s, e), count[s:e])
+        li = leaves[_ranges(first[s:e], count[s:e])]
+        gap2 = _gap2((tree.lo[j, li], tree.hi[j, li], q[j, qi], q[j, qi]) for j in range(d))
+        keep = gap2 <= bound[qi]
+        qi, li = qi[keep], li[keep]
+        n_pairs = np.bincount(qi - s, minlength=e - s)
+        for s2, e2 in _spans(n_pairs * width, _BRUTE_BLOCK_PAIRS):
+            p0, p1 = n_pairs[:s2].sum(), n_pairs[:e2].sum()
+            pq, pl = qi[p0:p1], li[p0:p1]
+            d2 = _padded_sq_dist(q[:, pq], tree.padded, pl, tol2)
+            r, c = np.nonzero(d2 <= bound[pq, None])
+            rows = by_home[s + s2:s + e2]
+            idx[rows], dist[rows] = _first_k(pq[r] - (s + s2), d2[r, c], tree.ids[pl[r], c],
+                                             e2 - s2, k)
+            del d2, r, c
+    np.sqrt(dist, out=dist)
     return idx, dist
 
 
-def _sq_dist(q: np.ndarray, Z: np.ndarray, tol: float, near: np.ndarray | None = None):
-    """Squared distances from each query row to every row of Z, (m, n), or to
-    its rows ``near`` of Z, (m, r), summed one dimension at a time in dimension
-    order (cKDTree's sum, bit for bit, for d <= 4); those up to ``tol`` squared
-    read 0."""
-    d2 = np.zeros((q.shape[0], Z.shape[0]) if near is None else near.shape)
-    for j in range(q.shape[1]):
-        d2 += (q[:, j, None] - (Z[:, j] if near is None else Z[:, j][near])) ** 2
-    d2[d2 <= tol * tol] = 0.0
+def _kth_bound(tree: _KdTree, q: np.ndarray, home: np.ndarray, k: int, tol2: float):
+    """Each (d, m) query column's search bound: the k-th squared distance over
+    its home leaf's parent block, or the smallest ancestor block of at least k
+    rows, and at least ``tol2``, so that coincident rows stay in reach."""
+    sizes, depth, width = tree.sizes, len(tree.axes), tree.ids.shape[1]
+    up = min(1, depth)
+    while up < depth and sizes.reshape(-1, 1 << up).sum(axis=1).min() < k:
+        up += 1
+    blocks = tree.padded.reshape(q.shape[0], -1, width << up)  # sibling leaves are adjacent
+    bound = np.empty(q.shape[1])
+    for s, e in _spans(np.full(bound.size, width << up), _BRUTE_BLOCK_PAIRS):
+        d2 = _padded_sq_dist(q[:, s:e], blocks, home[s:e] >> up, tol2)
+        bound[s:e] = np.partition(d2, k - 1, axis=1)[:, k - 1]
+    return np.maximum(bound, tol2, out=bound)
+
+
+def _candidate_leaves(tree: _KdTree, q: np.ndarray, home: np.ndarray, bound: np.ndarray):
+    """The leaves within reach of the queries that share a home leaf, tested
+    as one box against each leaf's box with their largest bound: the leaf
+    list, and for each query (by home) its home's first entry and count."""
+    first = np.flatnonzero(np.diff(home, prepend=-1))
+    q_lo, q_hi = np.minimum.reduceat(q, first, axis=1), np.maximum.reduceat(q, first, axis=1)
+    reach = np.maximum.reduceat(bound, first)
+    n_leaves = tree.ids.shape[0]
+    homes, leaves = [], []
+    for s, e in _spans(np.full(first.size, n_leaves), _BRUTE_BLOCK_PAIRS):
+        gap2 = _gap2((tree.lo[j], tree.hi[j], q_lo[j, s:e, None], q_hi[j, s:e, None])
+                     for j in range(q.shape[0]))
+        h, leaf = np.nonzero(gap2 <= reach[s:e, None])
+        homes.append(h + s)
+        leaves.append(leaf)
+    count = np.bincount(np.concatenate(homes), minlength=first.size)
+    group = np.repeat(np.arange(first.size), np.diff(first, append=home.size))
+    return np.concatenate(leaves), (np.cumsum(count) - count)[group], count[group]
+
+
+def _padded_sq_dist(q: np.ndarray, padded: np.ndarray, at: np.ndarray, tol2: float) -> np.ndarray:
+    """Squared distances from each (d, m) query column to the (d, blocks,
+    width) padded rows of its block ``at``, summed one dimension at a time;
+    those up to ``tol2`` read 0, and pads +inf."""
+    d2 = np.zeros((q.shape[1], padded.shape[2]))
+    for j in range(q.shape[0]):
+        diff = padded[j, at]
+        np.subtract(q[j, :, None], diff, out=diff)
+        diff *= diff
+        d2 += diff
+    d2[d2 <= tol2] = 0.0
     return d2
 
 
-def _knn_exact(Z0: np.ndarray, Z: np.ndarray, k: int, tol: float):
-    """``_knn_batch`` in numpy: squared differences over blocks of queries,
-    then the first k of a stable sort."""
-    m, n = Z0.shape[0], Z.shape[0]
-    idx = np.empty((m, k), dtype=np.intp)
-    dist = np.empty((m, k))
-    step = max(1, _BRUTE_BLOCK_PAIRS // n)  # at least one query row per block
-    for s in range(0, m, step):
-        d2 = _sq_dist(Z0[s:s + step], Z, tol)
-        # a stable argsort's first k: every distance up to the k-th smallest
-        # (NaN included), ordered by value and then index
-        kth = np.partition(d2, k - 1, axis=1)[:, k - 1, None]
-        rows, cols = np.nonzero(~(d2 > kth))
-        vals = d2[rows, cols]
-        order = np.lexsort((vals, rows))  # by row, then distance, then index
-        first = np.searchsorted(rows, np.arange(d2.shape[0]))  # each row's first candidate
-        pick = order[first[:, None] + np.arange(k)]
-        idx[s:s + step] = cols[pick]
-        dist[s:s + step] = np.sqrt(vals[pick])
-    return idx, dist
+def _gap2(bounds) -> np.ndarray:
+    """Squared gaps between boxes: the sum of max(lo - q_hi, q_lo - hi, 0)² over
+    the (lo, hi, q_lo, q_hi) bounds of each dimension, in dimension order."""
+    out = 0.0
+    for lo, hi, q_lo, q_hi in bounds:
+        gap = np.maximum(lo - q_hi, q_lo - hi)
+        np.maximum(gap, 0.0, out=gap)
+        gap *= gap
+        out = out + gap
+    return out
+
+
+def _first_k(q: np.ndarray, d2: np.ndarray, idx: np.ndarray, m: int, k: int):
+    """Each of m queries' first k candidates, ordered by squared distance and
+    then index: ``q`` names each candidate's query, ascending, and every query
+    has at least k."""
+    order = np.argsort(d2)
+    # then by query: a stable sort of the narrowest integers, a radix sort up to 16 bits
+    order = order[np.argsort(q[order].astype(np.min_scalar_type(m)), kind="stable")]
+    q, d2, idx = q[order], d2[order], idx[order]
+    first = np.searchsorted(q, np.arange(m))
+    tie = (q[1:] == q[:-1]) & (d2[1:] == d2[:-1])
+    if tie.any():  # equal distances: sort by index each run that starts in a query's first k
+        new = np.concatenate(([True], ~tie))
+        run = np.cumsum(new) - 1
+        run_start = np.flatnonzero(new)
+        near = (run_start - first[q[run_start]] < k) & (np.diff(run_start, append=q.size) > 1)
+        at = np.flatnonzero(near[run])
+        idx[at] = idx[at][np.lexsort((idx[at], run[at]))]
+    pick = first[:, None] + np.arange(k)
+    return idx[pick], d2[pick]
 
 
 def _inverse_distance_weights(dist: np.ndarray) -> np.ndarray:
@@ -239,6 +349,11 @@ def knn_decode(
     if not 1 <= k <= Z.shape[0]:
         raise DecodeError(f"k must lie in [1, {Z.shape[0]}]")
     Z0 = _embedding(Z0, model.d_z)
+    bad = np.flatnonzero(~np.isfinite(Z0).all(axis=1))
+    if bad.size:  # the search's box tests need finite coordinates
+        raise DecodeError(f"embedding row {bad[0]} is not finite")
+    if not np.isfinite(Z).all():
+        raise DecodeError("the model's embedding is not finite")
     idx, dist = _knn_batch(Z0, Z, k)
     w = _inverse_distance_weights(dist)
     del dist

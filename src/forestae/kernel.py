@@ -85,7 +85,8 @@ class LeafFactor:
         return np.bincount(cols.ravel(), weights=vals.ravel(), minlength=self.shape[1])
 
     def tocsr(self):
-        """F as a SciPy CSR matrix (tree order within each row), for ``K.matrix``."""
+        """F as a SciPy CSR matrix (tree order within each row), for ``K.matrix``;
+        SciPy comes with the ``test`` extra."""
         import scipy.sparse as sp  # costly import; only the oracle needs it
 
         n, n_trees = self.cols.shape
@@ -130,7 +131,8 @@ class SparseKernelMatrix:
     def matrix(self):
         """K as a SciPy CSR matrix, built on first access: symmetrized and
         index-sorted for a train kernel. It is the oracle that tests and
-        perfbench's traced run read; nothing in the package calls it."""
+        perfbench's traced run read; nothing in the package calls it, and it
+        needs SciPy, which comes with the ``test`` extra."""
         import scipy.sparse as sp  # costly import; only the oracle needs it
 
         K = (self.left.tocsr() @ self.right.tocsr().T) / self.n_trees

@@ -1,10 +1,11 @@
 """Reference implementations the tests compare the package against: the
 one-row routing and kernel API of the paper's definitions, one-row exact
 decoding, region intersection, the leaf-cell builders that the single
-cell descent (``forest._leaf_cells``) replaced, k-NN averaging by
-``np.add.at``, relabel decoding that patches its hardened rows' cells, the
-CSV reader and writers that handled one cell or row at a time, and the kernel
-exports that wrote the whole K."""
+cell descent (``forest._leaf_cells``) replaced, the brute-force k-NN search
+that the k-d tree search replaced, k-NN averaging by ``np.add.at``, relabel
+decoding that patches its hardened rows' cells, the CSV reader and writers
+that handled one cell or row at a time, and the kernel exports that wrote the
+whole K."""
 
 from __future__ import annotations
 
@@ -17,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from forestae.data import Column, DataError, Schema, Table
-from forestae.decode import (_TIE_TOL, DecodeError, IlpResult, _check_ilp_work, _embedding,
-                             _ilp_solve, reference_leaf_assign, route_relabeled)
+from forestae.decode import (_COINCIDENT_RTOL, _TIE_TOL, DecodeError, IlpResult, _check_ilp_work,
+                             _embedding, _ilp_solve, reference_leaf_assign, route_relabeled)
 from forestae.forest import Forest, Region, _leaf_cells, assigned_region, route_values
 from forestae.cli import UsageError
 from forestae.kernel import KernelError
@@ -134,6 +135,25 @@ def all_pairs_refinement(forest: Forest, n_rows: int) -> np.ndarray:
             raise DecodeError("no feasible leaf assignment: every combination has empty overlap")
     _check_ilp_work(cells.shape[0] * n_rows)
     return cells
+
+
+def knn_exact(Z0: np.ndarray, Z: np.ndarray, k: int):
+    """``decode._knn_batch`` as the brute-force numpy search computed it: every
+    squared distance, summed one dimension at a time in dimension order, those
+    within ``_COINCIDENT_RTOL`` x max |Z| read 0, then the first k of a stable
+    sort. Returns (m, k) indices and distances."""
+    tol = _COINCIDENT_RTOL * np.abs(Z).max(initial=0.0)
+    d2 = np.zeros((Z0.shape[0], Z.shape[0]))
+    for j in range(Z0.shape[1]):
+        d2 += (Z0[:, j, None] - Z[:, j]) ** 2
+    d2[d2 <= tol * tol] = 0.0
+    # every distance up to the k-th smallest, ordered by row, distance, then index
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1, None]
+    rows, cols = np.nonzero(~(d2 > kth))
+    vals = d2[rows, cols]
+    order = np.lexsort((vals, rows))
+    pick = order[np.searchsorted(rows, np.arange(d2.shape[0]))[:, None] + np.arange(k)]
+    return cols[pick], np.sqrt(vals[pick])
 
 
 def knn_average_add_at(w: np.ndarray, idx: np.ndarray, synth_values: np.ndarray, schema,

@@ -2,6 +2,7 @@ import gzip
 import hashlib
 import io
 import json
+import re
 import warnings
 from copy import deepcopy
 from dataclasses import asdict, replace
@@ -297,6 +298,34 @@ def _tamper(forest, edit):
 
 def _first_leaf(tree):
     return int(np.flatnonzero(tree.feature < 0)[0])
+
+
+def _reversed_ranges(arrays):
+    ranges = arrays["feature_ranges"].astype(np.float64)
+    arrays["feature_ranges"] = np.column_stack([ranges[:, 1] + 1.0, ranges[:, 0]])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h, a: a.pop("leaf_stat"), "the bundle lacks its leaf_stat array"),
+    (lambda h, a: a.update(threshold=a["threshold"][:-1]), "tree arrays do not match"),
+    (lambda h, a: a.update(feature=np.where(a["feature"] >= 0, 99, a["feature"])),
+     "a split names column >= 3"),
+    (lambda h, a: a.update(feature_ranges=a["feature_ranges"][:1]),
+     r"feature_ranges is not shaped \(3, 2\)"),
+    (lambda h, a: _reversed_ranges(a), "feature_ranges has a continuous row"),
+    (lambda h, a: h.update(forest_sha="0" * 64), "forest hash mismatch"),
+    (lambda h, a: a.update(eigenvalues=a["eigenvalues"][:1]), "eigenvalue count"),
+    (lambda h, a: a.update(synthetic=a["synthetic"][:-1]),
+     "spectral model and synthetic set disagree on n"),
+], ids=["missing-array", "threshold-count", "check-trees", "ranges-shape", "ranges-order",
+        "digest", "eigenvalue-count", "synthetic-rows"])
+def test_every_check_after_the_header_names_the_file(tmp_path, parts, edit, message):
+    forest, model, synth, _ = parts
+    path = tmp_path / "m.json"
+    _save(path, forest, model, synth)
+    _rewrite(path, edit)
+    with pytest.raises(BundleError, match=f"^{re.escape(str(path))}: {message}"):
+        load_bundle(path)
 
 
 def _cycle(tree):

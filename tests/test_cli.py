@@ -367,9 +367,8 @@ _LAZY = ("scipy", "numpy.ma", "multiprocessing", "concurrent.futures.process")
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # SciPy is imported only where it is needed: k-NN searches above the
-    # kd-tree break-even (scipy.spatial) and the coordinate kernel export
-    # (scipy.sparse); the process pool only for --jobs > 1
+    # no command imports SciPy, which only the tests' oracles use; the process
+    # pool is imported only for --jobs > 1
     assert _scipy_modules_after("import forestae.cli", _LAZY) == []
 
 
@@ -465,6 +464,20 @@ def test_decode_knn_below_break_even_loads_no_scipy(fitted, tmp_path):
     code = f"from forestae.cli import main; assert main({call!r}) == 0"
     assert _scipy_modules_after(code, ("scipy", "numpy.ma")) == []
     assert load_csv(out).n == 60
+
+
+def test_decode_knn_above_2_24_pairs_loads_no_scipy(tmp_path):
+    # 4,200 rows decoded against their own 4,200 reference rows: more than
+    # 2**24 query x reference pairs, where the search once switched to SciPy
+    data = _write_blobs_csv(tmp_path / "train.csv", n=4200, seed=9, with_label=False)
+    bundle, emb, out = tmp_path / "m.json", tmp_path / "z.csv", tmp_path / "knn.csv"
+    assert main(["fit", str(data), "--mode", "completely_random", "--d-z", "3", "--trees", "3",
+                 "--min-leaf", "20", "--seed", "4", "--out", str(bundle)]) == 0
+    assert main(["encode", str(bundle), str(data), "--out", str(emb)]) == 0
+    call = ["decode", str(bundle), str(emb), "--decoder", "knn", "--out", str(out)]
+    code = f"from forestae.cli import main; assert main({call!r}) == 0"
+    assert _scipy_modules_after(code, _LAZY) == []
+    assert load_csv(out).n == 4200 and 4200**2 > 2**24
 
 
 def test_decode_knn_trace_from_one_search(fitted, tmp_path, monkeypatch):

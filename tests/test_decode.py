@@ -39,6 +39,7 @@ from oracles import (
     all_pairs_refinement,
     ilp_decode_exact,
     knn_average_add_at,
+    knn_exact,
     level_fill_leaf_cells,
     region_intersect,
     relabel_decode_two_pass,
@@ -256,86 +257,148 @@ def test_knn_decode_distortion_improves_with_dimension():
 
 
 def _stable_argsort_knn(Z0, Z, k):
-    """Reference search: all squared differences at once, stable argsort."""
-    d2 = ((Z0[:, None, :] - Z[None, :, :]) ** 2).sum(axis=2)
+    """Reference search: every squared difference, summed in dimension order,
+    those within the coincidence tolerance read 0, then a stable argsort."""
+    from forestae.decode import _COINCIDENT_RTOL
+
+    d2 = np.zeros((Z0.shape[0], Z.shape[0]))
+    for j in range(Z.shape[1]):
+        d2 += (Z0[:, None, j] - Z[None, :, j]) ** 2
+    d2[d2 <= (_COINCIDENT_RTOL * np.abs(Z).max()) ** 2] = 0.0
     idx = np.argsort(d2, axis=1, kind="stable")[:, :k]
     return idx, np.sqrt(np.take_along_axis(d2, idx, axis=1))
 
 
+def _search_equals_reference(monkeypatch, Z0, Z, k, leaf=None):
+    """``_knn_batch`` with leaves of at most ``leaf`` rows, checked bit for bit
+    against the reference search."""
+    from forestae import decode
+
+    if leaf is not None:
+        monkeypatch.setattr(decode, "_KNN_LEAF", leaf)
+    idx, dist = decode._knn_batch(Z0, Z, k)
+    ref_idx, ref_dist = _stable_argsort_knn(Z0, Z, k)
+    assert np.array_equal(idx, ref_idx)
+    assert np.array_equal(dist, ref_dist)
+    return idx, dist
+
+
+def _leaf_of(Z, leaf):
+    """Each row's leaf in the search's k-d tree of at most ``leaf`` rows per leaf."""
+    from forestae.decode import _kd_tree
+
+    tree = _kd_tree(Z, leaf)
+    out = np.empty(Z.shape[0], dtype=np.intp)
+    out[tree.ids[np.arange(tree.ids.shape[1]) < tree.sizes[:, None]]] = np.repeat(
+        np.arange(tree.sizes.size), tree.sizes)
+    return out
+
+
 @pytest.mark.parametrize("d", [2, 25])
 def test_knn_numpy_search_blocked_equals_unblocked(monkeypatch, d):
-    # integer grid points: many equal distances, so the lowest index must win
+    # integer grid points: many equal distances, so the lowest index must win;
+    # blocks of at most 60 gaps or distances split the batch many times over
     from forestae import decode
 
     rng = np.random.default_rng(d)
     Z = rng.integers(0, 3, size=(60, d)).astype(np.float64)
     Z0 = rng.integers(0, 3, size=(23, d)).astype(np.float64)
+    monkeypatch.setattr(decode, "_KNN_LEAF", 8)
     whole = decode._knn_batch(Z0, Z, 7)
-    monkeypatch.setattr(decode, "_BRUTE_BLOCK_PAIRS", 3 * Z.shape[0])  # 3 queries per block
-    blocked = decode._knn_batch(Z0, Z, 7)
-    ref_idx, ref_dist = _stable_argsort_knn(Z0, Z, 7)
+    first_k, blocks = decode._first_k, []
+    monkeypatch.setattr(decode, "_first_k", lambda *args: blocks.append(args[3]) or first_k(*args))
+    monkeypatch.setattr(decode, "_BRUTE_BLOCK_PAIRS", 60)
+    blocked = _search_equals_reference(monkeypatch, Z0, Z, 7)
+    assert len(blocks) > 5 and sum(blocks) == Z0.shape[0]
     assert np.array_equal(blocked[0], whole[0]) and np.array_equal(blocked[1], whole[1])
-    assert np.array_equal(whole[0], ref_idx)
-    assert np.allclose(whole[1], ref_dist, rtol=1e-15, atol=0.0)
 
 
-def test_knn_above_break_even_uses_kdtree(monkeypatch):
-    import scipy.spatial
+def test_knn_search_breaks_ties_at_the_kth_neighbour_across_leaves(monkeypatch):
+    # integer grid points tie at the k-th distance, and the tied rows lie in
+    # several leaves: the lowest indices win whichever leaf holds them
+    rng = np.random.default_rng(21)
+    Z = rng.integers(0, 5, size=(400, 2)).astype(np.float64)
+    Z0 = rng.integers(0, 5, size=(50, 2)) + rng.choice([0.0, 0.5], size=(50, 2))
+    full_idx, full_dist = _stable_argsort_knn(Z0, Z, Z.shape[0])
+    leaf, k = _leaf_of(Z, 8), 9
+    kth = full_dist[:, k - 1, None]
+    crossing = [i for i in range(Z0.shape[0]) if full_dist[i, k] == kth[i, 0]
+                and np.unique(leaf[full_idx[i][full_dist[i] == kth[i, 0]]]).size > 1]
+    assert len(crossing) > 10
+    _search_equals_reference(monkeypatch, Z0, Z, k, leaf=8)
 
+
+def test_knn_search_coincident_rows_on_both_sides_of_a_split_read_zero(monkeypatch):
+    # three clumps of 30 rows, each within 1e-13 of its centre: a tree of 8-row
+    # leaves splits every clump, and all of a clump's rows are exact matches
+    rng = np.random.default_rng(22)
+    centres = rng.normal(size=(3, 2))
+    clump = rng.permutation(np.repeat(np.arange(3), 30))
+    Z = centres[clump] + rng.normal(scale=1e-13, size=(90, 2))
+    leaf = _leaf_of(Z, 8)
+    assert all(np.unique(leaf[clump == c]).size > 1 for c in range(3))
+    Z0 = centres + rng.normal(scale=1e-13, size=(3, 2))
+    idx, dist = _search_equals_reference(monkeypatch, Z0, Z, 12, leaf=8)
+    assert not dist.any()
+    for c in range(3):
+        assert idx[c].tolist() == np.flatnonzero(clump == c)[:12].tolist()
+
+
+def _far_queries(rng):
+    Z = rng.normal(size=(500, 3))
+    return np.vstack([rng.normal(size=(20, 3)), [[1e6, -1e6, 1e6], [0.0, 0.0, -1e8]]]), Z, 7, 16
+
+
+def _mixed_queries(rng, Z, k, leaf):
+    """Queries near and on the rows of Z."""
+    return np.vstack([rng.normal(size=(9, Z.shape[1])), Z[:3]]), Z, k, leaf
+
+
+@pytest.mark.parametrize("case", [
+    _far_queries,
+    lambda rng: _mixed_queries(rng, rng.normal(size=(30, 3)), 5, 40),  # one leaf holds Z
+    lambda rng: _mixed_queries(rng, rng.normal(size=(30, 3)), 30, 40),
+    lambda rng: _mixed_queries(rng, rng.normal(size=(200, 3)), 200, 16),
+    lambda rng: _mixed_queries(rng, np.full((100, 3), 2.0), 6, 8),
+    lambda rng: _mixed_queries(rng, rng.normal(size=(300, 25)), 10, 16),
+], ids=["far-queries", "n-below-one-leaf", "k-equals-n-one-leaf", "k-equals-n",
+        "every-row-equal", "d-25"])
+def test_knn_search_equals_the_stable_argsort(monkeypatch, case):
+    _search_equals_reference(monkeypatch, *case(np.random.default_rng(24)))
+
+
+def test_knn_search_equals_the_brute_force_oracle_on_random_shapes(monkeypatch):
+    # seeded sweep: sizes, dimensions, k, leaf sizes and block sizes, on Gaussian,
+    # grid and clumped points
     from forestae import decode
 
-    built = []
-
-    class SpyTree(scipy.spatial.cKDTree):
-        def __init__(self, data):
-            built.append(data.shape)
-            super().__init__(data)
-
-    monkeypatch.setattr(scipy.spatial, "cKDTree", SpyTree)
-    monkeypatch.setattr(decode, "_BRUTE_MAX_PAIRS", 12 * 50)
-    rng = np.random.default_rng(3)
-    Z = rng.normal(size=(50, 3))  # tie-free
-    at, above = rng.normal(size=(12, 3)), rng.normal(size=(13, 3))
-    decode._knn_batch(at, Z, 5)
-    assert built == []
-    idx, dist = decode._knn_batch(above, Z, 5)
-    assert built == [(50, 3)]
-    ref_idx, ref_dist = _stable_argsort_knn(above, Z, 5)
-    assert np.array_equal(idx, ref_idx)
-    assert np.allclose(dist, ref_dist)
-    # integer grid points tie at the k-th neighbour, zero distances included:
-    # the lowest indices win, as in the numpy search of fewer rows
-    Z = rng.integers(0, 3, size=(50, 3)).astype(np.float64)
-    above = rng.integers(0, 3, size=(13, 3)).astype(np.float64)
-    idx, dist = decode._knn_batch(above, Z, 5)
-    assert len(built) == 2
-    ref_idx, ref_dist = _stable_argsort_knn(above, Z, 5)
-    assert np.array_equal(idx, ref_idx)
-    assert np.array_equal(dist, ref_dist)
-    for rows in (slice(0, 1), slice(5, 9)):  # below the break-even: numpy alone
-        part = decode._knn_batch(above[rows], Z, 5)
-        assert len(built) == 2
-        assert np.array_equal(part[0], idx[rows]) and np.array_equal(part[1], dist[rows])
+    rng = np.random.default_rng(28)
+    for _ in range(60):
+        n, m, d = int(rng.integers(1, 400)), int(rng.integers(0, 80)), int(rng.integers(1, 7))
+        k = int(rng.integers(1, min(n, 25) + 1))
+        kind = rng.integers(3)
+        if kind == 0:
+            Z, Z0 = rng.normal(size=(n, d)), rng.normal(size=(m, d))
+        elif kind == 1:
+            Z = rng.integers(0, 3, size=(n, d)).astype(np.float64)
+            Z0 = rng.integers(0, 3, size=(m, d)).astype(np.float64)
+        else:
+            centres = rng.normal(size=(4, d))
+            Z = centres[rng.integers(0, 4, n)] + rng.normal(scale=1e-12, size=(n, d))
+            Z0 = centres[rng.integers(0, 4, m)] + rng.normal(scale=1e-12, size=(m, d))
+        monkeypatch.setattr(decode, "_KNN_LEAF", int(rng.choice([2, 5, 80])))
+        monkeypatch.setattr(decode, "_BRUTE_BLOCK_PAIRS", int(rng.choice([1, 50, 2**16])))
+        idx, dist = decode._knn_batch(Z0, Z, k)
+        ref_idx, ref_dist = knn_exact(Z0, Z, k)
+        assert np.array_equal(idx, ref_idx) and np.array_equal(dist, ref_dist)
 
 
-def test_knn_kdtree_blocks_equal_the_stable_argsort(monkeypatch):
-    # integer grid points: ties across the k-th neighbour and zero distances;
-    # blocks of 4 queries split the batch, and each block's rows get the
-    # neighbours that the whole batch and the reference search give them
-    from forestae import decode
-
-    rng = np.random.default_rng(31)
-    Z = rng.integers(0, 3, size=(50, 3)).astype(np.float64)
-    Z0 = np.vstack([Z[:5], rng.integers(0, 3, size=(14, 3))]).astype(np.float64)
-    monkeypatch.setattr(decode, "_BRUTE_MAX_PAIRS", 10)
-    whole = decode._knn_batch(Z0, Z, 5)
-    monkeypatch.setattr(decode, "_BRUTE_BLOCK_PAIRS", 4 * 6)  # 4 queries of k + 1 neighbours
-    blocked = decode._knn_batch(Z0, Z, 5)
-    ref_idx, ref_dist = _stable_argsort_knn(Z0, Z, 5)
-    assert (ref_dist == 0).any() and (ref_dist[:, -1] == ref_dist[:, -2]).any()
-    for idx, dist in (whole, blocked):
-        assert np.array_equal(idx, ref_idx)
-        assert np.array_equal(dist, ref_dist)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_knn_decode_refuses_a_row_that_is_not_finite(bad):
+    model, synth, Z0 = _knn_mixed_fixture(6, 50, 3, seed=9)
+    Z0[4, 1] = Z0[5, 0] = bad
+    with pytest.raises(DecodeError, match="embedding row 4 is not finite"):
+        knn_decode(Z0, model, None, synth, k=5)
 
 
 def _knn_mixed_fixture(m, n, d_z, seed, grid=False):
@@ -371,17 +434,12 @@ def test_knn_vote_equals_the_add_at_oracle(k):
 
 
 def test_knn_decode_memory_is_a_few_rows_by_neighbours():
-    # above the break-even: neither the search nor the averaging holds a
-    # (rows x neighbours x dimensions) or (rows x neighbours x columns) array,
-    # so the traced peak is a few (m, k) float arrays, whatever d or d_z
+    # neither the search nor the averaging holds a (rows x neighbours x
+    # dimensions) or (rows x neighbours x columns) array, so the traced peak is
+    # a few (m, k) float arrays, whatever d or d_z
     import tracemalloc
 
-    import scipy.spatial  # imported before tracing starts
-
-    from forestae import decode
-
     m, n, d_z, k = 10_000, 20_000, 4, 20
-    assert m * n > decode._BRUTE_MAX_PAIRS
     model, synth, Z0 = _knn_mixed_fixture(m, n, d_z, seed=43)
     tracemalloc.start()
     try:

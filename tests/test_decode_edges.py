@@ -165,11 +165,11 @@ def test_cli_lasso_decoder_with_categorical_data(tmp_path):
 
 
 def test_knn_decode_brute_force_path_matches_kdtree():
-    # force the high-dimensional scan and check it agrees with the tree path
+    # the search in 25 dimensions agrees with SciPy's cKDTree, an independent oracle
     from forestae.decode import _knn_batch
 
     rng = np.random.default_rng(8)
-    Z = rng.normal(size=(40, 25))  # above the kd-tree dimension cutoff
+    Z = rng.normal(size=(40, 25))
     Z0 = rng.normal(size=(5, 25))
     idx_b, dist_b = _knn_batch(Z0, Z, 4)
     from scipy.spatial import cKDTree

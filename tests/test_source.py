@@ -13,3 +13,26 @@ def test_no_runtime_check_is_an_assert():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _scipy_imports(tree: ast.AST, scope: tuple[str, ...] = ()):
+    """The dotted scope (class and function names) of each import of SciPy."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _scipy_imports(node, scope + (node.name,))
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            names = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+        if any(name == "scipy" or name.startswith("scipy.") for name in names):
+            yield ".".join(scope)
+        yield from _scipy_imports(node, scope)
+
+
+def test_scipy_is_imported_only_by_the_oracle_methods():
+    # SciPy is a test dependency: the package runs on numpy alone, and only the
+    # CSR oracle that tests and perfbench's traced run read imports it
+    found = sorted(f"{path.name}:{scope}" for path in sorted(SRC.glob("*.py"))
+                   for scope in _scipy_imports(ast.parse(path.read_text(encoding="utf-8"))))
+    assert found == ["kernel.py:LeafFactor.tocsr", "kernel.py:SparseKernelMatrix.matrix"]
