@@ -313,6 +313,29 @@ def test_knn_numpy_search_blocked_equals_unblocked(monkeypatch, d):
     assert np.array_equal(blocked[0], whole[0]) and np.array_equal(blocked[1], whole[1])
 
 
+def test_knn_kdtree_blocks_equal_the_stable_argsort(monkeypatch):
+    # integer grid points: ties across the k-th neighbour and zero distances;
+    # small leaves and blocks split the k-d search, and each block's rows get
+    # the neighbours that the whole batch and the reference search give them
+    from forestae import decode
+
+    rng = np.random.default_rng(31)
+    Z = rng.integers(0, 3, size=(50, 3)).astype(np.float64)
+    Z0 = np.vstack([Z[:5], rng.integers(0, 3, size=(14, 3))]).astype(np.float64)
+    monkeypatch.setattr(decode, "_KNN_LEAF", 6)
+    whole = decode._knn_batch(Z0, Z, 5)
+    first_k, blocks = decode._first_k, []
+    monkeypatch.setattr(decode, "_first_k", lambda *args: blocks.append(args[3]) or first_k(*args))
+    monkeypatch.setattr(decode, "_BRUTE_BLOCK_PAIRS", 4 * 6)
+    blocked = decode._knn_batch(Z0, Z, 5)
+    assert len(blocks) > 1 and sum(blocks) == Z0.shape[0]
+    ref_idx, ref_dist = _stable_argsort_knn(Z0, Z, 5)
+    assert (ref_dist == 0).any() and (ref_dist[:, -1] == ref_dist[:, -2]).any()
+    for idx, dist in (whole, blocked):
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(dist, ref_dist)
+
+
 def test_knn_search_breaks_ties_at_the_kth_neighbour_across_leaves(monkeypatch):
     # integer grid points tie at the k-th distance, and the tied rows lie in
     # several leaves: the lowest indices win whichever leaf holds them
